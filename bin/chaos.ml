@@ -99,32 +99,16 @@ let campaign_config ~seed ~duration =
 (* `--mode=domains`: every campaign runs twice under the same crash-free
    fault plan — once on the deterministic Sim scheduler, once on real
    OCaml 5 domains — and the two {!Run_digest}s must agree in addition
-   to both runs holding every online invariant. `--skip-publish-fence`
-   sabotages the domains run's counter publication; the digest
-   comparison must then exit 1 (a clean exit is a harness bug). *)
-let run_domains_campaigns (ename, engine) seed campaigns duration sabotage quota
-    quota_sabotage require_shed ndomains skip_publish_fence vbuffer gc_cfg =
-  let governor =
-    if quota <= 0 then Governor.default_config
-    else
-      { (Governor.governed ~quota_bytes:quota) with Governor.quota_ignore_sabotage = quota_sabotage }
-  in
-  let driver_config =
-    { State.default_config with State.zone_widen_sabotage = sabotage; governor }
-  in
-  let driver_config =
-    if vbuffer <= 0 then driver_config
-    else { driver_config with State.vbuffer_bytes = vbuffer }
-  in
-  let engine config = Gc_backend.wrap_engine gc_cfg (engine config) in
+   to both runs holding every online invariant. *)
+let run_domains_campaigns ename engine seed campaigns duration sabotage quota
+    quota_sabotage require_shed ndomains vbuffer gc_cfg =
   let campaign_seeds =
     let rng = Rng.create seed in
     List.init campaigns (fun _ -> Int64.to_int (Rng.next_int64 rng) land 0x3fffffff)
   in
-  Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs mode=domains x%d sabotage=%d quota=%d%s%s%s%s\n"
+  Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs mode=domains x%d sabotage=%d quota=%d%s%s%s\n"
     ename seed campaigns duration ndomains sabotage quota
     (if quota_sabotage then " quota-sabotage" else "")
-    (if skip_publish_fence then " skip-publish-fence" else "")
     (if vbuffer > 0 then Printf.sprintf " vbuffer=%d" vbuffer else "")
     (gc_banner gc_cfg);
   let total_violations = ref 0 and total_mismatches = ref 0 in
@@ -135,11 +119,9 @@ let run_domains_campaigns (ename, engine) seed campaigns duration sabotage quota
          get a fresh instance drawn from the same seed. *)
       let plan () = Fault_plan.random ~crashes:false ~seed:campaign_seed () in
       let cfg = campaign_config ~seed:campaign_seed ~duration in
-      let rs = Runner.run ~engine:(engine driver_config) ~faults:(plan ()) cfg in
+      let rs = Runner.run ~engine ~faults:(plan ()) cfg in
       let rd =
-        Runner.run ~engine:(engine driver_config) ~faults:(plan ())
-          ~mode:(Runner.Domains { domains = ndomains })
-          ~skip_publish_fence cfg
+        Runner.run ~engine ~faults:(plan ()) ~mode:(Runner.Domains { domains = ndomains }) cfg
       in
       total_violations :=
         !total_violations
@@ -406,7 +388,7 @@ let run_shard_campaigns seed campaigns duration shards scenario cross_pct crash_
 
 let rec run_campaigns (ename, engine) seed campaigns duration sabotage quota quota_sabotage
     require_shed crash_points ckpt_ms skip_tail_check stalls zombie_llts no_watchdog
-    require_containment trace_out metrics_out mode ndomains skip_publish_fence shards
+    require_containment trace_out metrics_out mode ndomains shards
     shard_scenario cross_pct crash_steps skip_coord_decision vbuffer gc_backend gc_sabotage
     net_loss net_dup net_delay_us partitions net_sabotage replicas rep_quorum kill_nodes
     kill_steps failover_sabotage =
@@ -414,7 +396,7 @@ let rec run_campaigns (ename, engine) seed campaigns duration sabotage quota quo
   if shards > 0 then begin
     if
       sabotage <> 0 || quota > 0 || quota_sabotage || require_shed || skip_tail_check || stalls
-      || zombie_llts || no_watchdog || require_containment || skip_publish_fence
+      || zombie_llts || no_watchdog || require_containment
       || trace_out <> None || metrics_out <> None
       || vbuffer > 0 || gc_backend <> Gc_backend.Vcutter || gc_sabotage
     then begin
@@ -448,62 +430,64 @@ let rec run_campaigns (ename, engine) seed campaigns duration sabotage quota quo
     prerr_endline "chaos: the --net-*/--partitions fault surface needs --shards";
     exit 2
   end
-  else
-  match mode with
-  | `Domains ->
-      if crash_points > 0 || skip_tail_check then begin
-        prerr_endline
-          "chaos: crash-restart campaigns are Sim-only (crash faults are skipped in domains \
-           mode); drop --crash-points/--skip-tail-check";
-        exit 2
-      end;
-      if stalls || zombie_llts || no_watchdog then begin
-        prerr_endline
-          "chaos: the liveness watchdog is Sim-only; drop --stalls/--zombie-llts/--no-watchdog";
-        exit 2
-      end;
-      if require_containment then begin
-        prerr_endline "chaos: --require-containment needs the Sim-only liveness flags";
-        exit 2
-      end;
-      if trace_out <> None || metrics_out <> None then begin
-        prerr_endline "chaos: --trace/--metrics are Sim-only (tracing assumes the \
-                       single-threaded scheduler)";
-        exit 2
-      end;
-      run_domains_campaigns (ename, engine) seed campaigns duration sabotage quota
-        quota_sabotage require_shed ndomains skip_publish_fence vbuffer gc_cfg
-  | `Sim ->
-      if skip_publish_fence then begin
-        prerr_endline "chaos: --skip-publish-fence only sabotages --mode=domains runs";
-        exit 2
-      end;
-      run_sim_campaigns (ename, engine) seed campaigns duration sabotage quota quota_sabotage
-        require_shed crash_points ckpt_ms skip_tail_check stalls zombie_llts no_watchdog
-        require_containment trace_out metrics_out vbuffer gc_cfg
+  else begin
+    (* What the domains substrate lacks comes from the one capability
+       table; each row names the flags that request it. *)
+    (match mode with
+    | `Sim -> ()
+    | `Domains ->
+        let dmode = Substrate.Domains { domains = ndomains } in
+        let reject reason =
+          Printf.eprintf "chaos: --mode=domains: %s\n" reason;
+          exit 2
+        in
+        Option.iter reject (Substrate.unsupported dmode []);
+        List.iter
+          (fun (feature, requested, flags) ->
+            Option.iter
+              (fun reason -> reject (reason ^ "; drop " ^ flags))
+              (Substrate.unsupported dmode [ (feature, requested) ]))
+          [
+            (Substrate.Crash_faults, crash_points > 0 || skip_tail_check,
+             "--crash-points/--skip-tail-check");
+            (Substrate.Watchdog, stalls || zombie_llts || no_watchdog || require_containment,
+             "--stalls/--zombie-llts/--no-watchdog/--require-containment");
+            (Substrate.Obs_export, trace_out <> None || metrics_out <> None,
+             "--trace/--metrics");
+          ]);
+    let durable = crash_points > 0 || skip_tail_check in
+    let governor =
+      if quota <= 0 then Governor.default_config
+      else
+        { (Governor.governed ~quota_bytes:quota) with Governor.quota_ignore_sabotage = quota_sabotage }
+    in
+    let driver_config =
+      {
+        State.default_config with
+        State.zone_widen_sabotage = sabotage;
+        governor;
+        durable_wal = durable;
+        recovery_skip_tail_check = skip_tail_check;
+      }
+    in
+    let driver_config =
+      if vbuffer <= 0 then driver_config
+      else { driver_config with State.vbuffer_bytes = vbuffer }
+    in
+    let engine = Gc_backend.wrap_engine gc_cfg (engine driver_config) in
+    match mode with
+    | `Domains ->
+        run_domains_campaigns ename engine seed campaigns duration sabotage quota
+          quota_sabotage require_shed ndomains vbuffer gc_cfg
+    | `Sim ->
+        run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_sabotage
+          require_shed durable crash_points ckpt_ms skip_tail_check stalls zombie_llts
+          no_watchdog require_containment trace_out metrics_out vbuffer gc_cfg
+  end
 
-and run_sim_campaigns (ename, engine) seed campaigns duration sabotage quota quota_sabotage
-    require_shed crash_points ckpt_ms skip_tail_check stalls zombie_llts no_watchdog
+and run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_sabotage
+    require_shed durable crash_points ckpt_ms skip_tail_check stalls zombie_llts no_watchdog
     require_containment trace_out metrics_out vbuffer gc_cfg =
-  let governor =
-    if quota <= 0 then Governor.default_config
-    else { (Governor.governed ~quota_bytes:quota) with Governor.quota_ignore_sabotage = quota_sabotage }
-  in
-  let durable = crash_points > 0 || skip_tail_check in
-  let driver_config =
-    {
-      State.default_config with
-      State.zone_widen_sabotage = sabotage;
-      governor;
-      durable_wal = durable;
-      recovery_skip_tail_check = skip_tail_check;
-    }
-  in
-  let driver_config =
-    if vbuffer <= 0 then driver_config
-    else { driver_config with State.vbuffer_bytes = vbuffer }
-  in
-  let engine config = Gc_backend.wrap_engine gc_cfg (engine config) in
   let campaign_seeds =
     (* Derive one independent seed per campaign from the base seed. *)
     let rng = Rng.create seed in
@@ -574,7 +558,7 @@ and run_sim_campaigns (ename, engine) seed campaigns duration sabotage quota quo
         { (campaign_config ~seed:campaign_seed ~duration) with
           Exp_config.ckpt_period_s = float_of_int ckpt_ms /. 1000. }
       in
-      let r = Runner.run ~engine:(engine driver_config) ~faults:plan ?watchdog:wdog cfg in
+      let r = Runner.run ~engine ~faults:plan ?watchdog:wdog cfg in
       total_violations := !total_violations + Fault_report.violation_count r.Runner.faults;
       Format.printf "@[<v>campaign %d seed=%d plan: %a@ commits=%d conflicts=%d@ %a@]@." i
         campaign_seed Fault_plan.pp plan r.Runner.commits r.Runner.conflicts Fault_report.pp
@@ -777,15 +761,6 @@ let cmd =
       value & opt int 2
       & info [ "domains" ] ~docv:"N" ~doc:"Domain count for --mode=domains.")
   in
-  let skip_publish_fence =
-    Arg.(
-      value & flag
-      & info [ "skip-publish-fence" ]
-          ~doc:
-            "Differential sabotage (--mode=domains only): sever the publication of each \
-             task's local counters to the shared aggregate. The sim-vs-domains digest \
-             comparison must then fail the run (a clean exit is a harness bug).")
-  in
   let shards =
     Arg.(
       value & opt int 0
@@ -965,7 +940,7 @@ let cmd =
       const run_campaigns $ engine $ seed $ campaigns $ duration $ sabotage $ quota
       $ quota_sabotage $ require_shed $ crash_points $ ckpt_ms $ skip_tail_check
       $ stalls $ zombie_llts $ no_watchdog $ require_containment $ trace_out $ metrics_out
-      $ mode $ ndomains $ skip_publish_fence $ shards $ shard_scenario $ cross_pct
+      $ mode $ ndomains $ shards $ shard_scenario $ cross_pct
       $ crash_steps $ skip_coord_decision $ vbuffer $ gc_backend $ gc_sabotage
       $ net_loss $ net_dup $ net_delay_us $ partitions $ net_sabotage $ replicas
       $ rep_quorum $ kill_nodes $ kill_steps $ failover_sabotage)

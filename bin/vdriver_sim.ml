@@ -124,18 +124,20 @@ let run_cmd =
     in
     let gc_cfg = { Gc_backend.default_config with Gc_backend.kind = gc_backend } in
     let engine = Gc_backend.wrap_engine gc_cfg (engine driver_config) in
+    let rmode =
+      match mode with `Sim -> Runner.Sim | `Domains -> Runner.Domains { domains = ndomains }
+    in
+    (match
+       Substrate.unsupported rmode
+         [ (Substrate.Obs_export, trace_out <> None || metrics_out <> None) ]
+     with
+    | Some reason ->
+        Printf.eprintf "vdriver_sim: %s; drop --trace/--metrics\n" reason;
+        exit 2
+    | None -> ());
     let r =
-      match mode with
-      | `Sim ->
-          Obs_export.with_obs ?trace:trace_out ?metrics:metrics_out (fun () ->
-              Runner.run ~engine cfg)
-      | `Domains ->
-          if trace_out <> None || metrics_out <> None then begin
-            prerr_endline "vdriver_sim: --trace/--metrics are Sim-only (tracing assumes \
-                           the single-threaded scheduler)";
-            exit 2
-          end;
-          Runner.run ~engine ~mode:(Runner.Domains { domains = ndomains }) cfg
+      Obs_export.with_obs ?trace:trace_out ?metrics:metrics_out (fun () ->
+          Runner.run ~engine ~mode:rmode cfg)
     in
     Printf.printf "# engine=%s duration=%.0fs workers=%d access=%s llts=%d\n" r.Runner.engine_name
       duration workers

@@ -1,22 +1,22 @@
-(* Execution substrate: the same (wake-time, step) task shape as the
-   discrete-event Scheduler, runnable either deterministically inline or
-   on real OCaml 5 domains under a bounded virtual-time skew window.
+(* Real-parallelism substrate: the same (wake-time, step) task shape as
+   the discrete-event Scheduler, run on OCaml 5 domains under a bounded
+   virtual-time skew window.
 
-   Window protocol (domains substrate). Every task publishes its next
-   wake-up time in an Atomic cell ([max_int] once retired). The global
-   frontier is the minimum over those cells. A domain may dispatch one
-   of its tasks iff the task's wake-up is <= frontier + window. The task
-   that *holds* the frontier always satisfies this, so at least one
-   domain can always make progress and the protocol cannot deadlock.
-   Monotonicity: a step at time t only ever publishes a strictly larger
-   time (Sleep_until in the past is bumped to t+1, as in Scheduler), so
-   the frontier never moves backwards.
+   Window protocol. Every task publishes its next wake-up time in an
+   Atomic cell ([max_int] once retired). The global frontier is the
+   minimum over those cells. A domain may dispatch one of its tasks iff
+   the task's wake-up is <= frontier + window. The task that *holds* the
+   frontier always satisfies this, so at least one domain can always
+   make progress and the protocol cannot deadlock. Monotonicity: a step
+   at time t only ever publishes a strictly larger time (Sleep_until in
+   the past is bumped to t+1, as in Scheduler), so the frontier never
+   moves backwards.
 
    All cross-domain state here — the clock cells, the skew/step
    telemetry — is sequentially-consistent Atomics; everything else is
    owned by exactly one domain for the whole run. *)
 
-type outcome = Sleep_until of Clock.time | Finished
+type outcome = Scheduler.outcome = Sleep_until of Clock.time | Finished
 
 type task = {
   name : string;
@@ -25,10 +25,8 @@ type task = {
   clock : int Atomic.t;  (* next wake-up; max_int = retired *)
 }
 
-type substrate = Inline | Domains of int
-
 type t = {
-  substrate : substrate;
+  domains : int;
   window : Clock.time;
   mutable tasks : task list;  (* reverse spawn order until [run] *)
   mutable started : bool;
@@ -37,9 +35,13 @@ type t = {
   frontier_cache : int Atomic.t;  (* last frontier computed; for [frontier] *)
 }
 
-let make substrate window =
+(* 25 us — see the calibration note in exec.mli. *)
+let default_window = Clock.us 25
+
+let domains ?(window = default_window) ~domains () =
+  if domains < 1 then invalid_arg "Exec.domains: need at least one domain";
   {
-    substrate;
+    domains;
     window;
     tasks = [];
     started = false;
@@ -48,18 +50,6 @@ let make substrate window =
     frontier_cache = Atomic.make 0;
   }
 
-(* 25 us — see the calibration note in exec.mli. *)
-let default_window = Clock.us 25
-let inline ?(window = default_window) () = make Inline window
-
-let domains ?(window = default_window) ~domains () =
-  if domains < 1 then invalid_arg "Exec.domains: need at least one domain";
-  make (Domains domains) window
-
-let mode_name t =
-  match t.substrate with Inline -> "inline" | Domains _ -> "domains"
-
-let domain_count t = match t.substrate with Inline -> 1 | Domains n -> n
 let max_skew_observed t = Atomic.get t.max_skew
 let steps t = Atomic.get t.steps_total
 
@@ -67,15 +57,6 @@ let spawn t ~name ~at step =
   if t.started then invalid_arg "Exec.spawn: run already started";
   let seq = List.length t.tasks in
   t.tasks <- { name; seq; step; clock = Atomic.make at } :: t.tasks
-
-(* A dummy seq_cst atomic round-trip is a full fence in the OCaml 5
-   memory model: it both publishes prior plain writes and invalidates
-   stale plain reads on the fencing domain. *)
-let fence_cell = Atomic.make 0
-let fence () = ignore (Atomic.fetch_and_add fence_cell 0 : int)
-
-let yield t =
-  match t.substrate with Inline -> () | Domains _ -> Domain.cpu_relax ()
 
 let frontier_of clocks =
   Array.fold_left (fun acc c -> min acc (Atomic.get c)) max_int clocks
@@ -119,35 +100,8 @@ let dispatch t ~until task (failures : (int * exn) option Atomic.t) =
     Some now
   end
 
-let run_inline t ~until failures =
-  let tasks = Array.of_list (List.rev t.tasks) in
-  let clocks = Array.map (fun task -> task.clock) tasks in
-  let last = ref 0 in
-  let rec loop () =
-    (* Pick the globally earliest wake-up, ties by spawn order. *)
-    let best = ref None in
-    Array.iter
-      (fun task ->
-        let c = Atomic.get task.clock in
-        if c <> max_int then
-          match !best with
-          | Some b when Atomic.get b.clock <= c -> ()
-          | _ -> best := Some task)
-      tasks;
-    match !best with
-    | None -> ()
-    | Some task ->
-        Atomic.set t.frontier_cache (frontier_of clocks);
-        (match dispatch t ~until task failures with
-        | Some now -> last := max !last now
-        | None -> ());
-        loop ()
-  in
-  loop ();
-  Atomic.set t.frontier_cache until;
-  !last
-
-let run_domains t ~until n failures =
+let run_domains t ~until failures =
+  let n = t.domains in
   let tasks = Array.of_list (List.rev t.tasks) in
   let clocks = Array.map (fun task -> task.clock) tasks in
   let last = Atomic.make 0 in
@@ -209,11 +163,7 @@ let run t ~until =
   if t.started then invalid_arg "Exec.run: already run";
   t.started <- true;
   let failures = Atomic.make None in
-  let last =
-    match t.substrate with
-    | Inline -> run_inline t ~until failures
-    | Domains n -> run_domains t ~until n failures
-  in
+  let last = run_domains t ~until failures in
   (match Atomic.get failures with
   | Some (_, exn) -> raise exn
   | None -> ());

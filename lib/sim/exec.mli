@@ -1,27 +1,21 @@
-(** Execution substrate capability: spawn / yield / now / fence.
+(** Real-parallelism execution substrate.
 
     The discrete-event [Scheduler] totally orders every process step on
-    one thread. [Exec] is the abstraction that lets the same task shape
-    — a step function plus a virtual wake-up time — run on {e real}
-    OCaml 5 domains instead, while keeping the virtual clocks of all
-    tasks coupled within a bounded skew window (a conservative
+    one thread. [Exec] runs the same task shape — a step function plus
+    a virtual wake-up time, returning a {!Scheduler.outcome} — on
+    {e real} OCaml 5 domains instead, while keeping the virtual clocks
+    of all tasks coupled within a bounded skew window (a conservative
     time-window parallel simulation).
 
-    Two substrates implement the capability:
-
-    - {!inline} steps every task on the calling thread, always picking
-      the globally earliest wake-up (ties by spawn order). This is the
-      deterministic twin of the domain substrate: identical task code,
-      totally ordered, reproducible — used by the unit tests of the
-      substrate itself.
-    - {!domains} maps tasks round-robin onto [n] real [Domain.t]s. Each
-      domain steps its own tasks in local wake-up order, but a task may
-      only be stepped while its wake-up time is within [window] of the
-      global frontier (the minimum published clock over all live
-      tasks). Clocks are published through [Atomic] cells — the
-      publish/consume points of the memory-ordering argument in
-      DESIGN §4f — and a domain that runs ahead of the window yields,
-      then naps, until the frontier catches up.
+    {!domains} maps tasks round-robin onto [n] real [Domain.t]s. Each
+    domain steps its own tasks in local wake-up order, but a task may
+    only be stepped while its wake-up time is within [window] of the
+    global frontier (the minimum published clock over all live tasks).
+    Clocks are published through [Atomic] cells, and a domain that runs
+    ahead of the window yields, then naps, until the frontier catches
+    up. [Exec] itself takes no lock around a step: callers that share
+    state between tasks serialize the steps themselves (the campaign
+    runners hold one engine mutex per step, DESIGN §4f).
 
     Progress: the task holding the global minimum clock is always
     eligible, so some domain can always step; a task whose step raises
@@ -31,26 +25,22 @@
 
 type t
 
-type outcome =
+type outcome = Scheduler.outcome =
   | Sleep_until of Clock.time  (** run me again no earlier than this *)
   | Finished  (** retire this task *)
 
-val inline : ?window:Clock.time -> unit -> t
-(** Deterministic single-thread substrate (the window is accepted for
-    interface symmetry; a total order trivially respects any window). *)
-
 val domains : ?window:Clock.time -> domains:int -> unit -> t
-(** Real-parallelism substrate on [domains] OCaml 5 domains (at least
-    1, else [Invalid_argument]). [window] is the maximum virtual-time
-    skew a task may run ahead of the global frontier. The default
-    (25 us, about a quarter of a short-transaction latency) was
-    calibrated on the differential harness: at 2 ms the out-of-order
-    latch arrivals inflate queueing enough to depress throughput ~30%
-    below the Sim model, and even at 100 us a 3-domain run on a hot
-    small table still lands ~20% low (the inflated queueing shows up
-    as a deeper chain peak and fatter latency tail); at 25 us every
-    differential case agrees to well under 1% while still letting
-    every runnable task proceed concurrently. *)
+(** Substrate on [domains] OCaml 5 domains (at least 1, else
+    [Invalid_argument]). [window] is the maximum virtual-time skew a
+    task may run ahead of the global frontier. The default (25 us,
+    about a quarter of a short-transaction latency) was calibrated on
+    the differential harness: at 2 ms the out-of-order latch arrivals
+    inflate queueing enough to depress throughput ~30% below the Sim
+    model, and even at 100 us a 3-domain run on a hot small table
+    still lands ~20% low (the inflated queueing shows up as a deeper
+    chain peak and fatter latency tail); at 25 us every differential
+    case agrees to well under 1% while still letting every runnable
+    task proceed concurrently. *)
 
 val spawn : t -> name:string -> at:Clock.time -> (Clock.time -> outcome) -> unit
 (** Register a task. As in {!Scheduler.spawn}, the step receives its
@@ -60,30 +50,16 @@ val spawn : t -> name:string -> at:Clock.time -> (Clock.time -> outcome) -> unit
 
 val run : t -> until:Clock.time -> Clock.time
 (** Execute every task until it finishes or its next wake-up exceeds
-    [until]. On the domain substrate this spawns the domains, drives
-    the window protocol and joins them all before returning (so every
-    task-local effect is visible to the caller afterwards). Returns the
-    largest wake-up time dispatched. If any task raised, the first such
-    exception (by task spawn order) is re-raised after the join. Can
-    only be called once per [t]. *)
+    [until]: spawn the domains, drive the window protocol and join them
+    all before returning (so every task-local effect is visible to the
+    caller afterwards). Returns the largest wake-up time dispatched. If
+    any task raised, the first such exception (by task spawn order) is
+    re-raised after the join. Can only be called once per [t]. *)
 
 val frontier : t -> Clock.time
 (** The global frontier: minimum published clock over unfinished tasks
-    ([until] passed to {!run} once every task has retired). This is the
-    substrate's [now] capability — monotone, safe to read from any
-    domain. *)
-
-val yield : t -> unit
-(** Politely give the core away: [Domain.cpu_relax] on the domain
-    substrate, a no-op inline. *)
-
-val fence : unit -> unit
-(** Full memory fence (a sequentially-consistent atomic round-trip).
-    The publish points of the Domains runner run their updates through
-    this before they are considered observable. *)
-
-val mode_name : t -> string
-val domain_count : t -> int
+    ([until] passed to {!run} once every task has retired). Monotone,
+    safe to read from any domain. *)
 
 val max_skew_observed : t -> Clock.time
 (** Largest [wake-up - frontier] skew any dispatched step ran at; the

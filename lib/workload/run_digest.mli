@@ -8,7 +8,7 @@
     latency and chain percentiles, throughput) that are compared under
     per-field tolerances — Domains mode interleaves for real, so counts
     shifted by scheduling noise are expected; counts shifted by a lost
-    update or a skipped publish fence are not.
+    update are not.
 
     What agreement does and does not prove (DESIGN §4f): a matching
     digest says the two modes computed statistically indistinguishable
@@ -72,7 +72,7 @@ type tolerance = {
 val default_tolerance : tolerance
 (** Calibrated on the differential qcheck matrix: wide enough that
     honest scheduling noise between the modes never trips it, tight
-    enough that losing any worker's published counters always does. *)
+    enough that losing any worker's counters always does. *)
 
 val diff : ?tolerance:tolerance -> t -> t -> string list
 (** Human-readable mismatches, empty when the digests agree. Safety

@@ -27,10 +27,23 @@ type result = {
   reclamation_lag_us : Histogram.t;  (* per-segment reclaim lag, 50 us buckets *)
 }
 
-let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
- Failpoint.with_scope @@ fun () ->
+type mode = Substrate.mode = Sim | Domains of { domains : int }
+
+let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
+  Substrate.require ~who:"Runner.run" mode
+    [
+      ( Substrate.Crash_faults,
+        match faults with
+        | Some plan -> Fault_plan.crash_points plan <> [] || Fault_plan.torn_tail plan
+        | None -> false );
+      (Substrate.Watchdog, watchdog <> None);
+      (Substrate.Obs_export, Trace.on () || Metrics.in_scope () <> None);
+    ];
+  Failpoint.with_scope @@ fun () ->
   let eng = engine cfg.Exp_config.schema in
-  let sched = Scheduler.create () in
+  let sub = Substrate.create mode in
+  let crash_faults = Substrate.supports mode Substrate.Crash_faults in
+  let direct_lag = Substrate.supports mode Substrate.Direct_lag_monitor in
   let master_rng = Rng.create cfg.Exp_config.seed in
   let horizon = Clock.seconds cfg.Exp_config.duration_s in
   let commit_rate = Series.Rate.create ~bucket:1.0 "commits" in
@@ -173,7 +186,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       lease_grant ~tid:txn.Txn.tid ~kind:Lease.Short ~now;
       Scheduler.Sleep_until t
     in
-    Scheduler.spawn sched ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
+    Substrate.spawn sub ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
         match !pending with
         | None ->
             if !killed then begin
@@ -289,7 +302,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                   true
               | _ -> false);
         let llt_end = Clock.seconds (start_s +. duration_s) in
-        Scheduler.spawn sched
+        Substrate.spawn sub
           ~name:(Printf.sprintf "llt-%d-%d" gi li)
           ~at:(Clock.seconds start_s)
           (fun now ->
@@ -353,7 +366,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (* Background GC (vacuum / purge / vCutter). Under an enabled
      governor the cadence follows the ladder: Pressured and above
      shorten the period so maintenance outpaces the pressure. *)
-  Scheduler.spawn sched ~name:"gc" ~at:cfg.Exp_config.gc_period (fun now ->
+  Substrate.spawn sub ~name:"gc" ~at:cfg.Exp_config.gc_period (fun now ->
       if now >= horizon then Scheduler.Finished
       else if now < !cleaner_stall_until then
         (* Stalled (hung) cleaner: keep the wakeup cadence — so a
@@ -380,7 +393,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (match eng.Engine.checkpoint with
   | Some ckpt when cfg.Exp_config.ckpt_period_s > 0. ->
       let period = max 1 (Clock.seconds cfg.Exp_config.ckpt_period_s) in
-      Scheduler.spawn sched ~name:"checkpointer" ~at:period (fun now ->
+      Substrate.spawn sub ~name:"checkpointer" ~at:period (fun now ->
           ckpt ~now;
           (match wd with Some w -> Watchdog.beat w "checkpointer" ~now | None -> ());
           if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
@@ -392,7 +405,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   let split_series = Series.create "splits" in
   let sample_period = Clock.seconds cfg.Exp_config.sample_period_s in
   let last_sample = ref { Engine.version_bytes = 0; redo_bytes = 0; max_chain = 0; splits = 0; truncations = 0; latch_wait = 0; wal_errors = 0 } in
-  Scheduler.spawn sched ~name:"sampler" ~at:sample_period (fun now ->
+  Substrate.spawn sub ~name:"sampler" ~at:sample_period (fun now ->
       let s = eng.Engine.sample () in
       last_sample := s;
       let sec = Clock.to_seconds now in
@@ -403,12 +416,15 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + sample_period));
   (* Fault harness: a continuous prune-soundness audit on the driver, a
      dispatch probe that consults the plan before every scheduled step,
-     and a periodic invariant sweep over the whole driver state. *)
+     and a periodic invariant sweep over the whole driver state. Where
+     the capability table says so (Domains, which has no watchdog), the
+     sweep also runs the bounded-reclamation-lag monitor. *)
   let record_all ~at vs =
     List.iter
       (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
       vs
   in
+  let lag_mon = ref None in
   (match faults with
   | None -> ()
   | Some plan ->
@@ -416,10 +432,21 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       | Some d ->
           Invariant.install_prune_audit d ~on_violation:(fun ~now viol ->
               record_all ~at:now [ viol ]);
+          if direct_lag then
+            lag_mon :=
+              Some
+                (Invariant.lag_monitor d
+                   ~bound:
+                     (Watchdog.lag_bound Watchdog.default_config
+                        ~gc_period:cfg.Exp_config.gc_period));
           let period = Fault_plan.check_period plan in
-          Scheduler.spawn sched ~name:"invariants" ~at:period (fun now ->
+          Substrate.spawn sub ~name:"invariants" ~at:period (fun now ->
               Fault_report.note_check report;
               record_all ~at:now (Invariant.check_all d);
+              (if direct_lag then
+                 match !lag_mon with
+                 | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
+                 | None -> ());
               if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
       | None -> ());
       (* Victim selection draws from the plan's seed, never from
@@ -487,9 +514,12 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
             ]
       in
       let apply action ~now =
-        Fault_report.note_fault report (Fault_plan.action_name action);
-        if Trace.on () then
-          Trace.instant Trace.Fault (Fault_plan.action_name action) ~at:now [];
+        let name =
+          if action = Fault_plan.Crash && not crash_faults then "crash-skipped"
+          else Fault_plan.action_name action
+        in
+        Fault_report.note_fault report name;
+        if Trace.on () then Trace.instant Trace.Fault name ~at:now [];
         match action with
         | Fault_plan.Abort_txn ->
             let n = Vec.length abort_slots in
@@ -501,6 +531,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
               in
               try_slot 0
             end
+        | Fault_plan.Crash when not crash_faults -> ()
         | Fault_plan.Crash -> (
             match (engine_wal (), eng.Engine.restart) with
             | Some wal, Some restart ->
@@ -608,7 +639,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
          boundary — deterministic in WAL position, independent of
          simulated time. *)
       let crash_points = ref (Fault_plan.crash_points plan) in
-      Scheduler.set_probe sched (fun ~name:_ ~now ->
+      Substrate.on_dispatch sub (fun ~name:_ ~now ->
           (match !crash_points with
           | p :: rest -> (
               match (engine_wal (), eng.Engine.restart) with
@@ -622,7 +653,6 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
      the escalation ladder polled on the simulated clock, and the
      bounded-reclamation-lag monitor. Spawned after the fault plumbing
      so the probe is already armed when the first poll fires. *)
-  let lag_mon = ref None in
   (match wd with
   | None -> ()
   | Some w ->
@@ -686,7 +716,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
         }
       in
       let period = (Watchdog.config w).Watchdog.check_period in
-      Scheduler.spawn sched ~name:"watchdog" ~at:period (fun now ->
+      Substrate.spawn sub ~name:"watchdog" ~at:period (fun now ->
           (match !lag_mon with
           | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
           | None -> ());
@@ -705,10 +735,10 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
      exception propagates as before. *)
   let engine_failed =
     try
-      ignore (Scheduler.run sched ~until:horizon);
+      ignore (Substrate.run sub ~until:horizon);
       false
     with exn when faults <> None ->
-      Fault_report.record report ~at:(Scheduler.now sched) ~invariant:"engine-failure"
+      Fault_report.record report ~at:(Substrate.now sub) ~invariant:"engine-failure"
         ~detail:(Printexc.to_string exn);
       true
   in
@@ -756,6 +786,8 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
          0 !recoveries)
   end;
   let max_reclamation_lag = match !lag_mon with Some m -> Invariant.max_lag m | None -> 0 in
+  if direct_lag && !lag_mon <> None then
+    Fault_report.set_gauge report "max-reclamation-lag-us" (max_reclamation_lag / 1000);
   (* Liveness gauges, armed runs only — the default (and golden) metric
      surface is untouched. *)
   (match wd with
@@ -843,588 +875,6 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       | Some m -> Invariant.lag_histogram m
       | None -> Histogram.create ~bucket_width:50 ());
   }
-
-(* ================================================================== *)
-(* Domains mode: the same workload shape on real OCaml 5 domains.      *)
-(* ================================================================== *)
-
-(* Synchronization discipline (DESIGN §4f). Virtual time is coupled by
-   the Exec bounded-skew window (Atomic clock cells). Every call into
-   the engine — and every touch of driver state, the fault report, the
-   shed table or the current-txn slots — happens under one engine
-   mutex, so the MVCC structures see a linearizable call sequence while
-   tasks genuinely interleave at call granularity across domains.
-   Cross-task signalling (external aborts) goes through per-task
-   Atomic mailboxes: the injector rolls the victim's transaction back
-   through the engine under the lock and raises the owner's flag; the
-   owner consumes the flag at its next step and enters the same
-   backoff path as the Sim runner. Workload counters are task-local
-   and flushed to the shared aggregate exactly once, at the owner's
-   publish point (a fence followed by locked merges) — the publication
-   edge the [skip_publish_fence] sabotage knob severs. *)
-
-(* One per task that can hold an open transaction. [cur] is
-   lock-protected; [kill_req] is the owner's mailbox. *)
-type dslot = { kill_req : bool Atomic.t; mutable cur : Txn.t option }
-
-(* Task-local counters; merged into the aggregate at publish time. *)
-type dstats = {
-  mutable d_commits : int;
-  mutable d_conflicts : int;
-  mutable d_llt_reads : int;
-  mutable d_retries : int;
-  mutable d_give_ups : int;
-  d_latency : Histogram.t;
-  d_buckets : int array;  (* commits per whole second *)
-}
-
-let dstats_create nbuckets =
-  {
-    d_commits = 0;
-    d_conflicts = 0;
-    d_llt_reads = 0;
-    d_retries = 0;
-    d_give_ups = 0;
-    d_latency = Histogram.create ~bucket_width:10 ();
-    d_buckets = Array.make nbuckets 0;
-  }
-
-let run_domains ~engine ?faults ~domains ~skip_publish_fence (cfg : Exp_config.t) =
-  Failpoint.with_scope @@ fun () ->
-  let eng = engine cfg.Exp_config.schema in
-  let exec = Exec.domains ~domains () in
-  let horizon = Clock.seconds cfg.Exp_config.duration_s in
-  let lock = Mutex.create () in
-  let locked f =
-    Mutex.lock lock;
-    match f () with
-    | v ->
-        Mutex.unlock lock;
-        v
-    | exception exn ->
-        Mutex.unlock lock;
-        raise exn
-  in
-  let report = Fault_report.create () in
-  let nbuckets = int_of_float (Float.ceil cfg.Exp_config.duration_s) + 2 in
-  let agg = dstats_create nbuckets in
-  let agg_latency = ref agg.d_latency in
-  (* The publish point: one fence, then merge the task's counters into
-     the shared aggregate under the lock. The sabotage knob models a
-     missing publish fence by severing this edge entirely — the
-     coordinator then reads the aggregate's initial zeros, which the
-     differential digest comparison flags deterministically. *)
-  let publish (s : dstats) =
-    if not skip_publish_fence then begin
-      Exec.fence ();
-      locked (fun () ->
-          agg.d_commits <- agg.d_commits + s.d_commits;
-          agg.d_conflicts <- agg.d_conflicts + s.d_conflicts;
-          agg.d_llt_reads <- agg.d_llt_reads + s.d_llt_reads;
-          agg.d_retries <- agg.d_retries + s.d_retries;
-          agg.d_give_ups <- agg.d_give_ups + s.d_give_ups;
-          agg_latency := Histogram.merge !agg_latency s.d_latency;
-          Array.iteri (fun i c -> agg.d_buckets.(i) <- agg.d_buckets.(i) + c) s.d_buckets)
-    end
-  in
-  let bucket_commit (s : dstats) ~at =
-    let idx = int_of_float (Clock.to_seconds at) in
-    let idx = if idx < 0 then 0 else if idx >= nbuckets then nbuckets - 1 else idx in
-    s.d_buckets.(idx) <- s.d_buckets.(idx) + 1;
-    s.d_commits <- s.d_commits + 1
-  in
-  (* Kill switches, Sim's [abort_slots]/[shed_tbl] under the lock
-     discipline: the injector aborts the victim's transaction through
-     the engine right here (it already holds the lock, and the owner
-     cannot be mid-call), then raises the owner's mailbox flag. *)
-  let slots : dslot Vec.t = Vec.create () in
-  let shed_tbl : (Timestamp.t, dslot) Hashtbl.t = Hashtbl.create 64 in
-  let kill_slot (slot : dslot) ~now =
-    match slot.cur with
-    | Some txn ->
-        slot.cur <- None;
-        Hashtbl.remove shed_tbl txn.Txn.tid;
-        Atomic.set slot.kill_req true;
-        ignore (eng.Engine.abort txn ~now);
-        true
-    | None -> false
-  in
-  (match eng.Engine.driver with
-  | Some d ->
-      d.State.shed_hook <-
-        Some
-          (fun ~tid ~now ->
-            (* Runs inside [Driver.maintain], i.e. under the lock. *)
-            match Hashtbl.find_opt shed_tbl tid with
-            | Some slot -> kill_slot slot ~now
-            | None -> false)
-  | None -> ());
-  let make_backoff salt =
-    Backoff.create ~base_ns:(Clock.us 200) ~cap_ns:(Clock.ms 20) ~max_attempts:6
-      (Rng.create (cfg.Exp_config.seed lxor salt))
-  in
-  let master_rng = Rng.create cfg.Exp_config.seed in
-  let samplers =
-    List.map
-      (fun { Exp_config.at_s; pattern } ->
-        (at_s, Access.create cfg.Exp_config.schema pattern))
-      (if cfg.Exp_config.phases = [] then [ { Exp_config.at_s = 0.; pattern = Access.Uniform } ]
-       else cfg.Exp_config.phases)
-  in
-  let sampler_at s =
-    let rec pick current = function
-      | [] -> current
-      | (at_s, sampler) :: rest -> if s >= at_s then pick sampler rest else current
-    in
-    match samplers with
-    | [] -> assert false
-    | (_, first) :: rest -> pick first rest
-  in
-  (* OLTP workers: the same two-step transaction shape as Sim mode
-     (begin, then the whole body) with the same per-worker RNG streams
-     — worker [i] issues the same operation sequence in both modes
-     until real interleaving diverges its conflict history. *)
-  let spawn_worker i =
-    let rng = Rng.split master_rng in
-    let s = dstats_create nbuckets in
-    let slot = { kill_req = Atomic.make false; cur = None } in
-    Vec.push slots slot;
-    let pending = ref None in
-    let backoff = make_backoff (0x42e7 lxor (i * 0x9e3779b9)) in
-    let begin_txn now =
-      let t =
-        locked (fun () ->
-            let txn, t = eng.Engine.begin_txn ~now in
-            pending := Some txn;
-            slot.cur <- Some txn;
-            Hashtbl.replace shed_tbl txn.Txn.tid slot;
-            t)
-      in
-      Exec.Sleep_until t
-    in
-    (* After an external abort (fault injection or governor shed): the
-       injector already rolled the transaction back through the engine;
-       we re-enter the same backoff/give-up policy as Sim mode. *)
-    let after_kill now =
-      match Backoff.next backoff with
-      | Some delay ->
-          s.d_retries <- s.d_retries + 1;
-          Exec.Sleep_until (now + delay)
-      | None ->
-          s.d_give_ups <- s.d_give_ups + 1;
-          Backoff.reset backoff;
-          if now >= horizon then begin
-            publish s;
-            Exec.Finished
-          end
-          else begin_txn now
-    in
-    Exec.spawn exec ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
-        match !pending with
-        | None ->
-            if Atomic.get slot.kill_req then begin
-              Atomic.set slot.kill_req false;
-              after_kill now
-            end
-            else if now >= horizon then begin
-              publish s;
-              Exec.Finished
-            end
-            else begin_txn now
-        | Some txn ->
-            pending := None;
-            let access = sampler_at (Clock.to_seconds now) in
-            let body =
-              locked (fun () ->
-                  if Atomic.get slot.kill_req then begin
-                    Atomic.set slot.kill_req false;
-                    `Killed
-                  end
-                  else begin
-                    slot.cur <- None;
-                    Hashtbl.remove shed_tbl txn.Txn.tid;
-                    let t = ref now in
-                    (try
-                       for _ = 1 to cfg.Exp_config.reads_per_txn do
-                         let rid = Access.sample access rng in
-                         let _, t' = eng.Engine.read txn ~rid ~now:!t in
-                         t := t'
-                       done;
-                       for _ = 1 to cfg.Exp_config.writes_per_txn do
-                         let rid = Access.sample access rng in
-                         match
-                           eng.Engine.write txn ~rid ~payload:(Rng.int rng 1_000_000)
-                             ~now:!t
-                         with
-                         | Engine.Committed_path t' -> t := t'
-                         | Engine.Conflict t' ->
-                             t := t';
-                             raise Exit
-                       done;
-                       t := eng.Engine.commit txn ~now:!t;
-                       Backoff.reset backoff;
-                       bucket_commit s ~at:!t;
-                       Histogram.add s.d_latency ((!t - txn.Txn.begin_time) / 1_000)
-                     with Exit ->
-                       s.d_conflicts <- s.d_conflicts + 1;
-                       t := eng.Engine.abort txn ~now:!t);
-                    `Ran !t
-                  end)
-            in
-            (match body with
-            | `Killed -> after_kill now
-            | `Ran t -> Exec.Sleep_until t))
-  in
-  for i = 0 to cfg.Exp_config.workers - 1 do
-    spawn_worker i
-  done;
-  (* LLT drivers: begin at [start_s], read continuously under the
-     engine lock, commit at end-of-life. No zombie switches — the
-     watchdog ladder (and therefore the zombie containment rung) is
-     Sim-only. *)
-  List.iteri
-    (fun gi { Exp_config.start_s; duration_s; count } ->
-      for li = 0 to count - 1 do
-        let rng = Rng.split master_rng in
-        let uniform = Access.create cfg.Exp_config.schema Access.Uniform in
-        let s = dstats_create nbuckets in
-        let slot = { kill_req = Atomic.make false; cur = None } in
-        Vec.push slots slot;
-        let state = ref None in
-        let backoff = make_backoff (0x11c0ffee lxor ((gi * 131) + li)) in
-        let llt_end = Clock.seconds (start_s +. duration_s) in
-        let after_kill now =
-          match Backoff.next backoff with
-          | Some delay ->
-              s.d_retries <- s.d_retries + 1;
-              Exec.Sleep_until (now + delay)
-          | None ->
-              s.d_give_ups <- s.d_give_ups + 1;
-              publish s;
-              Exec.Finished
-        in
-        Exec.spawn exec
-          ~name:(Printf.sprintf "llt-%d-%d" gi li)
-          ~at:(Clock.seconds start_s)
-          (fun now ->
-            match !state with
-            | None ->
-                if now >= llt_end || now >= horizon then begin
-                  publish s;
-                  Exec.Finished
-                end
-                else if Atomic.get slot.kill_req then begin
-                  Atomic.set slot.kill_req false;
-                  after_kill now
-                end
-                else begin
-                  let t =
-                    locked (fun () ->
-                        let txn, t = eng.Engine.begin_txn ~now in
-                        state := Some txn;
-                        slot.cur <- Some txn;
-                        Hashtbl.replace shed_tbl txn.Txn.tid slot;
-                        t)
-                  in
-                  Exec.Sleep_until t
-                end
-            | Some txn ->
-                let verdict =
-                  locked (fun () ->
-                      if Atomic.get slot.kill_req then begin
-                        Atomic.set slot.kill_req false;
-                        `Killed
-                      end
-                      else if now >= llt_end || now >= horizon then begin
-                        state := None;
-                        slot.cur <- None;
-                        Hashtbl.remove shed_tbl txn.Txn.tid;
-                        ignore (eng.Engine.commit txn ~now);
-                        `Done
-                      end
-                      else begin
-                        let rid = Access.sample uniform rng in
-                        let _, t = eng.Engine.read txn ~rid ~now in
-                        s.d_llt_reads <- s.d_llt_reads + 1;
-                        `Ran t
-                      end)
-                in
-                (match verdict with
-                | `Killed ->
-                    state := None;
-                    after_kill now
-                | `Done ->
-                    publish s;
-                    Exec.Finished
-                | `Ran t -> Exec.Sleep_until t))
-      done)
-    cfg.Exp_config.llts;
-  (* Background GC, paced by the governor exactly as in Sim mode. *)
-  Exec.spawn exec ~name:"gc" ~at:cfg.Exp_config.gc_period (fun now ->
-      if now >= horizon then Exec.Finished
-      else begin
-        let t, period =
-          locked (fun () ->
-              let t = eng.Engine.maintenance ~now in
-              let period =
-                match eng.Engine.driver with
-                | Some d ->
-                    let scale = Governor.gc_scale (Driver.governor d) in
-                    max (Clock.us 500)
-                      (int_of_float (float_of_int cfg.Exp_config.gc_period *. scale))
-                | None -> cfg.Exp_config.gc_period
-              in
-              (t, period))
-        in
-        Exec.Sleep_until (max t (now + period))
-      end);
-  (* Fuzzy checkpointer, durable engines only (parity with Sim; crash
-     faults themselves stay Sim-only). *)
-  (match eng.Engine.checkpoint with
-  | Some ckpt when cfg.Exp_config.ckpt_period_s > 0. ->
-      let period = max 1 (Clock.seconds cfg.Exp_config.ckpt_period_s) in
-      Exec.spawn exec ~name:"checkpointer" ~at:period (fun now ->
-          locked (fun () -> ckpt ~now);
-          if now >= horizon then Exec.Finished else Exec.Sleep_until (now + period))
-  | _ -> ());
-  (* Metrics sampler (sole owner of the series; read after the join). *)
-  let space_series = Series.create "space" in
-  let redo_series = Series.create "redo" in
-  let chain_series = Series.create "chain" in
-  let split_series = Series.create "splits" in
-  let sample_period = Clock.seconds cfg.Exp_config.sample_period_s in
-  Exec.spawn exec ~name:"sampler" ~at:sample_period (fun now ->
-      let smp = locked (fun () -> eng.Engine.sample ()) in
-      let sec = Clock.to_seconds now in
-      Series.add space_series ~time:sec ~value:(float_of_int smp.Engine.version_bytes);
-      Series.add redo_series ~time:sec ~value:(float_of_int smp.Engine.redo_bytes);
-      Series.add chain_series ~time:sec ~value:(float_of_int smp.Engine.max_chain);
-      Series.add split_series ~time:sec ~value:(float_of_int smp.Engine.splits);
-      if now >= horizon then Exec.Finished else Exec.Sleep_until (now + sample_period));
-  (* Fault harness: prune audit + invariant sweeps as in Sim mode, and
-     a bounded-reclamation-lag monitor armed directly (the Sim runner
-     arms it through the watchdog; Domains mode has no watchdog, but
-     the chaos soak still asserts the lag guarantee online). Crash
-     faults are stop-the-world and stay Sim-only: a [Crash] arrival is
-     recorded as [crash-skipped] and otherwise ignored — differential
-     campaigns run both modes under [Fault_plan.random ~crashes:false]
-     variants so neither side ever draws one. *)
-  let record_all ~at vs =
-    List.iter
-      (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
-      vs
-  in
-  let lag_mon = ref None in
-  (match faults with
-  | None -> ()
-  | Some plan ->
-      (match eng.Engine.driver with
-      | Some d ->
-          Invariant.install_prune_audit d ~on_violation:(fun ~now viol ->
-              record_all ~at:now [ viol ]);
-          let bound =
-            Watchdog.lag_bound Watchdog.default_config ~gc_period:cfg.Exp_config.gc_period
-          in
-          lag_mon := Some (Invariant.lag_monitor d ~bound);
-          let period = Fault_plan.check_period plan in
-          (* Horizon check first: a sweep dispatched past the horizon
-             would clock segment deaths later than the [finish_lag]
-             settle time and make the final lags negative. *)
-          Exec.spawn exec ~name:"invariants" ~at:period (fun now ->
-              if now >= horizon then Exec.Finished
-              else begin
-                locked (fun () ->
-                    Fault_report.note_check report;
-                    record_all ~at:now (Invariant.check_all d);
-                    match !lag_mon with
-                    | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
-                    | None -> ());
-                Exec.Sleep_until (now + period)
-              end)
-      | None -> ());
-      let victim_rng = Rng.create (Fault_plan.seed plan lxor 0x7fabc0de) in
-      let engine_wal () =
-        match eng.Engine.driver with
-        | Some d -> (
-            match d.State.wal with
-            | Some wal when Wal.is_durable wal -> Some wal
-            | _ -> None)
-        | None -> None
-      in
-      let apply action ~now =
-        match action with
-        | Fault_plan.Crash -> Fault_report.note_fault report "crash-skipped"
-        | action -> (
-            Fault_report.note_fault report (Fault_plan.action_name action);
-            match action with
-            | Fault_plan.Crash -> ()
-            | Fault_plan.Abort_txn ->
-                let n = Vec.length slots in
-                if n > 0 then begin
-                  let start = Rng.int victim_rng n in
-                  let rec try_slot i =
-                    if i < n then
-                      if kill_slot (Vec.get slots ((start + i) mod n)) ~now then ()
-                      else try_slot (i + 1)
-                  in
-                  try_slot 0
-                end
-            | Fault_plan.Wal_bitflip -> (
-                match engine_wal () with
-                | Some wal when Wal.max_lsn wal > Wal.bootstrap_lsn ->
-                    let lo = Wal.bootstrap_lsn + 1 in
-                    let lsn = lo + Rng.int victim_rng (Wal.max_lsn wal - lo + 1) in
-                    ignore
-                      (Wal.corrupt_frame wal ~lsn (fun frame ->
-                           if String.length frame = 0 then frame
-                           else begin
-                             let b = Bytes.of_string frame in
-                             let i = Rng.int victim_rng (Bytes.length b) in
-                             Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-                             Bytes.to_string b
-                           end))
-                | _ -> ())
-            | Fault_plan.Wal_error ->
-                Failpoint.arm_fail_n "wal.append" 16;
-                Failpoint.arm_fail_n "wal.fsync" 4
-            | Fault_plan.Flush_fail -> Failpoint.arm_fail_n "vsorter.flush" 4
-            | Fault_plan.Evict_storm -> (
-                match eng.Engine.driver with
-                | Some d -> Buffer_pool.clear d.State.store_cache
-                | None -> ())
-            | Fault_plan.Space_storm ->
-                let records = Schema.records cfg.Exp_config.schema in
-                let txn, _ = eng.Engine.begin_txn ~now in
-                let conflicted = ref false in
-                (try
-                   for _ = 1 to 48 do
-                     let rid = Rng.int victim_rng records in
-                     match
-                       eng.Engine.write txn ~rid ~payload:(Rng.int victim_rng 1_000_000) ~now
-                     with
-                     | Engine.Committed_path _ -> ()
-                     | Engine.Conflict _ -> raise Exit
-                   done
-                 with Exit -> conflicted := true);
-                if !conflicted then ignore (eng.Engine.abort txn ~now)
-                else ignore (eng.Engine.commit txn ~now)
-            | Fault_plan.Cleaner_stall | Fault_plan.Collab_delay | Fault_plan.Llt_zombie ->
-                (* Liveness injections only bite in watchdog-armed runs;
-                   the ladder is Sim-only. *)
-                ()
-            | Fault_plan.Node_kill | Fault_plan.Node_revive ->
-                (* Whole-node faults belong to the replicated shard
-                   deployment, not this single-instance runner. *)
-                ())
-      in
-      let tick = Clock.us 250 in
-      Exec.spawn exec ~name:"faults" ~at:tick (fun now ->
-          if now >= horizon then Exec.Finished
-          else begin
-            let due = Fault_plan.poll plan ~now in
-            if due <> [] then locked (fun () -> List.iter (fun a -> apply a ~now) due);
-            Exec.Sleep_until (now + tick)
-          end));
-  (* [until] is effectively unbounded: every task self-terminates once
-     its local clock passes [horizon], and only a [Finished] step runs
-     the task's publish point — retiring tasks at the horizon from the
-     outside would silently drop their counters. *)
-  let engine_failed =
-    try
-      ignore (Exec.run exec ~until:(horizon + Clock.seconds 3600.));
-      false
-    with exn when faults <> None ->
-      Fault_report.record report ~at:(Exec.frontier exec) ~invariant:"engine-failure"
-        ~detail:(Printexc.to_string exn);
-      true
-  in
-  if not engine_failed then eng.Engine.finish ~now:horizon;
-  (match !lag_mon with Some m -> Invariant.finish_lag m ~now:horizon | None -> ());
-  (match eng.Engine.driver with
-  | Some d ->
-      Invariant.remove_prune_audit d;
-      d.State.shed_hook <- None
-  | None -> ());
-  let final = eng.Engine.sample () in
-  let sheds =
-    match eng.Engine.driver with
-    | Some d -> Governor.sheds (Driver.governor d)
-    | None -> 0
-  in
-  Fault_report.set_gauge report "wal-errors" final.Engine.wal_errors;
-  Fault_report.set_gauge report "retries" agg.d_retries;
-  Fault_report.set_gauge report "give-ups" agg.d_give_ups;
-  Fault_report.set_gauge report "sheds" sheds;
-  (match eng.Engine.driver with
-  | Some d -> (
-      match d.State.gc_backend with
-      | Some h ->
-          Fault_report.set_gauge report "gc-backend" h.State.gh_id;
-          List.iter (fun (k, n) -> Fault_report.set_gauge report k n) (h.State.gh_gauges ())
-      | None -> ())
-  | None -> ());
-  let max_reclamation_lag = match !lag_mon with Some m -> Invariant.max_lag m | None -> 0 in
-  (match !lag_mon with
-  | Some _ ->
-      Fault_report.set_gauge report "max-reclamation-lag-us" (max_reclamation_lag / 1000)
-  | None -> ());
-  let throughput =
-    let rec trim = function 0 :: rest -> trim rest | l -> l in
-    let buckets = List.rev (trim (List.rev (Array.to_list agg.d_buckets))) in
-    List.mapi (fun i c -> (float_of_int i, float_of_int c)) buckets
-  in
-  {
-    engine_name = eng.Engine.name;
-    throughput;
-    version_space = Series.to_list space_series;
-    redo = Series.to_list redo_series;
-    max_chain = Series.to_list chain_series;
-    splits = Series.to_list split_series;
-    chain_cdf = Histogram.cdf (eng.Engine.chain_histogram ());
-    latency_us = !agg_latency;
-    commits = agg.d_commits;
-    conflicts = agg.d_conflicts;
-    llt_reads = agg.d_llt_reads;
-    truncations = final.Engine.truncations;
-    latch_wait = final.Engine.latch_wait;
-    cut_delays =
-      (match eng.Engine.driver with
-      | Some d -> Version_store.cut_delays (Driver.store d)
-      | None -> []);
-    driver = eng.Engine.driver;
-    faults = report;
-    wal_errors = final.Engine.wal_errors;
-    retries = agg.d_retries;
-    give_ups = agg.d_give_ups;
-    sheds;
-    crashes = 0;
-    recoveries = [];
-    zombie_cancels = 0;
-    watchdog_escalations = 0;
-    max_reclamation_lag;
-    reclamation_lag_us =
-      (match !lag_mon with
-      | Some m -> Invariant.lag_histogram m
-      | None -> Histogram.create ~bucket_width:50 ());
-  }
-
-type mode = Sim | Domains of { domains : int }
-
-let run ~engine ?faults ?watchdog ?(mode = Sim) ?(skip_publish_fence = false)
-    (cfg : Exp_config.t) =
-  match mode with
-  | Sim ->
-      (* The sabotage knob models a broken cross-domain publication; it
-         has no meaning on the single-threaded substrate. *)
-      ignore skip_publish_fence;
-      run_sim ~engine ?faults ?watchdog cfg
-  | Domains { domains } ->
-      if domains < 1 then invalid_arg "Runner.run: need at least one domain";
-      if watchdog <> None then
-        invalid_arg
-          "Runner.run: the watchdog ladder is Sim-only (its stall injections and \
-           stop-the-world restart rung assume the discrete-event scheduler)";
-      run_domains ~engine ?faults ~domains ~skip_publish_fence cfg
 
 let avg_throughput r ~between:(lo, hi) =
   let xs =

@@ -58,19 +58,20 @@ type result = {
           when not armed *)
 }
 
-type mode =
+type mode = Substrate.mode =
   | Sim  (** deterministic discrete-event simulation (the seed behavior) *)
   | Domains of { domains : int }
-      (** real OCaml 5 parallelism: workers, LLT drivers, GC, sampler
-          and fault tasks run on [domains] [Domain.t]s with real
-          [Atomic]/[Mutex] synchronization, their virtual clocks coupled
-          by the {!Exec} bounded-skew window. Engine/driver/txn layers
-          are reused unchanged behind one engine mutex; cross-task kills
-          go through Atomic mailboxes; each task's counters reach the
-          shared aggregate only at its publish point. Watchdog configs
-          are rejected ([Invalid_argument]) and crash faults are
-          recorded as [crash-skipped] and not applied — both are
-          stop-the-world constructs of the Sim scheduler. Results are
+      (** real OCaml 5 parallelism: the same process set — workers, LLT
+          drivers, GC, checkpointer, sampler, invariant sweep — runs on
+          [domains] [Domain.t]s, virtual clocks coupled by the {!Exec}
+          bounded-skew window, every process step holding one engine
+          mutex (DESIGN §4f). The fault plan is polled by a 250 us tick
+          task instead of the dispatch probe. What differs from [Sim]
+          is the {!Substrate.table}: watchdog configs, crash points and
+          torn tails, and an active trace or metrics scope are rejected
+          ([Invalid_argument]); Poisson [Crash] arrivals are recorded as
+          [crash-skipped] and not applied; with a fault plan the
+          bounded-reclamation-lag monitor is armed directly. Results are
           statistically (not bit-) reproducible; compare across modes
           with {!Run_digest}. *)
 
@@ -79,17 +80,13 @@ val run :
   ?faults:Fault_plan.t ->
   ?watchdog:Watchdog.config ->
   ?mode:mode ->
-  ?skip_publish_fence:bool ->
   Exp_config.t ->
   result
 (** [run ~engine ?faults ?watchdog cfg] builds the engine and drives the
     discrete-event simulation. [?mode] (default [Sim]) selects the
-    execution substrate; the Sim path is untouched by the mode
-    machinery, so default-mode runs stay bit-identical to the seed.
-    [?skip_publish_fence] (default false, Domains-only sabotage knob)
-    severs the publication of task-local counters to the shared
-    aggregate — the differential digest comparison must catch it; see
-    {!Run_digest}. With [?faults], the scheduler's dispatch
+    execution substrate; one campaign body serves both, and the Sim
+    substrate adds nothing per step, so default-mode runs stay
+    bit-identical to the seed. With [?faults], the scheduler's dispatch
     probe consults the plan before every process step; due injections
     (crashes, forced aborts, WAL errors, flush failures, cache eviction
     storms, space storms) are applied to the engine, a continuous

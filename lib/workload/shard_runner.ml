@@ -1,4 +1,4 @@
-type mode = Sim | Domains of { domains : int }
+type mode = Substrate.mode = Sim | Domains of { domains : int }
 
 type cfg = {
   base : Exp_config.t;
@@ -279,7 +279,7 @@ let record_net_gauges report g =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Replication plumbing shared by both modes. *)
+(* Replication plumbing. *)
 
 let rep_total f r ~shards =
   let acc = ref 0 in
@@ -409,10 +409,27 @@ let failover_beat (cfg : cfg) r ~node_rng ~dead_since ~note ~now =
 let rep_acked g r = Shard_group.acked g @ Replica.stale_acked r
 
 (* ------------------------------------------------------------------ *)
-(* Sim mode: deterministic discrete-event campaign with the full fault
-   surface — LSN crash points, crash-at-every-2PC-step, torn tails. *)
+(* The campaign: one process set on either substrate. Sim is the
+   deterministic discrete-event campaign with the full fault surface —
+   LSN crash points, crash-at-every-2PC-step, torn tails; Domains runs
+   the crash-free campaign on real OCaml 5 domains, statistically (not
+   bit-) reproducible — compare with {!digest_diff}. *)
 
-let run_sim (cfg : cfg) =
+let run ?(mode = Sim) (cfg : cfg) =
+  if cfg.shards < 1 then invalid_arg "Shard_runner.run: need at least one shard";
+  if cfg.replicas < 0 then invalid_arg "Shard_runner.run: negative replica count";
+  (* Whole-node kills and power-loss crashes do not compose: [Wal.crash]
+     truncates to the flushed prefix non-deterministically relative to
+     what backups already mirrored, leaving LSN gaps the contiguous
+     [Wal.receive] protocol is designed to refuse. *)
+  if cfg.replicas > 0 && (cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail)
+  then invalid_arg "Shard_runner.run: crash faults are incompatible with replication";
+  if
+    cfg.replicas = 0
+    && (cfg.kill_steps <> [] || cfg.node_faults <> None || cfg.failover_sabotage <> None)
+  then invalid_arg "Shard_runner.run: node faults require replicas > 0";
+  Substrate.require ~who:"Shard_runner.run" mode
+    [ (Substrate.Crash_faults, cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail) ];
   Failpoint.with_scope @@ fun () ->
   let base = cfg.base in
   let g = Shard_group.create ~net:cfg.net ~shards:cfg.shards base.Exp_config.schema in
@@ -425,7 +442,7 @@ let run_sim (cfg : cfg) =
   let active = faulty || repl <> None in
   let row = Exp_config.pattern_at base 0.0 in
   let router = Shard_router.create ~row ~shards:cfg.shards base.Exp_config.schema cfg.scenario in
-  let sched = Scheduler.create () in
+  let sub = Substrate.create mode in
   let master_rng = Rng.create base.Exp_config.seed in
   let horizon = Clock.seconds base.Exp_config.duration_s in
   let report = Fault_report.create () in
@@ -508,7 +525,7 @@ let run_sim (cfg : cfg) =
     let rng = Rng.split master_rng in
     let pending = ref None in
     Vec.push drop_slots (fun _now -> pending := None);
-    Scheduler.spawn sched ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
+    Substrate.spawn sub ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
         match !pending with
         | None ->
             if now >= horizon then Scheduler.Finished
@@ -596,7 +613,7 @@ let run_sim (cfg : cfg) =
         let state = ref None in
         Vec.push drop_slots (fun _now -> state := None);
         let llt_end = Clock.seconds (start_s +. duration_s) in
-        Scheduler.spawn sched
+        Substrate.spawn sub
           ~name:(Printf.sprintf "llt-%d-%d" gi li)
           ~at:(Clock.seconds start_s)
           (fun now ->
@@ -632,7 +649,7 @@ let run_sim (cfg : cfg) =
       done)
     base.Exp_config.llts;
   (* Background maintenance across every shard. *)
-  Scheduler.spawn sched ~name:"gc" ~at:base.Exp_config.gc_period (fun now ->
+  Substrate.spawn sub ~name:"gc" ~at:base.Exp_config.gc_period (fun now ->
       if now >= horizon then Scheduler.Finished
       else begin
         let t = Shard_group.maintenance g ~now in
@@ -640,7 +657,7 @@ let run_sim (cfg : cfg) =
       end);
   (* The epoch broadcaster: the only process that reads the global live
      table for pruning purposes. *)
-  Scheduler.spawn sched ~name:"epoch" ~at:cfg.epoch_period (fun now ->
+  Substrate.spawn sub ~name:"epoch" ~at:cfg.epoch_period (fun now ->
       ignore (Shard_group.broadcast ~now g);
       if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + cfg.epoch_period));
   (* The net resolver: pump due frames, resend unacked decisions, run
@@ -648,7 +665,7 @@ let run_sim (cfg : cfg) =
      configs, so the transparent fabric adds no scheduler process (and
      keeps dispatch-probe crash timing byte-identical). *)
   if active then
-    Scheduler.spawn sched ~name:"net" ~at:cfg.net_tick (fun now ->
+    Substrate.spawn sub ~name:"net" ~at:cfg.net_tick (fun now ->
         (try Shard_group.tick g ~now with Crash_now -> do_crash_restart ~now);
         if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + cfg.net_tick));
   (* The failover scheduler: node-fault plan polling, age-based revives,
@@ -658,7 +675,7 @@ let run_sim (cfg : cfg) =
   | Some r ->
       let node_rng = Rng.create (base.Exp_config.seed lxor 0x6b696c6c) in
       let dead_since = Hashtbl.create 8 in
-      Scheduler.spawn sched ~name:"failover" ~at:cfg.rep_sweep (fun now ->
+      Substrate.spawn sub ~name:"failover" ~at:cfg.rep_sweep (fun now ->
           let vs =
             failover_beat cfg r ~node_rng ~dead_since
               ~note:(Fault_report.note_fault report)
@@ -671,7 +688,7 @@ let run_sim (cfg : cfg) =
      cross-shard 2PC checks (the latter catch a skipped decision with
      no crash at all). *)
   let spawn_invariants () =
-    Scheduler.spawn sched ~name:"invariants" ~at:cfg.check_period (fun now ->
+    Substrate.spawn sub ~name:"invariants" ~at:cfg.check_period (fun now ->
         Fault_report.note_check report;
         Array.iter
           (fun (sh : Shard.t) -> record_all ~at:now (Invariant.check_all sh.Shard.driver))
@@ -703,7 +720,7 @@ let run_sim (cfg : cfg) =
   (* Fuzzy checkpoints, every shard in turn. *)
   if base.Exp_config.ckpt_period_s > 0. then begin
     let period = max 1 (Clock.seconds base.Exp_config.ckpt_period_s) in
-    Scheduler.spawn sched ~name:"checkpointer" ~at:period (fun now ->
+    Substrate.spawn sub ~name:"checkpointer" ~at:period (fun now ->
         Array.iter
           (fun (sh : Shard.t) ->
             match sh.Shard.engine.Engine.checkpoint with
@@ -714,30 +731,31 @@ let run_sim (cfg : cfg) =
   end;
   (* Sampler: peak space over the group. *)
   let sample_period = max 1 (Clock.seconds base.Exp_config.sample_period_s) in
-  Scheduler.spawn sched ~name:"sampler" ~at:sample_period (fun now ->
+  Substrate.spawn sub ~name:"sampler" ~at:sample_period (fun now ->
       let s = Shard_group.sample g in
       if s.Engine.version_bytes > !peak_space then peak_space := s.Engine.version_bytes;
       if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + sample_period));
   if cfg.check_period > 0 && repl = None then spawn_invariants ();
   (* Crash points in global log position: power loss the first time the
      summed LSN reaches each point, checked at every dispatch. *)
-  let crash_points = ref cfg.crash_points in
-  Scheduler.set_probe sched (fun ~name:_ ~now ->
-      match !crash_points with
-      | p :: rest when Shard_group.total_lsn g >= p ->
-          crash_points := rest;
-          do_crash_restart ~now
-      | _ -> ());
+  if Substrate.supports mode Substrate.Crash_faults then begin
+    let crash_points = ref cfg.crash_points in
+    Substrate.on_dispatch sub (fun ~name:_ ~now ->
+        match !crash_points with
+        | p :: rest when Shard_group.total_lsn g >= p ->
+            crash_points := rest;
+            do_crash_restart ~now
+        | _ -> ())
+  end;
   let engine_failed =
     try
-      ignore (Scheduler.run sched ~until:horizon);
+      ignore (Substrate.run sub ~until:horizon);
       false
     with exn ->
-      Fault_report.record report ~at:(Scheduler.now sched) ~invariant:"engine-failure"
+      Fault_report.record report ~at:(Substrate.now sub) ~invariant:"engine-failure"
         ~detail:(Printexc.to_string exn);
       true
   in
-  Scheduler.clear_probe sched;
   Shard_group.set_on_step g None;
   (* Post-horizon settlement for faulty fabrics: drain in-flight
      frames and resolve every in-doubt transaction the horizon cut
@@ -809,7 +827,9 @@ let run_sim (cfg : cfg) =
       | None -> []
       | Some r -> List.map (fun (_, l) -> l / 1000) (Replica.lags r));
     digest =
-      make_digest ~mode:"sim" ~shards:cfg.shards ~commits:!commits ~conflicts:!conflicts
+      make_digest
+        ~mode:(match mode with Sim -> "sim" | Domains _ -> "domains")
+        ~shards:cfg.shards ~commits:!commits ~conflicts:!conflicts
         ~cross:(Shard_group.cross_commits g)
         ~violations:(Fault_report.violation_count report)
         ~peak:!peak_space ~tput
@@ -822,293 +842,3 @@ let run_sim (cfg : cfg) =
                 (rep_digest_of r ~replicas:cfg.replicas ~shards:cfg.shards
                    ~restarts:(rep_restarts r)));
   }
-
-(* ------------------------------------------------------------------ *)
-(* Domains mode: the honest (crash-free) campaign on real OCaml 5
-   domains over the Exec bounded-skew substrate — the same task shapes
-   as Sim, with virtual clocks advanced by the same simulated costs, so
-   load statistics land close to the Sim digest. Every group call goes
-   through one mutex: engine state is serialized at operation
-   granularity while operations from different domains genuinely
-   interleave (transactions overlap, conflicts happen). Statistically —
-   not bit — reproducible; compare with {!digest_diff}. *)
-
-let run_domains ~domains (cfg : cfg) =
-  if cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail then
-    invalid_arg "Shard_runner: crash faults are Sim-only (stop-the-world constructs)";
-  if domains < 1 then invalid_arg "Shard_runner: need at least one domain";
-  Failpoint.with_scope @@ fun () ->
-  let base = cfg.base in
-  let g = Shard_group.create ~net:cfg.net ~shards:cfg.shards base.Exp_config.schema in
-  Shard_group.set_skip_coord_decision g cfg.skip_coord_decision;
-  Shard_group.set_net_sabotage g cfg.net_sabotage;
-  let repl = setup_replicas cfg g in
-  let faulty = net_active cfg in
-  let active = faulty || repl <> None in
-  let row = Exp_config.pattern_at base 0.0 in
-  let router = Shard_router.create ~row ~shards:cfg.shards base.Exp_config.schema cfg.scenario in
-  let horizon = Clock.seconds base.Exp_config.duration_s in
-  let exec = Exec.domains ~domains () in
-  let lock = Mutex.create () in
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-  in
-  let commits = Atomic.make 0 in
-  let conflicts = Atomic.make 0 in
-  let llt_reads = Atomic.make 0 in
-  let peak_space = Atomic.make 0 in
-  let master_rng = Rng.create base.Exp_config.seed in
-  let spawn_worker i =
-    let rng = Rng.split master_rng in
-    let pending = ref None in
-    Exec.spawn exec ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
-        match !pending with
-        | None ->
-            if now >= horizon then Exec.Finished
-            else begin
-              let txn, t = locked (fun () -> Shard_group.begin_txn g ~now) in
-              pending := Some txn;
-              Exec.Sleep_until t
-            end
-        | Some txn -> (
-            pending := None;
-            let t = ref now in
-            let cross =
-              cfg.shards > 1
-              && base.Exp_config.writes_per_txn > 1
-              && Rng.int rng 100 < cfg.cross_pct
-            in
-            try
-              for _ = 1 to base.Exp_config.reads_per_txn do
-                let rid = Shard_router.sample router rng in
-                let _, t' = locked (fun () -> Shard_group.read g txn ~rid ~now:!t) in
-                t := t'
-              done;
-              let first_sid = ref 0 in
-              for w = 0 to base.Exp_config.writes_per_txn - 1 do
-                let rid =
-                  if w = 0 then begin
-                    let rid = Shard_router.sample router rng in
-                    first_sid := Shard_group.shard_of g ~rid;
-                    rid
-                  end
-                  else if cross then
-                    Shard_router.sample_on router rng
-                      ~sid:((!first_sid + w) mod cfg.shards)
-                  else Shard_router.sample_on router rng ~sid:!first_sid
-                in
-                match
-                  locked (fun () ->
-                      Shard_group.write g txn ~rid ~payload:(Rng.int rng 1_000_000) ~now:!t)
-                with
-                | Engine.Committed_path t' -> t := t'
-                | Engine.Conflict t' ->
-                    t := t';
-                    raise Exit
-              done;
-              (match locked (fun () -> Shard_group.commit_checked g txn ~now:!t) with
-              | Shard_group.Committed t' ->
-                  t := t';
-                  Atomic.incr commits;
-                  Exec.Sleep_until !t
-              | Shard_group.Net_abort t' ->
-                  (* Fail-fast under partition: back off for the in-doubt
-                     window before offering new load (back-pressure). *)
-                  t := t';
-                  Exec.Sleep_until (!t + Shard_group.net_indoubt_after g))
-            with
-            | Exit ->
-                Atomic.incr conflicts;
-                t := locked (fun () -> Shard_group.abort g txn ~now:!t);
-                Exec.Sleep_until !t
-            | Shard_group.Shard_down _ ->
-                (* Primaryless shard: abort, back off past the failover
-                   window before offering new load. *)
-                t := locked (fun () -> Shard_group.abort g txn ~now:!t);
-                Exec.Sleep_until (!t + cfg.rep_lease + (2 * cfg.rep_sweep))))
-  in
-  for i = 0 to base.Exp_config.workers - 1 do
-    spawn_worker i
-  done;
-  List.iteri
-    (fun gi { Exp_config.start_s; duration_s; count } ->
-      for li = 0 to count - 1 do
-        let rng = Rng.split master_rng in
-        let state = ref None in
-        let llt_end = Clock.seconds (start_s +. duration_s) in
-        Exec.spawn exec
-          ~name:(Printf.sprintf "llt-%d-%d" gi li)
-          ~at:(Clock.seconds start_s)
-          (fun now ->
-            match !state with
-            | None ->
-                if now >= llt_end || now >= horizon then Exec.Finished
-                else begin
-                  let txn, t = locked (fun () -> Shard_group.begin_txn g ~now) in
-                  state := Some txn;
-                  Exec.Sleep_until t
-                end
-            | Some txn ->
-                if now >= llt_end || now >= horizon then begin
-                  state := None;
-                  ignore (locked (fun () -> Shard_group.commit g txn ~now));
-                  Exec.Finished
-                end
-                else begin
-                  let rid = Shard_router.sample router rng in
-                  match locked (fun () -> Shard_group.read g txn ~rid ~now) with
-                  | _, t ->
-                      Atomic.incr llt_reads;
-                      Exec.Sleep_until t
-                  | exception Shard_group.Shard_down _ ->
-                      (* Abort and restart the scan — see the Sim twin. *)
-                      state := None;
-                      let t = locked (fun () -> Shard_group.abort g txn ~now) in
-                      Exec.Sleep_until (t + cfg.rep_lease + (2 * cfg.rep_sweep))
-                end)
-      done)
-    base.Exp_config.llts;
-  Exec.spawn exec ~name:"gc" ~at:base.Exp_config.gc_period (fun now ->
-      if now >= horizon then Exec.Finished
-      else begin
-        let t = locked (fun () -> Shard_group.maintenance g ~now) in
-        Exec.Sleep_until (max t (now + base.Exp_config.gc_period))
-      end);
-  Exec.spawn exec ~name:"epoch" ~at:cfg.epoch_period (fun now ->
-      ignore (locked (fun () -> Shard_group.broadcast ~now g));
-      if now >= horizon then Exec.Finished else Exec.Sleep_until (now + cfg.epoch_period));
-  if active then
-    Exec.spawn exec ~name:"net" ~at:cfg.net_tick (fun now ->
-        locked (fun () -> Shard_group.tick g ~now);
-        if now >= horizon then Exec.Finished else Exec.Sleep_until (now + cfg.net_tick));
-  (* The failover scheduler, serialized like every other group call.
-     Domains builds its report only after the run, so violations seen
-     mid-run are staged and replayed into it at the end. *)
-  let rep_viols : (Clock.time * Invariant.violation) list ref = ref [] in
-  (match repl with
-  | None -> ()
-  | Some r ->
-      let node_rng = Rng.create (base.Exp_config.seed lxor 0x6b696c6c) in
-      let dead_since = Hashtbl.create 8 in
-      Exec.spawn exec ~name:"failover" ~at:cfg.rep_sweep (fun now ->
-          locked (fun () ->
-              let vs =
-                failover_beat cfg r ~node_rng ~dead_since ~note:(fun _ -> ()) ~now
-              in
-              List.iter
-                (fun viol -> rep_viols := (now, viol) :: !rep_viols)
-                (viols_of_pairs vs));
-          if now >= horizon then Exec.Finished else Exec.Sleep_until (now + cfg.rep_sweep)));
-  if base.Exp_config.ckpt_period_s > 0. then begin
-    let period = max 1 (Clock.seconds base.Exp_config.ckpt_period_s) in
-    Exec.spawn exec ~name:"checkpointer" ~at:period (fun now ->
-        locked (fun () ->
-            Array.iter
-              (fun (sh : Shard.t) ->
-                match sh.Shard.engine.Engine.checkpoint with
-                | Some ckpt -> ckpt ~now
-                | None -> ())
-              (Shard_group.shards g));
-        if now >= horizon then Exec.Finished else Exec.Sleep_until (now + period))
-  end;
-  let sample_period = max 1 (Clock.seconds base.Exp_config.sample_period_s) in
-  Exec.spawn exec ~name:"sampler" ~at:sample_period (fun now ->
-      let s = locked (fun () -> Shard_group.sample g) in
-      if s.Engine.version_bytes > Atomic.get peak_space then
-        Atomic.set peak_space s.Engine.version_bytes;
-      if now >= horizon then Exec.Finished else Exec.Sleep_until (now + sample_period));
-  ignore (Exec.run exec ~until:horizon);
-  let endt =
-    if active then locked (fun () -> Shard_group.quiesce g ~now:horizon) else horizon
-  in
-  locked (fun () -> Shard_group.finish g ~now:horizon);
-  let report = Fault_report.create () in
-  let record_all ~at vs =
-    List.iter
-      (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
-      vs
-  in
-  Fault_report.note_check report;
-  Array.iter
-    (fun (sh : Shard.t) -> record_all ~at:horizon (Invariant.check_all sh.Shard.driver))
-    (Shard_group.shards g);
-  let final_wals = Shard_group.wals g in
-  let final_analyses = Invariant.analyze_shard_logs final_wals in
-  record_all ~at:horizon
-    (Invariant.check_cross_shard_atomicity ~analyses:final_analyses final_wals);
-  if active then begin
-    record_all ~at:endt (viols_of_pairs (Shard_group.check_indoubt_liveness g ~now:endt));
-    record_all ~at:endt (viols_of_pairs (Shard_group.check_epoch_lag g ~now:endt));
-    if faulty then record_net_gauges report g
-  end;
-  let rep_restarts r = rep_total Replica.promotions r ~shards:cfg.shards in
-  (match repl with
-  | None -> ()
-  | Some r ->
-      List.iter
-        (fun (at, { Invariant.invariant; detail }) ->
-          Fault_report.record report ~at ~invariant ~detail)
-        (List.rev !rep_viols);
-      record_all ~at:endt (viols_of_pairs (Replica.check_no_split_brain r));
-      record_all ~at:endt
-        (viols_of_pairs (Replica.check_failover_lag r ~bound:cfg.rep_lag_bound ~now:endt));
-      record_all ~at:endt
-        (Invariant.check_no_committed_loss ~analyses:final_analyses
-           ~acked:(rep_acked g r) final_wals);
-      record_rep_gauges report r ~shards:cfg.shards ~restarts:(rep_restarts r));
-  let final = Shard_group.sample g in
-  if final.Engine.version_bytes > Atomic.get peak_space then
-    Atomic.set peak_space final.Engine.version_bytes;
-  let tput = float_of_int (Atomic.get commits) /. Float.max 1e-9 base.Exp_config.duration_s in
-  {
-    commits = Atomic.get commits;
-    conflicts = Atomic.get conflicts;
-    cross_commits = Shard_group.cross_commits g;
-    single_commits = Shard_group.single_commits g;
-    two_pc_steps = Shard_group.two_pc_steps g;
-    llt_reads = Atomic.get llt_reads;
-    crashes = 0;
-    recoveries = [];
-    report;
-    peak_space = Atomic.get peak_space;
-    final_space = final.Engine.version_bytes;
-    epochs = Epoch.epoch (Shard_group.epoch g);
-    throughput = tput;
-    net_aborts = Shard_group.net_aborts g;
-    indoubt_max_us = Shard_group.max_indoubt_residence g / 1000;
-    indoubt_mean_us = Shard_group.mean_indoubt_residence g /. 1000.;
-    failover_lags_us =
-      (match repl with
-      | None -> []
-      | Some r -> List.map (fun (_, l) -> l / 1000) (Replica.lags r));
-    digest =
-      make_digest ~mode:"domains" ~shards:cfg.shards ~commits:(Atomic.get commits)
-        ~conflicts:(Atomic.get conflicts)
-        ~cross:(Shard_group.cross_commits g)
-        ~violations:(Fault_report.violation_count report)
-        ~peak:(Atomic.get peak_space) ~tput
-        ~net:(if faulty then Some (net_digest_of g) else None)
-        ~rep:
-          (match repl with
-          | None -> None
-          | Some r ->
-              Some
-                (rep_digest_of r ~replicas:cfg.replicas ~shards:cfg.shards
-                   ~restarts:(rep_restarts r)));
-  }
-
-let run ?(mode = Sim) cfg =
-  if cfg.shards < 1 then invalid_arg "Shard_runner.run: need at least one shard";
-  if cfg.replicas < 0 then invalid_arg "Shard_runner.run: negative replica count";
-  (* Whole-node kills and power-loss crashes do not compose: [Wal.crash]
-     truncates to the flushed prefix non-deterministically relative to
-     what backups already mirrored, leaving LSN gaps the contiguous
-     [Wal.receive] protocol is designed to refuse. *)
-  if cfg.replicas > 0 && (cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail)
-  then invalid_arg "Shard_runner.run: crash faults are incompatible with replication";
-  if
-    cfg.replicas = 0
-    && (cfg.kill_steps <> [] || cfg.node_faults <> None || cfg.failover_sabotage <> None)
-  then invalid_arg "Shard_runner.run: node faults require replicas > 0";
-  match mode with Sim -> run_sim cfg | Domains { domains } -> run_domains ~domains cfg

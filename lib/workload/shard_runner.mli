@@ -14,12 +14,13 @@
     decision is caught even without a crash. Whole runs are
     deterministic: same config, same bytes.
 
-    Domains mode runs the honest path on real OCaml 5 domains over the
-    {!Exec} bounded-skew substrate — the same task shapes and simulated
-    costs as Sim, interleaved for real, with one mutex serializing
-    group calls at operation granularity — statistically reproducible,
-    compared across modes with {!digest_diff}. Crash faults are
-    Sim-only and rejected ([Invalid_argument]).
+    Domains mode runs the same process set — prune audits, periodic
+    invariant sweep and failover fault notes included — on real OCaml 5
+    domains over the {!Exec} bounded-skew substrate, each process step
+    holding one engine mutex: the same simulated costs as Sim,
+    interleaved for real, statistically reproducible, compared across
+    modes with {!digest_diff}. Crash faults are Sim-only
+    ({!Substrate.table}) and rejected ([Invalid_argument]).
 
     Both modes can attach a {!Net_fault} config: the 2PC and epoch
     choreography then rides the seeded lossy fabric, a periodic
@@ -30,7 +31,7 @@
     fabric is provably transparent — reports and digests are
     byte-identical to the pre-fabric driver. *)
 
-type mode = Sim | Domains of { domains : int }
+type mode = Substrate.mode = Sim | Domains of { domains : int }
 
 type cfg = {
   base : Exp_config.t;  (** workload shape: workers, mix, LLTs, periods *)
@@ -145,7 +146,8 @@ val run : ?mode:mode -> cfg -> result
 (** Raises [Invalid_argument] for a bad shard or replica count, for
     crash faults combined with replication (power loss truncates the
     device out from under the contiguous mirror protocol), or for node
-    faults / failover sabotage without [replicas > 0]. With
+    faults / failover sabotage without [replicas > 0], and for what
+    [mode] does not support. With
     [replicas > 0] the failover scheduler runs in both modes: node
     kills and revives from [node_faults] and [kill_steps], lease-based
     promotions with engine restart and in-doubt recovery on the

@@ -1,53 +1,20 @@
 (* Sim-vs-Domains differential tests.
 
-   The Exec substrate is unit-tested on its own (determinism of the
-   inline twin, window respect and completion on real domains, crash
-   containment), then the two Runner modes are compared end to end:
-   a pinned-config regression proves the default Sim path still
-   produces the exact seed numbers after the domain-safety rewrites,
-   and a qcheck property drives both modes over random configurations
-   and fault plans, requiring zero invariant violations on both sides
-   and an empty {!Run_digest.diff}. A sabotaged Domains run (publish
-   fence skipped) must produce a non-empty diff — the harness's
-   ability to notice lost updates is itself under test. *)
+   The Exec substrate is unit-tested on its own (window respect and
+   completion on real domains, crash containment), then the two Runner
+   modes are compared end to end: a pinned-config regression proves the
+   default Sim path still produces the exact seed numbers, and a qcheck
+   property drives both modes over random configurations and fault
+   plans, requiring zero invariant violations on both sides and an
+   empty {!Run_digest.diff}. A Domains digest with its commit and retry
+   counters lost must produce a non-empty diff — the harness's ability
+   to notice lost updates is itself under test. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* -------------------------------------------------------------------- *)
 (* Exec substrate *)
-
-(* Two inline runs of the same task set produce the identical step log:
-   the inline substrate is the deterministic twin. *)
-let exec_inline_log () =
-  let log = ref [] in
-  let e = Exec.inline () in
-  for i = 0 to 3 do
-    let period = Clock.us (7 + (5 * i)) in
-    let remaining = ref (20 + i) in
-    Exec.spawn e
-      ~name:(Printf.sprintf "t%d" i)
-      ~at:(Clock.us i)
-      (fun now ->
-        log := (i, now) :: !log;
-        decr remaining;
-        if !remaining = 0 then Exec.Finished else Exec.Sleep_until (now + period))
-  done;
-  let last = Exec.run e ~until:(Clock.ms 10) in
-  (List.rev !log, last)
-
-let test_inline_deterministic () =
-  let log1, last1 = exec_inline_log () in
-  let log2, last2 = exec_inline_log () in
-  check_int "all steps dispatched" (20 + 21 + 22 + 23) (List.length log1);
-  check_bool "identical step logs" true (log1 = log2);
-  check_int "identical last dispatch" last1 last2;
-  (* The log is totally ordered by wake-up time. *)
-  let rec sorted = function
-    | (_, a) :: ((_, b) :: _ as rest) -> a <= b && sorted rest
-    | _ -> true
-  in
-  check_bool "inline log time-ordered" true (sorted log1)
 
 (* On real domains every task completes its full step count, the
    dispatched-step telemetry adds up, and no step ever ran further
@@ -101,7 +68,7 @@ let test_domains_crash_containment () =
     healthy
 
 let test_spawn_after_run_rejected () =
-  let e = Exec.inline () in
+  let e = Exec.domains ~domains:1 () in
   Exec.spawn e ~name:"t" ~at:0 (fun _ -> Exec.Finished);
   ignore (Exec.run e ~until:(Clock.ms 1) : Clock.time);
   Alcotest.check_raises "spawn after run" (Invalid_argument "Exec.spawn: run already started")
@@ -222,14 +189,12 @@ let cfg_of_case c =
 
 (* Both modes run under fresh-but-equal plans (a plan's [poll] is
    stateful, so each run gets its own instance from the same seed). *)
-let digests_of_case ?(engine = pg_vdriver) ?(skip_publish_fence = false) c =
+let digests_of_case ?(engine = pg_vdriver) c =
   let cfg = cfg_of_case c in
   let plan () = Option.map (fun s -> Fault_plan.random ~crashes:false ~seed:s ()) c.c_fault in
   let sim = Runner.run ~engine ?faults:(plan ()) cfg in
   let dom =
-    Runner.run ~engine ?faults:(plan ())
-      ~mode:(Runner.Domains { domains = c.c_domains })
-      ~skip_publish_fence cfg
+    Runner.run ~engine ?faults:(plan ()) ~mode:(Runner.Domains { domains = c.c_domains }) cfg
   in
   ( Run_digest.of_result ~mode:"sim" ~domains:1 cfg sim,
     Run_digest.of_result ~mode:"domains" ~domains:c.c_domains cfg dom )
@@ -276,34 +241,51 @@ let test_regression (name, engine, c) () =
         Run_digest.pp dd;
       Alcotest.fail (name ^ ": " ^ String.concat "; " msgs)
 
-(* Sabotage: severing the publish fence must surface as a digest
-   mismatch — the harness notices lost task-local counters. *)
-let test_sabotage_caught () =
+(* Lost updates: a Domains digest whose commit and retry counters never
+   reached the aggregate (what a missing publication edge would leave)
+   must surface as a mismatch against an honest Sim twin. *)
+let test_lost_counters_caught () =
   let c =
     { c_seed = 77; c_duration_cs = 40; c_workers = 4; c_zipf = true; c_llts = 1; c_domains = 2; c_fault = None }
   in
-  let ds, dd = digests_of_case ~skip_publish_fence:true c in
-  check_bool "sabotaged digest differs" true (Run_digest.diff ds dd <> [])
+  let ds, dd = digests_of_case c in
+  check_bool "honest digests agree" true (Run_digest.diff ds dd = []);
+  let lost = { dd with Run_digest.commits = 0; retries = 0 } in
+  check_bool "lost counters differ" true (Run_digest.diff ds lost <> [])
 
-(* Domains mode rejects the Sim-only stop-the-world constructs loudly. *)
-let test_domains_rejects_watchdog () =
+(* Domains mode rejects every Sim-only row of the capability table
+   loudly; each row maps to the input that requests it. *)
+let test_domains_rejects_sim_only () =
   let c = { c_seed = 1; c_duration_cs = 30; c_workers = 3; c_zipf = false; c_llts = 0; c_domains = 2; c_fault = None } in
-  Alcotest.check_raises "watchdog rejected"
-    (Invalid_argument
-       "Runner.run: the watchdog ladder is Sim-only (its stall injections and \
-        stop-the-world restart rung assume the discrete-event scheduler)")
-    (fun () ->
-      ignore
-        (Runner.run ~engine:pg_vdriver ~watchdog:Watchdog.default_config
-           ~mode:(Runner.Domains { domains = 2 })
-           (cfg_of_case c)
-          : Runner.result))
+  let mode = Runner.Domains { domains = 2 } in
+  let domains_lacks = List.filter (fun r -> not r.Substrate.domains) Substrate.table in
+  check_bool "table has Sim-only rows" true (domains_lacks <> []);
+  List.iter
+    (fun (r : Substrate.row) ->
+      let run () =
+        match r.Substrate.feature with
+        | Substrate.Watchdog ->
+            Runner.run ~engine:pg_vdriver ~watchdog:Watchdog.default_config ~mode (cfg_of_case c)
+        | Substrate.Crash_faults ->
+            let faults = Fault_plan.random ~crash_points:[ 500 ] ~seed:1 () in
+            Runner.run ~engine:pg_vdriver ~faults ~mode (cfg_of_case c)
+        | Substrate.Obs_export ->
+            Metrics.with_registry (Metrics.create ()) (fun () ->
+                Runner.run ~engine:pg_vdriver ~mode (cfg_of_case c))
+        | Substrate.Direct_lag_monitor -> Alcotest.fail "not a requestable feature"
+      in
+      let reason =
+        Option.get (Substrate.unsupported mode [ (r.Substrate.feature, true) ])
+      in
+      Alcotest.check_raises r.Substrate.name
+        (Invalid_argument ("Runner.run: " ^ reason))
+        (fun () -> ignore (run () : Runner.result)))
+    domains_lacks
 
 let suites =
   [
     ( "exec",
       [
-        Alcotest.test_case "inline substrate deterministic" `Quick test_inline_deterministic;
         Alcotest.test_case "domains complete within skew window" `Quick
           test_domains_completion_and_skew;
         Alcotest.test_case "task crash contained and re-raised" `Quick
@@ -315,9 +297,9 @@ let suites =
         Alcotest.test_case "sim pinned to seed numbers (clean)" `Slow test_sim_pinned_clean;
         Alcotest.test_case "sim pinned to seed numbers (faulted)" `Slow test_sim_pinned_faulted;
         QCheck_alcotest.to_alcotest qcheck_differential;
-        Alcotest.test_case "publish-fence sabotage caught" `Slow test_sabotage_caught;
+        Alcotest.test_case "lost counters caught" `Slow test_lost_counters_caught;
         Alcotest.test_case "watchdog rejected in domains mode" `Quick
-          test_domains_rejects_watchdog;
+          test_domains_rejects_sim_only;
       ]
       @ List.map
           (fun ((name, _, _) as rc) -> Alcotest.test_case name `Slow (test_regression rc))

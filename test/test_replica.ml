@@ -309,6 +309,8 @@ let test_kill_campaign_domains () =
   let dom = Shard_runner.run ~mode:(Shard_runner.Domains { domains = 2 }) cfg in
   check_int "sim clean" 0 sim.Shard_runner.digest.Shard_runner.d_violations;
   check_int "domains clean" 0 dom.Shard_runner.digest.Shard_runner.d_violations;
+  check_bool "domains swept periodically" true
+    (Fault_report.checks_run dom.Shard_runner.report > 0);
   Alcotest.(check (list string))
     "digests agree" []
     (Shard_runner.digest_diff sim.Shard_runner.digest dom.Shard_runner.digest)

@@ -443,31 +443,49 @@ let test_campaign_sabotage_caught () =
   check_bool "sabotage produces violations" true
     (Fault_report.violation_count r.Shard_runner.report > 0)
 
+(* One Sim/Domains pair, shared by the agreement test and the
+   lost-counter test. *)
+let sim_domains_pair =
+  lazy
+    (let base =
+       {
+         Exp_config.default with
+         Exp_config.name = "shard-digest";
+         seed = 5;
+         duration_s = 0.2;
+         workers = 4;
+         reads_per_txn = 2;
+         writes_per_txn = 2;
+         schema = small_schema;
+         llts = [ { Exp_config.start_s = 0.02; duration_s = 0.1; count = 1 } ];
+         gc_period = Clock.ms 5;
+         sample_period_s = 0.05;
+         ckpt_period_s = 0.;
+       }
+     in
+     let cfg = { (Shard_runner.default ~shards:2 base) with Shard_runner.cross_pct = 50 } in
+     ( Shard_runner.run ~mode:Shard_runner.Sim cfg,
+       Shard_runner.run ~mode:(Shard_runner.Domains { domains = 2 }) cfg ))
+
 let test_sim_vs_domains_digest () =
-  let base =
-    {
-      Exp_config.default with
-      Exp_config.name = "shard-digest";
-      seed = 5;
-      duration_s = 0.2;
-      workers = 4;
-      reads_per_txn = 2;
-      writes_per_txn = 2;
-      schema = small_schema;
-      llts = [ { Exp_config.start_s = 0.02; duration_s = 0.1; count = 1 } ];
-      gc_period = Clock.ms 5;
-      sample_period_s = 0.05;
-      ckpt_period_s = 0.;
-    }
-  in
-  let cfg = { (Shard_runner.default ~shards:2 base) with Shard_runner.cross_pct = 50 } in
-  let sim = Shard_runner.run ~mode:Shard_runner.Sim cfg in
-  let dom = Shard_runner.run ~mode:(Shard_runner.Domains { domains = 2 }) cfg in
+  let sim, dom = Lazy.force sim_domains_pair in
   check_int "sim honest" 0 sim.Shard_runner.digest.Shard_runner.d_violations;
   check_int "domains honest" 0 dom.Shard_runner.digest.Shard_runner.d_violations;
+  (* Domains runs the Sim body's periodic sweep, not just the end-of-run
+     verdicts. *)
+  check_bool "domains swept periodically" true
+    (Fault_report.checks_run dom.Shard_runner.report > 0);
   Alcotest.(check (list string))
     "digests agree" []
     (Shard_runner.digest_diff sim.Shard_runner.digest dom.Shard_runner.digest)
+
+(* A Domains digest whose commits never reached the aggregate must not
+   pass for its honest Sim twin. *)
+let test_lost_commits_caught () =
+  let sim, dom = Lazy.force sim_domains_pair in
+  let lost = { dom.Shard_runner.digest with Shard_runner.d_commits = 0 } in
+  check_bool "lost commits differ" true
+    (Shard_runner.digest_diff sim.Shard_runner.digest lost <> [])
 
 let suites =
   [
@@ -505,5 +523,6 @@ let suites =
           test_campaign_honest_and_reproducible;
         Alcotest.test_case "sabotaged campaign caught" `Slow test_campaign_sabotage_caught;
         Alcotest.test_case "sim-vs-domains digest" `Slow test_sim_vs_domains_digest;
+        Alcotest.test_case "lost commits caught by digest" `Slow test_lost_commits_caught;
       ] );
   ]
