@@ -7,20 +7,23 @@
    same bytes on every machine and every run. That makes a violation a
    one-line bug report: the seed reproduces it.
 
-   `--sabotage W` deliberately widens every dead zone by W timestamp
-   units (an unsound pruning rule); the run is then *expected* to be
-   caught by the prune-soundness oracle, which is how CI proves the
-   harness has teeth.
+   `--sabotage NAME` arms one row of the {!Sabotage} registry — a
+   deliberately broken variant of the system (a widened dead zone, a
+   governor ignoring its quota, an unchecked recovery tail, a disabled
+   watchdog, a GC backend's planted defect, a skipped 2PC decision, a
+   forged network ack, a lying replication primary). The run is then
+   *expected* to be caught by one of the row's named invariants: a
+   clean exit is a harness bug. Rows that break 2PC or replication
+   need `--shards`; the others break the unsharded campaign. Without
+   the flag the banner reads `sabotage=0`.
 
    `--quota BYTES` arms the version-space governor: the campaign then
    additionally asserts that every post-maintenance space checkpoint
    stays within the quota and that the health-ladder transition log is
-   honest. `--quota-sabotage` keeps the quota configured but makes the
-   governor ignore it — the space invariant must then flag the breach,
-   the overload twin of `--sabotage`. `--require-shed` makes a clean
-   exit additionally require at least one campaign that reached the
-   Shedding rung and recovered to Normal (CI uses it to prove the
-   overload scenario actually exercises the whole ladder).
+   honest. `--require-shed` makes a clean exit additionally require at
+   least one campaign that reached the Shedding rung and recovered to
+   Normal (CI uses it to prove the overload scenario actually exercises
+   the whole ladder).
 
    `--crash-points N` switches the engine to the durable typed-record
    WAL and schedules N deterministic power losses per campaign by WAL
@@ -28,24 +31,16 @@
    engine restarts by ARIES-lite replay and the post-recovery
    invariants compare it against the honest log oracle. Poisson
    crashes from the random plan take the same restart path.
-   `--skip-tail-check` is the recovery sabotage: restart replays the
-   log tail without CRC verification, so a torn tail gets replayed as
-   if durable — the post-recovery invariants must catch the divergence
-   (a clean exit is a harness bug).
 
    `--stalls` draws cleaner-stall and collab-delay rates into the plan
    (the cleaning loop hangs for 150-600 ms at a time) and arms the
    liveness watchdog; `--zombie-llts` additionally draws LLT-zombie
    injections (a driver that stops issuing operations but keeps its
    snapshot). With the watchdog on, the campaign must stay within the
-   computable reclamation-lag bound (0 violations). `--no-watchdog` is
-   the liveness sabotage: leases, beats and the lag monitor still
-   observe, but the ladder never acts — the reclamation-lag invariant
-   must then flag the stall (a clean exit is a harness bug).
-   `--require-containment` makes a clean exit additionally require
-   that the injected pressure was really exercised: at least one
-   escalation under `--stalls`, at least one zombie cancel under
-   `--zombie-llts`. *)
+   computable reclamation-lag bound (0 violations). `--require-containment`
+   makes a clean exit additionally require that the injected pressure
+   was really exercised: at least one escalation under `--stalls`, at
+   least one zombie cancel under `--zombie-llts`. *)
 
 open Cmdliner
 
@@ -65,20 +60,26 @@ let gc_backend_conv =
     ( Gc_backend.kind_of_string,
       fun fmt k -> Format.pp_print_string fmt (Gc_backend.kind_name k) )
 
+let sabotage_rows = List.map (fun s -> (Sabotage.name s, s)) Sabotage.all
+
 (* `--gc-backend` swaps the collector behind Driver.maintain for every
-   engine the campaigns build; `--gc-sabotage` arms the chosen backend's
-   own sabotage knob (a budget-shirking cutter, an announce-array
-   off-by-one, a bound-ignoring token collector) which the invariant
-   catalogue must catch. The vcutter backend is byte-identical to the
+   engine the campaigns build (`--sabotage gc-K` selects backend K with
+   its defect armed). The vcutter backend is byte-identical to the
    un-hooked seed path, so installing it unconditionally keeps every
    default campaign reproducible against old outputs. *)
-let gc_config ~kind ~sabotage =
-  { Gc_backend.default_config with Gc_backend.kind; sabotage }
-
 let gc_banner (cfg : Gc_backend.config) =
-  Printf.sprintf " gc=%s%s"
-    (Gc_backend.kind_name cfg.Gc_backend.kind)
-    (if cfg.Gc_backend.sabotage then " gc-sabotage" else "")
+  Printf.sprintf " gc=%s" (Gc_backend.kind_name cfg.Gc_backend.kind)
+
+let sabotage_banner = function None -> "0" | Some s -> Sabotage.name s
+
+let usage msg =
+  prerr_endline ("chaos: " ^ msg);
+  exit 2
+
+(* One independent seed per campaign, derived from the base seed. *)
+let campaign_seeds seed campaigns =
+  let rng = Rng.create seed in
+  List.init campaigns (fun _ -> Int64.to_int (Rng.next_int64 rng) land 0x3fffffff)
 
 let campaign_config ~seed ~duration =
   {
@@ -96,19 +97,28 @@ let campaign_config ~seed ~duration =
       ];
   }
 
+(* A governed campaign's summary; counts it in [shed_recoveries] when it
+   reached Shedding and ended back at Normal. *)
+let report_governor i ~now shed_recoveries (r : Runner.result) =
+  match r.Runner.driver with
+  | None -> ()
+  | Some d ->
+      let g = Driver.governor d in
+      let reached_shedding =
+        List.exists (fun tr -> tr.Governor.to_rung = Governor.Shedding) (Governor.transitions g)
+      in
+      if reached_shedding && Governor.rung g = Governor.Normal then incr shed_recoveries;
+      Format.printf "@[<v>campaign %d %a@]@." i (fun fmt g -> Governor.pp_summary fmt ~now g) g
+
 (* `--mode=domains`: every campaign runs twice under the same crash-free
    fault plan — once on the deterministic Sim scheduler, once on real
    OCaml 5 domains — and the two {!Run_digest}s must agree in addition
    to both runs holding every online invariant. *)
 let run_domains_campaigns ename engine seed campaigns duration sabotage quota
-    quota_sabotage require_shed ndomains vbuffer gc_cfg =
-  let campaign_seeds =
-    let rng = Rng.create seed in
-    List.init campaigns (fun _ -> Int64.to_int (Rng.next_int64 rng) land 0x3fffffff)
-  in
-  Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs mode=domains x%d sabotage=%d quota=%d%s%s%s\n"
-    ename seed campaigns duration ndomains sabotage quota
-    (if quota_sabotage then " quota-sabotage" else "")
+    require_shed ndomains vbuffer gc_cfg =
+  let campaign_seeds = campaign_seeds seed campaigns in
+  Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs mode=domains x%d sabotage=%s quota=%d%s%s\n"
+    ename seed campaigns duration ndomains (sabotage_banner sabotage) quota
     (if vbuffer > 0 then Printf.sprintf " vbuffer=%d" vbuffer else "")
     (gc_banner gc_cfg);
   let total_violations = ref 0 and total_mismatches = ref 0 in
@@ -136,19 +146,7 @@ let run_domains_campaigns ename engine seed campaigns duration sabotage quota
       | msgs ->
           total_mismatches := !total_mismatches + List.length msgs;
           List.iter (fun m -> Printf.printf "campaign %d MISMATCH: %s\n" i m) msgs);
-      match rd.Runner.driver with
-      | Some d when quota > 0 ->
-          let g = Driver.governor d in
-          let reached_shedding =
-            List.exists
-              (fun tr -> tr.Governor.to_rung = Governor.Shedding)
-              (Governor.transitions g)
-          in
-          if reached_shedding && Governor.rung g = Governor.Normal then incr shed_recoveries;
-          Format.printf "@[<v>campaign %d %a@]@." i
-            (fun fmt g -> Governor.pp_summary fmt ~now:(Clock.seconds duration) g)
-            g
-      | _ -> ())
+      if quota > 0 then report_governor i ~now:(Clock.seconds duration) shed_recoveries rd)
     campaign_seeds;
   Printf.printf "chaos: %d campaign(s), %d violation(s), %d digest mismatch(es)\n" campaigns
     !total_violations !total_mismatches;
@@ -164,94 +162,41 @@ let run_domains_campaigns ename engine seed campaigns duration sabotage quota
    fleet, epoch-broadcast dead zones, power losses by global log
    position, crash-at-2PC-step schedules and torn tails, with the
    per-shard invariant catalogue and the cross-shard atomicity oracle
-   armed. `--skip-coord-decision` is the 2PC sabotage: commit decisions
-   are never forced, so a skipped decision (statically) or a half-applied
-   commit (after a crash) must fail the run. *)
+   armed. The sharded {!Sabotage} rows (a skipped coordinator decision,
+   a network defect, a lying replication primary) arm here. *)
 let run_shard_campaigns seed campaigns duration shards scenario cross_pct crash_points
-    ckpt_ms crash_steps skip_coord_decision mode ndomains net_loss net_dup net_delay_us
-    partitions net_sabotage replicas rep_quorum kill_nodes kill_steps failover_sabotage =
+    ckpt_ms crash_steps sabotage mode ndomains net_on net_loss net_dup net_delay_us
+    partitions replicas rep_quorum kill_nodes kill_steps =
   let scenario =
     match Shard_router.scenario_of_string scenario with
     | Some s -> s
-    | None ->
-        prerr_endline "chaos: unknown --shard-scenario (uniform | zipf | hot)";
-        exit 2
+    | None -> usage "unknown --shard-scenario (uniform | zipf | hot)"
   in
-  let net_sabotage =
-    match net_sabotage with
-    | None -> None
-    | Some s -> (
-        match Shard_group.net_sabotage_of_string s with
-        | Some _ as v -> v
-        | None ->
-            prerr_endline "chaos: unknown --net-sabotage (apply-on-timeout | ack-forge)";
-            exit 2)
-  in
-  let failover_sabotage =
-    match failover_sabotage with
-    | None -> None
-    | Some s -> (
-        match Replica.sabotage_of_string s with
-        | Some _ as v -> v
-        | None ->
-            prerr_endline
-              "chaos: unknown --failover-sabotage (ack-before-replicate | stale-primary-writes)";
-            exit 2)
-  in
-  let net_on = net_loss > 0. || net_dup > 0. || net_delay_us > 0 || partitions > 0 in
-  if net_on && shards < 2 then begin
-    prerr_endline "chaos: network faults need at least two shards (--shards=2+)";
-    exit 2
-  end;
-  if (net_on || net_sabotage <> None) && (crash_points > 0 || crash_steps > 0) then begin
-    prerr_endline
-      "chaos: network faults and crash schedules are separate campaigns for now — drop \
+  if net_on && shards < 2 then usage "network faults need at least two shards (--shards=2+)";
+  let net_sabotage = match sabotage with Some (Sabotage.Net _) -> true | _ -> false in
+  if (net_on || net_sabotage) && (crash_points > 0 || crash_steps > 0) then
+    usage
+      "network faults and crash schedules are separate campaigns for now — drop \
        --crash-points/--crash-steps or the --net-* flags";
-    exit 2
-  end;
-  if replicas > 0 && (crash_points > 0 || crash_steps > 0) then begin
-    prerr_endline
-      "chaos: whole-system crash schedules do not compose with replication (power loss \
-       truncates the device out from under the mirror protocol) — drop \
-       --crash-points/--crash-steps or --replicas";
-    exit 2
-  end;
-  if replicas = 0 && (kill_nodes || kill_steps > 0 || failover_sabotage <> None) then begin
-    prerr_endline "chaos: --kill-nodes/--kill-steps/--failover-sabotage need --replicas";
-    exit 2
-  end;
-  if rep_quorum > 0 && (replicas = 0 || rep_quorum > replicas + 1) then begin
-    prerr_endline "chaos: --rep-quorum needs --replicas and at most replicas+1";
-    exit 2
-  end;
-  let campaign_seeds =
-    let rng = Rng.create seed in
-    List.init campaigns (fun _ -> Int64.to_int (Rng.next_int64 rng) land 0x3fffffff)
-  in
+  let campaign_seeds = campaign_seeds seed campaigns in
   Printf.printf
-    "chaos: sharded seed=%d campaigns=%d duration=%.1fs shards=%d scenario=%s cross=%d%%%s%s%s%s%s%s%s%s\n"
+    "chaos: sharded seed=%d campaigns=%d duration=%.1fs shards=%d scenario=%s cross=%d%%%s%s%s%s%s%s\n"
     seed campaigns duration shards
     (Shard_router.scenario_to_string scenario)
     cross_pct
     (if crash_points > 0 then Printf.sprintf " crash-points=%d" crash_points else "")
     (if crash_steps > 0 then Printf.sprintf " crash-steps=%d" crash_steps else "")
-    (if skip_coord_decision then " skip-coord-decision" else "")
+    (match sabotage with Some s -> " sabotage=" ^ Sabotage.name s | None -> "")
     (if net_on then
        Printf.sprintf " net[loss=%.2f dup=%.2f delay=%dus partitions=%d]" net_loss net_dup
          net_delay_us partitions
      else "")
-    (match net_sabotage with
-    | Some s -> Printf.sprintf " net-sabotage=%s" (Shard_group.net_sabotage_name s)
-    | None -> "")
     (if replicas > 0 then
        Printf.sprintf " replicas=%d%s%s%s" replicas
          (if rep_quorum > 0 then Printf.sprintf " quorum=%d" rep_quorum else "")
          (if kill_nodes then " kill-nodes" else "")
          (if kill_steps > 0 then Printf.sprintf " kill-steps=%d" kill_steps else "")
      else "")
-    (match failover_sabotage with
-    | Some s -> Printf.sprintf " failover-sabotage=%s" (Replica.sabotage_name s)
-    | None -> "")
     (match mode with `Domains -> Printf.sprintf " mode=domains x%d" ndomains | `Sim -> "");
   let total_violations = ref 0 and total_mismatches = ref 0 in
   List.iteri
@@ -311,16 +256,14 @@ let run_shard_campaigns seed campaigns duration shards scenario cross_pct crash_
           crash_points = points;
           crash_steps = steps;
           torn_tail = points <> [] || steps <> [];
-          skip_coord_decision;
+          sabotage;
           net;
-          net_sabotage;
           replicas;
           rep_quorum = (if rep_quorum > 0 then Some rep_quorum else None);
           kill_steps = ksteps;
           node_faults =
             (if kill_nodes then Some (Fault_plan.random_nodes ~seed:campaign_seed ())
              else None);
-          failover_sabotage;
         }
       in
       let r = Shard_runner.run cfg in
@@ -386,135 +329,29 @@ let run_shard_campaigns seed campaigns duration shards scenario cross_pct crash_
     campaigns !total_violations !total_mismatches;
   if !total_violations > 0 || !total_mismatches > 0 then exit 1
 
-let rec run_campaigns (ename, engine) seed campaigns duration sabotage quota quota_sabotage
-    require_shed crash_points ckpt_ms skip_tail_check stalls zombie_llts no_watchdog
-    require_containment trace_out metrics_out mode ndomains shards
-    shard_scenario cross_pct crash_steps skip_coord_decision vbuffer gc_backend gc_sabotage
-    net_loss net_dup net_delay_us partitions net_sabotage replicas rep_quorum kill_nodes
-    kill_steps failover_sabotage =
-  let gc_cfg = gc_config ~kind:gc_backend ~sabotage:gc_sabotage in
-  if shards > 0 then begin
-    if
-      sabotage <> 0 || quota > 0 || quota_sabotage || require_shed || skip_tail_check || stalls
-      || zombie_llts || no_watchdog || require_containment
-      || trace_out <> None || metrics_out <> None
-      || vbuffer > 0 || gc_backend <> Gc_backend.Vcutter || gc_sabotage
-    then begin
-      prerr_endline
-        "chaos: --shards composes only with --crash-points/--crash-steps/--skip-coord-decision/\
-         --cross-pct/--shard-scenario/--ckpt-ms/--mode/--net-loss/--net-dup/--net-delay-us/\
-         --partitions/--net-sabotage/--replicas/--rep-quorum/--kill-nodes/--kill-steps/\
-         --failover-sabotage (the sharded campaign has its own sabotage and oracle, and runs \
-         the built-in vcutter path)";
-      exit 2
-    end;
-    run_shard_campaigns seed campaigns duration shards shard_scenario cross_pct crash_points
-      ckpt_ms crash_steps skip_coord_decision mode ndomains net_loss net_dup net_delay_us
-      partitions net_sabotage replicas rep_quorum kill_nodes kill_steps failover_sabotage
-  end
-  else if crash_steps > 0 || skip_coord_decision then begin
-    prerr_endline "chaos: --crash-steps/--skip-coord-decision need --shards";
-    exit 2
-  end
-  else if replicas > 0 || rep_quorum > 0 || kill_nodes || kill_steps > 0
-          || failover_sabotage <> None
-  then begin
-    prerr_endline
-      "chaos: the --replicas/--kill-nodes/--kill-steps/--failover-sabotage surface needs \
-       --shards";
-    exit 2
-  end
-  else if net_loss > 0. || net_dup > 0. || net_delay_us > 0 || partitions > 0
-          || net_sabotage <> None
-  then begin
-    prerr_endline "chaos: the --net-*/--partitions fault surface needs --shards";
-    exit 2
-  end
-  else begin
-    (* What the domains substrate lacks comes from the one capability
-       table; each row names the flags that request it. *)
-    (match mode with
-    | `Sim -> ()
-    | `Domains ->
-        let dmode = Substrate.Domains { domains = ndomains } in
-        let reject reason =
-          Printf.eprintf "chaos: --mode=domains: %s\n" reason;
-          exit 2
-        in
-        Option.iter reject (Substrate.unsupported dmode []);
-        List.iter
-          (fun (feature, requested, flags) ->
-            Option.iter
-              (fun reason -> reject (reason ^ "; drop " ^ flags))
-              (Substrate.unsupported dmode [ (feature, requested) ]))
-          [
-            (Substrate.Crash_faults, crash_points > 0 || skip_tail_check,
-             "--crash-points/--skip-tail-check");
-            (Substrate.Watchdog, stalls || zombie_llts || no_watchdog || require_containment,
-             "--stalls/--zombie-llts/--no-watchdog/--require-containment");
-            (Substrate.Obs_export, trace_out <> None || metrics_out <> None,
-             "--trace/--metrics");
-          ]);
-    let durable = crash_points > 0 || skip_tail_check in
-    let governor =
-      if quota <= 0 then Governor.default_config
-      else
-        { (Governor.governed ~quota_bytes:quota) with Governor.quota_ignore_sabotage = quota_sabotage }
-    in
-    let driver_config =
-      {
-        State.default_config with
-        State.zone_widen_sabotage = sabotage;
-        governor;
-        durable_wal = durable;
-        recovery_skip_tail_check = skip_tail_check;
-      }
-    in
-    let driver_config =
-      if vbuffer <= 0 then driver_config
-      else { driver_config with State.vbuffer_bytes = vbuffer }
-    in
-    let engine = Gc_backend.wrap_engine gc_cfg (engine driver_config) in
-    match mode with
-    | `Domains ->
-        run_domains_campaigns ename engine seed campaigns duration sabotage quota
-          quota_sabotage require_shed ndomains vbuffer gc_cfg
-    | `Sim ->
-        run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_sabotage
-          require_shed durable crash_points ckpt_ms skip_tail_check stalls zombie_llts
-          no_watchdog require_containment trace_out metrics_out vbuffer gc_cfg
-  end
-
-and run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_sabotage
-    require_shed durable crash_points ckpt_ms skip_tail_check stalls zombie_llts no_watchdog
-    require_containment trace_out metrics_out vbuffer gc_cfg =
-  let campaign_seeds =
-    (* Derive one independent seed per campaign from the base seed. *)
-    let rng = Rng.create seed in
-    List.init campaigns (fun _ -> Int64.to_int (Rng.next_int64 rng) land 0x3fffffff)
-  in
-  let liveness = stalls || zombie_llts || no_watchdog in
+let run_sim_campaigns ename engine seed campaigns duration sabotage quota require_shed
+    crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out vbuffer
+    gc_cfg =
+  let campaign_seeds = campaign_seeds seed campaigns in
+  let liveness = stalls || zombie_llts || sabotage = Some Sabotage.No_watchdog in
   let wdog =
     if not liveness then None
     else
       Some
-        {
-          Watchdog.default_config with
-          Watchdog.enabled = not no_watchdog;
-          check_period = Clock.ms 5;
-          stall_timeout = Clock.ms 20;
-          escalation_cooldown = Clock.ms 10;
-        }
+        (Sabotage.watchdog sabotage
+           {
+             Watchdog.default_config with
+             Watchdog.check_period = Clock.ms 5;
+             stall_timeout = Clock.ms 20;
+             escalation_cooldown = Clock.ms 10;
+           })
   in
   Printf.printf
-    "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%d quota=%d%s%s%s%s%s%s%s%s\n"
-    ename seed campaigns duration sabotage quota
-    (if quota_sabotage then " quota-sabotage" else "")
+    "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%s quota=%d%s%s%s%s%s\n"
+    ename seed campaigns duration (sabotage_banner sabotage) quota
     (if crash_points > 0 then Printf.sprintf " crash-points=%d" crash_points else "")
-    (if skip_tail_check then " skip-tail-check" else "")
     (if stalls then " stalls" else "")
     (if zombie_llts then " zombie-llts" else "")
-    (if no_watchdog then " no-watchdog" else "")
     (if vbuffer > 0 then Printf.sprintf " vbuffer=%d" vbuffer else "")
     (gc_banner gc_cfg);
   (match wdog with
@@ -541,7 +378,7 @@ and run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_
          mid-flight. Points below the bootstrap checkpoint are
          meaningless; start past it. *)
       let points =
-        if (not durable) || crash_points <= 0 then []
+        if crash_points <= 0 then []
         else begin
           let rng = Rng.create (campaign_seed lxor 0x632d7074) in
           let lsn = ref Wal.bootstrap_lsn in
@@ -582,19 +419,7 @@ and run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_
           (r.Runner.max_reclamation_lag / 1000)
           (Histogram.total r.Runner.reclamation_lag_us)
       end;
-      match r.Runner.driver with
-      | Some d when quota > 0 ->
-          let g = Driver.governor d in
-          let reached_shedding =
-            List.exists
-              (fun tr -> tr.Governor.to_rung = Governor.Shedding)
-              (Governor.transitions g)
-          in
-          if reached_shedding && Governor.rung g = Governor.Normal then incr shed_recoveries;
-          Format.printf "@[<v>campaign %d %a@]@." i
-            (fun fmt g -> Governor.pp_summary fmt ~now:horizon g)
-            g
-      | _ -> ())
+      if quota > 0 then report_governor i ~now:horizon shed_recoveries r)
     campaign_seeds);
   Printf.printf "chaos: %d campaign(s), %d violation(s)\n" campaigns !total_violations;
   if require_shed then
@@ -619,6 +444,93 @@ and run_sim_campaigns ename engine seed campaigns duration sabotage quota quota_
     end
   end
 
+let run_campaigns (ename, engine) seed campaigns duration sabotage quota require_shed
+    crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out mode
+    ndomains shards shard_scenario cross_pct crash_steps vbuffer gc_backend net_loss net_dup
+    net_delay_us partitions replicas rep_quorum kill_nodes kill_steps =
+  let net_on = net_loss > 0. || net_dup > 0. || net_delay_us > 0 || partitions > 0 in
+  (match sabotage with
+  | Some s when Sabotage.sharded s <> (shards > 0) ->
+      usage
+        (Printf.sprintf "--sabotage %s %s" (Sabotage.name s)
+           (if Sabotage.sharded s then "needs --shards" else "breaks the unsharded campaign"))
+  | _ -> ());
+  (* The library's own configuration checks (replication against crash
+     faults, node faults or a quorum without replicas, a quorum out of
+     range) surface as usage errors. *)
+  try
+    if shards > 0 then begin
+      if
+        quota > 0 || require_shed || stalls || zombie_llts || require_containment
+        || trace_out <> None || metrics_out <> None
+        || vbuffer > 0 || gc_backend <> Gc_backend.Vcutter
+      then
+        usage
+          "--shards composes only with --crash-points/--crash-steps/--cross-pct/\
+           --shard-scenario/--ckpt-ms/--mode/--net-loss/--net-dup/--net-delay-us/\
+           --partitions/--replicas/--rep-quorum/--kill-nodes/--kill-steps and the sharded \
+           --sabotage rows (the sharded campaign runs the built-in vcutter path)";
+      run_shard_campaigns seed campaigns duration shards shard_scenario cross_pct crash_points
+        ckpt_ms crash_steps sabotage mode ndomains net_on net_loss net_dup net_delay_us
+        partitions replicas rep_quorum kill_nodes kill_steps
+    end
+    else if crash_steps > 0 || replicas > 0 || rep_quorum > 0 || kill_nodes || kill_steps > 0
+            || net_on
+    then
+      usage
+        "--crash-steps/--replicas/--rep-quorum/--kill-nodes/--kill-steps/--net-*/--partitions \
+         need --shards"
+    else begin
+      let skip_tail_check = sabotage = Some Sabotage.Skip_tail_check in
+      (* What the domains substrate lacks comes from the one capability
+         table; each row names the flags that request it. *)
+      (match mode with
+      | `Sim -> ()
+      | `Domains ->
+          let dmode = Substrate.Domains { domains = ndomains } in
+          let reject reason = usage ("--mode=domains: " ^ reason) in
+          Option.iter reject (Substrate.unsupported dmode []);
+          List.iter
+            (fun (feature, requested, flags) ->
+              Option.iter
+                (fun reason -> reject (reason ^ "; drop " ^ flags))
+                (Substrate.unsupported dmode [ (feature, requested) ]))
+            [
+              (Substrate.Crash_faults, crash_points > 0 || skip_tail_check,
+               "--crash-points/--sabotage skip-tail-check");
+              (Substrate.Watchdog,
+               stalls || zombie_llts || require_containment
+               || sabotage = Some Sabotage.No_watchdog,
+               "--stalls/--zombie-llts/--require-containment/--sabotage no-watchdog");
+              (Substrate.Obs_export, trace_out <> None || metrics_out <> None,
+               "--trace/--metrics");
+            ]);
+      let governor =
+        if quota <= 0 then Governor.default_config else Governor.governed ~quota_bytes:quota
+      in
+      let driver_config =
+        Sabotage.driver_config sabotage
+          { State.default_config with State.governor; durable_wal = crash_points > 0 }
+      in
+      let driver_config =
+        if vbuffer <= 0 then driver_config
+        else { driver_config with State.vbuffer_bytes = vbuffer }
+      in
+      let gc_cfg =
+        Sabotage.gc_config sabotage { Gc_backend.default_config with Gc_backend.kind = gc_backend }
+      in
+      let engine = Gc_backend.wrap_engine gc_cfg (engine driver_config) in
+      match mode with
+      | `Domains ->
+          run_domains_campaigns ename engine seed campaigns duration sabotage quota require_shed
+            ndomains vbuffer gc_cfg
+      | `Sim ->
+          run_sim_campaigns ename engine seed campaigns duration sabotage quota require_shed
+            crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out
+            vbuffer gc_cfg
+    end
+  with Invalid_argument msg -> usage msg
+
 let cmd =
   let engine =
     Arg.(
@@ -635,12 +547,24 @@ let cmd =
   in
   let sabotage =
     Arg.(
-      value & opt int 0
-      & info [ "sabotage" ]
+      value
+      & opt (some (enum sabotage_rows)) None
+      & info [ "sabotage" ] ~docv:"NAME"
           ~doc:
-            "Widen every dead zone by this many timestamp units — an intentionally unsound \
-             pruning rule the invariant checker must catch (nonzero makes a clean exit a \
-             harness bug).")
+            (Printf.sprintf
+               "Arm one row of the sabotage registry: a deliberately broken variant of the \
+                system that one of the row's named invariants must catch (a clean exit is a \
+                harness bug). $(docv) is %s. $(b,zone-widen) widens every dead zone by one \
+                timestamp; $(b,quota-ignore) makes the governor ignore its --quota; \
+                $(b,skip-tail-check) replays the WAL tail without CRC verification (implies \
+                the durable WAL); $(b,no-watchdog) keeps the liveness ladder observing but \
+                never acting; $(b,gc-)K runs GC backend K with its planted defect. The \
+                sharded rows need --shards: $(b,skip-coord-decision) commits 2PC without \
+                forcing the decision record, $(b,apply-on-timeout) and $(b,ack-forge) break \
+                the termination protocol and the participant ack, and \
+                $(b,ack-before-replicate) and $(b,stale-primary-writes) break replication \
+                (need --replicas)."
+               (Arg.doc_alts_enum sabotage_rows)))
   in
   let quota =
     Arg.(
@@ -650,14 +574,6 @@ let cmd =
             "Arm the version-space governor with this hard quota; the campaign then also \
              asserts the post-maintenance space envelope and the health-ladder honesty \
              (0 = governor disabled).")
-  in
-  let quota_sabotage =
-    Arg.(
-      value & flag
-      & info [ "quota-sabotage" ]
-          ~doc:
-            "Keep the quota configured but make the governor ignore it — the space-quota \
-             invariant must then flag the breach (a clean exit is a harness bug).")
   in
   let require_shed =
     Arg.(
@@ -675,23 +591,13 @@ let cmd =
             "Switch the engine to the durable typed-record WAL and schedule N deterministic \
              power losses per campaign by WAL position, each with a fabricated torn tail; \
              recovery replays the surviving log and the post-recovery invariants must hold \
-             (0 = no crash points, non-durable engine unless --skip-tail-check).")
+             (0 = no crash points, non-durable engine unless --sabotage skip-tail-check).")
   in
   let ckpt_ms =
     Arg.(
       value & opt int 250
       & info [ "ckpt-ms" ] ~docv:"MS"
           ~doc:"Fuzzy-checkpoint period for durable campaigns, in simulated milliseconds.")
-  in
-  let skip_tail_check =
-    Arg.(
-      value & flag
-      & info [ "skip-tail-check" ]
-          ~doc:
-            "Recovery sabotage: restart replays the WAL tail without CRC verification, so \
-             fabricated torn tails get replayed as durable — the post-recovery invariants \
-             must catch the divergence (a clean exit is a harness bug). Implies the durable \
-             WAL.")
   in
   let stalls =
     Arg.(
@@ -710,16 +616,6 @@ let cmd =
             "Draw LLT-zombie injections (a driver that stops issuing operations but keeps its \
              snapshot pinned) and arm the liveness watchdog; harmful zombies must be shed \
              through the lease path.")
-  in
-  let no_watchdog =
-    Arg.(
-      value & flag
-      & info [ "no-watchdog" ]
-          ~doc:
-            "Liveness sabotage: keep leases, heartbeats and the reclamation-lag monitor \
-             observing, but never let the watchdog ladder act. Under --stalls the \
-             reclamation-lag invariant must then flag the hang (a clean exit is a harness \
-             bug).")
   in
   let require_containment =
     Arg.(
@@ -792,15 +688,6 @@ let cmd =
              sequence; recovery must resolve every orphaned prepare to one outcome on every \
              shard.")
   in
-  let skip_coord_decision =
-    Arg.(
-      value & flag
-      & info [ "skip-coord-decision" ]
-          ~doc:
-            "2PC sabotage (sharded campaigns): commit cross-shard transactions without ever \
-             forcing the coordinator's decision record. The cross-shard atomicity oracle must \
-             then fail the run (a clean exit is a harness bug).")
-  in
   let gc_backend =
     Arg.(
       value
@@ -823,17 +710,6 @@ let cmd =
              the buffer so small that default campaigns never harden a segment; a small \
              vBuffer forces steady hardened-store traffic, which is what exercises the \
              cutter-side reclaim paths of every GC backend.")
-  in
-  let gc_sabotage =
-    Arg.(
-      value & flag
-      & info [ "gc-sabotage" ]
-          ~doc:
-            "Arm the chosen backend's own sabotage knob: a cutter that skips every other \
-             dead candidate (vcutter), an announce-array off-by-one that never subtracts the \
-             oldest live reader (range), or a token-effort collector that ignores its space \
-             bound (bounded). The invariant catalogue must catch it — a clean exit is a \
-             harness bug.")
   in
   let net_loss =
     Arg.(
@@ -870,18 +746,6 @@ let cmd =
              the horizon. Single-shard traffic must keep committing; cross-shard \
              transactions spanning the cut fail fast; in-doubt participants must resolve \
              after heal.")
-  in
-  let net_sabotage =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "net-sabotage" ] ~docv:"MODE"
-          ~doc:
-            "Network-layer sabotage (sharded campaigns): $(b,apply-on-timeout) makes an \
-             in-doubt participant unilaterally apply a fabricated commit instead of asking \
-             the coordinator (the 2PC decision oracle must fail the run); $(b,ack-forge) \
-             makes a participant roll back yet ack the commit (the cross-shard atomicity \
-             oracle must fail the run). A clean exit is a harness bug.")
   in
   let replicas =
     Arg.(
@@ -921,28 +785,13 @@ let cmd =
              replication-step indices — death lands exactly between a ship/ack/quorum \
              step's intent and its effect.")
   in
-  let failover_sabotage =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "failover-sabotage" ] ~docv:"MODE"
-          ~doc:
-            "Replication sabotage: $(b,ack-before-replicate) acknowledges commits before any \
-             frame ships, so a primary kill loses acknowledged commits (no-committed-loss \
-             must fail the run); $(b,stale-primary-writes) revives a fenced ex-primary that \
-             claims the shard and fabricates commit acks under its old epoch \
-             (no-split-brain/no-committed-loss must fail the run). A clean exit is a \
-             harness bug.")
-  in
   Cmd.v
     (Cmd.info "chaos" ~doc:"Seeded fault-injection campaigns with online invariant checking.")
     Term.(
       const run_campaigns $ engine $ seed $ campaigns $ duration $ sabotage $ quota
-      $ quota_sabotage $ require_shed $ crash_points $ ckpt_ms $ skip_tail_check
-      $ stalls $ zombie_llts $ no_watchdog $ require_containment $ trace_out $ metrics_out
-      $ mode $ ndomains $ shards $ shard_scenario $ cross_pct
-      $ crash_steps $ skip_coord_decision $ vbuffer $ gc_backend $ gc_sabotage
-      $ net_loss $ net_dup $ net_delay_us $ partitions $ net_sabotage $ replicas
-      $ rep_quorum $ kill_nodes $ kill_steps $ failover_sabotage)
+      $ require_shed $ crash_points $ ckpt_ms $ stalls $ zombie_llts $ require_containment
+      $ trace_out $ metrics_out $ mode $ ndomains $ shards $ shard_scenario $ cross_pct
+      $ crash_steps $ vbuffer $ gc_backend $ net_loss $ net_dup $ net_delay_us $ partitions
+      $ replicas $ rep_quorum $ kill_nodes $ kill_steps)
 
 let () = exit (Cmd.eval cmd)

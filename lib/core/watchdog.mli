@@ -26,7 +26,7 @@
     watchdog owns no process and draws no randomness, so an armed run
     is still a pure function of the seed. With [enabled = false] the
     ladder never moves and no action runs, but stalls are still
-    observed — that is the [--no-watchdog] sabotage mode the
+    observed — that is the [no-watchdog] sabotage row the
     [reclamation-lag] invariant must catch. *)
 
 type rung = Healthy | Nudge | Restart | Sync_reclaim | Shed

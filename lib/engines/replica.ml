@@ -28,15 +28,6 @@
 
 type sabotage = Ack_before_replicate | Stale_primary_writes
 
-let sabotage_name = function
-  | Ack_before_replicate -> "ack-before-replicate"
-  | Stale_primary_writes -> "stale-primary-writes"
-
-let sabotage_of_string = function
-  | "ack-before-replicate" -> Some Ack_before_replicate
-  | "stale-primary-writes" -> Some Stale_primary_writes
-  | _ -> None
-
 type rstep =
   | R_ship of { sid : int; node : int; frames : int }
   | R_ack of { sid : int; node : int; upto : int }

@@ -28,9 +28,6 @@ type sabotage =
           shipping/acking under its old epoch. [no-split-brain] and
           [no-committed-loss] must catch it. *)
 
-val sabotage_name : sabotage -> string
-val sabotage_of_string : string -> sabotage option
-
 (** Observable replication steps, fired {e before} the corresponding
     send so a kill schedule can land between intent and effect. *)
 type rstep =

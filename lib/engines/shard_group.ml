@@ -14,15 +14,6 @@ let step_name = function
 
 type net_sabotage = Apply_on_timeout | Ack_forge
 
-let net_sabotage_name = function
-  | Apply_on_timeout -> "apply-on-timeout"
-  | Ack_forge -> "ack-forge"
-
-let net_sabotage_of_string = function
-  | "apply-on-timeout" -> Some Apply_on_timeout
-  | "ack-forge" -> Some Ack_forge
-  | _ -> None
-
 type outcome = Committed of Clock.time | Net_abort of Clock.time
 
 exception Shard_down of int

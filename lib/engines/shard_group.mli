@@ -74,9 +74,6 @@ type net_sabotage =
           so the coordinator forgets a transaction one shard aborted —
           must trip [cross-shard-atomicity] *)
 
-val net_sabotage_name : net_sabotage -> string
-val net_sabotage_of_string : string -> net_sabotage option
-
 type outcome =
   | Committed of Clock.time
   | Net_abort of Clock.time

@@ -126,7 +126,7 @@ val run :
     runs. Passing a config with [enabled = false] keeps the whole
     observation side (beats, leases, lag monitor — and therefore the
     reclamation-lag violations) while the ladder never acts: the
-    [--no-watchdog] sabotage mode. Without [?watchdog] nothing above
+    [no-watchdog] {!Sabotage} row. Without [?watchdog] nothing above
     exists and the run is bit-identical to the seed. *)
 
 val avg_throughput : result -> between:float * float -> float

@@ -9,10 +9,8 @@ type cfg = {
   crash_points : int list; (* cumulative-LSN power-loss schedule *)
   crash_steps : int list; (* global 2PC step indices, ascending *)
   torn_tail : bool;
-  skip_coord_decision : bool;
   check_period : Clock.time; (* invariant sweep; 0 disables *)
   net : Net_fault.config; (* message-fault model; none = transparent *)
-  net_sabotage : Shard_group.net_sabotage option;
   net_tick : Clock.time; (* resolver sweep period (faulty configs only) *)
   replicas : int; (* backups per shard; 0 = replication layer absent *)
   rep_quorum : int option; (* sync-replication quorum; None = majority *)
@@ -22,7 +20,7 @@ type cfg = {
   kill_steps : int list; (* global replication-step kill schedule, ascending *)
   node_faults : Fault_plan.t option; (* Node_kill / Node_revive arrivals *)
   revive_after : Clock.time; (* age at which dead nodes are revived *)
-  failover_sabotage : Replica.sabotage option;
+  sabotage : Sabotage.t option; (* a sharded registry row *)
 }
 
 let default ~shards base =
@@ -35,10 +33,8 @@ let default ~shards base =
     crash_points = [];
     crash_steps = [];
     torn_tail = false;
-    skip_coord_decision = false;
     check_period = Clock.ms 50;
     net = Net_fault.none;
-    net_sabotage = None;
     net_tick = Clock.ms 1;
     replicas = 0;
     rep_quorum = None;
@@ -53,12 +49,14 @@ let default ~shards base =
        returning node). Set below the lease to model fast reboots that
        rescue the primary's timeline instead. *)
     revive_after = Clock.ms 80;
-    failover_sabotage = None;
+    sabotage = None;
   }
 
 (* Anything that makes the fabric non-transparent: the resolver process
    must run, and the digest grows a net block. *)
-let net_active cfg = (not (Net_fault.is_none cfg.net)) || cfg.net_sabotage <> None
+let net_active cfg =
+  (not (Net_fault.is_none cfg.net))
+  || match cfg.sabotage with Some (Sabotage.Net _) -> true | _ -> false
 
 type net_digest = {
   nd_sent : int;
@@ -338,7 +336,7 @@ let setup_replicas (cfg : cfg) g =
         ~wals:(Shard_group.wals g) ()
     in
     Shard_group.attach_replicas g r;
-    Replica.set_sabotage r cfg.failover_sabotage;
+    Sabotage.arm_replica cfg.sabotage r;
     let kill_steps = ref cfg.kill_steps in
     let steps = ref 0 in
     Replica.set_on_step r (fun ~now step ->
@@ -426,15 +424,17 @@ let run ?(mode = Sim) (cfg : cfg) =
   then invalid_arg "Shard_runner.run: crash faults are incompatible with replication";
   if
     cfg.replicas = 0
-    && (cfg.kill_steps <> [] || cfg.node_faults <> None || cfg.failover_sabotage <> None)
-  then invalid_arg "Shard_runner.run: node faults require replicas > 0";
+    && (cfg.kill_steps <> [] || cfg.node_faults <> None || cfg.rep_quorum <> None
+       || match cfg.sabotage with Some (Sabotage.Failover _) -> true | _ -> false)
+  then
+    invalid_arg
+      "Shard_runner.run: node faults, a quorum and failover sabotage require replicas > 0";
   Substrate.require ~who:"Shard_runner.run" mode
     [ (Substrate.Crash_faults, cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail) ];
   Failpoint.with_scope @@ fun () ->
   let base = cfg.base in
   let g = Shard_group.create ~net:cfg.net ~shards:cfg.shards base.Exp_config.schema in
-  Shard_group.set_skip_coord_decision g cfg.skip_coord_decision;
-  Shard_group.set_net_sabotage g cfg.net_sabotage;
+  Sabotage.arm_group cfg.sabotage g;
   let repl = setup_replicas cfg g in
   let faulty = net_active cfg in
   (* Replication makes the fabric non-transparent the same way net

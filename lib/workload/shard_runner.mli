@@ -42,10 +42,8 @@ type cfg = {
   crash_points : int list;  (** power loss when the summed LSN reaches each *)
   crash_steps : int list;  (** crash at these global 2PC step indices, ascending *)
   torn_tail : bool;
-  skip_coord_decision : bool;  (** sabotage: never force the decision record *)
   check_period : Clock.time;  (** invariant sweep period; 0 disables *)
   net : Net_fault.config;  (** message-fault model; {!Net_fault.none} = transparent *)
-  net_sabotage : Shard_group.net_sabotage option;
   net_tick : Clock.time;  (** resolver sweep period (active fault configs only) *)
   replicas : int;  (** backups per shard; 0 = replication layer absent *)
   rep_quorum : int option;  (** sync-replication quorum; [None] = majority *)
@@ -63,7 +61,9 @@ type cfg = {
       (** age at which dead nodes are revived; the default exceeds the
           lease so every kill runs a full failover — below the lease a
           fast reboot rescues the dead primary's own timeline instead *)
-  failover_sabotage : Replica.sabotage option;
+  sabotage : Sabotage.t option;
+      (** a sharded {!Sabotage} row (skipped coordinator decision,
+          network or failover defect); unsharded rows are ignored *)
 }
 
 val default : shards:int -> Exp_config.t -> cfg
@@ -145,9 +145,10 @@ type result = {
 val run : ?mode:mode -> cfg -> result
 (** Raises [Invalid_argument] for a bad shard or replica count, for
     crash faults combined with replication (power loss truncates the
-    device out from under the contiguous mirror protocol), or for node
-    faults / failover sabotage without [replicas > 0], and for what
-    [mode] does not support. With
+    device out from under the contiguous mirror protocol), for node
+    faults, a quorum or failover sabotage without [replicas > 0], for a
+    quorum out of range ({!Replica.create}), and for what [mode] does
+    not support. With
     [replicas > 0] the failover scheduler runs in both modes: node
     kills and revives from [node_faults] and [kill_steps], lease-based
     promotions with engine restart and in-doubt recovery on the
