@@ -11,10 +11,11 @@
    deliberately broken variant of the system (a widened dead zone, a
    governor ignoring its quota, an unchecked recovery tail, a disabled
    watchdog, a GC backend's planted defect, a skipped 2PC decision, a
-   forged network ack, a lying replication primary). The run is then
-   *expected* to be caught by one of the row's named invariants: a
-   clean exit is a harness bug. Rows that break 2PC or replication
-   need `--shards`; the others break the unsharded campaign. Without
+   forged network ack, a lying replication primary, a log-analysis
+   cursor blind to crashes). The run is then *expected* to be caught by
+   one of the row's named invariants: a clean exit is a harness bug.
+   Rows that break 2PC, replication or the sharded sweep need
+   `--shards`; the others break the unsharded campaign. Without
    the flag the banner reads `sabotage=0`.
 
    `--quota BYTES` arms the version-space governor: the campaign then
@@ -563,7 +564,9 @@ let cmd =
                 forcing the decision record, $(b,apply-on-timeout) and $(b,ack-forge) break \
                 the termination protocol and the participant ack, and \
                 $(b,ack-before-replicate) and $(b,stale-primary-writes) break replication \
-                (need --replicas)."
+                (need --replicas), and $(b,stale-cursor) makes the sweep's log-analysis \
+                cursors ignore crashes and truncations (needs --crash-points or \
+                --crash-steps)."
                (Arg.doc_alts_enum sabotage_rows)))
   in
   let quota =

@@ -81,7 +81,7 @@ type t = {
   mutable shard_id : int;
   mutable zone_source : (unit -> Zone_set.t) option;
   mutable shared_mgr : bool;
-  mutable indoubt_resolver : (tid:int -> coord:int -> int option) option;
+  mutable indoubt_resolver : (unit -> tid:int -> coord:int -> int option) option;
   mutable ckpt_indoubt : (unit -> (int * int) list * (int * int) list) option;
   mutable gc_backend : gc_hook option;
 }

@@ -146,10 +146,11 @@ type t = {
           other shards: restart recovery must then {e merge} its
           recovered outcomes into the manager instead of resetting it
           (the group resets once, before the per-shard restarts). *)
-  mutable indoubt_resolver : (tid:int -> coord:int -> int option) option;
-      (** installed by the shard group: answers a 2PC in-doubt
-          transaction from the coordinator shard's durable log —
-          [Some cts] iff a commit decision survived there. *)
+  mutable indoubt_resolver : (unit -> tid:int -> coord:int -> int option) option;
+      (** installed by the shard group: each call makes a lookup
+          that answers 2PC in-doubt transactions from the coordinator
+          shards' durable logs — [Some cts] iff a commit decision
+          survived there (see {!Wal_recovery.expect}). *)
   mutable ckpt_indoubt : (unit -> (int * int) list * (int * int) list) option;
       (** installed by the shard group: snapshot of
           [(prepared, decisions)] 2PC state to persist in this shard's

@@ -285,6 +285,27 @@ let handle t ~ep ~now ~src msg =
         t.shard_zones.(s) <- zones
       end
 
+(* One in-doubt lookup per [Wal_recovery.expect] call: each coordinator
+   log is analyzed at most once, on its first query. The scan is always
+   honest (CRC on): recovery may not trust a torn decision. *)
+let decision_resolver t () =
+  let tables = Array.make t.n None in
+  fun ~tid ~coord ->
+    if coord < 0 || coord >= t.n then None
+    else
+      let table =
+        match tables.(coord) with
+        | Some table -> table
+        | None ->
+            let table =
+              Wal_recovery.decisions
+                (Wal_recovery.analyze ~check_crc:true t.shards.(coord).Shard.wal)
+            in
+            tables.(coord) <- Some table;
+            table
+      in
+      Hashtbl.find_opt table tid
+
 let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rto
     ?net_indoubt_after ~shards:n schema =
   if n < 1 then invalid_arg "Shard_group.create: need at least one shard";
@@ -398,19 +419,8 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
             (prep, dec));
       (* In-doubt resolution at restart: ask the coordinator's durable
          log — its trustworthy prefix plus its checkpoint's decision
-         window — exactly what {!Wal_recovery.expect} collects. The
-         scan is always honest (CRC on): recovery may not trust a torn
-         decision. *)
-      d.State.indoubt_resolver <-
-        Some
-          (fun ~tid ~coord ->
-            if coord < 0 || coord >= n then None
-            else
-              let exp =
-                Wal_recovery.expect
-                  (Wal_recovery.analyze ~check_crc:true t.shards.(coord).Shard.wal)
-              in
-              List.assoc_opt tid exp.Wal_recovery.decisions))
+         window. *)
+      d.State.indoubt_resolver <- Some (decision_resolver t))
     shards;
   t
 
@@ -1005,17 +1015,8 @@ let promote_fixup t ~sid:s ~now =
      replica layer has already settled (its promotion pass adopts every
      failing-over device before any fixup runs). *)
   let wal = t.shards.(s).Shard.wal in
-  let resolve ~tid ~coord =
-    if coord < 0 || coord >= t.n then None
-    else
-      let exp =
-        Wal_recovery.expect
-          (Wal_recovery.analyze ~check_crc:true t.shards.(coord).Shard.wal)
-      in
-      List.assoc_opt tid exp.Wal_recovery.decisions
-  in
   let analysis = Wal_recovery.analyze ~check_crc:true wal in
-  let exp = Wal_recovery.expect ~resolve analysis in
+  let exp = Wal_recovery.expect ~resolve:(decision_resolver t) analysis in
   (* 4. Decisions the dead primary made that never reached a quorum:
      the shared commit log says committed, the surviving timeline says
      the transaction never happened. Flip them back with compensating
@@ -1040,16 +1041,12 @@ let promote_fixup t ~sid:s ~now =
   (match analysis.Wal_recovery.checkpoint with
   | Some (_, ck) -> List.iter (fun (tid, _) -> mark tid) ck.Checkpoint.prepared
   | None -> ());
+  List.iter (fun (tid, _) -> mark tid) analysis.Wal_recovery.prepares;
   let forgotten = Hashtbl.create 16 in
+  List.iter (fun gid -> Hashtbl.replace forgotten gid ()) analysis.Wal_recovery.forgets;
   List.iter
-    (fun (r : Wal_record.t) ->
-      match r.Wal_record.payload with
-      | Wal_record.Prepare { tid; _ } -> mark tid
-      | Wal_record.Forget { gid } -> Hashtbl.replace forgotten gid ()
-      | Wal_record.Coord_abort { gid } ->
-          if not (Hashtbl.mem t.aborted_all gid) then Hashtbl.replace t.aborted_all gid 0
-      | _ -> ())
-    analysis.Wal_recovery.records;
+    (fun gid -> if not (Hashtbl.mem t.aborted_all gid) then Hashtbl.replace t.aborted_all gid 0)
+    (List.rev analysis.Wal_recovery.coord_aborts);
   (* 7. Re-arm the coordinator role: durable decisions without a Forget
      still owe phase 2 — resends and re-acks converge them. *)
   List.iter
@@ -1060,15 +1057,11 @@ let promote_fixup t ~sid:s ~now =
       end)
     exp.Wal_recovery.decisions;
   List.iter
-    (fun (r : Wal_record.t) ->
-      match r.Wal_record.payload with
-      | Wal_record.Coord_commit { gid; cts; shards = parts }
-        when (not (Hashtbl.mem forgotten gid)) && not (Hashtbl.mem t.pending_commits gid)
-        ->
-          Hashtbl.replace t.pending_commits gid
-            { pc_coord = s; pc_cts = cts; pc_parts = parts; pc_next = now + t.resend_period }
-      | _ -> ())
-    analysis.Wal_recovery.records;
+    (fun (gid, cts, parts) ->
+      if (not (Hashtbl.mem forgotten gid)) && not (Hashtbl.mem t.pending_commits gid) then
+        Hashtbl.replace t.pending_commits gid
+          { pc_coord = s; pc_cts = cts; pc_parts = parts; pc_next = now + t.resend_period })
+    (List.rev analysis.Wal_recovery.coord_commits);
   Metrics.bump "twopc.promote_fixups"
 
 let attach_replicas t r =

@@ -477,41 +477,53 @@ let remove_prune_audit (d : Driver.t) =
 (* ------------------------------------------------------------------ *)
 (* Cross-shard 2PC atomicity *)
 
-let analyze_shard_logs wals =
+let analyze_shard_logs ?cursors wals =
   List.sort (fun (a, _) (b, _) -> compare a b) wals
-  |> List.map (fun (sid, wal) -> (sid, Wal_recovery.analyze ~check_crc:true wal))
+  |> List.map (fun (sid, wal) ->
+         ( sid,
+           match cursors with
+           | Some cs -> Wal_recovery.advance cs.(sid) wal
+           | None -> Wal_recovery.analyze ~check_crc:true wal ))
+
+let check_analysis_cursors ~cursors ?analyses wals =
+  let fresh = match analyses with Some a -> a | None -> analyze_shard_logs wals in
+  List.map2
+    (fun (sid, (a : Wal_recovery.analysis)) (_, (c : Wal_recovery.analysis)) ->
+      if a = c then []
+      else
+        [
+          v "analysis-cursor"
+            "shard %d: the incremental analysis differs from the from-scratch one (survivors %d vs %d, truncated at %d vs %d, dropped %d vs %d, %d vs %d records after the anchor)"
+            sid c.survivors a.survivors c.truncate_lsn a.truncate_lsn c.dropped a.dropped
+            (List.length c.records) (List.length a.records);
+        ])
+    fresh
+    (analyze_shard_logs ~cursors wals)
+  |> List.concat
+
+(* Every shard's durable decision table ({!Wal_recovery.decisions}),
+   as the in-doubt lookup a recovering participant uses. *)
+let decision_lookup analyses =
+  let tables = List.map (fun (sid, a) -> (sid, Wal_recovery.decisions a)) analyses in
+  fun ~tid ~coord ->
+    match List.assoc_opt coord tables with
+    | Some table -> Hashtbl.find_opt table tid
+    | None -> None
 
 let check_cross_shard_atomicity ?clog ?analyses wals =
   (* Honest analysis of every shard's log, with in-doubt transactions
      resolved exactly the way a recovering participant must: a durable
      Coord_commit anywhere in the coordinator's trustworthy prefix (or
      its checkpoint's decision window) means commit; silence means
-     presumed abort. Analysis cost is linear in the logs, so a periodic
-     sweep that runs several log-level checks should analyze once
-     ({!analyze_shard_logs}) and share. *)
+     presumed abort. A periodic sweep that runs several log-level
+     checks should analyze once ({!analyze_shard_logs}, through its
+     cursors) and share. *)
   let analyses =
     match analyses with Some a -> a | None -> analyze_shard_logs wals
   in
-  let decisions : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (sid, (a : Wal_recovery.analysis)) ->
-      (match a.Wal_recovery.checkpoint with
-      | Some (_, ck) ->
-          List.iter
-            (fun (gid, cts) -> Hashtbl.replace decisions (sid, gid) cts)
-            ck.Checkpoint.decisions
-      | None -> ());
-      List.iter
-        (fun (r : Wal_record.t) ->
-          match r.Wal_record.payload with
-          | Wal_record.Coord_commit { gid; cts; _ } ->
-              Hashtbl.replace decisions (sid, gid) cts
-          | _ -> ())
-        a.Wal_recovery.records)
-    analyses;
-  let resolve ~tid ~coord = Hashtbl.find_opt decisions (coord, tid) in
+  let resolve = decision_lookup analyses in
   let exps =
-    List.map (fun (sid, a) -> (sid, a, Wal_recovery.expect ~resolve a)) analyses
+    List.map (fun (sid, a) -> (sid, a, Wal_recovery.expect ~resolve:(fun () -> resolve) a)) analyses
   in
   let acc = ref [] in
   let add x = acc := x :: !acc in
@@ -564,25 +576,29 @@ let check_cross_shard_atomicity ?clog ?analyses wals =
      timing to fire. *)
   List.iter
     (fun (sid, (a : Wal_recovery.analysis), _) ->
-      let prep : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      (match a.Wal_recovery.checkpoint with
-      | Some (_, ck) ->
-          List.iter (fun (tid, coord) -> Hashtbl.replace prep tid coord) ck.Checkpoint.prepared
-      | None -> ());
-      List.iter
-        (fun (r : Wal_record.t) ->
-          match r.Wal_record.payload with
-          | Wal_record.Prepare { tid; coord; _ } -> Hashtbl.replace prep tid coord
-          | Wal_record.Txn_commit { tid; _ } -> (
-              match Hashtbl.find_opt prep tid with
-              | Some coord when not (Hashtbl.mem decisions (coord, tid)) ->
-                  add
-                    (v "2pc-decision-missing"
-                       "shard %d applied a commit for prepared t%d with no durable decision at coordinator shard %d"
-                       sid tid coord)
+      let check tid coord =
+        if resolve ~tid ~coord = None then
+          add
+            (v "2pc-decision-missing"
+               "shard %d applied a commit for prepared t%d with no durable decision at coordinator shard %d"
+               sid tid coord)
+      in
+      List.iter (fun (tid, coord) -> check tid coord) (List.rev a.Wal_recovery.prepared_commits);
+      (* The last checkpoint's in-doubt set vouches for a prepare whose
+         own record is missing, for the commits after it. *)
+      match a.Wal_recovery.checkpoint with
+      | Some (ck_lsn, ck) when ck.Checkpoint.prepared <> [] ->
+          List.iter
+            (fun (r : Wal_record.t) ->
+              match r.Wal_record.payload with
+              | Wal_record.Txn_commit { tid; _ } when r.Wal_record.lsn > ck_lsn -> (
+                  match List.assoc_opt tid ck.Checkpoint.prepared with
+                  | Some coord when not (List.mem_assoc tid a.Wal_recovery.prepares) ->
+                      check tid coord
+                  | _ -> ())
               | _ -> ())
-          | _ -> ())
-        a.Wal_recovery.records)
+            a.Wal_recovery.records
+      | _ -> ())
     exps;
   (* Group-level recovery-phantom check (the shared-manager form of the
      per-shard frontier check): immediately after a group restart, no
@@ -625,51 +641,22 @@ let check_no_committed_loss ?analyses ~acked wals =
     match analyses with Some a -> a | None -> analyze_shard_logs wals
   in
   (* Re-anchor each log at its last checkpoint NOT written by a
-     failover restart. A promotion's recovery checkpoint snapshots the
-     global oracle frontier an instant after the device was adopted —
-     taken at face value it would instantly archive (and so hide)
-     exactly the commits a dishonest replication path can lose.
-     Anchoring before the [Promote] frame replays the adopted suffix
-     instead, so an acked commit missing from that suffix stays
-     demandable until the next ordinary checkpoint absorbs the epoch —
-     and the sweep grid visits that checkpoint's instant first. *)
+     failover restart (the analysis' steady checkpoint). A promotion's
+     recovery checkpoint snapshots the global oracle frontier an
+     instant after the device was adopted — taken at face value it
+     would instantly archive (and so hide) exactly the commits a
+     dishonest replication path can lose. Anchoring before the
+     [Promote] frame replays the adopted suffix instead, so an acked
+     commit missing from that suffix stays demandable until the next
+     ordinary checkpoint absorbs the epoch — and the sweep grid visits
+     that checkpoint's instant first. *)
   let anchored =
     List.map
       (fun (sid, (a : Wal_recovery.analysis)) ->
-        let anchor = ref None and promoted = ref false in
-        List.iter
-          (fun (r : Wal_record.t) ->
-            match r.Wal_record.payload with
-            | Wal_record.Promote _ -> promoted := true
-            | Wal_record.Ckpt_end { snapshot } ->
-                if !promoted then promoted := false
-                else (
-                  match Checkpoint.of_json snapshot with
-                  | Ok ck -> anchor := Some (r.Wal_record.lsn, ck)
-                  | Error _ -> ())
-            | _ -> ())
-          a.Wal_recovery.records;
-        (sid, { a with Wal_recovery.checkpoint = !anchor }))
+        (sid, { a with Wal_recovery.checkpoint = a.Wal_recovery.steady_checkpoint }))
       analyses
   in
-  let decisions : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (sid, (a : Wal_recovery.analysis)) ->
-      (match a.Wal_recovery.checkpoint with
-      | Some (_, ck) ->
-          List.iter
-            (fun (gid, cts) -> Hashtbl.replace decisions (sid, gid) cts)
-            ck.Checkpoint.decisions
-      | None -> ());
-      List.iter
-        (fun (r : Wal_record.t) ->
-          match r.Wal_record.payload with
-          | Wal_record.Coord_commit { gid; cts; _ } ->
-              Hashtbl.replace decisions (sid, gid) cts
-          | _ -> ())
-        a.Wal_recovery.records)
-    analyses;
-  let resolve ~tid ~coord = Hashtbl.find_opt decisions (coord, tid) in
+  let resolve = decision_lookup analyses in
   let committed_on : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   (* Per-log answerability horizon: the fuzzy checkpoint keeps only a
      bounded commit-log window, so outcomes whose commit timestamp
@@ -681,7 +668,7 @@ let check_no_committed_loss ?analyses ~acked wals =
   let horizon : (int, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (sid, (a : Wal_recovery.analysis)) ->
-      let e = Wal_recovery.expect ~resolve a in
+      let e = Wal_recovery.expect ~resolve:(fun () -> resolve) a in
       let tbl = Hashtbl.create 256 in
       List.iter (fun (tid, _) -> Hashtbl.replace tbl tid ()) e.Wal_recovery.committed;
       List.iter

@@ -129,11 +129,27 @@ val install_prune_audit :
 val remove_prune_audit : Driver.t -> unit
 
 val analyze_shard_logs :
-  (int * Wal.t) list -> (int * Wal_recovery.analysis) list
+  ?cursors:Wal_recovery.cursor array ->
+  (int * Wal.t) list ->
+  (int * Wal_recovery.analysis) list
 (** Honest (CRC-on) analysis of every shard's log, sorted by shard id —
-    the shared, linear-cost input of the log-level oracles below. A
-    periodic sweep that runs more than one of them should analyze once
-    and pass the result through [?analyses]. *)
+    the shared input of the log-level oracles below. Without [cursors]
+    each log is analyzed from scratch, at a cost linear in the log.
+    With them, shard [sid]'s log goes through
+    [Wal_recovery.advance cursors.(sid)], which decodes only the frames
+    appended since that cursor's last call. A periodic sweep that runs
+    more than one of the oracles should analyze once and pass the
+    result through [?analyses]. *)
+
+val check_analysis_cursors :
+  cursors:Wal_recovery.cursor array ->
+  ?analyses:(int * Wal_recovery.analysis) list ->
+  (int * Wal.t) list ->
+  violation list
+(** The incremental path against its reference: an
+    ["analysis-cursor"] violation for every shard whose cursor
+    analysis differs from the from-scratch one ([?analyses], when the
+    caller has it already). *)
 
 val check_cross_shard_atomicity :
   ?clog:Commit_log.t ->

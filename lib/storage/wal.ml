@@ -7,6 +7,7 @@ type durable = {
   mutable fsyncs : int;
   mutable fsync_failures : int;
   mutable crashes : int;
+  mutable mutations : int;
 }
 
 type t = {
@@ -22,7 +23,12 @@ let create ?(shard = 0) () =
   { total = 0; records = 0; errors = 0; shard; durable = None }
 
 let shard t = t.shard
-let set_shard t shard = t.shard <- shard
+let mutations t = match t.durable with None -> 0 | Some d -> d.mutations
+let mutated d = d.mutations <- d.mutations + 1
+
+let set_shard t shard =
+  Option.iter mutated t.durable;
+  t.shard <- shard
 
 let append t ?at ~bytes () =
   if bytes < 0 then invalid_arg "Wal.append: negative size";
@@ -66,6 +72,7 @@ let enable_durability t =
           fsyncs = 0;
           fsync_failures = 0;
           crashes = 0;
+          mutations = 0;
         }
 
 let is_durable t = t.durable <> None
@@ -153,6 +160,7 @@ let bootstrap_lsn = 2
 let crash t ~keep_lsn =
   with_durable t "crash" (fun d ->
       let keep = max keep_lsn bootstrap_lsn in
+      mutated d;
       Vec.filter_in_place (fun f -> f.lsn <= keep) d.frames;
       d.flushed_lsn <- min d.flushed_lsn keep;
       d.crashes <- d.crashes + 1;
@@ -160,6 +168,7 @@ let crash t ~keep_lsn =
 
 let truncate_to t ~lsn =
   with_durable t "truncate_to" (fun d ->
+      mutated d;
       Vec.filter_in_place (fun f -> f.lsn <= lsn) d.frames;
       d.flushed_lsn <- min d.flushed_lsn lsn)
 
@@ -168,6 +177,7 @@ let inject_raw t repr =
      never counted as a completed append, so records/bytes accounting
      stays conservative. *)
   with_durable t "inject_raw" (fun d ->
+      mutated d;
       let lsn = d.next_lsn in
       d.next_lsn <- lsn + 1;
       Vec.push d.frames { lsn; repr };
@@ -176,12 +186,31 @@ let inject_raw t repr =
 (* ------------------------------------------------------------------ *)
 (* Log shipping: the replica-side mirror face.                         *)
 
+(* Index of the first frame with an LSN above [lsn]. Frame LSNs strictly
+   increase along the [Vec] — appends claim [next_lsn], and crashes and
+   truncations only cut the tail — though not contiguously: a crash
+   leaves a gap, because [next_lsn] is never reset. *)
+let first_above frames lsn =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if (Vec.get frames mid).lsn > lsn then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Vec.length frames)
+
 let frames_from t ~lsn =
   match t.durable with
   | None -> []
   | Some d ->
-      Vec.fold_left (fun acc f -> if f.lsn > lsn then (f.lsn, f.repr) :: acc else acc) [] d.frames
-      |> List.rev
+      let first = first_above d.frames lsn in
+      let rec collect i acc =
+        if i < first then acc
+        else
+          let f = Vec.get d.frames i in
+          collect (i - 1) ((f.lsn, f.repr) :: acc)
+      in
+      collect (Vec.length d.frames - 1) []
 
 let receive t ~lsn ~repr =
   with_durable t "receive" (fun d ->
@@ -204,6 +233,7 @@ let adopt t ~src =
   | None -> invalid_arg "Wal.adopt: source durability not enabled"
   | Some sd ->
       with_durable t "adopt" (fun d ->
+          mutated d;
           Vec.clear d.frames;
           Vec.iter (fun f -> Vec.push d.frames f) sd.frames;
           d.next_lsn <- sd.next_lsn;
@@ -214,12 +244,11 @@ let adopt t ~src =
 
 let corrupt_frame t ~lsn f =
   with_durable t "corrupt_frame" (fun d ->
-      let corrupted = ref false in
-      Vec.iteri
-        (fun i fr ->
-          if fr.lsn = lsn then begin
-            Vec.set d.frames i { fr with repr = f fr.repr };
-            corrupted := true
-          end)
-        d.frames;
-      !corrupted)
+      let i = first_above d.frames (lsn - 1) in
+      if i < Vec.length d.frames && (Vec.get d.frames i).lsn = lsn then begin
+        mutated d;
+        let fr = Vec.get d.frames i in
+        Vec.set d.frames i { fr with repr = f fr.repr };
+        true
+      end
+      else false)

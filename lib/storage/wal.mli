@@ -28,6 +28,14 @@ val create : ?shard:int -> unit -> t
 val shard : t -> int
 val set_shard : t -> int -> unit
 
+val mutations : t -> int
+(** Bumped by every operation that changes a durable device other than
+    by appending a well-formed frame: {!crash}, {!truncate_to},
+    {!inject_raw}, {!corrupt_frame}, {!adopt} and {!set_shard}. An
+    incremental reader ({!Wal_recovery.advance}) that sees it move must
+    start again from the first frame. Always 0 for a non-durable log,
+    which has no frames. *)
+
 val append : t -> ?at:int -> bytes:int -> unit -> unit
 (** Append a record, unless the ["wal.append"] fail-point fires. [at]
     is the simulated time in ns; when given, the append (or its
@@ -103,7 +111,8 @@ val inject_raw : t -> string -> int
 val frames_from : t -> lsn:int -> (int * string) list
 (** Surviving frames strictly beyond [lsn], in LSN order — the
     primary-side read for shipping a backup everything past its
-    replication cursor. *)
+    replication cursor. A binary search over the LSN-ordered frames
+    finds the first one, so the cost is O(log n + tail). *)
 
 val receive : t -> lsn:int -> repr:string -> [ `Applied | `Duplicate | `Gap ]
 (** Mirror-side append of a shipped frame. Contiguous ([lsn] is exactly

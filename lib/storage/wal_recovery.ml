@@ -4,12 +4,98 @@ type analysis = {
   truncate_lsn : int;
   dropped : int;
   checkpoint : (int * Checkpoint.t) option;
+  steady_checkpoint : (int * Checkpoint.t) option;
+  coord_commits : (int * int * int list) list;
+  coord_aborts : int list;
+  prepares : (int * int) list;
+  forgets : int list;
+  prepared_commits : (int * int) list;
 }
+
+(* The whole-prefix 2PC facts, folded record by record in LSN order.
+   Shared by the from-scratch scan and the cursor: what they differ in
+   is how much of the log they read, not what a record means. *)
+type facts = {
+  mutable f_coord_commits : (int * int * int list) list;
+  mutable f_coord_aborts : int list;
+  mutable f_prepares : (int * int) list;
+  mutable f_forgets : int list;
+  mutable f_prepared_commits : (int * int) list;
+  f_prepared : (int, int) Hashtbl.t;  (* tid -> coord of its latest Prepare *)
+  mutable f_promoted : bool;  (* a Promote since the last Ckpt_end *)
+}
+
+let new_facts () =
+  {
+    f_coord_commits = [];
+    f_coord_aborts = [];
+    f_prepares = [];
+    f_forgets = [];
+    f_prepared_commits = [];
+    f_prepared = Hashtbl.create 16;
+    f_promoted = false;
+  }
+
+(* Folds [r] into [f]; [true] iff [r] is a failover checkpoint: the
+   first [Ckpt_end] after a [Promote], which a promotion's recovery
+   writes. *)
+let note f (r : Wal_record.t) =
+  match r.payload with
+  | Wal_record.Prepare { tid; coord; _ } ->
+      Hashtbl.replace f.f_prepared tid coord;
+      f.f_prepares <- (tid, coord) :: f.f_prepares;
+      false
+  | Wal_record.Txn_commit { tid; _ } ->
+      (match Hashtbl.find_opt f.f_prepared tid with
+      | Some coord -> f.f_prepared_commits <- (tid, coord) :: f.f_prepared_commits
+      | None -> ());
+      false
+  | Wal_record.Coord_commit { gid; cts; shards } ->
+      f.f_coord_commits <- (gid, cts, shards) :: f.f_coord_commits;
+      false
+  | Wal_record.Coord_abort { gid } ->
+      f.f_coord_aborts <- gid :: f.f_coord_aborts;
+      false
+  | Wal_record.Forget { gid } ->
+      f.f_forgets <- gid :: f.f_forgets;
+      false
+  | Wal_record.Promote _ ->
+      f.f_promoted <- true;
+      false
+  | Wal_record.Ckpt_end _ ->
+      let failover = f.f_promoted in
+      f.f_promoted <- false;
+      failover
+  | _ -> false
+
+(* Kept records carry no checkpoint snapshot: the decoded anchors are
+   [checkpoint] and [steady_checkpoint]. *)
+let strip (r : Wal_record.t) =
+  match r.payload with
+  | Wal_record.Ckpt_end _ -> { r with payload = Wal_record.Ckpt_end { snapshot = Jsonx.Null } }
+  | _ -> r
+
+let make ~records ~survivors ~truncate_lsn ~dropped ~checkpoint ~steady_checkpoint f =
+  {
+    records;
+    survivors;
+    truncate_lsn;
+    dropped;
+    checkpoint;
+    steady_checkpoint;
+    coord_commits = f.f_coord_commits;
+    coord_aborts = f.f_coord_aborts;
+    prepares = f.f_prepares;
+    forgets = f.f_forgets;
+    prepared_commits = f.f_prepared_commits;
+  }
 
 let analyze ?(check_crc = true) wal =
   let frames = Wal.frames wal in
   let total = List.length frames in
   let own_shard = Wal.shard wal in
+  let f = new_facts () in
+  let failover_ckpts = ref [] in
   (* Scan forward and stop at the first frame that fails to parse or
      verify: everything beyond a torn/corrupt frame is untrustworthy
      even if it happens to checksum, because the device gave no
@@ -18,26 +104,135 @@ let analyze ?(check_crc = true) wal =
      namespace, and an interleaved foreign frame means the write path
      crossed shards, which replay must refuse rather than absorb. *)
   let rec scan acc last = function
-    | [] -> (List.rev acc, last)
+    | [] -> (acc, last)
     | (_, repr) :: rest -> (
         match Wal_record.decode ~check_crc repr with
-        | Ok r when r.Wal_record.shard = own_shard -> scan (r :: acc) r.Wal_record.lsn rest
-        | Ok _ | Error _ -> (List.rev acc, last))
+        | Ok r when r.Wal_record.shard = own_shard ->
+            if note f r then failover_ckpts := r.Wal_record.lsn :: !failover_ckpts;
+            scan (r :: acc) r.Wal_record.lsn rest
+        | Ok _ | Error _ -> (acc, last))
   in
-  let records, truncate_lsn = scan [] 0 frames in
-  let survivors = List.length records in
-  let checkpoint =
-    List.fold_left
-      (fun acc (r : Wal_record.t) ->
+  let newest_first, truncate_lsn = scan [] 0 frames in
+  let survivors = List.length newest_first in
+  (* Walk back from the tail and decode checkpoints only until both
+     anchors are found: the last complete checkpoint, and the last one
+     that is not a failover checkpoint. [newer] counts the records
+     walked past: the ones the analysis keeps. *)
+  let rec anchors last newer = function
+    | [] -> (last, None, newer)
+    | (r : Wal_record.t) :: rest -> (
         match r.payload with
-        | Wal_record.Ckpt_end { snapshot } -> (
-            match Checkpoint.of_json snapshot with
-            | Ok ckpt -> Some (r.lsn, ckpt)
-            | Error _ -> acc)
-        | _ -> acc)
-      None records
+        | Wal_record.Ckpt_end { snapshot } ->
+            let failover = List.mem r.lsn !failover_ckpts in
+            if Option.is_some last && failover then anchors last (newer + 1) rest
+            else (
+              match Checkpoint.of_json snapshot with
+              | Ok ck when failover -> anchors (Some (r.lsn, ck)) (newer + 1) rest
+              | Ok ck ->
+                  let here = Some (r.lsn, ck) in
+                  ((if Option.is_none last then here else last), here, newer)
+              | Error _ -> anchors last (newer + 1) rest)
+        | _ -> anchors last (newer + 1) rest)
   in
-  { records; survivors; truncate_lsn; dropped = total - survivors; checkpoint }
+  let checkpoint, steady_checkpoint, newer = anchors None 0 newest_first in
+  let rec keep acc n = function
+    | r :: rest when n > 0 -> keep (strip r :: acc) (n - 1) rest
+    | _ -> acc
+  in
+  make ~records:(keep [] newer newest_first) ~survivors ~truncate_lsn
+    ~dropped:(total - survivors) ~checkpoint ~steady_checkpoint f
+
+type cursor = {
+  stale : bool;
+  mutable wal : Wal.t option;
+  mutable mutations : int;
+  mutable seen_lsn : int;  (* LSN of the last frame read *)
+  mutable read : int;  (* frames read, trustworthy or not *)
+  mutable torn : bool;  (* a bad frame ended the trustworthy prefix *)
+  mutable survivors : int;
+  mutable truncate_lsn : int;
+  mutable tail : Wal_record.t list;  (* after the steady anchor, newest first *)
+  mutable last_ckpt : (int * Checkpoint.t) option;
+  mutable steady : (int * Checkpoint.t) option;
+  mutable facts : facts;
+}
+
+let cursor ?(stale = false) () =
+  {
+    stale;
+    wal = None;
+    mutations = 0;
+    seen_lsn = 0;
+    read = 0;
+    torn = false;
+    survivors = 0;
+    truncate_lsn = 0;
+    tail = [];
+    last_ckpt = None;
+    steady = None;
+    facts = new_facts ();
+  }
+
+let restart c wal =
+  c.wal <- Some wal;
+  c.mutations <- Wal.mutations wal;
+  c.seen_lsn <- 0;
+  c.read <- 0;
+  c.torn <- false;
+  c.survivors <- 0;
+  c.truncate_lsn <- 0;
+  c.tail <- [];
+  c.last_ckpt <- None;
+  c.steady <- None;
+  c.facts <- new_facts ()
+
+let fold c (r : Wal_record.t) =
+  c.survivors <- c.survivors + 1;
+  c.truncate_lsn <- r.lsn;
+  let failover = note c.facts r in
+  match r.payload with
+  | Wal_record.Ckpt_end { snapshot } -> (
+      match Checkpoint.of_json snapshot with
+      | Ok ck when not failover ->
+          c.last_ckpt <- Some (r.lsn, ck);
+          c.steady <- c.last_ckpt;
+          c.tail <- []
+      | Ok ck ->
+          c.last_ckpt <- Some (r.lsn, ck);
+          c.tail <- strip r :: c.tail
+      | Error _ -> c.tail <- strip r :: c.tail)
+  | _ -> c.tail <- r :: c.tail
+
+let advance c wal =
+  let same_device = match c.wal with Some w -> w == wal | None -> false in
+  if (not same_device) || ((not c.stale) && Wal.mutations wal <> c.mutations) then restart c wal;
+  let own_shard = Wal.shard wal in
+  List.iter
+    (fun (lsn, repr) ->
+      c.seen_lsn <- lsn;
+      c.read <- c.read + 1;
+      if not c.torn then
+        match Wal_record.decode ~check_crc:true repr with
+        | Ok r when r.Wal_record.shard = own_shard -> fold c r
+        | Ok _ | Error _ -> c.torn <- true)
+    (Wal.frames_from wal ~lsn:c.seen_lsn);
+  make ~records:(List.rev c.tail) ~survivors:c.survivors ~truncate_lsn:c.truncate_lsn
+    ~dropped:(c.read - c.survivors) ~checkpoint:c.last_ckpt ~steady_checkpoint:c.steady c.facts
+
+(* Log decisions override the checkpoint's window, and the newest log
+   decision for a gid wins. *)
+let decisions a =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (gid, cts, _) -> if not (Hashtbl.mem tbl gid) then Hashtbl.replace tbl gid cts)
+    a.coord_commits;
+  (match a.checkpoint with
+  | Some (_, ck) ->
+      List.iter
+        (fun (gid, cts) -> if not (Hashtbl.mem tbl gid) then Hashtbl.replace tbl gid cts)
+        ck.Checkpoint.decisions
+  | None -> ());
+  tbl
 
 type seg_build = {
   seg_id : int;
@@ -96,7 +291,7 @@ let expect ?resolve analysis =
   in
   let segs : (int, seg_acc) Hashtbl.t = Hashtbl.create 64 in
   let prepared : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let decisions : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let decisions = decisions analysis in
   let dead_segs = ref [] in
   let max_ts = ref (base.Checkpoint.oracle_next - 1) in
   let see ts = if ts > !max_ts then max_ts := ts in
@@ -126,23 +321,15 @@ let expect ?resolve analysis =
       Hashtbl.replace prepared tid coord;
       Hashtbl.replace live tid ())
     base.Checkpoint.prepared;
+  (* Coordinator decisions come from the whole trustworthy prefix, not
+     just the replay window: another shard's in-doubt participant may
+     ask about a transaction whose decision predates this shard's last
+     checkpoint (already forgotten here, still unresolved there). *)
   List.iter
     (fun (gid, cts) ->
       see gid;
-      see cts;
-      Hashtbl.replace decisions gid cts)
+      see cts)
     base.Checkpoint.decisions;
-  (* Coordinator decisions are collected from the whole trustworthy
-     prefix, not just the replay window: another shard's in-doubt
-     participant may ask about a transaction whose decision predates
-     this shard's last checkpoint (already forgotten here, still
-     unresolved there). *)
-  List.iter
-    (fun (r : Wal_record.t) ->
-      match r.Wal_record.payload with
-      | Wal_record.Coord_commit { gid; cts; _ } -> Hashtbl.replace decisions gid cts
-      | _ -> ())
-    analysis.records;
   let note_write tid (w : Checkpoint.pending_write) =
     let writes =
       match Hashtbl.find_opt pending tid with
@@ -259,8 +446,8 @@ let expect ?resolve analysis =
   in
   let resolved_commits = ref [] in
   (match resolve with
-  | None -> ()
-  | Some lookup ->
+  | Some make_lookup when indoubt_list <> [] ->
+      let lookup = make_lookup () in
       List.iter
         (fun (tid, coord) ->
           match lookup ~tid ~coord with
@@ -285,7 +472,8 @@ let expect ?resolve analysis =
                           cts;
                         })
                     (List.rev !ws)))
-        indoubt_list);
+        indoubt_list
+  | _ -> ());
   let committed_list =
     Hashtbl.fold (fun tid cts acc -> (tid, cts) :: acc) committed []
   in

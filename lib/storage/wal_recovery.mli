@@ -14,20 +14,68 @@
     what makes an unsound recovery provably catchable. *)
 
 type analysis = {
-  records : Wal_record.t list;  (** Decoded trustworthy prefix, LSN order. *)
+  records : Wal_record.t list;
+      (** Decoded trustworthy records after the replay anchor
+          ({!field-steady_checkpoint}, or from the first frame without
+          one), LSN order. Kept [Ckpt_end] records carry
+          [Jsonx.Null] for their snapshot: the decoded anchors are
+          {!field-checkpoint} and {!field-steady_checkpoint}. *)
   survivors : int;
   truncate_lsn : int;  (** LSN of the last trustworthy frame (0 if none). *)
   dropped : int;  (** Frames rejected at the tail. *)
   checkpoint : (int * Checkpoint.t) option;
       (** Last complete checkpoint in the prefix, with its [Ckpt_end] LSN. *)
+  steady_checkpoint : (int * Checkpoint.t) option;
+      (** Last complete checkpoint that is not a {e failover}
+          checkpoint — the first [Ckpt_end] after a [Promote], which a
+          promotion's recovery writes. Equal to {!field-checkpoint}
+          unless a promotion happened since the last ordinary one. *)
+  coord_commits : (int * int * int list) list;
+      (** The rest are facts of the {e whole} trustworthy prefix, newest
+          first. [(gid, cts, shards)] of every [Coord_commit]. *)
+  coord_aborts : int list;  (** gid of every [Coord_abort]. *)
+  prepares : (int * int) list;  (** [(tid, coord)] of every [Prepare]. *)
+  forgets : int list;  (** gid of every [Forget]. *)
+  prepared_commits : (int * int) list;
+      (** [(tid, coord)] of every [Txn_commit] whose transaction has an
+          earlier [Prepare] here, [coord] taken from the latest one. *)
 }
 
 val analyze : ?check_crc:bool -> Wal.t -> analysis
-(** [~check_crc:false] is the sabotage knob: frames are still parsed but
-    checksums are ignored, so a fabricated torn tail gets replayed. A
-    frame whose shard tag differs from [Wal.shard wal] ends the
-    trustworthy prefix regardless of the knob: shard logs are disjoint
-    LSN namespaces and interleaved foreign frames are corruption. *)
+(** The from-scratch analysis: decodes every frame. [~check_crc:false]
+    is the sabotage knob: frames are still parsed but checksums are
+    ignored, so a fabricated torn tail gets replayed. A frame whose
+    shard tag differs from [Wal.shard wal] ends the trustworthy prefix
+    regardless of the knob: shard logs are disjoint LSN namespaces and
+    interleaved foreign frames are corruption. Walking back from the
+    tail, only the snapshots the two anchors need become
+    [Checkpoint.t]s. *)
+
+(** {1 Incremental analysis} *)
+
+type cursor
+(** How far one log has been CRC-verified and decoded, plus the state
+    {!analyze} would build from that prefix: the anchors, the records
+    after the steady anchor, and the whole-prefix facts. It keeps no
+    record before its anchor and no checkpoint snapshot tree. *)
+
+val cursor : ?stale:bool -> unit -> cursor
+(** A cursor that has read nothing. [~stale:true] is the sabotage
+    knob: the cursor ignores {!Wal.mutations}, so after a crash or a
+    truncation it keeps folding onto records the device no longer
+    holds. *)
+
+val advance : cursor -> Wal.t -> analysis
+(** Decode the frames appended since the last call and return the
+    analysis of the whole log — always equal to [analyze wal] (CRC on).
+    The cost is that of the new frames plus one reversal of the kept
+    records. The cursor starts again from the first frame when [wal]
+    is not the device it read last, or when {!Wal.mutations} moved. *)
+
+val decisions : analysis -> (int, int) Hashtbl.t
+(** [gid -> cts]: the durable coordinator decisions — every
+    [Coord_commit] in the prefix, over the last checkpoint's decision
+    window. What an in-doubt participant is told. *)
 
 type seg_build = {
   seg_id : int;
@@ -62,8 +110,12 @@ type expectation = {
           what other shards' resolvers come asking for. *)
 }
 
-val expect : ?resolve:(tid:int -> coord:int -> int option) -> analysis -> expectation
-(** [resolve ~tid ~coord] answers an in-doubt participant from the
+val expect :
+  ?resolve:(unit -> tid:int -> coord:int -> int option) -> analysis -> expectation
+(** [resolve ()] is called once, and only when the log has in-doubt
+    transactions; the lookup it returns answers each of them from the
     coordinator shard's durable state: [Some cts] iff a [Coord_commit]
-    for [tid] survived in shard [coord]'s log. Without a resolver every
+    for [tid] survived in shard [coord]'s log. A resolver that reads
+    coordinator logs builds its tables in [resolve ()], so one
+    [expect] reads each coordinator once. Without a resolver every
     in-doubt transaction is presumed aborted. *)

@@ -7,6 +7,7 @@ type t =
   | Skip_coord_decision
   | Net of Shard_group.net_sabotage
   | Failover of Replica.sabotage
+  | Stale_cursor
 
 let all =
   [ Zone_widen; Quota_ignore; Skip_tail_check; No_watchdog ]
@@ -17,6 +18,7 @@ let all =
       Net Shard_group.Ack_forge;
       Failover Replica.Ack_before_replicate;
       Failover Replica.Stale_primary_writes;
+      Stale_cursor;
     ]
 
 let name = function
@@ -30,6 +32,7 @@ let name = function
   | Net Shard_group.Ack_forge -> "ack-forge"
   | Failover Replica.Ack_before_replicate -> "ack-before-replicate"
   | Failover Replica.Stale_primary_writes -> "stale-primary-writes"
+  | Stale_cursor -> "stale-cursor"
 
 let of_name s = List.find_opt (fun t -> name t = s) all
 
@@ -45,10 +48,11 @@ let caught_by = function
   | Net Shard_group.Ack_forge -> [ "cross-shard-atomicity" ]
   | Failover Replica.Ack_before_replicate -> [ "no-committed-loss" ]
   | Failover Replica.Stale_primary_writes -> [ "no-split-brain"; "no-committed-loss" ]
+  | Stale_cursor -> [ "analysis-cursor" ]
 
 let sharded = function
   | Zone_widen | Quota_ignore | Skip_tail_check | No_watchdog | Gc _ -> false
-  | Skip_coord_decision | Net _ | Failover _ -> true
+  | Skip_coord_decision | Net _ | Failover _ | Stale_cursor -> true
 
 let driver_config s (c : State.config) =
   match s with
@@ -70,3 +74,5 @@ let arm_group s g =
 
 let arm_replica s r =
   Replica.set_sabotage r (match s with Some (Failover f) -> Some f | _ -> None)
+
+let cursor s () = Wal_recovery.cursor ~stale:(s = Some Stale_cursor) ()

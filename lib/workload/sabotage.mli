@@ -5,7 +5,8 @@
     campaign with one planted defect must record a violation of a named
     invariant, while the honest campaign stays clean. The defects
     themselves are knobs in the layers they break ([State],
-    [Governor], [Watchdog], [Gc_backend], [Shard_group], [Replica]);
+    [Governor], [Watchdog], [Gc_backend], [Shard_group], [Replica],
+    [Wal_recovery]);
     this module is the one table that names them, routes them to the
     unsharded or sharded campaign, and arms them. The [chaos] CLI's
     [--sabotage NAME] and the [sabotage] test suite both go through the
@@ -25,6 +26,10 @@ type t =
   | Skip_coord_decision  (** 2PC commits without forcing the decision record *)
   | Net of Shard_group.net_sabotage  (** see {!Shard_group.net_sabotage} *)
   | Failover of Replica.sabotage  (** see {!Replica.sabotage} *)
+  | Stale_cursor
+      (** the sweep's log-analysis cursors ignore [Wal.mutations], so
+          after a crash or a truncation they keep records the device
+          no longer holds *)
 
 val all : t list
 (** Every row, in table order. *)
@@ -63,3 +68,7 @@ val arm_group : t option -> Shard_group.t -> unit
 
 val arm_replica : t option -> Replica.t -> unit
 (** Sets the replication group's failover sabotage knob. *)
+
+val cursor : t option -> unit -> Wal_recovery.cursor
+(** A fresh log-analysis cursor for the sharded sweep; [Stale_cursor]
+    makes it with its [stale] knob set. *)

@@ -429,6 +429,8 @@ let run ?(mode = Sim) (cfg : cfg) =
   then
     invalid_arg
       "Shard_runner.run: node faults, a quorum and failover sabotage require replicas > 0";
+  if cfg.sabotage = Some Sabotage.Stale_cursor && cfg.crash_points = [] && cfg.crash_steps = []
+  then invalid_arg "Shard_runner.run: the stale-cursor sabotage needs crash points or crash steps";
   Substrate.require ~who:"Shard_runner.run" mode
     [ (Substrate.Crash_faults, cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail) ];
   Failpoint.with_scope @@ fun () ->
@@ -477,8 +479,17 @@ let run ?(mode = Sim) (cfg : cfg) =
              crash_steps := rest;
              raise Crash_now
          | _ -> ()));
+  (* The sweep's incremental log analysis, one cursor per shard, made
+     at the first sweep. *)
+  let cursors = ref None in
+  let check_cursors ~at ?analyses wals =
+    match !cursors with
+    | Some cursors -> record_all ~at (Invariant.check_analysis_cursors ~cursors ?analyses wals)
+    | None -> ()
+  in
   let torn_rr = ref 0 in
   let do_crash_restart ~now =
+    check_cursors ~at:now (Shard_group.wals g);
     incr crashes;
     Fault_report.note_fault report "crash-restart";
     Vec.iter (fun drop -> drop now) drop_slots;
@@ -693,10 +704,18 @@ let run ?(mode = Sim) (cfg : cfg) =
         Array.iter
           (fun (sh : Shard.t) -> record_all ~at:now (Invariant.check_all sh.Shard.driver))
           (Shard_group.shards g);
-        (* Log analysis is linear in the logs; one pass feeds every
-           log-level oracle of this sweep. *)
+        (* The cursors decode only the frames logged since the last
+           sweep; one analysis feeds every log-level oracle. *)
+        let cursors =
+          match !cursors with
+          | Some cs -> cs
+          | None ->
+              let cs = Array.init cfg.shards (fun _ -> Sabotage.cursor cfg.sabotage ()) in
+              cursors := Some cs;
+              cs
+        in
         let wals = Shard_group.wals g in
-        let analyses = Invariant.analyze_shard_logs wals in
+        let analyses = Invariant.analyze_shard_logs ~cursors wals in
         record_all ~at:now (Invariant.check_cross_shard_atomicity ~analyses wals);
         (* The loss oracle runs continuously, not just at the end: an
            acked commit missing from the surviving logs is a violation
@@ -773,6 +792,7 @@ let run ?(mode = Sim) (cfg : cfg) =
     (Shard_group.shards g);
   let final_wals = Shard_group.wals g in
   let final_analyses = Invariant.analyze_shard_logs final_wals in
+  check_cursors ~at:horizon ~analyses:final_analyses final_wals;
   record_all ~at:horizon
     (Invariant.check_cross_shard_atomicity ~analyses:final_analyses final_wals);
   if active then begin

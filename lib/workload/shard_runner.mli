@@ -146,9 +146,13 @@ val run : ?mode:mode -> cfg -> result
 (** Raises [Invalid_argument] for a bad shard or replica count, for
     crash faults combined with replication (power loss truncates the
     device out from under the contiguous mirror protocol), for node
-    faults, a quorum or failover sabotage without [replicas > 0], for a
-    quorum out of range ({!Replica.create}), and for what [mode] does
-    not support. With
+    faults, a quorum or failover sabotage without [replicas > 0], for
+    the [Stale_cursor] sabotage without crash points or crash steps,
+    for a quorum out of range ({!Replica.create}), and for what [mode]
+    does not support. The periodic invariant sweep reads the logs
+    through one {!Wal_recovery.cursor} per shard; every crash point
+    (before the crash) and the end of the run compare those cursors
+    with the from-scratch analysis (["analysis-cursor"]). With
     [replicas > 0] the failover scheduler runs in both modes: node
     kills and revives from [node_faults] and [kill_steps], lease-based
     promotions with engine restart and in-doubt recovery on the

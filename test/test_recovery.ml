@@ -136,6 +136,187 @@ let test_fsync_failpoint_conservative () =
       check_int "frontier catches up" (Wal.max_lsn w) (Wal.flushed_lsn w))
 
 (* -------------------------------------------------------------------- *)
+(* Tail reads and the incremental analysis, against their references *)
+
+(* A random device history over a primary [p] and a mirror [m]: typed
+   appends (2PC records, promotions, good and unparseable checkpoints),
+   fsyncs, power losses (which leave LSN gaps), truncations, torn
+   frames, bit flips, shipping into the mirror, state transfer both
+   ways, and shard re-tagging. *)
+type wal_op =
+  | Log of bool * int * int
+  | Fsync of bool
+  | Crash of bool * int
+  | Truncate of bool * int
+  | Inject of bool * bool
+  | Corrupt of bool * int
+  | Receive of int
+  | Adopt of bool
+  | Set_shard of bool * int
+
+let show_wal_op = function
+  | Log (m, k, a) -> Printf.sprintf "log%s(%d,%d)" (if m then "@m" else "") k a
+  | Fsync m -> Printf.sprintf "fsync%s" (if m then "@m" else "")
+  | Crash (m, k) -> Printf.sprintf "crash%s(%d)" (if m then "@m" else "") k
+  | Truncate (m, k) -> Printf.sprintf "truncate%s(%d)" (if m then "@m" else "") k
+  | Inject (m, g) -> Printf.sprintf "inject%s(%b)" (if m then "@m" else "") g
+  | Corrupt (m, k) -> Printf.sprintf "corrupt%s(%d)" (if m then "@m" else "") k
+  | Receive k -> Printf.sprintf "receive(%d)" k
+  | Adopt m -> Printf.sprintf "adopt(%s)" (if m then "m<-p" else "p<-m")
+  | Set_shard (m, s) -> Printf.sprintf "set_shard%s(%d)" (if m then "@m" else "") s
+
+let wal_op_gen =
+  QCheck.Gen.(
+    let side = frequency [ (4, return false); (1, return true) ] in
+    frequency
+      [
+        (12, map3 (fun m k a -> Log (m, k, a)) side (int_bound 11) (int_range 1 8));
+        (3, map (fun m -> Fsync m) side);
+        (1, map2 (fun m k -> Crash (m, k)) side nat);
+        (1, map2 (fun m k -> Truncate (m, k)) side nat);
+        (1, map2 (fun m g -> Inject (m, g)) side bool);
+        (1, map2 (fun m k -> Corrupt (m, k)) side nat);
+        (4, map (fun k -> Receive k) (int_bound 2));
+        (1, map (fun m -> Adopt m) bool);
+        (1, map2 (fun m s -> Set_shard (m, s)) side (frequency [ (3, return 0); (1, return 1) ]));
+      ])
+
+let wal_history =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_wal_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) wal_op_gen)
+
+let ckpt_snapshot ~tid ~coord =
+  Checkpoint.to_json
+    {
+      Checkpoint.at = tid;
+      oracle_next = tid + 1;
+      live = [ tid ];
+      committed = [ (tid - 1, tid) ];
+      aborted = [];
+      rows = [ { Checkpoint.rid = tid; value = tid; vs = tid - 1; vs_time = 0; cts = tid } ];
+      pending = [];
+      segments = [];
+      next_seg_id = 0;
+      prepared = [ (tid, coord) ];
+      decisions = [ (tid + 1, tid + 2) ];
+    }
+
+let payload_of k a =
+  match k with
+  | 0 -> Wal_record.Txn_begin { tid = a }
+  | 1 -> Wal_record.Txn_commit { tid = a; cts = a + 10 }
+  | 2 -> Wal_record.Txn_abort { tid = a; ats = a + 10 }
+  | 3 -> Wal_record.Version_insert { tid = a; rid = a mod 3; value = a }
+  | 4 -> Wal_record.Prepare { tid = a; coord = a mod 2; shards = [ 0; 1 ] }
+  | 5 -> Wal_record.Coord_commit { gid = a; cts = a + 10; shards = [ 0; 1 ] }
+  | 6 -> Wal_record.Coord_abort { gid = a }
+  | 7 -> Wal_record.Forget { gid = a }
+  | 8 -> Wal_record.Promote { epoch = a; node = a mod 3 }
+  | 9 -> Wal_record.Ckpt_end { snapshot = ckpt_snapshot ~tid:a ~coord:(a mod 2) }
+  | 10 -> Wal_record.Ckpt_end { snapshot = Jsonx.Null }
+  | _ -> Wal_record.Ckpt_begin
+
+let apply_wal_op p m op =
+  let on b = if b then m else p in
+  let pick w k = k mod (Wal.next_lsn w + 1) in
+  match op with
+  | Log (b, k, a) -> ignore (Wal.log (on b) (payload_of k a))
+  | Fsync b -> ignore (Wal.fsync (on b) ())
+  | Crash (b, k) -> Wal.crash (on b) ~keep_lsn:(pick (on b) k)
+  | Truncate (b, k) -> Wal.truncate_to (on b) ~lsn:(pick (on b) k)
+  | Inject (b, good) ->
+      let w = on b in
+      ignore
+        (Wal.inject_raw w
+           (if good then
+              Wal_record.encode_with_bad_crc
+                {
+                  Wal_record.lsn = Wal.next_lsn w;
+                  at = 0;
+                  shard = Wal.shard w;
+                  payload = Wal_record.Txn_commit { tid = 1; cts = 2 };
+                }
+            else "torn"))
+  | Corrupt (b, k) ->
+      let w = on b in
+      ignore
+        (Wal.corrupt_frame w ~lsn:(pick w k) (fun s ->
+             String.mapi (fun i c -> if i = 5 then Char.chr (Char.code c lxor 1) else c) s))
+  | Receive k -> (
+      match Wal.frames_from p ~lsn:(Wal.next_lsn m - 2 + k) with
+      | (lsn, repr) :: _ -> ignore (Wal.receive m ~lsn ~repr)
+      | [] -> ())
+  | Adopt true -> Wal.adopt m ~src:p
+  | Adopt false -> Wal.adopt p ~src:m
+  | Set_shard (b, s) -> Wal.set_shard (on b) s
+
+let fresh_wal () =
+  let w = Wal.create () in
+  Wal.enable_durability w;
+  w
+
+(* The linear fold [Wal.frames_from] used before it indexed the frames. *)
+let frames_from_reference w ~lsn = List.filter (fun (l, _) -> l > lsn) (Wal.frames w)
+
+let qcheck_frames_from_matches_fold =
+  QCheck.Test.make ~name:"frames_from = reference fold over random histories" ~count:300
+    wal_history (fun ops ->
+      let p = fresh_wal () and m = fresh_wal () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Corrupt (b, k) ->
+              let w = if b then m else p in
+              let lsn = k mod (Wal.next_lsn w + 1) in
+              let present = List.mem_assoc lsn (Wal.frames w) in
+              if Wal.corrupt_frame w ~lsn Fun.id <> present then
+                QCheck.Test.fail_reportf "corrupt_frame lsn %d: present=%b" lsn present
+          | _ -> ());
+          apply_wal_op p m op;
+          List.for_all
+            (fun w ->
+              let probes = 0 :: Wal.next_lsn w :: List.map fst (Wal.frames w) in
+              List.for_all
+                (fun lsn ->
+                  List.for_all
+                    (fun lsn -> Wal.frames_from w ~lsn = frames_from_reference w ~lsn)
+                    [ lsn - 1; lsn; lsn + 1 ])
+                probes)
+            [ p; m ])
+        ops)
+
+let expect_with_own_decisions a =
+  let table = Wal_recovery.decisions a in
+  Wal_recovery.expect ~resolve:(fun () ~tid ~coord:_ -> Hashtbl.find_opt table tid) a
+
+(* Two cursors per device: one advanced after every operation, one only
+   now and then, so it also folds several operations at once. *)
+let qcheck_cursor_matches_analyze =
+  QCheck.Test.make ~name:"cursor advance = from-scratch analyze over random histories"
+    ~count:300
+    QCheck.(pair wal_history (make QCheck.Gen.(list_size (return 60) bool)))
+    (fun (ops, observe) ->
+      let p = fresh_wal () and m = fresh_wal () in
+      let every = [ (p, Wal_recovery.cursor ()); (m, Wal_recovery.cursor ()) ] in
+      let sometimes = [ (p, Wal_recovery.cursor ()); (m, Wal_recovery.cursor ()) ] in
+      let agree (w, c) =
+        let a = Wal_recovery.analyze w and got = Wal_recovery.advance c w in
+        if got <> a then
+          QCheck.Test.fail_reportf "analysis differs: survivors %d vs %d, records %d vs %d"
+            got.Wal_recovery.survivors a.Wal_recovery.survivors
+            (List.length got.Wal_recovery.records) (List.length a.Wal_recovery.records);
+        Wal_recovery.expect got = Wal_recovery.expect a
+        && expect_with_own_decisions got = expect_with_own_decisions a
+      in
+      List.for_all2
+        (fun op look ->
+          apply_wal_op p m op;
+          List.for_all agree every && ((not look) || List.for_all agree sometimes))
+        ops
+        (List.filteri (fun i _ -> i < List.length ops) observe))
+
+(* -------------------------------------------------------------------- *)
 (* Engine-level fixtures *)
 
 let tiny_schema = { Schema.default with Schema.tables = 2; rows_per_table = 20; record_bytes = 64 }
@@ -382,6 +563,8 @@ let suites =
         Alcotest.test_case "non-durable log is a no-op" `Quick test_non_durable_log_is_noop;
         Alcotest.test_case "lsns, frontier, power loss" `Quick test_durable_lsns_and_crash;
         Alcotest.test_case "fsync failpoint conservative" `Quick test_fsync_failpoint_conservative;
+        QCheck_alcotest.to_alcotest qcheck_frames_from_matches_fold;
+        QCheck_alcotest.to_alcotest qcheck_cursor_matches_analyze;
       ] );
     ( "recovery.restart",
       [

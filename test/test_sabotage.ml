@@ -179,6 +179,16 @@ let scenario row s =
         check_bool "fabricated acks caught as loss" true (List.mem "no-committed-loss" kinds)
       end;
       report
+  | Sabotage.Stale_cursor ->
+      (* Power losses by global log position, each with a torn tail.
+         Each crash point first brings the cursors up to date, so a
+         crash that loses unflushed frames leaves a cursor that misses
+         it holding records the device no longer has. The first sweep
+         makes the cursors before the second point; the last point
+         lands on unflushed frames. *)
+      let cfg = sharded_cfg ~seed:42 ~duration_s:0.2 s in
+      shard_report
+        { cfg with Shard_runner.crash_points = [ 4000; 6000; 8000; 10000 ]; torn_tail = true }
 
 let test_row row () =
   let name = Sabotage.name row in
@@ -198,7 +208,7 @@ let test_row row () =
     (List.exists (fun inv -> List.mem inv fired) (Sabotage.caught_by row))
 
 let test_registry () =
-  check_int "twelve rows" 12 (List.length Sabotage.all);
+  check_int "thirteen rows" 13 (List.length Sabotage.all);
   List.iter
     (fun s ->
       check_bool (Sabotage.name s ^ " round-trips") true

@@ -243,7 +243,7 @@ let test_crash_at_step s () =
   let resolve ~tid:t ~coord:_ = List.assoc_opt t exp.Wal_recovery.decisions in
   List.iter
     (fun (sid, wal) ->
-      let e = Wal_recovery.expect ~resolve (Wal_recovery.analyze wal) in
+      let e = Wal_recovery.expect ~resolve:(fun () -> resolve) (Wal_recovery.analyze wal) in
       check_bool
         (Printf.sprintf "shard %d outcome matches decision (step %d)" sid s)
         decided
