@@ -10,23 +10,15 @@
    replication tax that grows with the quorum size, kills dent but
    never collapse it (single-copy shards keep committing while a
    victim's clients wait out one lease), and promotion lag stays within
-   lease + sweep slack at every point with violations 0. *)
+   lease + sweep slack at every point with violations 0. Gates:
+   [clean] (0 violations on both sides, 0 digest mismatches) and
+   [degraded_not_dead] (Sim commits at every point). *)
 
-let cfg ~shards ~replicas ~kills ~seed =
+let shards = 2
+
+let cfg ~replicas ~kills =
   let base =
-    {
-      Exp_config.default with
-      Exp_config.name = Printf.sprintf "bench-failover-r%d-k%d" replicas kills;
-      seed;
-      duration_s = Common.sec 0.5;
-      workers = 8;
-      schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-      phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-      llts = [ { Exp_config.start_s = Common.sec 0.1; duration_s = Common.sec 0.25; count = 2 } ];
-      gc_period = Clock.ms 10;
-      sample_period_s = Common.sec 0.05;
-      ckpt_period_s = Common.sec 0.25;
-    }
+    Sweep.sharded ~name:(Printf.sprintf "bench-failover-r%d-k%d" replicas kills) ~duration_s:0.5
   in
   (* Kill schedule in replication-step position, spread across the
      run: step traffic is roughly proportional to commit traffic, so
@@ -37,12 +29,7 @@ let cfg ~shards ~replicas ~kills ~seed =
   let kill_steps =
     List.init kills (fun i -> (i + 1) * est_steps / (kills + 1))
   in
-  {
-    (Shard_runner.default ~shards base) with
-    Shard_runner.cross_pct = 30;
-    replicas;
-    kill_steps;
-  }
+  { (Shard_runner.default ~shards base) with Shard_runner.replicas; kill_steps }
 
 let pct lags p =
   match List.sort compare lags with
@@ -51,96 +38,44 @@ let pct lags p =
       let n = List.length l in
       List.nth l (min (n - 1) (p * n / 100))
 
-let run () =
-  Common.section ~figure:"Failover"
-    ~title:"Replication factor x node kills (BENCH_failover.json)"
-    ~expectation:
+let repl_digest f r =
+  Jsonx.Int
+    (match r.Sweep.sim.Shard_runner.digest.Shard_runner.d_repl with Some d -> f d | None -> 0)
+
+let sweep =
+  {
+    Sweep.name = "failover";
+    title = "Replication factor x node kills";
+    expectation =
       "quorum replication costs a modest, quorum-proportional commit tax; node kills dent \
        throughput for about one lease per kill while surviving shards keep committing; \
        every promotion completes within the lease + sweep slack and the no-committed-loss, \
        no-split-brain and bounded-failover-lag oracles stay clean in Sim and Domains modes \
        with agreeing digests";
-  let shards = 2 in
-  let sweep = [ (1, 0); (1, 2); (2, 0); (2, 2); (2, 4) ] in
-  let points =
-    List.map
+    points = [ (1, 0); (1, 2); (2, 0); (2, 2); (2, 4) ];
+    run =
       (fun (replicas, kills) ->
-        let c = cfg ~shards ~replicas ~kills ~seed:42 in
-        let sim = Shard_runner.run ~mode:Shard_runner.Sim c in
-        let t0 = Unix.gettimeofday () in
-        let dom = Shard_runner.run ~mode:(Shard_runner.Domains { domains = 2 }) c in
-        let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-        let mismatches = Shard_runner.digest_diff sim.Shard_runner.digest dom.Shard_runner.digest in
-        List.iter
-          (fun m -> Printf.printf "!! r=%d k=%d digest mismatch: %s\n" replicas kills m)
-          mismatches;
-        let violations =
-          Fault_report.violation_count sim.Shard_runner.report
-          + Fault_report.violation_count dom.Shard_runner.report
-        in
-        let rd = sim.Shard_runner.digest.Shard_runner.d_repl in
-        let promotions = match rd with Some r -> r.Shard_runner.rd_promotions | None -> 0 in
-        let restarts = match rd with Some r -> r.Shard_runner.rd_restarts | None -> 0 in
-        let lags = sim.Shard_runner.failover_lags_us in
-        let row =
-          [
-            string_of_int replicas;
-            string_of_int kills;
-            string_of_int sim.Shard_runner.commits;
-            Printf.sprintf "%.0f" sim.Shard_runner.throughput;
-            string_of_int promotions;
-            string_of_int (pct lags 99);
-            string_of_int violations;
-            string_of_int (List.length mismatches);
-            string_of_int wall_ms;
-          ]
-        in
-        let json =
-          Jsonx.Obj
-            [
-              ("replicas", Jsonx.Int replicas);
-              ("kills", Jsonx.Int kills);
-              ("commits", Jsonx.Int sim.Shard_runner.commits);
-              ("commits_per_s", Jsonx.Float sim.Shard_runner.throughput);
-              ("cross_commits", Jsonx.Int sim.Shard_runner.cross_commits);
-              ("single_commits", Jsonx.Int sim.Shard_runner.single_commits);
-              ("promotions", Jsonx.Int promotions);
-              ("recovery_restarts", Jsonx.Int restarts);
-              ("failover_lag_p50_us", Jsonx.Int (pct lags 50));
-              ("failover_lag_p99_us", Jsonx.Int (pct lags 99));
-              ( "failover_lags_us",
-                Jsonx.Arr (List.map (fun l -> Jsonx.Int l) lags) );
-              ("violations", Jsonx.Int violations);
-              ("digest_mismatches", Jsonx.Int (List.length mismatches));
-              ("domains_digest", Shard_runner.digest_to_json dom.Shard_runner.digest);
-              ("wall_ms", Jsonx.Int wall_ms);
-            ]
-        in
-        (sim, violations, List.length mismatches, row, json))
-      sweep
-  in
-  Table.print
-    ~header:
-      [
-        "replicas"; "kills"; "commits"; "commits/s"; "promotions"; "lag-p99-us";
-        "violations"; "mismatches"; "wall-ms";
-      ]
-    (List.map (fun (_, _, _, row, _) -> row) points);
-  let clean = List.for_all (fun (_, v, m, _, _) -> v = 0 && m = 0) points in
-  let degraded_not_dead =
-    List.for_all (fun (sim, _, _, _, _) -> sim.Shard_runner.commits > 0) points
-  in
-  Printf.printf "all points clean: %b; committing at every kill count: %b\n" clean
-    degraded_not_dead;
-  Obs_export.write_file "BENCH_failover.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "failover");
-         ("seed", Jsonx.Int 42);
-         ("shards", Jsonx.Int shards);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("clean", Jsonx.Bool clean);
-         ("degraded_not_dead", Jsonx.Bool degraded_not_dead);
-         ("points", Jsonx.Arr (List.map (fun (_, _, _, _, j) -> j) points));
-       ]);
-  Printf.printf "-> BENCH_failover.json (%d sweep points)\n" (List.length sweep)
+        Sweep.pair
+          ~label:(Printf.sprintf "r=%d k=%d" replicas kills)
+          ~domains:2
+          (cfg ~replicas ~kills));
+    columns =
+      Sweep.pair_columns
+        [
+          ("replicas", fun (replicas, _) _ -> Jsonx.Int replicas);
+          ("kills", fun (_, kills) _ -> Jsonx.Int kills);
+          ("commits", fun _ r -> Jsonx.Int r.sim.commits);
+          ("commits_per_s", fun _ r -> Jsonx.Float r.sim.throughput);
+          ("cross_commits", fun _ r -> Jsonx.Int r.sim.cross_commits);
+          ("single_commits", fun _ r -> Jsonx.Int r.sim.single_commits);
+          ("promotions", fun _ -> repl_digest (fun d -> d.Shard_runner.rd_promotions));
+          ("recovery_restarts", fun _ -> repl_digest (fun d -> d.Shard_runner.rd_restarts));
+          ("failover_lag_p50_us", fun _ r -> Jsonx.Int (pct r.sim.failover_lags_us 50));
+          ("failover_lag_p99_us", fun _ r -> Jsonx.Int (pct r.sim.failover_lags_us 99));
+          ( "failover_lags_us",
+            fun _ r -> Jsonx.Arr (List.map (fun l -> Jsonx.Int l) r.sim.failover_lags_us) );
+        ];
+    fields = (fun _ -> [ ("shards", Jsonx.Int shards); ("engine", Jsonx.Str "pg-vdriver") ]);
+    gates = [ Sweep.clean; Sweep.degraded_not_dead ];
+    points_key = "points";
+  }

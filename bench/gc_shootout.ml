@@ -24,12 +24,11 @@
    choice the completeness column measures. (Shrinking the vBuffer
    instead, as `chaos --vbuffer` does, makes all three designs
    converge: overflow forces even vCutter to store.) Exported as
-   BENCH_gc_shootout.json. *)
+   BENCH_gc_shootout.json. Gates: [vcutter_wins_completeness] and
+   [bounded_within_bound] in every cell, and [clean] (no violations). *)
 
 let vbuffer_bytes = State.default_config.State.vbuffer_bytes
 let bounded_k = 256
-let seed = 42
-
 let driver_config = State.default_config
 
 let engine_for kind =
@@ -37,29 +36,21 @@ let engine_for kind =
     { Gc_backend.default_config with Gc_backend.kind; bounded_max_dead = bounded_k }
     (fun schema -> Siro_engine.create ~driver_config ~flavor:`Pg schema)
 
+(* Two LLTs from a sixth of the 3 s run, over a keyspace wide enough
+   (8 x 1000 rows) that a sealed segment takes real time to go
+   whole-dead. *)
 let cfg ~llt_duration_s ~skew ~record_bytes =
-  let duration_s = Common.sec 3. in
   {
-    Exp_config.default with
-    Exp_config.name = "gc-shootout";
-    seed;
-    duration_s;
-    workers = 8;
-    schema =
+    (Sweep.workload ~name:"gc-shootout" ~duration_s:3. ~llt_start:0.5 ~llt_s:llt_duration_s
+       ~llts:2)
+    with
+    Exp_config.schema =
       { Schema.default with Schema.tables = 8; rows_per_table = 1000; record_bytes };
     phases =
       [
         {
           Exp_config.at_s = 0.;
           pattern = (if skew <= 0. then Access.Uniform else Access.Zipfian skew);
-        };
-      ];
-    llts =
-      [
-        {
-          Exp_config.start_s = duration_s /. 6.;
-          duration_s = Common.sec llt_duration_s;
-          count = 2;
         };
       ];
     gc_period = Clock.ms 5;
@@ -103,122 +94,87 @@ let sample kind ~llt_duration_s ~skew ~record_bytes =
     s_gauges = gauges;
   }
 
-let run () =
-  Common.section ~figure:"GC shootout"
-    ~title:"vCutter vs range tracking vs bounded-space (BENCH_gc_shootout.json)"
-    ~expectation:
-      (Printf.sprintf
-         "the paper's design wins prune completeness in every cell (its rivals \
-          eagerly store what vCutter lets die in vBuffer); the bounded backend \
-          keeps its resident dead-version checkpoint within K=%d at every sample \
-          point; nobody violates prune soundness"
-         bounded_k);
-  let llt_durations = [ 0.5; 2. ] in
-  let skews = [ 0.; 0.9 ] in
-  let record_sizes = [ 64; 256 ] in
-  let completeness_upsets = ref 0 and bound_breaches = ref 0 and violations = ref 0 in
-  let cells = ref [] and rows = ref [] in
-  List.iter
-    (fun llt_duration_s ->
-      List.iter
-        (fun skew ->
-          List.iter
-            (fun record_bytes ->
-              let samples =
-                List.map
-                  (fun kind -> sample kind ~llt_duration_s ~skew ~record_bytes)
-                  Gc_backend.all_kinds
-              in
-              let vcutter = List.hd samples in
-              let wins =
-                List.for_all
-                  (fun s -> vcutter.s_completeness >= s.s_completeness)
-                  samples
-              in
-              if not wins then incr completeness_upsets;
-              let peak_dead =
-                List.fold_left
-                  (fun acc s ->
-                    match List.assoc_opt "gc.bounded.peak_dead" s.s_gauges with
-                    | Some v -> v
-                    | None -> acc)
-                  0 samples
-              in
-              let within = peak_dead <= bounded_k in
-              if not within then incr bound_breaches;
-              List.iter (fun s -> violations := !violations + s.s_violations) samples;
-              List.iter
-                (fun s ->
-                  rows :=
-                    [
-                      Printf.sprintf "%.1fs" llt_duration_s;
-                      (if skew <= 0. then "uniform" else Printf.sprintf "zipf %.1f" skew);
-                      string_of_int record_bytes;
-                      s.s_backend;
-                      string_of_int s.s_commits;
-                      Printf.sprintf "%.3f" s.s_completeness;
-                      Table.fmt_bytes s.s_peak_space;
-                      string_of_int s.s_stored;
-                      string_of_int s.s_violations;
-                    ]
-                    :: !rows)
-                samples;
-              cells :=
-                Jsonx.Obj
-                  [
-                    ("llt_duration_s", Jsonx.Float llt_duration_s);
-                    ("skew", Jsonx.Float skew);
-                    ("record_bytes", Jsonx.Int record_bytes);
-                    ("vcutter_wins_completeness", Jsonx.Bool wins);
-                    ("bounded_peak_dead", Jsonx.Int peak_dead);
-                    ("bounded_within_bound", Jsonx.Bool within);
-                    ( "backends",
-                      Jsonx.Arr
-                        (List.map
-                           (fun s ->
-                             Jsonx.Obj
-                               [
-                                 ("backend", Jsonx.Str s.s_backend);
-                                 ("commits", Jsonx.Int s.s_commits);
-                                 ("prune_completeness", Jsonx.Float s.s_completeness);
-                                 ("pruned", Jsonx.Int s.s_pruned);
-                                 ("stored", Jsonx.Int s.s_stored);
-                                 ("peak_space", Jsonx.Int s.s_peak_space);
-                                 ("violations", Jsonx.Int s.s_violations);
-                                 ( "gauges",
-                                   Jsonx.Obj
-                                     (List.map (fun (k, v) -> (k, Jsonx.Int v)) s.s_gauges)
-                                 );
-                               ])
-                           samples) );
-                  ]
-                :: !cells)
-            record_sizes)
-        skews)
-    llt_durations;
-  Table.print
-    ~header:
+type cell = { samples : sample list; wins : bool; peak_dead : int }
+
+let run_cell (llt_duration_s, skew, record_bytes) =
+  let samples =
+    List.map (fun kind -> sample kind ~llt_duration_s ~skew ~record_bytes) Gc_backend.all_kinds
+  in
+  let vcutter = List.hd samples in
+  {
+    samples;
+    wins = List.for_all (fun s -> vcutter.s_completeness >= s.s_completeness) samples;
+    peak_dead =
+      List.fold_left
+        (fun acc s ->
+          match List.assoc_opt "gc.bounded.peak_dead" s.s_gauges with Some v -> v | None -> acc)
+        0 samples;
+  }
+
+let backend_json s =
+  Jsonx.Obj
+    [
+      ("backend", Jsonx.Str s.s_backend);
+      ("commits", Jsonx.Int s.s_commits);
+      ("prune_completeness", Jsonx.Float s.s_completeness);
+      ("pruned", Jsonx.Int s.s_pruned);
+      ("stored", Jsonx.Int s.s_stored);
+      ("peak_space", Jsonx.Int s.s_peak_space);
+      ("violations", Jsonx.Int s.s_violations);
+      ("gauges", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) s.s_gauges));
+    ]
+
+let count f results = List.length (List.filter (fun (_, c) -> f c) results)
+
+let violations results =
+  List.fold_left
+    (fun acc (_, c) -> List.fold_left (fun acc s -> acc + s.s_violations) acc c.samples)
+    0 results
+
+let sweep =
+  {
+    Sweep.name = "gc_shootout";
+    title = "vCutter vs range tracking vs bounded-space";
+    expectation =
+      Printf.sprintf
+        "the paper's design wins prune completeness in every cell (its rivals eagerly store \
+         what vCutter lets die in vBuffer); the bounded backend keeps its resident \
+         dead-version checkpoint within K=%d at every sample point; nobody violates prune \
+         soundness"
+        bounded_k;
+    points =
+      List.concat_map
+        (fun llt ->
+          List.concat_map
+            (fun skew -> List.map (fun record_bytes -> (llt, skew, record_bytes)) [ 64; 256 ])
+            [ 0.; 0.9 ])
+        [ 0.5; 2. ];
+    run = run_cell;
+    columns =
       [
-        "llt-dur"; "access"; "rec-B"; "backend"; "commits"; "completeness"; "peak-space";
-        "stored"; "violations";
-      ]
-    (List.rev !rows);
-  Obs_export.write_file "BENCH_gc_shootout.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "gc_shootout");
-         ("seed", Jsonx.Int seed);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("vbuffer_bytes", Jsonx.Int vbuffer_bytes);
-         ("bounded_k", Jsonx.Int bounded_k);
-         ("completeness_upsets", Jsonx.Int !completeness_upsets);
-         ("bound_breaches", Jsonx.Int !bound_breaches);
-         ("violations", Jsonx.Int !violations);
-         ("cells", Jsonx.Arr (List.rev !cells));
-       ]);
-  Printf.printf
-    "-> BENCH_gc_shootout.json (%d cells x 3 backends; completeness upsets=%d, bound \
-     breaches=%d, violations=%d)\n"
-    (List.length !cells) !completeness_upsets !bound_breaches !violations;
-  if !completeness_upsets > 0 || !bound_breaches > 0 || !violations > 0 then
-    failwith "gc_shootout: a backend lost its headline guarantee (see table above)"
+        ("llt_duration_s", fun (llt, _, _) _ -> Jsonx.Float llt);
+        ("skew", fun (_, skew, _) _ -> Jsonx.Float skew);
+        ("record_bytes", fun (_, _, bytes) _ -> Jsonx.Int bytes);
+        ("vcutter_wins_completeness", fun _ c -> Jsonx.Bool c.wins);
+        ("bounded_peak_dead", fun _ c -> Jsonx.Int c.peak_dead);
+        ("bounded_within_bound", fun _ c -> Jsonx.Bool (c.peak_dead <= bounded_k));
+        ("backends", fun _ c -> Jsonx.Arr (List.map backend_json c.samples));
+      ];
+    fields =
+      (fun results ->
+        [
+          ("engine", Jsonx.Str "pg-vdriver");
+          ("vbuffer_bytes", Jsonx.Int vbuffer_bytes);
+          ("bounded_k", Jsonx.Int bounded_k);
+          ("completeness_upsets", Jsonx.Int (count (fun c -> not c.wins) results));
+          ("bound_breaches", Jsonx.Int (count (fun c -> c.peak_dead > bounded_k) results));
+          ("violations", Jsonx.Int (violations results));
+        ]);
+    gates =
+      [
+        ("vcutter_wins_completeness", Sweep.every (fun _ c -> c.wins));
+        ("bounded_within_bound", Sweep.every (fun _ c -> c.peak_dead <= bounded_k));
+        ("clean", fun results -> violations results = 0);
+      ];
+    points_key = "cells";
+  }

@@ -6,19 +6,12 @@
    against the computable bound L, plus the escalation and zombie-shed
    work the ladder performed to stay inside it. The zombie rate is held
    fixed so every point also exercises the lease/shed path. Exported as
-   BENCH_liveness.json. *)
+   BENCH_liveness.json. Gates: [clean] (0 violations), [lag_within_bound]
+   (max lag <= L), [zombies_shed] (zombie cancels > 0) at every point,
+   and [escalations_grow] (non-decreasing in the stall rate). *)
 
 let liveness_cfg =
-  {
-    Exp_config.default with
-    Exp_config.name = "bench-liveness";
-    seed = 42;
-    duration_s = Common.sec 4.;
-    workers = 8;
-    schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-    phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-    llts = [ { Exp_config.start_s = Common.sec 0.5; duration_s = Common.sec 3.; count = 1 } ];
-  }
+  Sweep.workload ~name:"bench-liveness" ~duration_s:4. ~llt_start:0.5 ~llt_s:3. ~llts:1
 
 let wdog =
   {
@@ -28,7 +21,7 @@ let wdog =
     escalation_cooldown = Clock.ms 10;
   }
 
-let point ~stall_rate =
+let point stall_rate =
   let plan =
     Fault_plan.create
       ~seed:(liveness_cfg.Exp_config.seed lxor 0x11fe)
@@ -38,70 +31,51 @@ let point ~stall_rate =
   let engine schema = Siro_engine.create ~flavor:`Pg schema in
   Runner.run ~engine ~faults:plan ~watchdog:wdog liveness_cfg
 
-let run () =
-  let bound = Watchdog.lag_bound wdog ~gc_period:liveness_cfg.Exp_config.gc_period in
-  Common.section ~figure:"Liveness"
-    ~title:"Reclamation lag vs stall pressure (BENCH_liveness.json)"
-    ~expectation:
-      (Printf.sprintf
-         "with the watchdog armed, every dead version is reclaimed within the \
-          computable bound L=%dus regardless of how often the cleaner hangs; the \
-          lag tail grows with the stall rate but never crosses L, and harmful \
-          zombie LLTs are shed through the lease path"
-         (bound / 1000));
-  let rates = [ 0.; 0.5; 1.; 2. ] in
-  let points =
-    List.map
-      (fun stall_rate ->
-        let r = point ~stall_rate in
-        let hist = r.Runner.reclamation_lag_us in
-        let pctl p = if Histogram.total hist = 0 then 0 else Histogram.percentile hist p in
-        let violations = Fault_report.violation_count r.Runner.faults in
-        let row =
-          [
-            Printf.sprintf "%.1f/s" stall_rate;
-            string_of_int r.Runner.commits;
-            string_of_int r.Runner.watchdog_escalations;
-            string_of_int r.Runner.zombie_cancels;
-            string_of_int (pctl 0.5);
-            string_of_int (pctl 0.99);
-            string_of_int (r.Runner.max_reclamation_lag / 1000);
-            string_of_int (bound / 1000);
-            string_of_int violations;
-          ]
-        in
-        let json =
-          Jsonx.Obj
-            [
-              ("stall_rate_per_s", Jsonx.Float stall_rate);
-              ("commits", Jsonx.Int r.Runner.commits);
-              ("escalations", Jsonx.Int r.Runner.watchdog_escalations);
-              ("zombie_cancels", Jsonx.Int r.Runner.zombie_cancels);
-              ("lag_p50_us", Jsonx.Int (pctl 0.5));
-              ("lag_p99_us", Jsonx.Int (pctl 0.99));
-              ("lag_max_us", Jsonx.Int (r.Runner.max_reclamation_lag / 1000));
-              ("lag_samples", Jsonx.Int (Histogram.total hist));
-              ("bound_us", Jsonx.Int (bound / 1000));
-              ("violations", Jsonx.Int violations);
-            ]
-        in
-        (row, json))
-      rates
-  in
-  Table.print
-    ~header:
+let bound = Watchdog.lag_bound wdog ~gc_period:liveness_cfg.Exp_config.gc_period
+
+let pctl r p =
+  let hist = r.Runner.reclamation_lag_us in
+  if Histogram.total hist = 0 then 0 else Histogram.percentile hist p
+
+let sweep =
+  {
+    Sweep.name = "liveness";
+    title = "Reclamation lag vs stall pressure";
+    expectation =
+      Printf.sprintf
+        "with the watchdog armed, every dead version is reclaimed within the computable \
+         bound L=%dus regardless of how often the cleaner hangs; the lag tail grows with the \
+         stall rate but never crosses L, and harmful zombie LLTs are shed through the lease \
+         path"
+        (bound / 1000);
+    points = [ 0.; 0.5; 1.; 2. ];
+    run = point;
+    columns =
       [
-        "stall-rate"; "commits"; "escalations"; "zombie-cancels"; "lag-p50-us"; "lag-p99-us";
-        "lag-max-us"; "bound-us"; "violations";
-      ]
-    (List.map fst points);
-  Obs_export.write_file "BENCH_liveness.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "liveness");
-         ("seed", Jsonx.Int liveness_cfg.Exp_config.seed);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("bound_us", Jsonx.Int (bound / 1000));
-         ("points", Jsonx.Arr (List.map snd points));
-       ]);
-  Printf.printf "-> BENCH_liveness.json (%d stall rates)\n" (List.length rates)
+        ("stall_rate_per_s", fun rate _ -> Jsonx.Float rate);
+        ("commits", fun _ r -> Jsonx.Int r.Runner.commits);
+        ("escalations", fun _ r -> Jsonx.Int r.Runner.watchdog_escalations);
+        ("zombie_cancels", fun _ r -> Jsonx.Int r.Runner.zombie_cancels);
+        ("lag_p50_us", fun _ r -> Jsonx.Int (pctl r 0.5));
+        ("lag_p99_us", fun _ r -> Jsonx.Int (pctl r 0.99));
+        ("lag_max_us", fun _ r -> Jsonx.Int (r.Runner.max_reclamation_lag / 1000));
+        ("lag_samples", fun _ r -> Jsonx.Int (Histogram.total r.Runner.reclamation_lag_us));
+        ("bound_us", fun _ _ -> Jsonx.Int (bound / 1000));
+        ("violations", fun _ r -> Jsonx.Int (Fault_report.violation_count r.Runner.faults));
+      ];
+    fields =
+      (fun _ -> [ ("engine", Jsonx.Str "pg-vdriver"); ("bound_us", Jsonx.Int (bound / 1000)) ]);
+    gates =
+      [
+        ("clean", Sweep.every (fun _ r -> Fault_report.violation_count r.Runner.faults = 0));
+        ("lag_within_bound", Sweep.every (fun _ r -> r.Runner.max_reclamation_lag <= bound));
+        ("zombies_shed", Sweep.every (fun _ r -> r.Runner.zombie_cancels > 0));
+        (* The fixed zombie rate escalates on its own, so the 0/s point
+           starts above zero; more stalls must never mean fewer. *)
+        ( "escalations_grow",
+          fun results ->
+            Sweep.non_decreasing (List.map (fun (_, r) -> r.Runner.watchdog_escalations) results)
+        );
+      ];
+    points_key = "points";
+  }

@@ -4,95 +4,83 @@
    One domain hosts ~4 OLTP workers; the sweep grows domains and
    workers together (1x4, 2x8, 4x16) and reports the aggregate
    simulated throughput of the Domains run next to a Sim run of the
-   identical configuration. Simulated commits/s must grow monotonically
-   along the curve and stay within the differential tolerance of the
-   Sim twin at every point — this benchmark measures model fidelity
+   identical configuration. The Sim twin's commits must grow
+   monotonically along the curve (gate [monotone]) and every Domains
+   digest must stay within the differential tolerance of the
+   Sim twin at every point (gate [clean]) — this benchmark measures model fidelity
    under scale, not host parallelism (on a single-core container the
    domains time-share; wall_ms is reported for that reason, simulated
    throughput is the curve). *)
 
 let cfg ~domains =
   {
-    Exp_config.default with
-    Exp_config.name = Printf.sprintf "bench-multicore-x%d" domains;
-    seed = 42;
-    duration_s = Common.sec 1.5;
-    workers = 4 * domains;
-    schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-    phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-    llts = [ { Exp_config.start_s = Common.sec 0.3; duration_s = Common.sec 0.8; count = 1 } ];
+    (Sweep.workload ~name:(Printf.sprintf "bench-multicore-x%d" domains) ~duration_s:1.5
+       ~llt_start:0.3 ~llt_s:0.8 ~llts:1)
+    with
+    Exp_config.workers = 4 * domains;
   }
 
 let engine schema = Siro_engine.create ~flavor:`Pg schema
 
-let run () =
-  Common.section ~figure:"Multicore"
-    ~title:"Domains-mode scaling, 1 -> 4 domains (BENCH_multicore.json)"
-    ~expectation:
+type result = {
+  c : Exp_config.t;
+  sim : Runner.result;
+  dom : Runner.result;
+  ds : Run_digest.t;
+  dd : Run_digest.t;
+  mismatches : string list;
+  wall_ms : int;  (** the Domains run *)
+}
+
+let run_point domains =
+  let c = cfg ~domains in
+  let sim = Runner.run ~engine c in
+  let t0 = Unix.gettimeofday () in
+  let dom = Runner.run ~engine ~mode:(Runner.Domains { domains }) c in
+  let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
+  let ds = Run_digest.of_result ~mode:"sim" ~domains:1 c sim in
+  let dd = Run_digest.of_result ~mode:"domains" ~domains c dom in
+  let mismatches = Run_digest.diff ds dd in
+  List.iter (fun m -> Printf.printf "!! x%d digest mismatch: %s\n" domains m) mismatches;
+  { c; sim; dom; ds; dd; mismatches; wall_ms }
+
+let sweep =
+  {
+    Sweep.name = "multicore";
+    title = "Domains-mode scaling, 1 -> 4 domains";
+    expectation =
       "aggregate simulated throughput grows monotonically as domains and workers scale \
        together, and every point's digest stays within the differential tolerance of its \
        deterministic Sim twin (violations always 0)";
-  let sweep = [ 1; 2; 4 ] in
-  let points =
-    List.map
-      (fun domains ->
-        let c = cfg ~domains in
-        let sim = Runner.run ~engine c in
-        let t0 = Unix.gettimeofday () in
-        let r = Runner.run ~engine ~mode:(Runner.Domains { domains }) c in
-        let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-        let ds = Run_digest.of_result ~mode:"sim" ~domains:1 c sim in
-        let dd = Run_digest.of_result ~mode:"domains" ~domains c r in
-        let mismatches = Run_digest.diff ds dd in
-        let tput = float_of_int r.Runner.commits /. c.Exp_config.duration_s in
-        let row =
-          [
-            string_of_int domains;
-            string_of_int c.Exp_config.workers;
-            string_of_int r.Runner.commits;
-            Printf.sprintf "%.0f" tput;
-            string_of_int sim.Runner.commits;
-            Printf.sprintf "%dus" dd.Run_digest.latency_p99_us;
-            string_of_int wall_ms;
-            string_of_int (List.length mismatches);
-          ]
-        in
-        let json =
-          Jsonx.Obj
-            [
-              ("domains", Jsonx.Int domains);
-              ("workers", Jsonx.Int c.Exp_config.workers);
-              ("commits", Jsonx.Int r.Runner.commits);
-              ("commits_per_s", Jsonx.Float tput);
-              ("sim_commits", Jsonx.Int sim.Runner.commits);
-              ("latency_p50_us", Jsonx.Int dd.Run_digest.latency_p50_us);
-              ("latency_p99_us", Jsonx.Int dd.Run_digest.latency_p99_us);
-              ("violations", Jsonx.Int dd.Run_digest.invariant_violations);
-              ("digest_mismatches", Jsonx.Int (List.length mismatches));
-              ("wall_ms", Jsonx.Int wall_ms);
-            ]
-        in
-        List.iter
-          (fun m -> Printf.printf "!! x%d digest mismatch: %s\n" domains m)
-          mismatches;
-        (tput, row, json))
-      sweep
-  in
-  Table.print
-    ~header:
-      [ "domains"; "workers"; "commits"; "commits/s"; "sim-commits"; "p99-latency"; "wall-ms"; "mismatches" ]
-    (List.map (fun (_, row, _) -> row) points);
-  let tputs = List.map (fun (t, _, _) -> t) points in
-  let rec is_monotone = function a :: (b :: _ as rest) -> a <= b && is_monotone rest | _ -> true in
-  let monotone = is_monotone tputs in
-  Printf.printf "scaling curve monotone: %b\n" monotone;
-  Obs_export.write_file "BENCH_multicore.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "multicore");
-         ("seed", Jsonx.Int 42);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("monotone", Jsonx.Bool monotone);
-         ("points", Jsonx.Arr (List.map (fun (_, _, j) -> j) points));
-       ]);
-  Printf.printf "-> BENCH_multicore.json (%d domain counts)\n" (List.length sweep)
+    points = [ 1; 2; 4 ];
+    run = run_point;
+    columns =
+      [
+        ("domains", fun d _ -> Jsonx.Int d);
+        ("workers", fun _ r -> Jsonx.Int r.c.Exp_config.workers);
+        ("commits", fun _ r -> Jsonx.Int r.dom.Runner.commits);
+        ( "commits_per_s",
+          fun _ r -> Jsonx.Float (float_of_int r.dom.Runner.commits /. r.c.Exp_config.duration_s) );
+        ("sim_commits", fun _ r -> Jsonx.Int r.sim.Runner.commits);
+        ("latency_p50_us", fun _ r -> Jsonx.Int r.dd.Run_digest.latency_p50_us);
+        ("latency_p99_us", fun _ r -> Jsonx.Int r.dd.Run_digest.latency_p99_us);
+        ("violations", fun _ r -> Jsonx.Int r.dd.Run_digest.invariant_violations);
+        ("digest_mismatches", fun _ r -> Jsonx.Int (List.length r.mismatches));
+        ("wall_ms", fun _ r -> Jsonx.Int r.wall_ms);
+      ];
+    fields = (fun _ -> [ ("engine", Jsonx.Str "pg-vdriver") ]);
+    gates =
+      [
+        (* The curve is the deterministic Sim twin's: the Domains run's
+           commit count moves with host interleaving. *)
+        ( "monotone",
+          fun results ->
+            Sweep.non_decreasing (List.map (fun (_, r) -> r.sim.Runner.commits) results) );
+        ( "clean",
+          Sweep.every (fun _ r ->
+              r.ds.Run_digest.invariant_violations = 0
+              && r.dd.Run_digest.invariant_violations = 0
+              && r.mismatches = []) );
+      ];
+    points_key = "points";
+  }

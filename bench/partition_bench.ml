@@ -10,23 +10,15 @@
    throughput degrades gracefully (single-shard traffic keeps
    committing while cross-shard transactions spanning the cut fail
    fast), net aborts and in-doubt residence grow with severity, and
-   violations stay 0 at every point. *)
+   violations stay 0 at every point. Gates: [clean] (0 violations on
+   both sides, 0 digest mismatches) and [degraded_not_dead] (Sim
+   commits at every point). *)
 
-let cfg ~shards ~loss ~part_ms ~seed =
+let shards = 2
+
+let cfg ~loss ~part_ms =
   let base =
-    {
-      Exp_config.default with
-      Exp_config.name = Printf.sprintf "bench-partition-l%.2f-p%d" loss part_ms;
-      seed;
-      duration_s = Common.sec 0.5;
-      workers = 8;
-      schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-      phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-      llts = [ { Exp_config.start_s = Common.sec 0.1; duration_s = Common.sec 0.25; count = 2 } ];
-      gc_period = Clock.ms 10;
-      sample_period_s = Common.sec 0.05;
-      ckpt_period_s = Common.sec 0.25;
-    }
+    Sweep.sharded ~name:(Printf.sprintf "bench-partition-l%.2f-p%d" loss part_ms) ~duration_s:0.5
   in
   let horizon = Clock.seconds base.Exp_config.duration_s in
   let net =
@@ -47,105 +39,48 @@ let cfg ~shards ~loss ~part_ms ~seed =
             };
           ]
       in
-      Net_fault.make ~loss ~dup:0.02 ~max_delay:(Clock.us 150) ~partitions ~seed ()
+      Net_fault.make ~loss ~dup:0.02 ~max_delay:(Clock.us 150) ~partitions ~seed:Sweep.seed ()
   in
-  { (Shard_runner.default ~shards base) with Shard_runner.cross_pct = 30; net }
+  { (Shard_runner.default ~shards base) with Shard_runner.net }
 
-let run () =
-  Common.section ~figure:"Partition"
-    ~title:"Message loss x partition duration (BENCH_partition.json)"
-    ~expectation:
+let net_digest f r =
+  Jsonx.Int
+    (match r.Sweep.sim.Shard_runner.digest.Shard_runner.d_net with Some n -> f n | None -> 0)
+
+let sweep =
+  {
+    Sweep.name = "partition";
+    title = "Message loss x partition duration";
+    expectation =
       "throughput degrades gracefully as loss and partition windows grow — single-shard \
        traffic keeps committing, cross-shard transactions spanning the cut fail fast \
        (net-aborts), in-doubt residence stays bounded and drains after heal; every point \
        passes the invariant catalogue in Sim and Domains modes and the digests agree \
        (violations always 0)";
-  let shards = 2 in
-  let sweep =
-    [ (0.0, 0); (0.05, 0); (0.05, 50); (0.15, 50); (0.15, 150); (0.30, 150) ]
-  in
-  let points =
-    List.map
+    points = [ (0.0, 0); (0.05, 0); (0.05, 50); (0.15, 50); (0.15, 150); (0.30, 150) ];
+    run =
       (fun (loss, part_ms) ->
-        let c = cfg ~shards ~loss ~part_ms ~seed:42 in
-        let sim = Shard_runner.run ~mode:Shard_runner.Sim c in
-        let t0 = Unix.gettimeofday () in
-        let dom = Shard_runner.run ~mode:(Shard_runner.Domains { domains = 2 }) c in
-        let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-        let mismatches = Shard_runner.digest_diff sim.Shard_runner.digest dom.Shard_runner.digest in
-        List.iter
-          (fun m -> Printf.printf "!! loss=%.2f part=%dms digest mismatch: %s\n" loss part_ms m)
-          mismatches;
-        let violations =
-          Fault_report.violation_count sim.Shard_runner.report
-          + Fault_report.violation_count dom.Shard_runner.report
-        in
-        let nd = sim.Shard_runner.digest.Shard_runner.d_net in
-        let sent = match nd with Some n -> n.Shard_runner.nd_sent | None -> 0 in
-        let dropped = match nd with Some n -> n.Shard_runner.nd_dropped | None -> 0 in
-        let retried = match nd with Some n -> n.Shard_runner.nd_retried | None -> 0 in
-        let row =
-          [
-            Printf.sprintf "%.2f" loss;
-            string_of_int part_ms;
-            string_of_int sim.Shard_runner.commits;
-            Printf.sprintf "%.0f" sim.Shard_runner.throughput;
-            string_of_int sim.Shard_runner.cross_commits;
-            string_of_int sim.Shard_runner.net_aborts;
-            string_of_int sim.Shard_runner.indoubt_max_us;
-            string_of_int violations;
-            string_of_int (List.length mismatches);
-            string_of_int wall_ms;
-          ]
-        in
-        let json =
-          Jsonx.Obj
-            [
-              ("loss", Jsonx.Float loss);
-              ("partition_ms", Jsonx.Int part_ms);
-              ("commits", Jsonx.Int sim.Shard_runner.commits);
-              ("commits_per_s", Jsonx.Float sim.Shard_runner.throughput);
-              ("cross_commits", Jsonx.Int sim.Shard_runner.cross_commits);
-              ("single_commits", Jsonx.Int sim.Shard_runner.single_commits);
-              ("net_aborts", Jsonx.Int sim.Shard_runner.net_aborts);
-              ("net_sent", Jsonx.Int sent);
-              ("net_dropped", Jsonx.Int dropped);
-              ("net_retried", Jsonx.Int retried);
-              ("indoubt_max_us", Jsonx.Int sim.Shard_runner.indoubt_max_us);
-              ("indoubt_mean_us", Jsonx.Float sim.Shard_runner.indoubt_mean_us);
-              ("violations", Jsonx.Int violations);
-              ("digest_mismatches", Jsonx.Int (List.length mismatches));
-              ("domains_digest", Shard_runner.digest_to_json dom.Shard_runner.digest);
-              ("wall_ms", Jsonx.Int wall_ms);
-            ]
-        in
-        (sim, violations, List.length mismatches, row, json))
-      sweep
-  in
-  Table.print
-    ~header:
-      [
-        "loss"; "part-ms"; "commits"; "commits/s"; "cross"; "net-aborts"; "indoubt-us";
-        "violations"; "mismatches"; "wall-ms";
-      ]
-    (List.map (fun (_, _, _, row, _) -> row) points);
-  let clean = List.for_all (fun (_, v, m, _, _) -> v = 0 && m = 0) points in
-  let degraded_not_dead =
-    (* Even the harshest point must keep committing: graceful
-       degradation, not collapse. *)
-    List.for_all (fun (sim, _, _, _, _) -> sim.Shard_runner.commits > 0) points
-  in
-  Printf.printf "all points clean: %b; committing at every severity: %b\n" clean
-    degraded_not_dead;
-  Obs_export.write_file "BENCH_partition.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "partition");
-         ("seed", Jsonx.Int 42);
-         ("shards", Jsonx.Int shards);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("clean", Jsonx.Bool clean);
-         ("degraded_not_dead", Jsonx.Bool degraded_not_dead);
-         ("points", Jsonx.Arr (List.map (fun (_, _, _, _, j) -> j) points));
-       ]);
-  Printf.printf "-> BENCH_partition.json (%d severity points)\n" (List.length sweep)
+        Sweep.pair
+          ~label:(Printf.sprintf "loss=%.2f part=%dms" loss part_ms)
+          ~domains:2
+          (cfg ~loss ~part_ms));
+    columns =
+      Sweep.pair_columns
+        [
+          ("loss", fun (loss, _) _ -> Jsonx.Float loss);
+          ("partition_ms", fun (_, part_ms) _ -> Jsonx.Int part_ms);
+          ("commits", fun _ r -> Jsonx.Int r.sim.commits);
+          ("commits_per_s", fun _ r -> Jsonx.Float r.sim.throughput);
+          ("cross_commits", fun _ r -> Jsonx.Int r.sim.cross_commits);
+          ("single_commits", fun _ r -> Jsonx.Int r.sim.single_commits);
+          ("net_aborts", fun _ r -> Jsonx.Int r.sim.net_aborts);
+          ("net_sent", fun _ -> net_digest (fun n -> n.Shard_runner.nd_sent));
+          ("net_dropped", fun _ -> net_digest (fun n -> n.Shard_runner.nd_dropped));
+          ("net_retried", fun _ -> net_digest (fun n -> n.Shard_runner.nd_retried));
+          ("indoubt_max_us", fun _ r -> Jsonx.Int r.sim.indoubt_max_us);
+          ("indoubt_mean_us", fun _ r -> Jsonx.Float r.sim.indoubt_mean_us);
+        ];
+    fields = (fun _ -> [ ("shards", Jsonx.Int shards); ("engine", Jsonx.Str "pg-vdriver") ]);
+    gates = [ Sweep.clean; Sweep.degraded_not_dead ];
+    points_key = "points";
+  }

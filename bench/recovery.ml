@@ -5,7 +5,8 @@
    scan rollback-segment undo headers to identify losers before rolling
    them back; PostgreSQL identifies losers directly through pg_xact; the
    SIRO engines additionally roll back by bit toggles and drop all
-   off-row state wholesale — near-instant recovery. *)
+   off-row state wholesale — near-instant recovery. Gate [losers_undone]:
+   no loser's write survives on any engine. *)
 
 let schema = { Schema.default with Schema.tables = 4; rows_per_table = 500 }
 
@@ -60,22 +61,24 @@ let run_engine name =
    intervals bound the redo tail (fewer records to replay, higher
    apparent replay throughput per unit of recovery time); 0 disables
    the periodic checkpointer so recovery replays from the initial
-   image — the worst case. Exported as BENCH_recovery.json. *)
+   image — the worst case. Exported as BENCH_recovery.json. Gates:
+   [replay_shrinks] (replayed records fall strictly as the interval
+   tightens) and [losers_rolled_back] (> 0 at every interval). *)
 
 let durable_cfg ~ckpt_s =
   {
-    Exp_config.default with
-    Exp_config.name = "bench-recovery";
-    seed = 42;
-    duration_s = Common.sec 4.;
-    workers = 8;
-    schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-    phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-    llts = [ { Exp_config.start_s = Common.sec 1.; duration_s = Common.sec 2.; count = 2 } ];
-    ckpt_period_s = ckpt_s;
+    (Sweep.workload ~name:"bench-recovery" ~duration_s:4. ~llt_start:1. ~llt_s:2. ~llts:2) with
+    Exp_config.ckpt_period_s = ckpt_s;
   }
 
-let restart_point ~ckpt_ms =
+type restart = {
+  r : Runner.result;
+  info : Engine.restart_info;
+  wall : float;
+  wal_records : int;
+}
+
+let restart_point ckpt_ms =
   let driver_config = { State.default_config with State.durable_wal = true } in
   let captured = ref None in
   let engine schema =
@@ -124,65 +127,51 @@ let restart_point ~ckpt_ms =
   let t0 = Unix.gettimeofday () in
   let info = restart ~now in
   let wall = Unix.gettimeofday () -. t0 in
-  (r, info, wall, wal_records)
+  { r; info; wall; wal_records }
 
-let recovery_point () =
-  (* Deliberately not divisors of the run length: a divisor puts the
-     last checkpoint exactly at the horizon and every interval then
-     shows the same (burst-only) redo tail. *)
-  let intervals = [ 0; 1100; 270; 70 ] in
-  let points =
-    List.map
-      (fun ckpt_ms ->
-        let r, info, wall, wal_records = restart_point ~ckpt_ms in
-        let cost_us = float_of_int info.Engine.recovery_cost /. float_of_int (Clock.us 1) in
-        let replay_tput =
-          if cost_us <= 0. then 0.
-          else float_of_int info.Engine.replayed_records /. (cost_us /. 1e6)
-        in
-        let row =
-          [
-            (if ckpt_ms = 0 then "off" else Printf.sprintf "%dms" ckpt_ms);
-            string_of_int wal_records;
-            string_of_int info.Engine.replayed_records;
-            string_of_int info.Engine.replayed_versions;
-            string_of_int info.Engine.losers_rolled_back;
-            Printf.sprintf "%.0f" cost_us;
-            Printf.sprintf "%.0f" replay_tput;
-          ]
-        in
-        let json =
-          Jsonx.Obj
-            [
-              ("ckpt_ms", Jsonx.Int ckpt_ms);
-              ("commits", Jsonx.Int r.Runner.commits);
-              ("wal_records", Jsonx.Int wal_records);
-              ("replayed_records", Jsonx.Int info.Engine.replayed_records);
-              ("replayed_versions", Jsonx.Int info.Engine.replayed_versions);
-              ("losers_rolled_back", Jsonx.Int info.Engine.losers_rolled_back);
-              ("truncated_frames", Jsonx.Int info.Engine.truncated_frames);
-              ("recovered_to_lsn", Jsonx.Int info.Engine.recovered_to_lsn);
-              ("recovery_cost_us", Jsonx.Float cost_us);
-              ("replay_records_per_s", Jsonx.Float replay_tput);
-              ("wall_s", Jsonx.Float wall);
-            ]
-        in
-        (row, json))
-      intervals
-  in
-  Table.print
-    ~header:
-      [ "ckpt"; "wal-records"; "replayed"; "versions"; "losers"; "recovery-us"; "replay-rec/s" ]
-    (List.map fst points);
-  Obs_export.write_file "BENCH_recovery.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "recovery");
-         ("seed", Jsonx.Int 42);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("points", Jsonx.Arr (List.map snd points));
-       ]);
-  Printf.printf "-> BENCH_recovery.json (%d checkpoint intervals)\n" (List.length intervals)
+let cost_us p = float_of_int p.info.Engine.recovery_cost /. float_of_int (Clock.us 1)
+
+let restart_sweep =
+  {
+    Sweep.name = "recovery";
+    title = "Restart replay vs checkpoint interval";
+    expectation =
+      "shorter checkpoint intervals bound the redo tail: fewer records replayed and a \
+       cheaper restart, at the price of more checkpoints during the run; with the \
+       checkpointer off, recovery replays the whole history";
+    (* Deliberately not divisors of the run length: a divisor puts the
+       last checkpoint exactly at the horizon and every interval then
+       shows the same (burst-only) redo tail. *)
+    points = [ 0; 1100; 270; 70 ];
+    run = restart_point;
+    columns =
+      [
+        ("ckpt_ms", fun ms _ -> Jsonx.Int ms);
+        ("commits", fun _ p -> Jsonx.Int p.r.Runner.commits);
+        ("wal_records", fun _ p -> Jsonx.Int p.wal_records);
+        ("replayed_records", fun _ p -> Jsonx.Int p.info.Engine.replayed_records);
+        ("replayed_versions", fun _ p -> Jsonx.Int p.info.Engine.replayed_versions);
+        ("losers_rolled_back", fun _ p -> Jsonx.Int p.info.Engine.losers_rolled_back);
+        ("truncated_frames", fun _ p -> Jsonx.Int p.info.Engine.truncated_frames);
+        ("recovered_to_lsn", fun _ p -> Jsonx.Int p.info.Engine.recovered_to_lsn);
+        ("recovery_cost_us", fun _ p -> Jsonx.Float (cost_us p));
+        ( "replay_records_per_s",
+          fun _ p ->
+            Jsonx.Float
+              (if cost_us p <= 0. then 0.
+               else float_of_int p.info.Engine.replayed_records /. (cost_us p /. 1e6)) );
+        ("wall_s", fun _ p -> Jsonx.Float p.wall);
+      ];
+    fields = (fun _ -> [ ("engine", Jsonx.Str "pg-vdriver") ]);
+    gates =
+      [
+        ( "replay_shrinks",
+          fun results ->
+            Sweep.decreasing (List.map (fun (_, p) -> p.info.Engine.replayed_records) results) );
+        ("losers_rolled_back", Sweep.every (fun _ p -> p.info.Engine.losers_rolled_back > 0));
+      ];
+    points_key = "points";
+  }
 
 let run () =
   Common.section ~figure:"Recovery" ~title:"Crash-recovery work by engine (§3.5, §4.2)"
@@ -191,23 +180,16 @@ let run () =
        identify losers; PostgreSQL consults the commit log directly; the \
        SIRO engines recover near-instantly (bit toggles, off-row state \
        dropped wholesale)";
-  let rows =
-    List.map
-      (fun name ->
-        let name, recovery, space, clean = run_engine name in
-        [
-          name;
-          Format.asprintf "%a" Clock.pp recovery;
-          Table.fmt_bytes space;
-          (if clean then "yes" else "NO");
-        ])
-      [ "pg"; "mysql"; "pg-vdriver"; "mysql-vdriver" ]
-  in
-  Table.print ~header:[ "engine"; "recovery-work"; "version-space-at-crash"; "losers-undone" ] rows;
-  Common.section ~figure:"Recovery"
-    ~title:"Restart replay vs checkpoint interval (BENCH_recovery.json)"
-    ~expectation:
-      "shorter checkpoint intervals bound the redo tail: fewer records replayed \
-       and a cheaper restart, at the price of more checkpoints during the run; \
-       with the checkpointer off, recovery replays the whole history";
-  recovery_point ()
+  let runs = List.map run_engine [ "pg"; "mysql"; "pg-vdriver"; "mysql-vdriver" ] in
+  Table.print ~header:[ "engine"; "recovery-work"; "version-space-at-crash"; "losers-undone" ]
+    (List.map
+       (fun (name, recovery, space, clean) ->
+         [
+           name;
+           Format.asprintf "%a" Clock.pp recovery;
+           Table.fmt_bytes space;
+           (if clean then "yes" else "NO");
+         ])
+       runs);
+  Sweep.gate ~bench:"recovery" "losers_undone" (List.for_all (fun (_, _, _, clean) -> clean) runs);
+  Sweep.run restart_sweep ()

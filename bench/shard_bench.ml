@@ -6,120 +6,51 @@
    (the reported curve: simulated throughput, peak version space,
    cross-shard commit share) and once more on real OCaml 5 domains;
    the two digests must agree at every point and both sides must hold
-   every invariant, including the cross-shard atomicity oracle. The
-   simulated-time cost of 2PC is visible as the gap between the
-   cross-shard share and a flat curve — sharding the pipeline must not
-   change what commits, only where the versions live. *)
+   every invariant, including the cross-shard atomicity oracle (gate
+   [clean]); every multi-shard point must commit through 2PC (gate
+   [cross_present]). The simulated-time cost of 2PC is visible as the
+   gap between the cross-shard share and a flat curve — sharding the
+   pipeline must not change what commits, only where the versions
+   live. *)
 
 let cfg ~shards =
-  let base =
-    {
-      Exp_config.default with
-      Exp_config.name = Printf.sprintf "bench-shard-x%d" shards;
-      seed = 42;
-      duration_s = Common.sec 1.0;
-      workers = 8;
-      schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-      phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-      llts = [ { Exp_config.start_s = Common.sec 0.2; duration_s = Common.sec 0.5; count = 2 } ];
-      gc_period = Clock.ms 10;
-      sample_period_s = Common.sec 0.05;
-      ckpt_period_s = Common.sec 0.25;
-    }
-  in
-  { (Shard_runner.default ~shards base) with Shard_runner.cross_pct = 30 }
+  Shard_runner.default ~shards
+    (Sweep.sharded ~name:(Printf.sprintf "bench-shard-x%d" shards) ~duration_s:1.0)
 
-let run () =
-  Common.section ~figure:"Shard"
-    ~title:"Sharded pipelines, 1 -> 8 shards (BENCH_shard.json)"
-    ~expectation:
+let sweep =
+  {
+    Sweep.name = "shard";
+    title = "Sharded pipelines, 1 -> 8 shards";
+    expectation =
       "throughput stays flat-ish while per-shard version space shrinks as the keyspace \
        splits; cross-shard (2PC) traffic appears from 2 shards on; every point passes the \
        invariant catalogue in Sim and Domains modes and the two digests agree (violations \
        always 0)";
-  let sweep = [ 1; 2; 4; 8 ] in
-  let points =
-    List.map
+    points = [ 1; 2; 4; 8 ];
+    run =
       (fun shards ->
-        let c = cfg ~shards in
-        let sim = Shard_runner.run ~mode:Shard_runner.Sim c in
-        let t0 = Unix.gettimeofday () in
-        let dom =
-          Shard_runner.run ~mode:(Shard_runner.Domains { domains = min shards 4 }) c
-        in
-        let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-        let mismatches = Shard_runner.digest_diff sim.Shard_runner.digest dom.Shard_runner.digest in
-        List.iter
-          (fun m -> Printf.printf "!! x%d digest mismatch: %s\n" shards m)
-          mismatches;
-        let violations =
-          Fault_report.violation_count sim.Shard_runner.report
-          + Fault_report.violation_count dom.Shard_runner.report
-        in
-        let row =
-          [
-            string_of_int shards;
-            string_of_int sim.Shard_runner.commits;
-            Printf.sprintf "%.0f" sim.Shard_runner.throughput;
-            string_of_int sim.Shard_runner.cross_commits;
-            string_of_int sim.Shard_runner.two_pc_steps;
-            string_of_int sim.Shard_runner.peak_space;
-            string_of_int sim.Shard_runner.epochs;
-            string_of_int violations;
-            string_of_int (List.length mismatches);
-            string_of_int wall_ms;
-          ]
-        in
-        let json =
-          Jsonx.Obj
-            [
-              ("shards", Jsonx.Int shards);
-              ("commits", Jsonx.Int sim.Shard_runner.commits);
-              ("commits_per_s", Jsonx.Float sim.Shard_runner.throughput);
-              ("cross_commits", Jsonx.Int sim.Shard_runner.cross_commits);
-              ("single_commits", Jsonx.Int sim.Shard_runner.single_commits);
-              ("two_pc_steps", Jsonx.Int sim.Shard_runner.two_pc_steps);
-              ("conflicts", Jsonx.Int sim.Shard_runner.conflicts);
-              ("llt_reads", Jsonx.Int sim.Shard_runner.llt_reads);
-              ("peak_space_bytes", Jsonx.Int sim.Shard_runner.peak_space);
-              ("final_space_bytes", Jsonx.Int sim.Shard_runner.final_space);
-              ("epochs", Jsonx.Int sim.Shard_runner.epochs);
-              ("violations", Jsonx.Int violations);
-              ("digest_mismatches", Jsonx.Int (List.length mismatches));
-              ("domains_digest", Shard_runner.digest_to_json dom.Shard_runner.digest);
-              ("wall_ms", Jsonx.Int wall_ms);
-            ]
-        in
-        (sim, violations, List.length mismatches, row, json))
-      sweep
-  in
-  Table.print
-    ~header:
+        Sweep.pair ~label:(Printf.sprintf "x%d" shards) ~domains:(min shards 4) (cfg ~shards));
+    columns =
+      Sweep.pair_columns
+        [
+        ("shards", fun n _ -> Jsonx.Int n);
+        ("commits", fun _ r -> Jsonx.Int r.sim.commits);
+        ("commits_per_s", fun _ r -> Jsonx.Float r.sim.throughput);
+        ("cross_commits", fun _ r -> Jsonx.Int r.sim.cross_commits);
+        ("single_commits", fun _ r -> Jsonx.Int r.sim.single_commits);
+        ("two_pc_steps", fun _ r -> Jsonx.Int r.sim.two_pc_steps);
+        ("conflicts", fun _ r -> Jsonx.Int r.sim.conflicts);
+        ("llt_reads", fun _ r -> Jsonx.Int r.sim.llt_reads);
+        ("peak_space_bytes", fun _ r -> Jsonx.Int r.sim.peak_space);
+        ("final_space_bytes", fun _ r -> Jsonx.Int r.sim.final_space);
+        ("epochs", fun _ r -> Jsonx.Int r.sim.epochs);
+        ];
+    fields = (fun _ -> [ ("engine", Jsonx.Str "pg-vdriver") ]);
+    gates =
       [
-        "shards"; "commits"; "commits/s"; "cross"; "2pc-steps"; "peak-bytes"; "epochs";
-        "violations"; "mismatches"; "wall-ms";
-      ]
-    (List.map (fun (_, _, _, row, _) -> row) points);
-  let clean =
-    List.for_all (fun (_, v, m, _, _) -> v = 0 && m = 0) points
-  in
-  let cross_present =
-    List.for_all
-      (fun (sim, _, _, _, _) ->
-        sim.Shard_runner.digest.Shard_runner.d_shards = 1
-        || sim.Shard_runner.cross_commits > 0)
-      points
-  in
-  Printf.printf "all points clean: %b; 2PC exercised at every multi-shard point: %b\n" clean
-    cross_present;
-  Obs_export.write_file "BENCH_shard.json"
-    (Jsonx.Obj
-       [
-         ("bench", Jsonx.Str "shard");
-         ("seed", Jsonx.Int 42);
-         ("engine", Jsonx.Str "pg-vdriver");
-         ("clean", Jsonx.Bool clean);
-         ("cross_present", Jsonx.Bool cross_present);
-         ("points", Jsonx.Arr (List.map (fun (_, _, _, _, j) -> j) points));
-       ]);
-  Printf.printf "-> BENCH_shard.json (%d shard counts)\n" (List.length sweep)
+        Sweep.clean;
+        ( "cross_present",
+          Sweep.every (fun shards r -> shards = 1 || r.Sweep.sim.cross_commits > 0) );
+      ];
+    points_key = "points";
+  }

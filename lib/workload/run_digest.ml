@@ -99,55 +99,34 @@ let of_result ~mode ~domains (cfg : Exp_config.t) (r : Runner.result) =
     max_reclamation_lag_us = r.Runner.max_reclamation_lag / 1_000;
   }
 
-type tol = { rel : float; abs : int }
-
-type tolerance = {
-  commits : tol;
-  conflicts : tol;
-  llt_reads : tol;
-  retries : tol;
-  give_ups : tol;
-  sheds : tol;
-  wal_errors : tol;
-  space : tol;
-  chain : tol;
-  latency : tol;
-  lag : tol;
-}
-
-(* Calibrated against the differential qcheck matrix (test_differential):
-   real interleaving shifts conflict/retry counts a lot and the
-   volume/space counters a little; a lost publication shifts commits by
-   a worker's whole output, far past any of these. *)
-let default_tolerance =
-  {
-    commits = { rel = 0.20; abs = 400 };
-    conflicts = { rel = 2.0; abs = 150 };
-    llt_reads = { rel = 0.25; abs = 400 };
-    retries = { rel = 2.0; abs = 60 };
-    give_ups = { rel = 2.0; abs = 25 };
-    sheds = { rel = 2.0; abs = 25 };
-    wal_errors = { rel = 2.0; abs = 80 };
-    (* Peak space is the spikiest field: under a space-storm plan one
-       extra LLT-pinned segment riding through a burst doubles the
-       transient peak, so only a >2x divergence is flagged. *)
-    space = { rel = 1.0; abs = 65536 };
-    chain = { rel = 1.0; abs = 12 };
-    latency = { rel = 0.75; abs = 60 };
-    lag = { rel = 2.0; abs = 100_000 };
-  }
-
-let close tol a b =
-  let slack = max tol.abs (int_of_float (tol.rel *. float_of_int (max (abs a) (abs b)))) in
-  abs (a - b) <= slack
-
-let diff ?(tolerance = default_tolerance) a b =
+let diff a b =
+  (* Per-field closeness for the statistical counters, [(rel, abs)]:
+     [a] and [b] agree when [|a - b| <= max abs (rel * max |a| |b|)].
+     Calibrated against the differential qcheck matrix
+     (test_differential): real interleaving shifts conflict/retry counts
+     a lot and the volume/space counters a little; a lost publication
+     shifts commits by a worker's whole output, far past any of these. *)
+  let commits = (0.20, 400)
+  and conflicts = (2.0, 150)
+  and llt_reads = (0.25, 400)
+  and retries = (2.0, 60)
+  and give_ups = (2.0, 25)
+  and sheds = (2.0, 25)
+  and wal_errors = (2.0, 80)
+  (* Peak space is the spikiest field: under a space-storm plan one
+     extra LLT-pinned segment riding through a burst doubles the
+     transient peak, so only a >2x divergence is flagged. *)
+  and space = (1.0, 65536)
+  and chain = (1.0, 12)
+  and latency = (0.75, 60)
+  and lag = (2.0, 100_000) in
   let out = ref [] in
   let say fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let approx name tol v =
-    if not (close tol (v a) (v b)) then
-      say "%s: %s=%d vs %s=%d (tol rel=%.2f abs=%d)" name a.mode (v a) b.mode (v b) tol.rel
-        tol.abs
+  let approx name (rel, abs_) v =
+    let x = v a and y = v b in
+    let slack = max abs_ (int_of_float (rel *. float_of_int (max (abs x) (abs y)))) in
+    if abs (x - y) > slack then
+      say "%s: %s=%d vs %s=%d (tol rel=%.2f abs=%d)" name a.mode x b.mode y rel abs_
   in
   (* Safety facts first: each side must be clean on its own. *)
   List.iter
@@ -163,61 +142,29 @@ let diff ?(tolerance = default_tolerance) a b =
      any disagreement is a mismatch outright. *)
   if a.gc_backend <> b.gc_backend then
     say "gc_backend: %s=%s vs %s=%s" a.mode a.gc_backend b.mode b.gc_backend;
-  approx "commits" tolerance.commits (fun d -> d.commits);
-  approx "conflicts" tolerance.conflicts (fun d -> d.conflicts);
-  approx "llt_reads" tolerance.llt_reads (fun d -> d.llt_reads);
-  approx "retries" tolerance.retries (fun d -> d.retries);
-  approx "give_ups" tolerance.give_ups (fun d -> d.give_ups);
-  approx "sheds" tolerance.sheds (fun d -> d.sheds);
-  approx "wal_errors" tolerance.wal_errors (fun d -> d.wal_errors);
-  approx "peak_space" tolerance.space (fun d -> d.peak_space);
-  approx "final_space" tolerance.space (fun d -> d.final_space);
-  approx "peak_chain" tolerance.chain (fun d -> d.peak_chain);
-  approx "chain_p50" tolerance.chain (fun d -> d.chain_p50);
-  approx "chain_p99" tolerance.chain (fun d -> d.chain_p99);
-  approx "latency_p50_us" tolerance.latency (fun d -> d.latency_p50_us);
-  approx "latency_p99_us" tolerance.latency (fun d -> d.latency_p99_us);
+  approx "commits" commits (fun d -> d.commits);
+  approx "conflicts" conflicts (fun d -> d.conflicts);
+  approx "llt_reads" llt_reads (fun d -> d.llt_reads);
+  approx "retries" retries (fun d -> d.retries);
+  approx "give_ups" give_ups (fun d -> d.give_ups);
+  approx "sheds" sheds (fun d -> d.sheds);
+  approx "wal_errors" wal_errors (fun d -> d.wal_errors);
+  approx "peak_space" space (fun d -> d.peak_space);
+  approx "final_space" space (fun d -> d.final_space);
+  approx "peak_chain" chain (fun d -> d.peak_chain);
+  approx "chain_p50" chain (fun d -> d.chain_p50);
+  approx "chain_p99" chain (fun d -> d.chain_p99);
+  approx "latency_p50_us" latency (fun d -> d.latency_p50_us);
+  approx "latency_p99_us" latency (fun d -> d.latency_p99_us);
   (* Relocation volume tracks maintenance work; completeness is the
      prune-soundness headline. Space tolerance fits both scales. *)
-  approx "prune_relocated" tolerance.space (fun d -> d.prune_relocated);
+  approx "prune_relocated" space (fun d -> d.prune_relocated);
   if Float.abs (a.prune_completeness -. b.prune_completeness) > 0.25 then
     say "prune_completeness: %s=%.3f vs %s=%.3f" a.mode a.prune_completeness b.mode
       b.prune_completeness;
   if a.lag_armed && b.lag_armed then
-    approx "max_reclamation_lag_us" tolerance.lag (fun d -> d.max_reclamation_lag_us);
+    approx "max_reclamation_lag_us" lag (fun d -> d.max_reclamation_lag_us);
   List.rev !out
-
-let to_json d =
-  Jsonx.Obj
-    [
-      ("mode", Jsonx.Str d.mode);
-      ("domains", Jsonx.Int d.domains);
-      ("gc_backend", Jsonx.Str d.gc_backend);
-      ("commits", Jsonx.Int d.commits);
-      ("conflicts", Jsonx.Int d.conflicts);
-      ("llt_reads", Jsonx.Int d.llt_reads);
-      ("retries", Jsonx.Int d.retries);
-      ("give_ups", Jsonx.Int d.give_ups);
-      ("sheds", Jsonx.Int d.sheds);
-      ("wal_errors", Jsonx.Int d.wal_errors);
-      ("faults_injected", Jsonx.Int d.faults_injected);
-      ("invariant_violations", Jsonx.Int d.invariant_violations);
-      ("peak_space", Jsonx.Int d.peak_space);
-      ("final_space", Jsonx.Int d.final_space);
-      ("peak_chain", Jsonx.Int d.peak_chain);
-      ("prune_relocated", Jsonx.Int d.prune_relocated);
-      ("prune_in_flight", Jsonx.Int d.prune_in_flight);
-      ("prune_completeness", Jsonx.Float d.prune_completeness);
-      ("max_holes", Jsonx.Int d.max_holes);
-      ("holey_chains", Jsonx.Int d.holey_chains);
-      ("avg_throughput", Jsonx.Float d.avg_throughput);
-      ("latency_p50_us", Jsonx.Int d.latency_p50_us);
-      ("latency_p99_us", Jsonx.Int d.latency_p99_us);
-      ("chain_p50", Jsonx.Int d.chain_p50);
-      ("chain_p99", Jsonx.Int d.chain_p99);
-      ("lag_armed", Jsonx.Bool d.lag_armed);
-      ("max_reclamation_lag_us", Jsonx.Int d.max_reclamation_lag_us);
-    ]
 
 let pp fmt d =
   Format.fprintf fmt

@@ -51,34 +51,13 @@ type t = {
 
 val of_result : mode:string -> domains:int -> Exp_config.t -> Runner.result -> t
 
-(** Per-field closeness for the statistical counters: [a] and [b] agree
-    when [|a - b| <= max abs (rel * max |a| |b|)]. *)
-type tol = { rel : float; abs : int }
-
-type tolerance = {
-  commits : tol;
-  conflicts : tol;
-  llt_reads : tol;
-  retries : tol;
-  give_ups : tol;
-  sheds : tol;
-  wal_errors : tol;
-  space : tol;  (** peak and final bytes *)
-  chain : tol;  (** peak length and CDF percentiles *)
-  latency : tol;  (** p50/p99 microseconds *)
-  lag : tol;  (** max reclamation lag, microseconds *)
-}
-
-val default_tolerance : tolerance
-(** Calibrated on the differential qcheck matrix: wide enough that
-    honest scheduling noise between the modes never trips it, tight
-    enough that losing any worker's counters always does. *)
-
-val diff : ?tolerance:tolerance -> t -> t -> string list
+val diff : t -> t -> string list
 (** Human-readable mismatches, empty when the digests agree. Safety
     fields (violations, hole shape, conservation) are exact — any
     nonzero violation count or >1-hole chain on either side is itself a
-    mismatch; statistical fields use the tolerance. *)
+    mismatch; statistical fields use per-field tolerances calibrated on
+    the differential qcheck matrix: wide enough that honest scheduling
+    noise between the modes never trips them, tight enough that losing
+    any worker's counters always does. *)
 
-val to_json : t -> Jsonx.t
 val pp : Format.formatter -> t -> unit

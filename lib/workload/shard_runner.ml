@@ -1,25 +1,32 @@
 type mode = Substrate.mode = Sim | Domains of { domains : int }
 
+let epoch_period = Clock.ms 5
+let net_tick = Clock.ms 1 (* resolver sweep period (faulty configs only) *)
+let rep_lease = Clock.ms 50 (* primary authority lease *)
+let rep_sweep = Clock.ms 2 (* failover scheduler period *)
+let rep_lag_bound = Clock.ms 250 (* bounded-failover-lag budget *)
+
+(* Past the 50 ms lease: a killed node stays down long enough for the
+   lease to expire and a successor to be promoted, so every kill
+   exercises a real failover (and the fencing of the returning node).
+   Below the lease, a fast reboot would rescue the primary's timeline
+   instead. *)
+let revive_after = Clock.ms 80
+
 type cfg = {
   base : Exp_config.t;
   shards : int;
   scenario : Shard_router.scenario;
   cross_pct : int; (* % of writing transactions forced to span two shards *)
-  epoch_period : Clock.time;
   crash_points : int list; (* cumulative-LSN power-loss schedule *)
   crash_steps : int list; (* global 2PC step indices, ascending *)
   torn_tail : bool;
   check_period : Clock.time; (* invariant sweep; 0 disables *)
   net : Net_fault.config; (* message-fault model; none = transparent *)
-  net_tick : Clock.time; (* resolver sweep period (faulty configs only) *)
   replicas : int; (* backups per shard; 0 = replication layer absent *)
   rep_quorum : int option; (* sync-replication quorum; None = majority *)
-  rep_lease : Clock.time; (* primary authority lease *)
-  rep_sweep : Clock.time; (* failover scheduler period *)
-  rep_lag_bound : Clock.time; (* bounded-failover-lag budget *)
   kill_steps : int list; (* global replication-step kill schedule, ascending *)
   node_faults : Fault_plan.t option; (* Node_kill / Node_revive arrivals *)
-  revive_after : Clock.time; (* age at which dead nodes are revived *)
   sabotage : Sabotage.t option; (* a sharded registry row *)
 }
 
@@ -29,26 +36,15 @@ let default ~shards base =
     shards;
     scenario = Shard_router.Uniform_shards;
     cross_pct = 30;
-    epoch_period = Clock.ms 5;
     crash_points = [];
     crash_steps = [];
     torn_tail = false;
     check_period = Clock.ms 50;
     net = Net_fault.none;
-    net_tick = Clock.ms 1;
     replicas = 0;
     rep_quorum = None;
-    rep_lease = Clock.ms 50;
-    rep_sweep = Clock.ms 2;
-    rep_lag_bound = Clock.ms 250;
     kill_steps = [];
     node_faults = None;
-    (* Past the 50 ms lease: by default a killed node stays down long
-       enough for the lease to expire and a successor to be promoted,
-       so every kill exercises a real failover (and the fencing of the
-       returning node). Set below the lease to model fast reboots that
-       rescue the primary's timeline instead. *)
-    revive_after = Clock.ms 80;
     sabotage = None;
   }
 
@@ -147,7 +143,7 @@ let digest_to_json d =
    follows Run_digest: an absolute floor for small-run noise (a run
    short enough that no sampler fired can legitimately report a fully
    pruned peak of zero) under a relative band for real divergence. *)
-let digest_diff ?(tol = 0.5) a b =
+let digest_diff a b =
   let acc = ref [] in
   let say fmt = Format.kasprintf (fun s -> acc := s :: !acc) fmt in
   if a.d_shards <> b.d_shards then say "shards: %d vs %d" a.d_shards b.d_shards;
@@ -157,8 +153,8 @@ let digest_diff ?(tol = 0.5) a b =
     let slack = max abs (int_of_float (rel *. float_of_int (max x y))) in
     Stdlib.abs (x - y) <= slack
   in
-  if not (close ~rel:tol ~abs:400 a.d_commits b.d_commits) then
-    say "commits: %d vs %d (beyond %.0f%% + 400)" a.d_commits b.d_commits (tol *. 100.);
+  if not (close ~rel:0.5 ~abs:400 a.d_commits b.d_commits) then
+    say "commits: %d vs %d (beyond 50%% + 400)" a.d_commits b.d_commits;
   if not (close ~rel:1.0 ~abs:65536 a.d_peak_space b.d_peak_space) then
     say "peak_space: %d vs %d (beyond 2x + 64KiB)" a.d_peak_space b.d_peak_space;
   (* Cross-shard traffic must exist in both modes or neither. *)
@@ -332,7 +328,7 @@ let setup_replicas (cfg : cfg) g =
   if cfg.replicas = 0 then None
   else begin
     let r =
-      Replica.create ?quorum:cfg.rep_quorum ~lease:cfg.rep_lease ~replicas:cfg.replicas
+      Replica.create ?quorum:cfg.rep_quorum ~lease:rep_lease ~replicas:cfg.replicas
         ~wals:(Shard_group.wals g) ()
     in
     Shard_group.attach_replicas g r;
@@ -393,14 +389,14 @@ let failover_beat (cfg : cfg) r ~node_rng ~dead_since ~note ~now =
       match Hashtbl.find_opt dead_since (sid, node) with
       | None -> Hashtbl.replace dead_since (sid, node) now
       | Some since ->
-          if now - since >= cfg.revive_after && Replica.revive r ~sid ~node ~now
+          if now - since >= revive_after && Replica.revive r ~sid ~node ~now
           then begin
             Hashtbl.remove dead_since (sid, node);
             note "node-revive"
           end)
     dead;
   Replica.sweep r ~now;
-  Replica.check_no_split_brain r @ Replica.check_failover_lag r ~bound:cfg.rep_lag_bound ~now
+  Replica.check_no_split_brain r @ Replica.check_failover_lag r ~bound:rep_lag_bound ~now
 
 (* The client-visible commit ledger the loss oracle audits: everything
    the group acknowledged plus anything a stale claimant fabricated. *)
@@ -603,7 +599,7 @@ let run ?(mode = Sim) (cfg : cfg) =
                    the failover scheduler gets to promote before this
                    worker offers load again. *)
                 t := Shard_group.abort g txn ~now:!t;
-                Scheduler.Sleep_until (!t + cfg.rep_lease + (2 * cfg.rep_sweep))
+                Scheduler.Sleep_until (!t + rep_lease + (2 * rep_sweep))
             | Crash_now ->
                 (* The 2PC step hook killed the system mid-commit. The
                    in-flight transaction (ours included) dies with it;
@@ -655,7 +651,7 @@ let run ?(mode = Sim) (cfg : cfg) =
                          pruning groupwide. *)
                       state := None;
                       let t = Shard_group.abort g txn ~now in
-                      Scheduler.Sleep_until (t + cfg.rep_lease + (2 * cfg.rep_sweep))
+                      Scheduler.Sleep_until (t + rep_lease + (2 * rep_sweep))
                 end)
       done)
     base.Exp_config.llts;
@@ -668,17 +664,17 @@ let run ?(mode = Sim) (cfg : cfg) =
       end);
   (* The epoch broadcaster: the only process that reads the global live
      table for pruning purposes. *)
-  Substrate.spawn sub ~name:"epoch" ~at:cfg.epoch_period (fun now ->
+  Substrate.spawn sub ~name:"epoch" ~at:epoch_period (fun now ->
       ignore (Shard_group.broadcast ~now g);
-      if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + cfg.epoch_period));
+      if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + epoch_period));
   (* The net resolver: pump due frames, resend unacked decisions, run
      the in-doubt termination protocol. Spawned only for active fault
      configs, so the transparent fabric adds no scheduler process (and
      keeps dispatch-probe crash timing byte-identical). *)
   if active then
-    Substrate.spawn sub ~name:"net" ~at:cfg.net_tick (fun now ->
+    Substrate.spawn sub ~name:"net" ~at:net_tick (fun now ->
         (try Shard_group.tick g ~now with Crash_now -> do_crash_restart ~now);
-        if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + cfg.net_tick));
+        if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + net_tick));
   (* The failover scheduler: node-fault plan polling, age-based revives,
      lease sweeps / promotions, and the online replication checks. *)
   (match repl with
@@ -686,7 +682,7 @@ let run ?(mode = Sim) (cfg : cfg) =
   | Some r ->
       let node_rng = Rng.create (base.Exp_config.seed lxor 0x6b696c6c) in
       let dead_since = Hashtbl.create 8 in
-      Substrate.spawn sub ~name:"failover" ~at:cfg.rep_sweep (fun now ->
+      Substrate.spawn sub ~name:"failover" ~at:rep_sweep (fun now ->
           let vs =
             failover_beat cfg r ~node_rng ~dead_since
               ~note:(Fault_report.note_fault report)
@@ -694,7 +690,7 @@ let run ?(mode = Sim) (cfg : cfg) =
           in
           record_all ~at:now (viols_of_pairs vs);
           if now >= horizon then Scheduler.Finished
-          else Scheduler.Sleep_until (now + cfg.rep_sweep)));
+          else Scheduler.Sleep_until (now + rep_sweep)));
   (* Periodic invariant sweep: per-shard catalogue plus the static
      cross-shard 2PC checks (the latter catch a skipped decision with
      no crash at all). *)
@@ -811,7 +807,7 @@ let run ?(mode = Sim) (cfg : cfg) =
   | Some r ->
       record_all ~at:endt (viols_of_pairs (Replica.check_no_split_brain r));
       record_all ~at:endt
-        (viols_of_pairs (Replica.check_failover_lag r ~bound:cfg.rep_lag_bound ~now:endt));
+        (viols_of_pairs (Replica.check_failover_lag r ~bound:rep_lag_bound ~now:endt));
       record_all ~at:endt
         (Invariant.check_no_committed_loss ~analyses:final_analyses
            ~acked:(rep_acked g r) final_wals);

@@ -38,18 +38,13 @@ type cfg = {
   shards : int;
   scenario : Shard_router.scenario;
   cross_pct : int;  (** % of writing transactions forced to span two shards *)
-  epoch_period : Clock.time;
   crash_points : int list;  (** power loss when the summed LSN reaches each *)
   crash_steps : int list;  (** crash at these global 2PC step indices, ascending *)
   torn_tail : bool;
   check_period : Clock.time;  (** invariant sweep period; 0 disables *)
   net : Net_fault.config;  (** message-fault model; {!Net_fault.none} = transparent *)
-  net_tick : Clock.time;  (** resolver sweep period (active fault configs only) *)
   replicas : int;  (** backups per shard; 0 = replication layer absent *)
   rep_quorum : int option;  (** sync-replication quorum; [None] = majority *)
-  rep_lease : Clock.time;  (** primary authority lease *)
-  rep_sweep : Clock.time;  (** failover scheduler period *)
-  rep_lag_bound : Clock.time;  (** bounded-failover-lag budget *)
   kill_steps : int list;
       (** kill a node of the step's shard when the global replication
           step counter reaches each index, ascending — R_ship/R_quorum
@@ -57,20 +52,21 @@ type cfg = {
   node_faults : Fault_plan.t option;
       (** seeded [Node_kill]/[Node_revive] arrivals (other actions are
           ignored); victims are drawn from the runner's own stream *)
-  revive_after : Clock.time;
-      (** age at which dead nodes are revived; the default exceeds the
-          lease so every kill runs a full failover — below the lease a
-          fast reboot rescues the dead primary's own timeline instead *)
   sabotage : Sabotage.t option;
       (** a sharded {!Sabotage} row (skipped coordinator decision,
           network or failover defect); unsharded rows are ignored *)
 }
 
 val default : shards:int -> Exp_config.t -> cfg
-(** Uniform routing, 30% cross-shard, 5 ms epochs, 50 ms sweeps, no
-    faults, transparent fabric, 1 ms resolver ticks, no replication
-    (50 ms leases, 2 ms failover sweeps, a 250 ms lag budget and an
-    80 ms revive age once [replicas > 0]). *)
+(** Uniform routing, 30% cross-shard, 50 ms sweeps, no faults,
+    transparent fabric, no replication. Epochs broadcast every 5 ms and
+    the resolver ticks every 1 ms; replicated groups use 50 ms leases,
+    2 ms failover sweeps and revive dead nodes after 80 ms, past the
+    lease, so every kill runs a full failover. *)
+
+val rep_lag_bound : Clock.time
+(** The bounded-failover-lag budget, 250 ms: every completed promotion
+    must land within it. *)
 
 type net_digest = {
   nd_sent : int;
@@ -112,13 +108,13 @@ type digest = {
 
 val digest_to_json : digest -> Jsonx.t
 
-val digest_diff : ?tol:float -> digest -> digest -> string list
+val digest_diff : digest -> digest -> string list
 (** Empty when the digests agree: violations exactly zero in both,
-    commits within the relative tolerance (default 0.5 — Domains
-    interleaves for real) with a 400-commit floor, peak space within 2x
-    with a 64 KiB floor, cross-shard traffic present in both or
-    neither, net blocks present in both or neither, and net send
-    volume within gross (5x + 4096) agreement. *)
+    commits within 50% (Domains interleaves for real) with a
+    400-commit floor, peak space within 2x with a 64 KiB floor,
+    cross-shard traffic present in both or neither, net blocks present
+    in both or neither, and net send volume within gross (5x + 4096)
+    agreement. *)
 
 type result = {
   commits : int;

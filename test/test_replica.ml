@@ -295,7 +295,7 @@ let test_kill_campaign_honest () =
     (gauge "fencings-s0" + gauge "fencings-s1");
   check_bool "every completed failover within the budget" true
     (List.for_all
-       (fun l -> l <= cfg.Shard_runner.rep_lag_bound / 1000)
+       (fun l -> l <= Shard_runner.rep_lag_bound / 1000)
        res.Shard_runner.failover_lags_us)
 
 let test_kill_campaign_domains () =
