@@ -10,21 +10,25 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printer *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if String.exists needs_escape s then
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+  else Buffer.add_string buf s;
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -127,9 +131,11 @@ let of_string s =
               if !pos + 4 > n then fail "truncated \\u escape";
               let hex = String.sub s !pos 4 in
               pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex) with Failure _ -> fail "bad \\u escape"
-              in
+              (* Exactly four hex digits: [int_of_string] alone would
+                 also take ["1_23"], since OCaml literals allow [_]. *)
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all is_hex hex) then fail "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               (* Encode the BMP code point as UTF-8; surrogate pairs are
                  out of scope for the exporter's own output. *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)

@@ -93,34 +93,23 @@ let payload_fields = function
   | Rep_ack { epoch; node; upto } ->
       [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node); ("upto", Jsonx.Int upto) ]
 
-let body_json t =
+(* ------------------------------------------------------------------ *)
+(* Reference codec: the frame as a [Jsonx] tree *)
+
+let body_fields t =
   (* The shard tag is emitted only when nonzero: shard 0 is the
      unsharded (single-pipeline) namespace and its frames must stay
      byte-identical to the pre-sharding format. *)
   let shard_field = if t.shard = 0 then [] else [ ("sh", Jsonx.Int t.shard) ] in
-  Jsonx.Obj
-    ([ ("lsn", Jsonx.Int t.lsn); ("at", Jsonx.Int t.at) ]
-    @ shard_field
-    @ [ ("kind", Jsonx.Str (kind_name t.payload)) ]
-    @ payload_fields t.payload)
+  [ ("lsn", Jsonx.Int t.lsn); ("at", Jsonx.Int t.at) ]
+  @ shard_field
+  @ [ ("kind", Jsonx.Str (kind_name t.payload)) ]
+  @ payload_fields t.payload
 
-let frame_of_body body ~crc =
-  match body with
-  | Jsonx.Obj fields -> Jsonx.Obj (fields @ [ ("crc", Jsonx.Int crc) ])
-  | _ -> invalid_arg "Wal_record.frame_of_body: not an object"
-
-let encode t =
-  let body = body_json t in
-  let crc = Crc32.string (Jsonx.to_string body) in
-  Jsonx.to_string (frame_of_body body ~crc)
-
-let encode_with_bad_crc t =
-  (* A deliberately stale checksum: the frame parses as JSON but fails
-     verification — the shape of a torn sector whose payload bytes were
-     written and whose trailing checksum was not. *)
-  let body = body_json t in
-  let crc = Crc32.string (Jsonx.to_string body) lxor 0x5a5a5a5a in
-  Jsonx.to_string (frame_of_body body ~crc)
+let encode_reference t =
+  let fields = body_fields t in
+  let crc = Crc32.string (Jsonx.to_string (Jsonx.Obj fields)) in
+  Jsonx.to_string (Jsonx.Obj (fields @ [ ("crc", Jsonx.Int crc) ]))
 
 let int_field name obj =
   match Option.bind (Jsonx.member name obj) Jsonx.to_int with
@@ -223,7 +212,7 @@ let payload_of_json kind obj =
       Ok (Rep_ack { epoch; node; upto })
   | k -> Error (Printf.sprintf "unknown record kind %S" k)
 
-let decode ?(check_crc = true) repr =
+let decode_reference ?(check_crc = true) repr =
   let* json =
     match Jsonx.of_string repr with Ok j -> Ok j | Error e -> Error ("bad frame: " ^ e)
   in
@@ -248,3 +237,297 @@ let decode ?(check_crc = true) repr =
   let* kind = str_field "kind" json in
   let* payload = payload_of_json kind json in
   Ok { lsn; at; shard; payload }
+
+(* ------------------------------------------------------------------ *)
+(* Direct codec: the same bytes, written and scanned in place *)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* [string_of_int n], without the intermediate string. *)
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+(* [key] is the whole member prefix, e.g. [,"tid":]. *)
+let add_member buf key n =
+  Buffer.add_string buf key;
+  add_int buf n
+
+let add_shards buf key shards =
+  Buffer.add_string buf key;
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_int buf s)
+    shards;
+  Buffer.add_char buf ']'
+
+let add_payload buf = function
+  | Txn_begin { tid } -> add_member buf ",\"tid\":" tid
+  | Txn_commit { tid; cts } ->
+      add_member buf ",\"tid\":" tid;
+      add_member buf ",\"cts\":" cts
+  | Txn_abort { tid; ats } ->
+      add_member buf ",\"tid\":" tid;
+      add_member buf ",\"ats\":" ats
+  | Version_insert { tid; rid; value } ->
+      add_member buf ",\"tid\":" tid;
+      add_member buf ",\"rid\":" rid;
+      add_member buf ",\"value\":" value
+  | Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi } ->
+      add_member buf ",\"rid\":" rid;
+      add_member buf ",\"vs\":" vs;
+      add_member buf ",\"ve\":" ve;
+      add_member buf ",\"vs_time\":" vs_time;
+      add_member buf ",\"ve_time\":" ve_time;
+      add_member buf ",\"bytes\":" bytes;
+      add_member buf ",\"value\":" value;
+      add_member buf ",\"seg\":" seg_id;
+      Buffer.add_string buf ",\"cls\":";
+      Jsonx.to_buffer buf (Jsonx.Str cls);
+      add_member buf ",\"lo\":" lo;
+      add_member buf ",\"hi\":" hi
+  | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
+      add_member buf ",\"seg\":" seg_id
+  | Ckpt_begin -> ()
+  | Ckpt_end { snapshot } ->
+      Buffer.add_string buf ",\"snapshot\":";
+      Jsonx.to_buffer buf snapshot
+  | Prepare { tid; coord; shards } ->
+      add_member buf ",\"tid\":" tid;
+      add_member buf ",\"coord\":" coord;
+      add_shards buf ",\"shards\":" shards
+  | Coord_commit { gid; cts; shards } ->
+      add_member buf ",\"gid\":" gid;
+      add_member buf ",\"cts\":" cts;
+      add_shards buf ",\"shards\":" shards
+  | Coord_abort { gid } | Forget { gid } -> add_member buf ",\"gid\":" gid
+  | Ack { gid; shard } ->
+      add_member buf ",\"gid\":" gid;
+      add_member buf ",\"shard\":" shard
+  | Promote { epoch; node } ->
+      add_member buf ",\"epoch\":" epoch;
+      add_member buf ",\"node\":" node
+  | Rep_ack { epoch; node; upto } ->
+      add_member buf ",\"epoch\":" epoch;
+      add_member buf ",\"node\":" node;
+      add_member buf ",\"upto\":" upto
+
+(* The checksum covers the body as a closed object: every byte before
+   [,"crc":], then [}]. *)
+let body_crc s ~len = Crc32.update_sub (Crc32.update_sub 0 s 0 len) "}" 0 1
+
+(* A fresh buffer per frame: Domains mode logs from several domains at
+   once, so nothing here may be shared. *)
+let frame ~crc_mask t =
+  let buf = Buffer.create 256 in
+  add_member buf "{\"lsn\":" t.lsn;
+  add_member buf ",\"at\":" t.at;
+  if t.shard <> 0 then add_member buf ",\"sh\":" t.shard;
+  Buffer.add_string buf ",\"kind\":\"";
+  Buffer.add_string buf (kind_name t.payload);
+  Buffer.add_char buf '"';
+  add_payload buf t.payload;
+  let body = Buffer.contents buf in
+  add_member buf ",\"crc\":" (body_crc body ~len:(String.length body) lxor crc_mask);
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
+let encode t = frame ~crc_mask:0 t
+
+(* A deliberately stale checksum: the frame parses as JSON but fails
+   verification — the shape of a torn sector whose payload bytes were
+   written and whose trailing checksum was not. *)
+let encode_with_bad_crc t = frame ~crc_mask:0x5a5a5a5a t
+
+(* The scanner accepts only the bytes [frame] writes (with any crc), and
+   raises [Not_canonical] on anything else, including a crc mismatch. *)
+exception Not_canonical
+
+type cursor = { s : string; lim : int; mutable pos : int }
+
+let expect c lit =
+  let n = String.length lit in
+  if c.pos + n > c.lim then raise Not_canonical;
+  for i = 0 to n - 1 do
+    if String.unsafe_get c.s (c.pos + i) <> String.unsafe_get lit i then raise Not_canonical
+  done;
+  c.pos <- c.pos + n
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+(* A [string_of_int] rendering: no leading zero, no [-0], and at most 18
+   digits, so the value cannot overflow and the reference parser reads
+   it as the same [Int]. *)
+let int c =
+  let neg = c.pos < c.lim && String.unsafe_get c.s c.pos = '-' in
+  let start = if neg then c.pos + 1 else c.pos in
+  let i = ref start and v = ref 0 in
+  while !i < c.lim && is_digit (String.unsafe_get c.s !i) do
+    v := (!v * 10) + Char.code (String.unsafe_get c.s !i) - Char.code '0';
+    incr i
+  done;
+  let digits = !i - start in
+  if digits = 0 || digits > 18 || (digits > 1 && String.unsafe_get c.s start = '0') || (neg && !v = 0)
+  then raise Not_canonical;
+  c.pos <- !i;
+  if neg then - !v else !v
+
+let member c key =
+  expect c key;
+  int c
+
+(* A string [Jsonx] prints verbatim: no backslash, no control character. *)
+let str c =
+  expect c "\"";
+  let start = c.pos in
+  while c.pos < c.lim && String.unsafe_get c.s c.pos <> '"' do
+    let ch = String.unsafe_get c.s c.pos in
+    if ch = '\\' || Char.code ch < 0x20 then raise Not_canonical;
+    c.pos <- c.pos + 1
+  done;
+  if c.pos >= c.lim then raise Not_canonical;
+  c.pos <- c.pos + 1;
+  String.sub c.s start (c.pos - 1 - start)
+
+let shards c key =
+  expect c key;
+  expect c "[";
+  if c.pos < c.lim && String.unsafe_get c.s c.pos = ']' then begin
+    c.pos <- c.pos + 1;
+    []
+  end
+  else
+    let rec go acc =
+      let n = int c in
+      if c.pos < c.lim && String.unsafe_get c.s c.pos = ',' then begin
+        c.pos <- c.pos + 1;
+        go (n :: acc)
+      end
+      else begin
+        expect c "]";
+        List.rev (n :: acc)
+      end
+    in
+    go []
+
+(* The snapshot runs to the crc suffix; it is canonical iff it prints
+   back to the same bytes. *)
+let snapshot c =
+  let raw = String.sub c.s c.pos (c.lim - c.pos) in
+  match Jsonx.of_string raw with
+  | Ok v when String.equal (Jsonx.to_string v) raw ->
+      c.pos <- c.lim;
+      v
+  | _ -> raise Not_canonical
+
+(* Members are read with [let] in frame order: OCaml evaluates record
+   fields in no fixed order. *)
+let scan_payload c = function
+  | "txn-begin" ->
+      let tid = member c ",\"tid\":" in
+      Txn_begin { tid }
+  | "txn-commit" ->
+      let tid = member c ",\"tid\":" in
+      let cts = member c ",\"cts\":" in
+      Txn_commit { tid; cts }
+  | "txn-abort" ->
+      let tid = member c ",\"tid\":" in
+      let ats = member c ",\"ats\":" in
+      Txn_abort { tid; ats }
+  | "version-insert" ->
+      let tid = member c ",\"tid\":" in
+      let rid = member c ",\"rid\":" in
+      let value = member c ",\"value\":" in
+      Version_insert { tid; rid; value }
+  | "relocate" ->
+      let rid = member c ",\"rid\":" in
+      let vs = member c ",\"vs\":" in
+      let ve = member c ",\"ve\":" in
+      let vs_time = member c ",\"vs_time\":" in
+      let ve_time = member c ",\"ve_time\":" in
+      let bytes = member c ",\"bytes\":" in
+      let value = member c ",\"value\":" in
+      let seg_id = member c ",\"seg\":" in
+      expect c ",\"cls\":";
+      let cls = str c in
+      let lo = member c ",\"lo\":" in
+      let hi = member c ",\"hi\":" in
+      Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
+  | "seg-harden" -> Seg_harden { seg_id = member c ",\"seg\":" }
+  | "seg-drop" -> Seg_drop { seg_id = member c ",\"seg\":" }
+  | "seg-cut" -> Seg_cut { seg_id = member c ",\"seg\":" }
+  | "ckpt-begin" -> Ckpt_begin
+  | "ckpt-end" ->
+      expect c ",\"snapshot\":";
+      Ckpt_end { snapshot = snapshot c }
+  | "2pc-prepare" ->
+      let tid = member c ",\"tid\":" in
+      let coord = member c ",\"coord\":" in
+      let shards = shards c ",\"shards\":" in
+      Prepare { tid; coord; shards }
+  | "2pc-commit" ->
+      let gid = member c ",\"gid\":" in
+      let cts = member c ",\"cts\":" in
+      let shards = shards c ",\"shards\":" in
+      Coord_commit { gid; cts; shards }
+  | "2pc-abort" -> Coord_abort { gid = member c ",\"gid\":" }
+  | "2pc-ack" ->
+      let gid = member c ",\"gid\":" in
+      let shard = member c ",\"shard\":" in
+      Ack { gid; shard }
+  | "2pc-forget" -> Forget { gid = member c ",\"gid\":" }
+  | "rep-promote" ->
+      let epoch = member c ",\"epoch\":" in
+      let node = member c ",\"node\":" in
+      Promote { epoch; node }
+  | "rep-ack" ->
+      let epoch = member c ",\"epoch\":" in
+      let node = member c ",\"node\":" in
+      let upto = member c ",\"upto\":" in
+      Rep_ack { epoch; node; upto }
+  | _ -> raise Not_canonical
+
+let scan ~check_crc s =
+  let n = String.length s in
+  if n = 0 || String.unsafe_get s (n - 1) <> '}' then raise Not_canonical;
+  (* The crc suffix, read from the end: [,"crc":N}]. *)
+  let i = ref (n - 2) in
+  while !i >= 0 && is_digit (String.unsafe_get s !i) do
+    decr i
+  done;
+  if !i >= 0 && String.unsafe_get s !i = '-' then decr i;
+  let lim = !i + 1 - String.length ",\"crc\":" in
+  if lim < 0 then raise Not_canonical;
+  let stored = member { s; lim = n - 1; pos = lim } ",\"crc\":" in
+  if check_crc && stored <> body_crc s ~len:lim then raise Not_canonical;
+  let c = { s; lim; pos = 0 } in
+  let lsn = member c "{\"lsn\":" in
+  let at = member c ",\"at\":" in
+  (* Either [,"sh":S,"kind":] with S nonzero, or [,"kind":]. *)
+  expect c ",\"";
+  let shard =
+    if c.pos < lim && String.unsafe_get s c.pos = 's' then begin
+      let sh = member c "sh\":" in
+      if sh = 0 then raise Not_canonical;
+      expect c ",\"";
+      sh
+    end
+    else 0
+  in
+  expect c "kind\":";
+  let payload = scan_payload c (str c) in
+  if c.pos <> lim then raise Not_canonical;
+  { lsn; at; shard; payload }
+
+let decode ?(check_crc = true) repr =
+  match scan ~check_crc repr with
+  | r -> Ok r
+  | exception Not_canonical -> decode_reference ~check_crc repr

@@ -80,12 +80,46 @@ val kind_name : payload -> string
 
 val encode : t -> string
 (** One-line JSON frame ending in a [crc] member computed over the rest
-    of the frame. *)
+    of the frame.
+
+    The bytes are fixed, byte for byte, by {!encode_reference}: the
+    canonical {!Jsonx} rendering of
+
+    {v {"lsn":L,"at":A[,"sh":S],"kind":"K",<payload members>,"crc":C} v}
+
+    with members in exactly this order, [sh] present only when nonzero,
+    the payload members in the order of the constructor's fields (with
+    [seg_id] named [seg]) and [C] the CRC-32 of every byte before
+    [,"crc":] followed by [}] — the frame with its crc member removed.
+    [encode] writes that layout straight into one buffer; frame sizes
+    feed [wal.bytes], the run digests and the obs golden, so the two
+    must never differ. *)
 
 val encode_with_bad_crc : t -> string
 (** Same frame with a deliberately wrong checksum — the chaos harness
-    uses it to fabricate torn tails that honest recovery must refuse. *)
+    uses it to fabricate torn tails that honest recovery must refuse.
+    It differs from [encode] only in [C], xored with [0x5a5a5a5a]. *)
 
 val decode : ?check_crc:bool -> string -> (t, string) result
 (** Parse and verify one frame. [~check_crc:false] skips checksum
-    verification — the sabotage knob recovery must {e not} use. *)
+    verification — the sabotage knob recovery must {e not} use.
+
+    A single-pass scanner handles frames in the exact layout above:
+    canonical ints (no leading zero, no [-0], at most 18 digits),
+    strings with no [\] and no control character, [sh] only when
+    nonzero, a snapshot that {!Jsonx.to_string} prints back to the same
+    bytes, and (under [~check_crc:true]) a matching checksum. Such bytes
+    are exactly what {!decode_reference} re-serialises unchanged, so the
+    scanner returns what it would. Anything else — a torn or bit-flipped
+    frame, whitespace, reordered members — goes to {!decode_reference},
+    so the result always equals [decode_reference ~check_crc]. *)
+
+val encode_reference : t -> string
+(** The specification of the frame bytes: the record built as a
+    {!Jsonx} tree, checksummed and printed. *)
+
+val decode_reference : ?check_crc:bool -> string -> (t, string) result
+(** The specification of decoding: parse the frame as JSON, recompute
+    the CRC over the printed members other than [crc] (in parsed order)
+    and read the fields by name. Accepts any JSON spelling of a frame
+    whose canonical form checks out. *)

@@ -6,7 +6,7 @@ type t = {
 
 let make ~creator ~actives ~high =
   let actives = Array.of_list actives in
-  Array.sort compare actives;
+  Array.sort Int.compare actives;
   Array.iter
     (fun ts ->
       if ts >= high then invalid_arg "Read_view.make: active ts >= high";
@@ -14,7 +14,9 @@ let make ~creator ~actives ~high =
     actives;
   { creator; high; actives }
 
-let mem_sorted a x =
+(* Typed, so the comparisons below are integer ones rather than calls
+   to the polymorphic [compare]: this sits on every visibility check. *)
+let mem_sorted (a : int array) (x : int) =
   let rec search lo hi =
     if lo >= hi then false
     else

@@ -10,3 +10,9 @@ val string : string -> int
 
 val update : int -> string -> int
 (** [update crc s] extends a running checksum — [update 0 s = string s]. *)
+
+val update_sub : int -> string -> int -> int -> int
+(** [update_sub crc s off len] extends [crc] with the [len] bytes of [s]
+    starting at [off], without copying them out —
+    [update_sub crc s off len = update crc (String.sub s off len)].
+    @raise Invalid_argument if the range is not inside [s]. *)

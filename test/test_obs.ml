@@ -57,6 +57,20 @@ let test_jsonx_unicode_escape () =
   | Ok _ -> Alcotest.fail "expected string"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+let test_jsonx_unicode_escape_strict () =
+  (* OCaml's [int_of_string "0x1_23"] is 291: an escape must be exactly
+     four hex digits, with no [_] separator. *)
+  List.iter
+    (fun s ->
+      match Jsonx.of_string s with
+      | Ok _ -> Alcotest.failf "accepted bad escape %S" s
+      | Error _ -> ())
+    [ {|{"a":"\u1_23"}|}; {|"\u12"|}; {|"\u+123"|}; {|"\u0x12"|} ];
+  match Jsonx.of_string {|"\u00E9"|} with
+  | Ok (Jsonx.Str s) -> check_str "upper-case hex" "\xc3\xa9" s
+  | Ok _ -> Alcotest.fail "expected string"
+  | Error e -> Alcotest.failf "parse failed: %s" e
+
 (* -------------------------------------------------------------------- *)
 (* Metrics *)
 
@@ -260,6 +274,8 @@ let suites =
         Alcotest.test_case "roundtrip" `Quick test_jsonx_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_jsonx_parse_errors;
         Alcotest.test_case "unicode escapes" `Quick test_jsonx_unicode_escape;
+        Alcotest.test_case "unicode escapes need four hex digits" `Quick
+          test_jsonx_unicode_escape_strict;
       ] );
     ( "obs.metrics",
       [

@@ -92,6 +92,257 @@ let test_record_bad_crc_encoder () =
   | Error e -> Alcotest.failf "check_crc:false must accept: %s" e
 
 (* -------------------------------------------------------------------- *)
+(* Codec equivalence: the direct codec against the Jsonx-tree reference *)
+
+let codec_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, small_signed_int);
+        (3, int);
+        (1, return min_int);
+        (1, return max_int);
+        (1, return 0);
+      ])
+
+(* Strings that need every kind of escape, plus bytes Jsonx prints raw. *)
+let codec_string =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (6, printable); (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031'; '\127'; '\255' ]) ])
+      (0 -- 8))
+
+let codec_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float);
+        (1, oneofl [ 0.; -0.; 1e15; -1e15; 0.1; 1e300; Float.nan; Float.infinity; 3. ]);
+        (2, map float_of_int small_signed_int);
+      ])
+
+let codec_json =
+  QCheck.Gen.(
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Jsonx.Null);
+                 (1, map (fun b -> Jsonx.Bool b) bool);
+                 (3, map (fun i -> Jsonx.Int i) codec_int);
+                 (3, map (fun f -> Jsonx.Float f) codec_float);
+                 (2, map (fun s -> Jsonx.Str s) codec_string);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun xs -> Jsonx.Arr xs) (list_size (0 -- 3) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun ms -> Jsonx.Obj ms)
+                     (list_size (0 -- 3) (pair codec_string (self (n - 1)))) );
+               ]))
+
+let codec_payload =
+  QCheck.Gen.(
+    let i = codec_int in
+    let shards = list_size (0 -- 4) i in
+    oneof
+      [
+        map (fun tid -> Wal_record.Txn_begin { tid }) i;
+        map2 (fun tid cts -> Wal_record.Txn_commit { tid; cts }) i i;
+        map2 (fun tid ats -> Wal_record.Txn_abort { tid; ats }) i i;
+        map3 (fun tid rid value -> Wal_record.Version_insert { tid; rid; value }) i i i;
+        map
+          (fun (a, cls) ->
+            match a with
+            | [ rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; lo; hi ] ->
+                Wal_record.Relocate
+                  { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
+            | _ -> assert false)
+          (pair (list_repeat 10 i) codec_string);
+        map (fun seg_id -> Wal_record.Seg_harden { seg_id }) i;
+        map (fun seg_id -> Wal_record.Seg_drop { seg_id }) i;
+        map (fun seg_id -> Wal_record.Seg_cut { seg_id }) i;
+        return Wal_record.Ckpt_begin;
+        map (fun snapshot -> Wal_record.Ckpt_end { snapshot }) codec_json;
+        map3 (fun tid coord shards -> Wal_record.Prepare { tid; coord; shards }) i i shards;
+        map3 (fun gid cts shards -> Wal_record.Coord_commit { gid; cts; shards }) i i shards;
+        map (fun gid -> Wal_record.Coord_abort { gid }) i;
+        map2 (fun gid shard -> Wal_record.Ack { gid; shard }) i i;
+        map (fun gid -> Wal_record.Forget { gid }) i;
+        map2 (fun epoch node -> Wal_record.Promote { epoch; node }) i i;
+        map3 (fun epoch node upto -> Wal_record.Rep_ack { epoch; node; upto }) i i i;
+      ])
+
+let codec_record =
+  QCheck.Gen.(
+    map
+      (fun (lsn, at, shard, payload) -> { Wal_record.lsn; at; shard; payload })
+      (quad codec_int codec_int (frequency [ (1, return 0); (1, codec_int) ]) codec_payload))
+
+let arb_record = QCheck.make ~print:Wal_record.encode_reference codec_record
+
+(* [frame] split at its last crc member: the body bytes before it. *)
+let crc_split frame =
+  let key = ",\"crc\":" in
+  let rec find i =
+    if i < 0 then None
+    else if String.sub frame i (String.length key) = key then Some i
+    else find (i - 1)
+  in
+  if String.length frame < String.length key then None
+  else find (String.length frame - String.length key)
+
+(* The frame with its crc rewritten to match the raw bytes before it — a
+   mutation the checksum alone cannot expose. *)
+let restamp frame =
+  match crc_split frame with
+  | None -> frame
+  | Some i ->
+      let body = String.sub frame 0 i in
+      Printf.sprintf "%s,\"crc\":%d}" body (Crc32.string (body ^ "}"))
+
+let both_decoders_agree frame =
+  List.for_all
+    (fun check_crc ->
+      Wal_record.decode ~check_crc frame = Wal_record.decode_reference ~check_crc frame)
+    [ true; false ]
+
+let qcheck_codec_encode_matches_reference =
+  QCheck.Test.make ~name:"encode = reference" ~count:3000
+    arb_record (fun r ->
+      let frame = Wal_record.encode r in
+      if frame <> Wal_record.encode_reference r then
+        QCheck.Test.fail_reportf "encode differs:\n%s\n%s" frame (Wal_record.encode_reference r);
+      let i = Option.get (crc_split frame) in
+      let body = String.sub frame 0 i in
+      let crc = int_of_string (String.sub frame (i + 7) (String.length frame - i - 8)) in
+      Wal_record.encode_with_bad_crc r = Printf.sprintf "%s,\"crc\":%d}" body (crc lxor 0x5a5a5a5a))
+
+let qcheck_codec_decode_clean =
+  QCheck.Test.make ~name:"decode = ref, clean" ~count:3000 arb_record
+    (fun r ->
+      both_decoders_agree (Wal_record.encode r)
+      && both_decoders_agree (Wal_record.encode_with_bad_crc r))
+
+type mutation =
+  | Bitflip of int  (** the chaos harness's xor-0x10 flip *)
+  | Truncate of int
+  | Whitespace of int * char
+  | Reorder of int
+  | Sh_zero
+  | Leading_zero of int
+  | Minus_zero of int
+  | Digits_19 of int
+  | Digit of int  (** one digit changed: canonical, but the crc is stale *)
+
+let show_mutation = function
+  | Bitflip i -> Printf.sprintf "bitflip(%d)" i
+  | Truncate i -> Printf.sprintf "truncate(%d)" i
+  | Whitespace (i, c) -> Printf.sprintf "whitespace(%d,%C)" i c
+  | Reorder i -> Printf.sprintf "reorder(%d)" i
+  | Sh_zero -> "sh-zero"
+  | Leading_zero i -> Printf.sprintf "leading-zero(%d)" i
+  | Minus_zero i -> Printf.sprintf "minus-zero(%d)" i
+  | Digits_19 i -> Printf.sprintf "digits-19(%d)" i
+  | Digit i -> Printf.sprintf "digit(%d)" i
+
+(* Start offsets of the int texts that follow a [:] — member values. *)
+let int_offsets frame =
+  let n = String.length frame in
+  let acc = ref [] in
+  for i = n - 2 downto 0 do
+    if frame.[i] = ':' then
+      match frame.[i + 1] with '0' .. '9' | '-' -> acc := (i + 1) :: !acc | _ -> ()
+  done;
+  !acc
+
+let replace_int frame k f =
+  match int_offsets frame with
+  | [] -> frame
+  | offs ->
+      let start = List.nth offs (k mod List.length offs) in
+      let stop = ref (start + 1) in
+      while !stop < String.length frame && frame.[!stop] >= '0' && frame.[!stop] <= '9' do
+        incr stop
+      done;
+      let text = String.sub frame start (!stop - start) in
+      String.sub frame 0 start ^ f text ^ String.sub frame !stop (String.length frame - !stop)
+
+(* Members of the frame, as the reference parser sees them. *)
+let with_members frame f =
+  match Jsonx.of_string frame with Ok (Jsonx.Obj ms) -> Jsonx.to_string (Jsonx.Obj (f ms)) | _ -> frame
+
+let mutate frame = function
+  | Bitflip i ->
+      let i = i mod String.length frame in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x10) else c) frame
+  | Truncate i -> String.sub frame 0 (i mod String.length frame)
+  | Whitespace (i, c) ->
+      let i = i mod (String.length frame + 1) in
+      String.sub frame 0 i ^ String.make 1 c ^ String.sub frame i (String.length frame - i)
+  | Reorder k ->
+      (* Swap two body members; the crc member stays last. *)
+      with_members frame (fun ms ->
+          let body = List.filter (fun (key, _) -> key <> "crc") ms in
+          let crc = List.filter (fun (key, _) -> key = "crc") ms in
+          let n = List.length body in
+          let a = k mod n and b = (k / n) mod n in
+          let arr = Array.of_list body in
+          let x = arr.(a) in
+          arr.(a) <- arr.(b);
+          arr.(b) <- x;
+          Array.to_list arr @ crc)
+  | Sh_zero ->
+      with_members frame (fun ms ->
+          match ms with
+          | lsn :: at :: ("sh", _) :: rest -> lsn :: at :: ("sh", Jsonx.Int 0) :: rest
+          | lsn :: at :: rest -> lsn :: at :: ("sh", Jsonx.Int 0) :: rest
+          | ms -> ms)
+  | Leading_zero k -> replace_int frame k (fun text -> if text.[0] = '-' then "-0" ^ String.sub text 1 (String.length text - 1) else "0" ^ text)
+  | Minus_zero k -> replace_int frame k (fun _ -> "-0")
+  | Digits_19 k -> replace_int frame k (fun _ -> Printf.sprintf "1%018d" (k land 0xffff))
+  | Digit k ->
+      replace_int frame k (fun text ->
+          let last = String.length text - 1 in
+          String.mapi
+            (fun j c -> if j = last then Char.chr (Char.code '0' + ((Char.code c - Char.code '0' + 1) mod 10)) else c)
+            text)
+
+let codec_mutation =
+  QCheck.Gen.(
+    let i = nat in
+    oneof
+      [
+        map (fun i -> Bitflip i) i;
+        map (fun i -> Truncate i) i;
+        map2 (fun i c -> Whitespace (i, c)) i (oneofl [ ' '; '\t'; '\n'; '\r' ]);
+        map (fun i -> Reorder i) i;
+        return Sh_zero;
+        map (fun i -> Leading_zero i) i;
+        map (fun i -> Minus_zero i) i;
+        map (fun i -> Digits_19 i) i;
+        map (fun i -> Digit i) i;
+      ])
+
+let qcheck_codec_decode_mutated =
+  QCheck.Test.make ~name:"decode = ref, mutated" ~count:6000
+    (QCheck.make
+       ~print:(fun (r, m) -> Wal_record.encode_reference r ^ " " ^ show_mutation m)
+       (QCheck.Gen.pair codec_record codec_mutation))
+    (fun (r, m) ->
+      let mutated = mutate (Wal_record.encode r) m in
+      List.for_all
+        (fun frame ->
+          both_decoders_agree frame
+          || QCheck.Test.fail_reportf "decoders differ on %S" frame)
+        [ mutated; restamp mutated ])
+
+(* -------------------------------------------------------------------- *)
 (* Durable-mode log semantics *)
 
 let test_non_durable_log_is_noop () =
@@ -557,6 +808,9 @@ let suites =
         Alcotest.test_case "roundtrip every payload" `Quick test_record_roundtrip;
         Alcotest.test_case "crc rejects a bit flip" `Quick test_record_crc_rejects_flip;
         Alcotest.test_case "bad-crc encoder" `Quick test_record_bad_crc_encoder;
+        QCheck_alcotest.to_alcotest qcheck_codec_encode_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_codec_decode_clean;
+        QCheck_alcotest.to_alcotest qcheck_codec_decode_mutated;
       ] );
     ( "recovery.wal",
       [
