@@ -10,10 +10,9 @@ let prunable_by_views ~views ~vs ~ve =
 let commit_interval log ~vs ~ve =
   if ve = Timestamp.infinity then None
   else
-    let commit_of tid = if tid = 0 then Some 0 else Commit_log.commit_ts_of log tid in
-    match (commit_of vs, commit_of ve) with
-    | Some cs, Some ce -> Some (cs, ce)
-    | None, _ | _, None -> None
+    let cs = if vs = 0 then 0 else Commit_log.commit_ts log vs in
+    let ce = if ve = 0 then 0 else Commit_log.commit_ts log ve in
+    if cs = Timestamp.infinity || ce = Timestamp.infinity then None else Some (cs, ce)
 
 let prunable_fast zones ~commit_log ~vs ~ve =
   match commit_interval commit_log ~vs ~ve with

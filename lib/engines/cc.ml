@@ -2,10 +2,8 @@ let write_conflict mgr (txn : Txn.t) ~current_vs =
   if current_vs = 0 || current_vs = txn.Txn.tid then false
   else if current_vs > txn.Txn.tid then true
   else
-    match Commit_log.status (Txn_manager.commit_log mgr) current_vs with
-    | None -> true (* still in flight: no-wait *)
-    | Some (Commit_log.Committed_at cts) -> cts > txn.Txn.tid
-    | Some (Commit_log.Aborted_at _) ->
-        (* An aborted creator's version is rolled back synchronously;
-           meeting one here would be an engine bug. Fail the write. *)
-        true
+    (* [Timestamp.infinity] when the creator is still in flight (no-wait)
+       or aborted: an aborted creator's version is rolled back
+       synchronously, so meeting one here would be an engine bug. Either
+       way the write fails. *)
+    Commit_log.commit_ts (Txn_manager.commit_log mgr) current_vs > txn.Txn.tid

@@ -74,11 +74,12 @@ let write st (txn : Txn.t) ~rid ~payload ~now =
     if cur.Version.vs <> txn.Txn.tid then note_write st txn rid;
     Wal.append st.wal ~at:now ~bytes:st.schema.Schema.record_bytes ();
     (* Durable mode: the uncommitted write is logged ARIES-style at
-       write time; replay applies it only if the owner commits. No-op
-       (and no side effects) while the WAL is in byte-counting mode. *)
-    ignore
-      (Wal.log st.wal ~at:now
-         (Wal_record.Version_insert { tid = txn.Txn.tid; rid; value = payload }));
+       write time; replay applies it only if the owner commits. A WAL
+       in byte-counting mode gets no record, so none is built. *)
+    if Wal.is_durable st.wal then
+      ignore
+        (Wal.log st.wal ~at:now
+           (Wal_record.Version_insert { tid = txn.Txn.tid; rid; value = payload }));
     let reloc_cost =
       match r.Siro.relocated with
       | None -> 0
@@ -434,7 +435,8 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
     begin_txn =
       (fun ~now ->
         let txn = Txn_manager.begin_txn mgr ~now in
-        ignore (Wal.log wal ~at:now (Wal_record.Txn_begin { tid = txn.Txn.tid }));
+        if Wal.is_durable wal then
+          ignore (Wal.log wal ~at:now (Wal_record.Txn_begin { tid = txn.Txn.tid }));
         (txn, now + costs.Costs.txn_begin));
     read = (fun txn ~rid ~now -> read st txn ~rid ~now);
     write = (fun txn ~rid ~payload ~now -> write st txn ~rid ~payload ~now);

@@ -4,13 +4,14 @@ let create ~name ~capacity_blocks = { name; lru = Lru.create ~capacity:capacity_
 let name t = t.name
 
 let access t ~block =
-  match Lru.touch t.lru block with
-  | `Hit ->
-      t.hits <- t.hits + 1;
-      `Hit
-  | `Miss _ ->
-      t.misses <- t.misses + 1;
-      `Miss
+  if Lru.access t.lru block then begin
+    t.hits <- t.hits + 1;
+    `Hit
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    `Miss
+  end
 
 let evict t ~block = Lru.remove t.lru block
 let clear t = Lru.clear t.lru

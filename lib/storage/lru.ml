@@ -1,64 +1,161 @@
-(* Doubly-linked list threaded through a hashtable; most-recent at front. *)
-
-type entry = { key : int; mutable prev : entry option; mutable next : entry option }
+(* Doubly linked list over slots, most-recent at front, plus an
+   open-addressed key -> slot index (linear probing, backward-shift
+   deletion, so no tombstones). Slot [-1] means "none". Slot [s] keeps
+   its key, prev and next at [nodes.(3s)], [3s + 1] and [3s + 2]: one
+   array sized at [create], which for any but tiny capacities goes
+   straight to the major heap. A hit or a steady-state miss allocates
+   nothing. *)
 
 type t = {
   capacity : int;
-  table : (int, entry) Hashtbl.t;
-  mutable front : entry option;
-  mutable back : entry option;
+  nodes : int array; (* next also threads the free-slot list *)
+  index : int array; (* slot, or -1 for an empty position *)
+  mask : int;
+  shift : int; (* 63 - log2 (Array.length index) *)
+  mutable size : int;
+  mutable front : int;
+  mutable back : int;
+  mutable free : int; (* head of the free-slot list *)
+  mutable fresh : int; (* slots [fresh, capacity) were never handed out *)
+  mutable evicted : int; (* key evicted by the last [access], if [did_evict] *)
+  mutable did_evict : bool;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; table = Hashtbl.create (2 * capacity); front = None; back = None }
+  let rec bits b = if 1 lsl b >= 2 * capacity then b else bits (b + 1) in
+  let bits = bits 3 in
+  let positions = 1 lsl bits in
+  {
+    capacity;
+    nodes = Array.make (3 * capacity) (-1);
+    index = Array.make positions (-1);
+    mask = positions - 1;
+    shift = 63 - bits;
+    size = 0;
+    front = -1;
+    back = -1;
+    free = -1;
+    fresh = 0;
+    evicted = 0;
+    did_evict = false;
+  }
 
+let key t s = t.nodes.(3 * s)
+let prev t s = t.nodes.((3 * s) + 1)
+let next t s = t.nodes.((3 * s) + 2)
+let set_key t s k = t.nodes.(3 * s) <- k
+let set_prev t s p = t.nodes.((3 * s) + 1) <- p
+let set_next t s n = t.nodes.((3 * s) + 2) <- n
 let capacity t = t.capacity
-let size t = Hashtbl.length t.table
-let mem t k = Hashtbl.mem t.table k
+let size t = t.size
 
-let detach t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.front <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> t.back <- e.prev);
-  e.prev <- None;
-  e.next <- None
+(* Fibonacci hashing: the top bits of [k] times the odd 63-bit
+   constant nearest 2^63 / phi (the literal wraps to a negative int). *)
+let home t k = (k * 0x4F1BBCDCBFA53E0B) lsr t.shift
 
-let push_front t e =
-  e.next <- t.front;
-  e.prev <- None;
-  (match t.front with Some f -> f.prev <- Some e | None -> t.back <- Some e);
-  t.front <- Some e
+(* Position of [k] in [index], or the empty position where it would go. *)
+let rec probe t k i =
+  let s = Array.unsafe_get t.index i in
+  if s < 0 || key t s = k then i else probe t k ((i + 1) land t.mask)
+
+let mem t k = t.index.(probe t k (home t k)) >= 0
+
+(* Empty position [hole], then pull back every later entry of the run
+   whose home does not lie cyclically in (hole, j]. *)
+let rec close_hole t hole j =
+  let j = (j + 1) land t.mask in
+  let s = t.index.(j) in
+  if s < 0 then t.index.(hole) <- -1
+  else
+    let h = home t (key t s) in
+    let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
+    if stays then close_hole t hole j
+    else begin
+      t.index.(hole) <- s;
+      close_hole t j j
+    end
+
+let unlink t s =
+  let p = prev t s and n = next t s in
+  if p >= 0 then set_next t p n else t.front <- n;
+  if n >= 0 then set_prev t n p else t.back <- p
+
+let push_front t s =
+  set_prev t s (-1);
+  set_next t s t.front;
+  if t.front >= 0 then set_prev t t.front s else t.back <- s;
+  t.front <- s
+
+(* Unlink slot [s] and drop its key from the index. *)
+let drop t s =
+  unlink t s;
+  let k = key t s in
+  let i = probe t k (home t k) in
+  close_hole t i i;
+  t.size <- t.size - 1
+
+let take_slot t =
+  if t.free >= 0 then begin
+    let s = t.free in
+    t.free <- next t s;
+    s
+  end
+  else begin
+    let s = t.fresh in
+    t.fresh <- s + 1;
+    s
+  end
+
+let access t k =
+  let i = probe t k (home t k) in
+  let s = t.index.(i) in
+  if s >= 0 then begin
+    if t.front <> s then begin
+      unlink t s;
+      push_front t s
+    end;
+    t.did_evict <- false;
+    true
+  end
+  else begin
+    let slot =
+      if t.size >= t.capacity then begin
+        let victim = t.back in
+        t.evicted <- key t victim;
+        t.did_evict <- true;
+        drop t victim;
+        victim
+      end
+      else begin
+        t.did_evict <- false;
+        take_slot t
+      end
+    in
+    set_key t slot k;
+    (* An eviction may have shifted entries, so probe again. *)
+    t.index.(if t.did_evict then probe t k (home t k) else i) <- slot;
+    push_front t slot;
+    t.size <- t.size + 1;
+    false
+  end
 
 let touch t k =
-  match Hashtbl.find_opt t.table k with
-  | Some e ->
-      detach t e;
-      push_front t e;
-      `Hit
-  | None ->
-      let evicted =
-        if Hashtbl.length t.table >= t.capacity then
-          match t.back with
-          | Some victim ->
-              detach t victim;
-              Hashtbl.remove t.table victim.key;
-              Some victim.key
-          | None -> None
-        else None
-      in
-      let e = { key = k; prev = None; next = None } in
-      Hashtbl.replace t.table k e;
-      push_front t e;
-      `Miss evicted
+  if access t k then `Hit else `Miss (if t.did_evict then Some t.evicted else None)
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | Some e ->
-      detach t e;
-      Hashtbl.remove t.table k
-  | None -> ()
+  let s = t.index.(probe t k (home t k)) in
+  if s >= 0 then begin
+    drop t s;
+    set_next t s t.free;
+    t.free <- s
+  end
 
 let clear t =
-  Hashtbl.reset t.table;
-  t.front <- None;
-  t.back <- None
+  Array.fill t.index 0 (Array.length t.index) (-1);
+  t.size <- 0;
+  t.front <- -1;
+  t.back <- -1;
+  t.free <- -1;
+  t.fresh <- 0;
+  t.did_evict <- false

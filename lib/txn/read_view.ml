@@ -4,31 +4,32 @@ type t = {
   actives : Timestamp.t array;
 }
 
-let make ~creator ~actives ~high =
-  let actives = Array.of_list actives in
-  Array.sort Int.compare actives;
-  Array.iter
-    (fun ts ->
-      if ts >= high then invalid_arg "Read_view.make: active ts >= high";
-      if ts = creator then invalid_arg "Read_view.make: creator listed active")
-    actives;
+let of_sorted ~creator ~actives ~high =
+  for i = 0 to Array.length actives - 1 do
+    let ts = actives.(i) in
+    if ts >= high then invalid_arg "Read_view.make: active ts >= high";
+    if ts = creator then invalid_arg "Read_view.make: creator listed active";
+    if i > 0 && actives.(i - 1) >= ts then
+      invalid_arg "Read_view.of_sorted: actives not strictly increasing"
+  done;
   { creator; high; actives }
 
-(* Typed, so the comparisons below are integer ones rather than calls
-   to the polymorphic [compare]: this sits on every visibility check. *)
-let mem_sorted (a : int array) (x : int) =
-  let rec search lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = x then true else if a.(mid) < x then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length a)
+let make ~creator ~actives ~high =
+  of_sorted ~creator ~actives:(Array.of_list (List.sort_uniq Int.compare actives)) ~high
+
+(* Top level and typed, so the visibility check below neither builds a
+   closure nor calls the polymorphic [compare]. *)
+let rec mem_sorted (a : int array) (x : int) lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let v = Array.unsafe_get a mid in
+  v = x || if v < x then mem_sorted a x (mid + 1) hi else mem_sorted a x lo mid
 
 let committed_before view ts =
   if ts = view.creator then true
   else if ts >= view.high then false
-  else not (mem_sorted view.actives ts)
+  else not (mem_sorted view.actives ts 0 (Array.length view.actives))
 
 let snapshot_read view ~vs ~ve =
   committed_before view vs && not (committed_before view ve)

@@ -15,7 +15,13 @@ type t = {
 
 val make : creator:Timestamp.t -> actives:Timestamp.t list -> high:Timestamp.t -> t
 (** [actives] need not be sorted; it must not contain [creator] and all
-    entries must be [< high]. *)
+    entries must be [< high]. Raises [Invalid_argument] otherwise. *)
+
+val of_sorted : creator:Timestamp.t -> actives:Timestamp.t array -> high:Timestamp.t -> t
+(** [make] over an array that is already strictly increasing, which
+    the view then owns: no copy and no sort. Raises [Invalid_argument]
+    on the arguments [make] rejects and on an array that is not
+    strictly increasing. *)
 
 val committed_before : t -> Timestamp.t -> bool
 (** [committed_before view ts]: had the transaction that began at [ts]

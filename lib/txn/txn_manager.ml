@@ -1,6 +1,11 @@
+(* The live set is one array of transactions sorted by tid, used up to
+   [live_n]. The oracle hands out increasing tids, so a begin appends;
+   a finish binary-searches and closes the gap. Readers walk the array
+   in order and never sort. *)
 type t = {
   ts_oracle : Timestamp.oracle;
-  live : (Timestamp.t, Txn.t) Hashtbl.t;
+  mutable live : Txn.t array;
+  mutable live_n : int;
   log : Commit_log.t;
   mutable started : int;
   mutable committed : int;
@@ -8,10 +13,24 @@ type t = {
   mutable avg_duration : float; (* ns, EWMA *)
 }
 
+(* Fills the unused tail of [live], so finished transactions are not
+   kept reachable. *)
+let vacant =
+  {
+    Txn.tid = -1;
+    begin_time = 0;
+    view = Read_view.of_sorted ~creator:(-1) ~actives:[||] ~high:0;
+    state = Txn.Aborted;
+    commit_ts = None;
+    reads = 0;
+    writes = 0;
+  }
+
 let create () =
   {
     ts_oracle = Timestamp.oracle ();
-    live = Hashtbl.create 256;
+    live = Array.make 256 vacant;
+    live_n = 0;
     log = Commit_log.create ();
     started = 0;
     committed = 0;
@@ -21,13 +40,16 @@ let create () =
 
 let oracle t = Timestamp.current t.ts_oracle
 
-let live_begin_ts t =
-  Hashtbl.fold (fun ts _ acc -> ts :: acc) t.live [] |> List.sort compare
-
 let begin_txn t ~now =
-  let actives = live_begin_ts t in
+  let n = t.live_n in
+  let actives = Array.make n 0 in
+  for i = 0 to n - 1 do
+    actives.(i) <- t.live.(i).Txn.tid
+  done;
   let tid = Timestamp.next t.ts_oracle in
-  let view = Read_view.make ~creator:tid ~actives ~high:tid in
+  (* Every active is below [high = tid], so this append keeps [live]
+     sorted; [of_sorted] checks it. *)
+  let view = Read_view.of_sorted ~creator:tid ~actives ~high:tid in
   let txn =
     {
       Txn.tid;
@@ -39,7 +61,13 @@ let begin_txn t ~now =
       writes = 0;
     }
   in
-  Hashtbl.replace t.live tid txn;
+  if n = Array.length t.live then begin
+    let live = Array.make (2 * n) vacant in
+    Array.blit t.live 0 live 0 n;
+    t.live <- live
+  end;
+  t.live.(n) <- txn;
+  t.live_n <- n + 1;
   t.started <- t.started + 1;
   Metrics.bump "txn.begins";
   txn
@@ -49,9 +77,27 @@ let note_duration t dur =
   if t.avg_duration = 0. then t.avg_duration <- dur
   else t.avg_duration <- (0.95 *. t.avg_duration) +. (0.05 *. dur)
 
+(* Index of [tid] in [live.(lo..hi-1)], or -1. *)
+let rec find_live live (tid : Timestamp.t) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = live.(mid).Txn.tid in
+    if m = tid then mid
+    else if m < tid then find_live live tid (mid + 1) hi
+    else find_live live tid lo mid
+
 let finish t (txn : Txn.t) =
   if not (Txn.is_active txn) then invalid_arg "Txn_manager: transaction not active";
-  Hashtbl.remove t.live txn.tid
+  (* Absent after [reset_for_recovery] wiped the live set under a worker
+     that still holds the handle. *)
+  let i = find_live t.live txn.tid 0 t.live_n in
+  if i >= 0 then begin
+    let n = t.live_n - 1 in
+    Array.blit t.live (i + 1) t.live i (n - i);
+    t.live.(n) <- vacant;
+    t.live_n <- n
+  end
 
 let commit t (txn : Txn.t) ~now =
   finish t txn;
@@ -71,7 +117,7 @@ let abort t (txn : Txn.t) ~now =
   (* A failover may already have recorded this tid as a recovery loser
      while the worker still held the handle; the durable outcome wins
      and the worker's abort just retires the live entry. *)
-  if Commit_log.status t.log txn.tid = None then
+  if not (Commit_log.mem t.log txn.tid) then
     Commit_log.record t.log ~tid:txn.tid (Commit_log.Aborted_at ts);
   ignore now;
   t.aborted <- t.aborted + 1;
@@ -93,7 +139,8 @@ let rollback_unreplicated t ~tid =
 
 
 let reset_for_recovery t =
-  Hashtbl.reset t.live;
+  Array.fill t.live 0 t.live_n vacant;
+  t.live_n <- 0;
   Commit_log.reset t.log
 
 let crash_recover ?(reset = true) t ~committed ~aborted ~losers ~oracle_floor =
@@ -107,7 +154,7 @@ let crash_recover ?(reset = true) t ~committed ~aborted ~losers ~oracle_floor =
     (* First outcome wins: a sabotaged replay can fabricate conflicting
        outcomes, and recovery must degrade into a state the invariant
        checker can inspect rather than raise. *)
-    if Commit_log.status t.log tid = None then Commit_log.record t.log ~tid (status ts)
+    if not (Commit_log.mem t.log tid) then Commit_log.record t.log ~tid (status ts)
   in
   List.iter (restore (fun ts -> Commit_log.Committed_at ts)) committed;
   List.iter (restore (fun ts -> Commit_log.Aborted_at ts)) aborted;
@@ -117,7 +164,7 @@ let crash_recover ?(reset = true) t ~committed ~aborted ~losers ~oracle_floor =
      records. *)
   List.filter_map
     (fun tid ->
-      if Commit_log.status t.log tid = None then begin
+      if not (Commit_log.mem t.log tid) then begin
         let ats = Timestamp.next t.ts_oracle in
         Commit_log.record t.log ~tid (Commit_log.Aborted_at ats);
         t.aborted <- t.aborted + 1;
@@ -127,29 +174,33 @@ let crash_recover ?(reset = true) t ~committed ~aborted ~losers ~oracle_floor =
     losers
 
 let commit_log t = t.log
-let live_count t = Hashtbl.length t.live
+let live_count t = t.live_n
 
-let live_txns_sorted t =
-  Hashtbl.fold (fun _ txn acc -> txn :: acc) t.live []
-  |> List.sort (fun (a : Txn.t) (b : Txn.t) -> compare a.tid b.tid)
+(* The live transactions satisfying [keep], ascending by tid, mapped. *)
+let live_filter_map t keep f =
+  let acc = ref [] in
+  for i = t.live_n - 1 downto 0 do
+    let txn = t.live.(i) in
+    if keep txn then acc := f txn :: !acc
+  done;
+  !acc
 
-let live_views t = List.map (fun (txn : Txn.t) -> txn.Txn.view) (live_txns_sorted t)
-
-let oldest_active t =
-  match live_begin_ts t with [] -> None | ts :: _ -> Some ts
+let live_begin_ts t = live_filter_map t (fun _ -> true) (fun txn -> txn.Txn.tid)
+let live_views t = live_filter_map t (fun _ -> true) (fun txn -> txn.Txn.view)
+let oldest_active t = if t.live_n = 0 then None else Some t.live.(0).Txn.tid
 
 let oldest_visible_horizon t =
-  List.fold_left
-    (fun acc view -> min acc (Read_view.oldest_visible_horizon view))
-    (oracle t) (live_views t)
+  let acc = ref (oracle t) in
+  for i = 0 to t.live_n - 1 do
+    acc := min !acc (Read_view.oldest_visible_horizon t.live.(i).Txn.view)
+  done;
+  !acc
 
 let shed_candidates t ~now ~min_age =
-  live_txns_sorted t |> List.filter (fun txn -> Txn.age txn ~now > min_age)
+  live_filter_map t (fun txn -> Txn.age txn ~now > min_age) Fun.id
 
 let llt_views t ~now ~delta_llt =
-  live_txns_sorted t
-  |> List.filter (fun txn -> Txn.age txn ~now > delta_llt)
-  |> List.map (fun (txn : Txn.t) -> txn.Txn.view)
+  live_filter_map t (fun txn -> Txn.age txn ~now > delta_llt) (fun txn -> txn.Txn.view)
 
 let avg_txn_duration t = int_of_float t.avg_duration
 let started t = t.started

@@ -36,6 +36,53 @@ let qcheck_lru_capacity_respected =
           Lru.size l <= cap)
         keys)
 
+type lru_op = Touch of int | Remove of int | Clear
+
+let lru_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun k -> Touch k) (int_range (-4) 24));
+        (3, map (fun k -> Remove k) (int_range (-4) 24));
+        (1, return Clear);
+      ])
+
+let print_lru_op = function
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+(* The array LRU against the list LRU it replaced: every step returns
+   the same hit or eviction, and size and membership agree after it. *)
+let qcheck_lru_matches_reference =
+  QCheck.Test.make ~name:"lru = list reference" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map print_lru_op ops)))
+       QCheck.Gen.(pair (frequency [ (1, return 1); (4, int_range 1 10) ]) (list_size (0 -- 200) lru_op_gen)))
+    (fun (capacity, ops) ->
+      let l = Lru.create ~capacity and r = Ref_bookkeeping.Lru.create ~capacity in
+      List.for_all
+        (fun op ->
+          let same_step =
+            match op with
+            | Touch k -> Lru.touch l k = Ref_bookkeeping.Lru.touch r k
+            | Remove k ->
+                Lru.remove l k;
+                Ref_bookkeeping.Lru.remove r k;
+                true
+            | Clear ->
+                Lru.clear l;
+                Ref_bookkeeping.Lru.clear r;
+                true
+          in
+          same_step
+          && Lru.size l = Ref_bookkeeping.Lru.size r
+          && List.for_all
+               (fun k -> Lru.mem l k = Ref_bookkeeping.Lru.mem r k)
+               (List.init 29 (fun i -> i - 4)))
+        ops)
+
 (* -------------------------------------------------------------------- *)
 (* Page *)
 
@@ -145,6 +192,7 @@ let suites =
         Alcotest.test_case "hit/miss/evict" `Quick test_lru_hit_miss;
         Alcotest.test_case "remove/clear" `Quick test_lru_remove_clear;
         QCheck_alcotest.to_alcotest qcheck_lru_capacity_respected;
+        QCheck_alcotest.to_alcotest qcheck_lru_matches_reference;
       ] );
     ("storage.page", [ Alcotest.test_case "byte accounting" `Quick test_page_accounting ]);
     ( "storage.heap",

@@ -182,6 +182,166 @@ let qcheck_snapshot_read_unique =
       in
       List.length hits = 1)
 
+(* -------------------------------------------------------------------- *)
+(* Array structures against the references they replaced *)
+
+module Ref = Ref_bookkeeping
+
+type clog_op =
+  | Record of Timestamp.t * Commit_log.status
+  | Override of Timestamp.t * Commit_log.status
+  | Reset
+
+let clog_tid_gen =
+  QCheck.Gen.(frequency [ (10, 0 -- 64); (2, 0 -- 5000); (1, int_range (-3) (-1)) ])
+
+let clog_op_gen =
+  QCheck.Gen.(
+    let status =
+      let* ts = 0 -- 1_000_000 in
+      oneofl [ Commit_log.Committed_at ts; Commit_log.Aborted_at ts ]
+    in
+    frequency
+      [
+        (10, map2 (fun tid st -> Record (tid, st)) clog_tid_gen status);
+        (2, map2 (fun tid st -> Override (tid, st)) clog_tid_gen status);
+        (1, return Reset);
+      ])
+
+let print_status = function
+  | Commit_log.Committed_at ts -> Printf.sprintf "C%d" ts
+  | Commit_log.Aborted_at ts -> Printf.sprintf "A%d" ts
+
+let print_clog_op = function
+  | Record (tid, st) -> Printf.sprintf "record %d %s" tid (print_status st)
+  | Override (tid, st) -> Printf.sprintf "override %d %s" tid (print_status st)
+  | Reset -> "reset"
+
+let outcome f = match f () with () -> Ok () | exception Invalid_argument m -> Error m
+
+(* Every lookup agrees with the hashtable log, probing past the end and
+   at [Timestamp.infinity] reads [None] without growing the array, and a
+   negative tid is rejected (the hashtable would have kept it). *)
+let qcheck_commit_log_matches_reference =
+  QCheck.Test.make ~name:"commit log = hashtable reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_clog_op ops))
+       QCheck.Gen.(list_size (0 -- 120) clog_op_gen))
+    (fun ops ->
+      let log = Commit_log.create () and r = Ref.Commit_log.create () in
+      let agrees tid =
+        Commit_log.status log tid = Ref.Commit_log.status r tid
+        && Commit_log.mem log tid = (Ref.Commit_log.status r tid <> None)
+        && Commit_log.is_committed log tid = (Ref.Commit_log.commit_ts_of r tid <> None)
+        && Commit_log.commit_ts_of log tid = Ref.Commit_log.commit_ts_of r tid
+        && Commit_log.commit_ts log tid
+           = Option.value ~default:Timestamp.infinity (Ref.Commit_log.commit_ts_of r tid)
+      in
+      List.for_all
+        (fun op ->
+          let same_step =
+            match op with
+            | Record (tid, st) when tid < 0 ->
+                outcome (fun () -> Commit_log.record log ~tid st) = Error "Commit_log: negative tid"
+            | Override (tid, st) when tid < 0 ->
+                outcome (fun () -> Commit_log.override log ~tid st)
+                = Error "Commit_log: negative tid"
+            | Record (tid, st) ->
+                outcome (fun () -> Commit_log.record log ~tid st)
+                = outcome (fun () -> Ref.Commit_log.record r ~tid st)
+            | Override (tid, st) ->
+                Commit_log.override log ~tid st;
+                Ref.Commit_log.override r ~tid st;
+                true
+            | Reset ->
+                Commit_log.reset log;
+                Ref.Commit_log.reset r;
+                true
+          in
+          let words = Obj.reachable_words (Obj.repr log) in
+          same_step
+          && Commit_log.finished log = Ref.Commit_log.finished r
+          && Commit_log.entries log = Ref.Commit_log.entries r
+          && List.for_all agrees (Timestamp.infinity :: -1 :: 100_000 :: List.init 70 Fun.id)
+          && Obj.reachable_words (Obj.repr log) = words)
+        ops)
+
+type live_op = Begin | Commit of int | Abort of int | Reset_live
+
+let live_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Begin);
+        (3, map (fun i -> Commit i) (0 -- 50));
+        (2, map (fun i -> Abort i) (0 -- 50));
+        (1, return Reset_live);
+      ])
+
+let print_live_op = function
+  | Begin -> "begin"
+  | Commit i -> Printf.sprintf "commit #%d" i
+  | Abort i -> Printf.sprintf "abort #%d" i
+  | Reset_live -> "reset"
+
+(* The sorted live array against the hashtable it replaced: each new
+   view equals [Read_view.make] over the fold+sort live list, and every
+   reading of the live set agrees after every step. Commits and aborts
+   pick among all handles still active, including ones a reset orphaned. *)
+let qcheck_live_set_matches_reference =
+  QCheck.Test.make ~name:"live set = fold+sort reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_live_op ops))
+       QCheck.Gen.(list_size (0 -- 150) live_op_gen))
+    (fun ops ->
+      let mgr = Txn_manager.create () and r = Ref.Live.create () in
+      let handles = ref [] and now = ref 0 in
+      let pick i =
+        match List.filter Txn.is_active !handles with
+        | [] -> None
+        | active -> Some (List.nth active (i mod List.length active))
+      in
+      List.for_all
+        (fun op ->
+          now := !now + 7;
+          let now = !now in
+          let same_step =
+            match op with
+            | Begin ->
+                let actives = Ref.Live.begin_ts r in
+                let txn = Txn_manager.begin_txn mgr ~now in
+                Ref.Live.add r txn;
+                handles := txn :: !handles;
+                txn.Txn.view = Read_view.make ~creator:txn.Txn.tid ~actives ~high:txn.Txn.tid
+            | Commit i | Abort i -> (
+                match pick i with
+                | None -> true
+                | Some txn ->
+                    (match op with
+                    | Commit _ -> Txn_manager.commit mgr txn ~now
+                    | _ -> Txn_manager.abort mgr txn ~now);
+                    Ref.Live.remove r txn;
+                    true)
+            | Reset_live ->
+                Txn_manager.reset_for_recovery mgr;
+                Ref.Live.reset r;
+                true
+          in
+          let age = now / 3 in
+          same_step
+          && Txn_manager.live_count mgr = List.length (Ref.Live.begin_ts r)
+          && Txn_manager.live_begin_ts mgr = Ref.Live.begin_ts r
+          && Txn_manager.live_views mgr = Ref.Live.views r
+          && Txn_manager.oldest_active mgr = Ref.Live.oldest_active r
+          && Txn_manager.oldest_visible_horizon mgr
+             = Ref.Live.oldest_visible_horizon r ~oracle:(Txn_manager.oracle mgr)
+          && List.equal ( == )
+               (Txn_manager.shed_candidates mgr ~now ~min_age:age)
+               (Ref.Live.shed_candidates r ~now ~min_age:age)
+          && Txn_manager.llt_views mgr ~now ~delta_llt:age
+             = Ref.Live.llt_views r ~now ~delta_llt:age)
+        ops)
+
 let suites =
   [
     ( "txn.read_view",
@@ -192,7 +352,11 @@ let suites =
         Alcotest.test_case "invalid construction" `Quick test_view_invalid;
         Alcotest.test_case "visibility horizon" `Quick test_view_horizon;
       ] );
-    ("txn.commit_log", [ Alcotest.test_case "statuses" `Quick test_commit_log ]);
+    ( "txn.commit_log",
+      [
+        Alcotest.test_case "statuses" `Quick test_commit_log;
+        QCheck_alcotest.to_alcotest qcheck_commit_log_matches_reference;
+      ] );
     ( "txn.manager",
       [
         Alcotest.test_case "begin/commit" `Quick test_mgr_begin_commit;
@@ -203,5 +367,6 @@ let suites =
         Alcotest.test_case "avg duration EWMA" `Quick test_mgr_avg_duration;
         QCheck_alcotest.to_alcotest qcheck_view_consistency;
         QCheck_alcotest.to_alcotest qcheck_snapshot_read_unique;
+        QCheck_alcotest.to_alcotest qcheck_live_set_matches_reference;
       ] );
   ]
