@@ -38,8 +38,7 @@ let run_point domains =
   let t0 = Unix.gettimeofday () in
   let dom = Runner.run ~engine ~mode:(Runner.Domains { domains }) c in
   let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-  let ds = Run_digest.of_result ~mode:"sim" ~domains:1 c sim in
-  let dd = Run_digest.of_result ~mode:"domains" ~domains c dom in
+  let ds = sim.Runner.digest and dd = dom.Runner.digest in
   let mismatches = Run_digest.diff ds dd in
   List.iter (fun m -> Printf.printf "!! x%d digest mismatch: %s\n" domains m) mismatches;
   { c; sim; dom; ds; dd; mismatches; wall_ms }
@@ -62,9 +61,9 @@ let sweep =
         ( "commits_per_s",
           fun _ r -> Jsonx.Float (float_of_int r.dom.Runner.commits /. r.c.Exp_config.duration_s) );
         ("sim_commits", fun _ r -> Jsonx.Int r.sim.Runner.commits);
-        ("latency_p50_us", fun _ r -> Jsonx.Int r.dd.Run_digest.latency_p50_us);
-        ("latency_p99_us", fun _ r -> Jsonx.Int r.dd.Run_digest.latency_p99_us);
-        ("violations", fun _ r -> Jsonx.Int r.dd.Run_digest.invariant_violations);
+        ("latency_p50_us", fun _ r -> Jsonx.Int (Run_digest.get_int r.dd "latency_p50_us"));
+        ("latency_p99_us", fun _ r -> Jsonx.Int (Run_digest.get_int r.dd "latency_p99_us"));
+        ("violations", fun _ r -> Jsonx.Int (Run_digest.get_int r.dd "invariant_violations"));
         ("digest_mismatches", fun _ r -> Jsonx.Int (List.length r.mismatches));
         ("wall_ms", fun _ r -> Jsonx.Int r.wall_ms);
       ];
@@ -78,8 +77,8 @@ let sweep =
             Sweep.non_decreasing (List.map (fun (_, r) -> r.sim.Runner.commits) results) );
         ( "clean",
           Sweep.every (fun _ r ->
-              r.ds.Run_digest.invariant_violations = 0
-              && r.dd.Run_digest.invariant_violations = 0
+              Run_digest.get_int r.ds "invariant_violations" = 0
+              && Run_digest.get_int r.dd "invariant_violations" = 0
               && r.mismatches = []) );
       ];
     points_key = "points";

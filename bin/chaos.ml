@@ -138,8 +138,7 @@ let run_domains_campaigns ename engine seed campaigns duration sabotage quota
         !total_violations
         + Fault_report.violation_count rs.Runner.faults
         + Fault_report.violation_count rd.Runner.faults;
-      let ds = Run_digest.of_result ~mode:"sim" ~domains:1 cfg rs in
-      let dd = Run_digest.of_result ~mode:"domains" ~domains:ndomains cfg rd in
+      let ds = rs.Runner.digest and dd = rd.Runner.digest in
       Format.printf "@[<v>campaign %d seed=%d plan: %a@ sim:     %a@ domains: %a@]@." i
         campaign_seed Fault_plan.pp (plan ()) Run_digest.pp ds Run_digest.pp dd;
       (match Run_digest.diff ds dd with
@@ -269,38 +268,8 @@ let run_shard_campaigns seed campaigns duration shards scenario cross_pct crash_
       in
       let r = Shard_runner.run cfg in
       total_violations := !total_violations + Fault_report.violation_count r.Shard_runner.report;
-      Format.printf
-        "@[<v>campaign %d seed=%d commits=%d (cross=%d single=%d) conflicts=%d 2pc-steps=%d \
-         crashes=%d epochs=%d@ %a@]@."
-        i campaign_seed r.Shard_runner.commits r.Shard_runner.cross_commits
-        r.Shard_runner.single_commits r.Shard_runner.conflicts r.Shard_runner.two_pc_steps
-        r.Shard_runner.crashes r.Shard_runner.epochs Fault_report.pp r.Shard_runner.report;
-      if r.Shard_runner.crashes > 0 then begin
-        let sum f = List.fold_left (fun acc x -> acc + f x) 0 r.Shard_runner.recoveries in
-        Format.printf "campaign %d recovery: crashes=%d replayed=%d truncated=%d losers=%d@." i
-          r.Shard_runner.crashes
-          (sum (fun (x : Engine.restart_info) -> x.Engine.replayed_records))
-          (sum (fun (x : Engine.restart_info) -> x.Engine.truncated_frames))
-          (sum (fun (x : Engine.restart_info) -> x.Engine.losers_rolled_back))
-      end;
-      (match r.Shard_runner.digest.Shard_runner.d_net with
-      | None -> ()
-      | Some n ->
-          Printf.printf
-            "campaign %d net: sent=%d dropped=%d retried=%d net-aborts=%d indoubt-max=%dus \
-             indoubt-mean=%.0fus\n"
-            i n.Shard_runner.nd_sent n.Shard_runner.nd_dropped n.Shard_runner.nd_retried
-            r.Shard_runner.net_aborts r.Shard_runner.indoubt_max_us
-            r.Shard_runner.indoubt_mean_us);
-      (match r.Shard_runner.digest.Shard_runner.d_repl with
-      | None -> ()
-      | Some d ->
-          Printf.printf
-            "campaign %d repl: kills=%d revives=%d promotions=%d fencings=%d stale-acks=%d \
-             restarts=%d failover-lag-max=%dus\n"
-            i d.Shard_runner.rd_kills d.Shard_runner.rd_revives d.Shard_runner.rd_promotions
-            d.Shard_runner.rd_fencings d.Shard_runner.rd_stale_acks d.Shard_runner.rd_restarts
-            d.Shard_runner.rd_lag_max_us);
+      Format.printf "@[<v>campaign %d seed=%d@ %a@]@." i campaign_seed Fault_report.pp
+        r.Shard_runner.report;
       match mode with
       | `Sim -> ()
       | `Domains ->
@@ -398,36 +367,15 @@ let run_sim_campaigns ename engine seed campaigns duration sabotage quota requir
       in
       let r = Runner.run ~engine ~faults:plan ?watchdog:wdog cfg in
       total_violations := !total_violations + Fault_report.violation_count r.Runner.faults;
-      Format.printf "@[<v>campaign %d seed=%d plan: %a@ commits=%d conflicts=%d@ %a@]@." i
-        campaign_seed Fault_plan.pp plan r.Runner.commits r.Runner.conflicts Fault_report.pp
-        r.Runner.faults;
-      if r.Runner.crashes > 0 then begin
-        let sum f = List.fold_left (fun acc i -> acc + f i) 0 r.Runner.recoveries in
-        Format.printf
-          "campaign %d recovery: crashes=%d replayed=%d versions=%d truncated=%d losers=%d@."
-          i r.Runner.crashes
-          (sum (fun (x : Engine.restart_info) -> x.Engine.replayed_records))
-          (sum (fun (x : Engine.restart_info) -> x.Engine.replayed_versions))
-          (sum (fun (x : Engine.restart_info) -> x.Engine.truncated_frames))
-          (sum (fun (x : Engine.restart_info) -> x.Engine.losers_rolled_back))
-      end;
-      if liveness then begin
-        total_escalations := !total_escalations + r.Runner.watchdog_escalations;
-        total_zombie_cancels := !total_zombie_cancels + r.Runner.zombie_cancels;
-        Format.printf
-          "campaign %d liveness: escalations=%d zombie-cancels=%d max-lag-us=%d lag-samples=%d@."
-          i r.Runner.watchdog_escalations r.Runner.zombie_cancels
-          (r.Runner.max_reclamation_lag / 1000)
-          (Histogram.total r.Runner.reclamation_lag_us)
-      end;
+      Format.printf "@[<v>campaign %d seed=%d plan: %a@ %a@]@." i campaign_seed Fault_plan.pp
+        plan Fault_report.pp r.Runner.faults;
+      total_escalations := !total_escalations + r.Runner.watchdog_escalations;
+      total_zombie_cancels := !total_zombie_cancels + r.Runner.zombie_cancels;
       if quota > 0 then report_governor i ~now:horizon shed_recoveries r)
     campaign_seeds);
   Printf.printf "chaos: %d campaign(s), %d violation(s)\n" campaigns !total_violations;
   if require_shed then
     Printf.printf "chaos: %d campaign(s) shed and recovered to normal\n" !shed_recoveries;
-  if liveness then
-    Printf.printf "chaos: liveness totals: escalations=%d zombie-cancels=%d\n"
-      !total_escalations !total_zombie_cancels;
   if !total_violations > 0 then exit 1;
   if require_shed && !shed_recoveries = 0 then begin
     Printf.printf "chaos: FAIL --require-shed: no campaign reached Shedding and recovered\n";

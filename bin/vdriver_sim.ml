@@ -145,8 +145,7 @@ let run_cmd =
       llts;
     (match mode with
     | `Domains ->
-        Format.printf "%a@." Run_digest.pp
-          (Run_digest.of_result ~mode:"domains" ~domains:ndomains cfg r)
+        Format.printf "%a@." Run_digest.pp r.Runner.digest
     | `Sim -> ());
     Printf.printf "# commits=%d conflicts=%d llt_reads=%d truncations=%d\n" r.Runner.commits
       r.Runner.conflicts r.Runner.llt_reads r.Runner.truncations;

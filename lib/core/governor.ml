@@ -62,7 +62,6 @@ type t = {
   mutable log : transition list;  (* newest first *)
   mutable sheds : int;
   mutable assists : int;
-  headroom : Series.t;
 }
 
 let create ?(config = default_config) () =
@@ -86,7 +85,6 @@ let create ?(config = default_config) () =
     log = [];
     sheds = 0;
     assists = 0;
-    headroom = Series.create "quota-headroom";
   }
 
 let config t = t.config
@@ -167,15 +165,10 @@ let note_assist t =
 let assists t = t.assists
 
 let note_headroom t ~now ~space_bytes =
-  if enabled t then begin
-    Series.add t.headroom ~time:(Clock.to_seconds now)
-      ~value:(float_of_int (max 0 (t.config.hard_quota_bytes - space_bytes)));
-    (* A counter-phase event renders the space curve as a graph track in
-       chrome://tracing, right above the ladder's instants. *)
-    Trace.count Trace.Governor "space_bytes" ~at:now space_bytes
-  end
+  (* A counter-phase event renders the space curve as a graph track in
+     chrome://tracing, right above the ladder's instants. *)
+  if enabled t then Trace.count Trace.Governor "space_bytes" ~at:now space_bytes
 
-let headroom_series t = t.headroom
 let transitions t = List.rev t.log
 
 let dwell_times t ~now =

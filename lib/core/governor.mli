@@ -119,10 +119,9 @@ val note_assist : t -> unit
 val assists : t -> int
 
 val note_headroom : t -> now:Clock.time -> space_bytes:int -> unit
-(** Record the quota-headroom gauge sample ([quota - space], clamped at
-    0) into {!headroom_series}. No-op when disabled. *)
+(** Emit the version-space counter event onto the trace's governor
+    track. No-op when disabled. *)
 
-val headroom_series : t -> Series.t
 val transitions : t -> transition list
 (** Oldest first. *)
 

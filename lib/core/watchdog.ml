@@ -28,7 +28,6 @@ let rung_of_index = function
   | 4 -> Shed
   | i -> invalid_arg (Printf.sprintf "Watchdog.rung_of_index: %d" i)
 
-let all_rungs = [ Healthy; Nudge; Restart; Sync_reclaim; Shed ]
 let pp_rung fmt r = Format.pp_print_string fmt (rung_name r)
 
 type config = {
@@ -272,24 +271,3 @@ let check_ladder t =
         chained (check acc tr) tr.to_rung rest
   in
   List.rev (chained [] Healthy (transitions t))
-
-let pp_transition fmt tr =
-  Format.fprintf fmt "%a %a->%a (%d stalled, %d zombies)" Clock.pp tr.at pp_rung tr.from_rung
-    pp_rung tr.to_rung (List.length tr.stalled) tr.zombies
-
-let pp_summary fmt t =
-  Format.fprintf fmt
-    "@[<v>watchdog:%s rung=%a polls=%d escalations=%d nudges=%d restarts=%d sync-reclaims=%d \
-     zombie-cancels=%d max-stall=%a@ "
-    (if t.config.enabled then "" else " DISABLED")
-    pp_rung t.rung t.polls t.escalations t.nudges t.restarts t.sync_reclaims t.zombie_cancels
-    Clock.pp t.max_stall;
-  Format.fprintf fmt "sources:";
-  List.iter
-    (fun (name, beats, last) ->
-      Format.fprintf fmt " %s=%d@@%a" name beats Clock.pp last)
-    (sources t);
-  let trs = transitions t in
-  Format.fprintf fmt "@ transitions (%d):" (List.length trs);
-  List.iter (fun tr -> Format.fprintf fmt "@ %a" pp_transition tr) trs;
-  Format.fprintf fmt "@]"

@@ -34,7 +34,6 @@ type rung = Healthy | Nudge | Restart | Sync_reclaim | Shed
 val rung_name : rung -> string
 val rung_index : rung -> int
 val rung_of_index : int -> rung
-val all_rungs : rung list
 val pp_rung : Format.formatter -> rung -> unit
 
 type config = {
@@ -142,5 +141,3 @@ val check_ladder : t -> string list
     invariant): transitions chain from Healthy, move one rung at a
     time, every escalation carries a recorded unhealthy verdict and
     every de-escalation a clean one. Empty when honest. *)
-
-val pp_summary : Format.formatter -> t -> unit

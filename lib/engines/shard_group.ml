@@ -435,7 +435,6 @@ let cross_commits t = t.cross_commits
 let set_on_step t f = t.on_step <- f
 let set_skip_coord_decision t b = t.skip_coord_decision <- b
 let set_net_sabotage t s = t.net_sabotage <- s
-let net_config t = t.net_cfg
 let net_rto t = t.rto
 let net_indoubt_after t = t.indoubt_after
 let net_stats t = Bus.stats t.net
@@ -1071,12 +1070,9 @@ let attach_replicas t r =
   t.repl <- Some r;
   Replica.set_on_promote r (fun ~sid ~node:_ ~now -> promote_fixup t ~sid ~now)
 
-let replicas t = t.repl
-
 let acked t =
   Hashtbl.fold (fun tid (cts, parts) acc -> (tid, cts, parts) :: acc) t.acked_tbl []
   |> List.sort compare
 
-let acked_count t = Hashtbl.length t.acked_tbl
 let unacked t = t.unacked
 let shard_is_up = shard_up

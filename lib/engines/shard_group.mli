@@ -213,7 +213,6 @@ val two_pc_steps : t -> int
 val single_commits : t -> int
 val cross_commits : t -> int
 
-val net_config : t -> Net_fault.config
 val net_rto : t -> Clock.time
 val net_indoubt_after : t -> Clock.time
 val net_stats : t -> Bus.stats
@@ -274,7 +273,6 @@ val attach_replicas : t -> Replica.t -> unit
     paths and install the promotion fixup. Raises [Invalid_argument]
     if already attached or the shard counts disagree. *)
 
-val replicas : t -> Replica.t option
 val shard_is_up : t -> int -> bool
 (** Whether the shard currently has a live primary (always true
     unreplicated). *)
@@ -286,7 +284,6 @@ val acked : t -> (int * int * int list) list
     commit timestamp lets the oracle skip entries that have aged past a
     log's bounded checkpoint window. *)
 
-val acked_count : t -> int
 val unacked : t -> int
 (** Commits that reached local durability but missed their quorum and
     were reported [Net_abort] — never entered the acked ledger. *)

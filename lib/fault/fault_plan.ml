@@ -26,22 +26,6 @@ let action_name = function
   | Node_kill -> "node-kill"
   | Node_revive -> "node-revive"
 
-let all_actions =
-  [
-    Crash;
-    Abort_txn;
-    Wal_error;
-    Flush_fail;
-    Evict_storm;
-    Space_storm;
-    Wal_bitflip;
-    Cleaner_stall;
-    Llt_zombie;
-    Collab_delay;
-    Node_kill;
-    Node_revive;
-  ]
-
 type event = { at : Clock.time; action : action }
 
 (* One Poisson arrival process. [next] is the pre-drawn time of the next

@@ -45,7 +45,6 @@ type action =
           or stale under the stale-primary sabotage *)
 
 val action_name : action -> string
-val all_actions : action list
 
 type event = { at : Clock.time; action : action }
 

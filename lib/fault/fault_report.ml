@@ -1,4 +1,5 @@
 type violation = { at : Clock.time; invariant : string; detail : string }
+type value = Int of int | Float of float | Str of string
 
 type t = {
   max_details : int;
@@ -7,7 +8,7 @@ type t = {
   mutable total : int;
   mutable checks : int;
   mutable injected : (string * int) list; (* assoc, insertion order *)
-  mutable gauges : (string * int) list; (* end-of-run counters, assoc *)
+  mutable gauges : (string * value) list; (* end-of-run counters, assoc *)
 }
 
 let create ?(max_details = 64) () =
@@ -43,7 +44,7 @@ let note_fault t name =
   | None -> t.injected <- (name, 1) :: t.injected)
 
 let set_gauge t name value = t.gauges <- (name, value) :: List.remove_assoc name t.gauges
-let gauge t name = List.assoc_opt name t.gauges
+let gauge t name = match List.assoc_opt name t.gauges with Some (Int n) -> Some n | _ -> None
 let gauges t = List.sort (fun (a, _) (b, _) -> compare a b) t.gauges
 
 let violations t = List.rev t.stored
@@ -52,14 +53,20 @@ let checks_run t = t.checks
 let faults_injected t = List.sort (fun (a, _) (b, _) -> compare a b) t.injected
 let ok t = t.total = 0
 
+let pp_value fmt = function
+  | Int n -> Format.pp_print_int fmt n
+  | Float f -> Format.fprintf fmt "%g" f
+  | Str s -> Format.pp_print_string fmt s
+
 let pp fmt t =
   Format.fprintf fmt "@[<v>faults:";
   if t.injected = [] then Format.fprintf fmt " none"
   else
     List.iter (fun (name, n) -> Format.fprintf fmt " %s=%d" name n) (faults_injected t);
   if t.gauges <> [] then begin
-    Format.fprintf fmt "@ counters:";
-    List.iter (fun (name, v) -> Format.fprintf fmt " %s=%d" name v) (gauges t)
+    Format.fprintf fmt "@ @[<hov 2>counters:";
+    List.iter (fun (name, v) -> Format.fprintf fmt "@ %s=%a" name pp_value v) (gauges t);
+    Format.fprintf fmt "@]"
   end;
   Format.fprintf fmt "@ checks=%d violations=%d@ " t.checks t.total;
   List.iter

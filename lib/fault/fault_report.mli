@@ -8,6 +8,9 @@
 
 type violation = { at : Clock.time; invariant : string; detail : string }
 
+type value = Int of int | Float of float | Str of string
+(** An end-of-run counter: a count, a ratio or rate, or a label. *)
+
 type t
 
 val create : ?max_details:int -> unit -> t
@@ -20,13 +23,17 @@ val note_check : t -> unit
 val note_fault : t -> string -> unit
 (** Count one injected fault by action name. *)
 
-val set_gauge : t -> string -> int -> unit
-(** Record an end-of-run counter (WAL errors, retries, sheds, give-ups
-    …) under a stable name; overwrites any previous value. *)
+val set_gauge : t -> string -> value -> unit
+(** Record an end-of-run counter under a stable name; overwrites any
+    previous value. {!Run_digest.publish} is the one writer. *)
 
 val gauge : t -> string -> int option
-val gauges : t -> (string * int) list
+(** The named counter when it holds an [Int]. *)
+
+val gauges : t -> (string * value) list
 (** Sorted by name. *)
+
+val pp_value : Format.formatter -> value -> unit
 
 val violations : t -> violation list
 (** Stored violation records, oldest first. *)

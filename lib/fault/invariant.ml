@@ -206,7 +206,6 @@ let lag_monitor d ~bound =
     lm_hist = Histogram.create ~bucket_width:50 ();
   }
 
-let lag_bound m = m.lm_bound
 let max_lag m = m.lm_max_lag
 let lag_histogram m = m.lm_hist
 

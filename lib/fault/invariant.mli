@@ -88,7 +88,6 @@ val finish_lag : lag_monitor -> now:Clock.time -> unit
 (** End-of-run settlement: fold the final residence lag of every
     still-ticking clock into the histogram and max, then reset. *)
 
-val lag_bound : lag_monitor -> Clock.time
 val max_lag : lag_monitor -> Clock.time
 (** Largest dead-resident lag observed so far (reclaimed or not). *)
 

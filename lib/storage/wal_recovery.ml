@@ -513,3 +513,20 @@ let expect ?resolve analysis =
     resolved_commits = List.sort compare !resolved_commits;
     decisions = Hashtbl.fold (fun gid cts acc -> (gid, cts) :: acc) decisions [] |> List.sort compare;
   }
+
+let inject_torn_commit wal ~at =
+  let exp = expect (analyze wal) in
+  let tid, cts =
+    match exp.losers with
+    | tid :: _ -> (tid, exp.oracle_floor + 1)
+    | [] -> (exp.oracle_floor + 999983, exp.oracle_floor + 999984)
+  in
+  ignore
+    (Wal.inject_raw wal
+       (Wal_record.encode_with_bad_crc
+          {
+            Wal_record.lsn = Wal.next_lsn wal;
+            at;
+            shard = Wal.shard wal;
+            payload = Wal_record.Txn_commit { tid; cts };
+          }))

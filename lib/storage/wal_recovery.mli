@@ -119,3 +119,11 @@ val expect :
     coordinator logs builds its tables in [resolve ()], so one
     [expect] reads each coordinator once. Without a resolver every
     in-doubt transaction is presumed aborted. *)
+
+val inject_torn_commit : Wal.t -> at:Clock.time -> unit
+(** Fabricate a torn tail: append a [Txn_commit] frame with a bad CRC
+    for a transaction the surviving prefix says is undecided — its
+    first loser, committing just past the oracle floor — or, with no
+    loser, for a timestamp the log never handed out. Honest recovery
+    truncates the frame; recovery that skips the tail check replays
+    it. *)

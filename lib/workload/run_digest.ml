@@ -1,178 +1,122 @@
-type t = {
-  mode : string;
-  domains : int;
-  gc_backend : string;
-  commits : int;
-  conflicts : int;
-  llt_reads : int;
-  retries : int;
-  give_ups : int;
-  sheds : int;
-  wal_errors : int;
-  faults_injected : int;
-  invariant_violations : int;
-  peak_space : int;
-  final_space : int;
-  peak_chain : int;
-  prune_relocated : int;
-  prune_in_flight : int;
-  prune_completeness : float;
-  max_holes : int;
-  holey_chains : int;
-  avg_throughput : float;
-  latency_p50_us : int;
-  latency_p99_us : int;
-  chain_p50 : int;
-  chain_p99 : int;
-  lag_armed : bool;
-  max_reclamation_lag_us : int;
-}
+type value = Fault_report.value = Int of int | Float of float | Str of string
 
-let pctl h p = if Histogram.total h = 0 then 0 else Histogram.percentile h p
+type rule =
+  | Exact
+  | Zero
+  | At_most of int
+  | At_least of int
+  | Within of float * float
+  | Presence
+  | Report
 
-(* Percentile over the final chain-length CDF: smallest length covering
-   the fraction. *)
-let cdf_pctl cdf p =
-  let rec find = function
-    | [] -> 0
-    | (v, f) :: rest -> if f >= p then v else find rest
-  in
-  find cdf
+type row = { name : string; value : value; rule : rule }
+type t = row list
 
-let of_result ~mode ~domains (cfg : Exp_config.t) (r : Runner.result) =
-  let max_holes, holey_chains =
-    match r.Runner.driver with
-    | None -> (0, 0)
-    | Some d ->
-        let worst = ref 0 and holey = ref 0 in
-        Llb.iter d.State.llb (fun chain ->
-            let h = Chain.holes chain in
-            if h > !worst then worst := h;
-            if h > 0 then incr holey);
-        (!worst, !holey)
+let int ?(rule = Report) name n = { name; value = Int n; rule }
+let float ?(rule = Report) name f = { name; value = Float f; rule }
+let str ?(rule = Report) name s = { name; value = Str s; rule }
+let row t name = List.find_opt (fun r -> r.name = name) t
+let find t name = Option.map (fun r -> r.value) (row t name)
+let get_int t name = match find t name with Some (Int n) -> n | _ -> 0
+
+let recovery ~crashes (infos : Engine.restart_info list) =
+  if crashes = 0 then []
+  else
+    let sum f = List.fold_left (fun acc i -> acc + f i) 0 infos in
+    [
+      int "recovery.crashes" crashes;
+      int "recovery.replayed" (sum (fun i -> i.Engine.replayed_records));
+      int "recovery.versions" (sum (fun i -> i.Engine.replayed_versions));
+      int "recovery.truncated" (sum (fun i -> i.Engine.truncated_frames));
+      int "recovery.losers" (sum (fun i -> i.Engine.losers_rolled_back));
+    ]
+
+(* A name "b.k" is key "k" of block "b"; an undotted name has no
+   block. *)
+let split name =
+  match String.index_opt name '.' with
+  | Some i -> Some (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+  | None -> None
+
+let block name = Option.map fst (split name)
+
+let json_of_value = function
+  | Int n -> Jsonx.Int n
+  | Float f -> Jsonx.Float f
+  | Str s -> Jsonx.Str s
+
+(* Each block becomes one nested object, placed where its first row
+   stands. *)
+let to_json t =
+  let rec members = function
+    | [] -> []
+    | r :: rest -> (
+        match split r.name with
+        | None -> (r.name, json_of_value r.value) :: members rest
+        | Some (b, _) ->
+            let inside, outside = List.partition (fun r' -> block r'.name = Some b) rest in
+            let key r = match split r.name with Some (_, k) -> k | None -> r.name in
+            (b, Jsonx.Obj (List.map (fun r -> (key r, json_of_value r.value)) (r :: inside)))
+            :: members outside)
   in
-  let relocated, in_flight, completeness =
-    match r.Runner.driver with
-    | None -> (0, 0, 1.)
-    | Some d ->
-        let s = Driver.stats d in
-        let pruned = Prune_stats.prune1_total s + Prune_stats.prune2_total s in
-        let settled = pruned + Prune_stats.stored_total s in
-        ( Prune_stats.relocated s,
-          Prune_stats.in_flight s,
-          if settled = 0 then 1. else float_of_int pruned /. float_of_int settled )
-  in
-  let faults_injected =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 (Fault_report.faults_injected r.Runner.faults)
-  in
-  {
-    mode;
-    domains;
-    gc_backend =
-      (match r.Runner.driver with Some d -> Driver.gc_backend_name d | None -> "vcutter");
-    commits = r.Runner.commits;
-    conflicts = r.Runner.conflicts;
-    llt_reads = r.Runner.llt_reads;
-    retries = r.Runner.retries;
-    give_ups = r.Runner.give_ups;
-    sheds = r.Runner.sheds;
-    wal_errors = r.Runner.wal_errors;
-    faults_injected;
-    invariant_violations = Fault_report.violation_count r.Runner.faults;
-    peak_space = Runner.peak_space r;
-    final_space = Runner.final_space r;
-    peak_chain = Runner.peak_chain r;
-    prune_relocated = relocated;
-    prune_in_flight = in_flight;
-    prune_completeness = completeness;
-    max_holes;
-    holey_chains;
-    avg_throughput =
-      (if cfg.Exp_config.duration_s > 0. then
-         float_of_int r.Runner.commits /. cfg.Exp_config.duration_s
-       else 0.);
-    latency_p50_us = pctl r.Runner.latency_us 0.5;
-    latency_p99_us = pctl r.Runner.latency_us 0.99;
-    chain_p50 = cdf_pctl r.Runner.chain_cdf 0.5;
-    chain_p99 = cdf_pctl r.Runner.chain_cdf 0.99;
-    lag_armed = Histogram.total r.Runner.reclamation_lag_us > 0 || r.Runner.max_reclamation_lag > 0;
-    max_reclamation_lag_us = r.Runner.max_reclamation_lag / 1_000;
-  }
+  Jsonx.Obj (members t)
+
+let pp fmt t =
+  let pp_row fmt r = Format.fprintf fmt "%s=%a" r.name Fault_report.pp_value r.value in
+  Format.fprintf fmt "@[<hov 2>%a@]" (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_row) t
+
+let publish report t = List.iter (fun r -> Fault_report.set_gauge report r.name r.value) t
+let num = function Int n -> float_of_int n | Float f -> f | Str _ -> 0.
+
+(* One-run rules hold for each run that carries the row; two-run rules
+   compare only when both do. *)
+let agree rule x y =
+  let each p = List.for_all (fun v -> p (num v)) (Option.to_list x @ Option.to_list y) in
+  match (rule, x, y) with
+  | Zero, _, _ -> each (fun v -> v = 0.)
+  | At_most n, _, _ -> each (fun v -> v <= float_of_int n)
+  | At_least n, _, _ -> each (fun v -> v >= float_of_int n)
+  | Exact, Some x, Some y -> x = y
+  | Within (rel, abs), Some x, Some y ->
+      let x = num x and y = num y in
+      Float.abs (x -. y) <= Float.max abs (rel *. Float.max (Float.abs x) (Float.abs y))
+  | Presence, Some x, Some y -> (num x = 0.) = (num y = 0.)
+  | _ -> true
+
+let describe = function
+  | Exact -> "must be equal"
+  | Zero -> "must be 0"
+  | At_most n -> Printf.sprintf "at most %d" n
+  | At_least n -> Printf.sprintf "at least %d" n
+  | Within (rel, abs) -> Printf.sprintf "tol rel=%.2f abs=%g" rel abs
+  | Presence -> "zero in one run only"
+  | Report -> "report only"
+
+(* Blocks that carry a compared row: the configured layers (net, repl)
+   whose presence is part of the experiment. *)
+let compared_blocks t =
+  List.sort_uniq compare
+    (List.filter_map (fun r -> if r.rule = Report then None else block r.name) t)
 
 let diff a b =
-  (* Per-field closeness for the statistical counters, [(rel, abs)]:
-     [a] and [b] agree when [|a - b| <= max abs (rel * max |a| |b|)].
-     Calibrated against the differential qcheck matrix
-     (test_differential): real interleaving shifts conflict/retry counts
-     a lot and the volume/space counters a little; a lost publication
-     shifts commits by a worker's whole output, far past any of these. *)
-  let commits = (0.20, 400)
-  and conflicts = (2.0, 150)
-  and llt_reads = (0.25, 400)
-  and retries = (2.0, 60)
-  and give_ups = (2.0, 25)
-  and sheds = (2.0, 25)
-  and wal_errors = (2.0, 80)
-  (* Peak space is the spikiest field: under a space-storm plan one
-     extra LLT-pinned segment riding through a burst doubles the
-     transient peak, so only a >2x divergence is flagged. *)
-  and space = (1.0, 65536)
-  and chain = (1.0, 12)
-  and latency = (0.75, 60)
-  and lag = (2.0, 100_000) in
-  let out = ref [] in
-  let say fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let approx name (rel, abs_) v =
-    let x = v a and y = v b in
-    let slack = max abs_ (int_of_float (rel *. float_of_int (max (abs x) (abs y)))) in
-    if abs (x - y) > slack then
-      say "%s: %s=%d vs %s=%d (tol rel=%.2f abs=%d)" name a.mode x b.mode y rel abs_
+  let mode t = match find t "mode" with Some (Str m) -> m | _ -> "?" in
+  let show v = Option.fold ~none:"-" ~some:(Format.asprintf "%a" Fault_report.pp_value) v in
+  let rows =
+    List.filter_map
+      (fun r ->
+        let x = find a r.name and y = find b r.name in
+        if agree r.rule x y then None
+        else
+          Some
+            (Printf.sprintf "%s: %s=%s vs %s=%s (%s)" r.name (mode a) (show x) (mode b) (show y)
+               (describe r.rule)))
+      (a @ List.filter (fun r -> row a r.name = None) b)
   in
-  (* Safety facts first: each side must be clean on its own. *)
-  List.iter
-    (fun d ->
-      if d.invariant_violations > 0 then
-        say "%s mode: %d invariant violations" d.mode d.invariant_violations;
-      if d.max_holes > 1 then
-        say "%s mode: chain with %d holes (SIRO allows at most 1)" d.mode d.max_holes;
-      if d.prune_in_flight < 0 then
-        say "%s mode: prune conservation violated (in_flight=%d)" d.mode d.prune_in_flight)
-    [ a; b ];
-  (* The backend identity is part of the experiment, not a statistic:
-     any disagreement is a mismatch outright. *)
-  if a.gc_backend <> b.gc_backend then
-    say "gc_backend: %s=%s vs %s=%s" a.mode a.gc_backend b.mode b.gc_backend;
-  approx "commits" commits (fun d -> d.commits);
-  approx "conflicts" conflicts (fun d -> d.conflicts);
-  approx "llt_reads" llt_reads (fun d -> d.llt_reads);
-  approx "retries" retries (fun d -> d.retries);
-  approx "give_ups" give_ups (fun d -> d.give_ups);
-  approx "sheds" sheds (fun d -> d.sheds);
-  approx "wal_errors" wal_errors (fun d -> d.wal_errors);
-  approx "peak_space" space (fun d -> d.peak_space);
-  approx "final_space" space (fun d -> d.final_space);
-  approx "peak_chain" chain (fun d -> d.peak_chain);
-  approx "chain_p50" chain (fun d -> d.chain_p50);
-  approx "chain_p99" chain (fun d -> d.chain_p99);
-  approx "latency_p50_us" latency (fun d -> d.latency_p50_us);
-  approx "latency_p99_us" latency (fun d -> d.latency_p99_us);
-  (* Relocation volume tracks maintenance work; completeness is the
-     prune-soundness headline. Space tolerance fits both scales. *)
-  approx "prune_relocated" space (fun d -> d.prune_relocated);
-  if Float.abs (a.prune_completeness -. b.prune_completeness) > 0.25 then
-    say "prune_completeness: %s=%.3f vs %s=%.3f" a.mode a.prune_completeness b.mode
-      b.prune_completeness;
-  if a.lag_armed && b.lag_armed then
-    approx "max_reclamation_lag_us" lag (fun d -> d.max_reclamation_lag_us);
-  List.rev !out
-
-let pp fmt d =
-  Format.fprintf fmt
-    "@[<v>[%s x%d gc=%s] commits=%d conflicts=%d llt_reads=%d sheds=%d violations=%d@ \
-     space peak=%d final=%d chain peak=%d p50=%d p99=%d holes max=%d chains=%d@ \
-     prune relocated=%d in_flight=%d completeness=%.3f lat p50=%dus p99=%dus lag=%dus@]"
-    d.mode d.domains d.gc_backend d.commits d.conflicts d.llt_reads d.sheds
-    d.invariant_violations
-    d.peak_space d.final_space d.peak_chain d.chain_p50 d.chain_p99 d.max_holes
-    d.holey_chains d.prune_relocated d.prune_in_flight d.prune_completeness d.latency_p50_us
-    d.latency_p99_us d.max_reclamation_lag_us
+  let only bs others m =
+    List.filter_map
+      (fun bl ->
+        if List.mem bl others then None else Some (Printf.sprintf "%s: present in %s only" bl m))
+      bs
+  in
+  let ba = compared_blocks a and bb = compared_blocks b in
+  rows @ only ba bb (mode a) @ only bb ba (mode b)

@@ -1,63 +1,66 @@
-(** Mode-independent summary of a run, for sim-vs-domains differential
-    testing.
+(** A run's counter table: the one declaration from which its report
+    counters, its digest JSON, its printed summary and its Sim-vs-Domains
+    comparison are all derived.
 
-    A digest condenses one {!Runner.result} into the quantities both
-    execution modes must agree on: exact safety facts (invariant
+    A row is one name, one value and one rule saying how two runs of
+    the same experiment — one on the deterministic Sim scheduler, one on
+    real domains — must agree on it. Safety facts are exact (invariant
     violations, the SIRO 0/1-hole chain shape, prune-stats
-    conservation) and statistical aggregates (commits, space peak,
-    latency and chain percentiles, throughput) that are compared under
-    per-field tolerances — Domains mode interleaves for real, so counts
-    shifted by scheduling noise are expected; counts shifted by a lost
-    update are not.
+    conservation); statistical aggregates (commits, space peak, latency
+    and chain percentiles) are compared under per-row tolerances —
+    Domains mode interleaves for real, so counts shifted by scheduling
+    noise are expected; counts shifted by a lost update are not.
 
-    What agreement does and does not prove (DESIGN §4f): a matching
-    digest says the two modes computed statistically indistinguishable
-    histories and neither violated a safety invariant; it does not say
-    the histories are identical, and it cannot certify the absence of
+    A dotted name such as [net.sent] is key [sent] of block [net]. A
+    block with a compared row is a configured layer: one run carrying it
+    and the other not is a mismatch. An undotted row one run lacks (the
+    reclamation-lag rows, present where the monitor was armed) is
+    compared only when both carry it.
+
+    What agreement does and does not prove (DESIGN §4f): matching
+    digests say the two modes computed statistically indistinguishable
+    histories and neither violated a safety invariant; they do not say
+    the histories are identical, and they cannot certify the absence of
     races the workload never provoked. *)
 
-type t = {
-  mode : string;  (** "sim" or "domains" *)
-  domains : int;
-  gc_backend : string;
-      (** installed GC backend name ("vcutter" un-hooked); part of the
-          experiment identity, compared exactly *)
-  commits : int;
-  conflicts : int;
-  llt_reads : int;
-  retries : int;
-  give_ups : int;
-  sheds : int;
-  wal_errors : int;
-  faults_injected : int;
-  invariant_violations : int;  (** exact; must be 0 in both modes *)
-  peak_space : int;
-  final_space : int;
-  peak_chain : int;
-  prune_relocated : int;
-  prune_in_flight : int;
-      (** conservation-law residue; negative means counters were lost *)
-  prune_completeness : float;  (** pruned / settled, 1.0 when nothing settled *)
-  max_holes : int;  (** largest hole count in any live chain; SIRO legal <= 1 *)
-  holey_chains : int;
-  avg_throughput : float;  (** commits/s over the whole run *)
-  latency_p50_us : int;
-  latency_p99_us : int;
-  chain_p50 : int;  (** from the final chain-length CDF *)
-  chain_p99 : int;
-  lag_armed : bool;
-  max_reclamation_lag_us : int;  (** compared only when armed in both *)
-}
+type value = Fault_report.value = Int of int | Float of float | Str of string
 
-val of_result : mode:string -> domains:int -> Exp_config.t -> Runner.result -> t
+type rule =
+  | Exact  (** equal in both runs *)
+  | Zero  (** 0 in each run *)
+  | At_most of int  (** at most [n] in each run *)
+  | At_least of int  (** at least [n] in each run *)
+  | Within of float * float
+      (** [(rel, abs)]: [|a - b| <= max abs (rel * max |a| |b|)] *)
+  | Presence  (** nonzero in both runs or in neither *)
+  | Report  (** shown, never compared *)
+
+type row = { name : string; value : value; rule : rule }
+
+type t = row list
+(** In display order; JSON keeps it, blocks nest at their first row. *)
+
+val int : ?rule:rule -> string -> int -> row
+(** Rows default to [Report]. *)
+
+val float : ?rule:rule -> string -> float -> row
+val str : ?rule:rule -> string -> string -> row
+val find : t -> string -> value option
+
+val get_int : t -> string -> int
+(** The named [Int] row, 0 when absent. *)
+
+val recovery : crashes:int -> Engine.restart_info list -> t
+(** The [recovery] block — crash-restarts and the summed replay,
+    truncation and rollback counts — empty when [crashes = 0]. *)
+
+val to_json : t -> Jsonx.t
+val pp : Format.formatter -> t -> unit
+
+val publish : Fault_report.t -> t -> unit
+(** Write every row into the report under its own name. *)
 
 val diff : t -> t -> string list
-(** Human-readable mismatches, empty when the digests agree. Safety
-    fields (violations, hole shape, conservation) are exact — any
-    nonzero violation count or >1-hole chain on either side is itself a
-    mismatch; statistical fields use per-field tolerances calibrated on
-    the differential qcheck matrix: wide enough that honest scheduling
-    noise between the modes never trips them, tight enough that losing
-    any worker's counters always does. *)
-
-val pp : Format.formatter -> t -> unit
+(** Human-readable mismatches, empty when the tables agree. Each starts
+    with the offending row or block name and a colon. The [mode] row
+    labels the two runs. *)

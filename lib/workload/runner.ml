@@ -25,9 +25,13 @@ type result = {
   watchdog_escalations : int;
   max_reclamation_lag : Clock.time;
   reclamation_lag_us : Histogram.t;  (* per-segment reclaim lag, 50 us buckets *)
+  digest : Run_digest.t;
 }
 
 type mode = Substrate.mode = Sim | Domains of { domains : int }
+
+let peak_of xs = List.fold_left (fun acc (_, v) -> max acc (int_of_float v)) 0 xs
+let final_of xs = match List.rev xs with (_, v) :: _ -> int_of_float v | [] -> 0
 
 let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   Substrate.require ~who:"Runner.run" mode
@@ -476,28 +480,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         Vec.iter (fun drop -> drop now) drop_slots;
         Wal.crash wal ~keep_lsn:keep;
         if Fault_plan.torn_tail plan then begin
-          (* The torn sector always holds a semantically dangerous
-             record: a commit for a transaction the surviving prefix
-             says is still undecided (or, with no loser available, for
-             a timestamp the log never handed out). *)
-          let exp = Wal_recovery.expect (Wal_recovery.analyze wal) in
-          let tid, cts =
-            match exp.Wal_recovery.losers with
-            | tid :: _ -> (tid, exp.Wal_recovery.oracle_floor + 1)
-            | [] ->
-                ( exp.Wal_recovery.oracle_floor + 999983,
-                  exp.Wal_recovery.oracle_floor + 999984 )
-          in
-          let frame =
-            Wal_record.encode_with_bad_crc
-              {
-                Wal_record.lsn = Wal.next_lsn wal;
-                at = now;
-                shard = Wal.shard wal;
-                payload = Wal_record.Txn_commit { tid; cts };
-              }
-          in
-          ignore (Wal.inject_raw wal frame);
+          Wal_recovery.inject_torn_commit wal ~at:now;
           Fault_report.note_fault report "torn-tail"
         end;
         let info = restart ~now in
@@ -756,55 +739,35 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
     | Some d -> Governor.sheds (Driver.governor d)
     | None -> 0
   in
-  (* Robustness counters, surfaced both in the result record and in the
-     report so chaos campaigns print them. *)
-  Fault_report.set_gauge report "wal-errors" final.Engine.wal_errors;
-  Fault_report.set_gauge report "retries" !retries;
-  Fault_report.set_gauge report "give-ups" !give_ups;
-  Fault_report.set_gauge report "sheds" sheds;
-  (* GC backend identity and its counters, hooked runs only — the
-     default gauge surface stays untouched. *)
-  (match eng.Engine.driver with
-  | Some d -> (
-      match d.State.gc_backend with
-      | Some h ->
-          Fault_report.set_gauge report "gc-backend" h.State.gh_id;
-          List.iter (fun (k, n) -> Fault_report.set_gauge report k n) (h.State.gh_gauges ())
-      | None -> ())
-  | None -> ());
-  if !crashes > 0 then begin
-    Fault_report.set_gauge report "crash-restarts" !crashes;
-    Fault_report.set_gauge report "records-replayed"
-      (List.fold_left (fun acc (i : Engine.restart_info) -> acc + i.Engine.replayed_records)
-         0 !recoveries);
-    Fault_report.set_gauge report "frames-truncated"
-      (List.fold_left (fun acc (i : Engine.restart_info) -> acc + i.Engine.truncated_frames)
-         0 !recoveries);
-    Fault_report.set_gauge report "losers-rolled-back"
-      (List.fold_left
-         (fun acc (i : Engine.restart_info) -> acc + i.Engine.losers_rolled_back)
-         0 !recoveries)
-  end;
   let max_reclamation_lag = match !lag_mon with Some m -> Invariant.max_lag m | None -> 0 in
-  if direct_lag && !lag_mon <> None then
-    Fault_report.set_gauge report "max-reclamation-lag-us" (max_reclamation_lag / 1000);
-  (* Liveness gauges, armed runs only — the default (and golden) metric
-     surface is untouched. *)
+  let lag_histogram =
+    match !lag_mon with
+    | Some m -> Invariant.lag_histogram m
+    | None -> Histogram.create ~bucket_width:50 ()
+  in
   (match wd with
-  | None -> ()
-  | Some w ->
-      Fault_report.set_gauge report "watchdog-escalations" (Watchdog.escalations w);
-      Fault_report.set_gauge report "watchdog-nudges" (Watchdog.nudges w);
-      Fault_report.set_gauge report "zombie-cancels" (Watchdog.zombie_cancels w);
-      Fault_report.set_gauge report "max-stall-us" (Watchdog.max_stall_observed w / 1000);
-      Fault_report.set_gauge report "max-reclamation-lag-us" (max_reclamation_lag / 1000);
-      match Metrics.in_scope () with
-      | None -> ()
-      | Some _ ->
-          Metrics.set_gauge "watchdog.escalations" (float_of_int (Watchdog.escalations w));
-          Metrics.set_gauge "watchdog.zombie_cancels" (float_of_int (Watchdog.zombie_cancels w));
-          Metrics.set_gauge "watchdog.max_reclamation_lag_us"
-            (float_of_int (max_reclamation_lag / 1000)));
+  | Some w when Metrics.in_scope () <> None ->
+      Metrics.set_gauge "watchdog.escalations" (float_of_int (Watchdog.escalations w));
+      Metrics.set_gauge "watchdog.zombie_cancels" (float_of_int (Watchdog.zombie_cancels w));
+      Metrics.set_gauge "watchdog.max_reclamation_lag_us"
+        (float_of_int (max_reclamation_lag / 1000))
+  | _ -> ());
+  let commits = Series.Rate.total commit_rate in
+  let tput =
+    if cfg.Exp_config.duration_s > 0. then float_of_int commits /. cfg.Exp_config.duration_s
+    else 0.
+  in
+  let space = Series.to_list space_series in
+  let pctl h p = if Histogram.total h = 0 then 0 else Histogram.percentile h p in
+  let completeness =
+    Option.map
+      (fun d ->
+        let s = Driver.stats d in
+        let pruned = Prune_stats.prune1_total s + Prune_stats.prune2_total s in
+        let settled = pruned + Prune_stats.stored_total s in
+        if settled = 0 then 1. else float_of_int pruned /. float_of_int settled)
+      eng.Engine.driver
+  in
   (* Headline gauges for the metrics snapshot (the BENCH_obs / golden
      surface): every traced run exports these whether or not the hot
      paths fed their histograms, so the schema's required keys are
@@ -812,45 +775,110 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   (match Metrics.in_scope () with
   | None -> ()
   | Some reg ->
-      let commits = Series.Rate.total commit_rate in
-      Metrics.set_gauge "txn.throughput"
-        (if cfg.Exp_config.duration_s > 0. then
-           float_of_int commits /. cfg.Exp_config.duration_s
-         else 0.);
+      Metrics.set_gauge "txn.throughput" tput;
       let scan = Metrics.histogram reg "scan.chain_length" in
-      let scan_pctl p = if Histogram.total scan = 0 then 0 else Histogram.percentile scan p in
-      Metrics.set_gauge "scan.p50" (float_of_int (scan_pctl 0.5));
-      Metrics.set_gauge "scan.p99" (float_of_int (scan_pctl 0.99));
-      let peak =
-        List.fold_left (fun acc (_, v) -> max acc v) 0.
-          (Series.to_list space_series)
-      in
-      Metrics.set_gauge "space.peak_bytes" peak;
+      Metrics.set_gauge "scan.p50" (float_of_int (pctl scan 0.5));
+      Metrics.set_gauge "scan.p99" (float_of_int (pctl scan 0.99));
+      Metrics.set_gauge "space.peak_bytes" (float_of_int (peak_of space));
       Metrics.set_gauge "space.final_bytes" (float_of_int final.Engine.version_bytes);
-      let lat_pctl p =
-        if Histogram.total latency_us = 0 then 0 else Histogram.percentile latency_us p
-      in
-      Metrics.set_gauge "txn.latency_p50_us" (float_of_int (lat_pctl 0.5));
-      Metrics.set_gauge "txn.latency_p99_us" (float_of_int (lat_pctl 0.99));
-      Metrics.set_gauge "prune.completeness"
-        (match eng.Engine.driver with
-        | Some d ->
-            let s = Driver.stats d in
-            let pruned = Prune_stats.prune1_total s + Prune_stats.prune2_total s in
-            let settled = pruned + Prune_stats.stored_total s in
-            if settled = 0 then 1. else float_of_int pruned /. float_of_int settled
-        | None -> 0.));
+      Metrics.set_gauge "txn.latency_p50_us" (float_of_int (pctl latency_us 0.5));
+      Metrics.set_gauge "txn.latency_p99_us" (float_of_int (pctl latency_us 0.99));
+      Metrics.set_gauge "prune.completeness" (Option.value completeness ~default:0.));
   let cdf = Histogram.cdf (eng.Engine.chain_histogram ()) in
+  let max_holes = ref 0 and holey_chains = ref 0 in
+  Option.iter
+    (fun d ->
+      Llb.iter d.State.llb (fun chain ->
+          let h = Chain.holes chain in
+          max_holes := max !max_holes h;
+          if h > 0 then incr holey_chains))
+    eng.Engine.driver;
+  (* The run's counter table: every row lands in the report, and the
+     Sim-vs-Domains comparison reads the rules. Tolerances are
+     calibrated against the differential qcheck matrix
+     (test_differential): real interleaving shifts conflict/retry counts
+     a lot and the volume/space counters a little; a lost publication
+     shifts commits by a worker's whole output, far past any of these.
+     Peak space is the spikiest row (one extra LLT-pinned segment riding
+     through a space-storm burst doubles the transient peak), so its
+     band, like every band with rel >= 1, admits any two non-negative
+     values. *)
+  let digest =
+    let open Run_digest in
+    let space_tol = Within (1.0, 65536.) and chain = Within (1.0, 12.) in
+    let latency = Within (0.75, 60.) in
+    let cdf_pctl p = Option.fold ~none:0 ~some:fst (List.find_opt (fun (_, f) -> f >= p) cdf) in
+    let prune f = Option.fold ~none:0 ~some:(fun d -> f (Driver.stats d)) eng.Engine.driver in
+    [
+      str "mode" (match mode with Sim -> "sim" | Domains _ -> "domains");
+      int "domains" (match mode with Sim -> 1 | Domains { domains } -> domains);
+      (* The backend identity is part of the experiment, not a
+         statistic. *)
+      str ~rule:Exact "gc_backend"
+        (Option.fold ~none:"vcutter" ~some:Driver.gc_backend_name eng.Engine.driver);
+      int ~rule:(Within (0.20, 400.)) "commits" commits;
+      int ~rule:(Within (2.0, 150.)) "conflicts" !conflicts;
+      int ~rule:(Within (0.25, 400.)) "llt_reads" !llt_reads;
+      int ~rule:(Within (2.0, 60.)) "retries" !retries;
+      int ~rule:(Within (2.0, 25.)) "give_ups" !give_ups;
+      int ~rule:(Within (2.0, 25.)) "sheds" sheds;
+      int ~rule:(Within (2.0, 80.)) "wal_errors" final.Engine.wal_errors;
+      int "faults_injected"
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 (Fault_report.faults_injected report));
+      int ~rule:Zero "invariant_violations" (Fault_report.violation_count report);
+      int ~rule:space_tol "peak_space" (peak_of space);
+      int ~rule:space_tol "final_space" (final_of space);
+      int ~rule:chain "peak_chain" (peak_of (Series.to_list chain_series));
+      (* Relocation volume tracks maintenance work; completeness is the
+         prune-soundness headline; a negative in-flight residue means
+         prune counters were lost. *)
+      int ~rule:space_tol "prune_relocated" (prune Prune_stats.relocated);
+      int ~rule:(At_least 0) "prune_in_flight" (prune Prune_stats.in_flight);
+      float ~rule:(Within (0., 0.25)) "prune_completeness" (Option.value completeness ~default:1.);
+      (* SIRO chains carry at most one hole. *)
+      int ~rule:(At_most 1) "max_holes" !max_holes;
+      int "holey_chains" !holey_chains;
+      float "avg_throughput" tput;
+      int ~rule:latency "latency_p50_us" (pctl latency_us 0.5);
+      int ~rule:latency "latency_p99_us" (pctl latency_us 0.99);
+      int ~rule:chain "chain_p50" (cdf_pctl 0.5);
+      int ~rule:chain "chain_p99" (cdf_pctl 0.99);
+    ]
+    @ (match !lag_mon with
+      | None -> []
+      | Some _ ->
+          [
+            int ~rule:(Within (2.0, 100_000.)) "max_reclamation_lag_us"
+              (max_reclamation_lag / 1000);
+            int "lag_samples" (Histogram.total lag_histogram);
+          ])
+    @ recovery ~crashes:!crashes !recoveries
+    @ (match wd with
+      | None -> []
+      | Some w ->
+          [
+            int "watchdog.escalations" (Watchdog.escalations w);
+            int "watchdog.nudges" (Watchdog.nudges w);
+            int "watchdog.zombie_cancels" (Watchdog.zombie_cancels w);
+            int "watchdog.max_stall_us" (Watchdog.max_stall_observed w / 1000);
+          ])
+    @
+    match eng.Engine.driver with
+    | Some { State.gc_backend = Some h; _ } ->
+        List.map (fun (k, n) -> int k n) (h.State.gh_gauges ())
+    | _ -> []
+  in
+  Run_digest.publish report digest;
   {
     engine_name = eng.Engine.name;
     throughput = Series.Rate.per_second commit_rate;
-    version_space = Series.to_list space_series;
+    version_space = space;
     redo = Series.to_list redo_series;
     max_chain = Series.to_list chain_series;
     splits = Series.to_list split_series;
     chain_cdf = cdf;
     latency_us;
-    commits = Series.Rate.total commit_rate;
+    commits;
     conflicts = !conflicts;
     llt_reads = !llt_reads;
     truncations = final.Engine.truncations;
@@ -870,10 +898,8 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
     zombie_cancels = (match wd with Some w -> Watchdog.zombie_cancels w | None -> 0);
     watchdog_escalations = (match wd with Some w -> Watchdog.escalations w | None -> 0);
     max_reclamation_lag;
-    reclamation_lag_us =
-      (match !lag_mon with
-      | Some m -> Invariant.lag_histogram m
-      | None -> Histogram.create ~bucket_width:50 ());
+    reclamation_lag_us = lag_histogram;
+    digest;
   }
 
 let avg_throughput r ~between:(lo, hi) =
@@ -882,9 +908,6 @@ let avg_throughput r ~between:(lo, hi) =
   in
   Stats.mean xs
 
-let final_space r = match List.rev r.version_space with (_, v) :: _ -> int_of_float v | [] -> 0
-
-let peak_space r =
-  List.fold_left (fun acc (_, v) -> max acc (int_of_float v)) 0 r.version_space
-
-let peak_chain r = List.fold_left (fun acc (_, v) -> max acc (int_of_float v)) 0 r.max_chain
+let final_space r = final_of r.version_space
+let peak_space r = peak_of r.version_space
+let peak_chain r = peak_of r.max_chain

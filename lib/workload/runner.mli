@@ -29,9 +29,8 @@ type result = {
   driver : Driver.t option;
   faults : Fault_report.t;
       (** injected faults, invariant sweeps, and any violations; empty
-          when the run had no fault plan. Always carries the end-of-run
-          robustness gauges ([wal-errors], [retries], [give-ups],
-          [sheds]). *)
+          when the run had no fault plan. Always carries every row of
+          [digest] as a counter. *)
   wal_errors : int;  (** log appends rejected by fault injection *)
   retries : int;
       (** backed-off re-executions after forced aborts and governor
@@ -56,6 +55,11 @@ type result = {
   reclamation_lag_us : Histogram.t;
       (** per-segment reclaim lag in microseconds (50 us buckets); empty
           when not armed *)
+  digest : Run_digest.t;
+      (** the end-of-run counter table: the Sim-vs-Domains digest rows,
+          the reclamation-lag rows when the monitor was armed, and the
+          [recovery], [watchdog] and GC-backend ([gc]) blocks when those
+          layers ran *)
 }
 
 type mode = Substrate.mode =
@@ -72,8 +76,8 @@ type mode = Substrate.mode =
           ([Invalid_argument]); Poisson [Crash] arrivals are recorded as
           [crash-skipped] and not applied; with a fault plan the
           bounded-reclamation-lag monitor is armed directly. Results are
-          statistically (not bit-) reproducible; compare across modes
-          with {!Run_digest}. *)
+          statistically (not bit-) reproducible; compare the two
+          [digest]s with {!Run_digest.diff}. *)
 
 val run :
   engine:(Schema.t -> Engine.t) ->

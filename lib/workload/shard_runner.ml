@@ -87,108 +87,61 @@ type digest = {
   d_repl : rep_digest option; (* absent when replicas = 0 *)
 }
 
-let digest_to_json d =
-  Jsonx.Obj
-    ([
-       ("mode", Jsonx.Str d.d_mode);
-       ("shards", Jsonx.Int d.d_shards);
-       ("commits", Jsonx.Int d.d_commits);
-       ("conflicts", Jsonx.Int d.d_conflicts);
-       ("cross_commits", Jsonx.Int d.d_cross_commits);
-       ("violations", Jsonx.Int d.d_violations);
-       ("peak_space", Jsonx.Int d.d_peak_space);
-       ("throughput", Jsonx.Float d.d_throughput);
-     ]
-    @
-    (* The net block appears only when a fault config was active, so
-       no-fault digests stay byte-identical to the pre-net layer. *)
-    (match d.d_net with
+(* The digest's rows. Sim vs Domains agree on safety exactly and on
+   load statistically: Domains interleaves for real, so counts drift
+   with scheduling. Slack follows the unsharded table: an absolute
+   floor for small-run noise (a run short enough that no sampler fired
+   can legitimately report a fully pruned peak of zero) under a
+   relative band for real divergence. The net and repl blocks appear
+   only when their layer ran, so a transparent or unreplicated run keeps
+   the JSON of the driver without that layer. *)
+let rows d =
+  let open Run_digest in
+  [
+    str "mode" d.d_mode;
+    int ~rule:Exact "shards" d.d_shards;
+    int ~rule:(Within (0.5, 400.)) "commits" d.d_commits;
+    int "conflicts" d.d_conflicts;
+    int ~rule:Presence "cross_commits" d.d_cross_commits;
+    int ~rule:Zero "violations" d.d_violations;
+    int ~rule:(Within (1.0, 65536.)) "peak_space" d.d_peak_space;
+    float "throughput" d.d_throughput;
+  ]
+  (* Net volume drifts with real interleaving, so only gross
+     disagreement (beyond 5x plus a floor) counts. *)
+  @ (match d.d_net with
     | None -> []
     | Some n ->
         [
-          ( "net",
-            Jsonx.Obj
-              [
-                ("sent", Jsonx.Int n.nd_sent);
-                ("dropped", Jsonx.Int n.nd_dropped);
-                ("retried", Jsonx.Int n.nd_retried);
-                ("net_aborts", Jsonx.Int n.nd_net_aborts);
-                ("indoubt_max_us", Jsonx.Int n.nd_indoubt_max_us);
-              ] );
+          int ~rule:(Within (4.0, 4096.)) "net.sent" n.nd_sent;
+          int "net.dropped" n.nd_dropped;
+          int "net.retried" n.nd_retried;
+          int "net.net_aborts" n.nd_net_aborts;
+          int "net.indoubt_max_us" n.nd_indoubt_max_us;
         ])
-    @
-    (* Likewise the repl block: [--replicas 0] digests keep the exact
-       bytes of the unreplicated driver. *)
-    match d.d_repl with
-    | None -> []
-    | Some r ->
-        [
-          ( "repl",
-            Jsonx.Obj
-              [
-                ("replicas", Jsonx.Int r.rd_replicas);
-                ("quorum", Jsonx.Int r.rd_quorum);
-                ("kills", Jsonx.Int r.rd_kills);
-                ("revives", Jsonx.Int r.rd_revives);
-                ("promotions", Jsonx.Int r.rd_promotions);
-                ("fencings", Jsonx.Int r.rd_fencings);
-                ("stale_acks", Jsonx.Int r.rd_stale_acks);
-                ("restarts", Jsonx.Int r.rd_restarts);
-                ("failover_lag_max_us", Jsonx.Int r.rd_lag_max_us);
-              ] );
-        ])
+  (* The replication layer must be configured identically in both
+     modes. Kill and promotion volumes come from the same seeded plan,
+     but success depends on interleaving-sensitive budget refusals, so
+     only gross disagreement counts. Fabricated client acks are a
+     sabotage artifact both modes arm alike: presence must agree. *)
+  @
+  match d.d_repl with
+  | None -> []
+  | Some r ->
+      [
+        int ~rule:Exact "repl.replicas" r.rd_replicas;
+        int ~rule:Exact "repl.quorum" r.rd_quorum;
+        int ~rule:(Within (1.0, 8.)) "repl.kills" r.rd_kills;
+        int "repl.revives" r.rd_revives;
+        int ~rule:(Within (1.0, 8.)) "repl.promotions" r.rd_promotions;
+        int "repl.fencings" r.rd_fencings;
+        int ~rule:Presence "repl.stale_acks" r.rd_stale_acks;
+        int "repl.restarts" r.rd_restarts;
+        int "repl.failover_lag_max_us" r.rd_lag_max_us;
+      ]
 
-(* Sim vs Domains agree on safety exactly and on load statistically:
-   Domains interleaves for real, so counts drift with scheduling. Slack
-   follows Run_digest: an absolute floor for small-run noise (a run
-   short enough that no sampler fired can legitimately report a fully
-   pruned peak of zero) under a relative band for real divergence. *)
-let digest_diff a b =
-  let acc = ref [] in
-  let say fmt = Format.kasprintf (fun s -> acc := s :: !acc) fmt in
-  if a.d_shards <> b.d_shards then say "shards: %d vs %d" a.d_shards b.d_shards;
-  if a.d_violations <> 0 || b.d_violations <> 0 then
-    say "violations: %d (%s) vs %d (%s)" a.d_violations a.d_mode b.d_violations b.d_mode;
-  let close ~rel ~abs x y =
-    let slack = max abs (int_of_float (rel *. float_of_int (max x y))) in
-    Stdlib.abs (x - y) <= slack
-  in
-  if not (close ~rel:0.5 ~abs:400 a.d_commits b.d_commits) then
-    say "commits: %d vs %d (beyond 50%% + 400)" a.d_commits b.d_commits;
-  if not (close ~rel:1.0 ~abs:65536 a.d_peak_space b.d_peak_space) then
-    say "peak_space: %d vs %d (beyond 2x + 64KiB)" a.d_peak_space b.d_peak_space;
-  (* Cross-shard traffic must exist in both modes or neither. *)
-  if (a.d_cross_commits = 0) <> (b.d_cross_commits = 0) then
-    say "cross_commits: %d vs %d" a.d_cross_commits b.d_cross_commits;
-  (* Net blocks must agree on presence; volume drifts with real
-     interleaving, so only gross disagreement (an order of magnitude
-     beyond a floor) counts. *)
-  (match (a.d_net, b.d_net) with
-  | None, None -> ()
-  | Some _, None | None, Some _ -> say "net digest present in one mode only"
-  | Some na, Some nb ->
-      if not (close ~rel:4.0 ~abs:4096 na.nd_sent nb.nd_sent) then
-        say "net sent: %d vs %d (beyond 5x + 4096)" na.nd_sent nb.nd_sent);
-  (* The replication layer must be configured identically in both modes;
-     kill/promotion volumes come from the same seeded plan but success
-     depends on interleaving-sensitive budget refusals, so only gross
-     disagreement counts. *)
-  (match (a.d_repl, b.d_repl) with
-  | None, None -> ()
-  | Some _, None | None, Some _ -> say "repl digest present in one mode only"
-  | Some ra, Some rb ->
-      if ra.rd_replicas <> rb.rd_replicas || ra.rd_quorum <> rb.rd_quorum then
-        say "repl config: %d/%d vs %d/%d" ra.rd_replicas ra.rd_quorum rb.rd_replicas
-          rb.rd_quorum;
-      if not (close ~rel:1.0 ~abs:8 ra.rd_kills rb.rd_kills) then
-        say "repl kills: %d vs %d (beyond 2x + 8)" ra.rd_kills rb.rd_kills;
-      if not (close ~rel:1.0 ~abs:8 ra.rd_promotions rb.rd_promotions) then
-        say "repl promotions: %d vs %d (beyond 2x + 8)" ra.rd_promotions rb.rd_promotions;
-      (* Fabricated client acks are a sabotage artifact: both modes run
-         the same sabotage knob, so presence must agree. *)
-      if (ra.rd_stale_acks = 0) <> (rb.rd_stale_acks = 0) then
-        say "repl stale_acks: %d vs %d" ra.rd_stale_acks rb.rd_stale_acks);
-  List.rev !acc
+let digest_to_json d = Run_digest.to_json (rows d)
+let digest_diff a b = Run_digest.diff (rows a) (rows b)
 
 type result = {
   commits : int;
@@ -215,62 +168,8 @@ exception Crash_now
 (* Raised by the 2PC step hook to die at an exact protocol point; caught
    by the owning worker, which then runs the whole-system restart. *)
 
-let make_digest ~mode ~shards ~commits ~conflicts ~cross ~violations ~peak ~tput ~net ~rep
-    =
-  {
-    d_mode = mode;
-    d_shards = shards;
-    d_commits = commits;
-    d_conflicts = conflicts;
-    d_cross_commits = cross;
-    d_violations = violations;
-    d_peak_space = peak;
-    d_throughput = tput;
-    d_net = net;
-    d_repl = rep;
-  }
-
 let viols_of_pairs ps =
   List.map (fun (invariant, detail) -> { Invariant.invariant; detail }) ps
-
-(* Net block + per-shard gauges, recorded only for active fault
-   configs: transparent runs keep their pre-net report and digest
-   bytes. *)
-let net_digest_of g =
-  let s = Shard_group.net_stats g in
-  {
-    nd_sent = s.Bus.sent;
-    nd_dropped = s.Bus.dropped_loss + s.Bus.dropped_partition;
-    nd_retried = s.Bus.retried;
-    nd_net_aborts = Shard_group.net_aborts g;
-    nd_indoubt_max_us = Shard_group.max_indoubt_residence g / 1000;
-  }
-
-let record_net_gauges report g =
-  let s = Shard_group.net_stats g in
-  Fault_report.set_gauge report "net-sent" s.Bus.sent;
-  Fault_report.set_gauge report "net-dropped" (s.Bus.dropped_loss + s.Bus.dropped_partition);
-  Fault_report.set_gauge report "net-duplicated" s.Bus.duplicated;
-  Fault_report.set_gauge report "net-retried" s.Bus.retried;
-  Fault_report.set_gauge report "net-aborts" (Shard_group.net_aborts g);
-  Fault_report.set_gauge report "indoubt-max-us" (Shard_group.max_indoubt_residence g / 1000);
-  Metrics.set_gauge "net.sent" (float_of_int s.Bus.sent);
-  Metrics.set_gauge "net.dropped" (float_of_int (s.Bus.dropped_loss + s.Bus.dropped_partition));
-  Metrics.set_gauge "net.retried" (float_of_int s.Bus.retried);
-  for sid = 0 to Shard_group.shard_count g - 1 do
-    Fault_report.set_gauge report
-      (Printf.sprintf "indoubt-s%d" sid)
-      (Shard_group.indoubt_count g ~sid);
-    Fault_report.set_gauge report
-      (Printf.sprintf "epoch-lag-s%d" sid)
-      (Shard_group.epoch_lag g ~sid);
-    Metrics.set_gauge
-      (Printf.sprintf "shard.indoubt.s%d" sid)
-      (float_of_int (Shard_group.indoubt_count g ~sid));
-    Metrics.set_gauge
-      (Printf.sprintf "shard.epoch_lag.s%d" sid)
-      (float_of_int (Shard_group.epoch_lag g ~sid))
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Replication plumbing. *)
@@ -281,42 +180,6 @@ let rep_total f r ~shards =
     acc := !acc + f r ~sid
   done;
   !acc
-
-let rep_digest_of r ~replicas ~shards ~restarts =
-  let lag_max = List.fold_left (fun m (_, l) -> max m l) 0 (Replica.lags r) in
-  {
-    rd_replicas = replicas;
-    rd_quorum = Replica.quorum r;
-    rd_kills = Replica.kills r;
-    rd_revives = Replica.revives r;
-    rd_promotions = rep_total Replica.promotions r ~shards;
-    rd_fencings = rep_total Replica.fencings r ~shards;
-    rd_stale_acks = Replica.stale_ack_count r;
-    rd_restarts = restarts;
-    rd_lag_max_us = lag_max / 1000;
-  }
-
-(* Satellite: restart and promotion/fencing visibility is uniform across
-   modes — the same gauge names feed the Sim-vs-Domains differential. *)
-let record_rep_gauges report r ~shards ~restarts =
-  Fault_report.set_gauge report "rep-kills" (Replica.kills r);
-  Fault_report.set_gauge report "rep-revives" (Replica.revives r);
-  Fault_report.set_gauge report "recovery-restarts" restarts;
-  Fault_report.set_gauge report "rep-stale-acks" (Replica.stale_ack_count r);
-  for sid = 0 to shards - 1 do
-    Fault_report.set_gauge report
-      (Printf.sprintf "promotions-s%d" sid)
-      (Replica.promotions r ~sid);
-    Fault_report.set_gauge report
-      (Printf.sprintf "fencings-s%d" sid)
-      (Replica.fencings r ~sid);
-    Metrics.set_gauge
-      (Printf.sprintf "replica.promotions.s%d" sid)
-      (float_of_int (Replica.promotions r ~sid));
-    Metrics.set_gauge
-      (Printf.sprintf "replica.fencings.s%d" sid)
-      (float_of_int (Replica.fencings r ~sid))
-  done
 
 (* Arm the replication layer when configured: attach the group's devices
    and install the kill-step hook. Steps are counted globally across
@@ -496,24 +359,7 @@ let run ?(mode = Sim) (cfg : cfg) =
          recovery truncates it by CRC. *)
       let sid = !torn_rr mod cfg.shards in
       incr torn_rr;
-      let wal = (Shard_group.shards g).(sid).Shard.wal in
-      let exp = Wal_recovery.expect (Wal_recovery.analyze wal) in
-      let tid, cts =
-        match exp.Wal_recovery.losers with
-        | tid :: _ -> (tid, exp.Wal_recovery.oracle_floor + 1)
-        | [] ->
-            (exp.Wal_recovery.oracle_floor + 999983, exp.Wal_recovery.oracle_floor + 999984)
-      in
-      let frame =
-        Wal_record.encode_with_bad_crc
-          {
-            Wal_record.lsn = Wal.next_lsn wal;
-            at = now;
-            shard = Wal.shard wal;
-            payload = Wal_record.Txn_commit { tid; cts };
-          }
-      in
-      ignore (Wal.inject_raw wal frame);
+      Wal_recovery.inject_torn_commit (Shard_group.shards g).(sid).Shard.wal ~at:now;
       Fault_report.note_fault report "torn-tail"
     end;
     let infos = Shard_group.restart_all g ~now in
@@ -793,15 +639,11 @@ let run ?(mode = Sim) (cfg : cfg) =
     (Invariant.check_cross_shard_atomicity ~analyses:final_analyses final_wals);
   if active then begin
     record_all ~at:endt (viols_of_pairs (Shard_group.check_indoubt_liveness g ~now:endt));
-    record_all ~at:endt (viols_of_pairs (Shard_group.check_epoch_lag g ~now:endt));
-    if faulty then record_net_gauges report g
+    record_all ~at:endt (viols_of_pairs (Shard_group.check_epoch_lag g ~now:endt))
   end;
   (* Replication verdicts: split-brain and lag over the final node
      state, and the loss oracle over the authoritative (post-failover)
      devices against the full client-visible ack ledger. *)
-  let rep_restarts r =
-    List.length !recoveries + rep_total Replica.promotions r ~shards:cfg.shards
-  in
   (match repl with
   | None -> ()
   | Some r ->
@@ -810,17 +652,75 @@ let run ?(mode = Sim) (cfg : cfg) =
         (viols_of_pairs (Replica.check_failover_lag r ~bound:rep_lag_bound ~now:endt));
       record_all ~at:endt
         (Invariant.check_no_committed_loss ~analyses:final_analyses
-           ~acked:(rep_acked g r) final_wals);
-      record_rep_gauges report r ~shards:cfg.shards ~restarts:(rep_restarts r));
+           ~acked:(rep_acked g r) final_wals));
   let final = Shard_group.sample g in
   if final.Engine.version_bytes > !peak_space then peak_space := final.Engine.version_bytes;
-  Fault_report.set_gauge report "commits" !commits;
-  Fault_report.set_gauge report "cross-commits" (Shard_group.cross_commits g);
-  Fault_report.set_gauge report "single-commits" (Shard_group.single_commits g);
-  Fault_report.set_gauge report "2pc-steps" (Shard_group.two_pc_steps g);
-  Fault_report.set_gauge report "epochs" (Epoch.epoch (Shard_group.epoch g));
-  if !crashes > 0 then Fault_report.set_gauge report "crash-restarts" !crashes;
   let tput = float_of_int !commits /. Float.max 1e-9 base.Exp_config.duration_s in
+  let per_shard name f =
+    List.init cfg.shards (fun sid -> Run_digest.int (Printf.sprintf "%s%d" name sid) (f ~sid))
+  in
+  let digest =
+    {
+      d_mode = (match mode with Sim -> "sim" | Domains _ -> "domains");
+      d_shards = cfg.shards;
+      d_commits = !commits;
+      d_conflicts = !conflicts;
+      d_cross_commits = Shard_group.cross_commits g;
+      d_violations = Fault_report.violation_count report;
+      d_peak_space = !peak_space;
+      d_throughput = tput;
+      d_net =
+        (if not faulty then None
+         else
+           let s = Shard_group.net_stats g in
+           Some
+             {
+               nd_sent = s.Bus.sent;
+               nd_dropped = s.Bus.dropped_loss + s.Bus.dropped_partition;
+               nd_retried = s.Bus.retried;
+               nd_net_aborts = Shard_group.net_aborts g;
+               nd_indoubt_max_us = Shard_group.max_indoubt_residence g / 1000;
+             });
+      d_repl =
+        Option.map
+          (fun r ->
+            let promotions = rep_total Replica.promotions r ~shards:cfg.shards in
+            {
+              rd_replicas = cfg.replicas;
+              rd_quorum = Replica.quorum r;
+              rd_kills = Replica.kills r;
+              rd_revives = Replica.revives r;
+              rd_promotions = promotions;
+              rd_fencings = rep_total Replica.fencings r ~shards:cfg.shards;
+              rd_stale_acks = Replica.stale_ack_count r;
+              (* engine restarts: crash recoveries + promotions *)
+              rd_restarts = List.length !recoveries + promotions;
+              rd_lag_max_us = List.fold_left (fun m (_, l) -> max m l) 0 (Replica.lags r) / 1000;
+            })
+          repl;
+    }
+  in
+  Run_digest.publish report
+    (rows digest
+    @ Run_digest.
+        [
+          int "single_commits" (Shard_group.single_commits g);
+          int "two_pc_steps" (Shard_group.two_pc_steps g);
+          int "epochs" (Epoch.epoch (Shard_group.epoch g));
+        ]
+    @ Run_digest.recovery ~crashes:!crashes !recoveries
+    @ (if not faulty then []
+       else
+         Run_digest.int "net.duplicated" (Shard_group.net_stats g).Bus.duplicated
+         :: Run_digest.float "net.indoubt_mean_us" (Shard_group.mean_indoubt_residence g /. 1000.)
+         :: per_shard "net.indoubt_s" (Shard_group.indoubt_count g)
+         @ per_shard "net.epoch_lag_s" (Shard_group.epoch_lag g))
+    @
+    match repl with
+    | None -> []
+    | Some r ->
+        per_shard "repl.promotions_s" (Replica.promotions r)
+        @ per_shard "repl.fencings_s" (Replica.fencings r));
   {
     commits = !commits;
     conflicts = !conflicts;
@@ -842,19 +742,5 @@ let run ?(mode = Sim) (cfg : cfg) =
       (match repl with
       | None -> []
       | Some r -> List.map (fun (_, l) -> l / 1000) (Replica.lags r));
-    digest =
-      make_digest
-        ~mode:(match mode with Sim -> "sim" | Domains _ -> "domains")
-        ~shards:cfg.shards ~commits:!commits ~conflicts:!conflicts
-        ~cross:(Shard_group.cross_commits g)
-        ~violations:(Fault_report.violation_count report)
-        ~peak:!peak_space ~tput
-        ~net:(if faulty then Some (net_digest_of g) else None)
-        ~rep:
-          (match repl with
-          | None -> None
-          | Some r ->
-              Some
-                (rep_digest_of r ~replicas:cfg.replicas ~shards:cfg.shards
-                   ~restarts:(rep_restarts r)));
+    digest;
   }

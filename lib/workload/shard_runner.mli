@@ -106,15 +106,26 @@ type digest = {
           exact bytes of the pre-replication driver *)
 }
 
+val rows : digest -> Run_digest.t
+(** The digest as a counter table under its JSON names ([net.sent],
+    [repl.kills], ...). The run's report carries these rows plus
+    report-only ones: [single_commits], [two_pc_steps], [epochs], the
+    [recovery] block, [net.duplicated], [net.indoubt_mean_us] and the
+    per-shard [net.indoubt_s<i>], [net.epoch_lag_s<i>],
+    [repl.promotions_s<i>] and [repl.fencings_s<i>]. *)
+
 val digest_to_json : digest -> Jsonx.t
+(** {!Run_digest.to_json} of {!rows}. *)
 
 val digest_diff : digest -> digest -> string list
-(** Empty when the digests agree: violations exactly zero in both,
-    commits within 50% (Domains interleaves for real) with a
-    400-commit floor, peak space within 2x with a 64 KiB floor,
-    cross-shard traffic present in both or neither, net blocks present
-    in both or neither, and net send volume within gross (5x + 4096)
-    agreement. *)
+(** {!Run_digest.diff} of {!rows}; empty when the digests agree:
+    shard counts equal, violations exactly zero in both, commits within
+    (rel 0.5, abs 400) — Domains interleaves for real — peak space
+    within (1.0, 64 KiB), cross-shard traffic present in both or
+    neither, net and repl blocks present in both or neither, net send
+    volume within (4.0, 4096), replica count and quorum equal, kills
+    and promotions within (1.0, 8), and fabricated stale acks present
+    in both or neither. *)
 
 type result = {
   commits : int;

@@ -153,19 +153,20 @@ let small_cfg ?(llts = 1) seed =
   }
 
 let test_digest_backend_field () =
+  let gc_backend r =
+    match Run_digest.find r.Runner.digest "gc_backend" with Some (Run_digest.Str s) -> s | _ -> "-"
+  in
   List.iter
     (fun kind ->
       let cfg = small_cfg 7 in
       let r = Runner.run ~engine:(wrap kind pg_vdriver_store) cfg in
-      let d = Run_digest.of_result ~mode:"sim" ~domains:1 cfg r in
       check_str
         ("digest names " ^ Gc_backend.kind_name kind)
-        (Gc_backend.kind_name kind) d.Run_digest.gc_backend)
+        (Gc_backend.kind_name kind) (gc_backend r))
     Gc_backend.all_kinds;
   let cfg = small_cfg 7 in
   let bare = Runner.run ~engine:pg_vdriver cfg in
-  let d = Run_digest.of_result ~mode:"sim" ~domains:1 cfg bare in
-  check_str "un-hooked digest says vcutter" "vcutter" d.Run_digest.gc_backend
+  check_str "un-hooked digest says vcutter" "vcutter" (gc_backend bare)
 
 (* -------------------------------------------------------------------- *)
 (* qcheck: Definition-3.3 soundness for all three backends under random

@@ -339,7 +339,7 @@ let test_governed_storm_run_reproducible () =
   check_bool "robustness gauges exported" true
     (Fault_report.gauge a.Runner.faults "sheds" <> None
     && Fault_report.gauge a.Runner.faults "retries" <> None
-    && Fault_report.gauge a.Runner.faults "wal-errors" <> None)
+    && Fault_report.gauge a.Runner.faults "wal_errors" <> None)
 
 let suites =
   [

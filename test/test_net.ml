@@ -248,11 +248,11 @@ let test_partition_graceful_degradation () =
   (* Satellite: per-shard in-doubt and epoch-lag ride the report as
      gauges. Post-quiesce both must have drained/caught up. *)
   check_int "in-doubt drained (shard 0)" 0
-    (Option.value ~default:(-1) (Fault_report.gauge r.Shard_runner.report "indoubt-s0"));
+    (Option.value ~default:(-1) (Fault_report.gauge r.Shard_runner.report "net.indoubt_s0"));
   check_int "in-doubt drained (shard 1)" 0
-    (Option.value ~default:(-1) (Fault_report.gauge r.Shard_runner.report "indoubt-s1"));
+    (Option.value ~default:(-1) (Fault_report.gauge r.Shard_runner.report "net.indoubt_s1"));
   check_bool "epoch lag gauge present and small" true
-    (match Fault_report.gauge r.Shard_runner.report "epoch-lag-s1" with
+    (match Fault_report.gauge r.Shard_runner.report "net.epoch_lag_s1" with
     | Some l -> l >= 0 && l <= 12
     | None -> false)
 
@@ -264,7 +264,7 @@ let test_dup_heavy_idempotent_and_reproducible () =
     (Fault_report.violation_count r1.Shard_runner.report);
   check_bool "duplicates actually flew" true
     (match r1.Shard_runner.digest.Shard_runner.d_net with
-    | Some n -> n.Shard_runner.nd_sent > 0 && (Fault_report.gauge r1.Shard_runner.report "net-duplicated" <> Some 0)
+    | Some n -> n.Shard_runner.nd_sent > 0 && (Fault_report.gauge r1.Shard_runner.report "net.duplicated" <> Some 0)
     | None -> false);
   check_bool "seeded fault campaign is bit-reproducible" true
     (r1.Shard_runner.digest = r2.Shard_runner.digest);

@@ -287,12 +287,12 @@ let test_kill_campaign_honest () =
     | None -> Alcotest.failf "gauge %s missing" name
   in
   check_int "restarts gauge matches digest" rd.Shard_runner.rd_restarts
-    (gauge "recovery-restarts");
-  check_int "kill gauge matches digest" rd.Shard_runner.rd_kills (gauge "rep-kills");
+    (gauge "repl.restarts");
+  check_int "kill gauge matches digest" rd.Shard_runner.rd_kills (gauge "repl.kills");
   check_int "promotion gauges sum to digest" rd.Shard_runner.rd_promotions
-    (gauge "promotions-s0" + gauge "promotions-s1");
+    (gauge "repl.promotions_s0" + gauge "repl.promotions_s1");
   check_int "fencing gauges sum to digest" rd.Shard_runner.rd_fencings
-    (gauge "fencings-s0" + gauge "fencings-s1");
+    (gauge "repl.fencings_s0" + gauge "repl.fencings_s1");
   check_bool "every completed failover within the budget" true
     (List.for_all
        (fun l -> l <= Shard_runner.rep_lag_bound / 1000)
@@ -318,7 +318,7 @@ let test_replicas_zero_digest_unchanged () =
   check_bool "no replicated digest block" true
     (res.Shard_runner.digest.Shard_runner.d_repl = None);
   check_bool "no replication gauges" true
-    (Fault_report.gauge res.Shard_runner.report "rep-kills" = None);
+    (Fault_report.gauge res.Shard_runner.report "repl.kills" = None);
   check_int "zero violations" 0 (Fault_report.violation_count res.Shard_runner.report)
 
 let suites =
