@@ -33,6 +33,44 @@ let view_mid = Read_view.make ~creator:50_005 ~actives:[] ~high:50_005
 let zipf = Zipf.create ~n:100_000 ~s:1.2
 let rng = Rng.create 1
 
+let bytes_100 = String.init 100 (fun i -> Char.chr (i land 0xff))
+let bytes_400k = String.init 400_000 (fun i -> Char.chr ((i * 7919) land 0xff))
+
+(* A checkpoint shaped like durable-crash's under an LLT: a commit-log
+   window of about 25k outcomes and 1k rows, about 520 KB framed. *)
+let ckpt_record =
+  let base = 1_000_000 in
+  let window = List.init 25_000 (fun i -> (base + (2 * i), base + (2 * i) + 1)) in
+  {
+    Wal_record.lsn = 123_456;
+    at = 3_000_000;
+    shard = 0;
+    payload =
+      Wal_record.Ckpt_end
+        {
+          snapshot =
+            Some
+              {
+                Checkpoint.at = 3_000_000;
+                oracle_next = base + 50_001;
+                live = [ base; base + 49_990; base + 49_998 ];
+                committed = List.filter (fun (tid, _) -> tid mod 50 <> 0) window;
+                aborted = List.filter (fun (tid, _) -> tid mod 50 = 0) window;
+                rows =
+                  List.init 1_000 (fun rid ->
+                      { Checkpoint.rid; value = rid * 31; vs = base + rid; vs_time = 2_900_000 + rid; cts = base + rid + 1 });
+                pending =
+                  [ { Checkpoint.tid = base + 49_998; writes = [ { Checkpoint.rid = 7; value = 1; vs_time = 2_999_000 } ] } ];
+                segments = [];
+                next_seg_id = 0;
+                prepared = [];
+                decisions = [];
+              };
+        };
+  }
+
+let ckpt_frame = Wal_record.encode ckpt_record
+
 let tests =
   Test.make_grouped ~name:"vdriver"
     [
@@ -58,6 +96,10 @@ let tests =
              let c = Collab.create () in
              Collab.sorter c ~delete:ignore ~insert:ignore));
       Test.make ~name:"zipf.sample" (Staged.stage (fun () -> Zipf.sample zipf rng));
+      Test.make ~name:"crc32/100B" (Staged.stage (fun () -> Crc32.string bytes_100));
+      Test.make ~name:"crc32/400KB" (Staged.stage (fun () -> Crc32.string bytes_400k));
+      Test.make ~name:"checkpoint.encode" (Staged.stage (fun () -> Wal_record.encode ckpt_record));
+      Test.make ~name:"checkpoint.decode" (Staged.stage (fun () -> Wal_record.decode ckpt_frame));
     ]
 
 let run () =

@@ -206,14 +206,12 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
       match live_global with t0 :: _ -> t0 | [] -> Txn_manager.oracle mgr
     in
     let committed, aborted =
-      List.fold_left
-        (fun (cs, abs_) (tid, status) ->
-          if tid < floor then (cs, abs_)
-          else
-            match status with
-            | Commit_log.Committed_at ts -> ((tid, ts) :: cs, abs_)
-            | Commit_log.Aborted_at ts -> (cs, (tid, ts) :: abs_))
-        ([], []) (Commit_log.entries clog)
+      Commit_log.fold_from clog ~floor
+        (fun tid status (cs, abs_) ->
+          match status with
+          | Commit_log.Committed_at ts -> ((tid, ts) :: cs, abs_)
+          | Commit_log.Aborted_at ts -> (cs, (tid, ts) :: abs_))
+        ([], [])
     in
     let rows = ref [] in
     for rid = Schema.records schema - 1 downto 0 do
@@ -319,8 +317,7 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
   let do_checkpoint ~now =
     ignore (Wal.log wal ~at:now Wal_record.Ckpt_begin);
     let snap = build_snapshot ~now in
-    ignore
-      (Wal.log wal ~at:now (Wal_record.Ckpt_end { snapshot = Checkpoint.to_json snap }));
+    ignore (Wal.log wal ~at:now (Wal_record.Ckpt_end { snapshot = Some snap }));
     ignore (Wal.fsync wal ~at:now ());
     Metrics.bump "recovery.checkpoints";
     if Trace.on () then

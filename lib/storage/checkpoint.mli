@@ -69,4 +69,24 @@ type t = {
 }
 
 val to_json : t -> Jsonx.t
+(** The specification of the snapshot bytes: [Jsonx.to_string (to_json
+    t)]. Members in the order of the record's fields ([seg_id] named
+    [seg]); [prepared] and [decisions] only when non-empty. *)
+
 val of_json : Jsonx.t -> (t, string) result
+(** The specification of reading a snapshot: members by name, in any
+    order; absent [prepared]/[decisions] read as empty. *)
+
+val write : Canon.out -> t -> unit
+(** Appends exactly [Jsonx.to_string (to_json t)], written straight into
+    the frame's buffer with no {!Jsonx} tree: the WAL writes every
+    [Ckpt_end] frame this way. *)
+
+val scan : Canon.cursor -> t
+(** Reads one snapshot in the layout {!write} writes, in one pass,
+    and leaves the cursor after its closing brace. Whenever it returns,
+    the bytes it read are ones {!Jsonx} prints back unchanged, and the
+    result is what [of_json] reads from their tree. Raises {!Canon.Not_canonical} on anything else —
+    whitespace, escapes, reordered or missing members, an int not
+    spelled as [string_of_int] spells it — and the caller falls back to
+    [Jsonx.of_string] and {!of_json}. *)

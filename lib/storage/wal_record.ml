@@ -20,7 +20,7 @@ type payload =
   | Seg_drop of { seg_id : int }
   | Seg_cut of { seg_id : int }
   | Ckpt_begin
-  | Ckpt_end of { snapshot : Jsonx.t }
+  | Ckpt_end of { snapshot : Checkpoint.t option }
   | Prepare of { tid : int; coord : int; shards : int list }
   | Coord_commit of { gid : int; cts : int; shards : int list }
   | Coord_abort of { gid : int }
@@ -73,7 +73,8 @@ let payload_fields = function
   | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
       [ ("seg", Jsonx.Int seg_id) ]
   | Ckpt_begin -> []
-  | Ckpt_end { snapshot } -> [ ("snapshot", snapshot) ]
+  | Ckpt_end { snapshot } ->
+      [ ("snapshot", match snapshot with Some ck -> Checkpoint.to_json ck | None -> Jsonx.Null) ]
   | Prepare { tid; coord; shards } ->
       [
         ("tid", Jsonx.Int tid);
@@ -178,8 +179,10 @@ let payload_of_json kind obj =
       Ok (Seg_cut { seg_id })
   | "ckpt-begin" -> Ok Ckpt_begin
   | "ckpt-end" -> (
+      (* A snapshot that is no checkpoint still makes a record: analysis
+         keeps it and skips it as an anchor. *)
       match Jsonx.member "snapshot" obj with
-      | Some snapshot -> Ok (Ckpt_end { snapshot })
+      | Some j -> Ok (Ckpt_end { snapshot = Result.to_option (Checkpoint.of_json j) })
       | None -> Error "missing field \"snapshot\"")
   | "2pc-prepare" ->
       let* tid = int_field "tid" obj in
@@ -241,33 +244,11 @@ let decode_reference ?(check_crc = true) repr =
 (* ------------------------------------------------------------------ *)
 (* Direct codec: the same bytes, written and scanned in place *)
 
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
-
-(* [string_of_int n], without the intermediate string. *)
-let add_int buf n =
-  if n >= 0 then add_digits buf n
-  else if n = min_int then Buffer.add_string buf (string_of_int n)
-  else begin
-    Buffer.add_char buf '-';
-    add_digits buf (-n)
-  end
-
-(* [key] is the whole member prefix, e.g. [,"tid":]. *)
-let add_member buf key n =
-  Buffer.add_string buf key;
-  add_int buf n
+let add_member = Canon.add_member
 
 let add_shards buf key shards =
-  Buffer.add_string buf key;
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_int buf s)
-    shards;
-  Buffer.add_char buf ']'
+  Canon.add_string buf key;
+  Canon.add_list buf Canon.add_int shards
 
 let add_payload buf = function
   | Txn_begin { tid } -> add_member buf ",\"tid\":" tid
@@ -290,16 +271,17 @@ let add_payload buf = function
       add_member buf ",\"bytes\":" bytes;
       add_member buf ",\"value\":" value;
       add_member buf ",\"seg\":" seg_id;
-      Buffer.add_string buf ",\"cls\":";
-      Jsonx.to_buffer buf (Jsonx.Str cls);
+      Canon.add_string buf ",\"cls\":";
+      Canon.add_str buf cls;
       add_member buf ",\"lo\":" lo;
       add_member buf ",\"hi\":" hi
   | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
       add_member buf ",\"seg\":" seg_id
   | Ckpt_begin -> ()
-  | Ckpt_end { snapshot } ->
-      Buffer.add_string buf ",\"snapshot\":";
-      Jsonx.to_buffer buf snapshot
+  | Ckpt_end { snapshot = Some ck } ->
+      Canon.add_string buf ",\"snapshot\":";
+      Checkpoint.write buf ck
+  | Ckpt_end { snapshot = None } -> Canon.add_string buf ",\"snapshot\":null"
   | Prepare { tid; coord; shards } ->
       add_member buf ",\"tid\":" tid;
       add_member buf ",\"coord\":" coord;
@@ -322,23 +304,26 @@ let add_payload buf = function
 
 (* The checksum covers the body as a closed object: every byte before
    [,"crc":], then [}]. *)
-let body_crc s ~len = Crc32.update_sub (Crc32.update_sub 0 s 0 len) "}" 0 1
+let close_crc crc = Crc32.update_sub crc "}" 0 1
+let body_crc s ~len = close_crc (Crc32.update_sub 0 s 0 len)
 
-(* A fresh buffer per frame: Domains mode logs from several domains at
-   once, so nothing here may be shared. *)
+(* One buffer per domain, reused frame after frame: Domains mode logs
+   from several domains at once. Only the finished frame is copied out. *)
+let frame_buf = Domain.DLS.new_key (fun () -> Canon.out 256)
+
 let frame ~crc_mask t =
-  let buf = Buffer.create 256 in
+  let buf = Domain.DLS.get frame_buf in
+  Canon.clear buf;
   add_member buf "{\"lsn\":" t.lsn;
   add_member buf ",\"at\":" t.at;
   if t.shard <> 0 then add_member buf ",\"sh\":" t.shard;
-  Buffer.add_string buf ",\"kind\":\"";
-  Buffer.add_string buf (kind_name t.payload);
-  Buffer.add_char buf '"';
+  Canon.add_string buf ",\"kind\":\"";
+  Canon.add_string buf (kind_name t.payload);
+  Canon.add_char buf '"';
   add_payload buf t.payload;
-  let body = Buffer.contents buf in
-  add_member buf ",\"crc\":" (body_crc body ~len:(String.length body) lxor crc_mask);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  add_member buf ",\"crc\":" (close_crc (Canon.crc32 0 buf) lxor crc_mask);
+  Canon.add_char buf '}';
+  Canon.contents buf
 
 let encode t = frame ~crc_mask:0 t
 
@@ -348,85 +333,22 @@ let encode t = frame ~crc_mask:0 t
 let encode_with_bad_crc t = frame ~crc_mask:0x5a5a5a5a t
 
 (* The scanner accepts only the bytes [frame] writes (with any crc), and
-   raises [Not_canonical] on anything else, including a crc mismatch. *)
-exception Not_canonical
-
-type cursor = { s : string; lim : int; mutable pos : int }
-
-let expect c lit =
-  let n = String.length lit in
-  if c.pos + n > c.lim then raise Not_canonical;
-  for i = 0 to n - 1 do
-    if String.unsafe_get c.s (c.pos + i) <> String.unsafe_get lit i then raise Not_canonical
-  done;
-  c.pos <- c.pos + n
-
-let is_digit = function '0' .. '9' -> true | _ -> false
-
-(* A [string_of_int] rendering: no leading zero, no [-0], and at most 18
-   digits, so the value cannot overflow and the reference parser reads
-   it as the same [Int]. *)
-let int c =
-  let neg = c.pos < c.lim && String.unsafe_get c.s c.pos = '-' in
-  let start = if neg then c.pos + 1 else c.pos in
-  let i = ref start and v = ref 0 in
-  while !i < c.lim && is_digit (String.unsafe_get c.s !i) do
-    v := (!v * 10) + Char.code (String.unsafe_get c.s !i) - Char.code '0';
-    incr i
-  done;
-  let digits = !i - start in
-  if digits = 0 || digits > 18 || (digits > 1 && String.unsafe_get c.s start = '0') || (neg && !v = 0)
-  then raise Not_canonical;
-  c.pos <- !i;
-  if neg then - !v else !v
-
-let member c key =
-  expect c key;
-  int c
-
-(* A string [Jsonx] prints verbatim: no backslash, no control character. *)
-let str c =
-  expect c "\"";
-  let start = c.pos in
-  while c.pos < c.lim && String.unsafe_get c.s c.pos <> '"' do
-    let ch = String.unsafe_get c.s c.pos in
-    if ch = '\\' || Char.code ch < 0x20 then raise Not_canonical;
-    c.pos <- c.pos + 1
-  done;
-  if c.pos >= c.lim then raise Not_canonical;
-  c.pos <- c.pos + 1;
-  String.sub c.s start (c.pos - 1 - start)
+   raises [Canon.Not_canonical] on anything else, including a crc
+   mismatch. *)
+let expect = Canon.expect
+let member = Canon.member
+let str = Canon.str
 
 let shards c key =
   expect c key;
-  expect c "[";
-  if c.pos < c.lim && String.unsafe_get c.s c.pos = ']' then begin
-    c.pos <- c.pos + 1;
-    []
-  end
-  else
-    let rec go acc =
-      let n = int c in
-      if c.pos < c.lim && String.unsafe_get c.s c.pos = ',' then begin
-        c.pos <- c.pos + 1;
-        go (n :: acc)
-      end
-      else begin
-        expect c "]";
-        List.rev (n :: acc)
-      end
-    in
-    go []
+  Canon.list c Canon.int
 
-(* The snapshot runs to the crc suffix; it is canonical iff it prints
-   back to the same bytes. *)
 let snapshot c =
-  let raw = String.sub c.s c.pos (c.lim - c.pos) in
-  match Jsonx.of_string raw with
-  | Ok v when String.equal (Jsonx.to_string v) raw ->
-      c.pos <- c.lim;
-      v
-  | _ -> raise Not_canonical
+  if Canon.looking_at c "null" then begin
+    expect c "null";
+    None
+  end
+  else Some (Checkpoint.scan c)
 
 (* Members are read with [let] in frame order: OCaml evaluates record
    fields in no fixed order. *)
@@ -493,30 +415,30 @@ let scan_payload c = function
       let node = member c ",\"node\":" in
       let upto = member c ",\"upto\":" in
       Rep_ack { epoch; node; upto }
-  | _ -> raise Not_canonical
+  | _ -> raise Canon.Not_canonical
 
 let scan ~check_crc s =
   let n = String.length s in
-  if n = 0 || String.unsafe_get s (n - 1) <> '}' then raise Not_canonical;
+  if n = 0 || String.unsafe_get s (n - 1) <> '}' then raise Canon.Not_canonical;
   (* The crc suffix, read from the end: [,"crc":N}]. *)
   let i = ref (n - 2) in
-  while !i >= 0 && is_digit (String.unsafe_get s !i) do
+  while !i >= 0 && Canon.is_digit (String.unsafe_get s !i) do
     decr i
   done;
   if !i >= 0 && String.unsafe_get s !i = '-' then decr i;
   let lim = !i + 1 - String.length ",\"crc\":" in
-  if lim < 0 then raise Not_canonical;
-  let stored = member { s; lim = n - 1; pos = lim } ",\"crc\":" in
-  if check_crc && stored <> body_crc s ~len:lim then raise Not_canonical;
-  let c = { s; lim; pos = 0 } in
+  if lim < 0 then raise Canon.Not_canonical;
+  let stored = member { Canon.s; lim = n - 1; pos = lim } ",\"crc\":" in
+  if check_crc && stored <> body_crc s ~len:lim then raise Canon.Not_canonical;
+  let c = { Canon.s; lim; pos = 0 } in
   let lsn = member c "{\"lsn\":" in
   let at = member c ",\"at\":" in
   (* Either [,"sh":S,"kind":] with S nonzero, or [,"kind":]. *)
   expect c ",\"";
   let shard =
-    if c.pos < lim && String.unsafe_get s c.pos = 's' then begin
+    if Canon.looking_at c "s" then begin
       let sh = member c "sh\":" in
-      if sh = 0 then raise Not_canonical;
+      if sh = 0 then raise Canon.Not_canonical;
       expect c ",\"";
       sh
     end
@@ -524,10 +446,10 @@ let scan ~check_crc s =
   in
   expect c "kind\":";
   let payload = scan_payload c (str c) in
-  if c.pos <> lim then raise Not_canonical;
+  if c.pos <> lim then raise Canon.Not_canonical;
   { lsn; at; shard; payload }
 
 let decode ?(check_crc = true) repr =
   match scan ~check_crc repr with
   | r -> Ok r
-  | exception Not_canonical -> decode_reference ~check_crc repr
+  | exception Canon.Not_canonical -> decode_reference ~check_crc repr

@@ -36,7 +36,11 @@ type payload =
   | Seg_drop of { seg_id : int }  (** Second prune of a whole sealed segment. *)
   | Seg_cut of { seg_id : int }  (** vCutter cut of a hardened segment. *)
   | Ckpt_begin
-  | Ckpt_end of { snapshot : Jsonx.t }  (** See {!Checkpoint}. *)
+  | Ckpt_end of { snapshot : Checkpoint.t option }
+      (** See {!Checkpoint}. [None] is written as [null]; decoding also
+          reads any snapshot that is not a checkpoint (one {!Checkpoint.of_json}
+          rejects) as [None], so such a frame still passes its CRC and
+          recovery keeps it and skips it as an anchor. *)
   | Prepare of { tid : int; coord : int; shards : int list }
       (** Presumed-abort 2PC, participant side: this shard holds [tid]'s
           writes ready to commit and has ceded the decision to shard
@@ -89,9 +93,11 @@ val encode : t -> string
 
     with members in exactly this order, [sh] present only when nonzero,
     the payload members in the order of the constructor's fields (with
-    [seg_id] named [seg]) and [C] the CRC-32 of every byte before
-    [,"crc":] followed by [}] — the frame with its crc member removed.
-    [encode] writes that layout straight into one buffer; frame sizes
+    [seg_id] named [seg]), a [Ckpt_end] snapshot as
+    [Checkpoint.to_json] (or [null] for [None]) and [C] the CRC-32 of
+    every byte before [,"crc":] followed by [}] — the frame with its crc
+    member removed. [encode] writes that layout straight into one
+    buffer, the snapshot through {!Checkpoint.write}; frame sizes
     feed [wal.bytes], the run digests and the obs golden, so the two
     must never differ. *)
 
@@ -107,8 +113,10 @@ val decode : ?check_crc:bool -> string -> (t, string) result
     A single-pass scanner handles frames in the exact layout above:
     canonical ints (no leading zero, no [-0], at most 18 digits),
     strings with no [\] and no control character, [sh] only when
-    nonzero, a snapshot that {!Jsonx.to_string} prints back to the same
-    bytes, and (under [~check_crc:true]) a matching checksum. Such bytes
+    nonzero, a snapshot that is [null] or that {!Checkpoint.scan} reads
+    (the layout {!Checkpoint.write} writes), and (under
+    [~check_crc:true]) a matching checksum. No {!Jsonx} tree is built
+    on this path. Such bytes
     are exactly what {!decode_reference} re-serialises unchanged, so the
     scanner returns what it would. Anything else — a torn or bit-flipped
     frame, whitespace, reordered members — goes to {!decode_reference},

@@ -72,7 +72,7 @@ let note f (r : Wal_record.t) =
    [checkpoint] and [steady_checkpoint]. *)
 let strip (r : Wal_record.t) =
   match r.payload with
-  | Wal_record.Ckpt_end _ -> { r with payload = Wal_record.Ckpt_end { snapshot = Jsonx.Null } }
+  | Wal_record.Ckpt_end { snapshot = Some _ } -> { r with payload = Wal_record.Ckpt_end { snapshot = None } }
   | _ -> r
 
 let make ~records ~survivors ~truncate_lsn ~dropped ~checkpoint ~steady_checkpoint f =
@@ -126,12 +126,12 @@ let analyze ?(check_crc = true) wal =
             let failover = List.mem r.lsn !failover_ckpts in
             if Option.is_some last && failover then anchors last (newer + 1) rest
             else (
-              match Checkpoint.of_json snapshot with
-              | Ok ck when failover -> anchors (Some (r.lsn, ck)) (newer + 1) rest
-              | Ok ck ->
+              match snapshot with
+              | Some ck when failover -> anchors (Some (r.lsn, ck)) (newer + 1) rest
+              | Some ck ->
                   let here = Some (r.lsn, ck) in
                   ((if Option.is_none last then here else last), here, newer)
-              | Error _ -> anchors last (newer + 1) rest)
+              | None -> anchors last (newer + 1) rest)
         | _ -> anchors last (newer + 1) rest)
   in
   let checkpoint, steady_checkpoint, newer = anchors None 0 newest_first in
@@ -192,15 +192,15 @@ let fold c (r : Wal_record.t) =
   let failover = note c.facts r in
   match r.payload with
   | Wal_record.Ckpt_end { snapshot } -> (
-      match Checkpoint.of_json snapshot with
-      | Ok ck when not failover ->
+      match snapshot with
+      | Some ck when not failover ->
           c.last_ckpt <- Some (r.lsn, ck);
           c.steady <- c.last_ckpt;
           c.tail <- []
-      | Ok ck ->
+      | Some ck ->
           c.last_ckpt <- Some (r.lsn, ck);
           c.tail <- strip r :: c.tail
-      | Error _ -> c.tail <- strip r :: c.tail)
+      | None -> c.tail <- strip r :: c.tail)
   | _ -> c.tail <- r :: c.tail
 
 let advance c wal =

@@ -17,8 +17,8 @@ type analysis = {
   records : Wal_record.t list;
       (** Decoded trustworthy records after the replay anchor
           ({!field-steady_checkpoint}, or from the first frame without
-          one), LSN order. Kept [Ckpt_end] records carry
-          [Jsonx.Null] for their snapshot: the decoded anchors are
+          one), LSN order. Kept [Ckpt_end] records carry [None] for
+          their snapshot: the decoded anchors are
           {!field-checkpoint} and {!field-steady_checkpoint}. *)
   survivors : int;
   truncate_lsn : int;  (** LSN of the last trustworthy frame (0 if none). *)
@@ -47,9 +47,9 @@ val analyze : ?check_crc:bool -> Wal.t -> analysis
     ignored, so a fabricated torn tail gets replayed. A frame whose
     shard tag differs from [Wal.shard wal] ends the trustworthy prefix
     regardless of the knob: shard logs are disjoint LSN namespaces and
-    interleaved foreign frames are corruption. Walking back from the
-    tail, only the snapshots the two anchors need become
-    [Checkpoint.t]s. *)
+    interleaved foreign frames are corruption. Every [Ckpt_end] frame
+    decodes straight into its [Checkpoint.t]; walking back from the
+    tail, only the two anchors keep theirs. *)
 
 (** {1 Incremental analysis} *)
 
@@ -57,7 +57,8 @@ type cursor
 (** How far one log has been CRC-verified and decoded, plus the state
     {!analyze} would build from that prefix: the anchors, the records
     after the steady anchor, and the whole-prefix facts. It keeps no
-    record before its anchor and no checkpoint snapshot tree. *)
+    record before its anchor and no checkpoint snapshot other than its
+    anchors. *)
 
 val cursor : ?stale:bool -> unit -> cursor
 (** A cursor that has read nothing. [~stale:true] is the sabotage

@@ -76,3 +76,11 @@ let entries t =
     if c <> 0 then acc := (tid, decode c) :: !acc
   done;
   !acc
+
+let fold_from t ~floor f init =
+  let acc = ref init in
+  for tid = max floor 0 to t.hi - 1 do
+    let c = Array.unsafe_get t.cells tid in
+    if c <> 0 then acc := f tid (decode c) !acc
+  done;
+  !acc

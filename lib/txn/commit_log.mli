@@ -51,5 +51,11 @@ val reset : t -> unit
     recovered WAL rather than trusting lost in-memory state. *)
 
 val entries : t -> (Timestamp.t * status) list
-(** All recorded outcomes, in begin-timestamp order — checkpointing
-    snapshots (a window of) these. *)
+(** All recorded outcomes, in begin-timestamp order. *)
+
+val fold_from : t -> floor:Timestamp.t -> (Timestamp.t -> status -> 'a -> 'a) -> 'a -> 'a
+(** [fold_from t ~floor f init] folds [f] over the recorded outcomes
+    whose tid is at least [floor], in tid order — the entries of
+    {!entries} from [floor] on, at a cost of the tids in
+    [[floor, highest recorded tid]] only. A checkpoint's commit-log
+    window. *)

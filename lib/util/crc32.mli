@@ -1,6 +1,8 @@
 (** CRC-32 (the IEEE 802.3 polynomial, as used by zip/png/ethernet).
 
-    Pure OCaml, table-driven. Used by the WAL record framing to detect
+    Pure OCaml, slicing-by-8: eight bytes per step through eight
+    256-entry tables, then one byte at a time for the last [len mod 8]
+    bytes. Used by the WAL record framing to detect
     torn or bit-flipped log frames during recovery: a frame whose stored
     checksum does not match the recomputed one marks the end of the
     trustworthy log prefix. *)

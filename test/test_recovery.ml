@@ -12,7 +12,41 @@ let check_bool = Alcotest.(check bool)
 (* -------------------------------------------------------------------- *)
 (* Record framing *)
 
-let sample_snapshot = Jsonx.Obj [ ("oracle_next", Jsonx.Int 17); ("live", Jsonx.Arr []) ]
+let sample_checkpoint =
+  {
+    Checkpoint.at = 40;
+    oracle_next = 17;
+    live = [ 12; 15 ];
+    committed = [ (12, 16) ];
+    aborted = [];
+    rows = [ { Checkpoint.rid = 3; value = 42; vs = 7; vs_time = 100; cts = 9 } ];
+    pending = [ { Checkpoint.tid = 15; writes = [ { Checkpoint.rid = 4; value = -1; vs_time = 120 } ] } ];
+    segments =
+      [
+        {
+          Checkpoint.seg_id = 2;
+          cls = "rec";
+          hardened = true;
+          versions =
+            [
+              {
+                Checkpoint.rid = 3;
+                vs = 7;
+                ve = 11;
+                vs_time = 100;
+                ve_time = 200;
+                bytes = 64;
+                value = 5;
+                lo = 9;
+                hi = 12;
+              };
+            ];
+        };
+      ];
+    next_seg_id = 3;
+    prepared = [];
+    decisions = [];
+  }
 
 let sample_payloads : Wal_record.payload list =
   [
@@ -38,7 +72,8 @@ let sample_payloads : Wal_record.payload list =
     Wal_record.Seg_drop { seg_id = 3 };
     Wal_record.Seg_cut { seg_id = 2 };
     Wal_record.Ckpt_begin;
-    Wal_record.Ckpt_end { snapshot = sample_snapshot };
+    Wal_record.Ckpt_end { snapshot = Some sample_checkpoint };
+    Wal_record.Ckpt_end { snapshot = None };
   ]
 
 let test_record_roundtrip () =
@@ -146,6 +181,77 @@ let codec_json =
                      (list_size (0 -- 3) (pair codec_string (self (n - 1)))) );
                ]))
 
+(* Every list empty or not, negative and 18-digit ints, the 2PC members
+   absent and present. One checkpoint in four may also hold ints of 19
+   digits, and one in four classes that need escapes: either sends the
+   whole snapshot to the reference, so the rest keep the scanner's own
+   path busy. *)
+let codec_checkpoint =
+  QCheck.Gen.(
+    let* wide = frequency [ (3, return false); (1, return true) ] in
+    let* escapes = frequency [ (3, return false); (1, return true) ] in
+    let i =
+      frequency
+        ([
+           (8, small_signed_int);
+           (2, 0 -- 1_000_000_000);
+           (1, int_range 100_000_000_000_000_000 999_999_999_999_999_999);
+           (1, int_range (-999_999_999_999_999_999) (-100_000_000_000_000_000));
+         ]
+        @ if wide then [ (2, codec_int) ] else [])
+    in
+    let cls =
+      if escapes then codec_string
+      else string_size ~gen:(oneofl [ 'a'; 'l'; 't'; '0'; '/'; ' '; '\127'; '\255' ]) (0 -- 8)
+    in
+    let some_list g = list_size (frequency [ (1, return 0); (3, 1 -- 4) ]) g in
+    let pairs = some_list (pair i i) in
+    let seg_version =
+      map
+        (function
+          | [ rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi ] ->
+              { Checkpoint.rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi }
+          | _ -> assert false)
+        (list_repeat 9 i)
+    in
+    let seg =
+      map
+        (fun ((seg_id, cls), (hardened, versions)) -> { Checkpoint.seg_id; cls; hardened; versions })
+        (pair (pair i cls) (pair bool (some_list seg_version)))
+    in
+    let row =
+      map
+        (function
+          | [ rid; value; vs; vs_time; cts ] -> { Checkpoint.rid; value; vs; vs_time; cts }
+          | _ -> assert false)
+        (list_repeat 5 i)
+    in
+    let pending =
+      map2
+        (fun tid writes -> { Checkpoint.tid; writes })
+        i
+        (some_list (map3 (fun rid value vs_time -> { Checkpoint.rid; value; vs_time }) i i i))
+    in
+    map
+      (fun ( (at, oracle_next, next_seg_id, live),
+             (committed, aborted, prepared, decisions),
+             (rows, pending, segments) ) ->
+        {
+          Checkpoint.at;
+          oracle_next;
+          live;
+          committed;
+          aborted;
+          rows;
+          pending;
+          segments;
+          next_seg_id;
+          prepared;
+          decisions;
+        })
+      (triple (quad i i i (some_list i)) (quad pairs pairs pairs pairs)
+         (triple (some_list row) (some_list pending) (some_list seg))))
+
 let codec_payload =
   QCheck.Gen.(
     let i = codec_int in
@@ -168,7 +274,7 @@ let codec_payload =
         map (fun seg_id -> Wal_record.Seg_drop { seg_id }) i;
         map (fun seg_id -> Wal_record.Seg_cut { seg_id }) i;
         return Wal_record.Ckpt_begin;
-        map (fun snapshot -> Wal_record.Ckpt_end { snapshot }) codec_json;
+        map (fun snapshot -> Wal_record.Ckpt_end { snapshot }) (option codec_checkpoint);
         map3 (fun tid coord shards -> Wal_record.Prepare { tid; coord; shards }) i i shards;
         map3 (fun gid cts shards -> Wal_record.Coord_commit { gid; cts; shards }) i i shards;
         map (fun gid -> Wal_record.Coord_abort { gid }) i;
@@ -342,6 +448,119 @@ let qcheck_codec_decode_mutated =
           || QCheck.Test.fail_reportf "decoders differ on %S" frame)
         [ mutated; restamp mutated ])
 
+(* A [ckpt-end] frame for [r]'s header whose snapshot is [json] — valid
+   JSON and a good CRC, but not necessarily a checkpoint. *)
+let foreign_snapshot_frame (r : Wal_record.t) json =
+  let frame = Wal_record.encode { r with payload = Wal_record.Ckpt_end { snapshot = None } } in
+  let stop = Option.get (crc_split frame) in
+  let start = stop - String.length "null" in
+  restamp (String.sub frame 0 start ^ Jsonx.to_string json ^ String.sub frame stop (String.length frame - stop))
+
+let qcheck_codec_foreign_snapshot =
+  QCheck.Test.make ~name:"ckpt frame: foreign snapshot = ref" ~count:1000
+    (QCheck.make ~print:Jsonx.to_string codec_json)
+    (fun json ->
+      let frame =
+        foreign_snapshot_frame { Wal_record.lsn = 5; at = 6; shard = 0; payload = Wal_record.Ckpt_begin } json
+      in
+      both_decoders_agree frame
+      &&
+      match Wal_record.decode frame with
+      | Ok { Wal_record.payload = Wal_record.Ckpt_end { snapshot }; _ } ->
+          snapshot = Result.to_option (Checkpoint.of_json json)
+      | _ -> false)
+
+(* -------------------------------------------------------------------- *)
+(* Checkpoint codec: the direct writer and scanner against to_json/of_json *)
+
+let arb_checkpoint =
+  QCheck.make ~print:(fun ck -> Jsonx.to_string (Checkpoint.to_json ck)) codec_checkpoint
+
+let checkpoint_bytes ck =
+  let out = Canon.out 256 in
+  Checkpoint.write out ck;
+  Canon.contents out
+
+let scan_checkpoint s =
+  let c = { Canon.s; lim = String.length s; pos = 0 } in
+  match Checkpoint.scan c with
+  | ck when c.Canon.pos = c.Canon.lim -> Some ck
+  | _ | (exception Canon.Not_canonical) -> None
+
+(* What the scanner must return whenever it returns: the bytes print back
+   unchanged, and the value is what the reference reads. *)
+let scan_sound s =
+  match scan_checkpoint s with
+  | None -> true
+  | Some ck -> (
+      match Jsonx.of_string s with
+      | Ok j -> Jsonx.to_string j = s && Checkpoint.of_json j = Ok ck
+      | Error _ -> false)
+
+(* Every int of [ck] fits 18 digits and no class needs an escape: the
+   scanner must then take the clean bytes itself. *)
+let plain (ck : Checkpoint.t) =
+  let pairs = List.concat_map (fun (a, b) -> [ a; b ]) in
+  let ints =
+    [ ck.at; ck.oracle_next; ck.next_seg_id ]
+    @ ck.live
+    @ pairs (ck.committed @ ck.aborted @ ck.prepared @ ck.decisions)
+    @ List.concat_map (fun (r : Checkpoint.row) -> [ r.rid; r.value; r.vs; r.vs_time; r.cts ]) ck.rows
+    @ List.concat_map
+        (fun (p : Checkpoint.pending) ->
+          p.tid :: List.concat_map (fun (w : Checkpoint.pending_write) -> [ w.rid; w.value; w.vs_time ]) p.writes)
+        ck.pending
+    @ List.concat_map
+        (fun (s : Checkpoint.seg) ->
+          s.seg_id
+          :: List.concat_map
+               (fun (v : Checkpoint.seg_version) ->
+                 [ v.rid; v.vs; v.ve; v.vs_time; v.ve_time; v.bytes; v.value; v.lo; v.hi ])
+               s.versions)
+        ck.segments
+  in
+  List.for_all (fun n -> n > -1_000_000_000_000_000_000 && n < 1_000_000_000_000_000_000) ints
+  && List.for_all
+       (fun (s : Checkpoint.seg) ->
+         not (String.exists (fun c -> c = '"' || c = '\\' || Char.code c < 0x20) s.cls))
+       ck.segments
+
+let qcheck_checkpoint_encode =
+  QCheck.Test.make ~name:"checkpoint codec = to_json/of_json" ~count:2000
+    arb_checkpoint (fun ck ->
+      let bytes = checkpoint_bytes ck in
+      if bytes <> Jsonx.to_string (Checkpoint.to_json ck) then
+        QCheck.Test.fail_reportf "write differs:\n%s" bytes;
+      scan_sound bytes && scan_checkpoint bytes = (if plain ck then Some ck else None))
+
+(* The frame split around its snapshot: the bytes before it, the
+   snapshot, and the crc suffix. *)
+let snapshot_split frame =
+  let key = ",\"snapshot\":" in
+  let rec find i = if String.sub frame i (String.length key) = key then i + String.length key else find (i + 1) in
+  let start = find 0 and stop = Option.get (crc_split frame) in
+  ( String.sub frame 0 start,
+    String.sub frame start (stop - start),
+    String.sub frame stop (String.length frame - stop) )
+
+let qcheck_checkpoint_decode_mutated =
+  QCheck.Test.make ~name:"ckpt frame: mutated snapshot = ref" ~count:4000
+    (QCheck.make
+       ~print:(fun (ck, m) -> Jsonx.to_string (Checkpoint.to_json ck) ^ " " ^ show_mutation m)
+       (QCheck.Gen.pair codec_checkpoint codec_mutation))
+    (fun (ck, m) ->
+      let frame =
+        Wal_record.encode
+          { Wal_record.lsn = 9; at = 1; shard = 0; payload = Wal_record.Ckpt_end { snapshot = Some ck } }
+      in
+      let before, snap, after = snapshot_split frame in
+      let snap' = mutate snap m in
+      let mutated = before ^ snap' ^ after in
+      (scan_sound snap' || QCheck.Test.fail_reportf "scanner unsound on %S" snap')
+      && List.for_all
+           (fun frame -> both_decoders_agree frame || QCheck.Test.fail_reportf "decoders differ on %S" frame)
+           [ mutated; restamp mutated ])
+
 (* -------------------------------------------------------------------- *)
 (* Durable-mode log semantics *)
 
@@ -421,7 +640,7 @@ let wal_op_gen =
     let side = frequency [ (4, return false); (1, return true) ] in
     frequency
       [
-        (12, map3 (fun m k a -> Log (m, k, a)) side (int_bound 11) (int_range 1 8));
+        (12, map3 (fun m k a -> Log (m, k, a)) side (int_bound 12) (int_range 1 8));
         (3, map (fun m -> Fsync m) side);
         (1, map2 (fun m k -> Crash (m, k)) side nat);
         (1, map2 (fun m k -> Truncate (m, k)) side nat);
@@ -438,7 +657,7 @@ let wal_history =
     QCheck.Gen.(list_size (int_range 1 60) wal_op_gen)
 
 let ckpt_snapshot ~tid ~coord =
-  Checkpoint.to_json
+  Some
     {
       Checkpoint.at = tid;
       oracle_next = tid + 1;
@@ -465,13 +684,20 @@ let payload_of k a =
   | 7 -> Wal_record.Forget { gid = a }
   | 8 -> Wal_record.Promote { epoch = a; node = a mod 3 }
   | 9 -> Wal_record.Ckpt_end { snapshot = ckpt_snapshot ~tid:a ~coord:(a mod 2) }
-  | 10 -> Wal_record.Ckpt_end { snapshot = Jsonx.Null }
+  | 10 -> Wal_record.Ckpt_end { snapshot = None }
   | _ -> Wal_record.Ckpt_begin
 
 let apply_wal_op p m op =
   let on b = if b then m else p in
   let pick w k = k mod (Wal.next_lsn w + 1) in
   match op with
+  | Log (b, 12, a) ->
+      let w = on b in
+      ignore
+        (Wal.inject_raw w
+           (foreign_snapshot_frame
+              { Wal_record.lsn = Wal.next_lsn w; at = a; shard = Wal.shard w; payload = Wal_record.Ckpt_begin }
+              (Jsonx.Obj [ ("oracle_next", Jsonx.Int a); ("live", Jsonx.Arr []) ])))
   | Log (b, k, a) -> ignore (Wal.log (on b) (payload_of k a))
   | Fsync b -> ignore (Wal.fsync (on b) ())
   | Crash (b, k) -> Wal.crash (on b) ~keep_lsn:(pick (on b) k)
@@ -763,6 +989,44 @@ let test_durability_is_workload_invisible () =
   check_int "no crashes without a plan" 0 durable.Runner.crashes;
   check_bool "no recoveries" true (durable.Runner.recoveries = [])
 
+(* Every frame a durable campaign with crash points and torn tails left
+   behind — checkpoints with LLT-wide commit-log windows among them —
+   goes through the direct codec exactly as through the reference. *)
+let test_campaign_log_codec () =
+  let eng = ref None in
+  let faults =
+    Fault_plan.create ~seed:5
+      ~crash_points:[ Wal.bootstrap_lsn + 300; Wal.bootstrap_lsn + 900 ]
+      ~torn_tail:true ()
+  in
+  let r =
+    Runner.run ~faults
+      ~engine:(fun s ->
+        let e =
+          Siro_engine.create
+            ~driver_config:{ State.default_config with State.durable_wal = true }
+            ~flavor:`Pg s
+        in
+        eng := Some e;
+        e)
+      { runner_cfg with Exp_config.ckpt_period_s = 0.05 }
+  in
+  check_int "crash-restarts" 2 r.Runner.crashes;
+  let ckpts = ref 0 in
+  List.iter
+    (fun (lsn, repr) ->
+      let decoded = Wal_record.decode repr in
+      if decoded <> Wal_record.decode_reference repr then Alcotest.failf "lsn %d: decode differs" lsn;
+      match decoded with
+      | Ok r ->
+          if Wal_record.encode r <> repr || Wal_record.encode_reference r <> repr then
+            Alcotest.failf "lsn %d: encode differs" lsn;
+          if (match r.Wal_record.payload with Wal_record.Ckpt_end { snapshot = Some _ } -> true | _ -> false)
+          then incr ckpts
+      | Error e -> Alcotest.failf "lsn %d: %s" lsn e)
+    (Wal.frames (wal_of (Option.get !eng)));
+  check_bool "several checkpoints" true (!ckpts >= 4)
+
 let test_golden_metrics_unchanged () =
   (* The CI golden scenario: vdriver_sim run -e pg-vdriver -d 2 --llts 2
      --seed 42 (48x1000 schema, 16 workers, uniform access, LLT group at
@@ -811,6 +1075,10 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_codec_encode_matches_reference;
         QCheck_alcotest.to_alcotest qcheck_codec_decode_clean;
         QCheck_alcotest.to_alcotest qcheck_codec_decode_mutated;
+        QCheck_alcotest.to_alcotest qcheck_codec_foreign_snapshot;
+        QCheck_alcotest.to_alcotest qcheck_checkpoint_encode;
+        QCheck_alcotest.to_alcotest qcheck_checkpoint_decode_mutated;
+        Alcotest.test_case "campaign log through both codecs" `Quick test_campaign_log_codec;
       ] );
     ( "recovery.wal",
       [

@@ -266,6 +266,37 @@ let qcheck_commit_log_matches_reference =
           && Obj.reachable_words (Obj.repr log) = words)
         ops)
 
+(* The checkpoint window: the range fold from any floor — negative, past
+   the end, [Timestamp.infinity] — against the reference's entries. *)
+let qcheck_commit_log_window =
+  QCheck.Test.make ~name:"window fold = filtered entries" ~count:300
+    (QCheck.make
+       ~print:(fun (ops, floors) ->
+         String.concat "; " (List.map print_clog_op ops)
+         ^ " / floors " ^ String.concat "," (List.map string_of_int floors))
+       QCheck.Gen.(pair (list_size (0 -- 120) clog_op_gen) (list_size (1 -- 6) clog_tid_gen)))
+    (fun (ops, floors) ->
+      let log = Commit_log.create () and r = Ref.Commit_log.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Record (tid, st) when tid >= 0 && Ref.Commit_log.status r tid = None ->
+              Commit_log.record log ~tid st;
+              Ref.Commit_log.record r ~tid st
+          | Override (tid, st) when tid >= 0 ->
+              Commit_log.override log ~tid st;
+              Ref.Commit_log.override r ~tid st
+          | Reset ->
+              Commit_log.reset log;
+              Ref.Commit_log.reset r
+          | Record _ | Override _ -> ());
+          List.for_all
+            (fun floor ->
+              Commit_log.fold_from log ~floor (fun tid st acc -> (tid, st) :: acc) [] |> List.rev
+              = List.filter (fun (tid, _) -> tid >= floor) (Ref.Commit_log.entries r))
+            (Timestamp.infinity :: min_int :: floors))
+        ops)
+
 type live_op = Begin | Commit of int | Abort of int | Reset_live
 
 let live_op_gen =
@@ -356,6 +387,7 @@ let suites =
       [
         Alcotest.test_case "statuses" `Quick test_commit_log;
         QCheck_alcotest.to_alcotest qcheck_commit_log_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_commit_log_window;
       ] );
     ( "txn.manager",
       [

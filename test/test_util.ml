@@ -364,8 +364,71 @@ let qcheck_vec_roundtrip =
     QCheck.(list int)
     (fun xs -> Vec.to_list (Vec.of_list xs) = xs)
 
+(* -------------------------------------------------------------------- *)
+(* Crc32: the sliced loop against the byte-at-a-time one it replaced *)
+
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xedb88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let crc_bytewise crc s off len =
+  let crc = ref (crc lxor 0xffffffff) in
+  for i = off to off + len - 1 do
+    crc := crc_table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xffffffff
+
+let test_crc_check_value () =
+  check_int "123456789" 0xCBF43926 (Crc32.string "123456789");
+  check_int "empty" 0 (Crc32.string "");
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Crc32.update_sub")
+    (fun () -> ignore (Crc32.update_sub 0 "abc" 2 2))
+
+(* A string, a start offset 0-7 into it and a length, plus a split point
+   for chaining; [long] adds about 400 KB, a checkpoint frame's size. *)
+let crc_case ~long =
+  QCheck.Gen.(
+    let* off = 0 -- 7 in
+    let* len = if long then 399_000 -- 401_000 else 0 -- 64 in
+    let* s = string_size ~gen:char (return (off + len + 3)) in
+    let* k = 0 -- len in
+    let* seed = int in
+    return (s, off, len, k, seed))
+
+let crc_agrees (s, off, len, k, seed) =
+  let crc = seed land 0xffffffff in
+  Crc32.update_sub crc s off len = crc_bytewise crc s off len
+  && Crc32.update_sub (Crc32.update_sub crc s off k) s (off + k) (len - k)
+     = Crc32.update_sub crc s off len
+  && Crc32.update (Crc32.string (String.sub s off k)) (String.sub s (off + k) (len - k))
+     = Crc32.string (String.sub s off len)
+
+let show_crc_case (s, off, len, k, seed) =
+  Printf.sprintf "len(s)=%d off=%d len=%d split=%d seed=%d s=%S" (String.length s) off len k seed
+    (if String.length s <= 80 then s else String.sub s 0 80 ^ "...")
+
+let qcheck_crc_short =
+  QCheck.Test.make ~name:"0-64 B: sliced = bytewise" ~count:3000
+    (QCheck.make ~print:show_crc_case (crc_case ~long:false))
+    crc_agrees
+
+let qcheck_crc_long =
+  QCheck.Test.make ~name:"400 KB: sliced = bytewise" ~count:8
+    (QCheck.make ~print:show_crc_case (crc_case ~long:true))
+    crc_agrees
+
 let suites =
   [
+    ( "util.crc32",
+      [
+        Alcotest.test_case "check value" `Quick test_crc_check_value;
+        QCheck_alcotest.to_alcotest qcheck_crc_short;
+        QCheck_alcotest.to_alcotest qcheck_crc_long;
+      ] );
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
