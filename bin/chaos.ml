@@ -430,7 +430,11 @@ let run_campaigns (ename, engine) seed campaigns duration sabotage quota require
         "--crash-steps/--replicas/--rep-quorum/--kill-nodes/--kill-steps/--net-*/--partitions \
          need --shards"
     else begin
-      let skip_tail_check = sabotage = Some Sabotage.Skip_tail_check in
+      let recovery_sabotage =
+        match sabotage with
+        | Some (Sabotage.Skip_tail_check | Sabotage.Discard_past_checkpoint) -> true
+        | _ -> false
+      in
       (* What the domains substrate lacks comes from the one capability
          table; each row names the flags that request it. *)
       (match mode with
@@ -445,8 +449,8 @@ let run_campaigns (ename, engine) seed campaigns duration sabotage quota require
                 (fun reason -> reject (reason ^ "; drop " ^ flags))
                 (Substrate.unsupported dmode [ (feature, requested) ]))
             [
-              (Substrate.Crash_faults, crash_points > 0 || skip_tail_check,
-               "--crash-points/--sabotage skip-tail-check");
+              (Substrate.Crash_faults, crash_points > 0 || recovery_sabotage,
+               "--crash-points/--sabotage skip-tail-check|discard-past-checkpoint");
               (Substrate.Watchdog,
                stalls || zombie_llts || require_containment
                || sabotage = Some Sabotage.No_watchdog,
@@ -506,8 +510,10 @@ let cmd =
                 harness bug). $(docv) is %s. $(b,zone-widen) widens every dead zone by one \
                 timestamp; $(b,quota-ignore) makes the governor ignore its --quota; \
                 $(b,skip-tail-check) replays the WAL tail without CRC verification (implies \
-                the durable WAL); $(b,no-watchdog) keeps the liveness ladder observing but \
-                never acting; $(b,gc-)K runs GC backend K with its planted defect. The \
+                the durable WAL); $(b,discard-past-checkpoint) makes each checkpoint \
+                recycle the WAL through its own end, leaving no checkpoint to recover from \
+                (implies the durable WAL; caught at a crash restart); $(b,no-watchdog) \
+                keeps the liveness ladder observing but never acting; $(b,gc-)K runs GC backend K with its planted defect. The \
                 sharded rows need --shards: $(b,skip-coord-decision) commits 2PC without \
                 forcing the decision record, $(b,apply-on-timeout) and $(b,ack-forge) break \
                 the termination protocol and the participant ack, and \

@@ -10,6 +10,7 @@ type config = {
   governor : Governor.config;
   durable_wal : bool;
   recovery_skip_tail_check : bool;
+  recovery_discard_past_checkpoint : bool;
 }
 
 let default_config =
@@ -25,6 +26,7 @@ let default_config =
     governor = Governor.default_config;
     durable_wal = false;
     recovery_skip_tail_check = false;
+    recovery_discard_past_checkpoint = false;
   }
 
 type prune_origin = [ `Prune1 | `Prune2 | `Cut ]

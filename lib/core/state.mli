@@ -37,6 +37,12 @@ type config = {
           without CRC verification. A torn or corrupt tail then gets
           replayed as if durable — the post-recovery invariants must
           catch the divergence. Never enable outside the harness. *)
+  recovery_discard_past_checkpoint : bool;
+      (** sabotage knob: an unsharded durable checkpoint recycles the
+          log through its own [Ckpt_end] instead of below the previous
+          checkpoint, so the log keeps no checkpoint to recover from —
+          the [recovery-base] invariant must catch it. Never enable
+          outside the harness. *)
 }
 
 val default_config : config

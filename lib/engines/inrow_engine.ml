@@ -180,18 +180,6 @@ let create ?(costs = Costs.default) ?(vacuum_batch = 4096) schema =
     }
   in
   let max_chain () = Array.fold_left (fun acc v -> max acc (Vec.length v)) 0 st.versions in
-  let pages_wait () =
-    let acc = ref 0 in
-    let seen = Hashtbl.create 64 in
-    for rid = 0 to Schema.records schema - 1 do
-      let page = Heap.page_of heap ~rid in
-      if not (Hashtbl.mem seen page.Page.id) then begin
-        Hashtbl.replace seen page.Page.id ();
-        acc := !acc + Resource.wait_time page.Page.latch
-      end
-    done;
-    !acc
-  in
   {
     Engine.name = "postgres-vanilla";
     txns = mgr;
@@ -220,7 +208,7 @@ let create ?(costs = Costs.default) ?(vacuum_batch = 4096) schema =
           max_chain = max_chain ();
           splits = Heap.splits heap;
           truncations = 0;
-          latch_wait = pages_wait ();
+          latch_wait = Heap.latch_wait heap;
           wal_errors = Wal.errors wal;
         });
     chain_histogram =

@@ -255,18 +255,6 @@ let create ?(costs = Costs.default) ?(purge_batch = 4096) ?(undo_pool_pages = 51
     }
   in
   let max_chain () = 1 + Array.fold_left (fun acc v -> max acc (Vec.length v)) 0 st.undo in
-  let pages_wait () =
-    let acc = ref (Queue_model.busy_time st.rseg) in
-    let seen = Hashtbl.create 64 in
-    for rid = 0 to Schema.records schema - 1 do
-      let page = Heap.page_of heap ~rid in
-      if not (Hashtbl.mem seen page.Page.id) then begin
-        Hashtbl.replace seen page.Page.id ();
-        acc := !acc + Resource.wait_time page.Page.latch
-      end
-    done;
-    !acc
-  in
   {
     Engine.name = (match gc with `Purge_prefix -> "mysql-vanilla" | `Interval_scan -> "mysql-interval-gc");
     txns = mgr;
@@ -301,7 +289,7 @@ let create ?(costs = Costs.default) ?(purge_batch = 4096) ?(undo_pool_pages = 51
           max_chain = max_chain ();
           splits = Heap.splits heap;
           truncations = st.truncations;
-          latch_wait = pages_wait ();
+          latch_wait = Queue_model.busy_time st.rseg + Heap.latch_wait heap;
           wal_errors = Wal.errors wal;
         });
     chain_histogram =

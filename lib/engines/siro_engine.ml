@@ -314,11 +314,31 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
       decisions;
     }
   in
+  (* Log recycling (unsharded logs only): [retained] holds the
+     [Ckpt_begin] LSN and [Ckpt_end] LSN of the newest complete
+     checkpoint. When the next one completes, everything below the
+     previous one's begin goes: recovery reads a checkpoint plus the
+     log after it, and keeping the previous checkpoint as well means a
+     crash that cuts the newest one still finds a base. A restart
+     forgets it, since the crash may have cut that checkpoint; the
+     restart's own checkpoint then discards nothing. Sharded logs keep
+     their whole prefix: their oracles read whole-prefix 2PC facts. *)
+  let retained = ref None in
   let do_checkpoint ~now =
+    let begin_lsn = Wal.next_lsn wal in
     ignore (Wal.log wal ~at:now Wal_record.Ckpt_begin);
     let snap = build_snapshot ~now in
-    ignore (Wal.log wal ~at:now (Wal_record.Ckpt_end { snapshot = Some snap }));
+    let end_lsn = Wal.log wal ~at:now (Wal_record.Ckpt_end { snapshot = Some snap }) in
     ignore (Wal.fsync wal ~at:now ());
+    (match end_lsn with
+    | Some end_lsn when not driver.State.shared_mgr ->
+        (match !retained with
+        | Some _ when (Driver.config driver).State.recovery_discard_past_checkpoint ->
+            Wal.discard_below wal ~lsn:(end_lsn + 1) ~anchor:end_lsn
+        | Some (prev_begin, prev_end) -> Wal.discard_below wal ~lsn:prev_begin ~anchor:prev_end
+        | None -> ());
+        retained := Some (begin_lsn, end_lsn)
+    | _ -> ());
     Metrics.bump "recovery.checkpoints";
     if Trace.on () then
       Trace.instant Trace.Wal "checkpoint" ~at:now
@@ -363,6 +383,7 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
         ~next_seg_id:exp.Wal_recovery.next_seg_id ~now
     in
     State.refresh_zones driver ~now;
+    retained := None;
     do_checkpoint ~now;
     Metrics.bump "recovery.restarts";
     Metrics.bump_by "recovery.records_replayed" exp.Wal_recovery.replayed;
@@ -406,24 +427,12 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
           done;
           !acc);
     (* Bootstrap checkpoint (LSNs 1-2): recovery always has a base
-       image, so a crash clamped to {!Wal.bootstrap_lsn} replays the
+       image, so a crash clamped to {!Wal.crash_base} replays the
        initial database rather than an empty one. *)
     do_checkpoint ~now:0
   end;
   let inrow_len rid =
     if Siro.previous st.slots.(rid) = None then 1 else 2
-  in
-  let pages_wait () =
-    let acc = ref 0 in
-    let seen = Hashtbl.create 64 in
-    for rid = 0 to Schema.records schema - 1 do
-      let page = Heap.page_of heap ~rid in
-      if not (Hashtbl.mem seen page.Page.id) then begin
-        Hashtbl.replace seen page.Page.id ();
-        acc := !acc + Resource.wait_time page.Page.latch
-      end
-    done;
-    !acc
   in
   let name = match flavor with `Pg -> "postgres-vdriver" | `Mysql -> "mysql-vdriver" in
   {
@@ -477,7 +486,7 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
           max_chain = 2 + Driver.max_chain_length driver;
           splits = Heap.splits heap;
           truncations = 0;
-          latch_wait = pages_wait ();
+          latch_wait = Heap.latch_wait heap;
           wal_errors = Wal.errors wal;
         });
     chain_histogram =

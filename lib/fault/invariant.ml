@@ -318,6 +318,28 @@ let check_post_recovery (d : Driver.t) =
       let clog = Txn_manager.commit_log st.State.txns in
       let acc = ref [] in
       let add x = acc := x :: !acc in
+      (* A recycled log still holds, intact and trustworthy, the
+         checkpoint its crash base names: with the prefix gone, that
+         checkpoint is the oldest base image any recovery can anchor
+         at — including one after a crash that cuts every newer one. *)
+      (if Wal.discarded wal > 0 then
+         let base = Wal.crash_base wal in
+         let intact =
+           base <= analysis.Wal_recovery.truncate_lsn
+           &&
+           match Wal.frames_from wal ~lsn:(base - 1) with
+           | (lsn, repr) :: _ when lsn = base -> (
+               match Wal_record.decode repr with
+               | Ok { Wal_record.payload = Wal_record.Ckpt_end { snapshot = Some _ }; _ } -> true
+               | Ok _ | Error _ -> false)
+           | _ -> false
+         in
+         if not intact then
+           add
+             (v "recovery-base"
+                "%d frames discarded, but the log no longer holds the checkpoint at its crash \
+                 base (LSN %d) to recover from"
+                (Wal.discarded wal) base));
       (* Committed effects are durable. *)
       List.iter
         (fun (tid, cts) ->

@@ -106,7 +106,9 @@ val check_post_recovery : Driver.t -> violation list
 (** To be run immediately after a durable restart-replay, before the
     workload resumes. Re-derives the expected post-recovery state from
     the WAL with CRC checking unconditionally on (never the engine's
-    [recovery_skip_tail_check] sabotage knob) and compares: committed
+    [recovery_skip_tail_check] sabotage knob) and compares: a log
+    that discarded its prefix still holds the complete checkpoint at
+    its {!Wal.crash_base} ([recovery-base]), committed
     effects durable (outcomes and the in-row image byte-exact), no
     loser or aborted transaction resurrected as committed, no committed
     timestamp at or above the log's frontier (a fabricated record), the

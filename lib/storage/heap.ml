@@ -54,6 +54,7 @@ let record_count t = t.records
 let page_of t ~rid = Hashtbl.find t.page_of_rid rid
 let splits t = t.splits
 let total_bytes t = Vec.fold_left (fun acc p -> acc + p.Page.used_bytes) 0 t.pages
+let latch_wait t = Vec.fold_left (fun acc p -> acc + Resource.wait_time p.Page.latch) 0 t.pages
 let version_bytes t = t.version_bytes
 let rid_version_bytes t ~rid = Option.value ~default:0 (Hashtbl.find_opt t.vbytes_of_rid rid)
 

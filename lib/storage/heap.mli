@@ -22,6 +22,12 @@ val splits : t -> int
 val total_bytes : t -> int
 (** Sum of page [used_bytes]. *)
 
+val latch_wait : t -> Clock.time
+(** Sum of every page latch's cumulative queueing time. Every page
+    holds at least one record (a split moves half of a page of two or
+    more), so this equals the sum over the distinct pages of the
+    records, at the cost of the page count. *)
+
 val version_bytes : t -> int
 (** In-row old-version bytes currently stored. *)
 

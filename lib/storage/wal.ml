@@ -8,6 +8,8 @@ type durable = {
   mutable fsync_failures : int;
   mutable crashes : int;
   mutable mutations : int;
+  mutable discarded : int;
+  mutable crash_base : int;
 }
 
 type t = {
@@ -61,6 +63,12 @@ let errors t = t.errors
 (* ------------------------------------------------------------------ *)
 (* Durable mode: typed record frames with LSNs and an fsync frontier.  *)
 
+(* The bootstrap checkpoint occupies LSNs 1-2 and is fsynced at engine
+   creation; no crash may truncate below it or recovery would have no
+   base image to replay from. A discard moves this base up to the
+   checkpoint it keeps. *)
+let bootstrap_lsn = 2
+
 let enable_durability t =
   if t.durable = None then
     t.durable <-
@@ -73,6 +81,8 @@ let enable_durability t =
           fsync_failures = 0;
           crashes = 0;
           mutations = 0;
+          discarded = 0;
+          crash_base = bootstrap_lsn;
         }
 
 let is_durable t = t.durable <> None
@@ -146,20 +156,31 @@ let next_lsn t = match t.durable with None -> 1 | Some d -> d.next_lsn
 let fsyncs t = match t.durable with None -> 0 | Some d -> d.fsyncs
 let fsync_failures t = match t.durable with None -> 0 | Some d -> d.fsync_failures
 let crashes t = match t.durable with None -> 0 | Some d -> d.crashes
+let discarded t = match t.durable with None -> 0 | Some d -> d.discarded
+let crash_base t = match t.durable with None -> bootstrap_lsn | Some d -> d.crash_base
 
 let frames t =
   match t.durable with
   | None -> []
   | Some d -> Vec.fold_left (fun acc f -> (f.lsn, f.repr) :: acc) [] d.frames |> List.rev
 
-(* The bootstrap checkpoint occupies LSNs 1-2 and is fsynced at engine
-   creation; no crash may truncate below it or recovery would have no
-   base image to replay from. *)
-let bootstrap_lsn = 2
+(* Index of the first frame with an LSN above [lsn]. Frame LSNs strictly
+   increase along the [Vec] — appends claim [next_lsn], crashes and
+   truncations only cut the tail and discards only the head — though
+   not contiguously: a crash leaves a gap, because [next_lsn] is never
+   reset. *)
+let first_above frames lsn =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if (Vec.get frames mid).lsn > lsn then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Vec.length frames)
 
 let crash t ~keep_lsn =
   with_durable t "crash" (fun d ->
-      let keep = max keep_lsn bootstrap_lsn in
+      let keep = max keep_lsn d.crash_base in
       mutated d;
       Vec.filter_in_place (fun f -> f.lsn <= keep) d.frames;
       d.flushed_lsn <- min d.flushed_lsn keep;
@@ -171,6 +192,16 @@ let truncate_to t ~lsn =
       mutated d;
       Vec.filter_in_place (fun f -> f.lsn <= lsn) d.frames;
       d.flushed_lsn <- min d.flushed_lsn lsn)
+
+let discard_below t ~lsn ~anchor =
+  with_durable t "discard_below" (fun d ->
+      let n = first_above d.frames (lsn - 1) in
+      if n > 0 then begin
+        mutated d;
+        Vec.drop_front d.frames n;
+        d.discarded <- d.discarded + n
+      end;
+      d.crash_base <- max d.crash_base anchor)
 
 let inject_raw t repr =
   (* A partially-written sector: it claimed its LSN on the device but
@@ -185,19 +216,6 @@ let inject_raw t repr =
 
 (* ------------------------------------------------------------------ *)
 (* Log shipping: the replica-side mirror face.                         *)
-
-(* Index of the first frame with an LSN above [lsn]. Frame LSNs strictly
-   increase along the [Vec] — appends claim [next_lsn], and crashes and
-   truncations only cut the tail — though not contiguously: a crash
-   leaves a gap, because [next_lsn] is never reset. *)
-let first_above frames lsn =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if (Vec.get frames mid).lsn > lsn then go lo mid else go (mid + 1) hi
-  in
-  go 0 (Vec.length frames)
 
 let frames_from t ~lsn =
   match t.durable with
@@ -238,6 +256,8 @@ let adopt t ~src =
           Vec.iter (fun f -> Vec.push d.frames f) sd.frames;
           d.next_lsn <- sd.next_lsn;
           d.flushed_lsn <- sd.flushed_lsn;
+          d.discarded <- sd.discarded;
+          d.crash_base <- sd.crash_base;
           t.total <- src.total;
           t.records <- src.records;
           t.shard <- src.shard)

@@ -31,10 +31,11 @@ val set_shard : t -> int -> unit
 val mutations : t -> int
 (** Bumped by every operation that changes a durable device other than
     by appending a well-formed frame: {!crash}, {!truncate_to},
-    {!inject_raw}, {!corrupt_frame}, {!adopt} and {!set_shard}. An
-    incremental reader ({!Wal_recovery.advance}) that sees it move must
-    start again from the first frame. Always 0 for a non-durable log,
-    which has no frames. *)
+    {!discard_below} (when it drops a frame), {!inject_raw},
+    {!corrupt_frame}, {!adopt} and {!set_shard}. An incremental reader
+    ({!Wal_recovery.advance}) that sees it move must start again from
+    the first frame. Always 0 for a non-durable log, which has no
+    frames. *)
 
 val append : t -> ?at:int -> bytes:int -> unit -> unit
 (** Append a record, unless the ["wal.append"] fail-point fires. [at]
@@ -87,19 +88,41 @@ val frames : t -> (int * string) list
 (** Surviving frames in LSN order, for recovery scans. *)
 
 val bootstrap_lsn : int
-(** LSN of the engine-creation checkpoint's [Ckpt_end] frame; {!crash}
-    clamps its survival point here so recovery always has a base
-    image. *)
+(** LSN of the engine-creation checkpoint's [Ckpt_end] frame: the
+    {!crash_base} of a log that has discarded nothing. *)
+
+val crash_base : t -> int
+(** The LSN {!crash} never cuts below, so recovery always has a base
+    image: {!bootstrap_lsn} until a {!discard_below} moves it up to
+    the [Ckpt_end] of the oldest checkpoint the log still holds. *)
 
 val crash : t -> keep_lsn:int -> unit
 (** Power loss: discard every frame with LSN beyond
-    [max keep_lsn bootstrap_lsn] and pull the flushed frontier back to
+    [max keep_lsn (crash_base t)] and pull the flushed frontier back to
     the survival point. LSNs are never reused afterwards. *)
 
 val truncate_to : t -> lsn:int -> unit
 (** Physically drop frames beyond [lsn] — recovery calls this after
     identifying the last trustworthy frame, so a corrupt tail cannot
     shadow post-recovery appends on the next scan. *)
+
+val discard_below : t -> lsn:int -> anchor:int -> unit
+(** Recycle the log prefix: drop every frame with an LSN below [lsn].
+    A checkpoint's caller passes the [Ckpt_begin] LSN of a complete
+    checkpoint as [lsn] and that checkpoint's [Ckpt_end] LSN as
+    [anchor]: recovery replays from a checkpoint plus the frames after
+    it, so nothing older is needed as long as that checkpoint stays,
+    and {!crash_base} rises to [anchor] so that no crash can cut it.
+    The dropped frames are counted in {!discarded}; the byte and
+    record counters ({!total_bytes}, {!records}) keep counting every
+    append. LSNs stay strictly increasing, so {!frames_from} and
+    {!corrupt_frame} see a log that merely starts later. *)
+
+val discarded : t -> int
+(** Frames dropped by {!discard_below} since the log was enabled
+    (copied by {!adopt}). {!Wal_recovery.analyze} counts them among
+    its [survivors], so the cost model still charges a restart for
+    the whole history. *)
 
 val inject_raw : t -> string -> int
 (** Append a raw (typically corrupt) frame, claiming the next LSN but
@@ -125,7 +148,8 @@ val receive : t -> lsn:int -> repr:string -> [ `Applied | `Duplicate | `Gap ]
 
 val adopt : t -> src:t -> unit
 (** Make [t]'s device an exact copy of [src]'s: frames, LSN cursor,
-    flushed frontier, shard tag and byte accounting. State transfer —
+    flushed frontier, discard count and crash base, shard tag and byte
+    accounting. State transfer —
     used at promotion to seed the new primary's device from the
     best mirror, and to resync the surviving backups onto the new
     primary's timeline. *)

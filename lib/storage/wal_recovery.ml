@@ -113,7 +113,7 @@ let analyze ?(check_crc = true) wal =
         | Ok _ | Error _ -> (acc, last))
   in
   let newest_first, truncate_lsn = scan [] 0 frames in
-  let survivors = List.length newest_first in
+  let read = List.length newest_first in
   (* Walk back from the tail and decode checkpoints only until both
      anchors are found: the last complete checkpoint, and the last one
      that is not a failover checkpoint. [newer] counts the records
@@ -139,8 +139,8 @@ let analyze ?(check_crc = true) wal =
     | r :: rest when n > 0 -> keep (strip r :: acc) (n - 1) rest
     | _ -> acc
   in
-  make ~records:(keep [] newer newest_first) ~survivors ~truncate_lsn
-    ~dropped:(total - survivors) ~checkpoint ~steady_checkpoint f
+  make ~records:(keep [] newer newest_first) ~survivors:(Wal.discarded wal + read)
+    ~truncate_lsn ~dropped:(total - read) ~checkpoint ~steady_checkpoint f
 
 type cursor = {
   stale : bool;
@@ -216,7 +216,8 @@ let advance c wal =
         | Ok r when r.Wal_record.shard = own_shard -> fold c r
         | Ok _ | Error _ -> c.torn <- true)
     (Wal.frames_from wal ~lsn:c.seen_lsn);
-  make ~records:(List.rev c.tail) ~survivors:c.survivors ~truncate_lsn:c.truncate_lsn
+  make ~records:(List.rev c.tail) ~survivors:(Wal.discarded wal + c.survivors)
+    ~truncate_lsn:c.truncate_lsn
     ~dropped:(c.read - c.survivors) ~checkpoint:c.last_ckpt ~steady_checkpoint:c.steady c.facts
 
 (* Log decisions override the checkpoint's window, and the newest log

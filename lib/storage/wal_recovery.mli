@@ -21,8 +21,12 @@ type analysis = {
           their snapshot: the decoded anchors are
           {!field-checkpoint} and {!field-steady_checkpoint}. *)
   survivors : int;
+      (** Trustworthy frames of the whole history: the ones decoded
+          here plus the ones {!Wal.discard_below} recycled
+          ({!Wal.discarded}), which all lay below a checkpoint the log
+          still holds. What the restart cost model charges for. *)
   truncate_lsn : int;  (** LSN of the last trustworthy frame (0 if none). *)
-  dropped : int;  (** Frames rejected at the tail. *)
+  dropped : int;  (** Frames rejected at the tail (never discarded ones). *)
   checkpoint : (int * Checkpoint.t) option;
       (** Last complete checkpoint in the prefix, with its [Ckpt_end] LSN. *)
   steady_checkpoint : (int * Checkpoint.t) option;

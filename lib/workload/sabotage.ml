@@ -2,6 +2,7 @@ type t =
   | Zone_widen
   | Quota_ignore
   | Skip_tail_check
+  | Discard_past_checkpoint
   | No_watchdog
   | Gc of Gc_backend.kind
   | Skip_coord_decision
@@ -10,7 +11,7 @@ type t =
   | Stale_cursor
 
 let all =
-  [ Zone_widen; Quota_ignore; Skip_tail_check; No_watchdog ]
+  [ Zone_widen; Quota_ignore; Skip_tail_check; Discard_past_checkpoint; No_watchdog ]
   @ List.map (fun k -> Gc k) Gc_backend.all_kinds
   @ [
       Skip_coord_decision;
@@ -25,6 +26,7 @@ let name = function
   | Zone_widen -> "zone-widen"
   | Quota_ignore -> "quota-ignore"
   | Skip_tail_check -> "skip-tail-check"
+  | Discard_past_checkpoint -> "discard-past-checkpoint"
   | No_watchdog -> "no-watchdog"
   | Gc k -> "gc-" ^ Gc_backend.kind_name k
   | Skip_coord_decision -> "skip-coord-decision"
@@ -41,6 +43,7 @@ let caught_by = function
   | Quota_ignore -> [ "space-quota" ]
   | Skip_tail_check ->
       [ "recovery-durability"; "recovery-phantom"; "recovery-atomicity"; "recovery-inrow" ]
+  | Discard_past_checkpoint -> [ "recovery-base" ]
   | No_watchdog -> [ "reclamation-lag" ]
   | Gc (Gc_backend.Vcutter | Gc_backend.Bounded) -> [ "gc-backend" ]
   | Skip_coord_decision -> [ "2pc-decision-missing" ]
@@ -51,7 +54,8 @@ let caught_by = function
   | Stale_cursor -> [ "analysis-cursor" ]
 
 let sharded = function
-  | Zone_widen | Quota_ignore | Skip_tail_check | No_watchdog | Gc _ -> false
+  | Zone_widen | Quota_ignore | Skip_tail_check | Discard_past_checkpoint | No_watchdog | Gc _ ->
+      false
   | Skip_coord_decision | Net _ | Failover _ | Stale_cursor -> true
 
 let driver_config s (c : State.config) =
@@ -60,6 +64,8 @@ let driver_config s (c : State.config) =
   | Some Quota_ignore ->
       { c with State.governor = { c.State.governor with Governor.quota_ignore_sabotage = true } }
   | Some Skip_tail_check -> { c with State.durable_wal = true; recovery_skip_tail_check = true }
+  | Some Discard_past_checkpoint ->
+      { c with State.durable_wal = true; recovery_discard_past_checkpoint = true }
   | _ -> c
 
 let watchdog s (w : Watchdog.config) =

@@ -18,6 +18,9 @@ type t =
   | Skip_tail_check
       (** restart replays the WAL tail without CRC verification, so a
           torn tail is replayed as if durable *)
+  | Discard_past_checkpoint
+      (** a checkpoint recycles the WAL through its own [Ckpt_end], so
+          the log keeps no checkpoint for a crash to recover from *)
   | No_watchdog  (** leases and the lag monitor observe; the ladder never acts *)
   | Gc of Gc_backend.kind
       (** the backend's planted defect: a budget-shirking cutter
@@ -54,7 +57,9 @@ val sharded : t -> bool
 val driver_config : t option -> State.config -> State.config
 (** [Zone_widen] sets [zone_widen_sabotage = 1]; [Quota_ignore] sets
     the governor's [quota_ignore_sabotage]; [Skip_tail_check] sets
-    [recovery_skip_tail_check] and the durable WAL it needs. *)
+    [recovery_skip_tail_check] and the durable WAL it needs;
+    [Discard_past_checkpoint] sets [recovery_discard_past_checkpoint]
+    and the durable WAL. *)
 
 val watchdog : t option -> Watchdog.config -> Watchdog.config
 (** [No_watchdog] sets [enabled = false]. *)

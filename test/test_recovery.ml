@@ -989,11 +989,20 @@ let test_durability_is_workload_invisible () =
   check_int "no crashes without a plan" 0 durable.Runner.crashes;
   check_bool "no recoveries" true (durable.Runner.recoveries = [])
 
-(* Every frame a durable campaign with crash points and torn tails left
-   behind — checkpoints with LLT-wide commit-log windows among them —
-   goes through the direct codec exactly as through the reference. *)
+(* Every frame a durable campaign with crash points and torn tails
+   logged — checkpoints with LLT-wide commit-log windows among them —
+   goes through the direct codec exactly as through the reference. A
+   checkpoint recycles the log prefix below the previous one, so the
+   engine's checkpoint is wrapped to collect the frames before each
+   discard; the end of the run collects the rest. (A restart discards
+   nothing, and collecting before it would pick up the torn tail it is
+   about to truncate.) *)
 let test_campaign_log_codec () =
-  let eng = ref None in
+  let wal = ref None in
+  let seen = Hashtbl.create 4096 in
+  let collect () =
+    List.iter (fun (lsn, repr) -> Hashtbl.replace seen lsn repr) (Wal.frames (Option.get !wal))
+  in
   let faults =
     Fault_plan.create ~seed:5
       ~crash_points:[ Wal.bootstrap_lsn + 300; Wal.bootstrap_lsn + 900 ]
@@ -1007,11 +1016,17 @@ let test_campaign_log_codec () =
             ~driver_config:{ State.default_config with State.durable_wal = true }
             ~flavor:`Pg s
         in
-        eng := Some e;
-        e)
+        wal := Some (wal_of e);
+        {
+          e with
+          Engine.checkpoint =
+            Option.map (fun ckpt ~now -> collect (); ckpt ~now) e.Engine.checkpoint;
+        })
       { runner_cfg with Exp_config.ckpt_period_s = 0.05 }
   in
+  collect ();
   check_int "crash-restarts" 2 r.Runner.crashes;
+  check_bool "the log was recycled" true (Wal.discarded (Option.get !wal) > 0);
   let ckpts = ref 0 in
   List.iter
     (fun (lsn, repr) ->
@@ -1024,8 +1039,194 @@ let test_campaign_log_codec () =
           if (match r.Wal_record.payload with Wal_record.Ckpt_end { snapshot = Some _ } -> true | _ -> false)
           then incr ckpts
       | Error e -> Alcotest.failf "lsn %d: %s" lsn e)
-    (Wal.frames (wal_of (Option.get !eng)));
+    (List.sort compare (Hashtbl.fold (fun lsn repr acc -> (lsn, repr) :: acc) seen []));
   check_bool "several checkpoints" true (!ckpts >= 4)
+
+(* -------------------------------------------------------------------- *)
+(* Log recycling against an undiscarded shadow *)
+
+(* A random history on a durable engine: transactions in four slots,
+   checkpoints, maintenance passes, and power losses followed by the
+   restart. A crash cuts the log at a seeded LSN among the frames the
+   previous operation logged (the runner's crash points fire at every
+   dispatch boundary, so they can cut no further back), or at the
+   durability frontier, optionally leaving a torn tail. *)
+type recycle_op =
+  | R_begin of int
+  | R_write of int * int * int
+  | R_commit of int
+  | R_abort of int
+  | R_checkpoint
+  | R_maintain
+  | R_crash of int option * bool  (* keep offset (None: the frontier), torn tail *)
+
+let show_recycle_op = function
+  | R_begin i -> Printf.sprintf "begin(%d)" i
+  | R_write (i, rid, v) -> Printf.sprintf "write(%d,r%d,%d)" i rid v
+  | R_commit i -> Printf.sprintf "commit(%d)" i
+  | R_abort i -> Printf.sprintf "abort(%d)" i
+  | R_checkpoint -> "ckpt"
+  | R_maintain -> "maintain"
+  | R_crash (k, torn) ->
+      Printf.sprintf "crash(%s%s)"
+        (match k with Some k -> string_of_int k | None -> "flushed")
+        (if torn then ",torn" else "")
+
+let recycle_history =
+  let slot = QCheck.Gen.int_bound 3 in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_recycle_op ops))
+    QCheck.Gen.(
+      list_size (int_range 10 120)
+        (frequency
+           [
+             (4, map (fun i -> R_begin i) slot);
+             ( 8,
+               map3 (fun i rid v -> R_write (i, rid, v)) slot
+                 (int_bound (Schema.records tiny_schema - 1))
+                 (int_bound 999) );
+             (4, map (fun i -> R_commit i) slot);
+             (1, map (fun i -> R_abort i) slot);
+             (3, return R_checkpoint);
+             (1, return R_maintain);
+             (2, map2 (fun k torn -> R_crash (k, torn)) (opt nat) bool);
+           ]))
+
+(* Copy the engine log's new frames onto the shadow. Both devices apply
+   the same crashes and truncations, so their LSN cursors agree and
+   every new frame is the shadow's next one. *)
+let sync_shadow ~shadow wal =
+  List.iter
+    (fun (lsn, repr) ->
+      match Wal.receive shadow ~lsn ~repr with
+      | `Applied -> ()
+      | `Duplicate | `Gap -> QCheck.Test.fail_reportf "shadow lost sync at lsn %d" lsn)
+    (Wal.frames_from wal ~lsn:(Wal.next_lsn shadow - 1))
+
+let same_recovery ~shadow wal what =
+  let a = Wal_recovery.analyze wal and b = Wal_recovery.analyze shadow in
+  if a <> b then
+    QCheck.Test.fail_reportf
+      "%s: analysis differs from the shadow's: survivors %d vs %d, truncated at %d vs %d, \
+       anchor %s vs %s"
+      what a.Wal_recovery.survivors b.Wal_recovery.survivors a.Wal_recovery.truncate_lsn
+      b.Wal_recovery.truncate_lsn
+      (match a.Wal_recovery.checkpoint with Some (l, _) -> string_of_int l | None -> "none")
+      (match b.Wal_recovery.checkpoint with Some (l, _) -> string_of_int l | None -> "none");
+  if Wal_recovery.expect a <> Wal_recovery.expect b then
+    QCheck.Test.fail_reportf "%s: expectation differs from the shadow's" what
+
+let run_recycle_history ops =
+  let eng = durable_engine () in
+  let wal = wal_of eng in
+  let shadow = fresh_wal () in
+  sync_shadow ~shadow wal;
+  let slots = Array.make 4 None in
+  let now = ref (Clock.ms 1) in
+  let tick () =
+    now := !now + Clock.us 100;
+    !now
+  in
+  let finish i f =
+    match slots.(i) with
+    | Some txn ->
+        slots.(i) <- None;
+        ignore (f txn ~now:(tick ()))
+    | None -> ()
+  in
+  (* The log's end before the previous operation: what a crash may cut
+     back to. *)
+  let mark = ref (Wal.max_lsn wal) in
+  List.iter
+    (fun op ->
+      let before = Wal.max_lsn wal in
+      (match op with
+      | R_begin i ->
+          if slots.(i) = None then slots.(i) <- Some (fst (eng.Engine.begin_txn ~now:(tick ())))
+      | R_write (i, rid, payload) -> (
+          match slots.(i) with
+          | Some txn -> (
+              match eng.Engine.write txn ~rid ~payload ~now:(tick ()) with
+              | Engine.Committed_path _ -> ()
+              | Engine.Conflict _ -> finish i eng.Engine.abort)
+          | None -> ())
+      | R_commit i -> finish i eng.Engine.commit
+      | R_abort i -> finish i eng.Engine.abort
+      | R_checkpoint -> (Option.get eng.Engine.checkpoint) ~now:(tick ())
+      | R_maintain -> ignore (eng.Engine.maintenance ~now:(tick ()))
+      | R_crash (k, torn) ->
+          let keep =
+            match k with
+            | Some k -> !mark + (k mod (Wal.max_lsn wal - !mark + 1))
+            | None -> Wal.flushed_lsn wal
+          in
+          Wal.crash wal ~keep_lsn:keep;
+          Wal.crash shadow ~keep_lsn:keep;
+          if torn then Wal_recovery.inject_torn_commit wal ~at:(tick ());
+          sync_shadow ~shadow wal;
+          same_recovery ~shadow wal "after the crash";
+          Array.fill slots 0 4 None;
+          let info = restart_of eng ~now:(tick ()) in
+          Wal.truncate_to shadow ~lsn:info.Engine.recovered_to_lsn;
+          sync_shadow ~shadow wal;
+          same_recovery ~shadow wal "after the restart";
+          match Invariant.check_post_recovery (Siro_engine.driver_exn eng) with
+          | [] -> ()
+          | { Invariant.invariant; detail } :: _ ->
+              QCheck.Test.fail_reportf "post-recovery [%s] %s" invariant detail);
+      sync_shadow ~shadow wal;
+      mark := before)
+    ops;
+  same_recovery ~shadow wal "at the end";
+  wal
+
+let qcheck_recycled_log_matches_shadow =
+  QCheck.Test.make ~name:"recycled log analyses = undiscarded shadow's" ~count:200
+    recycle_history (fun ops ->
+      ignore (run_recycle_history ops);
+      true)
+
+(* The property above is not vacuous: a fixed history recycles, and a
+   crash that cuts the newest checkpoint falls back to the one kept. *)
+let test_recycle_falls_back () =
+  let c = R_checkpoint in
+  let txn i = [ R_begin i; R_write (i, i, 7 * i); R_commit i ] in
+  let wal =
+    run_recycle_history
+      (txn 0 @ [ c ] @ txn 1 @ [ c ] @ txn 2 @ [ c ] @ [ R_crash (Some 0, true) ] @ txn 3 @ [ c ])
+  in
+  check_bool "frames discarded" true (Wal.discarded wal > 0);
+  check_bool "crash base moved past the bootstrap" true (Wal.crash_base wal > Wal.bootstrap_lsn)
+
+(* Doubling a durable campaign leaves its log the same length: it holds
+   the frames since the checkpoint before the last one, not the run. *)
+let test_retained_frames_flat () =
+  let retained duration_s =
+    let wal = ref None in
+    let cfg =
+      { runner_cfg with Exp_config.duration_s; ckpt_period_s = 0.05; llts = [] }
+    in
+    let faults =
+      Fault_plan.create ~seed:5
+        ~crash_points:[ Wal.bootstrap_lsn + 300; Wal.bootstrap_lsn + 900 ]
+        ~torn_tail:true ()
+    in
+    ignore
+      (Runner.run ~faults
+         ~engine:(fun s ->
+           let e =
+             Siro_engine.create
+               ~driver_config:{ State.default_config with State.durable_wal = true }
+               ~flavor:`Pg s
+           in
+           wal := Some (wal_of e);
+           e)
+         cfg);
+    List.length (Wal.frames (Option.get !wal))
+  in
+  let one = retained 0.4 and two = retained 0.8 in
+  if float_of_int two > 1.1 *. float_of_int one then
+    Alcotest.failf "retained %d frames at 2x duration, %d at 1x" two one
 
 let test_golden_metrics_unchanged () =
   (* The CI golden scenario: vdriver_sim run -e pg-vdriver -d 2 --llts 2
@@ -1095,6 +1296,13 @@ let suites =
         Alcotest.test_case "honest restart truncates torn tail" `Quick
           test_honest_restart_truncates_torn_tail;
         Alcotest.test_case "skipped tail check is caught" `Quick test_skipped_tail_check_is_caught;
+      ] );
+    ( "recovery.recycle",
+      [
+        QCheck_alcotest.to_alcotest qcheck_recycled_log_matches_shadow;
+        Alcotest.test_case "crash falls back to the kept checkpoint" `Quick
+          test_recycle_falls_back;
+        Alcotest.test_case "retained frames flat under doubling" `Quick test_retained_frames_flat;
       ] );
     ( "recovery.compat",
       [

@@ -119,13 +119,18 @@ let scenario row s =
         { State.default_config with State.governor = Governor.governed ~quota_bytes:786432 }
       in
       (run_unsharded ~driver_config s (unsharded_cfg ~seed:42 ~duration_s:2.0)).Runner.faults
-  | Sabotage.Skip_tail_check ->
+  | Sabotage.Skip_tail_check | Sabotage.Discard_past_checkpoint ->
       (* Three power losses by WAL position, each leaving a torn tail:
-         the honest restart truncates it, the sabotaged one replays it. *)
+         the honest restart truncates it, the sabotaged one replays it.
+         The log-recycling row crashes after the first and second
+         checkpoints (about 32k frames apart): an honest checkpoint
+         recycles the log below the previous one, so the restart still
+         finds a base; the sabotaged one recycles through its own. *)
       let seed = 42 in
-      let plan =
-        Fault_plan.random ~crash_points:[ 800; 2400; 4000 ] ~torn_tail:true ~seed ()
+      let crash_points =
+        if row = Sabotage.Skip_tail_check then [ 800; 2400; 4000 ] else [ 800; 40000; 80000 ]
       in
+      let plan = Fault_plan.random ~crash_points ~torn_tail:true ~seed () in
       let driver_config = { State.default_config with State.durable_wal = true } in
       (run_unsharded ~driver_config ~faults:plan s (unsharded_cfg ~seed ~duration_s:1.0))
         .Runner.faults
@@ -208,7 +213,7 @@ let test_row row () =
     (List.exists (fun inv -> List.mem inv fired) (Sabotage.caught_by row))
 
 let test_registry () =
-  check_int "thirteen rows" 13 (List.length Sabotage.all);
+  check_int "fourteen rows" 14 (List.length Sabotage.all);
   List.iter
     (fun s ->
       check_bool (Sabotage.name s ^ " round-trips") true

@@ -157,6 +157,41 @@ let test_heap_split_generates_redo () =
   check_bool "split occurred" true (Heap.splits h > 0);
   check_bool "redo produced" true (Wal.total_bytes wal > 0)
 
+(* The per-record walk the engines' latch-wait sample did before
+   [Heap.latch_wait]: every distinct page of a record, once. *)
+let latch_wait_reference h =
+  let acc = ref 0 in
+  let seen = Hashtbl.create 64 in
+  for rid = 0 to Heap.record_count h - 1 do
+    let page = Heap.page_of h ~rid in
+    if not (Hashtbl.mem seen page.Page.id) then begin
+      Hashtbl.replace seen page.Page.id ();
+      acc := !acc + Resource.wait_time page.Page.latch
+    end
+  done;
+  !acc
+
+(* In-row version growth splits pages while readers and writers queue
+   on the latches of the pages their records live on. *)
+let qcheck_heap_latch_wait =
+  QCheck.Test.make ~name:"latch_wait = per-record reference on split-heavy heaps" ~count:300
+    QCheck.(
+      pair (int_range 1 60)
+        (list_of_size Gen.(0 -- 200) (triple bool (int_bound 59) (int_bound 400))))
+    (fun (records, ops) ->
+      let h = mk_heap ~records () in
+      let now = ref 0 in
+      List.for_all
+        (fun (grow, rid, n) ->
+          let rid = rid mod records in
+          (if grow then ignore (Heap.add_version_bytes h ~rid ~bytes:n)
+           else
+             let page = Heap.page_of h ~rid in
+             now := !now + (n / 4);
+             ignore (Resource.acquire page.Page.latch ~now:!now ~hold:n));
+          Heap.latch_wait h = latch_wait_reference h)
+        ops)
+
 (* -------------------------------------------------------------------- *)
 (* Buffer pool *)
 
@@ -202,6 +237,7 @@ let suites =
         Alcotest.test_case "vacuum reclaims" `Quick test_heap_vacuum;
         Alcotest.test_case "split preserves membership" `Quick test_heap_split_preserves_membership;
         Alcotest.test_case "split generates redo" `Quick test_heap_split_generates_redo;
+        QCheck_alcotest.to_alcotest qcheck_heap_latch_wait;
       ] );
     ("storage.buffer_pool", [ Alcotest.test_case "lru semantics" `Quick test_buffer_pool ]);
     ("storage.wal", [ Alcotest.test_case "accounting" `Quick test_wal ]);
