@@ -143,8 +143,8 @@ let maintain t ~now =
   end;
   !acc
 
-let relocate t version ~now =
-  let outcome = Vsorter.relocate t version ~now in
+let relocate t version ~lo ~hi ~now =
+  let outcome = Vsorter.relocate t version ~lo ~hi ~now in
   let g = t.State.governor in
   if Governor.enabled g then begin
     let r = Governor.observe g ~now ~space_bytes:(State.space_bytes t) in

@@ -22,8 +22,10 @@ val governor : t -> Governor.t
 val rung : t -> Governor.rung
 (** Health rung currently in force. *)
 
-val relocate : t -> Version.t -> now:Clock.time -> Vsorter.outcome
-(** Feed one displaced in-row version to vSorter. Under an enabled
+val relocate :
+  t -> Version.t -> lo:Timestamp.t -> hi:Timestamp.t -> now:Clock.time -> Vsorter.outcome
+(** Feed one displaced in-row version, with its stamped commit interval
+    [(lo, hi)], to vSorter ({!Vsorter.relocate}). Under an enabled
     governor every relocation is also a ladder observation, and at
     [Emergency] and above the caller pays for a synchronous maintenance
     pass before this returns — the backpressure that keeps a write storm

@@ -11,6 +11,7 @@ type config = {
   durable_wal : bool;
   recovery_skip_tail_check : bool;
   recovery_discard_past_checkpoint : bool;
+  clog_over_truncate_sabotage : bool;
 }
 
 let default_config =
@@ -27,6 +28,7 @@ let default_config =
     durable_wal = false;
     recovery_skip_tail_check = false;
     recovery_discard_past_checkpoint = false;
+    clog_over_truncate_sabotage = false;
   }
 
 type prune_origin = [ `Prune1 | `Prune2 | `Cut ]
@@ -89,6 +91,7 @@ type t = {
 }
 
 let create ?(config = default_config) txns =
+  if config.clog_over_truncate_sabotage then Txn_manager.set_clog_over_truncate txns true;
   {
     config;
     txns;

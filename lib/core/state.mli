@@ -43,6 +43,11 @@ type config = {
           checkpoint, so the log keeps no checkpoint to recover from —
           the [recovery-base] invariant must catch it. Never enable
           outside the harness. *)
+  clog_over_truncate_sabotage : bool;
+      (** sabotage knob: every move of the transaction manager's
+          commit-log freeze horizon goes one log page too far
+          ({!Txn_manager.set_clog_over_truncate}) — the [clog-horizon]
+          invariant must catch it. Never enable outside the harness. *)
 }
 
 val default_config : config

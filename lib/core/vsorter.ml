@@ -120,7 +120,7 @@ let seal (st : State.t) ~cls ~now =
       else Vec.push st.State.sealed seg
   | None -> ()
 
-let relocate (st : State.t) version ~now =
+let relocate (st : State.t) version ~lo ~hi ~now =
   State.maybe_refresh st ~now;
   Prune_stats.note_relocated st.State.stats;
   let cls =
@@ -131,17 +131,11 @@ let relocate (st : State.t) version ~now =
           version
   in
   let vs = version.Version.vs and ve = version.Version.ve in
-  let commit_log = Txn_manager.commit_log st.State.txns in
-  let interval =
-    match Prune.commit_interval commit_log ~vs ~ve with
-    | Some i -> i
-    | None ->
-        (* SIRO guarantees both the creator and the closer of a
-           displaced version have committed (a third update cannot
-           begin before the second's owner finished). *)
-        invalid_arg "Vsorter.relocate: displaced version with uncommitted bounds"
-  in
-  let lo, hi = interval in
+  (* SIRO guarantees both the creator and the closer of a displaced
+     version have committed (a third update cannot begin before the
+     second's owner finished), and stamps both commit timestamps. *)
+  if lo = Timestamp.infinity || hi = Timestamp.infinity then
+    invalid_arg "Vsorter.relocate: displaced version with uncommitted bounds";
   (* Pruning runs against the periodically refreshed zone snapshot
      (§3.3's accuracy/performance trade-off). Versions whose successor
      committed after the snapshot's C^T — rapid updates under skew —
@@ -170,7 +164,7 @@ let relocate (st : State.t) version ~now =
           seg
     in
     let chain = Llb.get_or_create st.State.llb ~rid:version.Version.rid in
-    let node = Chain.push_newest chain ~prune_interval:interval version ~seg_id:seg.Segment.id in
+    let node = Chain.push_newest chain ~prune_interval:(lo, hi) version ~seg_id:seg.Segment.id in
     Segment.add seg node;
     State.log_wal st ~now
       (Wal_record.Relocate

@@ -22,9 +22,14 @@ type sweep_result = {
   versions_stored : int;  (** versions that reached the version store *)
 }
 
-val relocate : State.t -> Version.t -> now:Clock.time -> outcome
-(** Process one displaced version. May seal a full segment as a side
-    effect (sealing never blocks on pruning — that is {!sweep}'s job). *)
+val relocate :
+  State.t -> Version.t -> lo:Timestamp.t -> hi:Timestamp.t -> now:Clock.time -> outcome
+(** Process one displaced version whose creator and closer committed at
+    [lo] and [hi] (its commit interval, read from the SIRO slot's
+    stamps — never from the commit log, which may have dropped them).
+    May seal a full segment as a side effect (sealing never blocks on
+    pruning — that is {!sweep}'s job). Raises [Invalid_argument] if
+    either bound is [Timestamp.infinity]. *)
 
 val drop_dead_segment : State.t -> Segment.t -> now:Clock.time -> int
 (** Discard a sealed segment that is dead in its entirety: every live

@@ -46,7 +46,10 @@ val commit_interval :
     update cannot start before the second committed). A transaction
     [T_k] sees the version iff [cs < t_b^k < ce], which is exactly the
     oracle world of Theorem 3.5. The pseudo-transaction 0 (initial load)
-    is treated as committed at 0. *)
+    is treated as committed at 0. Raises [Invalid_argument] if a bound
+    lies below the commit log's freeze horizon: vSorter takes the
+    interval from the SIRO slot's stamps instead, and the offrow
+    interval scan keeps its log whole with a horizon floor. *)
 
 val prunable_fast :
   Zone_set.t -> commit_log:Commit_log.t -> vs:Timestamp.t -> ve:Timestamp.t -> bool

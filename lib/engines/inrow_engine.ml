@@ -82,7 +82,11 @@ let rollback_writes st (txn : Txn.t) =
             ignore (Vec.pop vec);
             Heap.remove_version_bytes st.heap ~rid ~bytes:st.schema.Schema.record_bytes;
             if n >= 2 then (Vec.get vec (n - 2)).ve <- Timestamp.infinity
-          end)
+          end;
+          (* The commit log's frozen answer below its horizon is
+             "committed": sound only while no version survives its
+             aborted creator. *)
+          assert (Vec.is_empty vec || (Vec.get vec (Vec.length vec - 1)).vs <> txn.Txn.tid))
         !rids
   | None -> ());
   Hashtbl.remove st.write_sets txn.Txn.tid

@@ -125,7 +125,11 @@ let rollback_writes st (txn : Txn.t) =
                 st.current.(rid) <- prev;
                 st.undo_live_bytes <- st.undo_live_bytes - st.schema.Schema.record_bytes
             | None -> failwith "offrow: rollback without undo record"
-          end)
+          end;
+          (* The commit log's frozen answer below its horizon is
+             "committed": sound only while no version survives its
+             aborted creator. *)
+          assert (st.current.(rid).vs <> txn.Txn.tid))
         !rids
   | None -> ());
   Hashtbl.remove st.write_sets txn.Txn.tid
@@ -254,6 +258,11 @@ let create ?(costs = Costs.default) ?(purge_batch = 4096) ?(undo_pool_pages = 51
       write_sets = Hashtbl.create 256;
     }
   in
+  (* The interval scan translates the bounds of every version it ever
+     holds through the commit log, and a current version whose creator
+     committed arbitrarily long ago joins undo space at its next update:
+     this engine keeps its whole log (floor 0). *)
+  if gc = `Interval_scan then Txn_manager.register_floor mgr (fun () -> 0);
   let max_chain () = 1 + Array.fold_left (fun acc v -> max acc (Vec.length v)) 0 st.undo in
   {
     Engine.name = (match gc with `Purge_prefix -> "mysql-vanilla" | `Interval_scan -> "mysql-interval-gc");

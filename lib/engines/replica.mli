@@ -121,6 +121,12 @@ val stale_acked : t -> (int * int * int list) list
     above any real oracle frontier, so they never age out of the
     oracle's checkpoint window. Oldest first. *)
 
+val unreplicated_floor : t -> Timestamp.t
+(** The smallest tid with a commit or abort frame on some shard's
+    device past the shortest live backup mirror — an outcome a failover
+    may still lose ([Timestamp.infinity] if none). The shard group
+    registers it as a commit-log horizon floor. *)
+
 val promotions : t -> sid:int -> int
 val fencings : t -> sid:int -> int
 val kills : t -> int

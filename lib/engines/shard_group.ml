@@ -391,6 +391,16 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
   for ep = 0 to n - 1 do
     Bus.set_handler t.net ~ep (fun ~now ~src msg -> handle t ~ep ~now ~src msg)
   done;
+  (* Commit-log horizon floor: an in-doubt participant's transaction
+     stays exact in the shared log until it resolves, and any outcome
+     until it is quorum-durable — the promotion fixup asks for its exact
+     status ({!Txn_manager.rollback_unreplicated}). A decision not yet
+     applied at some participant needs no floor here: that participant
+     still holds the write set its engine registers. *)
+  Txn_manager.register_floor mgr (fun () ->
+      let m = ref Timestamp.infinity in
+      Array.iter (Hashtbl.iter (fun tid _ -> if tid < !m then m := tid)) t.prepared_now;
+      match t.repl with Some r -> min !m (Replica.unreplicated_floor r) | None -> !m);
   Array.iter
     (fun (sh : Shard.t) ->
       let d = sh.Shard.driver in

@@ -268,9 +268,45 @@ let finish_lag m ~now =
     m.lm_first_dead;
   Hashtbl.reset m.lm_first_dead
 
+(* ------------------------------------------------------------------ *)
+(* Commit-log freeze horizon *)
+
+(* Re-derived from the live set, not from the manager's own horizon
+   computation: a transaction that finished at or after the oldest live
+   begin was live when some live transaction began, so it sits in that
+   transaction's view (actives sorted: the first is the oldest). Below
+   the horizon the log would answer "committed before every live
+   snapshot" for it, which is false. The next tid the oracle hands out
+   and the registered floors bound it too. *)
+let check_clog_horizon (d : Driver.t) =
+  let st : State.t = d in
+  let mgr = st.State.txns in
+  let h = Commit_log.horizon (Txn_manager.commit_log mgr) in
+  let acc = ref [] in
+  List.iter
+    (fun (view : Read_view.t) ->
+      if view.Read_view.creator < h then
+        acc := v "clog-horizon" "live t%d is below the commit-log horizon %d" view.creator h :: !acc
+      else if Array.length view.Read_view.actives > 0 && view.Read_view.actives.(0) < h then
+        acc :=
+          v "clog-horizon"
+            "t%d finished after live t%d began but is below the commit-log horizon %d"
+            view.Read_view.actives.(0) view.Read_view.creator h
+          :: !acc)
+    (Txn_manager.live_views mgr);
+  (* The next begin is a live tid too. *)
+  let next = Txn_manager.oracle mgr in
+  if next < h then
+    acc := v "clog-horizon" "the next tid t%d is below the commit-log horizon %d" next h :: !acc;
+  let floor = Txn_manager.floor mgr in
+  if floor < h then
+    acc :=
+      v "clog-horizon" "registered floor t%d is below the commit-log horizon %d" floor h :: !acc;
+  List.rev !acc
+
 let check_all d =
   check_chains d @ check_stats d @ check_store d @ check_governor d @ check_watchdog d
-  @ check_gc d
+  @ check_gc d @ check_clog_horizon d
 
 (* ------------------------------------------------------------------ *)
 (* §3.5 post-crash emptiness *)
@@ -489,11 +525,16 @@ let install_prune_audit (d : Driver.t) ~on_violation =
                     (List.filter_map
                        (fun tb -> if lo < tb && tb < hi then Some (string_of_int tb) else None)
                        live)))
-        end)
+        end);
+  (* The commit log's horizon, judged at every move — before anything
+     can read a page it dropped too early. *)
+  Txn_manager.set_horizon_audit mgr
+    (Some (fun ~now -> List.iter (on_violation ~now) (check_clog_horizon d)))
 
 let remove_prune_audit (d : Driver.t) =
   let st : State.t = d in
-  st.State.prune_audit <- None
+  st.State.prune_audit <- None;
+  Txn_manager.set_horizon_audit st.State.txns None
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard 2PC atomicity *)

@@ -11,6 +11,11 @@
       Definition 3.3 against the live table {e at the moment of the
       discard} (installed as a continuous audit via
       {!install_prune_audit}; this is what catches a widened zone);
+    - {b commit-log horizon} — no live transaction, nothing a live
+      view still counts as in flight, and no registered floor lies
+      below the commit log's freeze horizon ({!check_clog_horizon};
+      judged at every horizon move through the same audit hook, and
+      in every sweep);
     - {b chain shape} — every LLB chain is in the 0-hole or 1-hole
       state with consistent links and counts (§3.4, Figure 8);
     - {b chain/segment reachability} — every live chain node's segment
@@ -94,9 +99,18 @@ val max_lag : lag_monitor -> Clock.time
 val lag_histogram : lag_monitor -> Histogram.t
 (** Per-segment reclaim lags in microseconds (bucket width 50 µs). *)
 
+val check_clog_horizon : Driver.t -> violation list
+(** [clog-horizon]: the commit log's freeze horizon, judged against the
+    live set from scratch. No live transaction, no transaction a live
+    view still counts as in flight when it began (so none whose outcome
+    timestamp is at or after the oldest live begin), not the next tid
+    the oracle hands out, and no registered floor may lie below it
+    ({!Txn_manager.freeze_horizon}). This is what catches
+    [clog_over_truncate_sabotage]. *)
+
 val check_all : Driver.t -> violation list
-(** The steady-state checks above plus {!check_watchdog} and
-    {!check_gc}, concatenated. *)
+(** The steady-state checks above plus {!check_watchdog}, {!check_gc}
+    and {!check_clog_horizon}, concatenated. *)
 
 val check_post_crash : Driver.t -> violation list
 (** To be run immediately after a crash-restart, before any new
@@ -125,7 +139,9 @@ val install_prune_audit :
     discards (1st prune, 2nd prune, or cut) is re-checked against
     Definition 3.3 using the live table's current begin timestamps;
     unsound discards are reported through [on_violation] with the
-    simulated time of the discard. *)
+    simulated time of the discard. Also arms the transaction manager's
+    horizon audit: every move of the commit log's freeze horizon is
+    judged by {!check_clog_horizon} on the spot. *)
 
 val remove_prune_audit : Driver.t -> unit
 

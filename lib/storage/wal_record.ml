@@ -453,3 +453,19 @@ let decode ?(check_crc = true) repr =
   match scan ~check_crc repr with
   | r -> Ok r
   | exception Canon.Not_canonical -> decode_reference ~check_crc repr
+
+(* The kind member ends the frame header, which holds at most three
+   ints of at most 20 characters, so it lies within the first 128
+   bytes. *)
+let has_key repr key =
+  let k = String.length key and lim = min 128 (String.length repr) in
+  let rec matches i j = j = k || (repr.[i + j] = key.[j] && matches i (j + 1)) in
+  let rec at i = i + k <= lim && (matches i 0 || at (i + 1)) in
+  at 0
+
+let outcome_tid repr =
+  if has_key repr "\"kind\":\"txn-commit\"" || has_key repr "\"kind\":\"txn-abort\"" then
+    match decode repr with
+    | Ok { payload = Txn_commit { tid; _ } | Txn_abort { tid; _ }; _ } -> Some tid
+    | Ok _ | Error _ -> None
+  else None

@@ -122,6 +122,12 @@ val decode : ?check_crc:bool -> string -> (t, string) result
     frame, whitespace, reordered members — goes to {!decode_reference},
     so the result always equals [decode_reference ~check_crc]. *)
 
+val outcome_tid : string -> int option
+(** The tid of a verified [Txn_commit] or [Txn_abort] frame; [None] for
+    any other frame. Only frames whose header, in the layout {!encode}
+    writes, names one of those kinds are decoded, so a checkpoint's
+    snapshot is never scanned. *)
+
 val encode_reference : t -> string
 (** The specification of the frame bytes: the record built as a
     {!Jsonx} tree, checksummed and printed. *)

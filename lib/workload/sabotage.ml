@@ -3,6 +3,7 @@ type t =
   | Quota_ignore
   | Skip_tail_check
   | Discard_past_checkpoint
+  | Clog_over_truncate
   | No_watchdog
   | Gc of Gc_backend.kind
   | Skip_coord_decision
@@ -11,7 +12,14 @@ type t =
   | Stale_cursor
 
 let all =
-  [ Zone_widen; Quota_ignore; Skip_tail_check; Discard_past_checkpoint; No_watchdog ]
+  [
+    Zone_widen;
+    Quota_ignore;
+    Skip_tail_check;
+    Discard_past_checkpoint;
+    Clog_over_truncate;
+    No_watchdog;
+  ]
   @ List.map (fun k -> Gc k) Gc_backend.all_kinds
   @ [
       Skip_coord_decision;
@@ -27,6 +35,7 @@ let name = function
   | Quota_ignore -> "quota-ignore"
   | Skip_tail_check -> "skip-tail-check"
   | Discard_past_checkpoint -> "discard-past-checkpoint"
+  | Clog_over_truncate -> "clog-over-truncate"
   | No_watchdog -> "no-watchdog"
   | Gc k -> "gc-" ^ Gc_backend.kind_name k
   | Skip_coord_decision -> "skip-coord-decision"
@@ -44,6 +53,7 @@ let caught_by = function
   | Skip_tail_check ->
       [ "recovery-durability"; "recovery-phantom"; "recovery-atomicity"; "recovery-inrow" ]
   | Discard_past_checkpoint -> [ "recovery-base" ]
+  | Clog_over_truncate -> [ "clog-horizon"; "prune-soundness" ]
   | No_watchdog -> [ "reclamation-lag" ]
   | Gc (Gc_backend.Vcutter | Gc_backend.Bounded) -> [ "gc-backend" ]
   | Skip_coord_decision -> [ "2pc-decision-missing" ]
@@ -54,7 +64,8 @@ let caught_by = function
   | Stale_cursor -> [ "analysis-cursor" ]
 
 let sharded = function
-  | Zone_widen | Quota_ignore | Skip_tail_check | Discard_past_checkpoint | No_watchdog | Gc _ ->
+  | Zone_widen | Quota_ignore | Skip_tail_check | Discard_past_checkpoint | Clog_over_truncate
+  | No_watchdog | Gc _ ->
       false
   | Skip_coord_decision | Net _ | Failover _ | Stale_cursor -> true
 
@@ -66,6 +77,7 @@ let driver_config s (c : State.config) =
   | Some Skip_tail_check -> { c with State.durable_wal = true; recovery_skip_tail_check = true }
   | Some Discard_past_checkpoint ->
       { c with State.durable_wal = true; recovery_discard_past_checkpoint = true }
+  | Some Clog_over_truncate -> { c with State.clog_over_truncate_sabotage = true }
   | _ -> c
 
 let watchdog s (w : Watchdog.config) =

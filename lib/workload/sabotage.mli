@@ -5,7 +5,7 @@
     campaign with one planted defect must record a violation of a named
     invariant, while the honest campaign stays clean. The defects
     themselves are knobs in the layers they break ([State],
-    [Governor], [Watchdog], [Gc_backend], [Shard_group], [Replica],
+    [Txn_manager], [Governor], [Watchdog], [Gc_backend], [Shard_group], [Replica],
     [Wal_recovery]);
     this module is the one table that names them, routes them to the
     unsharded or sharded campaign, and arms them. The [chaos] CLI's
@@ -21,6 +21,9 @@ type t =
   | Discard_past_checkpoint
       (** a checkpoint recycles the WAL through its own [Ckpt_end], so
           the log keeps no checkpoint for a crash to recover from *)
+  | Clog_over_truncate
+      (** the commit log's freeze horizon moves one page past what the
+          live set and the registered floors allow *)
   | No_watchdog  (** leases and the lag monitor observe; the ladder never acts *)
   | Gc of Gc_backend.kind
       (** the backend's planted defect: a budget-shirking cutter
@@ -59,7 +62,8 @@ val driver_config : t option -> State.config -> State.config
     the governor's [quota_ignore_sabotage]; [Skip_tail_check] sets
     [recovery_skip_tail_check] and the durable WAL it needs;
     [Discard_past_checkpoint] sets [recovery_discard_past_checkpoint]
-    and the durable WAL. *)
+    and the durable WAL; [Clog_over_truncate] sets
+    [clog_over_truncate_sabotage]. *)
 
 val watchdog : t option -> Watchdog.config -> Watchdog.config
 (** [No_watchdog] sets [enabled = false]. *)

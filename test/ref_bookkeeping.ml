@@ -1,6 +1,6 @@
 (* Reference implementations of the transaction bookkeeping that lib/
-   now keeps in flat arrays: the list LRU, the hashtable commit log and
-   the fold-then-sort live set. They are the oracles of the qcheck
+   now keeps in flat arrays or pages: the list LRU, the dense commit log
+   and the fold-then-sort live set. They are the oracles of the qcheck
    properties in test_storage.ml and test_txn.ml and live only here. *)
 
 (* Doubly-linked list threaded through a hashtable; most-recent at front. *)
@@ -68,29 +68,58 @@ module Lru = struct
     t.back <- None
 end
 
+(* The dense commit log lib/ kept before the freeze horizon: one int
+   cell per tid ever issued, in a single array that grows by doubling
+   and is never cut. Cells are 0 (no status) or [(ts lsl 2) lor tag]. *)
 module Commit_log = struct
-  type t = (Timestamp.t, Commit_log.status) Hashtbl.t
+  type t = { mutable cells : int array; mutable hi : int; mutable finished : int }
 
-  let create () : t = Hashtbl.create 1024
+  let create () = { cells = Array.make 1024 0; hi = 0; finished = 0 }
+  let cell t tid = if tid >= 0 && tid < t.hi then t.cells.(tid) else 0
+
+  let decode c =
+    if c land 3 = 1 then Commit_log.Committed_at (c asr 2) else Commit_log.Aborted_at (c asr 2)
+
+  let store t ~tid status =
+    if tid < 0 then invalid_arg "Commit_log: negative tid";
+    let c =
+      match status with
+      | Commit_log.Committed_at ts -> (ts lsl 2) lor 1
+      | Commit_log.Aborted_at ts -> (ts lsl 2) lor 2
+    in
+    if tid >= Array.length t.cells then begin
+      let rec fit n = if n > tid then n else fit (2 * n) in
+      let cells = Array.make (fit (Array.length t.cells)) 0 in
+      Array.blit t.cells 0 cells 0 t.hi;
+      t.cells <- cells
+    end;
+    if t.cells.(tid) = 0 then t.finished <- t.finished + 1;
+    t.cells.(tid) <- c;
+    if tid >= t.hi then t.hi <- tid + 1
 
   let record t ~tid status =
-    if Hashtbl.mem t tid then invalid_arg "Commit_log.record: duplicate status";
-    Hashtbl.replace t tid status
+    if cell t tid <> 0 then invalid_arg "Commit_log.record: duplicate status";
+    store t ~tid status
 
-  let override t ~tid status = Hashtbl.replace t tid status
-  let status t tid = Hashtbl.find_opt t tid
+  let override t ~tid status = store t ~tid status
+  let status t tid = match cell t tid with 0 -> None | c -> Some (decode c)
 
   let commit_ts_of t tid =
-    match Hashtbl.find_opt t tid with
-    | Some (Commit_log.Committed_at cts) -> Some cts
-    | Some (Commit_log.Aborted_at _) | None -> None
+    let c = cell t tid in
+    if c land 3 = 1 then Some (c asr 2) else None
 
-  let finished t = Hashtbl.length t
-  let reset t = Hashtbl.reset t
+  let commit_ts t tid = Option.value ~default:Timestamp.infinity (commit_ts_of t tid)
+  let finished t = t.finished
+
+  let reset t =
+    Array.fill t.cells 0 t.hi 0;
+    t.hi <- 0;
+    t.finished <- 0
 
   let entries t =
-    Hashtbl.fold (fun tid status acc -> (tid, status) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    List.filter_map
+      (fun tid -> Option.map (fun st -> (tid, st)) (status t tid))
+      (List.init t.hi Fun.id)
 end
 
 (* The live table as a hashtable, read by folding and sorting; it holds

@@ -219,11 +219,11 @@ let print_clog_op = function
 
 let outcome f = match f () with () -> Ok () | exception Invalid_argument m -> Error m
 
-(* Every lookup agrees with the hashtable log, probing past the end and
-   at [Timestamp.infinity] reads [None] without growing the array, and a
-   negative tid is rejected (the hashtable would have kept it). *)
+(* Every lookup agrees with the dense log the pages replaced, probing
+   past the end and at [Timestamp.infinity] reads [None] without
+   allocating a page, and a negative tid is rejected. *)
 let qcheck_commit_log_matches_reference =
-  QCheck.Test.make ~name:"commit log = hashtable reference" ~count:300
+  QCheck.Test.make ~name:"commit log = dense reference" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map print_clog_op ops))
        QCheck.Gen.(list_size (0 -- 120) clog_op_gen))
