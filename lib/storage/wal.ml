@@ -230,6 +230,15 @@ let frames_from t ~lsn =
       in
       collect (Vec.length d.frames - 1) []
 
+let iter_from t ~lsn f =
+  match t.durable with
+  | None -> ()
+  | Some d ->
+      for i = first_above d.frames lsn to Vec.length d.frames - 1 do
+        let fr = Vec.get d.frames i in
+        f fr.lsn fr.repr
+      done
+
 let receive t ~lsn ~repr =
   with_durable t "receive" (fun d ->
       if lsn < d.next_lsn then `Duplicate

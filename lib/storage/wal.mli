@@ -137,6 +137,11 @@ val frames_from : t -> lsn:int -> (int * string) list
     replication cursor. A binary search over the LSN-ordered frames
     finds the first one, so the cost is O(log n + tail). *)
 
+val iter_from : t -> lsn:int -> (int -> string -> unit) -> unit
+(** [iter_from t ~lsn f] applies [f lsn repr] to the frames of
+    {!frames_from}, in LSN order, without building their list — the
+    read of a recovery scan. *)
+
 val receive : t -> lsn:int -> repr:string -> [ `Applied | `Duplicate | `Gap ]
 (** Mirror-side append of a shipped frame. Contiguous ([lsn] is exactly
     the next expected) frames are appended and immediately count as

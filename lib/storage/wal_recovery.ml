@@ -12,9 +12,7 @@ type analysis = {
   prepared_commits : (int * int) list;
 }
 
-(* The whole-prefix 2PC facts, folded record by record in LSN order.
-   Shared by the from-scratch scan and the cursor: what they differ in
-   is how much of the log they read, not what a record means. *)
+(* The whole-prefix 2PC facts, folded record by record in LSN order. *)
 type facts = {
   mutable f_coord_commits : (int * int * int list) list;
   mutable f_coord_aborts : int list;
@@ -90,58 +88,6 @@ let make ~records ~survivors ~truncate_lsn ~dropped ~checkpoint ~steady_checkpoi
     prepared_commits = f.f_prepared_commits;
   }
 
-let analyze ?(check_crc = true) wal =
-  let frames = Wal.frames wal in
-  let total = List.length frames in
-  let own_shard = Wal.shard wal in
-  let f = new_facts () in
-  let failover_ckpts = ref [] in
-  (* Scan forward and stop at the first frame that fails to parse or
-     verify: everything beyond a torn/corrupt frame is untrustworthy
-     even if it happens to checksum, because the device gave no
-     ordering guarantee past the tear. A frame tagged for a different
-     shard is treated the same way — each shard's log is its own LSN
-     namespace, and an interleaved foreign frame means the write path
-     crossed shards, which replay must refuse rather than absorb. *)
-  let rec scan acc last = function
-    | [] -> (acc, last)
-    | (_, repr) :: rest -> (
-        match Wal_record.decode ~check_crc repr with
-        | Ok r when r.Wal_record.shard = own_shard ->
-            if note f r then failover_ckpts := r.Wal_record.lsn :: !failover_ckpts;
-            scan (r :: acc) r.Wal_record.lsn rest
-        | Ok _ | Error _ -> (acc, last))
-  in
-  let newest_first, truncate_lsn = scan [] 0 frames in
-  let read = List.length newest_first in
-  (* Walk back from the tail and decode checkpoints only until both
-     anchors are found: the last complete checkpoint, and the last one
-     that is not a failover checkpoint. [newer] counts the records
-     walked past: the ones the analysis keeps. *)
-  let rec anchors last newer = function
-    | [] -> (last, None, newer)
-    | (r : Wal_record.t) :: rest -> (
-        match r.payload with
-        | Wal_record.Ckpt_end { snapshot } ->
-            let failover = List.mem r.lsn !failover_ckpts in
-            if Option.is_some last && failover then anchors last (newer + 1) rest
-            else (
-              match snapshot with
-              | Some ck when failover -> anchors (Some (r.lsn, ck)) (newer + 1) rest
-              | Some ck ->
-                  let here = Some (r.lsn, ck) in
-                  ((if Option.is_none last then here else last), here, newer)
-              | None -> anchors last (newer + 1) rest)
-        | _ -> anchors last (newer + 1) rest)
-  in
-  let checkpoint, steady_checkpoint, newer = anchors None 0 newest_first in
-  let rec keep acc n = function
-    | r :: rest when n > 0 -> keep (strip r :: acc) (n - 1) rest
-    | _ -> acc
-  in
-  make ~records:(keep [] newer newest_first) ~survivors:(Wal.discarded wal + read)
-    ~truncate_lsn ~dropped:(total - read) ~checkpoint ~steady_checkpoint f
-
 type cursor = {
   stale : bool;
   mutable wal : Wal.t option;
@@ -203,22 +149,39 @@ let fold c (r : Wal_record.t) =
       | None -> c.tail <- strip r :: c.tail)
   | _ -> c.tail <- r :: c.tail
 
-let advance c wal =
-  let same_device = match c.wal with Some w -> w == wal | None -> false in
-  if (not same_device) || ((not c.stale) && Wal.mutations wal <> c.mutations) then restart c wal;
+(* Read the frames past [c.seen_lsn] and return the analysis of the
+   whole log. Decoding stops at the first frame that fails to parse or
+   verify: everything beyond a torn/corrupt frame is untrustworthy even
+   if it happens to checksum, because the device gave no ordering
+   guarantee past the tear. A frame tagged for a different shard is
+   treated the same way — each shard's log is its own LSN namespace,
+   and an interleaved foreign frame means the write path crossed
+   shards, which replay must refuse rather than absorb. *)
+let scan c ~check_crc wal =
   let own_shard = Wal.shard wal in
-  List.iter
-    (fun (lsn, repr) ->
+  Wal.iter_from wal ~lsn:c.seen_lsn (fun lsn repr ->
       c.seen_lsn <- lsn;
       c.read <- c.read + 1;
       if not c.torn then
-        match Wal_record.decode ~check_crc:true repr with
+        match Wal_record.decode ~check_crc repr with
         | Ok r when r.Wal_record.shard = own_shard -> fold c r
-        | Ok _ | Error _ -> c.torn <- true)
-    (Wal.frames_from wal ~lsn:c.seen_lsn);
+        | Ok _ | Error _ -> c.torn <- true);
   make ~records:(List.rev c.tail) ~survivors:(Wal.discarded wal + c.survivors)
     ~truncate_lsn:c.truncate_lsn
     ~dropped:(c.read - c.survivors) ~checkpoint:c.last_ckpt ~steady_checkpoint:c.steady c.facts
+
+let advance c wal =
+  let same_device = match c.wal with Some w -> w == wal | None -> false in
+  if (not same_device) || ((not c.stale) && Wal.mutations wal <> c.mutations) then restart c wal;
+  scan c ~check_crc:true wal
+
+(* The from-scratch analysis is one pass of a fresh cursor: it holds
+   the records after the newest anchor and the anchors' snapshots,
+   never the whole decoded log. *)
+let analyze ?(check_crc = true) wal =
+  let c = cursor () in
+  restart c wal;
+  scan c ~check_crc wal
 
 (* Log decisions override the checkpoint's window, and the newest log
    decision for a gid wins. *)

@@ -46,14 +46,18 @@ type analysis = {
 }
 
 val analyze : ?check_crc:bool -> Wal.t -> analysis
-(** The from-scratch analysis: decodes every frame. [~check_crc:false]
-    is the sabotage knob: frames are still parsed but checksums are
-    ignored, so a fabricated torn tail gets replayed. A frame whose
-    shard tag differs from [Wal.shard wal] ends the trustworthy prefix
-    regardless of the knob: shard logs are disjoint LSN namespaces and
-    interleaved foreign frames are corruption. Every [Ckpt_end] frame
-    decodes straight into its [Checkpoint.t]; walking back from the
-    tail, only the two anchors keep theirs. *)
+(** The from-scratch analysis: decodes every frame, in one forward
+    pass of a fresh {!cursor}, so it holds only what the result keeps
+    (the records after the steady anchor and the anchors' snapshots),
+    never the whole decoded log. [~check_crc:false] is the sabotage
+    knob: frames are still parsed but checksums are ignored, so a
+    fabricated torn tail gets replayed. A frame whose shard tag differs
+    from [Wal.shard wal] ends the trustworthy prefix regardless of the
+    knob: shard logs are disjoint LSN namespaces and interleaved
+    foreign frames are corruption. The tests check it and {!advance}
+    against an independent formulation that keeps the whole decoded
+    log and walks back from the tail to the anchors
+    (test/ref_recovery.ml). *)
 
 (** {1 Incremental analysis} *)
 
