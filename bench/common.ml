@@ -17,13 +17,9 @@ let sec x = x *. scale
 let small_schema = { Schema.default with Schema.tables = 8; rows_per_table = 500 }
 
 let make_engine name schema =
-  match name with
-  | "pg" -> Inrow_engine.create schema
-  | "mysql" -> Offrow_engine.create schema
-  | "pg-vdriver" -> Siro_engine.create ~flavor:`Pg schema
-  | "mysql-vdriver" -> Siro_engine.create ~flavor:`Mysql schema
-  | "mysql-interval-gc" -> Offrow_engine.create ~gc:`Interval_scan schema
-  | other -> invalid_arg ("unknown engine " ^ other)
+  match List.assoc_opt name Engine_table.all with
+  | Some create -> create State.default_config schema
+  | None -> invalid_arg ("unknown engine " ^ name)
 
 let section ~figure ~title ~expectation =
   Printf.printf "\n==============================================================\n";

@@ -7,54 +7,22 @@
    same bytes on every machine and every run. That makes a violation a
    one-line bug report: the seed reproduces it.
 
+   Every campaign, sharded (`--shards`) or not, runs through one loop:
+   the campaign on Sim with every fault its flags ask for, then, under
+   `--mode=domains`, its crash-free variant on both substrates with the
+   digests compared. Which flags compose is one table in
+   [run_campaigns]; the per-campaign workload, plan and schedules come
+   from {!Campaign}, and each flag's meaning is in `chaos --help`.
+
    `--sabotage NAME` arms one row of the {!Sabotage} registry — a
-   deliberately broken variant of the system (a widened dead zone, a
-   governor ignoring its quota, an unchecked recovery tail, a disabled
-   watchdog, a GC backend's planted defect, a skipped 2PC decision, a
-   forged network ack, a lying replication primary, a log-analysis
-   cursor blind to crashes). The run is then *expected* to be caught by
-   one of the row's named invariants: a clean exit is a harness bug.
-   Rows that break 2PC, replication or the sharded sweep need
-   `--shards`; the others break the unsharded campaign. Without
-   the flag the banner reads `sabotage=0`.
-
-   `--quota BYTES` arms the version-space governor: the campaign then
-   additionally asserts that every post-maintenance space checkpoint
-   stays within the quota and that the health-ladder transition log is
-   honest. `--require-shed` makes a clean exit additionally require at
-   least one campaign that reached the Shedding rung and recovered to
-   Normal (CI uses it to prove the overload scenario actually exercises
-   the whole ladder).
-
-   `--crash-points N` switches the engine to the durable typed-record
-   WAL and schedules N deterministic power losses per campaign by WAL
-   position (seeded LSN gaps), each with a fabricated torn tail; the
-   engine restarts by ARIES-lite replay and the post-recovery
-   invariants compare it against the honest log oracle. Poisson
-   crashes from the random plan take the same restart path.
-
-   `--stalls` draws cleaner-stall and collab-delay rates into the plan
-   (the cleaning loop hangs for 150-600 ms at a time) and arms the
-   liveness watchdog; `--zombie-llts` additionally draws LLT-zombie
-   injections (a driver that stops issuing operations but keeps its
-   snapshot). With the watchdog on, the campaign must stay within the
-   computable reclamation-lag bound (0 violations). `--require-containment`
-   makes a clean exit additionally require that the injected pressure
-   was really exercised: at least one escalation under `--stalls`, at
-   least one zombie cancel under `--zombie-llts`. *)
+   deliberately broken variant of the system. The run is then
+   *expected* to be caught by one of the row's named invariants: a
+   clean exit is a harness bug. Without the flag the banner reads
+   `sabotage=0`. *)
 
 open Cmdliner
 
-let engine_of_string = function
-  | "pg-vdriver" -> Ok (fun config schema -> Siro_engine.create ~driver_config:config ~flavor:`Pg schema)
-  | "mysql-vdriver" ->
-      Ok (fun config schema -> Siro_engine.create ~driver_config:config ~flavor:`Mysql schema)
-  | s -> Error (`Msg (Printf.sprintf "unknown engine %S (chaos drives the vDriver engines)" s))
-
-let engine_conv =
-  Arg.conv
-    ( (fun s -> Result.map (fun e -> (s, e)) (engine_of_string s)),
-      fun fmt (s, _) -> Format.pp_print_string fmt s )
+let engine_conv = Arg.enum (List.map (fun (name, e) -> (name, (name, e))) Engine_table.vdriver)
 
 let gc_backend_conv =
   Arg.conv
@@ -63,40 +31,9 @@ let gc_backend_conv =
 
 let sabotage_rows = List.map (fun s -> (Sabotage.name s, s)) Sabotage.all
 
-(* `--gc-backend` swaps the collector behind Driver.maintain for every
-   engine the campaigns build (`--sabotage gc-K` selects backend K with
-   its defect armed). The vcutter backend is byte-identical to the
-   un-hooked seed path, so installing it unconditionally keeps every
-   default campaign reproducible against old outputs. *)
-let gc_banner (cfg : Gc_backend.config) =
-  Printf.sprintf " gc=%s" (Gc_backend.kind_name cfg.Gc_backend.kind)
-
-let sabotage_banner = function None -> "0" | Some s -> Sabotage.name s
-
 let usage msg =
   prerr_endline ("chaos: " ^ msg);
   exit 2
-
-(* One independent seed per campaign, derived from the base seed. *)
-let campaign_seeds seed campaigns =
-  let rng = Rng.create seed in
-  List.init campaigns (fun _ -> Int64.to_int (Rng.next_int64 rng) land 0x3fffffff)
-
-let campaign_config ~seed ~duration =
-  {
-    Exp_config.default with
-    Exp_config.name = "chaos";
-    seed;
-    duration_s = duration;
-    workers = 8;
-    schema = { Schema.default with Schema.tables = 4; rows_per_table = 250 };
-    phases = [ { Exp_config.at_s = 0.; pattern = Access.Zipfian 0.9 } ];
-    llts =
-      [
-        { Exp_config.start_s = duration /. 5.; duration_s = duration /. 2.; count = 2 };
-        { Exp_config.start_s = duration /. 2.; duration_s = duration /. 4.; count = 1 };
-      ];
-  }
 
 (* A governed campaign's summary; counts it in [shed_recoveries] when it
    reached Shedding and ended back at Normal. *)
@@ -111,199 +48,75 @@ let report_governor i ~now shed_recoveries (r : Runner.result) =
       if reached_shedding && Governor.rung g = Governor.Normal then incr shed_recoveries;
       Format.printf "@[<v>campaign %d %a@]@." i (fun fmt g -> Governor.pp_summary fmt ~now g) g
 
-(* `--mode=domains`: every campaign runs twice under the same crash-free
-   fault plan — once on the deterministic Sim scheduler, once on real
-   OCaml 5 domains — and the two {!Run_digest}s must agree in addition
-   to both runs holding every online invariant. *)
-let run_domains_campaigns ename engine seed campaigns duration sabotage quota
-    require_shed ndomains vbuffer gc_cfg =
-  let campaign_seeds = campaign_seeds seed campaigns in
-  Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs mode=domains x%d sabotage=%s quota=%d%s%s\n"
-    ename seed campaigns duration ndomains (sabotage_banner sabotage) quota
-    (if vbuffer > 0 then Printf.sprintf " vbuffer=%d" vbuffer else "")
-    (gc_banner gc_cfg);
-  let total_violations = ref 0 and total_mismatches = ref 0 in
-  let shed_recoveries = ref 0 in
-  List.iteri
-    (fun i campaign_seed ->
-      (* A plan's poll cursor is stateful: both runs (and the banner)
-         get a fresh instance drawn from the same seed. *)
-      let plan () = Fault_plan.random ~crashes:false ~seed:campaign_seed () in
-      let cfg = campaign_config ~seed:campaign_seed ~duration in
-      let rs = Runner.run ~engine ~faults:(plan ()) cfg in
-      let rd =
-        Runner.run ~engine ~faults:(plan ()) ~mode:(Runner.Domains { domains = ndomains }) cfg
-      in
-      total_violations :=
-        !total_violations
-        + Fault_report.violation_count rs.Runner.faults
-        + Fault_report.violation_count rd.Runner.faults;
-      let ds = rs.Runner.digest and dd = rd.Runner.digest in
-      Format.printf "@[<v>campaign %d seed=%d plan: %a@ sim:     %a@ domains: %a@]@." i
-        campaign_seed Fault_plan.pp (plan ()) Run_digest.pp ds Run_digest.pp dd;
-      (match Run_digest.diff ds dd with
-      | [] -> Printf.printf "campaign %d digests agree\n" i
-      | msgs ->
-          total_mismatches := !total_mismatches + List.length msgs;
-          List.iter (fun m -> Printf.printf "campaign %d MISMATCH: %s\n" i m) msgs);
-      if quota > 0 then report_governor i ~now:(Clock.seconds duration) shed_recoveries rd)
-    campaign_seeds;
-  Printf.printf "chaos: %d campaign(s), %d violation(s), %d digest mismatch(es)\n" campaigns
-    !total_violations !total_mismatches;
-  if !total_violations > 0 || !total_mismatches > 0 then exit 1;
-  if require_shed && !shed_recoveries = 0 then begin
-    Printf.printf "chaos: FAIL --require-shed: no campaign reached Shedding and recovered\n";
-    exit 1
-  end
+(* One run of a campaign: its report, its digest, and the unsharded
+   runner's result (governor and watchdog summaries). *)
+type leg = { report : Fault_report.t; digest : Run_digest.t; result : Runner.result option }
 
-(* `--shards=N`: the campaign drives a {!Shard_group} — N vDriver
-   pipelines over one snapshot order — through {!Shard_runner}: routed
-   OLTP with a drawn fraction of cross-shard (2PC) transactions, an LLT
-   fleet, epoch-broadcast dead zones, power losses by global log
-   position, crash-at-2PC-step schedules and torn tails, with the
-   per-shard invariant catalogue and the cross-shard atomicity oracle
-   armed. The sharded {!Sabotage} rows (a skipped coordinator decision,
-   a network defect, a lying replication primary) arm here. *)
-let run_shard_campaigns seed campaigns duration shards scenario cross_pct crash_points
-    ckpt_ms crash_steps sabotage mode ndomains net_on net_loss net_dup net_delay_us
-    partitions replicas rep_quorum kill_nodes kill_steps =
-  let scenario =
-    match Shard_router.scenario_of_string scenario with
-    | Some s -> s
-    | None -> usage "unknown --shard-scenario (uniform | zipf | hot)"
+let of_runner r = { report = r.Runner.faults; digest = r.Runner.digest; result = Some r }
+
+let of_shards r =
+  { report = r.Shard_runner.report; digest = Shard_runner.rows r.Shard_runner.digest; result = None }
+
+(* A campaign: the plan its banner line shows (unsharded only), whether
+   it has no crash fault at all, and [run ~honest mode], where [honest]
+   drops the crash faults that only Sim supports. *)
+type campaign = {
+  plan : Fault_plan.t option;
+  crash_free : bool;
+  run : honest:bool -> Substrate.mode -> leg;
+}
+
+let run_campaigns (ename, create) seed campaigns duration sabotage quota require_shed
+    crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out mode
+    ndomains shards shard_scenario cross_pct crash_steps vbuffer gc_backend net_loss net_dup
+    net_delay_us partitions replicas rep_quorum kill_nodes kill_steps =
+  let sharded = shards > 0 in
+  let domains =
+    match mode with `Sim -> None | `Domains -> Some (Substrate.Domains { domains = ndomains })
   in
-  if net_on && shards < 2 then usage "network faults need at least two shards (--shards=2+)";
+  let net_on = net_loss > 0. || net_dup > 0. || net_delay_us > 0 || partitions > 0 in
   let net_sabotage = match sabotage with Some (Sabotage.Net _) -> true | _ -> false in
-  if (net_on || net_sabotage) && (crash_points > 0 || crash_steps > 0) then
-    usage
-      "network faults and crash schedules are separate campaigns for now — drop \
-       --crash-points/--crash-steps or the --net-* flags";
-  let campaign_seeds = campaign_seeds seed campaigns in
-  Printf.printf
-    "chaos: sharded seed=%d campaigns=%d duration=%.1fs shards=%d scenario=%s cross=%d%%%s%s%s%s%s%s\n"
-    seed campaigns duration shards
-    (Shard_router.scenario_to_string scenario)
-    cross_pct
-    (if crash_points > 0 then Printf.sprintf " crash-points=%d" crash_points else "")
-    (if crash_steps > 0 then Printf.sprintf " crash-steps=%d" crash_steps else "")
-    (match sabotage with Some s -> " sabotage=" ^ Sabotage.name s | None -> "")
-    (if net_on then
-       Printf.sprintf " net[loss=%.2f dup=%.2f delay=%dus partitions=%d]" net_loss net_dup
-         net_delay_us partitions
-     else "")
-    (if replicas > 0 then
-       Printf.sprintf " replicas=%d%s%s%s" replicas
-         (if rep_quorum > 0 then Printf.sprintf " quorum=%d" rep_quorum else "")
-         (if kill_nodes then " kill-nodes" else "")
-         (if kill_steps > 0 then Printf.sprintf " kill-steps=%d" kill_steps else "")
-     else "")
-    (match mode with `Domains -> Printf.sprintf " mode=domains x%d" ndomains | `Sim -> "");
-  let total_violations = ref 0 and total_mismatches = ref 0 in
-  List.iteri
-    (fun i campaign_seed ->
-      let base =
-        {
-          (campaign_config ~seed:campaign_seed ~duration) with
-          Exp_config.ckpt_period_s = float_of_int ckpt_ms /. 1000.;
-        }
-      in
-      let points =
-        if crash_points <= 0 then []
-        else begin
-          let rng = Rng.create (campaign_seed lxor 0x632d7074) in
-          let lsn = ref (shards * Wal.bootstrap_lsn) in
-          List.init crash_points (fun _ ->
-              lsn := !lsn + 400 + Rng.int rng 4001;
-              !lsn)
-        end
-      in
-      let steps =
-        if crash_steps <= 0 then []
-        else begin
-          let rng = Rng.create (campaign_seed lxor 0x32706373) in
-          let s = ref 0 in
-          List.init crash_steps (fun _ ->
-              s := !s + 5 + Rng.int rng 80;
-              !s)
-        end
-      in
-      let net =
-        if not net_on then Net_fault.none
-        else
-          Fault_plan.random_net ~loss:net_loss ~dup:net_dup ~delay_us:net_delay_us
-            ~partitions ~shards
-            ~horizon:(Clock.seconds duration)
-            ~seed:campaign_seed ()
-      in
-      let ksteps =
-        (* Replication-step kill schedule: seeded cumulative gaps wide
-           enough that the group recovers (promotes and re-syncs)
-           between kills. *)
-        if kill_steps <= 0 then []
-        else begin
-          let rng = Rng.create (campaign_seed lxor 0x6b737470) in
-          let s = ref 0 in
-          List.init kill_steps (fun _ ->
-              s := !s + 50 + Rng.int rng 400;
-              !s)
-        end
-      in
-      let cfg =
-        {
-          (Shard_runner.default ~shards base) with
-          Shard_runner.scenario;
-          cross_pct;
-          crash_points = points;
-          crash_steps = steps;
-          torn_tail = points <> [] || steps <> [];
-          sabotage;
-          net;
-          replicas;
-          rep_quorum = (if rep_quorum > 0 then Some rep_quorum else None);
-          kill_steps = ksteps;
-          node_faults =
-            (if kill_nodes then Some (Fault_plan.random_nodes ~seed:campaign_seed ())
-             else None);
-        }
-      in
-      let r = Shard_runner.run cfg in
-      total_violations := !total_violations + Fault_report.violation_count r.Shard_runner.report;
-      Format.printf "@[<v>campaign %d seed=%d@ %a@]@." i campaign_seed Fault_report.pp
-        r.Shard_runner.report;
-      match mode with
-      | `Sim -> ()
-      | `Domains ->
-          (* Differential leg: the same honest campaign on real domains;
-             the digests must agree. Crash faults are Sim-only, so the
-             comparison runs the crash-free variant on both substrates. *)
-          let honest =
-            {
-              cfg with
-              Shard_runner.crash_points = [];
-              crash_steps = [];
-              torn_tail = false;
-            }
-          in
-          let ds = (Shard_runner.run ~mode:Shard_runner.Sim honest).Shard_runner.digest in
-          let dd =
-            (Shard_runner.run ~mode:(Shard_runner.Domains { domains = ndomains }) honest)
-              .Shard_runner.digest
-          in
-          (match Shard_runner.digest_diff ds dd with
-          | [] -> Printf.printf "campaign %d sim/domains digests agree\n" i
-          | msgs ->
-              total_mismatches := !total_mismatches + List.length msgs;
-              List.iter (fun m -> Printf.printf "campaign %d MISMATCH: %s\n" i m) msgs))
-    campaign_seeds;
-  Printf.printf "chaos: %d sharded campaign(s), %d violation(s), %d digest mismatch(es)\n"
-    campaigns !total_violations !total_mismatches;
-  if !total_violations > 0 || !total_mismatches > 0 then exit 1
-
-let run_sim_campaigns ename engine seed campaigns duration sabotage quota require_shed
-    crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out vbuffer
-    gc_cfg =
-  let campaign_seeds = campaign_seeds seed campaigns in
+  let crash = crash_points > 0 || crash_steps > 0 in
   let liveness = stalls || zombie_llts || sabotage = Some Sabotage.No_watchdog in
+  let obs = trace_out <> None || metrics_out <> None in
+  (* The flag-compatibility table: a flag given while its row names a
+     problem is a usage error. Domains mode runs each campaign's
+     crash-free variant on both substrates, so its rows come from the
+     capability table. *)
+  let unsharded_only =
+    if sharded then Some "does not compose with --shards (the sharded campaign runs the built-in vcutter path)"
+    else None
+  in
+  let sharded_only = if sharded then None else Some "needs --shards" in
+  let on_domains requested = Option.bind domains (fun m -> Substrate.unsupported m requested) in
+  List.iter
+    (fun (flag, given, problem) -> if given then Option.iter (fun p -> usage (flag ^ " " ^ p)) problem)
+    [
+      ("--mode=domains", domains <> None, on_domains []);
+      ("--quota/--require-shed", quota > 0 || require_shed, unsharded_only);
+      ("--stalls/--zombie-llts/--require-containment", liveness || require_containment, unsharded_only);
+      ( "--stalls/--zombie-llts/--require-containment/--sabotage no-watchdog",
+        liveness || require_containment,
+        on_domains [ (Substrate.Watchdog, true) ] );
+      ("--trace/--metrics", obs, unsharded_only);
+      ("--trace/--metrics", obs, on_domains [ (Substrate.Obs_export, true) ]);
+      ("--vbuffer/--gc-backend", vbuffer > 0 || gc_backend <> Gc_backend.Vcutter, unsharded_only);
+      ( "--crash-steps/--replicas/--rep-quorum/--kill-nodes/--kill-steps",
+        crash_steps > 0 || replicas > 0 || rep_quorum > 0 || kill_nodes || kill_steps > 0,
+        sharded_only );
+      ("--net-*/--partitions", net_on, sharded_only);
+      ("--net-*/--partitions", net_on, if shards < 2 then Some "need at least two shards (--shards=2+)" else None);
+      ( "--sabotage " ^ Option.fold ~none:"" ~some:Sabotage.name sabotage,
+        sabotage <> None,
+        match sabotage with Some s when Sabotage.sharded s -> sharded_only | _ -> unsharded_only );
+      ( "network faults",
+        (net_on || net_sabotage) && crash,
+        Some
+          "and crash schedules are separate campaigns for now — drop \
+           --crash-points/--crash-steps or the --net-* flags" );
+      ("--replicas", replicas > 0 && crash, Some "excludes crash faults: drop --crash-points/--crash-steps");
+    ];
+  let opt_int flag n = if n > 0 then Printf.sprintf " %s=%d" flag n else "" in
   let wdog =
     if not liveness then None
     else
@@ -316,431 +129,325 @@ let run_sim_campaigns ename engine seed campaigns duration sabotage quota requir
              escalation_cooldown = Clock.ms 10;
            })
   in
-  Printf.printf
-    "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%s quota=%d%s%s%s%s%s\n"
-    ename seed campaigns duration (sabotage_banner sabotage) quota
-    (if crash_points > 0 then Printf.sprintf " crash-points=%d" crash_points else "")
-    (if stalls then " stalls" else "")
-    (if zombie_llts then " zombie-llts" else "")
-    (if vbuffer > 0 then Printf.sprintf " vbuffer=%d" vbuffer else "")
-    (gc_banner gc_cfg);
-  (match wdog with
-  | Some w ->
+  let gc_cfg =
+    Sabotage.gc_config sabotage { Gc_backend.default_config with Gc_backend.kind = gc_backend }
+  in
+  let engine =
+    Campaign.engine ?sabotage ~quota ~vbuffer ~gc:gc_cfg ~durable:(crash_points > 0) create
+  in
+  (* Banner, and the campaign for each seed. *)
+  let campaign =
+    if sharded then begin
+      let scenario =
+        match Shard_router.scenario_of_string shard_scenario with
+        | Some s -> s
+        | None -> usage "unknown --shard-scenario (uniform | zipf | hot)"
+      in
+      Printf.printf
+        "chaos: sharded seed=%d campaigns=%d duration=%.1fs shards=%d scenario=%s cross=%d%%%s%s%s%s%s"
+        seed campaigns duration shards
+        (Shard_router.scenario_to_string scenario)
+        cross_pct (opt_int "crash-points" crash_points) (opt_int "crash-steps" crash_steps)
+        (match sabotage with Some s -> " sabotage=" ^ Sabotage.name s | None -> "")
+        (if net_on then
+           Printf.sprintf " net[loss=%.2f dup=%.2f delay=%dus partitions=%d]" net_loss net_dup
+             net_delay_us partitions
+         else "")
+        (if replicas > 0 then
+           Printf.sprintf " replicas=%d%s%s%s" replicas (opt_int "quorum" rep_quorum)
+             (if kill_nodes then " kill-nodes" else "")
+             (opt_int "kill-steps" kill_steps)
+         else "");
+      fun seed ->
+        let cfg =
+          Campaign.sharded ~scenario ~cross_pct ~crash_points ~crash_steps ?sabotage
+            ?net:(if net_on then Some (net_loss, net_dup, net_delay_us, partitions) else None)
+            ~replicas ~rep_quorum ~kill_nodes ~kill_steps ~seed ~duration ~ckpt_ms ~shards ()
+        in
+        let honest =
+          { cfg with Shard_runner.faults = Fault_plan.without_crashes cfg.Shard_runner.faults; crash_steps = [] }
+        in
+        {
+          plan = None;
+          crash_free = not crash;
+          run = (fun ~honest:h mode -> of_shards (Shard_runner.run ~mode (if h then honest else cfg)));
+        }
+    end
+    else begin
+      Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%s quota=%d%s%s%s%s gc=%s"
+        ename seed campaigns duration
+        (match sabotage with None -> "0" | Some s -> Sabotage.name s)
+        quota (opt_int "crash-points" crash_points)
+        (if stalls then " stalls" else "")
+        (if zombie_llts then " zombie-llts" else "")
+        (opt_int "vbuffer" vbuffer)
+        (Gc_backend.kind_name gc_cfg.Gc_backend.kind);
+      fun seed ->
+        let cfg = Campaign.config ~seed ~duration ~ckpt_ms in
+        let plan = Campaign.plan ~stalls ~zombies:zombie_llts ~crash_points ~seed () in
+        let run ~honest mode =
+          let faults = if honest then Fault_plan.without_crashes plan else plan in
+          of_runner (Runner.run ~engine ~faults ?watchdog:wdog ~mode cfg)
+        in
+        { plan = Some plan; crash_free = false; run }
+    end
+  in
+  (match domains with
+  | Some (Substrate.Domains { domains }) -> Printf.printf " mode=domains x%d\n" domains
+  | _ -> print_newline ());
+  Option.iter
+    (fun w ->
       Printf.printf "chaos: liveness lag bound L=%dus (watchdog %s)\n"
         (Watchdog.lag_bound w ~gc_period:Exp_config.default.Exp_config.gc_period / 1000)
-        (if w.Watchdog.enabled then "on" else "OFF — sabotage")
-  | None -> ());
-  let total_violations = ref 0 in
-  let shed_recoveries = ref 0 in
-  let total_escalations = ref 0 in
-  let total_zombie_cancels = ref 0 in
-  let horizon = Clock.seconds duration in
-  (* One obs scope spans all campaigns: the trace shows the campaigns
-     back to back and the metrics snapshot aggregates them. The exports
-     are written before the violation count decides the exit status, so
-     a failing campaign still leaves its artifacts behind. *)
-  Obs_export.with_obs ?trace:trace_out ?metrics:metrics_out (fun () ->
-  List.iteri
-    (fun i campaign_seed ->
-      (* Crash points by WAL position: a seeded schedule with gaps wide
-         enough to let relocations, hardens and cuts land between
-         crashes, tight enough that several crashes interrupt them
-         mid-flight. Points below the bootstrap checkpoint are
-         meaningless; start past it. *)
-      let points =
-        if crash_points <= 0 then []
-        else begin
-          let rng = Rng.create (campaign_seed lxor 0x632d7074) in
-          let lsn = ref Wal.bootstrap_lsn in
-          List.init crash_points (fun _ ->
-              lsn := !lsn + 200 + Rng.int rng 2801;
-              !lsn)
-        end
-      in
-      let plan =
-        Fault_plan.random ~crash_points:points ~torn_tail:(points <> []) ~stalls
-          ~zombies:zombie_llts ~seed:campaign_seed ()
-      in
-      let cfg =
-        { (campaign_config ~seed:campaign_seed ~duration) with
-          Exp_config.ckpt_period_s = float_of_int ckpt_ms /. 1000. }
-      in
-      let r = Runner.run ~engine ~faults:plan ?watchdog:wdog cfg in
-      total_violations := !total_violations + Fault_report.violation_count r.Runner.faults;
-      Format.printf "@[<v>campaign %d seed=%d plan: %a@ %a@]@." i campaign_seed Fault_plan.pp
-        plan Fault_report.pp r.Runner.faults;
-      total_escalations := !total_escalations + r.Runner.watchdog_escalations;
-      total_zombie_cancels := !total_zombie_cancels + r.Runner.zombie_cancels;
-      if quota > 0 then report_governor i ~now:horizon shed_recoveries r)
-    campaign_seeds);
-  Printf.printf "chaos: %d campaign(s), %d violation(s)\n" campaigns !total_violations;
-  if require_shed then
-    Printf.printf "chaos: %d campaign(s) shed and recovered to normal\n" !shed_recoveries;
-  if !total_violations > 0 then exit 1;
-  if require_shed && !shed_recoveries = 0 then begin
-    Printf.printf "chaos: FAIL --require-shed: no campaign reached Shedding and recovered\n";
-    exit 1
-  end;
-  if require_containment then begin
-    if stalls && !total_escalations = 0 then begin
-      Printf.printf "chaos: FAIL --require-containment: --stalls injected but no escalation\n";
-      exit 1
-    end;
-    if zombie_llts && !total_zombie_cancels = 0 then begin
-      Printf.printf
-        "chaos: FAIL --require-containment: --zombie-llts injected but no zombie cancel\n";
-      exit 1
-    end
-  end
-
-let run_campaigns (ename, engine) seed campaigns duration sabotage quota require_shed
-    crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out mode
-    ndomains shards shard_scenario cross_pct crash_steps vbuffer gc_backend net_loss net_dup
-    net_delay_us partitions replicas rep_quorum kill_nodes kill_steps =
-  let net_on = net_loss > 0. || net_dup > 0. || net_delay_us > 0 || partitions > 0 in
-  (match sabotage with
-  | Some s when Sabotage.sharded s <> (shards > 0) ->
-      usage
-        (Printf.sprintf "--sabotage %s %s" (Sabotage.name s)
-           (if Sabotage.sharded s then "needs --shards" else "breaks the unsharded campaign"))
-  | _ -> ());
+        (if w.Watchdog.enabled then "on" else "OFF — sabotage"))
+    wdog;
+  let violations = ref 0 and mismatches = ref 0 in
+  let shed_recoveries = ref 0 and escalations = ref 0 and zombie_cancels = ref 0 in
+  let count leg = violations := !violations + Fault_report.violation_count leg.report in
+  (* One campaign loop for every deployment and substrate. Each campaign
+     runs on Sim with every fault it asks for; under --mode=domains its
+     crash-free variant then runs on both substrates (the Sim leg itself
+     when it had no crash fault) and the digests must agree. One obs
+     scope spans all campaigns: the trace shows them back to back and
+     the metrics snapshot aggregates them; the exports are written
+     before the exit status is decided, so a failing run still leaves
+     them behind. *)
   (* The library's own configuration checks (replication against crash
      faults, node faults or a quorum without replicas, a quorum out of
      range) surface as usage errors. *)
-  try
-    if shards > 0 then begin
-      if
-        quota > 0 || require_shed || stalls || zombie_llts || require_containment
-        || trace_out <> None || metrics_out <> None
-        || vbuffer > 0 || gc_backend <> Gc_backend.Vcutter
-      then
-        usage
-          "--shards composes only with --crash-points/--crash-steps/--cross-pct/\
-           --shard-scenario/--ckpt-ms/--mode/--net-loss/--net-dup/--net-delay-us/\
-           --partitions/--replicas/--rep-quorum/--kill-nodes/--kill-steps and the sharded \
-           --sabotage rows (the sharded campaign runs the built-in vcutter path)";
-      run_shard_campaigns seed campaigns duration shards shard_scenario cross_pct crash_points
-        ckpt_ms crash_steps sabotage mode ndomains net_on net_loss net_dup net_delay_us
-        partitions replicas rep_quorum kill_nodes kill_steps
-    end
-    else if crash_steps > 0 || replicas > 0 || rep_quorum > 0 || kill_nodes || kill_steps > 0
-            || net_on
-    then
-      usage
-        "--crash-steps/--replicas/--rep-quorum/--kill-nodes/--kill-steps/--net-*/--partitions \
-         need --shards"
-    else begin
-      let recovery_sabotage =
-        match sabotage with
-        | Some (Sabotage.Skip_tail_check | Sabotage.Discard_past_checkpoint) -> true
-        | _ -> false
-      in
-      (* What the domains substrate lacks comes from the one capability
-         table; each row names the flags that request it. *)
-      (match mode with
-      | `Sim -> ()
-      | `Domains ->
-          let dmode = Substrate.Domains { domains = ndomains } in
-          let reject reason = usage ("--mode=domains: " ^ reason) in
-          Option.iter reject (Substrate.unsupported dmode []);
-          List.iter
-            (fun (feature, requested, flags) ->
-              Option.iter
-                (fun reason -> reject (reason ^ "; drop " ^ flags))
-                (Substrate.unsupported dmode [ (feature, requested) ]))
-            [
-              (Substrate.Crash_faults, crash_points > 0 || recovery_sabotage,
-               "--crash-points/--sabotage skip-tail-check|discard-past-checkpoint");
-              (Substrate.Watchdog,
-               stalls || zombie_llts || require_containment
-               || sabotage = Some Sabotage.No_watchdog,
-               "--stalls/--zombie-llts/--require-containment/--sabotage no-watchdog");
-              (Substrate.Obs_export, trace_out <> None || metrics_out <> None,
-               "--trace/--metrics");
-            ]);
-      let governor =
-        if quota <= 0 then Governor.default_config else Governor.governed ~quota_bytes:quota
-      in
-      let driver_config =
-        Sabotage.driver_config sabotage
-          { State.default_config with State.governor; durable_wal = crash_points > 0 }
-      in
-      let driver_config =
-        if vbuffer <= 0 then driver_config
-        else { driver_config with State.vbuffer_bytes = vbuffer }
-      in
-      let gc_cfg =
-        Sabotage.gc_config sabotage { Gc_backend.default_config with Gc_backend.kind = gc_backend }
-      in
-      let engine = Gc_backend.wrap_engine gc_cfg (engine driver_config) in
-      match mode with
-      | `Domains ->
-          run_domains_campaigns ename engine seed campaigns duration sabotage quota require_shed
-            ndomains vbuffer gc_cfg
-      | `Sim ->
-          run_sim_campaigns ename engine seed campaigns duration sabotage quota require_shed
-            crash_points ckpt_ms stalls zombie_llts require_containment trace_out metrics_out
-            vbuffer gc_cfg
-    end
-  with Invalid_argument msg -> usage msg
+  (try
+     Obs_export.with_obs ?trace:trace_out ?metrics:metrics_out (fun () ->
+      List.iteri
+        (fun i seed ->
+          let c = campaign seed in
+          let leg = c.run ~honest:false Substrate.Sim in
+          count leg;
+          Format.printf "@[<v>campaign %d seed=%d%t@ %a@]@." i seed
+            (fun fmt -> Option.iter (Format.fprintf fmt " plan: %a" Fault_plan.pp) c.plan)
+            Fault_report.pp leg.report;
+          Option.iter
+            (fun r ->
+              escalations := !escalations + r.Runner.watchdog_escalations;
+              zombie_cancels := !zombie_cancels + r.Runner.zombie_cancels;
+              if quota > 0 then report_governor i ~now:(Clock.seconds duration) shed_recoveries r)
+            leg.result;
+          Option.iter
+            (fun dmode ->
+              let sim =
+                if c.crash_free then leg
+                else begin
+                  let sim = c.run ~honest:true Substrate.Sim in
+                  count sim;
+                  Format.printf "@[<v>campaign %d crash-free sim:@ %a@]@." i Fault_report.pp sim.report;
+                  sim
+                end
+              in
+              let dom = c.run ~honest:true dmode in
+              count dom;
+              Format.printf "@[<v>campaign %d domains:@ %a@]@." i Fault_report.pp dom.report;
+              match Run_digest.diff sim.digest dom.digest with
+              | [] -> Printf.printf "campaign %d sim/domains digests agree\n" i
+              | msgs ->
+                  mismatches := !mismatches + List.length msgs;
+                  List.iter (fun m -> Printf.printf "campaign %d MISMATCH: %s\n" i m) msgs)
+            domains)
+        (Campaign.seeds ~seed campaigns))
+   with Invalid_argument msg -> usage msg);
+  Printf.printf "chaos: %d%s campaign(s), %d violation(s)%s\n" campaigns
+    (if sharded then " sharded" else "")
+    !violations
+    (if sharded || domains <> None then Printf.sprintf ", %d digest mismatch(es)" !mismatches
+     else "");
+  if require_shed then
+    Printf.printf "chaos: %d campaign(s) shed and recovered to normal\n" !shed_recoveries;
+  let fail msg =
+    Printf.printf "chaos: FAIL %s\n" msg;
+    exit 1
+  in
+  if !violations > 0 || !mismatches > 0 then exit 1;
+  if require_shed && !shed_recoveries = 0 then
+    fail "--require-shed: no campaign reached Shedding and recovered";
+  if require_containment && stalls && !escalations = 0 then
+    fail "--require-containment: --stalls injected but no escalation";
+  if require_containment && zombie_llts && !zombie_cancels = 0 then
+    fail "--require-containment: --zombie-llts injected but no zombie cancel"
+
+let opt c default ?docv names doc = Arg.value (Arg.opt c default (Arg.info names ?docv ~doc))
+let flag names doc = Arg.value (Arg.flag (Arg.info names ~doc))
 
 let cmd =
   let engine =
-    Arg.(
-      value
-      & opt engine_conv ("pg-vdriver", fun config schema -> Siro_engine.create ~driver_config:config ~flavor:`Pg schema)
-      & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc:"Engine under test: pg-vdriver or mysql-vdriver.")
+    opt engine_conv
+      ("pg-vdriver", List.assoc "pg-vdriver" Engine_table.vdriver)
+      [ "e"; "engine" ] ~docv:"ENGINE" "Engine under test: pg-vdriver or mysql-vdriver."
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base seed; drives everything.") in
-  let campaigns =
-    Arg.(value & opt int 4 & info [ "campaigns" ] ~doc:"Independent seeded campaigns to run.")
-  in
-  let duration =
-    Arg.(value & opt float 4. & info [ "d"; "duration" ] ~doc:"Simulated seconds per campaign.")
-  in
+  let seed = opt Arg.int 42 [ "seed" ] "Base seed; drives everything." in
+  let campaigns = opt Arg.int 4 [ "campaigns" ] "Independent seeded campaigns to run." in
+  let duration = opt Arg.float 4. [ "d"; "duration" ] "Simulated seconds per campaign." in
   let sabotage =
-    Arg.(
-      value
-      & opt (some (enum sabotage_rows)) None
-      & info [ "sabotage" ] ~docv:"NAME"
-          ~doc:
-            (Printf.sprintf
-               "Arm one row of the sabotage registry: a deliberately broken variant of the \
-                system that one of the row's named invariants must catch (a clean exit is a \
-                harness bug). $(docv) is %s. $(b,zone-widen) widens every dead zone by one \
-                timestamp; $(b,quota-ignore) makes the governor ignore its --quota; \
-                $(b,skip-tail-check) replays the WAL tail without CRC verification (implies \
-                the durable WAL); $(b,discard-past-checkpoint) makes each checkpoint \
-                recycle the WAL through its own end, leaving no checkpoint to recover from \
-                (implies the durable WAL; caught at a crash restart); $(b,no-watchdog) \
-                keeps the liveness ladder observing but never acting; $(b,gc-)K runs GC backend K with its planted defect. The \
-                sharded rows need --shards: $(b,skip-coord-decision) commits 2PC without \
-                forcing the decision record, $(b,apply-on-timeout) and $(b,ack-forge) break \
-                the termination protocol and the participant ack, and \
-                $(b,ack-before-replicate) and $(b,stale-primary-writes) break replication \
-                (need --replicas), and $(b,stale-cursor) makes the sweep's log-analysis \
-                cursors ignore crashes and truncations (needs --crash-points or \
-                --crash-steps)."
-               (Arg.doc_alts_enum sabotage_rows)))
+    opt
+      Arg.(some (enum sabotage_rows))
+      None [ "sabotage" ] ~docv:"NAME"
+      (Printf.sprintf
+         "Arm one row of the sabotage registry: a deliberately broken variant of the system \
+          that one of the row's named invariants must catch (a clean exit is a harness bug). \
+          $(docv) is %s. $(b,zone-widen) widens every dead zone by one timestamp; \
+          $(b,quota-ignore) makes the governor ignore its --quota; $(b,skip-tail-check) \
+          replays the WAL tail without CRC verification (implies the durable WAL); \
+          $(b,discard-past-checkpoint) makes each checkpoint recycle the WAL through its own \
+          end, leaving no checkpoint to recover from (implies the durable WAL; caught at a \
+          crash restart); $(b,no-watchdog) keeps the liveness ladder observing but never \
+          acting; $(b,gc-)K runs GC backend K with its planted defect. The sharded rows need \
+          --shards: $(b,skip-coord-decision) commits 2PC without forcing the decision record, \
+          $(b,apply-on-timeout) and $(b,ack-forge) break the termination protocol and the \
+          participant ack, and $(b,ack-before-replicate) and $(b,stale-primary-writes) break \
+          replication (need --replicas), and $(b,stale-cursor) makes the sweep's log-analysis \
+          cursors ignore crashes and truncations (needs --crash-points or --crash-steps)."
+         (Arg.doc_alts_enum sabotage_rows))
   in
   let quota =
-    Arg.(
-      value & opt int 0
-      & info [ "quota" ] ~docv:"BYTES"
-          ~doc:
-            "Arm the version-space governor with this hard quota; the campaign then also \
-             asserts the post-maintenance space envelope and the health-ladder honesty \
-             (0 = governor disabled).")
+    opt Arg.int 0 [ "quota" ] ~docv:"BYTES"
+      "Arm the version-space governor with this hard quota; the campaign then also asserts \
+       the post-maintenance space envelope and the health-ladder honesty (0 = governor \
+       disabled)."
   in
   let require_shed =
-    Arg.(
-      value & flag
-      & info [ "require-shed" ]
-          ~doc:
-            "Fail unless at least one campaign climbed the ladder to Shedding and recovered \
-             to Normal by the end of the run.")
+    flag [ "require-shed" ]
+      "Fail unless at least one campaign climbed the ladder to Shedding and recovered to \
+       Normal by the end of the run."
   in
   let crash_points =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-points" ] ~docv:"N"
-          ~doc:
-            "Switch the engine to the durable typed-record WAL and schedule N deterministic \
-             power losses per campaign by WAL position, each with a fabricated torn tail; \
-             recovery replays the surviving log and the post-recovery invariants must hold \
-             (0 = no crash points, non-durable engine unless --sabotage skip-tail-check).")
+    opt Arg.int 0 [ "crash-points" ] ~docv:"N"
+      "Switch the engine to the durable typed-record WAL and schedule N deterministic power \
+       losses per campaign by WAL position, each with a fabricated torn tail; recovery \
+       replays the surviving log and the post-recovery invariants must hold (0 = no crash \
+       points, non-durable engine unless --sabotage skip-tail-check)."
   in
   let ckpt_ms =
-    Arg.(
-      value & opt int 250
-      & info [ "ckpt-ms" ] ~docv:"MS"
-          ~doc:"Fuzzy-checkpoint period for durable campaigns, in simulated milliseconds.")
+    opt Arg.int 250 [ "ckpt-ms" ] ~docv:"MS"
+      "Fuzzy-checkpoint period for durable campaigns, in simulated milliseconds."
   in
   let stalls =
-    Arg.(
-      value & flag
-      & info [ "stalls" ]
-          ~doc:
-            "Draw cleaner-stall and collab-delay rates into the fault plan (the cleaning loop \
-             hangs for 150-600 ms at a time) and arm the liveness watchdog; the campaign must \
-             stay within the computable reclamation-lag bound.")
+    flag [ "stalls" ]
+      "Draw cleaner-stall and collab-delay rates into the fault plan (the cleaning loop hangs \
+       for 150-600 ms at a time) and arm the liveness watchdog; the campaign must stay within \
+       the computable reclamation-lag bound."
   in
   let zombie_llts =
-    Arg.(
-      value & flag
-      & info [ "zombie-llts" ]
-          ~doc:
-            "Draw LLT-zombie injections (a driver that stops issuing operations but keeps its \
-             snapshot pinned) and arm the liveness watchdog; harmful zombies must be shed \
-             through the lease path.")
+    flag [ "zombie-llts" ]
+      "Draw LLT-zombie injections (a driver that stops issuing operations but keeps its \
+       snapshot pinned) and arm the liveness watchdog; harmful zombies must be shed through \
+       the lease path."
   in
   let require_containment =
-    Arg.(
-      value & flag
-      & info [ "require-containment" ]
-          ~doc:
-            "Fail unless the liveness pressure was really exercised: at least one watchdog \
-             escalation under --stalls, at least one zombie cancel under --zombie-llts.")
+    flag [ "require-containment" ]
+      "Fail unless the liveness pressure was really exercised: at least one watchdog \
+       escalation under --stalls, at least one zombie cancel under --zombie-llts."
   in
   let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event JSON covering every campaign (one thread per \
-             pipeline subsystem, fault injections on their own track).")
+    opt
+      Arg.(some string)
+      None [ "trace" ] ~docv:"FILE"
+      "Write a Chrome trace_event JSON covering every campaign (one thread per pipeline \
+       subsystem, fault injections on their own track)."
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Write the flat metrics JSON aggregated across all campaigns.")
+    opt
+      Arg.(some string)
+      None [ "metrics" ] ~docv:"FILE"
+      "Write the flat metrics JSON aggregated across all campaigns."
   in
   let mode =
-    Arg.(
-      value
-      & opt (enum [ ("sim", `Sim); ("domains", `Domains) ]) `Sim
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Execution substrate: $(b,sim) (deterministic, the default) or $(b,domains) — \
-             each campaign then runs twice under the same crash-free plan, once on the Sim \
-             scheduler and once on real OCaml 5 domains, and the run digests must agree on \
-             top of both sides passing every online invariant.")
+    opt
+      Arg.(enum [ ("sim", `Sim); ("domains", `Domains) ])
+      `Sim [ "mode" ] ~docv:"MODE"
+      "Execution substrate: $(b,sim) (deterministic, the default) or $(b,domains) — each \
+       campaign then first runs on Sim exactly as without the flag, and its crash-free \
+       variant runs on both the Sim scheduler and real OCaml 5 domains; the run digests must \
+       agree on top of every run passing every online invariant."
   in
-  let ndomains =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N" ~doc:"Domain count for --mode=domains.")
-  in
+  let ndomains = opt Arg.int 2 [ "domains" ] ~docv:"N" "Domain count for --mode=domains." in
   let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Run sharded campaigns: N vDriver pipelines over one snapshot order, with routed \
-             OLTP, cross-shard 2PC transactions, epoch-broadcast dead zones and the \
-             cross-shard atomicity oracle armed (0 = unsharded, the default).")
+    opt Arg.int 0 [ "shards" ] ~docv:"N"
+      "Run sharded campaigns: N vDriver pipelines over one snapshot order, with routed OLTP, \
+       cross-shard 2PC transactions, epoch-broadcast dead zones and the cross-shard \
+       atomicity oracle armed (0 = unsharded, the default)."
   in
   let shard_scenario =
-    Arg.(
-      value & opt string "uniform"
-      & info [ "shard-scenario" ] ~docv:"S"
-          ~doc:"Traffic shape across shards: $(b,uniform), $(b,zipf) or $(b,hot).")
+    opt Arg.string "uniform" [ "shard-scenario" ] ~docv:"S"
+      "Traffic shape across shards: $(b,uniform), $(b,zipf) or $(b,hot)."
   in
   let cross_pct =
-    Arg.(
-      value & opt int 30
-      & info [ "cross-pct" ] ~docv:"PCT"
-          ~doc:"Percentage of writing transactions forced to span two shards (2PC traffic).")
+    opt Arg.int 30 [ "cross-pct" ] ~docv:"PCT"
+      "Percentage of writing transactions forced to span two shards (2PC traffic)."
   in
   let crash_steps =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-steps" ] ~docv:"N"
-          ~doc:
-            "Sharded campaigns: schedule N whole-system crashes at seeded global 2PC step \
-             indices — power loss at exact points of the prepare/decide/apply/ack/forget \
-             sequence; recovery must resolve every orphaned prepare to one outcome on every \
-             shard.")
+    opt Arg.int 0 [ "crash-steps" ] ~docv:"N"
+      "Sharded campaigns: schedule N whole-system crashes at seeded global 2PC step indices \
+       — power loss at exact points of the prepare/decide/apply/ack/forget sequence; \
+       recovery must resolve every orphaned prepare to one outcome on every shard."
   in
   let gc_backend =
-    Arg.(
-      value
-      & opt gc_backend_conv Gc_backend.Vcutter
-      & info [ "gc-backend" ] ~docv:"BACKEND"
-          ~doc:
-            "GC backend behind Driver.maintain: $(b,vcutter) (the paper's dead-zone design, \
-             the default — byte-identical to the un-hooked seed path), $(b,range) \
-             (Wei/Fatourou-style per-version range tracking with live-set subtraction) or \
-             $(b,bounded) (BBF+-style bounded-space collection with an enforced resident \
-             dead-version bound). All three run under the same governor budgets, invariant \
-             catalogue and fault plans.")
+    opt gc_backend_conv Gc_backend.Vcutter [ "gc-backend" ] ~docv:"BACKEND"
+      "GC backend behind Driver.maintain: $(b,vcutter) (the paper's dead-zone design, the \
+       default — byte-identical to the un-hooked seed path), $(b,range) (Wei/Fatourou-style \
+       per-version range tracking with live-set subtraction) or $(b,bounded) (BBF+-style \
+       bounded-space collection with an enforced resident dead-version bound). All three \
+       run under the same governor budgets, invariant catalogue and fault plans."
   in
   let vbuffer =
-    Arg.(
-      value & opt int 0
-      & info [ "vbuffer" ] ~docv:"BYTES"
-          ~doc:
-            "Override the vBuffer capacity (0 = the 8 MiB default). Dead-zone pruning keeps \
-             the buffer so small that default campaigns never harden a segment; a small \
-             vBuffer forces steady hardened-store traffic, which is what exercises the \
-             cutter-side reclaim paths of every GC backend.")
+    opt Arg.int 0 [ "vbuffer" ] ~docv:"BYTES"
+      "Override the vBuffer capacity (0 = the 8 MiB default). Dead-zone pruning keeps the \
+       buffer so small that default campaigns never harden a segment; a small vBuffer forces \
+       steady hardened-store traffic, which is what exercises the cutter-side reclaim paths \
+       of every GC backend."
   in
   let net_loss =
-    Arg.(
-      value & opt float 0.
-      & info [ "net-loss" ] ~docv:"P"
-          ~doc:
-            "Sharded campaigns: per-message drop probability on the 2PC/epoch fabric \
-             (0 = the provably transparent pass-through). Lost votes retry under \
-             per-channel backoff; lost decisions resend until acked.")
+    opt Arg.float 0. [ "net-loss" ] ~docv:"P"
+      "Sharded campaigns: per-message drop probability on the 2PC/epoch fabric (0 = the \
+       provably transparent pass-through). Lost votes retry under per-channel backoff; lost \
+       decisions resend until acked."
   in
   let net_dup =
-    Arg.(
-      value & opt float 0.
-      & info [ "net-dup" ] ~docv:"P"
-          ~doc:
-            "Sharded campaigns: per-message duplication probability — every receive path \
-             must be idempotent for the run to stay clean.")
+    opt Arg.float 0. [ "net-dup" ] ~docv:"P"
+      "Sharded campaigns: per-message duplication probability — every receive path must be \
+       idempotent for the run to stay clean."
   in
   let net_delay_us =
-    Arg.(
-      value & opt int 0
-      & info [ "net-delay-us" ] ~docv:"US"
-          ~doc:
-            "Sharded campaigns: uniform per-message delay bound in simulated microseconds \
-             (drawn jitter — what reorders messages in flight).")
+    opt Arg.int 0 [ "net-delay-us" ] ~docv:"US"
+      "Sharded campaigns: uniform per-message delay bound in simulated microseconds (drawn \
+       jitter — what reorders messages in flight)."
   in
   let partitions =
-    Arg.(
-      value & opt int 0
-      & info [ "partitions" ] ~docv:"N"
-          ~doc:
-            "Sharded campaigns: schedule N seeded bidirectional partitions per campaign, \
-             each isolating a drawn subset of shards for a drawn window that heals before \
-             the horizon. Single-shard traffic must keep committing; cross-shard \
-             transactions spanning the cut fail fast; in-doubt participants must resolve \
-             after heal.")
+    opt Arg.int 0 [ "partitions" ] ~docv:"N"
+      "Sharded campaigns: schedule N seeded bidirectional partitions per campaign, each \
+       isolating a drawn subset of shards for a drawn window that heals before the horizon. \
+       Single-shard traffic must keep committing; cross-shard transactions spanning the cut \
+       fail fast; in-doubt participants must resolve after heal."
   in
   let replicas =
-    Arg.(
-      value & opt int 0
-      & info [ "replicas" ] ~docv:"R"
-          ~doc:
-            "Sharded campaigns: give every shard R backup nodes mirroring the primary's WAL \
-             by typed CRC'd frame shipping, with commits acknowledged only at the \
-             sync-replication quorum, lease-based deterministic failover on node death, and \
-             the no-committed-loss / no-split-brain / bounded-failover-lag oracles armed \
-             (0 = the replication layer is absent and the campaign is byte-identical to the \
-             unreplicated driver).")
+    opt Arg.int 0 [ "replicas" ] ~docv:"R"
+      "Sharded campaigns: give every shard R backup nodes mirroring the primary's WAL by \
+       typed CRC'd frame shipping, with commits acknowledged only at the sync-replication \
+       quorum, lease-based deterministic failover on node death, and the no-committed-loss \
+       / no-split-brain / bounded-failover-lag oracles armed (0 = the replication layer is \
+       absent and the campaign is byte-identical to the unreplicated driver)."
   in
   let rep_quorum =
-    Arg.(
-      value & opt int 0
-      & info [ "rep-quorum" ] ~docv:"Q"
-          ~doc:
-            "Sync-replication quorum, counting the primary (0 = a majority of replicas+1). \
-             Q=1 acknowledges on the primary alone — safe only against backup deaths.")
+    opt Arg.int 0 [ "rep-quorum" ] ~docv:"Q"
+      "Sync-replication quorum, counting the primary (0 = a majority of replicas+1). Q=1 \
+       acknowledges on the primary alone — safe only against backup deaths."
   in
   let kill_nodes =
-    Arg.(
-      value & flag
-      & info [ "kill-nodes" ]
-          ~doc:
-            "Draw a seeded whole-node kill/revive plan per campaign (victims drawn per \
-             arrival): dead primaries expire their lease and the highest-caught-up backup is \
-             promoted under a bumped fencing epoch; every acknowledged commit must survive.")
+    flag [ "kill-nodes" ]
+      "Draw a seeded whole-node kill/revive plan per campaign (victims drawn per arrival): \
+       dead primaries expire their lease and the highest-caught-up backup is promoted under \
+       a bumped fencing epoch; every acknowledged commit must survive."
   in
   let kill_steps =
-    Arg.(
-      value & opt int 0
-      & info [ "kill-steps" ] ~docv:"N"
-          ~doc:
-            "Sharded replicated campaigns: schedule N node kills at seeded global \
-             replication-step indices — death lands exactly between a ship/ack/quorum \
-             step's intent and its effect.")
+    opt Arg.int 0 [ "kill-steps" ] ~docv:"N"
+      "Sharded replicated campaigns: schedule N node kills at seeded global replication-step \
+       indices — death lands exactly between a ship/ack/quorum step's intent and its effect."
   in
   Cmd.v
     (Cmd.info "chaos" ~doc:"Seeded fault-injection campaigns with online invariant checking.")

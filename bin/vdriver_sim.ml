@@ -3,19 +3,7 @@
 
 open Cmdliner
 
-let engine_of_string = function
-  | "pg" -> Ok (fun _config schema -> Inrow_engine.create schema)
-  | "mysql" -> Ok (fun _config schema -> Offrow_engine.create schema)
-  | "pg-vdriver" ->
-      Ok (fun config schema -> Siro_engine.create ~driver_config:config ~flavor:`Pg schema)
-  | "mysql-vdriver" ->
-      Ok (fun config schema -> Siro_engine.create ~driver_config:config ~flavor:`Mysql schema)
-  | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-
-let engine_conv =
-  Arg.conv
-    ( (fun s -> Result.map (fun e -> (s, e)) (engine_of_string s)),
-      fun fmt (s, _) -> Format.pp_print_string fmt s )
+let engine_conv = Arg.enum (List.map (fun (name, e) -> (name, (name, e))) Engine_table.paper)
 
 let gc_backend_conv =
   Arg.conv
@@ -208,19 +196,11 @@ let compare_cmd =
              ]);
       }
     in
-    let engines =
-      [
-        ("pg", fun s -> Inrow_engine.create s);
-        ("mysql", fun s -> Offrow_engine.create s);
-        ("pg-vdriver", fun s -> Siro_engine.create ~flavor:`Pg s);
-        ("mysql-vdriver", fun s -> Siro_engine.create ~flavor:`Mysql s);
-      ]
-    in
     let quarter = duration /. 4. in
     let rows =
       List.map
         (fun (name, engine) ->
-          let r = Runner.run ~engine cfg in
+          let r = Runner.run ~engine:(engine State.default_config) cfg in
           let before = Runner.avg_throughput r ~between:(0.5, quarter -. 0.5) in
           let during =
             Runner.avg_throughput r ~between:(quarter +. 2., (3. *. quarter) -. 1.)
@@ -233,7 +213,7 @@ let compare_cmd =
             string_of_int (Runner.peak_chain r);
             Printf.sprintf "%d us" (Histogram.percentile r.Runner.latency_us 0.99);
           ])
-        engines
+        Engine_table.paper
     in
     Table.print
       ~header:[ "engine"; "tput"; "tput(LLT)"; "peak-space"; "peak-chain"; "p99-latency" ]

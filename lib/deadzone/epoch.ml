@@ -20,4 +20,3 @@ let current t = t.current
 let epoch t = t.epoch
 let broadcast_ts t = t.broadcast_ts
 let snapshot t = (t.epoch, t.current, t.broadcast_ts)
-let subscribe t = fun () -> t.current

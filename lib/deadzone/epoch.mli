@@ -45,7 +45,3 @@ val snapshot : t -> int * Zone_set.t * Timestamp.t
     epochs are monotone, so duplicates and reorderings are no-ops, and
     a stale snapshot only under-prunes (the {!Epoch} soundness
     argument is per-snapshot, not per-delivery). *)
-
-val subscribe : t -> unit -> Zone_set.t
-(** A pull closure suitable for [State.zone_source]: always yields the
-    latest broadcast. *)

@@ -34,12 +34,6 @@ type rstep =
   | R_quorum of { sid : int }
   | R_promote of { sid : int; node : int }
 
-let rstep_name = function
-  | R_ship _ -> "ship"
-  | R_ack _ -> "ack"
-  | R_quorum _ -> "quorum"
-  | R_promote _ -> "promote"
-
 let rstep_sid = function
   | R_ship { sid; _ } | R_ack { sid; _ } | R_quorum { sid } | R_promote { sid; _ } -> sid
 

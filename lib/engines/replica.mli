@@ -40,7 +40,6 @@ type rstep =
   | R_promote of { sid : int; node : int }
       (** [node] was just promoted to primary of [sid]. *)
 
-val rstep_name : rstep -> string
 val rstep_sid : rstep -> int
 
 type t

@@ -95,7 +95,6 @@ type t = {
   poisoned : (int, unit) Hashtbl.t; (* open txns that lost writes to a failover *)
   fence_at : Clock.time array; (* per shard: last promotion time (0 = never) *)
   acked_tbl : (int, int * int list) Hashtbl.t; (* tid -> (cts, parts) acked to the client *)
-  mutable unacked : int; (* locally committed, never acked (quorum missed) *)
 }
 
 let shard_of t ~rid = rid mod t.n
@@ -385,7 +384,6 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
       poisoned = Hashtbl.create 16;
       fence_at = Array.make n 0;
       acked_tbl = Hashtbl.create 256;
-      unacked = 0;
     }
   in
   for ep = 0 to n - 1 do
@@ -435,7 +433,6 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
   t
 
 let shards t = t.shards
-let shard_count t = t.n
 let mgr t = t.mgr
 let epoch t = t.epoch
 let wals t = Array.to_list (Array.map (fun sh -> (sh.Shard.sid, sh.Shard.wal)) t.shards)
@@ -445,7 +442,6 @@ let cross_commits t = t.cross_commits
 let set_on_step t f = t.on_step <- f
 let set_skip_coord_decision t b = t.skip_coord_decision <- b
 let set_net_sabotage t s = t.net_sabotage <- s
-let net_rto t = t.rto
 let net_indoubt_after t = t.indoubt_after
 let net_stats t = Bus.stats t.net
 let net_aborts t = t.net_aborts
@@ -616,9 +612,7 @@ let commit_checked t (txn : Txn.t) ~now =
               in
               record_acked t ~tid ~cts [ s ];
               Committed at
-          | _ ->
-              t.unacked <- t.unacked + 1;
-              Net_abort at))
+          | _ -> Net_abort at))
   | parts -> (
       (* Presumed-abort 2PC over the fabric. The coordinator is the
          smallest participant; each durable micro-step still fires the
@@ -712,7 +706,6 @@ let commit_checked t (txn : Txn.t) ~now =
              timeline says becomes the outcome: if the decision survived
              it will be re-armed and resent; if not, presumed abort
              terminates every prepared participant. *)
-          t.unacked <- t.unacked + 1;
           Net_abort (!tref + ((1 + List.length parts) * t.costs.Costs.txn_commit))
         end
       end
@@ -1084,5 +1077,4 @@ let acked t =
   Hashtbl.fold (fun tid (cts, parts) acc -> (tid, cts, parts) :: acc) t.acked_tbl []
   |> List.sort compare
 
-let unacked t = t.unacked
 let shard_is_up = shard_up

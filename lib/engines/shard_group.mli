@@ -62,8 +62,6 @@ type step =
   | Acked of { tid : int; shard : int }
   | Forgotten of { tid : int }
 
-val step_name : step -> string
-
 type net_sabotage =
   | Apply_on_timeout
       (** an in-doubt participant unilaterally applies a fabricated
@@ -201,7 +199,6 @@ val check_epoch_lag : ?bound:int -> t -> now:Clock.time -> (string * string) lis
 (** {1 Introspection and knobs} *)
 
 val shards : t -> Shard.t array
-val shard_count : t -> int
 val mgr : t -> Txn_manager.t
 val epoch : t -> Epoch.t
 val wals : t -> (int * Wal.t) list
@@ -213,7 +210,6 @@ val two_pc_steps : t -> int
 val single_commits : t -> int
 val cross_commits : t -> int
 
-val net_rto : t -> Clock.time
 val net_indoubt_after : t -> Clock.time
 val net_stats : t -> Bus.stats
 val net_aborts : t -> int
@@ -284,6 +280,3 @@ val acked : t -> (int * int * int list) list
     commit timestamp lets the oracle skip entries that have aged past a
     log's bounded checkpoint window. *)
 
-val unacked : t -> int
-(** Commits that reached local durability but missed their quorum and
-    were reported [Net_abort] — never entered the acked ledger. *)

@@ -28,42 +28,25 @@ let action_name = function
 
 type event = { at : Clock.time; action : action }
 
-(* One Poisson arrival process. [next] is the pre-drawn time of the next
-   injection; advancing draws the following inter-arrival gap from the
-   process's private RNG so the sequence is a pure function of the
-   seed. *)
+(* One Poisson arrival process, as declared: the action, its rate and
+   the seed of its private stream. The plan itself never changes; a
+   {!cursor} replays the arrivals, so every run polling its own cursor
+   sees the same schedule. *)
 type process = {
   p_action : action;
   rate : float; (* injections per simulated second *)
-  rng : Rng.t;
-  mutable next : Clock.time;
+  sub_seed : int;
 }
 
 type t = {
   plan_seed : int;
-  mutable events : event list; (* pending, sorted by [at] *)
-  processes : process list;
+  events : event list; (* sorted by [at] *)
+  processes : process list; (* positive rates only *)
   check_period : Clock.time;
   rates : (action * float) list; (* for pp, declaration order *)
   crash_points : int list; (* crash-at-LSN schedule, ascending *)
   torn_tail : bool;
 }
-
-let gap process =
-  (* Exponential inter-arrival: -ln(1-u)/rate seconds, floored to 1 ns
-     so the process always advances. *)
-  let u = Rng.float process.rng in
-  max 1 (Clock.seconds (-.log (1. -. u) /. process.rate))
-
-let make_process ~seed action rate =
-  if rate < 0. then invalid_arg "Fault_plan: negative rate";
-  if rate = 0. then None
-  else begin
-    let rng = Rng.create seed in
-    let p = { p_action = action; rate; rng; next = 0 } in
-    p.next <- gap p;
-    Some p
-  end
 
 let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
     ?(wal_error_rate = 0.) ?(flush_fail_rate = 0.) ?(evict_storm_rate = 0.)
@@ -71,6 +54,7 @@ let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
     ?(llt_zombie_rate = 0.) ?(collab_delay_rate = 0.) ?(node_kill_rate = 0.)
     ?(node_revive_rate = 0.) ?(crash_points = []) ?(torn_tail = false)
     ?(check_period = Clock.ms 100) () =
+  if check_period <= 0 then invalid_arg "Fault_plan: non-positive check period";
   (* Newer actions are drawn strictly after the older ones so plans that
      do not use them keep the exact sub-seed sequence (and therefore
      injection times) they had before those actions existed: [Wal_bitflip]
@@ -91,13 +75,15 @@ let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
       (Node_revive, node_revive_rate);
     ]
   in
-  (* Derive one independent stream per process from the plan seed. *)
+  (* Derive one independent stream per process from the plan seed,
+     drawing a sub-seed for every kind whatever its rate. *)
   let master = Rng.create seed in
   let processes =
     List.filter_map
-      (fun (action, rate) ->
+      (fun (p_action, rate) ->
         let sub_seed = Int64.to_int (Rng.next_int64 master) in
-        make_process ~seed:sub_seed action rate)
+        if rate < 0. then invalid_arg "Fault_plan: negative rate";
+        if rate = 0. then None else Some { p_action; rate; sub_seed })
       rates
   in
   {
@@ -113,7 +99,7 @@ let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
 let none = create ()
 
 let random ?(crash_points = []) ?(torn_tail = false) ?(stalls = false)
-    ?(zombies = false) ?(crashes = true) ~seed () =
+    ?(zombies = false) ~seed () =
   let rng = Rng.create (seed lxor 0x6661756c74) in
   (* Keep crashes rare relative to the finer-grained faults: a crash
      wipes the state the other injections are stressing. The rate draws
@@ -133,12 +119,6 @@ let random ?(crash_points = []) ?(torn_tail = false) ?(stalls = false)
   let cleaner_stall_rate = if stalls then draw 0.8 2.5 else 0. in
   let collab_delay_rate = if stalls then draw 1. 4. else 0. in
   let llt_zombie_rate = if zombies then draw 0.5 1.5 else 0. in
-  (* [crashes:false] zeroes the crash arrivals *after* the draw, so every
-     other process keeps the exact sub-seed (and injection times) of the
-     same-seed plan with crashes — the differential harness compares
-     Sim/Domains runs under crash-free variants of the same plans. *)
-  let crash_rate = if crashes then crash_rate else 0. in
-  let crash_points = if crashes then crash_points else [] in
   create ~seed ~crash_rate ~abort_rate ~wal_error_rate ~flush_fail_rate
     ~evict_storm_rate ~space_storm_rate ~cleaner_stall_rate ~llt_zombie_rate
     ~collab_delay_rate ~crash_points ~torn_tail ()
@@ -177,20 +157,61 @@ let random_net ?(loss = 0.1) ?(dup = 0.05) ?(delay_us = 150) ?(partitions = 1)
    tweak keeps the arrival draws independent of both [random] (process
    faults) and [random_net] (fabric faults) built from the same
    campaign seed. Revives arrive a bit faster than kills so the
-   one-dead-per-group budget keeps freeing up. *)
+   one-dead-per-group budget keeps freeing up. The sweep runs at the
+   sharded runner's 50 ms cadence. *)
 let random_nodes ~seed () =
   let rng = Rng.create (seed lxor 0x6e6f6465) in
   let draw lo hi = lo +. (Rng.float rng *. (hi -. lo)) in
   let node_kill_rate = draw 2. 8. in
   let node_revive_rate = draw 4. 12. in
-  create ~seed ~node_kill_rate ~node_revive_rate ()
+  create ~seed ~node_kill_rate ~node_revive_rate ~check_period:(Clock.ms 50) ()
+
+let rate t action = List.assoc action t.rates
+
+(* Every other process keeps its sub-seed (and injection times): the
+   Sim/Domains pairs compare runs under crash-free variants of one plan. *)
+let without_crashes t =
+  if
+    rate t Crash = 0. && t.crash_points = [] && (not t.torn_tail)
+    && not (List.exists (fun e -> e.action = Crash) t.events)
+  then t
+  else
+    {
+      t with
+      events = List.filter (fun e -> e.action <> Crash) t.events;
+      processes = List.filter (fun p -> p.p_action <> Crash) t.processes;
+      rates = List.map (fun (a, r) -> (a, if a = Crash then 0. else r)) t.rates;
+      crash_points = [];
+      torn_tail = false;
+    }
 
 let seed t = t.plan_seed
 let check_period t = t.check_period
 let crash_points t = t.crash_points
 let torn_tail t = t.torn_tail
 
-let poll t ~now =
+(* A run's replay of the plan: the events not yet returned, and each
+   process's private stream with the pre-drawn time of its next
+   injection (advancing draws the following inter-arrival gap, so the
+   sequence is a pure function of the seed). *)
+type arrival = { a_action : action; a_rate : float; rng : Rng.t; mutable next : Clock.time }
+type cursor = { mutable due : event list; arrivals : arrival list }
+
+let gap a =
+  (* Exponential inter-arrival: -ln(1-u)/rate seconds, floored to 1 ns
+     so the process always advances. *)
+  let u = Rng.float a.rng in
+  max 1 (Clock.seconds (-.log (1. -. u) /. a.a_rate))
+
+let cursor t =
+  let arrival p =
+    let a = { a_action = p.p_action; a_rate = p.rate; rng = Rng.create p.sub_seed; next = 0 } in
+    a.next <- gap a;
+    a
+  in
+  { due = t.events; arrivals = List.map arrival t.processes }
+
+let poll c ~now =
   let due_events = ref [] in
   let rec take = function
     | e :: rest when e.at <= now ->
@@ -198,15 +219,15 @@ let poll t ~now =
         take rest
     | rest -> rest
   in
-  t.events <- take t.events;
+  c.due <- take c.due;
   let arrivals = ref [] in
   List.iter
-    (fun p ->
-      while p.next <= now do
-        arrivals := p.p_action :: !arrivals;
-        p.next <- p.next + gap p
+    (fun a ->
+      while a.next <= now do
+        arrivals := a.a_action :: !arrivals;
+        a.next <- a.next + gap a
       done)
-    t.processes;
+    c.arrivals;
   List.rev !due_events @ List.rev !arrivals
 
 let pp fmt t =

@@ -1,17 +1,21 @@
 (** Seeded fault plans.
 
-    A plan is a deterministic schedule of injected failures: explicit
-    [events] pinned to simulated times, plus independent Poisson
-    processes (one per fault kind, rates in expected injections per
-    simulated second) whose arrival times are pre-drawn from the plan's
-    own splitmix stream. Equal seeds and rates give equal injection
-    sequences regardless of what the system under test does, and a plan
-    never touches the workload's RNG — a run with a zero-rate plan is
-    bit-identical to a run with no plan at all.
+    A plan is an immutable, deterministic description of injected
+    failures: explicit [events] pinned to simulated times, independent
+    Poisson processes (one per fault kind, rates in expected injections
+    per simulated second, each with its own splitmix stream derived from
+    the plan seed), the crash-point schedule, torn tails and the
+    invariant-sweep cadence. Both {!Runner.run} and {!Shard_runner.run}
+    take their faults as one plan. Equal seeds and rates give equal
+    injection sequences regardless of what the system under test does,
+    and a plan never touches the workload's RNG — a run with a
+    zero-rate plan is bit-identical to a run with no plan at all.
 
-    The scheduler consults the plan through its dispatch probe: before
-    every process step the harness calls {!poll}, which returns the
-    faults that have come due since the previous poll. *)
+    A run replays the plan through a {!cursor} of its own, so one plan
+    can drive any number of runs (a Sim/Domains pair, say) and each sees
+    the same schedule. The harness polls its cursor — before every
+    process step on Sim, from a failover beat on replicated shards —
+    and gets the faults that have come due since the previous poll. *)
 
 type action =
   | Crash  (** crash-restart the engine (§3.5, Figure 10b) *)
@@ -73,8 +77,8 @@ val create :
 (** Rates are per simulated second and default to 0; [events] may be in
     any order. [check_period] is the cadence at which the harness runs
     the online invariant sweep (default 100 ms; the prune-soundness
-    audit is continuous regardless). Negative rates raise
-    [Invalid_argument].
+    audit is continuous regardless). Negative rates and a non-positive
+    [check_period] raise [Invalid_argument].
 
     [crash_points] schedules deterministic crash-restarts by WAL
     position: the runner kills power the first time the log's highest
@@ -93,7 +97,6 @@ val random :
   ?torn_tail:bool ->
   ?stalls:bool ->
   ?zombies:bool ->
-  ?crashes:bool ->
   seed:int ->
   unit ->
   t
@@ -103,11 +106,7 @@ val random :
     perturbing the rate draws. [stalls] additionally draws cleaner-stall
     and collab-delay rates, [zombies] an LLT-zombie rate; both are drawn
     strictly after the classic rates, so enabling them never perturbs
-    the classic injection times for the same seed. [crashes:false]
-    (default [true]) zeroes the crash process and drops the crash-point
-    schedule {e after} the rate draws, leaving every other process's
-    injection times untouched — the crash-free plan variant the
-    sim-vs-domains differential harness runs both modes under. *)
+    the classic injection times for the same seed. *)
 
 val random_net :
   ?loss:float ->
@@ -135,7 +134,15 @@ val random_nodes : seed:int -> unit -> t
     [seed] with its own tweak (independent of {!random} and
     {!random_net} at the same seed). Revives are drawn a bit more
     frequent than kills, so the one-dead-node-per-group budget keeps
-    freeing up over a long soak. *)
+    freeing up over a long soak. Sweeps every 50 ms, the sharded
+    runner's default. *)
+
+val without_crashes : t -> t
+(** The plan minus its crash faults: no [Crash] events or arrivals, no
+    crash points, no torn tails. Every other process keeps its stream,
+    so its injection times are unchanged — the crash-free variant a
+    Sim/Domains pair runs on both substrates. A plan without crash
+    faults is returned as is. *)
 
 val seed : t -> int
 val check_period : t -> Clock.time
@@ -145,10 +152,20 @@ val crash_points : t -> int list
 
 val torn_tail : t -> bool
 
-val poll : t -> now:Clock.time -> action list
-(** All injections due at or before [now] that were not already
-    returned, oldest first (scheduled events before Poisson arrivals on
-    ties, then by declaration order of the action kinds). *)
+val rate : t -> action -> float
+(** The declared arrival rate of an action kind (0 when absent). *)
+
+type cursor
+(** One run's position in the plan: the events not yet returned and
+    each process's next arrival. *)
+
+val cursor : t -> cursor
+(** A fresh replay from time 0. *)
+
+val poll : cursor -> now:Clock.time -> action list
+(** All injections due at or before [now] that this cursor has not
+    already returned, oldest first (scheduled events before Poisson
+    arrivals on ties, then by declaration order of the action kinds). *)
 
 val pp : Format.formatter -> t -> unit
 (** Seed and rates — enough to reproduce the plan. *)

@@ -1,5 +1,8 @@
 type violation = { invariant : string; detail : string }
 
+let record report ~at vs =
+  List.iter (fun { invariant; detail } -> Fault_report.record report ~at ~invariant ~detail) vs
+
 let v invariant fmt = Format.kasprintf (fun detail -> { invariant; detail }) fmt
 
 (* ------------------------------------------------------------------ *)

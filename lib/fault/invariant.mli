@@ -37,6 +37,9 @@
 
 type violation = { invariant : string; detail : string }
 
+val record : Fault_report.t -> at:Clock.time -> violation list -> unit
+(** Record each violation in the report at [at]. *)
+
 val check_chains : Driver.t -> violation list
 (** Chain shape and chain/segment reachability, sorted by record id. *)
 

@@ -19,7 +19,6 @@ type t = {
 let create () = { heap = [||]; len = 0; next_seq = 0; now = 0; probe = None }
 
 let set_probe t f = t.probe <- Some f
-let clear_probe t = t.probe <- None
 
 let less a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
 

@@ -28,7 +28,6 @@ val set_probe : t -> (name:string -> now:Clock.time -> unit) -> unit
     scheduling decision and can inject per-step faults deterministically.
     The probe must not call back into the scheduler. *)
 
-val clear_probe : t -> unit
 
 val run : t -> until:Clock.time -> Clock.time
 (** Run processes in time order until every process has finished or the

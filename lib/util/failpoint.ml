@@ -8,8 +8,6 @@ type point = {
 
 let registry : (string, point) Hashtbl.t = Hashtbl.create 16
 
-let well_known = [ "vsorter.flush"; "wal.append"; "wal.fsync" ]
-
 let point name =
   match Hashtbl.find_opt registry name with
   | Some p -> p

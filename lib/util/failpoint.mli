@@ -6,7 +6,12 @@
     a site calls {!check} with its name and gets [`Pass] unless a
     handler has been armed for that name. Handlers are plain closures —
     the fault library arms them from a seeded plan, so every decision is
-    a deterministic function of the plan's RNG stream.
+    a deterministic function of the plan's RNG stream. The sites
+    compiled into the pipeline are ["vsorter.flush"] (segment flush to
+    the version store), ["wal.append"] (log-device write,
+    byte-accounting and typed-record paths alike) and ["wal.fsync"]
+    (durability-frontier advance); arming any other name is legal but
+    never fires.
 
     The registry is global (the simulation is single-threaded and runs
     one experiment at a time); {!with_scope} brackets a run so that no
@@ -14,13 +19,6 @@
     unarmed fail-point costs one hashtable probe. *)
 
 type decision = [ `Pass | `Fail ]
-
-val well_known : string list
-(** The fail-point sites compiled into the pipeline: ["vsorter.flush"]
-    (segment flush to the version store), ["wal.append"] (log-device
-    write, byte-accounting and typed-record paths alike), and
-    ["wal.fsync"] (durability-frontier advance). Arming any other name
-    is legal but will never fire. *)
 
 val arm : string -> (unit -> decision) -> unit
 (** [arm name handler] routes subsequent {!check name} calls through

@@ -30,6 +30,17 @@ type result = {
 
 type mode = Substrate.mode = Sim | Domains of { domains : int }
 
+(* A process that can hold an open transaction: an OLTP worker or an LLT
+   driver. The fault injector and the governor take its transaction
+   away from outside; the owner then backs off before new work. *)
+type slot = {
+  llt : bool;
+  backoff : Backoff.t;
+  mutable txn : Txn.t option;
+  mutable killed : bool; (* taken from outside: back off before new work *)
+  mutable zombie : bool; (* hung LLT: keeps its snapshot, issues nothing *)
+}
+
 let peak_of xs = List.fold_left (fun acc (_, v) -> max acc (int_of_float v)) 0 xs
 let final_of xs = match List.rev xs with (_, v) :: _ -> int_of_float v | [] -> 0
 
@@ -57,33 +68,16 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   let retries = ref 0 in
   let give_ups = ref 0 in
   let report = Fault_report.create () in
-  (* Every process that can hold an open transaction registers a kill
-     switch here (in spawn order, so victim selection is deterministic).
-     The fault injector uses them for [Abort_txn] and to roll every
-     in-flight loser back before a [Crash]. *)
-  let abort_slots : (Clock.time -> bool) Vec.t = Vec.create () in
-  (* Power-loss kill switches: drop the in-flight transaction from the
-     workload WITHOUT an engine abort. A crash's in-flight transactions
-     must reach the log as losers — aborting them through the engine
-     would write Txn_abort records and durably decide outcomes the
-     crash is supposed to leave undecided. The owning process then
-     re-enters its killed/backoff path exactly as after a forced
-     abort. *)
-  let drop_slots : (Clock.time -> unit) Vec.t = Vec.create () in
+  (* Every slot, in spawn order (workers, then LLT drivers), so victim
+     selection is deterministic. *)
+  let slots : slot Vec.t = Vec.create () in
   let crashes = ref 0 in
   let recoveries = ref [] in
-  (* Tid-targeted kill switches for the governor's snapshot-too-old
-     policy: entries live exactly while the transaction is in flight, so
-     the shed hook rolls the victim back through the engine (undoing its
-     writes) rather than behind its back. *)
-  let shed_tbl : (Timestamp.t, Clock.time -> bool) Hashtbl.t = Hashtbl.create 64 in
-  (match eng.Engine.driver with
-  | Some d ->
-      d.State.shed_hook <-
-        Some
-          (fun ~tid ~now ->
-            match Hashtbl.find_opt shed_tbl tid with Some kill -> kill now | None -> false)
-  | None -> ());
+  (* The slot holding each in-flight transaction, for the governor's
+     snapshot-too-old policy: the shed hook rolls the victim back
+     through the engine (undoing its writes) rather than behind its
+     back. *)
+  let shed_tbl : (Timestamp.t, slot) Hashtbl.t = Hashtbl.create 64 in
   (* Liveness containment, armed only when a watchdog configuration is
      passed. The default run allocates no watchdog, grants no lease,
      spawns no extra process and reads no extra randomness, so it stays
@@ -110,27 +104,89 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         let llt_lease = max (4 * short_lease) (Clock.seconds (longest_llt_s /. 10.)) in
         Some (Lease.create ~config:{ Lease.short_lease; llt_lease } ())
   in
-  let lease_grant ~tid ~kind ~now =
-    match lease with Some l -> Lease.grant l ~tid ~kind ~now | None -> ()
-  in
-  let lease_progress ~tid ~now =
-    match lease with Some l -> Lease.note_progress l ~tid ~now | None -> ()
-  in
-  let lease_release ~tid = match lease with Some l -> Lease.release l ~tid | None -> () in
   (* The cleaning loop makes no progress until this instant — set by
      [Cleaner_stall]/[Collab_delay] injections, cleared by the
      watchdog's restart rung. 0 (never) outside stall campaigns. *)
   let cleaner_stall_until = ref 0 in
-  (* Zombie switches, one per LLT driver: flip the LLT into a hung
-     state that keeps its snapshot but issues no further operation. *)
-  let zombie_slots : (Clock.time -> bool) Vec.t = Vec.create () in
   (* Externally-aborted transactions (forced aborts, governor sheds)
-     re-execute after a bounded-exponential backoff. Each process owns a
+     re-execute after a bounded-exponential backoff. Each slot owns a
      backoff state seeded independently of the workload streams, so a
      run that kills nobody draws nothing and stays bit-identical. *)
-  let make_backoff salt =
-    Backoff.create ~base_ns:(Clock.us 200) ~cap_ns:(Clock.ms 20) ~max_attempts:6
-      (Rng.create (cfg.Exp_config.seed lxor salt))
+  let new_slot ~llt salt =
+    let backoff =
+      Backoff.create ~base_ns:(Clock.us 200) ~cap_ns:(Clock.ms 20) ~max_attempts:6
+        (Rng.create (cfg.Exp_config.seed lxor salt))
+    in
+    let s = { llt; backoff; txn = None; killed = false; zombie = false } in
+    Vec.push slots s;
+    s
+  in
+  let begin_in s ~kind now =
+    let txn, t = eng.Engine.begin_txn ~now in
+    s.txn <- Some txn;
+    Hashtbl.replace shed_tbl txn.Txn.tid s;
+    Option.iter (fun l -> Lease.grant l ~tid:txn.Txn.tid ~kind ~now) lease;
+    Scheduler.Sleep_until t
+  in
+  let release s txn =
+    s.txn <- None;
+    Hashtbl.remove shed_tbl txn.Txn.tid;
+    Option.iter (fun l -> Lease.release l ~tid:txn.Txn.tid) lease
+  in
+  (* Take the slot's transaction away from outside. [abort] rolls it
+     back through the engine (forced aborts, sheds, a non-durable
+     crash); otherwise it is dropped from the workload WITHOUT an engine
+     abort — a power loss's in-flight transactions must reach the log as
+     losers, and aborting them would write Txn_abort records that
+     durably decide what the crash leaves undecided. *)
+  let take ~abort s now =
+    match s.txn with
+    | None -> false
+    | Some txn ->
+        release s txn;
+        s.killed <- true;
+        s.zombie <- false;
+        if Trace.on () then
+          Trace.instant Trace.Txn
+            (match (s.llt, abort) with
+            | false, true -> "killed"
+            | false, false -> "crash-lost"
+            | true, true -> "llt-killed"
+            | true, false -> "llt-crash-lost")
+            ~at:now
+            [ ("tid", Trace.I txn.Txn.tid) ];
+        if abort then ignore (eng.Engine.abort txn ~now);
+        true
+  in
+  let kill = take ~abort:true in
+  (match eng.Engine.driver with
+  | Some d ->
+      d.State.shed_hook <-
+        Some
+          (fun ~tid ~now ->
+            match Hashtbl.find_opt shed_tbl tid with Some s -> kill s now | None -> false)
+  | None -> ());
+  (* A killed slot backs off before new work; once the attempt budget
+     runs out it gives the intent up ([None]). *)
+  let retry s now =
+    s.killed <- false;
+    match Backoff.next s.backoff with
+    | Some delay ->
+        incr retries;
+        Metrics.bump "runner.retries";
+        if Trace.on () then
+          Trace.instant Trace.Txn
+            (if s.llt then "llt-retry" else "retry")
+            ~at:now
+            [ ("delay_ns", Trace.I delay) ];
+        Some (Scheduler.Sleep_until (now + delay))
+    | None ->
+        incr give_ups;
+        Metrics.bump "runner.give_ups";
+        if Trace.on () then
+          Trace.instant Trace.Txn (if s.llt then "llt-give-up" else "give-up") ~at:now [];
+        Backoff.reset s.backoff;
+        None
   in
   (* Pre-build one sampler per phase so workers just look the pattern
      up by time. *)
@@ -156,70 +212,18 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
      conflicts depend on that overlap). *)
   let spawn_worker i =
     let rng = Rng.split master_rng in
-    let pending = ref None in
-    let killed = ref false in
-    let backoff = make_backoff (0x42e7 lxor (i * 0x9e3779b9)) in
-    let kill now =
-      match !pending with
-      | Some txn ->
-          pending := None;
-          killed := true;
-          Hashtbl.remove shed_tbl txn.Txn.tid;
-          lease_release ~tid:txn.Txn.tid;
-          if Trace.on () then
-            Trace.instant Trace.Txn "killed" ~at:now [ ("tid", Trace.I txn.Txn.tid) ];
-          ignore (eng.Engine.abort txn ~now);
-          true
-      | None -> false
-    in
-    Vec.push abort_slots kill;
-    Vec.push drop_slots (fun now ->
-        match !pending with
-        | Some txn ->
-            pending := None;
-            killed := true;
-            Hashtbl.remove shed_tbl txn.Txn.tid;
-            lease_release ~tid:txn.Txn.tid;
-            if Trace.on () then
-              Trace.instant Trace.Txn "crash-lost" ~at:now [ ("tid", Trace.I txn.Txn.tid) ]
-        | None -> ());
-    let begin_txn now =
-      let txn, t = eng.Engine.begin_txn ~now in
-      pending := Some txn;
-      Hashtbl.replace shed_tbl txn.Txn.tid kill;
-      lease_grant ~tid:txn.Txn.tid ~kind:Lease.Short ~now;
-      Scheduler.Sleep_until t
-    in
+    let s = new_slot ~llt:false (0x42e7 lxor (i * 0x9e3779b9)) in
     Substrate.spawn sub ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
-        match !pending with
-        | None ->
-            if !killed then begin
-              killed := false;
-              match Backoff.next backoff with
-              | Some delay ->
-                  incr retries;
-                  Metrics.bump "runner.retries";
-                  if Trace.on () then
-                    Trace.instant Trace.Txn "retry" ~at:now [ ("delay_ns", Trace.I delay) ];
-                  Scheduler.Sleep_until (now + delay)
-              | None ->
-                  (* Attempt budget exhausted: give the intent up and
-                     move on to fresh work. *)
-                  incr give_ups;
-                  Metrics.bump "runner.give_ups";
-                  if Trace.on () then Trace.instant Trace.Txn "give-up" ~at:now [];
-                  Backoff.reset backoff;
-                  if now >= horizon then Scheduler.Finished else begin_txn now
-            end
-            else if now >= horizon then Scheduler.Finished
-            else begin_txn now
+        match s.txn with
+        | None -> (
+            match if s.killed then retry s now else None with
+            | Some step -> step
+            | None -> if now >= horizon then Scheduler.Finished else begin_in s ~kind:Lease.Short now)
         | Some txn ->
-            pending := None;
-            Hashtbl.remove shed_tbl txn.Txn.tid;
             (* The whole body runs in this one step — no further
                scheduling gap where a short transaction could hang — so
                its lease ends here. *)
-            lease_release ~tid:txn.Txn.tid;
+            release s txn;
             let access = sampler_at (Clock.to_seconds now) in
             let t = ref now in
             (try
@@ -237,7 +241,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                      raise Exit
                done;
                t := eng.Engine.commit txn ~now:!t;
-               Backoff.reset backoff;
+               Backoff.reset s.backoff;
                Series.Rate.incr commit_rate ~time:(Clock.to_seconds !t);
                Histogram.add latency_us ((!t - txn.Txn.begin_time) / 1_000);
                if Trace.on () then
@@ -264,83 +268,23 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
       for li = 0 to count - 1 do
         let rng = Rng.split master_rng in
         let uniform = Access.create cfg.Exp_config.schema Access.Uniform in
-        let state = ref None in
-        let killed = ref false in
-        let zombie = ref false in
-        let backoff = make_backoff (0x11c0ffee lxor ((gi * 131) + li)) in
-        let kill now =
-          match !state with
-          | Some txn ->
-              state := None;
-              killed := true;
-              zombie := false;
-              Hashtbl.remove shed_tbl txn.Txn.tid;
-              lease_release ~tid:txn.Txn.tid;
-              if Trace.on () then
-                Trace.instant Trace.Txn "llt-killed" ~at:now [ ("tid", Trace.I txn.Txn.tid) ];
-              ignore (eng.Engine.abort txn ~now);
-              true
-          | None -> false
-        in
-        Vec.push abort_slots kill;
-        Vec.push drop_slots (fun now ->
-            match !state with
-            | Some txn ->
-                state := None;
-                killed := true;
-                zombie := false;
-                Hashtbl.remove shed_tbl txn.Txn.tid;
-                lease_release ~tid:txn.Txn.tid;
-                if Trace.on () then
-                  Trace.instant Trace.Txn "llt-crash-lost" ~at:now
-                    [ ("tid", Trace.I txn.Txn.tid) ]
-            | None -> ());
-        if liveness_armed then
-          Vec.push zombie_slots (fun now ->
-              match !state with
-              | Some txn when not !zombie ->
-                  zombie := true;
-                  if Trace.on () then
-                    Trace.instant Trace.Fault "llt-zombie" ~at:now
-                      [ ("tid", Trace.I txn.Txn.tid) ];
-                  true
-              | _ -> false);
+        let s = new_slot ~llt:true (0x11c0ffee lxor ((gi * 131) + li)) in
         let llt_end = Clock.seconds (start_s +. duration_s) in
         Substrate.spawn sub
           ~name:(Printf.sprintf "llt-%d-%d" gi li)
           ~at:(Clock.seconds start_s)
           (fun now ->
-            match !state with
-            | None ->
+            match s.txn with
+            | None -> (
                 if now >= llt_end || now >= horizon then Scheduler.Finished
-                else if !killed then begin
+                else if not s.killed then begin_in s ~kind:Lease.Llt now
+                else
                   (* Shed (snapshot-too-old) or fault-aborted: restart
                      the scan after a backoff, with a fresh read view,
                      until the attempt budget runs out. *)
-                  killed := false;
-                  match Backoff.next backoff with
-                  | Some delay ->
-                      incr retries;
-                      Metrics.bump "runner.retries";
-                      if Trace.on () then
-                        Trace.instant Trace.Txn "llt-retry" ~at:now
-                          [ ("delay_ns", Trace.I delay) ];
-                      Scheduler.Sleep_until (now + delay)
-                  | None ->
-                      incr give_ups;
-                      Metrics.bump "runner.give_ups";
-                      if Trace.on () then Trace.instant Trace.Txn "llt-give-up" ~at:now [];
-                      Scheduler.Finished
-                end
-                else begin
-                  let txn, t = eng.Engine.begin_txn ~now in
-                  state := Some txn;
-                  Hashtbl.replace shed_tbl txn.Txn.tid kill;
-                  lease_grant ~tid:txn.Txn.tid ~kind:Lease.Llt ~now;
-                  Scheduler.Sleep_until t
-                end
+                  match retry s now with Some step -> step | None -> Scheduler.Finished)
             | Some txn ->
-                if !zombie then
+                if s.zombie then
                   (* Hung driver: keeps its snapshot pinned but never
                      issues another operation or the commit. Only the
                      watchdog's shed rung (through the kill switch) or
@@ -348,9 +292,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                   if now >= horizon then Scheduler.Finished
                   else Scheduler.Sleep_until (now + Clock.ms 1)
                 else if now >= llt_end || now >= horizon then begin
-                  state := None;
-                  Hashtbl.remove shed_tbl txn.Txn.tid;
-                  lease_release ~tid:txn.Txn.tid;
+                  release s txn;
                   let _ = eng.Engine.commit txn ~now in
                   if Trace.on () then
                     Trace.span Trace.Txn "llt" ~start:txn.Txn.begin_time
@@ -362,7 +304,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                   let rid = Access.sample uniform rng in
                   let _, t = eng.Engine.read txn ~rid ~now in
                   incr llt_reads;
-                  lease_progress ~tid:txn.Txn.tid ~now:t;
+                  Option.iter (fun l -> Lease.note_progress l ~tid:txn.Txn.tid ~now:t) lease;
                   Scheduler.Sleep_until t
                 end)
       done)
@@ -397,10 +339,9 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   (match eng.Engine.checkpoint with
   | Some ckpt when cfg.Exp_config.ckpt_period_s > 0. ->
       let period = max 1 (Clock.seconds cfg.Exp_config.ckpt_period_s) in
-      Substrate.spawn sub ~name:"checkpointer" ~at:period (fun now ->
+      Substrate.every sub ~name:"checkpointer" ~period ~until:horizon (fun now ->
           ckpt ~now;
-          (match wd with Some w -> Watchdog.beat w "checkpointer" ~now | None -> ());
-          if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
+          match wd with Some w -> Watchdog.beat w "checkpointer" ~now | None -> ())
   | _ -> ());
   (* Metrics sampler. *)
   let space_series = Series.create "space" in
@@ -408,26 +349,19 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   let chain_series = Series.create "chain" in
   let split_series = Series.create "splits" in
   let sample_period = Clock.seconds cfg.Exp_config.sample_period_s in
-  let last_sample = ref { Engine.version_bytes = 0; redo_bytes = 0; max_chain = 0; splits = 0; truncations = 0; latch_wait = 0; wal_errors = 0 } in
-  Substrate.spawn sub ~name:"sampler" ~at:sample_period (fun now ->
+  Substrate.every sub ~name:"sampler" ~period:sample_period ~until:horizon (fun now ->
       let s = eng.Engine.sample () in
-      last_sample := s;
       let sec = Clock.to_seconds now in
       Series.add space_series ~time:sec ~value:(float_of_int s.Engine.version_bytes);
       Series.add redo_series ~time:sec ~value:(float_of_int s.Engine.redo_bytes);
       Series.add chain_series ~time:sec ~value:(float_of_int s.Engine.max_chain);
-      Series.add split_series ~time:sec ~value:(float_of_int s.Engine.splits);
-      if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + sample_period));
+      Series.add split_series ~time:sec ~value:(float_of_int s.Engine.splits));
   (* Fault harness: a continuous prune-soundness audit on the driver, a
      dispatch probe that consults the plan before every scheduled step,
      and a periodic invariant sweep over the whole driver state. Where
      the capability table says so (Domains, which has no watchdog), the
      sweep also runs the bounded-reclamation-lag monitor. *)
-  let record_all ~at vs =
-    List.iter
-      (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
-      vs
-  in
+  let record_all = Invariant.record report in
   let lag_mon = ref None in
   (match faults with
   | None -> ()
@@ -443,20 +377,38 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                    ~bound:
                      (Watchdog.lag_bound Watchdog.default_config
                         ~gc_period:cfg.Exp_config.gc_period));
-          let period = Fault_plan.check_period plan in
-          Substrate.spawn sub ~name:"invariants" ~at:period (fun now ->
+          Substrate.every sub ~name:"invariants" ~period:(Fault_plan.check_period plan)
+            ~until:horizon (fun now ->
               Fault_report.note_check report;
               record_all ~at:now (Invariant.check_all d);
-              (if direct_lag then
-                 match !lag_mon with
-                 | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
-                 | None -> ());
-              if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
+              if direct_lag then
+                Option.iter (fun m -> record_all ~at:now (Invariant.check_lag m ~now)) !lag_mon)
       | None -> ());
       (* Victim selection draws from the plan's seed, never from
          [master_rng]: a plan that injects nothing must leave the
          workload's random stream untouched. *)
       let victim_rng = Rng.create (Fault_plan.seed plan lxor 0x7fabc0de) in
+      (* Offer a fault to the slots from [from] on, round-robin from a
+         drawn one, until one takes it. *)
+      let pick ~from f now =
+        let n = Vec.length slots - from in
+        if n > 0 then begin
+          let start = Rng.int victim_rng n in
+          let rec go i =
+            if i < n && not (f (Vec.get slots (from + ((start + i) mod n))) now) then go (i + 1)
+          in
+          go 0
+        end
+      in
+      let zombify s now =
+        match s.txn with
+        | Some txn when not s.zombie ->
+            s.zombie <- true;
+            if Trace.on () then
+              Trace.instant Trace.Fault "llt-zombie" ~at:now [ ("tid", Trace.I txn.Txn.tid) ];
+            true
+        | _ -> false
+      in
       let engine_wal () =
         match eng.Engine.driver with
         | Some d -> (
@@ -477,7 +429,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         if Trace.on () then
           Trace.instant Trace.Fault "crash-restart" ~at:now
             [ ("keep_lsn", Trace.I keep) ];
-        Vec.iter (fun drop -> drop now) drop_slots;
+        Vec.iter (fun s -> ignore (take ~abort:false s now)) slots;
         Wal.crash wal ~keep_lsn:keep;
         if Fault_plan.torn_tail plan then begin
           Wal_recovery.inject_torn_commit wal ~at:now;
@@ -485,9 +437,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         end;
         let info = restart ~now in
         recoveries := info :: !recoveries;
-        (match eng.Engine.driver with
-        | Some d -> record_all ~at:now (Invariant.check_post_recovery d)
-        | None -> ());
+        Option.iter (fun d -> record_all ~at:now (Invariant.check_post_recovery d)) eng.Engine.driver;
         if Trace.on () then
           Trace.instant Trace.Fault "recovered" ~at:now
             [
@@ -504,16 +454,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         Fault_report.note_fault report name;
         if Trace.on () then Trace.instant Trace.Fault name ~at:now [];
         match action with
-        | Fault_plan.Abort_txn ->
-            let n = Vec.length abort_slots in
-            if n > 0 then begin
-              let start = Rng.int victim_rng n in
-              let rec try_slot i =
-                if i < n then
-                  if (Vec.get abort_slots ((start + i) mod n)) now then () else try_slot (i + 1)
-              in
-              try_slot 0
-            end
+        | Fault_plan.Abort_txn -> pick ~from:0 kill now
         | Fault_plan.Crash when not crash_faults -> ()
         | Fault_plan.Crash -> (
             match (engine_wal (), eng.Engine.restart) with
@@ -527,7 +468,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                    them back through the engine's abort path, then run
                    crash recovery and immediately assert the Figure 10b
                    post-conditions. *)
-                Vec.iter (fun slot -> ignore (slot now)) abort_slots;
+                Vec.iter (fun s -> ignore (kill s now)) slots;
                 ignore (eng.Engine.crash ());
                 (match eng.Engine.driver with
                 | Some d -> record_all ~at:now (Invariant.check_post_crash d)
@@ -557,10 +498,8 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                do not fsync *)
             Failpoint.arm_fail_n "wal.fsync" 4
         | Fault_plan.Flush_fail -> Failpoint.arm_fail_n "vsorter.flush" 4
-        | Fault_plan.Evict_storm -> (
-            match eng.Engine.driver with
-            | Some d -> Buffer_pool.clear d.State.store_cache
-            | None -> ())
+        | Fault_plan.Evict_storm ->
+            Option.iter (fun d -> Buffer_pool.clear d.State.store_cache) eng.Engine.driver
         | Fault_plan.Space_storm ->
             (* A burst writer: displace a volley of versions in one
                instant, squeezing the version-space quota. Drawn from
@@ -602,16 +541,9 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
               cleaner_stall_until := max !cleaner_stall_until (now + dur)
             end
         | Fault_plan.Llt_zombie ->
-            let n = Vec.length zombie_slots in
-            if n > 0 then begin
-              let start = Rng.int victim_rng n in
-              let rec try_slot i =
-                if i < n then
-                  if (Vec.get zombie_slots ((start + i) mod n)) now then ()
-                  else try_slot (i + 1)
-              in
-              try_slot 0
-            end
+            (* Only armed runs have zombies: the LLT slots follow the
+               workers'. *)
+            if liveness_armed then pick ~from:cfg.Exp_config.workers zombify now
         | Fault_plan.Node_kill | Fault_plan.Node_revive ->
             (* Whole-node faults target the replicated shard deployment;
                the single-instance runner has no nodes to kill. *)
@@ -622,6 +554,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
          boundary — deterministic in WAL position, independent of
          simulated time. *)
       let crash_points = ref (Fault_plan.crash_points plan) in
+      let plan = Fault_plan.cursor plan in
       Substrate.on_dispatch sub (fun ~name:_ ~now ->
           (match !crash_points with
           | p :: rest -> (
@@ -685,11 +618,9 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                 | tid :: rest ->
                     let killed =
                       match Hashtbl.find_opt shed_tbl tid with
-                      | Some kill ->
-                          (match lease with
-                          | Some l -> Lease.note_cancel l ~tid ~now
-                          | None -> ());
-                          kill now
+                      | Some s ->
+                          Option.iter (fun l -> Lease.note_cancel l ~tid ~now) lease;
+                          kill s now
                       | None -> false
                     in
                     cancel (if killed then n + 1 else n) rest
@@ -699,18 +630,11 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         }
       in
       let period = (Watchdog.config w).Watchdog.check_period in
-      Substrate.spawn sub ~name:"watchdog" ~at:period (fun now ->
-          (match !lag_mon with
-          | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
-          | None -> ());
-          (match lease with
-          | Some l -> record_all ~at:now (Invariant.check_no_false_kill l)
-          | None -> ());
-          (match eng.Engine.driver with
-          | Some d -> record_all ~at:now (Invariant.check_watchdog d)
-          | None -> ());
-          Watchdog.poll w ~now ~actions;
-          if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period)));
+      Substrate.every sub ~name:"watchdog" ~period ~until:horizon (fun now ->
+          Option.iter (fun m -> record_all ~at:now (Invariant.check_lag m ~now)) !lag_mon;
+          Option.iter (fun l -> record_all ~at:now (Invariant.check_no_false_kill l)) lease;
+          Option.iter (fun d -> record_all ~at:now (Invariant.check_watchdog d)) eng.Engine.driver;
+          Watchdog.poll w ~now ~actions));
   (* Under an unsound rule (e.g. a sabotaged zone test) the engine can
      fail outright — a snapshot read landing on a pruned version. During
      a fault run that is itself a verdict, not a harness crash: record
@@ -726,7 +650,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
       true
   in
   if not engine_failed then eng.Engine.finish ~now:horizon;
-  (match !lag_mon with Some m -> Invariant.finish_lag m ~now:horizon | None -> ());
+  Option.iter (fun m -> Invariant.finish_lag m ~now:horizon) !lag_mon;
   (match eng.Engine.driver with
   | Some d ->
       Invariant.remove_prune_audit d;

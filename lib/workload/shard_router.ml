@@ -51,7 +51,6 @@ let create ?(row = Access.Uniform) ~shards schema scenario =
   in
   { shards; records; rows; picker }
 
-let shard_count t = t.shards
 let local_count t ~sid = local_records ~shards:t.shards ~records:t.records ~sid
 
 let pick_shard t rng =

@@ -18,15 +18,12 @@ type cfg = {
   shards : int;
   scenario : Shard_router.scenario;
   cross_pct : int; (* % of writing transactions forced to span two shards *)
-  crash_points : int list; (* cumulative-LSN power-loss schedule *)
+  faults : Fault_plan.t; (* crash points, torn tails, sweep period, node faults *)
   crash_steps : int list; (* global 2PC step indices, ascending *)
-  torn_tail : bool;
-  check_period : Clock.time; (* invariant sweep; 0 disables *)
   net : Net_fault.config; (* message-fault model; none = transparent *)
   replicas : int; (* backups per shard; 0 = replication layer absent *)
   rep_quorum : int option; (* sync-replication quorum; None = majority *)
   kill_steps : int list; (* global replication-step kill schedule, ascending *)
-  node_faults : Fault_plan.t option; (* Node_kill / Node_revive arrivals *)
   sabotage : Sabotage.t option; (* a sharded registry row *)
 }
 
@@ -36,15 +33,12 @@ let default ~shards base =
     shards;
     scenario = Shard_router.Uniform_shards;
     cross_pct = 30;
-    crash_points = [];
+    faults = Fault_plan.create ~check_period:(Clock.ms 50) ();
     crash_steps = [];
-    torn_tail = false;
-    check_period = Clock.ms 50;
     net = Net_fault.none;
     replicas = 0;
     rep_quorum = None;
     kill_steps = [];
-    node_faults = None;
     sabotage = None;
   }
 
@@ -222,24 +216,19 @@ let setup_replicas (cfg : cfg) g =
    revives so kill-step campaigns recover even without a revive process,
    the lease sweep itself, and the online replication checks. Returns
    the violation rows observed this beat. *)
-let failover_beat (cfg : cfg) r ~node_rng ~dead_since ~note ~now =
-  (match cfg.node_faults with
-  | None -> ()
-  | Some plan ->
-      List.iter
-        (fun a ->
-          match a with
-          | Fault_plan.Node_kill ->
-              let sid = Rng.int node_rng cfg.shards in
-              let node = Rng.int node_rng (cfg.replicas + 1) in
-              if Replica.kill r ~sid ~node ~now then note "node-kill"
-          | Fault_plan.Node_revive -> (
-              match Replica.dead_nodes r with
-              | (sid, node) :: _ ->
-                  if Replica.revive r ~sid ~node ~now then note "node-revive"
-              | [] -> ())
-          | _ -> ())
-        (Fault_plan.poll plan ~now));
+let failover_beat (cfg : cfg) r ~plan ~node_rng ~dead_since ~note ~now =
+  List.iter
+    (function
+      | Fault_plan.Node_kill ->
+          let sid = Rng.int node_rng cfg.shards in
+          let node = Rng.int node_rng (cfg.replicas + 1) in
+          if Replica.kill r ~sid ~node ~now then note "node-kill"
+      | Fault_plan.Node_revive -> (
+          match Replica.dead_nodes r with
+          | (sid, node) :: _ -> if Replica.revive r ~sid ~node ~now then note "node-revive"
+          | [] -> ())
+      | _ -> ())
+    (Fault_plan.poll plan ~now);
   let dead = Replica.dead_nodes r in
   let stale =
     Hashtbl.fold
@@ -273,25 +262,30 @@ let rep_acked g r = Shard_group.acked g @ Replica.stale_acked r
    bit-) reproducible — compare with {!digest_diff}. *)
 
 let run ?(mode = Sim) (cfg : cfg) =
+  let plan = cfg.faults in
+  let crash_points = Fault_plan.crash_points plan in
+  let crash_faults = crash_points <> [] || cfg.crash_steps <> [] || Fault_plan.torn_tail plan in
   if cfg.shards < 1 then invalid_arg "Shard_runner.run: need at least one shard";
   if cfg.replicas < 0 then invalid_arg "Shard_runner.run: negative replica count";
   (* Whole-node kills and power-loss crashes do not compose: [Wal.crash]
      truncates to the flushed prefix non-deterministically relative to
      what backups already mirrored, leaving LSN gaps the contiguous
      [Wal.receive] protocol is designed to refuse. *)
-  if cfg.replicas > 0 && (cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail)
-  then invalid_arg "Shard_runner.run: crash faults are incompatible with replication";
+  if cfg.replicas > 0 && crash_faults then
+    invalid_arg "Shard_runner.run: crash faults are incompatible with replication";
   if
     cfg.replicas = 0
-    && (cfg.kill_steps <> [] || cfg.node_faults <> None || cfg.rep_quorum <> None
+    && (cfg.kill_steps <> []
+       || Fault_plan.rate plan Fault_plan.Node_kill > 0.
+       || Fault_plan.rate plan Fault_plan.Node_revive > 0.
+       || cfg.rep_quorum <> None
        || match cfg.sabotage with Some (Sabotage.Failover _) -> true | _ -> false)
   then
     invalid_arg
       "Shard_runner.run: node faults, a quorum and failover sabotage require replicas > 0";
-  if cfg.sabotage = Some Sabotage.Stale_cursor && cfg.crash_points = [] && cfg.crash_steps = []
+  if cfg.sabotage = Some Sabotage.Stale_cursor && crash_points = [] && cfg.crash_steps = []
   then invalid_arg "Shard_runner.run: the stale-cursor sabotage needs crash points or crash steps";
-  Substrate.require ~who:"Shard_runner.run" mode
-    [ (Substrate.Crash_faults, cfg.crash_points <> [] || cfg.crash_steps <> [] || cfg.torn_tail) ];
+  Substrate.require ~who:"Shard_runner.run" mode [ (Substrate.Crash_faults, crash_faults) ];
   Failpoint.with_scope @@ fun () ->
   let base = cfg.base in
   let g = Shard_group.create ~net:cfg.net ~shards:cfg.shards base.Exp_config.schema in
@@ -307,11 +301,7 @@ let run ?(mode = Sim) (cfg : cfg) =
   let master_rng = Rng.create base.Exp_config.seed in
   let horizon = Clock.seconds base.Exp_config.duration_s in
   let report = Fault_report.create () in
-  let record_all ~at vs =
-    List.iter
-      (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
-      vs
-  in
+  let record_all = Invariant.record report in
   let commits = ref 0 in
   let conflicts = ref 0 in
   let llt_reads = ref 0 in
@@ -353,7 +343,7 @@ let run ?(mode = Sim) (cfg : cfg) =
     Fault_report.note_fault report "crash-restart";
     Vec.iter (fun drop -> drop now) drop_slots;
     Shard_group.crash_all g;
-    if cfg.torn_tail then begin
+    if Fault_plan.torn_tail plan then begin
       (* A fabricated tail frame on a rotating shard: a commit for a
          transaction the surviving prefix says is undecided. Honest
          recovery truncates it by CRC. *)
@@ -510,38 +500,34 @@ let run ?(mode = Sim) (cfg : cfg) =
       end);
   (* The epoch broadcaster: the only process that reads the global live
      table for pruning purposes. *)
-  Substrate.spawn sub ~name:"epoch" ~at:epoch_period (fun now ->
-      ignore (Shard_group.broadcast ~now g);
-      if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + epoch_period));
+  Substrate.every sub ~name:"epoch" ~period:epoch_period ~until:horizon (fun now ->
+      ignore (Shard_group.broadcast ~now g));
   (* The net resolver: pump due frames, resend unacked decisions, run
      the in-doubt termination protocol. Spawned only for active fault
      configs, so the transparent fabric adds no scheduler process (and
      keeps dispatch-probe crash timing byte-identical). *)
   if active then
-    Substrate.spawn sub ~name:"net" ~at:net_tick (fun now ->
-        (try Shard_group.tick g ~now with Crash_now -> do_crash_restart ~now);
-        if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + net_tick));
+    Substrate.every sub ~name:"net" ~period:net_tick ~until:horizon (fun now ->
+        try Shard_group.tick g ~now with Crash_now -> do_crash_restart ~now);
   (* The failover scheduler: node-fault plan polling, age-based revives,
      lease sweeps / promotions, and the online replication checks. *)
   (match repl with
   | None -> ()
   | Some r ->
+      let plan = Fault_plan.cursor plan in
       let node_rng = Rng.create (base.Exp_config.seed lxor 0x6b696c6c) in
       let dead_since = Hashtbl.create 8 in
-      Substrate.spawn sub ~name:"failover" ~at:rep_sweep (fun now ->
-          let vs =
-            failover_beat cfg r ~node_rng ~dead_since
-              ~note:(Fault_report.note_fault report)
-              ~now
-          in
-          record_all ~at:now (viols_of_pairs vs);
-          if now >= horizon then Scheduler.Finished
-          else Scheduler.Sleep_until (now + rep_sweep)));
+      Substrate.every sub ~name:"failover" ~period:rep_sweep ~until:horizon (fun now ->
+          record_all ~at:now
+            (viols_of_pairs
+               (failover_beat cfg r ~plan ~node_rng ~dead_since
+                  ~note:(Fault_report.note_fault report) ~now))));
   (* Periodic invariant sweep: per-shard catalogue plus the static
      cross-shard 2PC checks (the latter catch a skipped decision with
      no crash at all). *)
   let spawn_invariants () =
-    Substrate.spawn sub ~name:"invariants" ~at:cfg.check_period (fun now ->
+    Substrate.every sub ~name:"invariants" ~period:(Fault_plan.check_period plan) ~until:horizon
+      (fun now ->
         Fault_report.note_check report;
         Array.iter
           (fun (sh : Shard.t) -> record_all ~at:now (Invariant.check_all sh.Shard.driver))
@@ -563,12 +549,11 @@ let run ?(mode = Sim) (cfg : cfg) =
            acked commit missing from the surviving logs is a violation
            at every sweep between the kill that lost it and the
            checkpoint frontier that archives it. *)
-        (match repl with
+        match repl with
         | None -> ()
         | Some r ->
             record_all ~at:now
-              (Invariant.check_no_committed_loss ~analyses ~acked:(rep_acked g r) wals));
-        if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + cfg.check_period))
+              (Invariant.check_no_committed_loss ~analyses ~acked:(rep_acked g r) wals))
   in
   (* Replicated runs register the sweep before the checkpointer: their
      periods share grid instants, and a sweep must observe each ordinary
@@ -577,30 +562,28 @@ let run ?(mode = Sim) (cfg : cfg) =
      of the checkpoint could be aged out unseen. Unreplicated runs keep
      the historical registration order (dispatch order at shared
      instants is part of their byte-stable behavior). *)
-  if cfg.check_period > 0 && repl <> None then spawn_invariants ();
+  if repl <> None then spawn_invariants ();
   (* Fuzzy checkpoints, every shard in turn. *)
   if base.Exp_config.ckpt_period_s > 0. then begin
     let period = max 1 (Clock.seconds base.Exp_config.ckpt_period_s) in
-    Substrate.spawn sub ~name:"checkpointer" ~at:period (fun now ->
+    Substrate.every sub ~name:"checkpointer" ~period ~until:horizon (fun now ->
         Array.iter
           (fun (sh : Shard.t) ->
             match sh.Shard.engine.Engine.checkpoint with
             | Some ckpt -> ckpt ~now
             | None -> ())
-          (Shard_group.shards g);
-        if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
+          (Shard_group.shards g))
   end;
   (* Sampler: peak space over the group. *)
   let sample_period = max 1 (Clock.seconds base.Exp_config.sample_period_s) in
-  Substrate.spawn sub ~name:"sampler" ~at:sample_period (fun now ->
+  Substrate.every sub ~name:"sampler" ~period:sample_period ~until:horizon (fun _ ->
       let s = Shard_group.sample g in
-      if s.Engine.version_bytes > !peak_space then peak_space := s.Engine.version_bytes;
-      if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + sample_period));
-  if cfg.check_period > 0 && repl = None then spawn_invariants ();
+      if s.Engine.version_bytes > !peak_space then peak_space := s.Engine.version_bytes);
+  if repl = None then spawn_invariants ();
   (* Crash points in global log position: power loss the first time the
      summed LSN reaches each point, checked at every dispatch. *)
   if Substrate.supports mode Substrate.Crash_faults then begin
-    let crash_points = ref cfg.crash_points in
+    let crash_points = ref crash_points in
     Substrate.on_dispatch sub (fun ~name:_ ~now ->
         match !crash_points with
         | p :: rest when Shard_group.total_lsn g >= p ->

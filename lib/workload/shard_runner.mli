@@ -12,7 +12,8 @@
     oracle both run; the static 2PC checks also run in the periodic
     sweep and at the end of every run, so a skipped coordinator
     decision is caught even without a crash. Whole runs are
-    deterministic: same config, same bytes.
+    deterministic: same config, same bytes — the plan is immutable, so
+    one config can drive any number of runs.
 
     Domains mode runs the same process set — prune audits, periodic
     invariant sweep and failover fault notes included — on real OCaml 5
@@ -38,10 +39,15 @@ type cfg = {
   shards : int;
   scenario : Shard_router.scenario;
   cross_pct : int;  (** % of writing transactions forced to span two shards *)
-  crash_points : int list;  (** power loss when the summed LSN reaches each *)
+  faults : Fault_plan.t;
+      (** read the way {!Runner.run} reads its plan: power loss when the
+          summed LSN reaches each of its crash points, a torn tail on a
+          rotating shard at each crash when it says so, the invariant
+          sweep at its check period, and its [Node_kill]/[Node_revive]
+          arrivals polled by the failover scheduler through a cursor of
+          this run's own (victims drawn from the runner's stream). Other
+          actions are ignored. *)
   crash_steps : int list;  (** crash at these global 2PC step indices, ascending *)
-  torn_tail : bool;
-  check_period : Clock.time;  (** invariant sweep period; 0 disables *)
   net : Net_fault.config;  (** message-fault model; {!Net_fault.none} = transparent *)
   replicas : int;  (** backups per shard; 0 = replication layer absent *)
   rep_quorum : int option;  (** sync-replication quorum; [None] = majority *)
@@ -49,16 +55,13 @@ type cfg = {
       (** kill a node of the step's shard when the global replication
           step counter reaches each index, ascending — R_ship/R_quorum
           steps kill the shard's primary, R_ack steps the acking backup *)
-  node_faults : Fault_plan.t option;
-      (** seeded [Node_kill]/[Node_revive] arrivals (other actions are
-          ignored); victims are drawn from the runner's own stream *)
   sabotage : Sabotage.t option;
       (** a sharded {!Sabotage} row (skipped coordinator decision,
           network or failover defect); unsharded rows are ignored *)
 }
 
 val default : shards:int -> Exp_config.t -> cfg
-(** Uniform routing, 30% cross-shard, 50 ms sweeps, no faults,
+(** Uniform routing, 30% cross-shard, a plan with 50 ms sweeps and no faults,
     transparent fabric, no replication. Epochs broadcast every 5 ms and
     the resolver ticks every 1 ms; replicated groups use 50 ms leases,
     2 ms failover sweeps and revive dead nodes after 80 ms, past the
@@ -161,7 +164,7 @@ val run : ?mode:mode -> cfg -> result
     (before the crash) and the end of the run compare those cursors
     with the from-scratch analysis (["analysis-cursor"]). With
     [replicas > 0] the failover scheduler runs in both modes: node
-    kills and revives from [node_faults] and [kill_steps], lease-based
+    kills and revives from the plan and [kill_steps], lease-based
     promotions with engine restart and in-doubt recovery on the
     promoted timeline, and the replication invariants
     ([no-committed-loss], [no-split-brain], [bounded-failover-lag])

@@ -22,6 +22,11 @@ let spawn t ~name ~at step =
               Mutex.unlock lock;
               raise exn)
 
+let every t ~name ~period ~until f =
+  spawn t ~name ~at:period (fun now ->
+      f now;
+      if now >= until then Scheduler.Finished else Scheduler.Sleep_until (now + period))
+
 let fault_tick = Clock.us 250
 
 let on_dispatch t probe =

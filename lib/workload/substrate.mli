@@ -29,6 +29,10 @@ val create : mode -> t
 val spawn : t -> name:string -> at:Clock.time -> (Clock.time -> Scheduler.outcome) -> unit
 (** Register a process (see {!Scheduler.spawn}). *)
 
+val every : t -> name:string -> period:Clock.time -> until:Clock.time -> (Clock.time -> unit) -> unit
+(** A periodic process: [f now] every [period] from [period] on; the
+    first run at or past [until] is the last. *)
+
 val on_dispatch : t -> (name:string -> now:Clock.time -> unit) -> unit
 (** Install the fault harness's poll hook: on [Sim] the dispatch probe
     (before every step), on [Domains] a ["faults"] task every 250 us. *)

@@ -189,15 +189,15 @@ let cfg_of_case c =
 
 let violations d = Run_digest.get_int d "invariant_violations"
 
-(* Both modes run under fresh-but-equal plans (a plan's [poll] is
-   stateful, so each run gets its own instance from the same seed). *)
+(* Both modes run under one crash-free plan; each run polls a cursor
+   of its own. *)
 let digests_of_case ?(engine = pg_vdriver) c =
   let cfg = cfg_of_case c in
-  let plan () = Option.map (fun s -> Fault_plan.random ~crashes:false ~seed:s ()) c.c_fault in
-  let sim = Runner.run ~engine ?faults:(plan ()) cfg in
-  let dom =
-    Runner.run ~engine ?faults:(plan ()) ~mode:(Runner.Domains { domains = c.c_domains }) cfg
+  let faults =
+    Option.map (fun s -> Fault_plan.without_crashes (Fault_plan.random ~seed:s ())) c.c_fault
   in
+  let sim = Runner.run ~engine ?faults cfg in
+  let dom = Runner.run ~engine ?faults ~mode:(Runner.Domains { domains = c.c_domains }) cfg in
   (sim.Runner.digest, dom.Runner.digest)
 
 let qcheck_differential =

@@ -10,7 +10,9 @@ let check_bool = Alcotest.(check bool)
 (* Fault_plan *)
 
 let grid = List.init 200 (fun i -> Clock.ms (10 * i))
-let drain plan = List.concat_map (fun t -> Fault_plan.poll plan ~now:t) grid
+let drain plan =
+  let c = Fault_plan.cursor plan in
+  List.concat_map (fun t -> Fault_plan.poll c ~now:t) grid
 
 let test_plan_none_empty () =
   check_int "no injections" 0 (List.length (drain Fault_plan.none))
@@ -24,6 +26,7 @@ let test_plan_events_ordered () =
           { Fault_plan.at = Clock.ms 1; action = Fault_plan.Wal_error };
         ]
       ()
+    |> Fault_plan.cursor
   in
   check_int "nothing due yet" 0 (List.length (Fault_plan.poll plan ~now:0));
   check_bool "earliest first" true

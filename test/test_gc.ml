@@ -235,7 +235,7 @@ let qcheck_soundness =
       let faults =
         match c.g_fault with
         | None -> Fault_plan.none
-        | Some s -> Fault_plan.random ~crashes:false ~seed:s ()
+        | Some s -> Fault_plan.without_crashes (Fault_plan.random ~seed:s ())
       in
       let r = Runner.run ~engine:(wrap kind pg_vdriver_store) ~faults (cfg_of_gc_case c) in
       match Fault_report.violations r.Runner.faults with

@@ -170,6 +170,7 @@ let test_no_false_kill_journal () =
 (* Fault-plan gating: liveness draws must not perturb classic streams *)
 
 let drain_grid plan =
+  let plan = Fault_plan.cursor plan in
   List.concat_map
     (fun i ->
       let now = Clock.ms (10 * i) in

@@ -170,7 +170,7 @@ let pin_cfg ~shards ~seed ~cross_pct ~dur =
   {
     (Shard_runner.default ~shards base) with
     Shard_runner.cross_pct;
-    check_period = Clock.ms 20;
+    faults = Fault_plan.create ~check_period:(Clock.ms 20) ();
   }
 
 let test_passthrough_digest_pinned () =
@@ -212,7 +212,7 @@ let net_campaign ?(seed = 42) ?(dur = 0.2) ?(shards = 2) ?(cross_pct = 50) net =
   {
     (Shard_runner.default ~shards base) with
     Shard_runner.cross_pct;
-    check_period = Clock.ms 20;
+    faults = Fault_plan.create ~check_period:(Clock.ms 20) ();
     net;
   }
 

@@ -91,7 +91,7 @@ let sharded_cfg ?(shards = 2) ?(cross_pct = 50) ?(replicas = 0) ~seed ~duration_
   {
     (Shard_runner.default ~shards base) with
     Shard_runner.cross_pct;
-    check_period = Clock.ms 20;
+    faults = Fault_plan.create ~check_period:(Clock.ms 20) ();
     replicas;
     sabotage = s;
   }
@@ -173,7 +173,7 @@ let scenario row s =
          window. *)
       let cfg = sharded_cfg ~cross_pct:40 ~replicas:2 ~seed:13 ~duration_s:0.15 s in
       failover_report s
-        { cfg with Shard_runner.node_faults = Some (Fault_plan.random_nodes ~seed:13 ()) }
+        { cfg with Shard_runner.faults = Fault_plan.random_nodes ~seed:13 () }
   | Sabotage.Failover Replica.Stale_primary_writes ->
       (* Kill a primary at the very first replication step: the stale
          claimant exists from its revival on, and must be caught twice
@@ -198,7 +198,12 @@ let scenario row s =
          lands on unflushed frames. *)
       let cfg = sharded_cfg ~seed:42 ~duration_s:0.2 s in
       shard_report
-        { cfg with Shard_runner.crash_points = [ 4000; 6000; 8000; 10000 ]; torn_tail = true }
+        {
+          cfg with
+          Shard_runner.faults =
+            Fault_plan.create ~crash_points:[ 4000; 6000; 8000; 10000 ] ~torn_tail:true
+              ~check_period:(Clock.ms 20) ();
+        }
 
 let test_row row () =
   let name = Sabotage.name row in

@@ -421,10 +421,8 @@ let campaign_cfg () =
   {
     (Shard_runner.default ~shards:2 base) with
     Shard_runner.cross_pct = 50;
-    crash_points = [ 400 ];
+    faults = Fault_plan.create ~crash_points:[ 400 ] ~torn_tail:true ~check_period:(Clock.ms 20) ();
     crash_steps = [ 12; 40 ];
-    torn_tail = true;
-    check_period = Clock.ms 20;
   }
 
 let test_campaign_honest_and_reproducible () =
