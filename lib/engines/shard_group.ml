@@ -181,10 +181,11 @@ let apply_commit_at t ~s ~coord ~gid ~cts ~now =
             if shard_up t s then
               Bus.send t.net ~src:s ~dst:coord ~now (Ack_msg { gid; shard = s }))
   end
-  else if t.repl <> None && shard_up t s then
-    (* Already resolved here — possibly by a promotion-time restart
-       whose ack the coordinator never saw. Re-acking on the duplicate
-       decision is how the coordinator gets to forget. *)
+  else if shard_up t s then
+    (* Already resolved here: the first ack was lost, or a
+       promotion-time restart resolved it unseen by the coordinator.
+       Re-acking on the duplicate decision is how the coordinator gets
+       to forget, replicated or not. *)
     Bus.send t.net ~src:s ~dst:coord ~now (Ack_msg { gid; shard = s })
 
 let apply_abort_at t ~s ~coord ~gid ~ats ~now =

@@ -327,6 +327,35 @@ let test_cooperative_termination_resolves () =
        (fun { Invariant.invariant; detail } -> (invariant, detail))
        (Invariant.check_cross_shard_atomicity (Shard_group.wals g)))
 
+let test_lost_acks_drain_unreplicated () =
+  (* A lossy fabric and no replicas: some participant acks are lost, so
+     the coordinator resends those decisions to participants that have
+     already applied them. Each must ack again, or the transaction stays
+     in the coordinator's pending commits (and its decision is resent)
+     for the rest of the run. *)
+  let g = Shard_group.create ~net:(Net_fault.make ~loss:0.3 ~seed:9 ()) ~shards:2 small_schema in
+  let now = ref 0 and committed = ref 0 in
+  for i = 0 to 99 do
+    let txn, t = Shard_group.begin_txn g ~now:!now in
+    let t = ref t in
+    List.iter
+      (fun rid ->
+        match Shard_group.write g txn ~rid ~payload:i ~now:!t with
+        | Engine.Committed_path t' -> t := t'
+        | Engine.Conflict _ -> Alcotest.fail "unexpected conflict")
+      [ 2 * i; (2 * i) + 1 ];
+    (match Shard_group.commit_checked g txn ~now:!t with
+    | Shard_group.Committed t' ->
+        incr committed;
+        now := t'
+    | Shard_group.Net_abort t' -> now := t');
+    Shard_group.tick g ~now:!now
+  done;
+  ignore (Shard_group.quiesce g ~now:!now);
+  check_bool "cross-shard commits happened" true (!committed > 0);
+  check_bool "acks were lost" true ((Shard_group.net_stats g).Bus.dropped_loss > 0);
+  check_int "nothing left pending at the coordinator" 0 (Shard_group.net_pending g)
+
 let test_indoubt_liveness_skips_active_partition () =
   (* A partition that never heals within the run legitimately pins the
      doubt: the liveness invariant must stay silent, not cry wolf. *)
@@ -568,6 +597,8 @@ let suites =
       [
         Alcotest.test_case "cooperative termination resolves after heal" `Quick
           test_cooperative_termination_resolves;
+        Alcotest.test_case "lost acks drain without replicas" `Quick
+          test_lost_acks_drain_unreplicated;
         Alcotest.test_case "liveness check tolerates an unhealed cut" `Quick
           test_indoubt_liveness_skips_active_partition;
         Alcotest.test_case "apply-on-timeout sabotage caught" `Quick
