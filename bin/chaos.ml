@@ -55,7 +55,11 @@ type leg = { report : Fault_report.t; digest : Run_digest.t; result : Runner.res
 let of_runner r = { report = r.Runner.faults; digest = r.Runner.digest; result = Some r }
 
 let of_shards r =
-  { report = r.Shard_runner.report; digest = Shard_runner.rows r.Shard_runner.digest; result = None }
+  {
+    report = r.Shard_runner.report;
+    digest = Shard_runner.rows r.Shard_runner.digest;
+    result = None;
+  }
 
 (* A campaign: the plan its banner line shows (unsharded only), whether
    it has no crash fault at all, and [run ~honest mode], where [honest]
@@ -84,17 +88,20 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
      crash-free variant on both substrates, so its rows come from the
      capability table. *)
   let unsharded_only =
-    if sharded then Some "does not compose with --shards (the sharded campaign runs the built-in vcutter path)"
-    else None
+    if not sharded then None
+    else Some "does not compose with --shards (the sharded campaign runs the built-in vcutter path)"
   in
   let sharded_only = if sharded then None else Some "needs --shards" in
   let on_domains requested = Option.bind domains (fun m -> Substrate.unsupported m requested) in
   List.iter
-    (fun (flag, given, problem) -> if given then Option.iter (fun p -> usage (flag ^ " " ^ p)) problem)
+    (fun (flag, given, problem) ->
+      if given then Option.iter (fun p -> usage (flag ^ " " ^ p)) problem)
     [
       ("--mode=domains", domains <> None, on_domains []);
       ("--quota/--require-shed", quota > 0 || require_shed, unsharded_only);
-      ("--stalls/--zombie-llts/--require-containment", liveness || require_containment, unsharded_only);
+      ( "--stalls/--zombie-llts/--require-containment",
+        stalls || zombie_llts || require_containment,
+        unsharded_only );
       ( "--stalls/--zombie-llts/--require-containment/--sabotage no-watchdog",
         liveness || require_containment,
         on_domains [ (Substrate.Watchdog, true) ] );
@@ -105,7 +112,9 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
         crash_steps > 0 || replicas > 0 || rep_quorum > 0 || kill_nodes || kill_steps > 0,
         sharded_only );
       ("--net-*/--partitions", net_on, sharded_only);
-      ("--net-*/--partitions", net_on, if shards < 2 then Some "need at least two shards (--shards=2+)" else None);
+      ( "--net-*/--partitions",
+        net_on && shards < 2,
+        Some "need at least two shards (--shards=2+)" );
       ( "--sabotage " ^ Option.fold ~none:"" ~some:Sabotage.name sabotage,
         sabotage <> None,
         match sabotage with Some s when Sabotage.sharded s -> sharded_only | _ -> unsharded_only );
@@ -114,7 +123,9 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
         Some
           "and crash schedules are separate campaigns for now — drop \
            --crash-points/--crash-steps or the --net-* flags" );
-      ("--replicas", replicas > 0 && crash, Some "excludes crash faults: drop --crash-points/--crash-steps");
+      ( "--replicas",
+        replicas > 0 && crash,
+        Some "excludes crash faults: drop --crash-points/--crash-steps" );
     ];
   let opt_int flag n = if n > 0 then Printf.sprintf " %s=%d" flag n else "" in
   let wdog =
@@ -164,17 +175,21 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
             ?net:(if net_on then Some (net_loss, net_dup, net_delay_us, partitions) else None)
             ~replicas ~rep_quorum ~kill_nodes ~kill_steps ~seed ~duration ~ckpt_ms ~shards ()
         in
-        let honest =
-          { cfg with Shard_runner.faults = Fault_plan.without_crashes cfg.Shard_runner.faults; crash_steps = [] }
+        let crash_free_cfg =
+          {
+            cfg with
+            Shard_runner.faults = Fault_plan.without_crashes cfg.Shard_runner.faults;
+            crash_steps = [];
+          }
         in
-        {
-          plan = None;
-          crash_free = not crash;
-          run = (fun ~honest:h mode -> of_shards (Shard_runner.run ~mode (if h then honest else cfg)));
-        }
+        let run ~honest mode =
+          of_shards (Shard_runner.run ~mode (if honest then crash_free_cfg else cfg))
+        in
+        { plan = None; crash_free = not crash; run }
     end
     else begin
-      Printf.printf "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%s quota=%d%s%s%s%s gc=%s"
+      Printf.printf
+        "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%s quota=%d%s%s%s%s gc=%s"
         ename seed campaigns duration
         (match sabotage with None -> "0" | Some s -> Sabotage.name s)
         quota (opt_int "crash-points" crash_points)
@@ -211,10 +226,9 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
      scope spans all campaigns: the trace shows them back to back and
      the metrics snapshot aggregates them; the exports are written
      before the exit status is decided, so a failing run still leaves
-     them behind. *)
-  (* The library's own configuration checks (replication against crash
-     faults, node faults or a quorum without replicas, a quorum out of
-     range) surface as usage errors. *)
+     them behind. The library's own configuration checks (replication
+     against crash faults, node faults or a quorum without replicas, a
+     quorum out of range) surface as usage errors. *)
   (try
      Obs_export.with_obs ?trace:trace_out ?metrics:metrics_out (fun () ->
       List.iteri
@@ -238,7 +252,8 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
                 else begin
                   let sim = c.run ~honest:true Substrate.Sim in
                   count sim;
-                  Format.printf "@[<v>campaign %d crash-free sim:@ %a@]@." i Fault_report.pp sim.report;
+                  Format.printf "@[<v>campaign %d crash-free sim:@ %a@]@." i Fault_report.pp
+                    sim.report;
                   sim
                 end
               in

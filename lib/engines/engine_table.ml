@@ -7,6 +7,8 @@ let vdriver =
   ]
 
 let paper =
-  ("pg", fun _ s -> Inrow_engine.create s) :: ("mysql", fun _ s -> Offrow_engine.create s) :: vdriver
+  ("pg", fun _ s -> Inrow_engine.create s)
+  :: ("mysql", fun _ s -> Offrow_engine.create s)
+  :: vdriver
 
 let all = paper @ [ ("mysql-interval-gc", fun _ s -> Offrow_engine.create ~gc:`Interval_scan s) ]

@@ -38,9 +38,8 @@ let engine ?sabotage ?(quota = 0) ?(vbuffer = 0) ?(gc = Gc_backend.default_confi
   let governor =
     if quota <= 0 then Governor.default_config else Governor.governed ~quota_bytes:quota
   in
-  let config =
-    Sabotage.driver_config sabotage { State.default_config with State.governor; durable_wal = durable }
-  in
+  let config = { State.default_config with State.governor; durable_wal = durable } in
+  let config = Sabotage.driver_config sabotage config in
   let config = if vbuffer <= 0 then config else { config with State.vbuffer_bytes = vbuffer } in
   Gc_backend.wrap_engine gc (create config)
 

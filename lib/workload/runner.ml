@@ -125,13 +125,13 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
     let txn, t = eng.Engine.begin_txn ~now in
     s.txn <- Some txn;
     Hashtbl.replace shed_tbl txn.Txn.tid s;
-    Option.iter (fun l -> Lease.grant l ~tid:txn.Txn.tid ~kind ~now) lease;
+    (match lease with Some l -> Lease.grant l ~tid:txn.Txn.tid ~kind ~now | None -> ());
     Scheduler.Sleep_until t
   in
   let release s txn =
     s.txn <- None;
     Hashtbl.remove shed_tbl txn.Txn.tid;
-    Option.iter (fun l -> Lease.release l ~tid:txn.Txn.tid) lease
+    match lease with Some l -> Lease.release l ~tid:txn.Txn.tid | None -> ()
   in
   (* Take the slot's transaction away from outside. [abort] rolls it
      back through the engine (forced aborts, sheds, a non-durable
@@ -218,7 +218,8 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         | None -> (
             match if s.killed then retry s now else None with
             | Some step -> step
-            | None -> if now >= horizon then Scheduler.Finished else begin_in s ~kind:Lease.Short now)
+            | None ->
+                if now >= horizon then Scheduler.Finished else begin_in s ~kind:Lease.Short now)
         | Some txn ->
             (* The whole body runs in this one step — no further
                scheduling gap where a short transaction could hang — so
@@ -304,7 +305,9 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                   let rid = Access.sample uniform rng in
                   let _, t = eng.Engine.read txn ~rid ~now in
                   incr llt_reads;
-                  Option.iter (fun l -> Lease.note_progress l ~tid:txn.Txn.tid ~now:t) lease;
+                  (match lease with
+                  | Some l -> Lease.note_progress l ~tid:txn.Txn.tid ~now:t
+                  | None -> ());
                   Scheduler.Sleep_until t
                 end)
       done)
@@ -437,7 +440,9 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
         end;
         let info = restart ~now in
         recoveries := info :: !recoveries;
-        Option.iter (fun d -> record_all ~at:now (Invariant.check_post_recovery d)) eng.Engine.driver;
+        Option.iter
+          (fun d -> record_all ~at:now (Invariant.check_post_recovery d))
+          eng.Engine.driver;
         if Trace.on () then
           Trace.instant Trace.Fault "recovered" ~at:now
             [
