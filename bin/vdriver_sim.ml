@@ -106,12 +106,8 @@ let run_cmd =
            else [ { Exp_config.start_s = llt_start; duration_s = llt_duration; count = llts } ]);
       }
     in
-    let driver_config =
-      if quota <= 0 then State.default_config
-      else { State.default_config with State.governor = Governor.governed ~quota_bytes:quota }
-    in
-    let gc_cfg = { Gc_backend.default_config with Gc_backend.kind = gc_backend } in
-    let engine = Gc_backend.wrap_engine gc_cfg (engine driver_config) in
+    let gc = { Gc_backend.default_config with Gc_backend.kind = gc_backend } in
+    let engine = Campaign.engine ~quota ~gc ~durable:false engine in
     let rmode =
       match mode with `Sim -> Runner.Sim | `Domains -> Runner.Domains { domains = ndomains }
     in

@@ -34,16 +34,15 @@ type event = { at : Clock.time; action : action }
    sees the same schedule. *)
 type process = {
   p_action : action;
-  rate : float; (* injections per simulated second *)
+  rate : float; (* injections per simulated second; 0 = never *)
   sub_seed : int;
 }
 
 type t = {
   plan_seed : int;
   events : event list; (* sorted by [at] *)
-  processes : process list; (* positive rates only *)
+  processes : process list; (* every kind, in declaration order *)
   check_period : Clock.time;
-  rates : (action * float) list; (* for pp, declaration order *)
   crash_points : int list; (* crash-at-LSN schedule, ascending *)
   torn_tail : bool;
 }
@@ -79,11 +78,10 @@ let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
      drawing a sub-seed for every kind whatever its rate. *)
   let master = Rng.create seed in
   let processes =
-    List.filter_map
+    List.map
       (fun (p_action, rate) ->
-        let sub_seed = Int64.to_int (Rng.next_int64 master) in
         if rate < 0. then invalid_arg "Fault_plan: negative rate";
-        if rate = 0. then None else Some { p_action; rate; sub_seed })
+        { p_action; rate; sub_seed = Int64.to_int (Rng.next_int64 master) })
       rates
   in
   {
@@ -91,7 +89,6 @@ let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
     events = List.sort (fun a b -> compare (a.at, a.action) (b.at, b.action)) events;
     processes;
     check_period;
-    rates;
     crash_points = List.sort_uniq compare (List.filter (fun p -> p > 0) crash_points);
     torn_tail;
   }
@@ -166,7 +163,7 @@ let random_nodes ~seed () =
   let node_revive_rate = draw 4. 12. in
   create ~seed ~node_kill_rate ~node_revive_rate ~check_period:(Clock.ms 50) ()
 
-let rate t action = List.assoc action t.rates
+let rate t action = (List.find (fun p -> p.p_action = action) t.processes).rate
 
 (* Every other process keeps its sub-seed (and injection times): the
    Sim/Domains pairs compare runs under crash-free variants of one plan. *)
@@ -179,8 +176,8 @@ let without_crashes t =
     {
       t with
       events = List.filter (fun e -> e.action <> Crash) t.events;
-      processes = List.filter (fun p -> p.p_action <> Crash) t.processes;
-      rates = List.map (fun (a, r) -> (a, if a = Crash then 0. else r)) t.rates;
+      processes =
+        List.map (fun p -> if p.p_action = Crash then { p with rate = 0. } else p) t.processes;
       crash_points = [];
       torn_tail = false;
     }
@@ -194,22 +191,22 @@ let torn_tail t = t.torn_tail
    process's private stream with the pre-drawn time of its next
    injection (advancing draws the following inter-arrival gap, so the
    sequence is a pure function of the seed). *)
-type arrival = { a_action : action; a_rate : float; rng : Rng.t; mutable next : Clock.time }
+type arrival = { p : process; rng : Rng.t; mutable next : Clock.time }
 type cursor = { mutable due : event list; arrivals : arrival list }
 
 let gap a =
   (* Exponential inter-arrival: -ln(1-u)/rate seconds, floored to 1 ns
      so the process always advances. *)
   let u = Rng.float a.rng in
-  max 1 (Clock.seconds (-.log (1. -. u) /. a.a_rate))
+  max 1 (Clock.seconds (-.log (1. -. u) /. a.p.rate))
 
 let cursor t =
   let arrival p =
-    let a = { a_action = p.p_action; a_rate = p.rate; rng = Rng.create p.sub_seed; next = 0 } in
+    let a = { p; rng = Rng.create p.sub_seed; next = 0 } in
     a.next <- gap a;
     a
   in
-  { due = t.events; arrivals = List.map arrival t.processes }
+  { due = t.events; arrivals = List.map arrival (List.filter (fun p -> p.rate > 0.) t.processes) }
 
 let poll c ~now =
   let due_events = ref [] in
@@ -224,7 +221,7 @@ let poll c ~now =
   List.iter
     (fun a ->
       while a.next <= now do
-        arrivals := a.a_action :: !arrivals;
+        arrivals := a.p.p_action :: !arrivals;
         a.next <- a.next + gap a
       done)
     c.arrivals;
@@ -233,7 +230,6 @@ let poll c ~now =
 let pp fmt t =
   Format.fprintf fmt "@[<h>seed=%d" t.plan_seed;
   List.iter
-    (fun (action, rate) ->
-      if rate > 0. then Format.fprintf fmt " %s=%.3g/s" (action_name action) rate)
-    t.rates;
+    (fun p -> if p.rate > 0. then Format.fprintf fmt " %s=%.3g/s" (action_name p.p_action) p.rate)
+    t.processes;
   Format.fprintf fmt "@]"

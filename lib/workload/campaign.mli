@@ -26,9 +26,10 @@ val engine :
   Engine_table.factory ->
   Schema.t ->
   Engine.t
-(** The factory under the sabotage's driver config, a governor at
-    [quota] bytes and a [vbuffer]-byte vBuffer when positive, the
-    durable WAL when [durable], behind GC backend [gc] (vcutter). *)
+(** The engine a campaign (or a [vdriver_sim run]) drives: the factory
+    under the sabotage's driver config, a governor at [quota] bytes and
+    a [vbuffer]-byte vBuffer when positive, the durable WAL when
+    [durable], behind GC backend [gc] (vcutter). *)
 
 val plan : ?stalls:bool -> ?zombies:bool -> crash_points:int -> seed:int -> unit -> Fault_plan.t
 (** {!Fault_plan.random} with [crash_points] seeded log positions, each

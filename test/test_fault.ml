@@ -56,6 +56,12 @@ let test_plan_negative_rate_raises () =
   | _ -> Alcotest.fail "negative rate must raise"
   | exception Invalid_argument _ -> ()
 
+let test_plan_zero_check_period_raises () =
+  (* A 0 ns period would sweep at every simulated nanosecond. *)
+  match Fault_plan.create ~check_period:0 () with
+  | _ -> Alcotest.fail "a zero check period must raise"
+  | exception Invalid_argument _ -> ()
+
 (* -------------------------------------------------------------------- *)
 (* Driver fixtures (same shape as the core suites). *)
 
@@ -335,6 +341,7 @@ let suites =
         Alcotest.test_case "seeded determinism" `Quick test_plan_deterministic;
         Alcotest.test_case "poisson rate" `Quick test_plan_poisson_rate;
         Alcotest.test_case "negative rate raises" `Quick test_plan_negative_rate_raises;
+        Alcotest.test_case "zero check period raises" `Quick test_plan_zero_check_period_raises;
       ] );
     ( "fault.invariants",
       [
