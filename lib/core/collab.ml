@@ -5,10 +5,10 @@ let sorter_footprint = 1
 let cutter_footprint = 2
 let cutter_done = 3
 
-type t = { flag : int Atomic.t; sorter_waits : int Atomic.t; spins : int Atomic.t }
+type t = { flag : int Atomic.t; sorter_waits : int Atomic.t }
 
 let create () =
-  { flag = Atomic.make free; sorter_waits = Atomic.make 0; spins = Atomic.make 0 }
+  { flag = Atomic.make free; sorter_waits = Atomic.make 0 }
 
 let default_spin_budget = 4096
 
@@ -54,7 +54,6 @@ let sorter ?(spin_budget = default_spin_budget) ?yield t ~delete ~insert =
       end
       else Domain.cpu_relax ()
     done;
-    Atomic.set t.spins !spins;
     note_spin_max !spins;
     insert ();
     `Inserted_after_cutter
@@ -73,4 +72,3 @@ let cutter ?delay t ~delete ~fixup =
   else `Lost
 
 let races_lost_by_sorter t = Atomic.get t.sorter_waits
-let last_spin_count t = Atomic.get t.spins

@@ -64,9 +64,6 @@ val cutter :
 val races_lost_by_sorter : t -> int
 (** How often the sorter had to spin-wait (observability for tests). *)
 
-val last_spin_count : t -> int
-(** Iterations the sorter waited in this episode (0 if it won). *)
-
 val max_spin_observed : unit -> int
 (** Longest sorter wait seen by any episode since the last
     {!reset_spin_stats} — the satellite gauge the multi-domain stress

@@ -247,7 +247,5 @@ let gc_backend_name = State.gc_backend_name
 
 let chain_length (t : t) ~rid =
   match Llb.find t.State.llb ~rid with Some c -> Chain.live_length c | None -> 0
-let chain_length_histogram (t : t) = Llb.chain_length_histogram t.State.llb
 let stats (t : t) = t.State.stats
 let store (t : t) = t.State.store
-let zone_refreshes (t : t) = t.State.zone_refreshes

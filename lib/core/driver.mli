@@ -91,7 +91,5 @@ val gc_backend_name : t -> string
 (** Name of the installed GC backend (["vcutter"] for the built-in
     path). Recorded in run digests and fault-report gauges. *)
 
-val chain_length_histogram : t -> Histogram.t
 val stats : t -> Prune_stats.t
 val store : t -> Version_store.t
-val zone_refreshes : t -> int

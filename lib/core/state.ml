@@ -73,7 +73,6 @@ type t = {
   sealed : Segment.t Vec.t;
   seg_index : (int, Segment.t) Hashtbl.t;
   mutable next_seg_id : int;
-  mutable zone_refreshes : int;
   mutable prune_audit :
     (now:Clock.time -> origin:prune_origin -> lo:Timestamp.t -> hi:Timestamp.t -> unit) option;
   governor : Governor.t;
@@ -109,7 +108,6 @@ let create ?(config = default_config) txns =
     sealed = Vec.create ();
     seg_index = Hashtbl.create 256;
     next_seg_id = 0;
-    zone_refreshes = 0;
     prune_audit = None;
     governor = Governor.create ~config:config.governor ();
     shed_hook = None;
@@ -168,8 +166,7 @@ let refresh_zones t ~now =
      | None -> Zone_set.of_txn_manager t.txns));
   t.zone_views <- Txn_manager.live_views t.txns;
   t.llt_views <- Txn_manager.llt_views t.txns ~now ~delta_llt:t.delta_llt_effective;
-  t.last_refresh <- now;
-  t.zone_refreshes <- t.zone_refreshes + 1
+  t.last_refresh <- now
 
 let maybe_refresh t ~now =
   if now - t.last_refresh >= t.config.zone_refresh_period then refresh_zones t ~now

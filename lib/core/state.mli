@@ -107,7 +107,6 @@ type t = {
   sealed : Segment.t Vec.t;  (** full segments aging in vBuffer, oldest first *)
   seg_index : (int, Segment.t) Hashtbl.t;  (** live segments by id *)
   mutable next_seg_id : int;
-  mutable zone_refreshes : int;
   mutable prune_audit :
     (now:Clock.time -> origin:prune_origin -> lo:Timestamp.t -> hi:Timestamp.t -> unit) option;
       (** online safety oracle: called with the commit-time visibility

@@ -9,8 +9,6 @@
 
 type kind = Short | Llt | Primary
 
-let kind_name = function Short -> "short" | Llt -> "llt" | Primary -> "primary"
-
 type config = { short_lease : Clock.time; llt_lease : Clock.time }
 
 let default_config = { short_lease = Clock.ms 20; llt_lease = Clock.ms 200 }

@@ -18,8 +18,6 @@
 
 type kind = Short | Llt | Primary
 
-val kind_name : kind -> string
-
 type config = { short_lease : Clock.time; llt_lease : Clock.time }
 
 val default_config : config

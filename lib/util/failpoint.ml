@@ -2,7 +2,6 @@ type decision = [ `Pass | `Fail ]
 
 type point = {
   mutable handler : (unit -> decision) option;
-  mutable hits : int;
   mutable fails : int;
 }
 
@@ -12,7 +11,7 @@ let point name =
   match Hashtbl.find_opt registry name with
   | Some p -> p
   | None ->
-      let p = { handler = None; hits = 0; fails = 0 } in
+      let p = { handler = None; fails = 0 } in
       Hashtbl.replace registry name p;
       p
 
@@ -32,7 +31,6 @@ let disarm_all () = Hashtbl.iter (fun _ p -> p.handler <- None) registry
 
 let check name =
   let p = point name in
-  p.hits <- p.hits + 1;
   match p.handler with
   | None -> `Pass
   | Some h -> (
@@ -42,15 +40,10 @@ let check name =
           p.fails <- p.fails + 1;
           `Fail)
 
-let hit_count name = match Hashtbl.find_opt registry name with Some p -> p.hits | None -> 0
 let fail_count name = match Hashtbl.find_opt registry name with Some p -> p.fails | None -> 0
 
 let reset_counts () =
-  Hashtbl.iter
-    (fun _ p ->
-      p.hits <- 0;
-      p.fails <- 0)
-    registry
+  Hashtbl.iter (fun _ p -> p.fails <- 0) registry
 
 let with_scope f =
   let clean () =

@@ -15,7 +15,7 @@
 
     The registry is global (the simulation is single-threaded and runs
     one experiment at a time); {!with_scope} brackets a run so that no
-    armed handler or hit count leaks into the next experiment. An
+    armed handler or fail count leaks into the next experiment. An
     unarmed fail-point costs one hashtable probe. *)
 
 type decision = [ `Pass | `Fail ]
@@ -32,14 +32,11 @@ val disarm : string -> unit
 val disarm_all : unit -> unit
 
 val check : string -> decision
-(** Consult the fail-point. Always counts the hit, armed or not. *)
-
-val hit_count : string -> int
-(** How many times [check name] ran since the last {!reset_counts} /
-    {!with_scope} entry. *)
+(** Consult the fail-point. *)
 
 val fail_count : string -> int
-(** How many of those checks returned [`Fail]. *)
+(** How many checks of [name] returned [`Fail] since the last
+    {!reset_counts} / {!with_scope} entry. *)
 
 val reset_counts : unit -> unit
 

@@ -45,11 +45,6 @@ let iter f t =
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
 let fold_left f acc t =
   let acc = ref acc in
   for i = 0 to t.len - 1 do

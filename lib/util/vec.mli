@@ -17,7 +17,6 @@ val drop_front : 'a t -> int -> unit
 
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array

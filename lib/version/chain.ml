@@ -147,13 +147,6 @@ let reachable t target =
     walk t.head (fun n -> n.older) || walk t.tail (fun n -> n.newer)
   end
 
-let live_versions t =
-  let rec walk acc = function
-    | None -> List.rev acc
-    | Some n -> walk (if n.deleted then acc else n.version :: acc) n.older
-  in
-  walk [] t.head
-
 let check_invariants t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec count_live node acc =

@@ -67,10 +67,6 @@ val reachable : t -> node -> bool
 (** Can [node] be reached from the head or the tail without crossing a
     hole? Deleted nodes are never reachable. Used by invariant tests. *)
 
-val live_versions : t -> Version.t list
-(** Non-deleted versions, newest first (crosses holes; for tests and
-    space accounting, not a traversal model). *)
-
 val check_invariants : t -> (unit, string) result
 (** Structural soundness: consistent links, [holes <= 1], ends not
     deleted, lengths consistent. *)

@@ -27,13 +27,16 @@ type cfg = {
   sabotage : Sabotage.t option; (* a sharded registry row *)
 }
 
+(* Plans are immutable, so every default config shares this one. *)
+let sweep_only = Fault_plan.create ~check_period:(Clock.ms 50) ()
+
 let default ~shards base =
   {
     base;
     shards;
     scenario = Shard_router.Uniform_shards;
     cross_pct = 30;
-    faults = Fault_plan.create ~check_period:(Clock.ms 50) ();
+    faults = sweep_only;
     crash_steps = [];
     net = Net_fault.none;
     replicas = 0;
@@ -217,18 +220,21 @@ let setup_replicas (cfg : cfg) g =
    the lease sweep itself, and the online replication checks. Returns
    the violation rows observed this beat. *)
 let failover_beat (cfg : cfg) r ~plan ~node_rng ~dead_since ~note ~now =
-  List.iter
-    (function
-      | Fault_plan.Node_kill ->
-          let sid = Rng.int node_rng cfg.shards in
-          let node = Rng.int node_rng (cfg.replicas + 1) in
-          if Replica.kill r ~sid ~node ~now then note "node-kill"
-      | Fault_plan.Node_revive -> (
-          match Replica.dead_nodes r with
-          | (sid, node) :: _ -> if Replica.revive r ~sid ~node ~now then note "node-revive"
-          | [] -> ())
-      | _ -> ())
-    (Fault_plan.poll plan ~now);
+  (match Fault_plan.poll plan ~now with
+  | [] -> ()
+  | due ->
+      List.iter
+        (function
+          | Fault_plan.Node_kill ->
+              let sid = Rng.int node_rng cfg.shards in
+              let node = Rng.int node_rng (cfg.replicas + 1) in
+              if Replica.kill r ~sid ~node ~now then note "node-kill"
+          | Fault_plan.Node_revive -> (
+              match Replica.dead_nodes r with
+              | (sid, node) :: _ -> if Replica.revive r ~sid ~node ~now then note "node-revive"
+              | [] -> ())
+          | _ -> ())
+        due);
   let dead = Replica.dead_nodes r in
   let stale =
     Hashtbl.fold
