@@ -140,12 +140,6 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
              escalation_cooldown = Clock.ms 10;
            })
   in
-  let gc_cfg =
-    Sabotage.gc_config sabotage { Gc_backend.default_config with Gc_backend.kind = gc_backend }
-  in
-  let engine =
-    Campaign.engine ?sabotage ~quota ~vbuffer ~gc:gc_cfg ~durable:(crash_points > 0) create
-  in
   (* Banner, and the campaign for each seed. *)
   let campaign =
     if sharded then begin
@@ -188,6 +182,9 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
         { plan = None; crash_free = not crash; run }
     end
     else begin
+      let gc_cfg =
+        Sabotage.gc_config sabotage { Gc_backend.default_config with Gc_backend.kind = gc_backend }
+      in
       Printf.printf
         "chaos: engine=%s seed=%d campaigns=%d duration=%.1fs sabotage=%s quota=%d%s%s%s%s gc=%s"
         ename seed campaigns duration
@@ -197,6 +194,9 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
         (if zombie_llts then " zombie-llts" else "")
         (opt_int "vbuffer" vbuffer)
         (Gc_backend.kind_name gc_cfg.Gc_backend.kind);
+      let engine =
+        Campaign.engine ?sabotage ~quota ~vbuffer ~gc:gc_cfg ~durable:(crash_points > 0) create
+      in
       fun seed ->
         let cfg = Campaign.config ~seed ~duration ~ckpt_ms in
         let plan = Campaign.plan ~stalls ~zombies:zombie_llts ~crash_points ~seed () in
