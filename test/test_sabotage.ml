@@ -170,10 +170,18 @@ let scenario row s =
       (* No ship step ever fires under this defect, so the kills come
          from the time-based plan, not a step schedule; 0.15 s is the
          shortest campaign in which a kill lands in the unshipped
-         window. *)
+         window. The plan's kill and revive arrivals at the helper's
+         20 ms sweep: [create] draws the same streams whatever the
+         check period. *)
       let cfg = sharded_cfg ~cross_pct:40 ~replicas:2 ~seed:13 ~duration_s:0.15 s in
-      failover_report s
-        { cfg with Shard_runner.faults = Fault_plan.random_nodes ~seed:13 () }
+      let nodes = Fault_plan.random_nodes ~seed:13 () in
+      let faults =
+        Fault_plan.create ~seed:13
+          ~node_kill_rate:(Fault_plan.rate nodes Fault_plan.Node_kill)
+          ~node_revive_rate:(Fault_plan.rate nodes Fault_plan.Node_revive)
+          ~check_period:(Clock.ms 20) ()
+      in
+      failover_report s { cfg with Shard_runner.faults }
   | Sabotage.Failover Replica.Stale_primary_writes ->
       (* Kill a primary at the very first replication step: the stale
          claimant exists from its revival on, and must be caught twice
