@@ -163,15 +163,21 @@ let random_nodes ~seed () =
   let node_revive_rate = draw 4. 12. in
   create ~seed ~node_kill_rate ~node_revive_rate ~check_period:(Clock.ms 50) ()
 
+(* [processes] lists every kind, so [find] always succeeds. *)
 let rate t action = (List.find (fun p -> p.p_action = action) t.processes).rate
+
+let actions t =
+  List.filter_map
+    (fun p ->
+      if p.rate > 0. || List.exists (fun e -> e.action = p.p_action) t.events then
+        Some p.p_action
+      else None)
+    t.processes
 
 (* Every other process keeps its sub-seed (and injection times): the
    Sim/Domains pairs compare runs under crash-free variants of one plan. *)
 let without_crashes t =
-  if
-    rate t Crash = 0. && t.crash_points = [] && (not t.torn_tail)
-    && not (List.exists (fun e -> e.action = Crash) t.events)
-  then t
+  if (not (List.mem Crash (actions t))) && t.crash_points = [] && not t.torn_tail then t
   else
     {
       t with

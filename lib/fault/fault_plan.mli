@@ -153,7 +153,13 @@ val crash_points : t -> int list
 val torn_tail : t -> bool
 
 val rate : t -> action -> float
-(** The declared arrival rate of an action kind (0 when absent). *)
+(** The arrival rate declared for an action kind. Every kind is
+    declared; 0 (the {!create} default) means no arrivals. *)
+
+val actions : t -> action list
+(** The kinds this plan injects — a positive rate or at least one
+    event — in declaration order. A runner rejects a plan whose kinds it
+    does not implement. *)
 
 type cursor
 (** One run's position in the plan: the events not yet returned and

@@ -19,6 +19,9 @@ let config ~seed ~duration ~ckpt_ms =
     ckpt_period_s = float_of_int ckpt_ms /. 1000.;
   }
 
+(* [n] ascending points: [from] plus cumulative gaps in [lo, lo + spread)
+   drawn from a stream seeded [seed lxor tweak]. The LSN crash points,
+   2PC crash steps and replication kill steps are all drawn this way. *)
 let schedule ~seed ~tweak ~from ~gap:(lo, spread) n =
   let rng = Rng.create (seed lxor tweak) in
   let at = ref from in
@@ -52,6 +55,8 @@ let plan ?stalls ?zombies ~crash_points ~seed () =
 let sharded ?(scenario = Shard_router.Uniform_shards) ?(cross_pct = 30) ?(crash_points = 0)
     ?(crash_steps = 0) ?sabotage ?net ?(replicas = 0) ?(rep_quorum = 0) ?(kill_nodes = false)
     ?(kill_steps = 0) ~seed ~duration ~ckpt_ms ~shards () =
+  if kill_nodes && (crash_points > 0 || crash_steps > 0) then
+    invalid_arg "Campaign.sharded: node kills and crash schedules do not compose";
   let points =
     schedule ~seed ~tweak:lsn_tweak ~from:(shards * Wal.bootstrap_lsn) ~gap:(400, 4001) crash_points
   in

@@ -11,12 +11,6 @@ val config : seed:int -> duration:float -> ckpt_ms:int -> Exp_config.t
     of the run for half of it and one from 1/2 for a quarter,
     checkpoints every [ckpt_ms]. *)
 
-val schedule : seed:int -> tweak:int -> from:int -> gap:int * int -> int -> int list
-(** [schedule ~seed ~tweak ~from ~gap:(lo, spread) n]: [n] ascending
-    points, [from] plus cumulative gaps in \[[lo], [lo + spread]) drawn
-    from a stream seeded [seed lxor tweak]. The LSN crash points, 2PC
-    crash steps and replication kill steps are all drawn this way. *)
-
 val engine :
   ?sabotage:Sabotage.t ->
   ?quota:int ->
@@ -57,4 +51,5 @@ val sharded :
     [net] = (loss, dup, delay µs, partitions) for
     {!Fault_plan.random_net}; [kill_nodes] for {!Fault_plan.random_nodes};
     [kill_steps] seeded replication steps. [rep_quorum] 0 is a
-    majority. *)
+    majority. [kill_nodes] with crash points or crash steps raises
+    [Invalid_argument]. *)

@@ -54,6 +54,13 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
       (Substrate.Watchdog, watchdog <> None);
       (Substrate.Obs_export, Trace.on () || Metrics.in_scope () <> None);
     ];
+  (match faults with
+  | Some plan
+    when List.exists
+           (function Fault_plan.Node_kill | Fault_plan.Node_revive -> true | _ -> false)
+           (Fault_plan.actions plan) ->
+      invalid_arg "Runner.run: node kills and revives need replicated shards (Shard_runner)"
+  | _ -> ());
   Failpoint.with_scope @@ fun () ->
   let eng = engine cfg.Exp_config.schema in
   let sub = Substrate.create mode in
@@ -550,8 +557,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                workers'. *)
             if liveness_armed then pick ~from:cfg.Exp_config.workers zombify now
         | Fault_plan.Node_kill | Fault_plan.Node_revive ->
-            (* Whole-node faults target the replicated shard deployment;
-               the single-instance runner has no nodes to kill. *)
+            (* Rejected above: the single-instance runner has no nodes. *)
             ()
       in
       (* Crash-point schedule: power loss the first time the log's

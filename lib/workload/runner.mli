@@ -98,7 +98,10 @@ val run :
     periodic process sweeps the full invariant catalogue
     ({!Invariant.check_all}), collecting everything into
     [result.faults]. A plan that injects nothing leaves the run
-    bit-identical to a run without one.
+    bit-identical to a run without one. Whole-node faults
+    ([Node_kill], [Node_revive]) belong to replicated shards
+    ({!Shard_runner}); a plan that injects them raises
+    [Invalid_argument].
 
     On a durable engine (one exposing [checkpoint]/[restart]) the
     runner additionally spawns a fuzzy checkpointer at

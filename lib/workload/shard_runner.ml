@@ -271,8 +271,18 @@ let run ?(mode = Sim) (cfg : cfg) =
   let plan = cfg.faults in
   let crash_points = Fault_plan.crash_points plan in
   let crash_faults = crash_points <> [] || cfg.crash_steps <> [] || Fault_plan.torn_tail plan in
+  let node_faults, others =
+    List.partition
+      (function Fault_plan.Node_kill | Fault_plan.Node_revive -> true | _ -> false)
+      (Fault_plan.actions plan)
+  in
   if cfg.shards < 1 then invalid_arg "Shard_runner.run: need at least one shard";
   if cfg.replicas < 0 then invalid_arg "Shard_runner.run: negative replica count";
+  if others <> [] then
+    invalid_arg
+      ("Shard_runner.run: the plan injects "
+      ^ String.concat "/" (List.map Fault_plan.action_name others)
+      ^ ", which the sharded runner does not implement (only node kills and revives)");
   (* Whole-node kills and power-loss crashes do not compose: [Wal.crash]
      truncates to the flushed prefix non-deterministically relative to
      what backups already mirrored, leaving LSN gaps the contiguous
@@ -282,8 +292,7 @@ let run ?(mode = Sim) (cfg : cfg) =
   if
     cfg.replicas = 0
     && (cfg.kill_steps <> []
-       || Fault_plan.rate plan Fault_plan.Node_kill > 0.
-       || Fault_plan.rate plan Fault_plan.Node_revive > 0.
+       || node_faults <> []
        || cfg.rep_quorum <> None
        || match cfg.sabotage with Some (Sabotage.Failover _) -> true | _ -> false)
   then

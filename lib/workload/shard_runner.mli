@@ -45,8 +45,8 @@ type cfg = {
           rotating shard at each crash when it says so, the invariant
           sweep at its check period, and its [Node_kill]/[Node_revive]
           arrivals polled by the failover scheduler through a cursor of
-          this run's own (victims drawn from the runner's stream). Other
-          actions are ignored. *)
+          this run's own (victims drawn from the runner's stream). A
+          plan that injects any other kind raises [Invalid_argument]. *)
   crash_steps : int list;  (** crash at these global 2PC step indices, ascending *)
   net : Net_fault.config;  (** message-fault model; {!Net_fault.none} = transparent *)
   replicas : int;  (** backups per shard; 0 = replication layer absent *)

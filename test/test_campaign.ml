@@ -70,6 +70,33 @@ let test_unsharded_plan_reused () =
   check_str "second run, same digest" first (run ())
 
 (* -------------------------------------------------------------------- *)
+(* A plan kind a runner does not implement is refused, not ignored *)
+
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+let test_unimplemented_kinds_refused () =
+  let unreplicated = { (replicated_cfg Fault_plan.none) with Shard_runner.replicas = 0 } in
+  raises_invalid "process faults on the sharded runner" (fun () ->
+      Shard_runner.run { unreplicated with Shard_runner.faults = Fault_plan.random ~seed:3 () });
+  raises_invalid "a crash event on the sharded runner" (fun () ->
+      Shard_runner.run
+        {
+          unreplicated with
+          Shard_runner.faults =
+            Fault_plan.create ~events:[ { Fault_plan.at = Clock.ms 10; action = Crash } ] ();
+        });
+  let engine = List.assoc "pg-vdriver" Engine_table.vdriver State.default_config in
+  raises_invalid "node faults on the unsharded runner" (fun () ->
+      Runner.run ~engine ~faults:(Fault_plan.random_nodes ~seed:3 ())
+        { Exp_config.default with Exp_config.duration_s = 0.1 });
+  raises_invalid "node kills with a crash schedule" (fun () ->
+      Campaign.sharded ~replicas:2 ~kill_nodes:true ~crash_points:2 ~seed:3 ~duration:0.1
+        ~ckpt_ms:250 ~shards:2 ())
+
+(* -------------------------------------------------------------------- *)
 (* The chaos campaigns, pinned *)
 
 let seed = List.hd (Campaign.seeds ~seed:42 1)
@@ -106,6 +133,7 @@ let suites =
       [
         Alcotest.test_case "one node-fault plan, two sharded runs" `Quick test_sharded_plan_reused;
         Alcotest.test_case "one random plan, two runs" `Quick test_unsharded_plan_reused;
+        Alcotest.test_case "unimplemented kinds refused" `Quick test_unimplemented_kinds_refused;
       ] );
     ( "campaign.pin",
       [
