@@ -61,13 +61,14 @@ let of_shards r =
     result = None;
   }
 
-(* A campaign: the plan its banner line shows (unsharded only), whether
-   it has no crash fault at all, and [run ~honest mode], where [honest]
-   drops the crash faults that only Sim supports. *)
+(* A campaign: its fault plan and 2PC crash steps, whether its banner
+   line shows the plan (unsharded only), and [run faults crash_steps
+   mode], one run under those or a variant of them. *)
 type campaign = {
-  plan : Fault_plan.t option;
-  crash_free : bool;
-  run : honest:bool -> Substrate.mode -> leg;
+  faults : Fault_plan.t;
+  crash_steps : int list;
+  show_plan : bool;
+  run : Fault_plan.t -> int list -> Substrate.mode -> leg;
 }
 
 let run_campaigns (ename, create) seed campaigns duration sabotage quota require_shed
@@ -81,12 +82,18 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
   let net_on = net_loss > 0. || net_dup > 0. || net_delay_us > 0 || partitions > 0 in
   let net_sabotage = match sabotage with Some (Sabotage.Net _) -> true | _ -> false in
   let crash = crash_points > 0 || crash_steps > 0 in
+  let recovery_sabotage =
+    match sabotage with
+    | Some (Sabotage.Skip_tail_check | Sabotage.Discard_past_checkpoint) -> true
+    | _ -> false
+  in
   let liveness = stalls || zombie_llts || sabotage = Some Sabotage.No_watchdog in
   let obs = trace_out <> None || metrics_out <> None in
   (* The flag-compatibility table: a flag given while its row names a
      problem is a usage error. Domains mode runs each campaign's
      crash-free variant on both substrates, so its rows come from the
-     capability table. *)
+     capability table. The unsharded engine is built once for every
+     leg, so its durable-WAL flags would reach the Domains leg too. *)
   let unsharded_only =
     if not sharded then None
     else Some "does not compose with --shards (the sharded campaign runs the built-in vcutter path)"
@@ -98,6 +105,9 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
       if given then Option.iter (fun p -> usage (flag ^ " " ^ p)) problem)
     [
       ("--mode=domains", domains <> None, on_domains []);
+      ( "--crash-points/--sabotage skip-tail-check|discard-past-checkpoint",
+        (not sharded) && (crash_points > 0 || recovery_sabotage),
+        on_domains [ (Substrate.Crash_faults, true) ] );
       ("--quota/--require-shed", quota > 0 || require_shed, unsharded_only);
       ( "--stalls/--zombie-llts/--require-containment",
         stalls || zombie_llts || require_containment,
@@ -169,17 +179,11 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
             ?net:(if net_on then Some (net_loss, net_dup, net_delay_us, partitions) else None)
             ~replicas ~rep_quorum ~kill_nodes ~kill_steps ~seed ~duration ~ckpt_ms ~shards ()
         in
-        let crash_free_cfg =
-          {
-            cfg with
-            Shard_runner.faults = Fault_plan.without_crashes cfg.Shard_runner.faults;
-            crash_steps = [];
-          }
+        let run faults crash_steps mode =
+          of_shards (Shard_runner.run ~mode { cfg with Shard_runner.faults; crash_steps })
         in
-        let run ~honest mode =
-          of_shards (Shard_runner.run ~mode (if honest then crash_free_cfg else cfg))
-        in
-        { plan = None; crash_free = not crash; run }
+        let { Shard_runner.faults; crash_steps; _ } = cfg in
+        { faults; crash_steps; show_plan = false; run }
     end
     else begin
       let gc_cfg =
@@ -199,12 +203,11 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
       in
       fun seed ->
         let cfg = Campaign.config ~seed ~duration ~ckpt_ms in
-        let plan = Campaign.plan ~stalls ~zombies:zombie_llts ~crash_points ~seed () in
-        let run ~honest mode =
-          let faults = if honest then Fault_plan.without_crashes plan else plan in
+        let run faults (_ : int list) mode =
           of_runner (Runner.run ~engine ~faults ?watchdog:wdog ~mode cfg)
         in
-        { plan = Some plan; crash_free = false; run }
+        let faults = Campaign.plan ~stalls ~zombies:zombie_llts ~crash_points ~seed () in
+        { faults; crash_steps = []; show_plan = true; run }
     end
   in
   (match domains with
@@ -234,10 +237,10 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
       List.iteri
         (fun i seed ->
           let c = campaign seed in
-          let leg = c.run ~honest:false Substrate.Sim in
+          let leg = c.run c.faults c.crash_steps Substrate.Sim in
           count leg;
           Format.printf "@[<v>campaign %d seed=%d%t@ %a@]@." i seed
-            (fun fmt -> Option.iter (Format.fprintf fmt " plan: %a" Fault_plan.pp) c.plan)
+            (fun fmt -> if c.show_plan then Format.fprintf fmt " plan: %a" Fault_plan.pp c.faults)
             Fault_report.pp leg.report;
           Option.iter
             (fun r ->
@@ -247,17 +250,18 @@ let run_campaigns (ename, create) seed campaigns duration sabotage quota require
             leg.result;
           Option.iter
             (fun dmode ->
+              let honest = Fault_plan.without_crashes c.faults in
               let sim =
-                if c.crash_free then leg
+                if honest == c.faults && c.crash_steps = [] then leg
                 else begin
-                  let sim = c.run ~honest:true Substrate.Sim in
+                  let sim = c.run honest [] Substrate.Sim in
                   count sim;
                   Format.printf "@[<v>campaign %d crash-free sim:@ %a@]@." i Fault_report.pp
                     sim.report;
                   sim
                 end
               in
-              let dom = c.run ~honest:true dmode in
+              let dom = c.run honest [] dmode in
               count dom;
               Format.printf "@[<v>campaign %d domains:@ %a@]@." i Fault_report.pp dom.report;
               match Run_digest.diff sim.digest dom.digest with
