@@ -94,7 +94,7 @@ type t = {
   mutable repl : Replica.t option;
   poisoned : (int, unit) Hashtbl.t; (* open txns that lost writes to a failover *)
   fence_at : Clock.time array; (* per shard: last promotion time (0 = never) *)
-  acked_tbl : (int, int * int list) Hashtbl.t; (* tid -> (cts, parts) acked to the client *)
+  acked_log : (int * int * int list) Vec.t; (* (tid, cts, parts) acked to the client *)
 }
 
 let shard_of t ~rid = rid mod t.n
@@ -115,7 +115,7 @@ let shard_up t s = match t.repl with None -> true | Some r -> Replica.shard_up r
 let rep_sync t ~s ~now =
   match t.repl with None -> `Quorum | Some r -> Replica.replicate r ~sid:s ~now
 
-let record_acked t ~tid ~cts parts = Hashtbl.replace t.acked_tbl tid (cts, parts)
+let record_acked t ~tid ~cts parts = Vec.push t.acked_log (tid, cts, parts)
 
 let step t s =
   t.steps <- t.steps + 1;
@@ -384,7 +384,7 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
       repl = None;
       poisoned = Hashtbl.create 16;
       fence_at = Array.make n 0;
-      acked_tbl = Hashtbl.create 256;
+      acked_log = Vec.create ();
     }
   in
   for ep = 0 to n - 1 do
@@ -1074,8 +1074,8 @@ let attach_replicas t r =
   t.repl <- Some r;
   Replica.set_on_promote r (fun ~sid ~node:_ ~now -> promote_fixup t ~sid ~now)
 
-let acked t =
-  Hashtbl.fold (fun tid (cts, parts) acc -> (tid, cts, parts) :: acc) t.acked_tbl []
-  |> List.sort compare
+let acked t = List.sort compare (Vec.to_list t.acked_log)
+let acked_from t n =
+  List.init (max 0 (Vec.length t.acked_log - n)) (fun i -> Vec.get t.acked_log (n + i))
 
 let shard_is_up = shard_up

@@ -280,3 +280,6 @@ val acked : t -> (int * int * int list) list
     commit timestamp lets the oracle skip entries that have aged past a
     log's bounded checkpoint window. *)
 
+val acked_from : t -> int -> (int * int * int list) list
+(** The ledger past its first [n] entries, in acknowledgement order. *)
+

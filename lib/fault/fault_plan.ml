@@ -214,7 +214,13 @@ let cursor t =
   in
   { due = t.events; arrivals = List.map arrival (List.filter (fun p -> p.rate > 0.) t.processes) }
 
+let rec quiet now = function [] -> true | a :: rest -> a.next > now && quiet now rest
+
+(* Called before every dispatch of a faulted run: when nothing is due
+   it allocates nothing. *)
 let poll c ~now =
+  if (match c.due with e :: _ -> e.at > now | [] -> true) && quiet now c.arrivals then []
+  else
   let due_events = ref [] in
   let rec take = function
     | e :: rest when e.at <= now ->

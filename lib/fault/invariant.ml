@@ -542,29 +542,9 @@ let remove_prune_audit (d : Driver.t) =
 (* ------------------------------------------------------------------ *)
 (* Cross-shard 2PC atomicity *)
 
-let analyze_shard_logs ?cursors wals =
+let analyze_shard_logs wals =
   List.sort (fun (a, _) (b, _) -> compare a b) wals
-  |> List.map (fun (sid, wal) ->
-         ( sid,
-           match cursors with
-           | Some cs -> Wal_recovery.advance cs.(sid) wal
-           | None -> Wal_recovery.analyze ~check_crc:true wal ))
-
-let check_analysis_cursors ~cursors ?analyses wals =
-  let fresh = match analyses with Some a -> a | None -> analyze_shard_logs wals in
-  List.map2
-    (fun (sid, (a : Wal_recovery.analysis)) (_, (c : Wal_recovery.analysis)) ->
-      if a = c then []
-      else
-        [
-          v "analysis-cursor"
-            "shard %d: the incremental analysis differs from the from-scratch one (survivors %d vs %d, truncated at %d vs %d, dropped %d vs %d, %d vs %d records after the anchor)"
-            sid c.survivors a.survivors c.truncate_lsn a.truncate_lsn c.dropped a.dropped
-            (List.length c.records) (List.length a.records);
-        ])
-    fresh
-    (analyze_shard_logs ~cursors wals)
-  |> List.concat
+  |> List.map (fun (sid, wal) -> (sid, Wal_recovery.analyze ~check_crc:true wal))
 
 (* Every shard's durable decision table ({!Wal_recovery.decisions}),
    as the in-doubt lookup a recovering participant uses. *)
@@ -575,14 +555,63 @@ let decision_lookup analyses =
     | Some table -> Hashtbl.find_opt table tid
     | None -> None
 
+(* The headline invariant for one transaction, over its resolved
+   outcome on every shard: it may not commit on one shard and abort
+   (or stay a rolled-back loser) on another, nor commit with two
+   timestamps. [outcome sid] is its outcome on shard [sid]. *)
+let atomicity_verdict sids outcome tid =
+  let present =
+    List.filter_map
+      (fun sid ->
+        match (outcome sid : Wal_recovery.outcome) with
+        | { commits = []; aborted = false; loser = false } -> None
+        | o -> Some (sid, o))
+      sids
+  in
+  match present with
+  | [] | [ (_, { commits = [] | [ _ ]; aborted = false; loser = false }) ] -> []
+  | [ (_, { commits = []; _ }) ] -> []
+  | outs ->
+      (* Shard by shard, the last one noted first. *)
+      let outs = List.rev outs in
+      let commits =
+        List.concat_map (fun (s, o) -> List.rev_map (fun c -> (s, c)) o.Wal_recovery.commits) outs
+      in
+      let lost =
+        List.filter_map (fun (s, o) -> if o.Wal_recovery.aborted then Some s else None) outs
+        @ List.filter_map (fun (s, o) -> if o.Wal_recovery.loser then Some s else None) outs
+      in
+      (match (commits, lost) with
+      | (s0, c0) :: _, d :: _ ->
+          [
+            v "cross-shard-atomicity"
+              "t%d committed on shard %d (cts %d) but aborted/lost on shard %d" tid s0 c0 d;
+          ]
+      | _ -> [])
+      @
+      match commits with
+      | (s0, c0) :: rest ->
+          List.filter_map
+            (fun (s, c) ->
+              if c <> c0 then
+                Some
+                  (v "cross-shard-atomicity"
+                     "t%d committed with cts %d on shard %d but cts %d on shard %d" tid c0 s0 c s)
+              else None)
+            rest
+      | [] -> []
+
+let decision_missing sid (tid, coord) =
+  v "2pc-decision-missing"
+    "shard %d applied a commit for prepared t%d with no durable decision at coordinator shard %d"
+    sid tid coord
+
 let check_cross_shard_atomicity ?clog ?analyses wals =
   (* Honest analysis of every shard's log, with in-doubt transactions
      resolved exactly the way a recovering participant must: a durable
      Coord_commit anywhere in the coordinator's trustworthy prefix (or
      its checkpoint's decision window) means commit; silence means
-     presumed abort. A periodic sweep that runs several log-level
-     checks should analyze once ({!analyze_shard_logs}, through its
-     cursors) and share. *)
+     presumed abort. *)
   let analyses =
     match analyses with Some a -> a | None -> analyze_shard_logs wals
   in
@@ -590,107 +619,95 @@ let check_cross_shard_atomicity ?clog ?analyses wals =
   let exps =
     List.map (fun (sid, a) -> (sid, a, Wal_recovery.expect ~resolve:(fun () -> resolve) a)) analyses
   in
-  let acc = ref [] in
-  let add x = acc := x :: !acc in
-  (* Resolved per-shard outcomes, keyed by transaction. *)
-  let outcomes : (int, (int * [ `C of int | `A | `L ]) list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let note tid o =
-    match Hashtbl.find_opt outcomes tid with
-    | Some l -> l := o :: !l
-    | None -> Hashtbl.replace outcomes tid (ref [ o ])
-  in
+  let views = List.map (fun (sid, _, e) -> (sid, Wal_recovery.outcomes e)) exps in
+  let tids = Hashtbl.create 256 in
   List.iter
-    (fun (sid, _, (e : Wal_recovery.expectation)) ->
-      List.iter (fun (tid, cts) -> note tid (sid, `C cts)) e.Wal_recovery.committed;
-      List.iter (fun (tid, _) -> note tid (sid, `A)) e.Wal_recovery.aborted;
-      List.iter (fun tid -> note tid (sid, `L)) e.Wal_recovery.losers)
-    exps;
-  (* The headline invariant: no transaction commits on one shard and
-     aborts (or stays a rolled-back loser) on another. *)
-  Hashtbl.fold (fun tid l acc -> (tid, !l) :: acc) outcomes []
-  |> List.sort compare
-  |> List.iter (fun (tid, l) ->
-         let commits = List.filter_map (function s, `C c -> Some (s, c) | _ -> None) l in
-         let aborts = List.filter_map (function s, `A -> Some s | _ -> None) l in
-         let losers = List.filter_map (function s, `L -> Some s | _ -> None) l in
-         (match (commits, aborts @ losers) with
-         | (cs, cts) :: _, d :: _ ->
-             add
-               (v "cross-shard-atomicity"
-                  "t%d committed on shard %d (cts %d) but aborted/lost on shard %d" tid cs cts
-                  d)
-         | _ -> ());
-         match commits with
-         | (s0, c0) :: rest ->
-             List.iter
-               (fun (s, c) ->
-                 if c <> c0 then
-                   add
-                     (v "cross-shard-atomicity"
-                        "t%d committed with cts %d on shard %d but cts %d on shard %d" tid c0
-                        s0 c s))
-               rest
-         | [] -> ());
+    (fun (_, (w : Wal_recovery.view)) ->
+      List.iter (fun tid -> Hashtbl.replace tids tid ()) w.touched)
+    views;
+  let sids = List.map fst views in
+  let atomicity =
+    Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
+    |> List.sort compare
+    |> List.concat_map (fun tid ->
+           atomicity_verdict sids (fun sid -> (List.assoc sid views).Wal_recovery.outcome tid) tid)
+  in
   (* Protocol honesty: a participant may only apply a commit for a
      prepared transaction if the coordinator's decision is durable.
      This is what the skip-coordinator-decision sabotage violates, and
      it holds at every instant of the honest protocol (the decision is
      forced before any participant applies), so it needs no lucky crash
      timing to fire. *)
-  List.iter
-    (fun (sid, (a : Wal_recovery.analysis), _) ->
-      let check tid coord =
-        if resolve ~tid ~coord = None then
-          add
-            (v "2pc-decision-missing"
-               "shard %d applied a commit for prepared t%d with no durable decision at coordinator shard %d"
-               sid tid coord)
-      in
-      List.iter (fun (tid, coord) -> check tid coord) (List.rev a.Wal_recovery.prepared_commits);
-      (* The last checkpoint's in-doubt set vouches for a prepare whose
-         own record is missing, for the commits after it. *)
-      match a.Wal_recovery.checkpoint with
-      | Some (ck_lsn, ck) when ck.Checkpoint.prepared <> [] ->
-          List.iter
-            (fun (r : Wal_record.t) ->
-              match r.Wal_record.payload with
-              | Wal_record.Txn_commit { tid; _ } when r.Wal_record.lsn > ck_lsn -> (
-                  match List.assoc_opt tid ck.Checkpoint.prepared with
-                  | Some coord when not (List.mem_assoc tid a.Wal_recovery.prepares) ->
-                      check tid coord
-                  | _ -> ())
-              | _ -> ())
-            a.Wal_recovery.records
-      | _ -> ())
-    exps;
+  let missing =
+    List.concat_map
+      (fun (sid, (a : Wal_recovery.analysis), _) ->
+        let check (tid, coord) =
+          if resolve ~tid ~coord = None then [ decision_missing sid (tid, coord) ] else []
+        in
+        List.concat_map check (List.rev a.Wal_recovery.prepared_commits)
+        @
+        (* The last checkpoint's in-doubt set vouches for a prepare whose
+           own record is missing, for the commits after it. *)
+        match a.Wal_recovery.checkpoint with
+        | Some (ck_lsn, ck) when ck.Checkpoint.prepared <> [] ->
+            List.concat_map
+              (fun (r : Wal_record.t) ->
+                match r.Wal_record.payload with
+                | Wal_record.Txn_commit { tid; _ } when r.Wal_record.lsn > ck_lsn -> (
+                    match List.assoc_opt tid ck.Checkpoint.prepared with
+                    | Some coord when not (List.mem_assoc tid a.Wal_recovery.prepares) ->
+                        check (tid, coord)
+                    | _ -> [])
+                | _ -> [])
+              a.Wal_recovery.records
+        | _ -> [])
+      exps
+  in
   (* Group-level recovery-phantom check (the shared-manager form of the
      per-shard frontier check): immediately after a group restart, no
      committed timestamp may sit at or above the max durable frontier. *)
-  (match clog with
-  | None -> ()
-  | Some clog ->
-      let max_floor =
-        List.fold_left
-          (fun m (_, _, (e : Wal_recovery.expectation)) ->
-            max m e.Wal_recovery.oracle_floor)
-          0 exps
-      in
-      List.iter
-        (fun (tid, status) ->
-          match status with
-          | Commit_log.Committed_at _ when tid >= max_floor ->
-              add
-                (v "recovery-phantom"
-                   "t%d is committed in the engine but at/above every shard's durable frontier %d"
-                   tid max_floor)
-          | _ -> ())
-        (Commit_log.entries clog));
-  List.rev !acc
+  let phantom =
+    match clog with
+    | None -> []
+    | Some clog ->
+        let max_floor =
+          List.fold_left
+            (fun m (_, _, (e : Wal_recovery.expectation)) -> max m e.Wal_recovery.oracle_floor)
+            0 exps
+        in
+        List.filter_map
+          (fun (tid, status) ->
+            match status with
+            | Commit_log.Committed_at _ when tid >= max_floor ->
+                Some
+                  (v "recovery-phantom"
+                     "t%d is committed in the engine but at/above every shard's durable frontier %d"
+                     tid max_floor)
+            | _ -> None)
+          (Commit_log.entries clog)
+  in
+  atomicity @ missing @ phantom
 
 (* ------------------------------------------------------------------ *)
 (* Replicated shards: zero committed loss *)
+
+(* One acknowledged commit against the surviving logs: [committed sid
+   tid] is its resolved outcome on shard [sid], [horizon sid] that
+   log's answerability horizon. *)
+let loss_verdict ~known ~horizon ~committed (tid, cts, parts) =
+  List.filter_map
+    (fun sid ->
+      if not (known sid) then
+        Some
+          (v "no-committed-loss" "t%d was acknowledged on shard %d but no such shard log exists"
+             tid sid)
+      else if cts >= horizon sid && not (committed sid tid) then
+        Some
+          (v "no-committed-loss"
+             "t%d (cts=%d) was acknowledged to the client with participant shard %d, but the surviving logs do not commit it there"
+             tid cts sid)
+      else None)
+    parts
 
 let check_no_committed_loss ?analyses ~acked wals =
   (* The contract of a quorum-acknowledged commit: once the client was
@@ -705,6 +722,7 @@ let check_no_committed_loss ?analyses ~acked wals =
   let analyses =
     match analyses with Some a -> a | None -> analyze_shard_logs wals
   in
+  let resolve = decision_lookup analyses in
   (* Re-anchor each log at its last checkpoint NOT written by a
      failover restart (the analysis' steady checkpoint). A promotion's
      recovery checkpoint snapshots the global oracle frontier an
@@ -714,56 +732,214 @@ let check_no_committed_loss ?analyses ~acked wals =
      [Promote] frame replays the adopted suffix instead, so an acked
      commit missing from that suffix stays demandable until the next
      ordinary checkpoint absorbs the epoch — and the sweep grid visits
-     that checkpoint's instant first. *)
-  let anchored =
-    List.map
-      (fun (sid, (a : Wal_recovery.analysis)) ->
-        (sid, { a with Wal_recovery.checkpoint = a.Wal_recovery.steady_checkpoint }))
-      analyses
-  in
-  let resolve = decision_lookup analyses in
-  let committed_on : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  (* Per-log answerability horizon: the fuzzy checkpoint keeps only a
+     that checkpoint's instant first.
+
+     Per-log answerability horizon: the fuzzy checkpoint keeps only a
      bounded commit-log window, so outcomes whose commit timestamp
      predates the snapshot's oracle frontier may legitimately be
      archived out of the analysis. A commit timestamp at or above the
      frontier was drawn after the snapshot was captured, so its frame
      is strictly after the checkpoint record and must survive in the
      log — those are the entries the oracle is entitled to demand. *)
-  let horizon : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (sid, (a : Wal_recovery.analysis)) ->
-      let e = Wal_recovery.expect ~resolve:(fun () -> resolve) a in
-      let tbl = Hashtbl.create 256 in
-      List.iter (fun (tid, _) -> Hashtbl.replace tbl tid ()) e.Wal_recovery.committed;
-      List.iter
-        (fun (tid, _) -> Hashtbl.replace tbl tid ())
-        e.Wal_recovery.resolved_commits;
-      Hashtbl.replace committed_on sid tbl;
-      Hashtbl.replace horizon sid
-        (match a.Wal_recovery.checkpoint with
-        | Some (_, ck) -> ck.Checkpoint.oracle_next
-        | None -> 0))
-    anchored;
-  let acc = ref [] in
-  List.iter
-    (fun (tid, cts, parts) ->
-      List.iter
-        (fun sid ->
-          match Hashtbl.find_opt committed_on sid with
-          | None ->
-              acc :=
-                v "no-committed-loss"
-                  "t%d was acknowledged on shard %d but no such shard log exists" tid sid
-                :: !acc
-          | Some tbl ->
-              let h = Option.value ~default:0 (Hashtbl.find_opt horizon sid) in
-              if cts >= h && not (Hashtbl.mem tbl tid) then
-                acc :=
-                  v "no-committed-loss"
-                    "t%d (cts=%d) was acknowledged to the client with participant shard %d, but the surviving logs do not commit it there"
-                    tid cts sid
-                  :: !acc)
-        parts)
-    (List.sort compare acked);
-  List.rev !acc
+  let shards =
+    List.map
+      (fun (sid, (a : Wal_recovery.analysis)) ->
+        let e =
+          Wal_recovery.expect ~resolve:(fun () -> resolve)
+            { a with Wal_recovery.checkpoint = a.Wal_recovery.steady_checkpoint }
+        in
+        let h =
+          match a.Wal_recovery.steady_checkpoint with
+          | Some (_, ck) -> ck.Checkpoint.oracle_next
+          | None -> 0
+        in
+        (sid, (Wal_recovery.outcomes e, h)))
+      analyses
+  in
+  List.concat_map
+    (loss_verdict
+       ~known:(fun sid -> List.mem_assoc sid shards)
+       ~horizon:(fun sid -> snd (List.assoc sid shards))
+       ~committed:(fun sid tid ->
+         ((fst (List.assoc sid shards)).Wal_recovery.outcome tid).commits <> []))
+    (List.sort compare acked)
+
+(* ------------------------------------------------------------------ *)
+(* The sweep's log oracles, kept up to date frame by frame *)
+
+type prepared_commit = { p_sid : int; p_seq : int; p_tid : int; p_coord : int }
+
+type sweep = {
+  cursors : Wal_recovery.cursor array;
+  touched : int list array;  (* each shard's views decided these at the last sweep *)
+  standing : (int, violation list * violation list) Hashtbl.t;  (* atomicity, loss *)
+  acked : (int, (int * int list) list) Hashtbl.t;  (* tid -> (cts, parts) acked *)
+  horizons : int array;
+  restarts : int array;  (* each cursor's, when [pending] was built *)
+  pc_seen : int array;
+  mutable pending : prepared_commit list;  (* with no decision in the coordinator's log *)
+}
+
+let sweep cursors =
+  let n = Array.length cursors in
+  {
+    cursors;
+    touched = Array.make n [];
+    standing = Hashtbl.create 16;
+    acked = Hashtbl.create 256;
+    horizons = Array.make n 0;
+    restarts = Array.make n (-1);
+    pc_seen = Array.make n 0;
+    pending = [];
+  }
+
+let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
+
+(* The prepared commits whose decision is not in their coordinator's
+   log, in log order: judged again at every sweep, for a checkpoint
+   window can vouch for a decision and later drop it. One whose
+   decision is logged stays decided until a cursor starts again,
+   which rebuilds the list. *)
+let undecided_commits s ~decision =
+  let n = Array.length s.cursors in
+  if Array.exists2 (fun c r -> Wal_recovery.restarts c <> r) s.cursors s.restarts then begin
+    Array.iteri (fun sid c -> s.restarts.(sid) <- Wal_recovery.restarts c) s.cursors;
+    Array.fill s.pc_seen 0 n 0;
+    s.pending <- []
+  end;
+  let fresh =
+    List.concat
+      (List.mapi
+         (fun sid c ->
+           let total, newest_first = Wal_recovery.prepared_commits c in
+           let seen = s.pc_seen.(sid) in
+           s.pc_seen.(sid) <- total;
+           List.rev
+             (List.mapi
+                (fun i (tid, coord) ->
+                  { p_sid = sid; p_seq = total - 1 - i; p_tid = tid; p_coord = coord })
+                (take (total - seen) newest_first)))
+         (Array.to_list s.cursors))
+  in
+  s.pending <-
+    List.filter
+      (fun p ->
+        match decision ~tid:p.p_tid ~coord:p.p_coord with Some (_, `Log) -> false | _ -> true)
+      (s.pending @ fresh)
+    |> List.sort compare;
+  List.filter (fun p -> decision ~tid:p.p_tid ~coord:p.p_coord = None) s.pending
+
+let run_sweep s ?acked wals =
+  let n = Array.length s.cursors in
+  let wals = Array.of_list (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) wals)) in
+  Array.iteri (fun sid c -> Wal_recovery.sync c wals.(sid)) s.cursors;
+  let decision ~tid ~coord =
+    if coord < 0 || coord >= n then None else Wal_recovery.decision s.cursors.(coord) tid
+  in
+  let lookup ~tid ~coord = Option.map fst (decision ~tid ~coord) in
+  let views = Array.mapi (fun sid c -> Wal_recovery.views c wals.(sid) ~lookup) s.cursors in
+  (* Whose verdict can have moved: transactions whose entries changed,
+     those resolution or a fallback decides now or decided last time,
+     the newly acked, every acked one once a horizon falls back, and
+     the standing violations. *)
+  let judge = Hashtbl.create 256 in
+  let add tid = Hashtbl.replace judge tid () in
+  Array.iteri
+    (fun sid c ->
+      List.iter add (Wal_recovery.take_changed c);
+      List.iter add s.touched.(sid);
+      let last, steady = views.(sid) in
+      s.touched.(sid) <- (if last == steady then last.touched else last.touched @ steady.touched);
+      List.iter add s.touched.(sid))
+    s.cursors;
+  Hashtbl.iter (fun tid _ -> add tid) s.standing;
+  Option.iter
+    (List.iter (fun (tid, cts, parts) ->
+         let l = Option.value ~default:[] (Hashtbl.find_opt s.acked tid) in
+         Hashtbl.replace s.acked tid ((cts, parts) :: l);
+         add tid))
+    acked;
+  let horizons = Array.map Wal_recovery.horizon s.cursors in
+  if Array.exists2 ( < ) horizons s.horizons then Hashtbl.iter (fun tid _ -> add tid) s.acked;
+  Array.blit horizons 0 s.horizons 0 n;
+  let sids = List.init n Fun.id in
+  Hashtbl.iter
+    (fun tid () ->
+      let atomic = atomicity_verdict sids (fun sid -> (fst views.(sid)).outcome tid) tid in
+      let lost =
+        match Hashtbl.find_opt s.acked tid with
+        | None -> []
+        | Some l ->
+            List.concat_map
+              (fun (cts, parts) ->
+                loss_verdict
+                  ~known:(fun sid -> sid >= 0 && sid < n)
+                  ~horizon:(fun sid -> horizons.(sid))
+                  ~committed:(fun sid tid -> ((snd views.(sid)).outcome tid).commits <> [])
+                  (tid, cts, parts))
+              (List.sort compare l)
+      in
+      if atomic = [] && lost = [] then Hashtbl.remove s.standing tid
+      else Hashtbl.replace s.standing tid (atomic, lost))
+    judge;
+  let standing =
+    Hashtbl.fold (fun tid vs acc -> (tid, vs) :: acc) s.standing []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let missing = undecided_commits s ~decision in
+  List.concat_map (fun (_, (atomic, _)) -> atomic) standing
+  @ List.concat_map
+      (fun sid ->
+        List.filter_map
+          (fun p ->
+            if p.p_sid = sid then Some (decision_missing sid (p.p_tid, p.p_coord)) else None)
+          missing
+        @ List.filter_map
+            (fun (tid, coord) ->
+              if lookup ~tid ~coord = None then Some (decision_missing sid (tid, coord)) else None)
+            (Wal_recovery.vouched s.cursors.(sid)))
+      sids
+  @ List.concat_map (fun (_, (_, lost)) -> lost) standing
+
+let check_analysis_cursors s ?analyses ?reference ?acked wals =
+  let fresh = match analyses with Some a -> a | None -> analyze_shard_logs wals in
+  let per_shard =
+    List.concat_map
+      (fun (sid, (a : Wal_recovery.analysis)) ->
+        let wal = List.assoc sid wals in
+        let c = Wal_recovery.advance s.cursors.(sid) wal in
+        if a <> c then
+          [
+            v "analysis-cursor"
+              "shard %d: the incremental analysis differs from the from-scratch one (survivors %d vs %d, truncated at %d vs %d, dropped %d vs %d, %d vs %d records after the anchor)"
+              sid c.survivors a.survivors c.truncate_lsn a.truncate_lsn c.dropped a.dropped
+              (List.length c.records) (List.length a.records);
+          ]
+        else if Wal_recovery.expectation s.cursors.(sid) wal <> Wal_recovery.expect a then
+          [
+            v "analysis-cursor"
+              "shard %d: the cursor's expectation differs from the from-scratch one" sid;
+          ]
+        else [])
+      fresh
+  in
+  let got = run_sweep s ?acked wals in
+  let want =
+    match reference with
+    | Some want -> want
+    | None ->
+        let ledger =
+          Hashtbl.fold
+            (fun tid l acc -> List.map (fun (cts, parts) -> (tid, cts, parts)) l @ acc)
+            s.acked []
+        in
+        check_cross_shard_atomicity ~analyses:fresh wals
+        @ if acked = None then [] else check_no_committed_loss ~analyses:fresh ~acked:ledger wals
+  in
+  if per_shard = [] && got <> want then
+    [
+      v "analysis-cursor"
+        "the sweep's verdicts differ from the from-scratch ones (%d vs %d violations)"
+        (List.length got) (List.length want);
+    ]
+  else per_shard

@@ -13,9 +13,10 @@
       {!install_prune_audit}; this is what catches a widened zone);
     - {b commit-log horizon} — no live transaction, nothing a live
       view still counts as in flight, and no registered floor lies
-      below the commit log's freeze horizon ({!check_clog_horizon};
-      judged at every horizon move through the same audit hook, and
-      in every sweep);
+      below the commit log's freeze horizon (judged from scratch
+      against the live set at every horizon move, through the same
+      audit hook, and in every sweep; this is what catches
+      [clog_over_truncate_sabotage]);
     - {b chain shape} — every LLB chain is in the 0-hole or 1-hole
       state with consistent links and counts (§3.4, Figure 8);
     - {b chain/segment reachability} — every live chain node's segment
@@ -40,12 +41,6 @@ type violation = { invariant : string; detail : string }
 val record : Fault_report.t -> at:Clock.time -> violation list -> unit
 (** Record each violation in the report at [at]. *)
 
-val check_chains : Driver.t -> violation list
-(** Chain shape and chain/segment reachability, sorted by record id. *)
-
-val check_stats : Driver.t -> violation list
-val check_store : Driver.t -> violation list
-
 val check_governor : Driver.t -> violation list
 (** Overload-protection honesty, against the {e configured} quota (so a
     sabotaged governor that ignores its quota is still judged by it):
@@ -59,14 +54,6 @@ val check_watchdog : Driver.t -> violation list
     transitions adjacent, escalations only out of unhealthy polls,
     de-escalations only out of clean ones ({!Watchdog.check_ladder}).
     Empty when no watchdog is armed. *)
-
-val check_gc : Driver.t -> violation list
-(** The installed GC backend's own online invariant (DESIGN §4h):
-    vCutter's cut-completeness-within-budget, the BBF+ resident
-    dead-version bound. Prune {e soundness} stays universal — the
-    continuous audit judges every backend's deletions — so this only
-    carries the per-backend guarantee. Empty when no backend is
-    installed. *)
 
 val check_no_false_kill : Lease.t -> violation list
 (** The watchdog never cancels a transaction that made progress within
@@ -102,18 +89,13 @@ val max_lag : lag_monitor -> Clock.time
 val lag_histogram : lag_monitor -> Histogram.t
 (** Per-segment reclaim lags in microseconds (bucket width 50 µs). *)
 
-val check_clog_horizon : Driver.t -> violation list
-(** [clog-horizon]: the commit log's freeze horizon, judged against the
-    live set from scratch. No live transaction, no transaction a live
-    view still counts as in flight when it began (so none whose outcome
-    timestamp is at or after the oldest live begin), not the next tid
-    the oracle hands out, and no registered floor may lie below it
-    ({!Txn_manager.freeze_horizon}). This is what catches
-    [clog_over_truncate_sabotage]. *)
-
 val check_all : Driver.t -> violation list
-(** The steady-state checks above plus {!check_watchdog}, {!check_gc}
-    and {!check_clog_horizon}, concatenated. *)
+(** The steady-state catalogue, concatenated: chain shape and
+    reachability (sorted by record id), stats conservation, store
+    accounting, {!check_governor}, {!check_watchdog}, the installed GC
+    backend's own invariant (vCutter's cut completeness within budget,
+    the BBF+ resident dead-version bound; DESIGN §4h), and the
+    commit-log horizon. *)
 
 val check_post_crash : Driver.t -> violation list
 (** To be run immediately after a crash-restart, before any new
@@ -133,8 +115,7 @@ val check_post_recovery : Driver.t -> violation list
     dropped and cut segments still dead, the timestamp oracle and
     segment allocator at or past their logged frontiers, and the WAL
     counters conservative. Ends with the steady-state structure checks
-    ({!check_chains}, {!check_stats}, {!check_store}). Empty for a
-    non-durable engine. *)
+    (chains, stats, store). Empty for a non-durable engine. *)
 
 val install_prune_audit :
   Driver.t -> on_violation:(now:Clock.time -> violation -> unit) -> unit
@@ -144,32 +125,16 @@ val install_prune_audit :
     unsound discards are reported through [on_violation] with the
     simulated time of the discard. Also arms the transaction manager's
     horizon audit: every move of the commit log's freeze horizon is
-    judged by {!check_clog_horizon} on the spot. *)
+    judged on the spot. *)
 
 val remove_prune_audit : Driver.t -> unit
 
-val analyze_shard_logs :
-  ?cursors:Wal_recovery.cursor array ->
-  (int * Wal.t) list ->
-  (int * Wal_recovery.analysis) list
-(** Honest (CRC-on) analysis of every shard's log, sorted by shard id —
-    the shared input of the log-level oracles below. Without [cursors]
-    each log is analyzed from scratch, at a cost linear in the log.
-    With them, shard [sid]'s log goes through
-    [Wal_recovery.advance cursors.(sid)], which decodes only the frames
-    appended since that cursor's last call. A periodic sweep that runs
-    more than one of the oracles should analyze once and pass the
-    result through [?analyses]. *)
-
-val check_analysis_cursors :
-  cursors:Wal_recovery.cursor array ->
-  ?analyses:(int * Wal_recovery.analysis) list ->
-  (int * Wal.t) list ->
-  violation list
-(** The incremental path against its reference: an
-    ["analysis-cursor"] violation for every shard whose cursor
-    analysis differs from the from-scratch one ([?analyses], when the
-    caller has it already). *)
+val analyze_shard_logs : (int * Wal.t) list -> (int * Wal_recovery.analysis) list
+(** Honest (CRC-on), from-scratch analysis of every shard's log,
+    sorted by shard id — the shared input of the log-level oracles
+    below, at a cost linear in the logs. A caller that runs more than
+    one of them should analyze once and pass the result through
+    [?analyses]. *)
 
 val check_cross_shard_atomicity :
   ?clog:Commit_log.t ->
@@ -220,3 +185,38 @@ val check_no_committed_loss :
     which spans several online sweeps; the periodic
     [ack-before-replicate] and [stale-primary-writes] campaigns must
     provably trip this check. *)
+
+(** {1 The sweep's incremental oracles} *)
+
+type sweep
+(** {!check_cross_shard_atomicity} (without [?clog]) and
+    {!check_no_committed_loss} kept up to date through one
+    {!Wal_recovery.cursor} per shard. Each call does work in proportion
+    to the frames added since the last one, the in-doubt set, the
+    transactions whose outcome changed and the violations still
+    standing, which it reports again every time. *)
+
+val sweep : Wal_recovery.cursor array -> sweep
+(** Cursor [sid] reads shard [sid]'s log; every call passes the logs of
+    shards [0 .. n-1]. *)
+
+val run_sweep : sweep -> ?acked:(int * int * int list) list -> (int * Wal.t) list -> violation list
+(** The verdicts of [check_cross_shard_atomicity wals], followed, when
+    [?acked] is given, by those of [check_no_committed_loss ~acked:l
+    wals] where [l] is every entry passed through [?acked] so far: a
+    replicated sweep passes the acks made since its last call. *)
+
+val check_analysis_cursors :
+  sweep ->
+  ?analyses:(int * Wal_recovery.analysis) list ->
+  ?reference:violation list ->
+  ?acked:(int * int * int list) list ->
+  (int * Wal.t) list ->
+  violation list
+(** The incremental path against its reference: an ["analysis-cursor"]
+    violation for every shard whose cursor analysis or expectation
+    ({!Wal_recovery.expectation}) differs from the from-scratch one
+    ([?analyses], when the caller has it already), and, when every
+    cursor agrees, one if {!run_sweep} (fed [?acked]) returns other
+    verdicts than the from-scratch checks ([?reference], when the
+    caller has them already). *)

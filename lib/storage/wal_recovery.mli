@@ -6,7 +6,9 @@
     bit-flipped record ends the trustworthy prefix. {!expect} then folds
     checkpoint + redo into the {e expected} post-recovery state:
     transaction outcomes, losers to roll back, the committed in-row
-    image, and the surviving off-row segments with their contents.
+    image, and the surviving off-row segments with their contents. A
+    {!cursor} does both incrementally, folding each frame into the same
+    tables as it is read.
 
     The engine's restart path and the {!Invariant} checker both consume
     this module — the engine with its configured knobs (including the
@@ -46,8 +48,9 @@ type analysis = {
 }
 
 val analyze : ?check_crc:bool -> Wal.t -> analysis
-(** The from-scratch analysis: decodes every frame, in one forward
-    pass of a fresh {!cursor}, so it holds only what the result keeps
+(** The from-scratch analysis: decodes every frame in one forward
+    pass, the one a {!cursor} makes but keeping no expectation, so it
+    holds only what the result keeps
     (the records after the steady anchor and the anchors' snapshots),
     never the whole decoded log. [~check_crc:false] is the sabotage
     knob: frames are still parsed but checksums are ignored, so a
@@ -66,7 +69,10 @@ type cursor
     {!analyze} would build from that prefix: the anchors, the records
     after the steady anchor, and the whole-prefix facts. It keeps no
     record before its anchor and no checkpoint snapshot other than its
-    anchors. *)
+    anchors. It also keeps {!expect}'s tables for the steady anchor —
+    committed, aborted, live, prepared, pending, rows, segments and
+    decisions — re-seeded from each steady checkpoint's snapshot as it
+    is decoded, with every later record folded in as it is read. *)
 
 val cursor : ?stale:bool -> unit -> cursor
 (** A cursor that has read nothing. [~stale:true] is the sabotage
@@ -74,12 +80,15 @@ val cursor : ?stale:bool -> unit -> cursor
     truncation it keeps folding onto records the device no longer
     holds. *)
 
+val sync : cursor -> Wal.t -> unit
+(** Decode and fold the frames appended since the last call. The
+    cursor starts again from the first frame when [wal] is not the
+    device it read last, or when {!Wal.mutations} moved. *)
+
 val advance : cursor -> Wal.t -> analysis
-(** Decode the frames appended since the last call and return the
-    analysis of the whole log — always equal to [analyze wal] (CRC on).
-    The cost is that of the new frames plus one reversal of the kept
-    records. The cursor starts again from the first frame when [wal]
-    is not the device it read last, or when {!Wal.mutations} moved. *)
+(** {!sync}, then the analysis of the whole log — always equal to
+    [analyze wal] (CRC on). The cost is that of the new frames plus
+    one reversal of the kept records. *)
 
 val decisions : analysis -> (int, int) Hashtbl.t
 (** [gid -> cts]: the durable coordinator decisions — every
@@ -128,6 +137,59 @@ val expect :
     coordinator logs builds its tables in [resolve ()], so one
     [expect] reads each coordinator once. Without a resolver every
     in-doubt transaction is presumed aborted. *)
+
+(** {1 The cursor as an incremental oracle} *)
+
+val expectation : cursor -> Wal.t -> expectation
+(** [expect (analyze wal)] for the log the cursor last read, from its
+    tables at a cost in proportion to them. Falls back to {!expect}
+    while the newest checkpoint is a failover one. *)
+
+val decision : cursor -> int -> (int * [ `Log | `Window ]) option
+(** The commit timestamp {!decisions} holds for a gid, and whether a
+    [Coord_commit] in the log or only the last checkpoint's window
+    vouches for it. *)
+
+val take_changed : cursor -> int list
+(** Transactions whose committed, aborted, live or prepared entry, or
+    row-creator count, changed since the last call. *)
+
+val restarts : cursor -> int
+(** Bumped each time the cursor starts again from the first frame. *)
+
+val horizon : cursor -> int
+(** The steady checkpoint's [oracle_next], or 0. *)
+
+val prepared_commits : cursor -> int * (int * int) list
+(** How many, and the {!field-prepared_commits} list, newest first. *)
+
+val vouched : cursor -> (int * int) list
+(** [(tid, coord)] of each [Txn_commit] after the newest checkpoint
+    whose transaction is in that checkpoint's in-doubt set and has no
+    [Prepare] in the log, in LSN order. *)
+
+type outcome = {
+  commits : int list;  (** Commit timestamps the expectation lists, ascending. *)
+  aborted : bool;
+  loser : bool;
+}
+
+type view = {
+  outcome : int -> outcome;  (** One transaction's resolved outcome. *)
+  touched : int list;  (** Transactions whose outcome resolution decides. *)
+}
+
+val outcomes : expectation -> view
+(** An expectation by transaction; [touched] lists all of them. *)
+
+val views : cursor -> Wal.t -> lookup:(tid:int -> coord:int -> int option) -> view * view
+(** The resolved outcomes of [expect ~resolve (analyze wal)], and of
+    the same analysis re-anchored at its steady checkpoint, in-doubt
+    transactions asked through [lookup]. The cursor's tables are
+    overlaid, not changed: the cost is that of the in-doubt set and
+    their writes. The two are one value while the newest checkpoint
+    is steady; otherwise the first is {!outcomes} of the from-scratch
+    expectation. *)
 
 val inject_torn_commit : Wal.t -> at:Clock.time -> unit
 (** Fabricate a torn tail: append a [Txn_commit] frame with a bad CRC

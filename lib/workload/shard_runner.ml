@@ -343,12 +343,27 @@ let run ?(mode = Sim) (cfg : cfg) =
              crash_steps := rest;
              raise Crash_now
          | _ -> ()));
-  (* The sweep's incremental log analysis, one cursor per shard, made
-     at the first sweep. *)
-  let cursors = ref None in
-  let check_cursors ~at ?analyses wals =
-    match !cursors with
-    | Some cursors -> record_all ~at (Invariant.check_analysis_cursors ~cursors ?analyses wals)
+  (* The sweep's incremental log oracles, one cursor per shard, made
+     at the first sweep. A replicated run feeds them the acks made
+     since their last call. *)
+  let sweep = ref None in
+  let new_acks =
+    match repl with
+    | None -> fun () -> None
+    | Some r ->
+        let seen = ref 0 and stale_seen = ref 0 in
+        fun () ->
+          let fresh = Shard_group.acked_from g !seen in
+          let stale = List.filteri (fun i _ -> i >= !stale_seen) (Replica.stale_acked r) in
+          seen := !seen + List.length fresh;
+          stale_seen := !stale_seen + List.length stale;
+          Some (fresh @ stale)
+  in
+  let check_cursors ~at ?analyses ?reference wals =
+    match !sweep with
+    | Some s ->
+        record_all ~at
+          (Invariant.check_analysis_cursors s ?analyses ?reference ?acked:(new_acks ()) wals)
     | None -> ()
   in
   let torn_rr = ref 0 in
@@ -537,9 +552,14 @@ let run ?(mode = Sim) (cfg : cfg) =
             (viols_of_pairs
                (failover_beat cfg r ~plan ~node_rng ~dead_since
                   ~note:(Fault_report.note_fault report) ~now))));
-  (* Periodic invariant sweep: per-shard catalogue plus the static
-     cross-shard 2PC checks (the latter catch a skipped decision with
-     no crash at all). *)
+  (* Periodic invariant sweep: the per-shard catalogue, then the log
+     oracles over every shard's log — cross-shard atomicity, the
+     coordinator-decision check (which catches a skipped decision with
+     no crash at all) and, replicated, the loss oracle. A cursor per
+     shard decodes only the frames logged since the last sweep and
+     folds them into that log's recovery expectation; the oracles judge
+     again only the transactions whose outcome moved, and report every
+     violation still standing again. *)
   let spawn_invariants () =
     Substrate.every sub ~name:"invariants" ~period:(Fault_plan.check_period plan) ~until:horizon
       (fun now ->
@@ -547,28 +567,20 @@ let run ?(mode = Sim) (cfg : cfg) =
         Array.iter
           (fun (sh : Shard.t) -> record_all ~at:now (Invariant.check_all sh.Shard.driver))
           (Shard_group.shards g);
-        (* The cursors decode only the frames logged since the last
-           sweep; one analysis feeds every log-level oracle. *)
-        let cursors =
-          match !cursors with
-          | Some cs -> cs
-          | None ->
-              let cs = Array.init cfg.shards (fun _ -> Sabotage.cursor cfg.sabotage ()) in
-              cursors := Some cs;
-              cs
-        in
-        let wals = Shard_group.wals g in
-        let analyses = Invariant.analyze_shard_logs ~cursors wals in
-        record_all ~at:now (Invariant.check_cross_shard_atomicity ~analyses wals);
         (* The loss oracle runs continuously, not just at the end: an
            acked commit missing from the surviving logs is a violation
            at every sweep between the kill that lost it and the
            checkpoint frontier that archives it. *)
-        match repl with
-        | None -> ()
-        | Some r ->
-            record_all ~at:now
-              (Invariant.check_no_committed_loss ~analyses ~acked:(rep_acked g r) wals))
+        let s =
+          match !sweep with
+          | Some s -> s
+          | None ->
+              let cursors = Array.init cfg.shards (fun _ -> Sabotage.cursor cfg.sabotage ()) in
+              let s = Invariant.sweep cursors in
+              sweep := Some s;
+              s
+        in
+        record_all ~at:now (Invariant.run_sweep s ?acked:(new_acks ()) (Shard_group.wals g)))
   in
   (* Replicated runs register the sweep before the checkpointer: their
      periods share grid instants, and a sweep must observe each ordinary
@@ -632,9 +644,15 @@ let run ?(mode = Sim) (cfg : cfg) =
     (Shard_group.shards g);
   let final_wals = Shard_group.wals g in
   let final_analyses = Invariant.analyze_shard_logs final_wals in
-  check_cursors ~at:horizon ~analyses:final_analyses final_wals;
-  record_all ~at:horizon
-    (Invariant.check_cross_shard_atomicity ~analyses:final_analyses final_wals);
+  let atomicity = Invariant.check_cross_shard_atomicity ~analyses:final_analyses final_wals in
+  let lost =
+    match repl with
+    | None -> []
+    | Some r ->
+        Invariant.check_no_committed_loss ~analyses:final_analyses ~acked:(rep_acked g r) final_wals
+  in
+  check_cursors ~at:horizon ~analyses:final_analyses ~reference:(atomicity @ lost) final_wals;
+  record_all ~at:horizon atomicity;
   if active then begin
     record_all ~at:endt (viols_of_pairs (Shard_group.check_indoubt_liveness g ~now:endt));
     record_all ~at:endt (viols_of_pairs (Shard_group.check_epoch_lag g ~now:endt))
@@ -648,9 +666,7 @@ let run ?(mode = Sim) (cfg : cfg) =
       record_all ~at:endt (viols_of_pairs (Replica.check_no_split_brain r));
       record_all ~at:endt
         (viols_of_pairs (Replica.check_failover_lag r ~bound:rep_lag_bound ~now:endt));
-      record_all ~at:endt
-        (Invariant.check_no_committed_loss ~analyses:final_analyses
-           ~acked:(rep_acked g r) final_wals));
+      record_all ~at:endt lost);
   let final = Shard_group.sample g in
   if final.Engine.version_bytes > !peak_space then peak_space := final.Engine.version_bytes;
   let tput = float_of_int !commits /. Float.max 1e-9 base.Exp_config.duration_s in

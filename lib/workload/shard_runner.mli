@@ -159,10 +159,11 @@ val run : ?mode:mode -> cfg -> result
     faults, a quorum or failover sabotage without [replicas > 0], for
     the [Stale_cursor] sabotage without crash points or crash steps,
     for a quorum out of range ({!Replica.create}), and for what [mode]
-    does not support. The periodic invariant sweep reads the logs
-    through one {!Wal_recovery.cursor} per shard; every crash point
-    (before the crash) and the end of the run compare those cursors
-    with the from-scratch analysis (["analysis-cursor"]). With
+    does not support. The periodic invariant sweep keeps the log
+    oracles through one {!Wal_recovery.cursor} per shard
+    ({!Invariant.sweep}); every crash point (before the crash) and the
+    end of the run compare those cursors, and the sweep's verdicts,
+    with the from-scratch ones (["analysis-cursor"]). With
     [replicas > 0] the failover scheduler runs in both modes: node
     kills and revives from the plan and [kill_steps], lease-based
     promotions with engine restart and in-doubt recovery on the

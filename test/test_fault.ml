@@ -62,6 +62,71 @@ let test_plan_zero_check_period_raises () =
   | _ -> Alcotest.fail "a zero check period must raise"
   | exception Invalid_argument _ -> ()
 
+(* The replay [Fault_plan.poll] performs, written out from the plan's
+   declared seed, rates and events: one sub-seed per action kind in
+   declaration order, exponential gaps, and at every poll the due
+   events first, then each process's arrivals. It polls every process
+   on every call, where [poll] returns at once when nothing is due. *)
+let kinds =
+  Fault_plan.
+    [ Crash; Abort_txn; Wal_error; Flush_fail; Evict_storm; Space_storm; Wal_bitflip;
+      Cleaner_stall; Llt_zombie; Collab_delay; Node_kill; Node_revive ]
+
+let reference_polls plan events times =
+  let master = Rng.create (Fault_plan.seed plan) in
+  let procs =
+    List.filter_map
+      (fun k ->
+        let rng = Rng.create (Int64.to_int (Rng.next_int64 master)) in
+        let rate = Fault_plan.rate plan k in
+        let gap () = max 1 (Clock.seconds (-.log (1. -. Rng.float rng) /. rate)) in
+        if rate > 0. then Some (k, gap, ref (gap ())) else None)
+      kinds
+  in
+  let due =
+    ref (List.sort compare (List.map (fun (e : Fault_plan.event) -> (e.at, e.action)) events))
+  in
+  List.map
+    (fun now ->
+      let fired = List.filter (fun (at, _) -> at <= now) !due in
+      due := List.filter (fun (at, _) -> at > now) !due;
+      List.map snd fired
+      @ List.concat_map
+          (fun (k, gap, next) ->
+            let out = ref [] in
+            while !next <= now do
+              out := k :: !out;
+              next := !next + gap ()
+            done;
+            List.rev !out)
+          procs)
+    times
+
+let qcheck_poll_matches_reference =
+  QCheck.Test.make ~name:"poll = reference replay over seeded plans" ~count:200
+    QCheck.(triple (int_bound 10_000) bool (small_list (pair (int_bound 400) (int_bound 11))))
+    (fun (seed, stalls, evs) ->
+      let events =
+        List.map (fun (ms, k) -> { Fault_plan.at = Clock.ms ms; action = List.nth kinds k }) evs
+      in
+      let plans =
+        [
+          Fault_plan.random ~seed ~stalls ~zombies:stalls ();
+          Fault_plan.random_nodes ~seed ();
+          Fault_plan.create ~seed ~events ~abort_rate:30. ~node_kill_rate:5. ();
+        ]
+      in
+      (* Ragged poll instants, some repeated, some far apart. *)
+      let rng = Rng.create seed in
+      let t = ref 0 in
+      let times = List.init 300 (fun _ -> t := !t + Rng.int rng (Clock.ms 3) * Rng.int rng 3; !t) in
+      List.for_all2
+        (fun plan events ->
+          let c = Fault_plan.cursor plan in
+          List.map (fun now -> Fault_plan.poll c ~now) times = reference_polls plan events times)
+        plans
+        [ []; []; events ])
+
 (* -------------------------------------------------------------------- *)
 (* Driver fixtures (same shape as the core suites). *)
 
@@ -339,6 +404,7 @@ let suites =
         Alcotest.test_case "none is empty" `Quick test_plan_none_empty;
         Alcotest.test_case "events ordered, fire once" `Quick test_plan_events_ordered;
         Alcotest.test_case "seeded determinism" `Quick test_plan_deterministic;
+        QCheck_alcotest.to_alcotest qcheck_poll_matches_reference;
         Alcotest.test_case "poisson rate" `Quick test_plan_poisson_rate;
         Alcotest.test_case "negative rate raises" `Quick test_plan_negative_rate_raises;
         Alcotest.test_case "zero check period raises" `Quick test_plan_zero_check_period_raises;
