@@ -5,12 +5,19 @@
    48 x 1000) and the run length so per-record update rates — which is
    what drives version-chain growth over an LLT's lifetime — match the
    paper's regime within seconds of simulated time. REPRO_SCALE
-   stretches or shrinks every duration (default 1.0). *)
+   stretches or shrinks every duration (default 1.0). A value that is
+   not a positive finite number would give zero, negative or NaN
+   durations: it stops the harness with exit 2 before any bench runs. *)
 
 let scale =
   match Sys.getenv_opt "REPRO_SCALE" with
-  | Some s -> ( try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some x when Float.is_finite x && x > 0. -> x
+      | Some _ | None ->
+          Printf.eprintf "REPRO_SCALE=%S: want a positive finite number\n" s;
+          exit 2)
 
 let sec x = x *. scale
 

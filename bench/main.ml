@@ -7,7 +7,8 @@
 
    Exit status: 0 when every requested bench ran and every sweep gate
    held, 1 when any gate failed (after all requested benches ran), 2 for
-   an unknown bench name (before anything runs).
+   an unknown bench name or a REPRO_SCALE that is not a positive finite
+   number (before anything runs).
 
    Table 1 of the paper is notation only; Figures 1/2/4-12 are design
    illustrations. The evaluation artifacts are Figures 3 and 13-19. *)

@@ -13,9 +13,11 @@
 
     The invariant is that the dead version is deleted by {e exactly} the
     winner, never twice and never zero times. This module implements the
-    protocol over [Atomic] so that the real multi-domain tests can hammer
-    it; the discrete-event engines call it too (trivially uncontended
-    there). *)
+    protocol over [Atomic] for the multi-domain hammers and the micro
+    benchmarks. No library path calls it: the engines run every step
+    under one mutex, so a cut never races an insertion for a chain, and
+    {!Vcutter.reclaim_segment} deletes directly — a fresh, uncontended
+    episode would always let the cutter win. *)
 
 type t
 
@@ -23,10 +25,6 @@ val create : unit -> t
 (** One [t] arbitrates one cleaning episode: a specific dead version
     that vCutter wants to delete while an insertion into the same chain
     may be in flight. Create a fresh instance per episode. *)
-
-val default_spin_budget : int
-(** 4096 busy iterations before the losing sorter falls back to
-    yielding. *)
 
 val sorter :
   ?spin_budget:int ->
@@ -40,7 +38,8 @@ val sorter :
     flag is released afterwards so the chain can host later races.
 
     The losing sorter's wait is {e bounded}: it busy-spins
-    ([Domain.cpu_relax]) for at most [spin_budget] iterations, then
+    ([Domain.cpu_relax]) for at most [spin_budget] iterations (default
+    4096), then
     calls [yield] once per further iteration — pass the hosting
     scheduler's yield so a cutter delayed inside its critical window
     (the [Collab_delay] fault) degrades to cooperative waiting instead

@@ -33,9 +33,6 @@ val rung_name : rung -> string
 val rung_index : rung -> int
 (** [Normal] is 0, [Shedding] is 3. *)
 
-val rung_of_index : int -> rung
-val pp_rung : Format.formatter -> rung -> unit
-
 type config = {
   hard_quota_bytes : int;
       (** ceiling on [Driver.space_bytes]; [0] disables the governor
@@ -136,7 +133,6 @@ val check_ladder : t -> string list
     space below the source rung's hysteresis floor. Returns violation
     descriptions (empty = honest ladder). *)
 
-val pp_transition : Format.formatter -> transition -> unit
 val pp_summary : Format.formatter -> now:Clock.time -> t -> unit
 (** One-paragraph report: rung, sheds, assists, transition log, dwell
     times. *)

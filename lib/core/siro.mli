@@ -26,7 +26,6 @@ val create : rid:int -> bytes:int -> payload:int -> vs:Timestamp.t -> vs_time:Cl
     Stamped 0 for the initial load ([vs = 0]), unstamped otherwise (a
     restart then stamps the checkpoint row's [cts], see {!stamp}). *)
 
-val rid : t -> int
 val toggle : t -> bool
 val current : t -> Version.t
 val previous : t -> Version.t option

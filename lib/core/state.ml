@@ -97,7 +97,7 @@ let create ?(config = default_config) txns =
     llb = Llb.create ();
     store = Version_store.create ();
     store_cache =
-      Buffer_pool.create ~name:"version-store" ~capacity_blocks:config.store_cache_segments;
+      Buffer_pool.create ~capacity_blocks:config.store_cache_segments;
     stats = Prune_stats.create ();
     zones = Zone_set.of_txn_manager txns;
     zone_views = [];

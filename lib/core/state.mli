@@ -208,9 +208,6 @@ val drop_segment : t -> Segment.t -> unit
 
 val find_segment : t -> int -> Segment.t option
 
-val open_bytes : t -> int
-(** Bytes currently buffered in open (filling) segments. *)
-
 val buffered_bytes : t -> int
 (** Open plus sealed segments — total vBuffer residency, compared
     against the [vbuffer_bytes] budget. *)

@@ -5,46 +5,40 @@ type result = {
   segments_scanned : int;
 }
 
-let cut_segment (st : State.t) seg ~now =
-  let versions = ref 0 in
+(* The cutter runs the deletion itself: the collaborative protocol
+   ({!Collab}) only decides who deletes when a vSorter insertion races
+   for the same chain, and a simulated step has no such race. *)
+let reclaim_segment (st : State.t) seg ~dead ~now =
+  let versions = ref 0 and live = ref 0 in
   Vec.iter
     (fun node ->
-      if not node.Chain.deleted then begin
-        let rid = node.Chain.version.Version.rid in
-        match Llb.find st.State.llb ~rid with
-        | Some chain ->
-            (* Race arbitration against a concurrent vSorter insertion.
-               In the discrete-event engines the episode is uncontended
-               and the cutter always wins; the multi-domain tests are
-               where the protocol earns its keep. *)
-            let episode = Collab.create () in
-            (match
-               Collab.cutter episode
-                 ~delete:(fun () -> Chain.delete_node chain node)
-                 ~fixup:(fun () -> ())
-             with
-            | `Won -> ()
-            | `Lost -> Chain.delete_node chain node);
-            State.audit_prune st ~now ~origin:`Cut ~lo:node.Chain.prune_lo
-              ~hi:node.Chain.prune_hi;
-            incr versions
-        | None -> assert false
-      end)
+      if node.Chain.deleted then ()
+      else if dead node then begin
+        (match Llb.find st.State.llb ~rid:node.Chain.version.Version.rid with
+        | Some chain -> Chain.delete_node chain node
+        | None -> assert false);
+        State.audit_prune st ~now ~origin:`Cut ~lo:node.Chain.prune_lo ~hi:node.Chain.prune_hi;
+        incr versions
+      end
+      else incr live)
     seg.Segment.nodes;
-  let bytes = seg.Segment.used_bytes in
-  Version_store.cut st.State.store seg ~now;
-  Buffer_pool.evict st.State.store_cache ~block:seg.Segment.id;
-  State.drop_segment st seg;
-  State.log_wal st ~now (Wal_record.Seg_cut { seg_id = seg.Segment.id });
-  if Trace.on () then
-    Trace.instant Trace.Vcutter "cut-segment" ~at:now
-      [
-        ("seg", Trace.I seg.Segment.id);
-        ("class", Trace.S (Vclass.to_string seg.Segment.cls));
-        ("versions", Trace.I !versions);
-        ("bytes", Trace.I bytes);
-      ];
-  (!versions, bytes)
+  if !live > 0 then (!versions, 0, false)
+  else begin
+    let bytes = seg.Segment.used_bytes in
+    Version_store.cut st.State.store seg ~now;
+    Buffer_pool.evict st.State.store_cache ~block:seg.Segment.id;
+    State.drop_segment st seg;
+    State.log_wal st ~now (Wal_record.Seg_cut { seg_id = seg.Segment.id });
+    if Trace.on () then
+      Trace.instant Trace.Vcutter "cut-segment" ~at:now
+        [
+          ("seg", Trace.I seg.Segment.id);
+          ("class", Trace.S (Vclass.to_string seg.Segment.cls));
+          ("versions", Trace.I !versions);
+          ("bytes", Trace.I bytes);
+        ];
+    (!versions, bytes, true)
+  end
 
 let step (st : State.t) ~now ~max_segments =
   State.refresh_zones st ~now;
@@ -59,7 +53,7 @@ let step (st : State.t) ~now ~max_segments =
     | [] -> acc
     | _ when n = 0 -> acc
     | seg :: rest ->
-        let versions, bytes = cut_segment st seg ~now in
+        let versions, bytes, _ = reclaim_segment st seg ~dead:(fun _ -> true) ~now in
         let acc =
           {
             acc with

@@ -4,8 +4,9 @@
     [\[v_min, v_max\]] against the current dead zones; a covered segment
     is dead in its entirety and is cut. Cutting removes its versions
     from their LLB chains through the cut-and-fix state machine
-    (holes, Fixup) and the collaborative TAS protocol against concurrent
-    vSorter insertions. *)
+    (holes, Fixup). A simulated step never races a vSorter insertion
+    for a chain, so the cutter deletes directly; the collaborative TAS
+    protocol that arbitrates such races is {!Collab}. *)
 
 type result = {
   segments_cut : int;
@@ -14,15 +15,15 @@ type result = {
   segments_scanned : int;
 }
 
-val cut_segment : State.t -> Segment.t -> now:Clock.time -> int * int
-(** Cut one hardened segment: delete its remaining live nodes from
-    their chains (through the collaborative TAS protocol), audit each
-    deletion, remove the segment from the store, the cache and the
-    index, and log the cut. Returns [(versions deleted, bytes freed)].
-    Exported so pluggable GC backends reuse the exact seed reclaim
-    path; already-deleted nodes are skipped (and not re-audited), so a
-    backend that reclaims per-version may finish a segment through this
-    without double counting. *)
+val reclaim_segment :
+  State.t -> Segment.t -> dead:(Chain.node -> bool) -> now:Clock.time -> int * int * bool
+(** Delete from their chains the live nodes of one hardened segment
+    that [dead] accepts, auditing each deletion; once no live node
+    remains, remove the segment from the store, the cache and the
+    index, and log the cut. Returns [(versions deleted, bytes freed,
+    whether the segment was cut)]. {!step} passes a [dead] that accepts
+    every node of a segment whose descriptor is dead; the per-version
+    GC backends pass their own interval test. *)
 
 val step : State.t -> now:Clock.time -> max_segments:int -> result
 (** One cleaning pass: refresh zones, scan descriptors, cut up to

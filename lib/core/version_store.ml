@@ -2,12 +2,11 @@ type t = {
   mutable segments : Segment.t Vec.t;
   mutable live_bytes : int;
   mutable hardened_count : int;
-  mutable cut_count : int;
   delays : (Vclass.t * Clock.time) Vec.t;
 }
 
 let create () =
-  { segments = Vec.create (); live_bytes = 0; hardened_count = 0; cut_count = 0; delays = Vec.create () }
+  { segments = Vec.create (); live_bytes = 0; hardened_count = 0; delays = Vec.create () }
 
 let harden t seg ~now =
   if Segment.is_empty seg then invalid_arg "Version_store.harden: empty segment";
@@ -21,7 +20,6 @@ let cut t seg ~now =
     invalid_arg "Version_store.cut: segment not hardened";
   Segment.mark_cut seg ~now;
   t.live_bytes <- t.live_bytes - seg.Segment.used_bytes;
-  t.cut_count <- t.cut_count + 1;
   (match Segment.cut_delay seg with
   | Some d -> Vec.push t.delays (seg.Segment.cls, d)
   | None -> assert false);
@@ -36,7 +34,6 @@ let hardened_count t = t.hardened_count
 let resident_count t =
   Vec.fold_left (fun acc s -> if s.Segment.state = Segment.Hardened then acc + 1 else acc) 0 t.segments
 
-let cut_count t = t.cut_count
 let cut_delays t = Vec.to_list t.delays
 
 let clear t =

@@ -25,8 +25,6 @@ val hardened_count : t -> int
 val resident_count : t -> int
 (** Segments currently hardened and not cut. *)
 
-val cut_count : t -> int
-
 val cut_delays : t -> (Vclass.t * Clock.time) list
 (** Class and delay of each cut performed, oldest first. *)
 

@@ -89,11 +89,8 @@ type t = {
   mutable log : transition list;  (* newest first *)
   mutable escalations : int;
   mutable nudges : int;
-  mutable restarts : int;
-  mutable sync_reclaims : int;
   mutable zombie_cancels : int;
   mutable max_stall : Clock.time;
-  mutable polls : int;
 }
 
 let create ?(config = default_config) () =
@@ -110,11 +107,8 @@ let create ?(config = default_config) () =
     log = [];
     escalations = 0;
     nudges = 0;
-    restarts = 0;
-    sync_reclaims = 0;
     zombie_cancels = 0;
     max_stall = 0;
-    polls = 0;
   }
 
 let config t = t.config
@@ -133,10 +127,6 @@ let beat t name ~now =
   | None -> Hashtbl.replace t.sources name { beats = 1; last_advance = now; watched = true }
 
 let progress t name = match Hashtbl.find_opt t.sources name with Some s -> s.beats | None -> 0
-
-let sources t =
-  List.sort compare
-    (Hashtbl.fold (fun name src acc -> (name, src.beats, src.last_advance) :: acc) t.sources [])
 
 let stalled_sources t ~now =
   List.sort compare
@@ -167,7 +157,6 @@ let transition t ~now ~stalled ~zombies to_rung =
       ]
 
 let poll t ~now ~actions =
-  t.polls <- t.polls + 1;
   (* Verdict first: which sources missed their deadline, how many
      transactions are past their lease. Both are computed whether or
      not the ladder is enabled, so a disabled watchdog still observes
@@ -206,14 +195,8 @@ let poll t ~now ~actions =
         t.nudges <- t.nudges + 1;
         actions.nudge ~now
       end;
-      if r >= 2 then begin
-        t.restarts <- t.restarts + 1;
-        actions.restart_cleaners ~now
-      end;
-      if r >= 3 then begin
-        t.sync_reclaims <- t.sync_reclaims + 1;
-        actions.sync_reclaim ~now
-      end;
+      if r >= 2 then actions.restart_cleaners ~now;
+      if r >= 3 then actions.sync_reclaim ~now;
       if r >= 4 then begin
         let n = actions.shed_zombies ~max:t.config.shed_batch ~now in
         t.zombie_cancels <- t.zombie_cancels + n;
@@ -226,11 +209,8 @@ let poll t ~now ~actions =
 
 let escalations t = t.escalations
 let nudges t = t.nudges
-let restarts t = t.restarts
-let sync_reclaims t = t.sync_reclaims
 let zombie_cancels t = t.zombie_cancels
 let max_stall_observed t = t.max_stall
-let polls t = t.polls
 let transitions t = List.rev t.log
 
 (* Honesty replay, mirroring [Governor.check_ladder]: transitions chain

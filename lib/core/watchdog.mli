@@ -31,11 +31,6 @@
 
 type rung = Healthy | Nudge | Restart | Sync_reclaim | Shed
 
-val rung_name : rung -> string
-val rung_index : rung -> int
-val rung_of_index : int -> rung
-val pp_rung : Format.formatter -> rung -> unit
-
 type config = {
   enabled : bool;  (** [false]: observe, log nothing, act never *)
   check_period : Clock.time;  (** cadence of the owning poll process *)
@@ -58,15 +53,6 @@ val lag_bound : config -> gc_period:Clock.time -> Clock.time
     and the maintenance period) plus the lag monitor's observation
     granularity ([4 * check_period]). The [reclamation-lag] invariant
     asserts exactly this bound online. *)
-
-type transition = {
-  at : Clock.time;
-  from_rung : rung;
-  to_rung : rung;
-  stalled : string list;
-      (** sources past their deadline when the verdict was taken *)
-  zombies : int;  (** lease-expired transactions at the verdict *)
-}
 
 type actions = {
   nudge : now:Clock.time -> unit;
@@ -112,9 +98,6 @@ val beat : t -> string -> now:Clock.time -> unit
 val progress : t -> string -> int
 (** The source's monotone pass counter (0 if unknown). *)
 
-val sources : t -> (string * int * Clock.time) list
-(** [(name, beats, last_advance)], sorted by name. *)
-
 val stalled_sources : t -> now:Clock.time -> string list
 (** Sources whose counter has not advanced within [stall_timeout]. *)
 
@@ -128,13 +111,8 @@ val poll : t -> now:Clock.time -> actions:actions -> unit
 
 val escalations : t -> int
 val nudges : t -> int
-val restarts : t -> int
-val sync_reclaims : t -> int
 val zombie_cancels : t -> int
 val max_stall_observed : t -> Clock.time
-val polls : t -> int
-val transitions : t -> transition list
-(** Oldest first. *)
 
 val check_ladder : t -> string list
 (** Honesty replay over the transition log (the [watchdog-ladder]

@@ -18,5 +18,4 @@ let broadcast t =
 
 let current t = t.current
 let epoch t = t.epoch
-let broadcast_ts t = t.broadcast_ts
 let snapshot t = (t.epoch, t.current, t.broadcast_ts)

@@ -33,10 +33,6 @@ val current : t -> Zone_set.t
 
 val epoch : t -> int
 
-val broadcast_ts : t -> Timestamp.t
-(** Oracle frontier [C^T] captured by the latest broadcast (0 before
-    the first). *)
-
 val snapshot : t -> int * Zone_set.t * Timestamp.t
 (** [(epoch, zones, broadcast_ts)] of the latest broadcast as one
     value — what a fabric-delivered epoch message carries. Subscribers

@@ -56,13 +56,3 @@ let covers t ~lo ~hi =
   else
     let i = lower_bound t lo in
     i >= Array.length t.boundaries || t.boundaries.(i) > hi
-
-let pp fmt t =
-  let pp_bound fmt b = if b = min_int then Format.pp_print_string fmt "-inf" else Format.pp_print_int fmt b in
-  Format.fprintf fmt "@[<h>{";
-  List.iteri
-    (fun i (lo, hi) ->
-      if i > 0 then Format.pp_print_string fmt ", ";
-      Format.fprintf fmt "[%a,%a]" pp_bound lo pp_bound hi)
-    (zones t);
-  Format.fprintf fmt "}@]"

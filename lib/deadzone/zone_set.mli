@@ -47,5 +47,3 @@ val covers : t -> lo:Timestamp.t -> hi:Timestamp.t -> bool
     [\[lo, hi\]] (the segment's [v_min, v_max]) strictly inside one
     zone? Identical check to {!prunable}; named separately because the
     operands are segment descriptors, not a single version. *)
-
-val pp : Format.formatter -> t -> unit

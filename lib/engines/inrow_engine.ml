@@ -10,8 +10,10 @@ type state = {
   versions : vrec Vec.t array; (* oldest first; last element is current *)
   write_sets : (Timestamp.t, int list ref) Hashtbl.t;
   mutable vacuum_cursor : int;
-  vacuum_batch : int;
 }
+
+(* Records one maintenance pass vacuums. *)
+let vacuum_batch = 4096
 
 let is_committed st vs = vs = 0 || Commit_log.is_committed (Txn_manager.commit_log st.mgr) vs
 
@@ -96,7 +98,7 @@ let rollback_writes st (txn : Txn.t) =
 let vacuum st ~now =
   let horizon = Txn_manager.oldest_visible_horizon st.mgr in
   let records = Schema.records st.schema in
-  let batch = min st.vacuum_batch records in
+  let batch = min vacuum_batch records in
   let t = ref now in
   let last_page = ref (-1) in
   for k = 0 to batch - 1 do
@@ -154,7 +156,8 @@ let crash_recover st =
     !losers;
   !undo_ops * (st.costs.Costs.io_latency + st.costs.Costs.write_base)
 
-let create ?(costs = Costs.default) ?(vacuum_batch = 4096) schema =
+let create schema =
+  let costs = Costs.default in
   let mgr = Txn_manager.create () in
   let wal = Wal.create () in
   let heap =
@@ -162,8 +165,7 @@ let create ?(costs = Costs.default) ?(vacuum_batch = 4096) schema =
       ~records:(Schema.records schema) ~fill_factor:schema.Schema.fill_factor ~wal
   in
   let pool =
-    Buffer_pool.create ~name:"heap"
-      ~capacity_blocks:(((3 * Heap.page_count heap) / 2) + 8)
+    Buffer_pool.create ~capacity_blocks:(((3 * Heap.page_count heap) / 2) + 8)
   in
   let st =
     {
@@ -180,7 +182,6 @@ let create ?(costs = Costs.default) ?(vacuum_batch = 4096) schema =
             vec);
       write_sets = Hashtbl.create 256;
       vacuum_cursor = 0;
-      vacuum_batch;
     }
   in
   let max_chain () = Array.fold_left (fun acc v -> max acc (Vec.length v)) 0 st.versions in

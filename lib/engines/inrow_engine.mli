@@ -8,6 +8,5 @@
     boundary — which a single LLT pins, letting chains and heap bloat
     grow without bound (Figure 3a). *)
 
-val create : ?costs:Costs.t -> ?vacuum_batch:int -> Schema.t -> Engine.t
-(** [vacuum_batch] is the number of records one maintenance pass
-    scans (default 4096). *)
+val create : Schema.t -> Engine.t
+(** One maintenance pass vacuums up to 4096 records. *)

@@ -16,11 +16,16 @@ type state = {
   mutable undo_alloc_bytes : int;
   mutable truncations : int;
   mutable purge_cursor : int;
-  purge_batch : int;
-  truncate_threshold : int;
   gc : [ `Purge_prefix | `Interval_scan ];
   write_sets : (Timestamp.t, int list ref) Hashtbl.t;
 }
+
+(* Records one purge pass scans; undo buffer-pool pages beyond the
+   heap's; allocated undo bytes past which a mostly-empty tablespace is
+   truncated. *)
+let purge_batch = 4096
+let undo_pool_pages = 512
+let truncate_threshold = 4 * 1024 * 1024
 
 let is_committed st vs = vs = 0 || Commit_log.is_committed (Txn_manager.commit_log st.mgr) vs
 
@@ -139,7 +144,7 @@ let rollback_writes st (txn : Txn.t) =
 let purge st ~now =
   let horizon = Txn_manager.oldest_visible_horizon st.mgr in
   let records = Schema.records st.schema in
-  let batch = min st.purge_batch records in
+  let batch = min purge_batch records in
   let removed = ref 0 in
   for k = 0 to batch - 1 do
     let rid = (st.purge_cursor + k) mod records in
@@ -159,10 +164,10 @@ let purge st ~now =
   st.purge_cursor <- (st.purge_cursor + batch) mod records;
   st.undo_live_bytes <- st.undo_live_bytes - (!removed * st.schema.Schema.record_bytes);
   if
-    st.undo_alloc_bytes > st.truncate_threshold
+    st.undo_alloc_bytes > truncate_threshold
     && st.undo_live_bytes * 4 < st.undo_alloc_bytes
   then begin
-    st.undo_alloc_bytes <- max st.undo_live_bytes (st.truncate_threshold / 4);
+    st.undo_alloc_bytes <- max st.undo_live_bytes (truncate_threshold / 4);
     st.truncations <- st.truncations + 1
   end;
   let hold =
@@ -179,7 +184,7 @@ let interval_scan st ~now =
   let zones = Zone_set.of_txn_manager st.mgr in
   let log = Txn_manager.commit_log st.mgr in
   let records = Schema.records st.schema in
-  let batch = min st.purge_batch records in
+  let batch = min purge_batch records in
   let removed = ref 0 in
   let scanned = ref 0 in
   let io = ref 0 in
@@ -212,10 +217,10 @@ let interval_scan st ~now =
   st.purge_cursor <- (st.purge_cursor + batch) mod records;
   st.undo_live_bytes <- st.undo_live_bytes - (!removed * st.schema.Schema.record_bytes);
   if
-    st.undo_alloc_bytes > st.truncate_threshold
+    st.undo_alloc_bytes > truncate_threshold
     && st.undo_live_bytes * 4 < st.undo_alloc_bytes
   then begin
-    st.undo_alloc_bytes <- max st.undo_live_bytes (st.truncate_threshold / 4);
+    st.undo_alloc_bytes <- max st.undo_live_bytes (truncate_threshold / 4);
     st.truncations <- st.truncations + 1
   end;
   now
@@ -223,8 +228,8 @@ let interval_scan st ~now =
   + (!io * st.costs.Costs.io_latency)
   + (!removed * st.costs.Costs.version_hop)
 
-let create ?(costs = Costs.default) ?(purge_batch = 4096) ?(undo_pool_pages = 512)
-    ?(truncate_threshold_bytes = 4 * 1024 * 1024) ?(gc = `Purge_prefix) schema =
+let create ?(gc = `Purge_prefix) schema =
+  let costs = Costs.default in
   let mgr = Txn_manager.create () in
   let wal = Wal.create () in
   let heap =
@@ -243,17 +248,14 @@ let create ?(costs = Costs.default) ?(purge_batch = 4096) ?(undo_pool_pages = 51
             { vs = 0; ve = Timestamp.infinity; payload = rid; undo_page = -1 });
       undo = Array.init (Schema.records schema) (fun _ -> Vec.create ());
       pool =
-        Buffer_pool.create ~name:"buffer-pool"
-          ~capacity_blocks:(((3 * Heap.page_count heap) / 2) + undo_pool_pages);
-      rseg = Queue_model.create "rollback-segment";
+        Buffer_pool.create ~capacity_blocks:(((3 * Heap.page_count heap) / 2) + undo_pool_pages);
+      rseg = Queue_model.create ();
       undo_recs_per_page = max 1 (schema.Schema.page_bytes / schema.Schema.record_bytes);
       undo_seq = 0;
       undo_live_bytes = 0;
       undo_alloc_bytes = 0;
       truncations = 0;
       purge_cursor = 0;
-      purge_batch;
-      truncate_threshold = truncate_threshold_bytes;
       gc;
       write_sets = Hashtbl.create 256;
     }

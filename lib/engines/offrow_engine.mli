@@ -11,18 +11,10 @@
     abruptly when purge drains them, producing the paper's space
     sawtooth. *)
 
-val create :
-  ?costs:Costs.t ->
-  ?purge_batch:int ->
-  ?undo_pool_pages:int ->
-  ?truncate_threshold_bytes:int ->
-  ?gc:[ `Purge_prefix | `Interval_scan ] ->
-  Schema.t ->
-  Engine.t
-(** [purge_batch]: records scanned per purge pass (default 4096).
-    [undo_pool_pages]: undo buffer-pool capacity (default 512).
-    [truncate_threshold_bytes]: allocated undo size beyond which a
-    mostly-empty tablespace is truncated (default 4 MiB).
+val create : ?gc:[ `Purge_prefix | `Interval_scan ] -> Schema.t -> Engine.t
+(** One purge pass scans up to 4096 records; the undo buffer pool holds
+    512 pages beyond the heap's; a mostly-empty undo tablespace is
+    truncated once more than 4 MiB is allocated.
     [gc] selects the cleaner: [`Purge_prefix] is stock MySQL (reclaim
     below the oldest read view only); [`Interval_scan] is the
     HANA/Steam-style fine-grained collector of §2.2 — it scans whole

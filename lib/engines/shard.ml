@@ -7,7 +7,7 @@ type t = {
   schema : Schema.t; (* this shard's local layout *)
 }
 
-let create ?costs ?driver_config ~mgr ~sid ~flavor schema =
+let create ?driver_config ~mgr ~sid ~flavor schema =
   if sid < 0 then invalid_arg "Shard.create: negative shard id";
   let config =
     (* A shard must run a durable WAL: 2PC is a logging protocol, and a
@@ -19,7 +19,7 @@ let create ?costs ?driver_config ~mgr ~sid ~flavor schema =
         c
     | None -> { State.default_config with State.durable_wal = true }
   in
-  let engine = Siro_engine.create ?costs ~driver_config:config ~mgr ~shard:sid ~flavor schema in
+  let engine = Siro_engine.create ~driver_config:config ~mgr ~shard:sid ~flavor schema in
   let driver = Siro_engine.driver_exn engine in
   let twopc =
     match engine.Engine.twopc with
@@ -34,4 +34,3 @@ let engine t = t.engine
 let driver t = t.driver
 let wal t = t.wal
 let twopc t = t.twopc
-let schema t = t.schema

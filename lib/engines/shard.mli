@@ -17,7 +17,6 @@ type t = {
 }
 
 val create :
-  ?costs:Costs.t ->
   ?driver_config:State.config ->
   mgr:Txn_manager.t ->
   sid:int ->
@@ -35,4 +34,3 @@ val engine : t -> Engine.t
 val driver : t -> Driver.t
 val wal : t -> Wal.t
 val twopc : t -> Engine.twopc
-val schema : t -> Schema.t

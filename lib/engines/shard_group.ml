@@ -306,10 +306,9 @@ let decision_resolver t () =
       in
       Hashtbl.find_opt table tid
 
-let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rto
+let create ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rto
     ?net_indoubt_after ~shards:n schema =
   if n < 1 then invalid_arg "Shard_group.create: need at least one shard";
-  let costs = match costs with Some c -> c | None -> Costs.default in
   let mgr = Txn_manager.create () in
   let epoch = Epoch.create mgr in
   let records = Schema.records schema in
@@ -325,7 +324,7 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
             rows_per_table = max 1 (local_records ~shards:n ~records ~sid);
           }
         in
-        Shard.create ~costs ?driver_config ~mgr ~sid ~flavor local_schema)
+        Shard.create ?driver_config ~mgr ~sid ~flavor local_schema)
   in
   let rto =
     match net_rto with
@@ -344,7 +343,7 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
   let t =
     {
       n;
-      costs;
+      costs = Costs.default;
       schema;
       mgr;
       epoch;
@@ -935,18 +934,10 @@ let clear_inflight t =
   Array.iter Hashtbl.reset t.done_t;
   Hashtbl.reset t.poisoned
 
-let crash_all ?keep t =
+let crash_all t =
   (* Whole-system power loss: every shard's device keeps only what it
-     fsynced (or what the per-shard [keep] override says survived). *)
-  Array.iter
-    (fun (sh : Shard.t) ->
-      let keep_lsn =
-        match keep with
-        | Some f -> f sh.Shard.sid
-        | None -> Wal.flushed_lsn sh.Shard.wal
-      in
-      Wal.crash sh.Shard.wal ~keep_lsn)
-    t.shards;
+     fsynced. *)
+  Array.iter (fun (sh : Shard.t) -> Wal.crash sh.Shard.wal ~keep_lsn:(Wal.flushed_lsn sh.Shard.wal)) t.shards;
   clear_inflight t
 
 let restart_all t ~now =

@@ -89,7 +89,6 @@ exception Shard_down of int
 type t
 
 val create :
-  ?costs:Costs.t ->
   ?driver_config:State.config ->
   ?flavor:[ `Pg | `Mysql ] ->
   ?net:Net_fault.config ->
@@ -168,9 +167,9 @@ val sample : t -> Engine.sample
 
 (** {1 Crash and recovery} *)
 
-val crash_all : ?keep:(int -> int) -> t -> unit
+val crash_all : t -> unit
 (** Whole-system power loss: truncate every shard's WAL at its flushed
-    LSN (or at [keep sid]), drop all in-flight 2PC bookkeeping and
+    LSN, drop all in-flight 2PC bookkeeping and
     every frame the fabric still held. The caller drops its in-flight
     transactions — never aborts them through the engine — and then
     calls {!restart_all}. *)

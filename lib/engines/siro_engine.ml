@@ -179,7 +179,8 @@ let maintenance st ~now =
   in
   now + st.costs.Costs.zone_check + cost
 
-let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor schema =
+let create ?driver_config ?mgr ?(shard = 0) ~flavor schema =
+  let costs = Costs.default in
   (* A sharded deployment shares one transaction manager (the global
      snapshot order) across per-shard engine instances; each instance
      still owns its pipeline, heap, slots and WAL — the shard tag keeps
@@ -198,8 +199,7 @@ let create ?(costs = Costs.default) ?driver_config ?mgr ?(shard = 0) ~flavor sch
     | None -> Driver.create mgr
   in
   let pool =
-    Buffer_pool.create ~name:"heap"
-      ~capacity_blocks:(((3 * Heap.page_count heap) / 2) + 8)
+    Buffer_pool.create ~capacity_blocks:(((3 * Heap.page_count heap) / 2) + 8)
   in
   let st =
     {

@@ -13,7 +13,6 @@
     paper observes of its two integrations. *)
 
 val create :
-  ?costs:Costs.t ->
   ?driver_config:State.config ->
   ?mgr:Txn_manager.t ->
   ?shard:int ->

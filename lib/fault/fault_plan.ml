@@ -47,42 +47,40 @@ type t = {
   torn_tail : bool;
 }
 
-let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
-    ?(wal_error_rate = 0.) ?(flush_fail_rate = 0.) ?(evict_storm_rate = 0.)
-    ?(space_storm_rate = 0.) ?(wal_bitflip_rate = 0.) ?(cleaner_stall_rate = 0.)
-    ?(llt_zombie_rate = 0.) ?(collab_delay_rate = 0.) ?(node_kill_rate = 0.)
-    ?(node_revive_rate = 0.) ?(crash_points = []) ?(torn_tail = false)
-    ?(check_period = Clock.ms 100) () =
+(* Newer actions are drawn strictly after the older ones so plans that
+   do not use them keep the exact sub-seed sequence (and therefore
+   injection times) they had before those actions existed: [Wal_bitflip]
+   after the original six, then the liveness trio. Append only. *)
+let all_actions =
+  [
+    Crash;
+    Abort_txn;
+    Wal_error;
+    Flush_fail;
+    Evict_storm;
+    Space_storm;
+    Wal_bitflip;
+    Cleaner_stall;
+    Llt_zombie;
+    Collab_delay;
+    Node_kill;
+    Node_revive;
+  ]
+
+(* [rates] names the kinds with a rate; every other kind's is 0. *)
+let make ?(seed = 0) ?(events = []) ?(crash_points = []) ?(torn_tail = false)
+    ?(check_period = Clock.ms 100) rates =
   if check_period <= 0 then invalid_arg "Fault_plan: non-positive check period";
-  (* Newer actions are drawn strictly after the older ones so plans that
-     do not use them keep the exact sub-seed sequence (and therefore
-     injection times) they had before those actions existed: [Wal_bitflip]
-     after the original six, then the liveness trio. Append only. *)
-  let rates =
-    [
-      (Crash, crash_rate);
-      (Abort_txn, abort_rate);
-      (Wal_error, wal_error_rate);
-      (Flush_fail, flush_fail_rate);
-      (Evict_storm, evict_storm_rate);
-      (Space_storm, space_storm_rate);
-      (Wal_bitflip, wal_bitflip_rate);
-      (Cleaner_stall, cleaner_stall_rate);
-      (Llt_zombie, llt_zombie_rate);
-      (Collab_delay, collab_delay_rate);
-      (Node_kill, node_kill_rate);
-      (Node_revive, node_revive_rate);
-    ]
-  in
   (* Derive one independent stream per process from the plan seed,
      drawing a sub-seed for every kind whatever its rate. *)
   let master = Rng.create seed in
   let processes =
     List.map
-      (fun (p_action, rate) ->
+      (fun p_action ->
+        let rate = Option.value (List.assoc_opt p_action rates) ~default:0. in
         if rate < 0. then invalid_arg "Fault_plan: negative rate";
         { p_action; rate; sub_seed = Int64.to_int (Rng.next_int64 master) })
-      rates
+      all_actions
   in
   {
     plan_seed = seed;
@@ -92,6 +90,21 @@ let create ?(seed = 0) ?(events = []) ?(crash_rate = 0.) ?(abort_rate = 0.)
     crash_points = List.sort_uniq compare (List.filter (fun p -> p > 0) crash_points);
     torn_tail;
   }
+
+let create ?seed ?events ?(crash_rate = 0.) ?(abort_rate = 0.) ?(space_storm_rate = 0.)
+    ?(cleaner_stall_rate = 0.) ?(llt_zombie_rate = 0.) ?(collab_delay_rate = 0.)
+    ?(node_kill_rate = 0.) ?(node_revive_rate = 0.) ?crash_points ?torn_tail ?check_period () =
+  make ?seed ?events ?crash_points ?torn_tail ?check_period
+    [
+      (Crash, crash_rate);
+      (Abort_txn, abort_rate);
+      (Space_storm, space_storm_rate);
+      (Cleaner_stall, cleaner_stall_rate);
+      (Llt_zombie, llt_zombie_rate);
+      (Collab_delay, collab_delay_rate);
+      (Node_kill, node_kill_rate);
+      (Node_revive, node_revive_rate);
+    ]
 
 let none = create ()
 
@@ -116,9 +129,18 @@ let random ?(crash_points = []) ?(torn_tail = false) ?(stalls = false)
   let cleaner_stall_rate = if stalls then draw 0.8 2.5 else 0. in
   let collab_delay_rate = if stalls then draw 1. 4. else 0. in
   let llt_zombie_rate = if zombies then draw 0.5 1.5 else 0. in
-  create ~seed ~crash_rate ~abort_rate ~wal_error_rate ~flush_fail_rate
-    ~evict_storm_rate ~space_storm_rate ~cleaner_stall_rate ~llt_zombie_rate
-    ~collab_delay_rate ~crash_points ~torn_tail ()
+  make ~seed ~crash_points ~torn_tail
+    [
+      (Crash, crash_rate);
+      (Abort_txn, abort_rate);
+      (Wal_error, wal_error_rate);
+      (Flush_fail, flush_fail_rate);
+      (Evict_storm, evict_storm_rate);
+      (Space_storm, space_storm_rate);
+      (Cleaner_stall, cleaner_stall_rate);
+      (Llt_zombie, llt_zombie_rate);
+      (Collab_delay, collab_delay_rate);
+    ]
 
 (* Seeded network-fault config for the shard fabric. The partition
    schedule is drawn from a stream forked off [seed] (distinct tweak

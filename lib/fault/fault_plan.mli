@@ -59,11 +59,7 @@ val create :
   ?events:event list ->
   ?crash_rate:float ->
   ?abort_rate:float ->
-  ?wal_error_rate:float ->
-  ?flush_fail_rate:float ->
-  ?evict_storm_rate:float ->
   ?space_storm_rate:float ->
-  ?wal_bitflip_rate:float ->
   ?cleaner_stall_rate:float ->
   ?llt_zombie_rate:float ->
   ?collab_delay_rate:float ->
@@ -74,8 +70,10 @@ val create :
   ?check_period:Clock.time ->
   unit ->
   t
-(** Rates are per simulated second and default to 0; [events] may be in
-    any order. [check_period] is the cadence at which the harness runs
+(** Rates are per simulated second and default to 0; the WAL-error,
+    flush-fail, eviction-storm and WAL-bit-flip kinds get no rate here
+    ({!random} draws the first three; [events] may name any kind).
+    [events] may be in any order. [check_period] is the cadence at which the harness runs
     the online invariant sweep (default 100 ms; the prune-soundness
     audit is continuous regardless). Negative rates and a non-positive
     [check_period] raise [Invalid_argument].

@@ -45,36 +45,6 @@ let dead_in_segment b seg =
     seg.Segment.nodes;
   !n
 
-(* Delete every dead node of one hardened segment; finish it through
-   the seed cut path once nothing live remains. *)
-let reclaim_segment b seg ~now =
-  let st = b.st in
-  let deleted = ref 0 in
-  Vec.iter
-    (fun (node : Chain.node) ->
-      if (not node.Chain.deleted) && node_dead b node then begin
-        (match Llb.find st.State.llb ~rid:node.Chain.version.Version.rid with
-        | Some chain ->
-            let episode = Collab.create () in
-            (match
-               Collab.cutter episode
-                 ~delete:(fun () -> Chain.delete_node chain node)
-                 ~fixup:(fun () -> ())
-             with
-            | `Won -> ()
-            | `Lost -> Chain.delete_node chain node)
-        | None -> assert false);
-        State.audit_prune st ~now ~origin:`Cut ~lo:node.Chain.prune_lo
-          ~hi:node.Chain.prune_hi;
-        incr deleted
-      end)
-    seg.Segment.nodes;
-  if Segment.live_count seg = 0 then begin
-    let _, bytes = Vcutter.cut_segment st seg ~now in
-    (!deleted, bytes, true)
-  end
-  else (!deleted, 0, false)
-
 let step b ~now ~budget =
   let st = b.st in
   State.refresh_zones st ~now;
@@ -125,7 +95,7 @@ let step b ~now ~budget =
         let must_enforce = (not b.sabotage) && !remaining > b.max_dead in
         let token_spent = b.sabotage && !processed >= 1 in
         if (within_budget || must_enforce) && not token_spent then begin
-          let v, by, cut = reclaim_segment b seg ~now in
+          let v, by, cut = Vcutter.reclaim_segment st seg ~dead:(node_dead b) ~now in
           incr processed;
           remaining := !remaining - dcount;
           cut_vers := !cut_vers + v;

@@ -3,12 +3,11 @@ type kind = Vcutter | Range | Bounded
 type config = {
   kind : kind;
   sabotage : bool;
-  range_scan_cap : int;
   bounded_max_dead : int;
 }
 
 let default_config =
-  { kind = Vcutter; sabotage = false; range_scan_cap = 4; bounded_max_dead = 256 }
+  { kind = Vcutter; sabotage = false; bounded_max_dead = 256 }
 
 let kind_name = function Vcutter -> "vcutter" | Range -> "range" | Bounded -> "bounded"
 let kind_id = function Vcutter -> 0 | Range -> 1 | Bounded -> 2
@@ -28,7 +27,7 @@ let install (d : Driver.t) (cfg : config) =
   let hook =
     match cfg.kind with
     | Vcutter -> Vcutter_backend.hook st ~sabotage:cfg.sabotage
-    | Range -> Range_track_backend.hook st ~sabotage:cfg.sabotage ~scan_cap:cfg.range_scan_cap
+    | Range -> Range_track_backend.hook st ~sabotage:cfg.sabotage
     | Bounded -> Bounded_backend.hook st ~sabotage:cfg.sabotage ~max_dead:cfg.bounded_max_dead
   in
   st.State.gc_backend <- Some hook

@@ -32,7 +32,6 @@ type kind = Vcutter | Range | Bounded
 type config = {
   kind : kind;
   sabotage : bool;
-  range_scan_cap : int;  (** sealed segments announced per range step *)
   bounded_max_dead : int;  (** K: the BBF+ resident dead-version bound *)
 }
 

@@ -6,7 +6,7 @@
 
    Mapped onto the vDriver pipeline:
 
-   - Announce pass: the oldest [scan_cap] sealed segments are examined
+   - Announce pass: the oldest [scan_cap] (4) sealed segments are examined
      exactly once. A whole-dead one is dropped (the 2nd prune);
      survivors are hardened *immediately* — range tracking records the
      interval and moves on, it never ages segments in vBuffer the way
@@ -16,8 +16,8 @@
      column goes to the paper's design.
    - Store pass: up to [budget] hardened segments per step (rotating
      cursor), subtracting the live set per node; dead nodes are deleted
-     and audited, and a segment whose last live node goes is finished
-     through {!Vcutter.cut_segment} (freeing its bytes).
+     and audited, and a segment whose last live node goes is cut
+     (freeing its bytes), all through {!Vcutter.reclaim_segment}.
 
    Soundness is backend-relative only in mechanism, not in judge: the
    universal Definition-3.3 prune audit re-checks every deletion this
@@ -29,10 +29,12 @@
 type t = {
   st : State.t;
   sabotage : bool;
-  scan_cap : int;
   mutable cursor : int;
   mutable store_reclaims : int; (* versions reclaimed by interval subtraction *)
 }
+
+(* Sealed segments the announce pass examines per step. *)
+let scan_cap = 4
 
 let node_dead b (node : Chain.node) =
   let lo = node.Chain.prune_lo and hi = node.Chain.prune_hi in
@@ -41,38 +43,6 @@ let node_dead b (node : Chain.node) =
     | [] -> Prune.dead_spec ~live:[] ~vs:lo ~ve:hi
     | _oldest :: rest -> Prune.dead_spec ~live:rest ~vs:lo ~ve:hi
   else State.interval_dead b.st ~lo ~hi
-
-(* Delete the dead nodes of one hardened segment; finish it through the
-   seed cut path once nothing live remains. Returns versions deleted
-   and bytes freed. *)
-let subtract_segment b seg ~now =
-  let st = b.st in
-  let deleted = ref 0 in
-  Vec.iter
-    (fun (node : Chain.node) ->
-      if (not node.Chain.deleted) && node_dead b node then begin
-        (match Llb.find st.State.llb ~rid:node.Chain.version.Version.rid with
-        | Some chain ->
-            let episode = Collab.create () in
-            (match
-               Collab.cutter episode
-                 ~delete:(fun () -> Chain.delete_node chain node)
-                 ~fixup:(fun () -> ())
-             with
-            | `Won -> ()
-            | `Lost -> Chain.delete_node chain node)
-        | None -> assert false);
-        State.audit_prune st ~now ~origin:`Cut ~lo:node.Chain.prune_lo
-          ~hi:node.Chain.prune_hi;
-        incr deleted
-      end)
-    seg.Segment.nodes;
-  b.store_reclaims <- b.store_reclaims + !deleted;
-  if Segment.live_count seg = 0 then begin
-    let _, bytes = Vcutter.cut_segment st seg ~now in
-    (!deleted, bytes, true)
-  end
-  else (!deleted, 0, false)
 
 let rotate k l =
   let n = List.length l in
@@ -94,7 +64,7 @@ let step b ~now ~budget =
   (* Announce pass over the oldest sealed segments. *)
   let dropped = ref 0 and pruned = ref 0 and flushed = ref 0 and stored = ref 0 in
   let examined = ref 0 and blocked = ref false in
-  while (not !blocked) && !examined < b.scan_cap && not (Vec.is_empty st.State.sealed) do
+  while (not !blocked) && !examined < scan_cap && not (Vec.is_empty st.State.sealed) do
     let seg = Vec.get st.State.sealed 0 in
     let _, vmin, vmax = Segment.descriptor seg in
     if State.interval_dead st ~lo:vmin ~hi:vmax then begin
@@ -147,7 +117,8 @@ let step b ~now ~budget =
     | [] -> ()
     | _ when n = 0 -> ()
     | seg :: rest ->
-        let v, by, cut = subtract_segment b seg ~now in
+        let v, by, cut = Vcutter.reclaim_segment st seg ~dead:(node_dead b) ~now in
+        b.store_reclaims <- b.store_reclaims + v;
         cut_vers := !cut_vers + v;
         bytes := !bytes + by;
         if cut then incr cut_segs;
@@ -166,8 +137,8 @@ let step b ~now ~budget =
     gs_segments_scanned = !scanned;
   }
 
-let hook st ~sabotage ~scan_cap =
-  let b = { st; sabotage; scan_cap = max 1 scan_cap; cursor = 0; store_reclaims = 0 } in
+let hook st ~sabotage =
+  let b = { st; sabotage; cursor = 0; store_reclaims = 0 } in
   {
     State.gh_name = "range";
     gh_id = 1;

@@ -64,7 +64,7 @@ let sabotaged_step b ~now ~budget =
     | seg :: rest ->
         if i mod 2 = 1 then cut_up_to (i + 1) n rest
         else begin
-          let v, by = Vcutter.cut_segment st seg ~now in
+          let v, by, _ = Vcutter.reclaim_segment st seg ~dead:(fun _ -> true) ~now in
           incr segs;
           vers := !vers + v;
           bytes := !bytes + by;

@@ -95,8 +95,6 @@ let create ?(faults = Net_fault.none) ~endpoints () =
     retried = 0;
   }
 
-let faults t = t.faults
-
 let set_handler t ~ep f =
   if ep < 0 || ep >= t.endpoints then invalid_arg "Bus.set_handler: bad endpoint";
   t.handlers.(ep) <- Some f

@@ -35,8 +35,6 @@ type stats = {
 val create : ?faults:Net_fault.config -> endpoints:int -> unit -> 'a t
 (** Raises [Invalid_argument] if [endpoints < 1]. *)
 
-val faults : 'a t -> Net_fault.config
-
 val set_handler : 'a t -> ep:int -> (now:Clock.time -> src:int -> 'a -> unit) -> unit
 
 val send : 'a t -> src:int -> dst:int -> now:Clock.time -> 'a -> unit

@@ -46,16 +46,3 @@ let severed c ~src ~dst ~now =
 
 let last_heal c = List.fold_left (fun acc p -> max acc p.heal_t) 0 c.partitions
 let active_at c ~now = List.exists (fun p -> now >= p.from_t && now < p.heal_t) c.partitions
-
-let pp fmt c =
-  if is_none c then Format.fprintf fmt "net: none"
-  else begin
-    Format.fprintf fmt "net: seed=%d loss=%.2f dup=%.2f delay=%d..%dns" c.seed c.loss c.dup
-      c.min_delay (c.min_delay + c.max_delay);
-    List.iter
-      (fun p ->
-        Format.fprintf fmt " [%s:{%s} %a..%a]" p.p_name
-          (String.concat "," (List.map string_of_int p.isolated))
-          Clock.pp p.from_t Clock.pp p.heal_t)
-      c.partitions
-  end

@@ -62,5 +62,3 @@ val last_heal : config -> Clock.time
 
 val active_at : config -> now:Clock.time -> bool
 (** Some partition window covers [now]. *)
-
-val pp : Format.formatter -> config -> unit

@@ -39,7 +39,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (* ---- the scoped registry instrumentation sites report into ---- *)
 

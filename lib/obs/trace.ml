@@ -49,7 +49,6 @@ let create ?(capacity = 1 lsl 18) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { cap = capacity; buf = Array.make capacity None; len = 0; next = 0; emitted = 0 }
 
-let capacity t = t.cap
 let length t = t.len
 let emitted t = t.emitted
 let dropped t = t.emitted - t.len

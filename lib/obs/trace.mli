@@ -28,12 +28,6 @@ type track =
   | Fault  (** injected faults *)
   | Watchdog  (** liveness ladder transitions, sheds, lag readings *)
 
-val track_name : track -> string
-val track_tid : track -> int
-(** Stable "thread id" used in the Chrome export; [Scheduler] is 1. *)
-
-val all_tracks : track list
-
 type arg = I of int | F of float | S of string
 
 type kind =
@@ -47,8 +41,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** Default capacity 262144 events. Raises on non-positive capacity. *)
-
-val capacity : t -> int
 
 val with_tracer : t -> (unit -> 'a) -> 'a
 (** Install [t] as the tracer in scope for the thunk (restoring the

@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   window : Clock.time;
   mutable window_start : Clock.time;
   mutable window_busy : Clock.time;
@@ -7,11 +6,9 @@ type t = {
   mutable total_busy : Clock.time;
 }
 
-let create ?(window = Clock.ms 100) name =
+let create ?(window = Clock.ms 100) () =
   if window <= 0 then invalid_arg "Queue_model.create: window must be positive";
-  { name; window; window_start = 0; window_busy = 0; rho = 0.; total_busy = 0 }
-
-let name t = t.name
+  { window; window_start = 0; window_busy = 0; rho = 0.; total_busy = 0 }
 
 let refresh t ~now =
   if now - t.window_start >= t.window then begin

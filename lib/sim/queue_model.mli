@@ -10,10 +10,8 @@
 
 type t
 
-val create : ?window:Clock.time -> string -> t
+val create : ?window:Clock.time -> unit -> t
 (** [window] defaults to 100 ms of simulated time. *)
-
-val name : t -> string
 
 val service : t -> now:Clock.time -> hold:Clock.time -> Clock.time
 (** Returns the completion time [now + hold + expected delay]. *)

@@ -1,13 +1,11 @@
 type t = {
-  name : string;
   mutable free_at : Clock.time;
   mutable busy_time : Clock.time;
   mutable wait_time : Clock.time;
   mutable acquisitions : int;
 }
 
-let create name = { name; free_at = 0; busy_time = 0; wait_time = 0; acquisitions = 0 }
-let name t = t.name
+let create () = { free_at = 0; busy_time = 0; wait_time = 0; acquisitions = 0 }
 
 let acquire t ~now ~hold =
   if hold < 0 then invalid_arg "Resource.acquire: negative hold";
@@ -18,7 +16,6 @@ let acquire t ~now ~hold =
   t.acquisitions <- t.acquisitions + 1;
   t.free_at
 
-let free_at t = t.free_at
 let busy_time t = t.busy_time
 let wait_time t = t.wait_time
 let acquisitions t = t.acquisitions

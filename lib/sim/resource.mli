@@ -10,15 +10,11 @@
 
 type t
 
-val create : string -> t
-val name : t -> string
+val create : unit -> t
 
 val acquire : t -> now:Clock.time -> hold:Clock.time -> Clock.time
 (** [acquire r ~now ~hold] returns the simulated time at which the caller
     has finished its critical section ([grant + hold]). *)
-
-val free_at : t -> Clock.time
-(** Time at which the resource next becomes free. *)
 
 val busy_time : t -> Clock.time
 (** Total simulated time the resource has been held. *)

@@ -1,7 +1,6 @@
-type t = { name : string; lru : Lru.t; mutable hits : int; mutable misses : int }
+type t = { lru : Lru.t; mutable hits : int; mutable misses : int }
 
-let create ~name ~capacity_blocks = { name; lru = Lru.create ~capacity:capacity_blocks; hits = 0; misses = 0 }
-let name t = t.name
+let create ~capacity_blocks = { lru = Lru.create ~capacity:capacity_blocks; hits = 0; misses = 0 }
 
 let access t ~block =
   if Lru.access t.lru block then begin

@@ -6,8 +6,7 @@
 
 type t
 
-val create : name:string -> capacity_blocks:int -> t
-val name : t -> string
+val create : capacity_blocks:int -> t
 
 val access : t -> block:int -> [ `Hit | `Miss ]
 (** Touch a block; loads it on miss (evicting LRU if full). *)

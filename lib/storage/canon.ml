@@ -112,9 +112,10 @@ let char c ch =
 
 let is_digit = function '0' .. '9' -> true | _ -> false
 
-(* A [string_of_int] rendering: no leading zero, no [-0], and at most 18
-   digits, so the value cannot overflow and the reference parser reads
-   it as the same [Int]. *)
+(* A [string_of_int] rendering: no leading zero and no [-0]. Up to 18
+   digits cannot overflow; a 19-digit one is read again by
+   [int_of_string_opt], which refuses a value past [min_int]/[max_int]
+   exactly as the Jsonx parser does. *)
 let int c =
   let neg = c.pos < c.lim && String.unsafe_get c.s c.pos = '-' in
   let start = if neg then c.pos + 1 else c.pos in
@@ -124,27 +125,44 @@ let int c =
     incr i
   done;
   let digits = !i - start in
-  if digits = 0 || digits > 18 || (digits > 1 && String.unsafe_get c.s start = '0') || (neg && !v = 0)
+  if digits = 0 || digits > 19 || (digits > 1 && String.unsafe_get c.s start = '0') || (neg && digits = 1 && !v = 0)
   then raise Not_canonical;
+  let v =
+    if digits < 19 then if neg then - !v else !v
+    else
+      match int_of_string_opt (String.sub c.s c.pos (!i - c.pos)) with
+      | Some v -> v
+      | None -> raise Not_canonical
+  in
   c.pos <- !i;
-  if neg then - !v else !v
+  v
 
 let member c key =
   expect c key;
   int c
 
-(* A string Jsonx prints verbatim: no backslash, no control character. *)
+(* A string as Jsonx prints it. The rare one with escapes goes through
+   the Jsonx parser and must print back to the same bytes. *)
 let str c =
   char c '"';
-  let start = c.pos in
+  let start = c.pos and escaped = ref false in
   while c.pos < c.lim && String.unsafe_get c.s c.pos <> '"' do
     let ch = String.unsafe_get c.s c.pos in
-    if ch = '\\' || Char.code ch < 0x20 then raise Not_canonical;
+    if Char.code ch < 0x20 then raise Not_canonical;
+    if ch = '\\' then begin
+      escaped := true;
+      c.pos <- c.pos + 1
+    end;
     c.pos <- c.pos + 1
   done;
   if c.pos >= c.lim then raise Not_canonical;
   c.pos <- c.pos + 1;
-  String.sub c.s start (c.pos - 1 - start)
+  if not !escaped then String.sub c.s start (c.pos - 1 - start)
+  else
+    let lit = String.sub c.s (start - 1) (c.pos - start + 1) in
+    match Jsonx.of_string lit with
+    | Ok (Jsonx.Str v as j) when Jsonx.to_string j = lit -> v
+    | _ -> raise Not_canonical
 
 let list c elem =
   char c '[';

@@ -5,8 +5,8 @@
     without building the tree, and read them back in one pass. The
     writers here append what the printer appends for an int, a string or
     an array; the scanners accept only that spelling and raise
-    {!Not_canonical} on anything else, so a caller can fall back to the
-    tree codec, which stays the specification. *)
+    {!Not_canonical} on anything else. The tree codecs that specify both
+    formats live in [test/ref_codec.ml]. *)
 
 (** {1 Writing} *)
 
@@ -61,16 +61,15 @@ val char : cursor -> char -> unit
 val is_digit : char -> bool
 
 val int : cursor -> int
-(** An int as [string_of_int] prints it, with at most 18 digits: no
-    leading zero, no [-0], no value the reference parser could read
-    differently. *)
+(** An int as [string_of_int] prints it: no leading zero, no [-0], no
+    value past [min_int] or [max_int]. *)
 
 val member : cursor -> string -> int
 (** [expect] the member prefix, then [int]. *)
 
 val str : cursor -> string
-(** A JSON string with no [\] and no control character — one the
-    printer writes verbatim. *)
+(** A JSON string as {!Jsonx.to_string} prints it: escapes only where
+    the printer writes them, and no raw control character. *)
 
 val list : cursor -> (cursor -> 'a) -> 'a list
 (** [[x,y,...]] with no whitespace, each element read by the function. *)

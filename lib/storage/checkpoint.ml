@@ -29,202 +29,8 @@ type t = {
   decisions : (int * int) list;
 }
 
-let seg_version_json (v : seg_version) =
-  Jsonx.Obj
-    [
-      ("rid", Jsonx.Int v.rid);
-      ("vs", Jsonx.Int v.vs);
-      ("ve", Jsonx.Int v.ve);
-      ("vs_time", Jsonx.Int v.vs_time);
-      ("ve_time", Jsonx.Int v.ve_time);
-      ("bytes", Jsonx.Int v.bytes);
-      ("value", Jsonx.Int v.value);
-      ("lo", Jsonx.Int v.lo);
-      ("hi", Jsonx.Int v.hi);
-    ]
-
-let seg_json s =
-  Jsonx.Obj
-    [
-      ("seg", Jsonx.Int s.seg_id);
-      ("cls", Jsonx.Str s.cls);
-      ("hardened", Jsonx.Bool s.hardened);
-      ("versions", Jsonx.Arr (List.map seg_version_json s.versions));
-    ]
-
-let row_json (r : row) =
-  Jsonx.Obj
-    [
-      ("rid", Jsonx.Int r.rid);
-      ("value", Jsonx.Int r.value);
-      ("vs", Jsonx.Int r.vs);
-      ("vs_time", Jsonx.Int r.vs_time);
-      ("cts", Jsonx.Int r.cts);
-    ]
-
-let pending_json (p : pending) =
-  Jsonx.Obj
-    [
-      ("tid", Jsonx.Int p.tid);
-      ( "writes",
-        Jsonx.Arr
-          (List.map
-             (fun w ->
-               Jsonx.Obj
-                 [
-                   ("rid", Jsonx.Int w.rid);
-                   ("value", Jsonx.Int w.value);
-                   ("vs_time", Jsonx.Int w.vs_time);
-                 ])
-             p.writes) );
-    ]
-
-let outcome_json (tid, ts) = Jsonx.Arr [ Jsonx.Int tid; Jsonx.Int ts ]
-
-let to_json t =
-  (* The 2PC members are emitted only when non-empty: unsharded
-     snapshots keep the pre-sharding byte format. *)
-  let twopc =
-    (if t.prepared = [] then []
-     else [ ("prepared", Jsonx.Arr (List.map outcome_json t.prepared)) ])
-    @
-    if t.decisions = [] then []
-    else [ ("decisions", Jsonx.Arr (List.map outcome_json t.decisions)) ]
-  in
-  Jsonx.Obj
-    ([
-       ("at", Jsonx.Int t.at);
-       ("oracle_next", Jsonx.Int t.oracle_next);
-       ("live", Jsonx.Arr (List.map (fun ts -> Jsonx.Int ts) t.live));
-       ("committed", Jsonx.Arr (List.map outcome_json t.committed));
-       ("aborted", Jsonx.Arr (List.map outcome_json t.aborted));
-       ("rows", Jsonx.Arr (List.map row_json t.rows));
-       ("pending", Jsonx.Arr (List.map pending_json t.pending));
-       ("segments", Jsonx.Arr (List.map seg_json t.segments));
-       ("next_seg_id", Jsonx.Int t.next_seg_id);
-     ]
-    @ twopc)
-
-let ( let* ) = Result.bind
-
-let int_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing int field %S" name)
-
-let str_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing string field %S" name)
-
-let bool_field name obj =
-  match Jsonx.member name obj with
-  | Some (Jsonx.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "checkpoint: missing bool field %S" name)
-
-let arr_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_arr with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing array field %S" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let outcome_of_json = function
-  | Jsonx.Arr [ Jsonx.Int tid; Jsonx.Int ts ] -> Ok (tid, ts)
-  | _ -> Error "checkpoint: malformed outcome pair"
-
-let seg_version_of_json j =
-  let* rid = int_field "rid" j in
-  let* vs = int_field "vs" j in
-  let* ve = int_field "ve" j in
-  let* vs_time = int_field "vs_time" j in
-  let* ve_time = int_field "ve_time" j in
-  let* bytes = int_field "bytes" j in
-  let* value = int_field "value" j in
-  let* lo = int_field "lo" j in
-  let* hi = int_field "hi" j in
-  Ok { rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi }
-
-let seg_of_json j =
-  let* seg_id = int_field "seg" j in
-  let* cls = str_field "cls" j in
-  let* hardened = bool_field "hardened" j in
-  let* versions = arr_field "versions" j in
-  let* versions = map_result seg_version_of_json versions in
-  Ok { seg_id; cls; hardened; versions }
-
-let row_of_json j =
-  let* rid = int_field "rid" j in
-  let* value = int_field "value" j in
-  let* vs = int_field "vs" j in
-  let* vs_time = int_field "vs_time" j in
-  let* cts = int_field "cts" j in
-  Ok { rid; value; vs; vs_time; cts }
-
-let pending_of_json j =
-  let* tid = int_field "tid" j in
-  let* writes = arr_field "writes" j in
-  let* writes =
-    map_result
-      (fun w ->
-        let* rid = int_field "rid" w in
-        let* value = int_field "value" w in
-        let* vs_time = int_field "vs_time" w in
-        Ok { rid; value; vs_time })
-      writes
-  in
-  Ok { tid; writes }
-
-let of_json j =
-  let* at = int_field "at" j in
-  let* oracle_next = int_field "oracle_next" j in
-  let* live = arr_field "live" j in
-  let* live =
-    map_result
-      (function Jsonx.Int ts -> Ok ts | _ -> Error "checkpoint: malformed live entry")
-      live
-  in
-  let* committed = arr_field "committed" j in
-  let* committed = map_result outcome_of_json committed in
-  let* aborted = arr_field "aborted" j in
-  let* aborted = map_result outcome_of_json aborted in
-  let* rows = arr_field "rows" j in
-  let* rows = map_result row_of_json rows in
-  let* pending = arr_field "pending" j in
-  let* pending = map_result pending_of_json pending in
-  let* segments = arr_field "segments" j in
-  let* segments = map_result seg_of_json segments in
-  let* next_seg_id = int_field "next_seg_id" j in
-  let pairs_opt name =
-    match Option.bind (Jsonx.member name j) Jsonx.to_arr with
-    | None -> Ok []
-    | Some items -> map_result outcome_of_json items
-  in
-  let* prepared = pairs_opt "prepared" in
-  let* decisions = pairs_opt "decisions" in
-  Ok
-    {
-      at;
-      oracle_next;
-      live;
-      committed;
-      aborted;
-      rows;
-      pending;
-      segments;
-      next_seg_id;
-      prepared;
-      decisions;
-    }
-
 (* ------------------------------------------------------------------ *)
-(* Direct codec: the bytes of [Jsonx.to_string (to_json t)], written and
-   scanned in place *)
+(* The snapshot, written and scanned in place *)
 
 let add_pair buf (a, b) =
   Canon.add_char buf '[';

@@ -68,25 +68,18 @@ type t = {
           unsharded snapshots keep the pre-sharding bytes. *)
 }
 
-val to_json : t -> Jsonx.t
-(** The specification of the snapshot bytes: [Jsonx.to_string (to_json
-    t)]. Members in the order of the record's fields ([seg_id] named
-    [seg]); [prepared] and [decisions] only when non-empty. *)
-
-val of_json : Jsonx.t -> (t, string) result
-(** The specification of reading a snapshot: members by name, in any
-    order; absent [prepared]/[decisions] read as empty. *)
-
 val write : Canon.out -> t -> unit
-(** Appends exactly [Jsonx.to_string (to_json t)], written straight into
-    the frame's buffer with no {!Jsonx} tree: the WAL writes every
-    [Ckpt_end] frame this way. *)
+(** Appends the snapshot as one canonical {!Jsonx} object, written
+    straight into the frame's buffer with no {!Jsonx} tree: the WAL
+    writes every [Ckpt_end] frame this way. Members come in the order
+    of the record's fields ([seg_id] named [seg]); [prepared] and
+    [decisions] only when non-empty. The bytes are those
+    [test/ref_codec.ml] prints from the snapshot's {!Jsonx} tree, its
+    specification. *)
 
 val scan : Canon.cursor -> t
 (** Reads one snapshot in the layout {!write} writes, in one pass,
-    and leaves the cursor after its closing brace. Whenever it returns,
-    the bytes it read are ones {!Jsonx} prints back unchanged, and the
-    result is what [of_json] reads from their tree. Raises {!Canon.Not_canonical} on anything else —
-    whitespace, escapes, reordered or missing members, an int not
-    spelled as [string_of_int] spells it — and the caller falls back to
-    [Jsonx.of_string] and {!of_json}. *)
+    and leaves the cursor after its closing brace. Raises
+    {!Canon.Not_canonical} on anything else — whitespace, an escape or
+    an int not spelled as the printer spells it, reordered or missing
+    members — and the frame holding it then fails to decode. *)

@@ -47,7 +47,6 @@ let next t s = t.nodes.((3 * s) + 2)
 let set_key t s k = t.nodes.(3 * s) <- k
 let set_prev t s p = t.nodes.((3 * s) + 1) <- p
 let set_next t s n = t.nodes.((3 * s) + 2) <- n
-let capacity t = t.capacity
 let size t = t.size
 
 (* Fibonacci hashing: the top bits of [k] times the odd 63-bit

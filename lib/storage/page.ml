@@ -8,7 +8,7 @@ type t = {
 
 let create ~id ~cap_bytes =
   if cap_bytes <= 0 then invalid_arg "Page.create: capacity must be positive";
-  { id; cap_bytes; used_bytes = 0; records = 0; latch = Resource.create (Printf.sprintf "page-%d" id) }
+  { id; cap_bytes; used_bytes = 0; records = 0; latch = Resource.create () }
 
 let free_bytes t = max 0 (t.cap_bytes - t.used_bytes)
 let overflowed t = t.used_bytes > t.cap_bytes

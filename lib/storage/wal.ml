@@ -4,7 +4,6 @@ type durable = {
   frames : frame Vec.t;
   mutable next_lsn : int;
   mutable flushed_lsn : int;
-  mutable fsyncs : int;
   mutable fsync_failures : int;
   mutable crashes : int;
   mutable mutations : int;
@@ -77,7 +76,6 @@ let enable_durability t =
           frames = Vec.create ();
           next_lsn = 1;
           flushed_lsn = 0;
-          fsyncs = 0;
           fsync_failures = 0;
           crashes = 0;
           mutations = 0;
@@ -134,7 +132,6 @@ let fsync t ?(at = 0) () =
           false
       | `Pass ->
           d.flushed_lsn <- d.next_lsn - 1;
-          d.fsyncs <- d.fsyncs + 1;
           Metrics.bump "wal.fsyncs";
           if Trace.on () then
             Trace.instant Trace.Wal "fsync" ~at [ ("flushed", Trace.I d.flushed_lsn) ];
@@ -153,7 +150,6 @@ let max_lsn t =
 
 let flushed_lsn t = match t.durable with None -> 0 | Some d -> d.flushed_lsn
 let next_lsn t = match t.durable with None -> 1 | Some d -> d.next_lsn
-let fsyncs t = match t.durable with None -> 0 | Some d -> d.fsyncs
 let fsync_failures t = match t.durable with None -> 0 | Some d -> d.fsync_failures
 let crashes t = match t.durable with None -> 0 | Some d -> d.crashes
 let discarded t = match t.durable with None -> 0 | Some d -> d.discarded

@@ -80,7 +80,6 @@ val next_lsn : t -> int
 (** The LSN the next append (or {!inject_raw}) will claim. Differs from
     [max_lsn t + 1] after a crash: LSNs are never reused. *)
 
-val fsyncs : t -> int
 val fsync_failures : t -> int
 val crashes : t -> int
 

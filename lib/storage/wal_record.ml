@@ -50,199 +50,8 @@ let kind_name = function
   | Promote _ -> "rep-promote"
   | Rep_ack _ -> "rep-ack"
 
-let payload_fields = function
-  | Txn_begin { tid } -> [ ("tid", Jsonx.Int tid) ]
-  | Txn_commit { tid; cts } -> [ ("tid", Jsonx.Int tid); ("cts", Jsonx.Int cts) ]
-  | Txn_abort { tid; ats } -> [ ("tid", Jsonx.Int tid); ("ats", Jsonx.Int ats) ]
-  | Version_insert { tid; rid; value } ->
-      [ ("tid", Jsonx.Int tid); ("rid", Jsonx.Int rid); ("value", Jsonx.Int value) ]
-  | Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi } ->
-      [
-        ("rid", Jsonx.Int rid);
-        ("vs", Jsonx.Int vs);
-        ("ve", Jsonx.Int ve);
-        ("vs_time", Jsonx.Int vs_time);
-        ("ve_time", Jsonx.Int ve_time);
-        ("bytes", Jsonx.Int bytes);
-        ("value", Jsonx.Int value);
-        ("seg", Jsonx.Int seg_id);
-        ("cls", Jsonx.Str cls);
-        ("lo", Jsonx.Int lo);
-        ("hi", Jsonx.Int hi);
-      ]
-  | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
-      [ ("seg", Jsonx.Int seg_id) ]
-  | Ckpt_begin -> []
-  | Ckpt_end { snapshot } ->
-      [ ("snapshot", match snapshot with Some ck -> Checkpoint.to_json ck | None -> Jsonx.Null) ]
-  | Prepare { tid; coord; shards } ->
-      [
-        ("tid", Jsonx.Int tid);
-        ("coord", Jsonx.Int coord);
-        ("shards", Jsonx.Arr (List.map (fun s -> Jsonx.Int s) shards));
-      ]
-  | Coord_commit { gid; cts; shards } ->
-      [
-        ("gid", Jsonx.Int gid);
-        ("cts", Jsonx.Int cts);
-        ("shards", Jsonx.Arr (List.map (fun s -> Jsonx.Int s) shards));
-      ]
-  | Coord_abort { gid } -> [ ("gid", Jsonx.Int gid) ]
-  | Ack { gid; shard } -> [ ("gid", Jsonx.Int gid); ("shard", Jsonx.Int shard) ]
-  | Forget { gid } -> [ ("gid", Jsonx.Int gid) ]
-  | Promote { epoch; node } -> [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node) ]
-  | Rep_ack { epoch; node; upto } ->
-      [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node); ("upto", Jsonx.Int upto) ]
-
 (* ------------------------------------------------------------------ *)
-(* Reference codec: the frame as a [Jsonx] tree *)
-
-let body_fields t =
-  (* The shard tag is emitted only when nonzero: shard 0 is the
-     unsharded (single-pipeline) namespace and its frames must stay
-     byte-identical to the pre-sharding format. *)
-  let shard_field = if t.shard = 0 then [] else [ ("sh", Jsonx.Int t.shard) ] in
-  [ ("lsn", Jsonx.Int t.lsn); ("at", Jsonx.Int t.at) ]
-  @ shard_field
-  @ [ ("kind", Jsonx.Str (kind_name t.payload)) ]
-  @ payload_fields t.payload
-
-let encode_reference t =
-  let fields = body_fields t in
-  let crc = Crc32.string (Jsonx.to_string (Jsonx.Obj fields)) in
-  Jsonx.to_string (Jsonx.Obj (fields @ [ ("crc", Jsonx.Int crc) ]))
-
-let int_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing int field %S" name)
-
-let str_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string field %S" name)
-
-let ( let* ) = Result.bind
-
-let int_list_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_arr with
-  | None -> Error (Printf.sprintf "missing array field %S" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match Jsonx.to_int x with
-            | Some n -> go (n :: acc) rest
-            | None -> Error (Printf.sprintf "non-int element in array field %S" name))
-      in
-      go [] items
-
-let payload_of_json kind obj =
-  match kind with
-  | "txn-begin" ->
-      let* tid = int_field "tid" obj in
-      Ok (Txn_begin { tid })
-  | "txn-commit" ->
-      let* tid = int_field "tid" obj in
-      let* cts = int_field "cts" obj in
-      Ok (Txn_commit { tid; cts })
-  | "txn-abort" ->
-      let* tid = int_field "tid" obj in
-      let* ats = int_field "ats" obj in
-      Ok (Txn_abort { tid; ats })
-  | "version-insert" ->
-      let* tid = int_field "tid" obj in
-      let* rid = int_field "rid" obj in
-      let* value = int_field "value" obj in
-      Ok (Version_insert { tid; rid; value })
-  | "relocate" ->
-      let* rid = int_field "rid" obj in
-      let* vs = int_field "vs" obj in
-      let* ve = int_field "ve" obj in
-      let* vs_time = int_field "vs_time" obj in
-      let* ve_time = int_field "ve_time" obj in
-      let* bytes = int_field "bytes" obj in
-      let* value = int_field "value" obj in
-      let* seg_id = int_field "seg" obj in
-      let* cls = str_field "cls" obj in
-      let* lo = int_field "lo" obj in
-      let* hi = int_field "hi" obj in
-      Ok (Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi })
-  | "seg-harden" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_harden { seg_id })
-  | "seg-drop" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_drop { seg_id })
-  | "seg-cut" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_cut { seg_id })
-  | "ckpt-begin" -> Ok Ckpt_begin
-  | "ckpt-end" -> (
-      (* A snapshot that is no checkpoint still makes a record: analysis
-         keeps it and skips it as an anchor. *)
-      match Jsonx.member "snapshot" obj with
-      | Some j -> Ok (Ckpt_end { snapshot = Result.to_option (Checkpoint.of_json j) })
-      | None -> Error "missing field \"snapshot\"")
-  | "2pc-prepare" ->
-      let* tid = int_field "tid" obj in
-      let* coord = int_field "coord" obj in
-      let* shards = int_list_field "shards" obj in
-      Ok (Prepare { tid; coord; shards })
-  | "2pc-commit" ->
-      let* gid = int_field "gid" obj in
-      let* cts = int_field "cts" obj in
-      let* shards = int_list_field "shards" obj in
-      Ok (Coord_commit { gid; cts; shards })
-  | "2pc-abort" ->
-      let* gid = int_field "gid" obj in
-      Ok (Coord_abort { gid })
-  | "2pc-ack" ->
-      let* gid = int_field "gid" obj in
-      let* shard = int_field "shard" obj in
-      Ok (Ack { gid; shard })
-  | "2pc-forget" ->
-      let* gid = int_field "gid" obj in
-      Ok (Forget { gid })
-  | "rep-promote" ->
-      let* epoch = int_field "epoch" obj in
-      let* node = int_field "node" obj in
-      Ok (Promote { epoch; node })
-  | "rep-ack" ->
-      let* epoch = int_field "epoch" obj in
-      let* node = int_field "node" obj in
-      let* upto = int_field "upto" obj in
-      Ok (Rep_ack { epoch; node; upto })
-  | k -> Error (Printf.sprintf "unknown record kind %S" k)
-
-let decode_reference ?(check_crc = true) repr =
-  let* json =
-    match Jsonx.of_string repr with Ok j -> Ok j | Error e -> Error ("bad frame: " ^ e)
-  in
-  let* fields =
-    match json with Jsonx.Obj fields -> Ok fields | _ -> Error "frame is not an object"
-  in
-  let* () =
-    if not check_crc then Ok ()
-    else
-      let* stored = int_field "crc" json in
-      (* Recompute over the frame minus its crc member, in parsed member
-         order — the encoder appends crc last, so a round-tripped frame
-         reproduces the exact checksummed bytes. *)
-      let body = Jsonx.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
-      let computed = Crc32.string (Jsonx.to_string body) in
-      if stored = computed then Ok ()
-      else Error (Printf.sprintf "crc mismatch (stored %d, computed %d)" stored computed)
-  in
-  let* lsn = int_field "lsn" json in
-  let* at = int_field "at" json in
-  let shard = match Option.bind (Jsonx.member "sh" json) Jsonx.to_int with Some s -> s | None -> 0 in
-  let* kind = str_field "kind" json in
-  let* payload = payload_of_json kind json in
-  Ok { lsn; at; shard; payload }
-
-(* ------------------------------------------------------------------ *)
-(* Direct codec: the same bytes, written and scanned in place *)
+(* The frame, written and scanned in place *)
 
 let add_member = Canon.add_member
 
@@ -452,7 +261,7 @@ let scan ~check_crc s =
 let decode ?(check_crc = true) repr =
   match scan ~check_crc repr with
   | r -> Ok r
-  | exception Canon.Not_canonical -> decode_reference ~check_crc repr
+  | exception Canon.Not_canonical -> Error "malformed frame, or its crc does not match"
 
 (* The kind member ends the frame header, which holds at most three
    ints of at most 20 characters, so it lies within the first 128

@@ -37,10 +37,8 @@ type payload =
   | Seg_cut of { seg_id : int }  (** vCutter cut of a hardened segment. *)
   | Ckpt_begin
   | Ckpt_end of { snapshot : Checkpoint.t option }
-      (** See {!Checkpoint}. [None] is written as [null]; decoding also
-          reads any snapshot that is not a checkpoint (one {!Checkpoint.of_json}
-          rejects) as [None], so such a frame still passes its CRC and
-          recovery keeps it and skips it as an anchor. *)
+      (** See {!Checkpoint}. [None] is written as [null] (recovery
+          keeps such a frame and skips it as an anchor). *)
   | Prepare of { tid : int; coord : int; shards : int list }
       (** Presumed-abort 2PC, participant side: this shard holds [tid]'s
           writes ready to commit and has ceded the decision to shard
@@ -84,22 +82,18 @@ val kind_name : payload -> string
 
 val encode : t -> string
 (** One-line JSON frame ending in a [crc] member computed over the rest
-    of the frame.
-
-    The bytes are fixed, byte for byte, by {!encode_reference}: the
-    canonical {!Jsonx} rendering of
+    of the frame: the canonical {!Jsonx} rendering of
 
     {v {"lsn":L,"at":A[,"sh":S],"kind":"K",<payload members>,"crc":C} v}
 
     with members in exactly this order, [sh] present only when nonzero,
     the payload members in the order of the constructor's fields (with
-    [seg_id] named [seg]), a [Ckpt_end] snapshot as
-    [Checkpoint.to_json] (or [null] for [None]) and [C] the CRC-32 of
-    every byte before [,"crc":] followed by [}] — the frame with its crc
-    member removed. [encode] writes that layout straight into one
-    buffer, the snapshot through {!Checkpoint.write}; frame sizes
-    feed [wal.bytes], the run digests and the obs golden, so the two
-    must never differ. *)
+    [seg_id] named [seg]), a [Ckpt_end] snapshot as {!Checkpoint.write}
+    writes it (or [null] for [None]) and [C] the CRC-32 of every byte
+    before [,"crc":] followed by [}] — the frame with its crc member
+    removed. [encode] writes that layout straight into one buffer; frame
+    sizes feed [wal.bytes], the run digests and the obs golden. The
+    {!Jsonx}-tree codec in [test/ref_codec.ml] is its specification. *)
 
 val encode_with_bad_crc : t -> string
 (** Same frame with a deliberately wrong checksum — the chaos harness
@@ -110,30 +104,18 @@ val decode : ?check_crc:bool -> string -> (t, string) result
 (** Parse and verify one frame. [~check_crc:false] skips checksum
     verification — the sabotage knob recovery must {e not} use.
 
-    A single-pass scanner handles frames in the exact layout above:
-    canonical ints (no leading zero, no [-0], at most 18 digits),
-    strings with no [\] and no control character, [sh] only when
-    nonzero, a snapshot that is [null] or that {!Checkpoint.scan} reads
-    (the layout {!Checkpoint.write} writes), and (under
-    [~check_crc:true]) a matching checksum. No {!Jsonx} tree is built
-    on this path. Such bytes
-    are exactly what {!decode_reference} re-serialises unchanged, so the
-    scanner returns what it would. Anything else — a torn or bit-flipped
-    frame, whitespace, reordered members — goes to {!decode_reference},
-    so the result always equals [decode_reference ~check_crc]. *)
+    A single-pass scanner reads exactly the layout {!encode} writes:
+    canonical ints (no leading zero, no [-0], within [min_int] and
+    [max_int]), strings escaped only as {!Jsonx} escapes them, [sh] only
+    when nonzero, a snapshot that is [null] or that {!Checkpoint.scan}
+    reads, and (under [~check_crc:true]) a matching checksum. No
+    {!Jsonx} tree is built. Anything else — a torn or bit-flipped frame,
+    whitespace, reordered members, a snapshot that is no checkpoint — is
+    an [Error], so [decode (encode r) = Ok r] and a frame decodes only
+    when it is [encode] of what it decodes to, up to its crc. *)
 
 val outcome_tid : string -> int option
 (** The tid of a verified [Txn_commit] or [Txn_abort] frame; [None] for
     any other frame. Only frames whose header, in the layout {!encode}
     writes, names one of those kinds are decoded, so a checkpoint's
     snapshot is never scanned. *)
-
-val encode_reference : t -> string
-(** The specification of the frame bytes: the record built as a
-    {!Jsonx} tree, checksummed and printed. *)
-
-val decode_reference : ?check_crc:bool -> string -> (t, string) result
-(** The specification of decoding: parse the frame as JSON, recompute
-    the CRC over the printed members other than [crc] (in parsed order)
-    and read the fields by name. Accepts any JSON spelling of a frame
-    whose canonical form checks out. *)

@@ -40,7 +40,6 @@ let create ?(config = default_config) () =
     invalid_arg "Lease.create: leases must be positive";
   { config; entries = Hashtbl.create 64; cancels = []; cancel_count = 0; grants = 0 }
 
-let config t = t.config
 
 let grant t ~tid ~kind ~now =
   let lease =

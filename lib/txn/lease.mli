@@ -20,9 +20,6 @@ type kind = Short | Llt | Primary
 
 type config = { short_lease : Clock.time; llt_lease : Clock.time }
 
-val default_config : config
-(** 20 ms short, 200 ms LLT. *)
-
 type cancel = {
   c_tid : Timestamp.t;
   c_at : Clock.time;  (** when the cancel was recorded *)
@@ -34,8 +31,6 @@ type t
 
 val create : ?config:config -> unit -> t
 (** Raises [Invalid_argument] on non-positive leases. *)
-
-val config : t -> config
 
 val grant : t -> tid:Timestamp.t -> kind:kind -> now:Clock.time -> unit
 (** Start (or restart) a lease for [tid]; progress starts at [now].

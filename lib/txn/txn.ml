@@ -12,9 +12,3 @@ type t = {
 
 let age t ~now = max 0 (now - t.begin_time)
 let is_active t = t.state = Active
-
-let pp fmt t =
-  let state =
-    match t.state with Active -> "active" | Committed -> "committed" | Aborted -> "aborted"
-  in
-  Format.fprintf fmt "T%d(%s)" t.tid state

@@ -18,4 +18,3 @@ type t = {
 
 val age : t -> now:Clock.time -> Clock.time
 val is_active : t -> bool
-val pp : Format.formatter -> t -> unit

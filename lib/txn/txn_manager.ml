@@ -15,8 +15,6 @@ type t = {
   mutable floors : (unit -> Timestamp.t) list;
   mutable over_truncate : bool;
   mutable horizon_audit : (now:Clock.time -> unit) option;
-  mutable started : int;
-  mutable committed : int;
   mutable aborted : int;
   mutable avg_duration : float; (* ns, EWMA *)
 }
@@ -44,8 +42,6 @@ let create () =
     floors = [];
     over_truncate = false;
     horizon_audit = None;
-    started = 0;
-    committed = 0;
     aborted = 0;
     avg_duration = 0.;
   }
@@ -106,7 +102,6 @@ let begin_txn t ~now =
   end;
   t.live.(n) <- txn;
   t.live_n <- n + 1;
-  t.started <- t.started + 1;
   Metrics.bump "txn.begins";
   txn
 
@@ -144,7 +139,6 @@ let commit t (txn : Txn.t) ~now =
   txn.commit_ts <- Some commit_ts;
   Commit_log.record t.log ~tid:txn.tid (Commit_log.Committed_at commit_ts);
   note_duration t (Txn.age txn ~now);
-  t.committed <- t.committed + 1;
   Metrics.bump "txn.commits";
   Metrics.observe ~bucket_width:100 "txn.duration_us" (Txn.age txn ~now / 1_000)
 
@@ -170,7 +164,6 @@ let rollback_unreplicated t ~tid =
   | Some (Commit_log.Committed_at _) ->
       let ats = Timestamp.next t.ts_oracle in
       Commit_log.override t.log ~tid (Commit_log.Aborted_at ats);
-      t.committed <- t.committed - 1;
       t.aborted <- t.aborted + 1;
       Some ats
   | Some (Commit_log.Aborted_at _) | None -> None
@@ -234,6 +227,4 @@ let llt_views t ~now ~delta_llt =
   live_filter_map t (fun txn -> Txn.age txn ~now > delta_llt) (fun txn -> txn.Txn.view)
 
 let avg_txn_duration t = int_of_float t.avg_duration
-let started t = t.started
-let committed t = t.committed
 let aborted t = t.aborted

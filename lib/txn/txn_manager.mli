@@ -7,7 +7,9 @@
 
     It also owns the commit log's freeze horizon ({!Commit_log}): each
     time the oracle enters a new log page, {!begin_txn} moves the
-    horizon to {!freeze_horizon}, dropping the log pages below it. Every
+    horizon to the freeze horizon — the minimum of
+    {!oldest_visible_horizon} and {!floor}, rounded down to a page
+    boundary by the log — dropping the log pages below it. Every
     tid below that point has finished with an outcome timestamp below
     every live begin timestamp, so the commit log's frozen answer
     ("committed before every live snapshot") is exact there for every
@@ -78,18 +80,13 @@ val register_floor : t -> (unit -> Timestamp.t) -> unit
 val floor : t -> Timestamp.t
 (** The smallest registered floor now; [Timestamp.infinity] if none. *)
 
-val freeze_horizon : t -> Timestamp.t
-(** Where the horizon may move now: the minimum of
-    {!oldest_visible_horizon} and {!floor}. The log rounds it down to a
-    page boundary. *)
-
 val advance_horizon : t -> unit
-(** Move the commit log's horizon to {!freeze_horizon} now rather than
+(** Move the commit log's horizon to the freeze horizon now rather than
     at the next page boundary. *)
 
 val set_clog_over_truncate : t -> bool -> unit
 (** Sabotage: every horizon move goes one log page past
-    {!freeze_horizon}. The [clog-horizon] invariant must catch it. *)
+    the freeze horizon. The [clog-horizon] invariant must catch it. *)
 
 val set_horizon_audit : t -> (now:Clock.time -> unit) option -> unit
 (** Install (or remove) a hook {!begin_txn} calls right after each
@@ -126,6 +123,4 @@ val avg_txn_duration : t -> Clock.time
     (basis for choosing [delta_llt] as "a multiple of an average
     transaction length"). Zero until the first commit. *)
 
-val started : t -> int
-val committed : t -> int
 val aborted : t -> int

@@ -2,18 +2,18 @@ type t = {
   base_ns : int;
   cap_ns : int;
   max_attempts : int;
-  jitter_frac : float;
   rng : Rng.t;
   mutable attempts : int;
 }
 
-let create ?(base_ns = 100_000) ?(cap_ns = 10_000_000) ?(max_attempts = 8)
-    ?(jitter_frac = 0.25) rng =
+(* Uniform additive jitter, as a fraction of the chosen delay. *)
+let jitter_frac = 0.25
+
+let create ?(base_ns = 100_000) ?(cap_ns = 10_000_000) ?(max_attempts = 8) rng =
   if base_ns <= 0 then invalid_arg "Backoff.create: base_ns must be positive";
   if cap_ns <= 0 then invalid_arg "Backoff.create: cap_ns must be positive";
   if max_attempts <= 0 then invalid_arg "Backoff.create: max_attempts must be positive";
-  if jitter_frac < 0. then invalid_arg "Backoff.create: negative jitter_frac";
-  { base_ns; cap_ns; max_attempts; jitter_frac; rng; attempts = 0 }
+  { base_ns; cap_ns; max_attempts; rng; attempts = 0 }
 
 let next t =
   if t.attempts >= t.max_attempts then None
@@ -25,14 +25,12 @@ let next t =
       if t.attempts - 1 >= 30 then t.cap_ns
       else min t.cap_ns (t.base_ns lsl (t.attempts - 1))
     in
-    let jitter_bound = int_of_float (float_of_int exp *. t.jitter_frac) in
+    let jitter_bound = int_of_float (float_of_int exp *. jitter_frac) in
     let jitter = if jitter_bound <= 0 then 0 else Rng.int t.rng (jitter_bound + 1) in
     Some (exp + jitter)
   end
 
 let reset t = t.attempts <- 0
-let attempts t = t.attempts
-let max_attempts t = t.max_attempts
 
 (* Per-channel stream forking: an FNV-1a fold of the channel name mixed
    into the seed. Each channel owns an independent splitmix state, so a
@@ -44,5 +42,5 @@ let channel_rng ~seed ~channel =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) channel;
   Rng.create (seed lxor !h)
 
-let channel ?base_ns ?cap_ns ?max_attempts ?jitter_frac ~seed ~channel:name () =
-  create ?base_ns ?cap_ns ?max_attempts ?jitter_frac (channel_rng ~seed ~channel:name)
+let channel ?base_ns ?cap_ns ?max_attempts ~seed ~channel:name () =
+  create ?base_ns ?cap_ns ?max_attempts (channel_rng ~seed ~channel:name)

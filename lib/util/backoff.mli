@@ -9,14 +9,13 @@
 
 type t
 
-val create :
-  ?base_ns:int -> ?cap_ns:int -> ?max_attempts:int -> ?jitter_frac:float -> Rng.t -> t
+val create : ?base_ns:int -> ?cap_ns:int -> ?max_attempts:int -> Rng.t -> t
 (** [base_ns] first-retry delay (default 100 us), [cap_ns] ceiling on
     the exponential term (default 10 ms), [max_attempts] consecutive
-    failures tolerated before giving up (default 8), [jitter_frac]
-    uniform additive jitter as a fraction of the chosen delay (default
-    0.25). Raises [Invalid_argument] on non-positive [base_ns],
-    [cap_ns] or [max_attempts], or a negative [jitter_frac]. *)
+    failures tolerated before giving up (default 8). The jitter is
+    uniform and additive, up to a quarter of the chosen delay. Raises
+    [Invalid_argument] on non-positive [base_ns], [cap_ns] or
+    [max_attempts]. *)
 
 val next : t -> int option
 (** Record one more consecutive failure and return the delay (ns) to
@@ -26,11 +25,6 @@ val next : t -> int option
 val reset : t -> unit
 (** Back to zero consecutive failures (call after a success or a
     give-up). Does not rewind the jitter stream. *)
-
-val attempts : t -> int
-(** Consecutive failures recorded since the last {!reset}. *)
-
-val max_attempts : t -> int
 
 (** {1 Per-channel stream forking}
 
@@ -51,7 +45,6 @@ val channel :
   ?base_ns:int ->
   ?cap_ns:int ->
   ?max_attempts:int ->
-  ?jitter_frac:float ->
   seed:int ->
   channel:string ->
   unit ->

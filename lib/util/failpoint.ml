@@ -15,19 +15,16 @@ let point name =
       Hashtbl.replace registry name p;
       p
 
-let arm name handler = (point name).handler <- Some handler
-
 let arm_fail_n name n =
   let budget = ref n in
-  arm name (fun () ->
-      if !budget > 0 then begin
-        decr budget;
-        `Fail
-      end
-      else `Pass)
-
-let disarm name = match Hashtbl.find_opt registry name with Some p -> p.handler <- None | None -> ()
-let disarm_all () = Hashtbl.iter (fun _ p -> p.handler <- None) registry
+  (point name).handler <-
+    Some
+      (fun () ->
+        if !budget > 0 then begin
+          decr budget;
+          `Fail
+        end
+        else `Pass)
 
 let check name =
   let p = point name in
@@ -42,13 +39,13 @@ let check name =
 
 let fail_count name = match Hashtbl.find_opt registry name with Some p -> p.fails | None -> 0
 
-let reset_counts () =
-  Hashtbl.iter (fun _ p -> p.fails <- 0) registry
-
 let with_scope f =
   let clean () =
-    disarm_all ();
-    reset_counts ()
+    Hashtbl.iter
+      (fun _ p ->
+        p.handler <- None;
+        p.fails <- 0)
+      registry
   in
   clean ();
   Fun.protect ~finally:clean f

@@ -3,10 +3,9 @@
     Production systems scatter fail-points through their hot paths
     (etcd/TiKV's [fail::fail_point!]) so a chaos harness can force rare
     error branches on demand. This is the simulation-friendly analogue:
-    a site calls {!check} with its name and gets [`Pass] unless a
-    handler has been armed for that name. Handlers are plain closures —
-    the fault library arms them from a seeded plan, so every decision is
-    a deterministic function of the plan's RNG stream. The sites
+    a site calls {!check} with its name and gets [`Pass] unless the
+    name has been armed ({!arm_fail_n}), so every decision is a
+    deterministic function of the run. The sites
     compiled into the pipeline are ["vsorter.flush"] (segment flush to
     the version store), ["wal.append"] (log-device write,
     byte-accounting and typed-record paths alike) and ["wal.fsync"]
@@ -20,25 +19,16 @@
 
 type decision = [ `Pass | `Fail ]
 
-val arm : string -> (unit -> decision) -> unit
-(** [arm name handler] routes subsequent {!check name} calls through
-    [handler], replacing any previous handler for [name]. *)
-
 val arm_fail_n : string -> int -> unit
-(** Arm [name] to fail the next [n] checks, then pass (handler stays
-    installed; re-arming resets the budget). *)
-
-val disarm : string -> unit
-val disarm_all : unit -> unit
+(** Arm [name] to fail the next [n] checks, then pass (the handler
+    stays installed; re-arming resets the budget). *)
 
 val check : string -> decision
 (** Consult the fail-point. *)
 
 val fail_count : string -> int
 (** How many checks of [name] returned [`Fail] since the last
-    {!reset_counts} / {!with_scope} entry. *)
-
-val reset_counts : unit -> unit
+    {!with_scope} entry. *)
 
 val with_scope : (unit -> 'a) -> 'a
 (** Run a thunk in a clean registry: counts reset and all handlers

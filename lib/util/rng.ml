@@ -24,7 +24,6 @@ let int_in_range t ~lo ~hi =
 let float t =
   Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1p-53
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 let split t = create (Int64.to_int (next_int64 t))
 
 let shuffle t a =

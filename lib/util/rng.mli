@@ -22,8 +22,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. *)
 

@@ -1,7 +1,6 @@
-type t = { name : string; points : (float * float) Vec.t }
+type t = { points : (float * float) Vec.t }
 
-let create name = { name; points = Vec.create () }
-let name t = t.name
+let create () = { points = Vec.create () }
 let add t ~time ~value = Vec.push t.points (time, value)
 let to_list t = Vec.to_list t.points
 
@@ -9,27 +8,21 @@ let last t =
   let n = Vec.length t.points in
   if n = 0 then None else Some (Vec.get t.points (n - 1))
 
-let length t = Vec.length t.points
-
 module Rate = struct
-  type rate = { name : string; bucket : float; counts : int Vec.t; mutable total : int }
+  type rate = { bucket : float; counts : int Vec.t; mutable total : int }
 
-  let create ?(bucket = 1.0) name =
+  let create ?(bucket = 1.0) () =
     if bucket <= 0. then invalid_arg "Series.Rate.create";
-    { name; bucket; counts = Vec.create (); total = 0 }
+    { bucket; counts = Vec.create (); total = 0 }
 
-  let name r = r.name
-
-  let add r ~time ~count =
-    if time < 0. then invalid_arg "Series.Rate.add: negative time";
+  let incr r ~time =
+    if time < 0. then invalid_arg "Series.Rate.incr: negative time";
     let idx = int_of_float (time /. r.bucket) in
     while Vec.length r.counts <= idx do
       Vec.push r.counts 0
     done;
-    Vec.set r.counts idx (Vec.get r.counts idx + count);
-    r.total <- r.total + count
-
-  let incr r ~time = add r ~time ~count:1
+    Vec.set r.counts idx (Vec.get r.counts idx + 1);
+    r.total <- r.total + 1
 
   let per_second r =
     List.mapi

@@ -8,24 +8,20 @@
 
 type t
 
-val create : string -> t
-val name : t -> string
+val create : unit -> t
 val add : t -> time:float -> value:float -> unit
 val to_list : t -> (float * float) list
 (** Samples in insertion (time) order. *)
 
 val last : t -> (float * float) option
-val length : t -> int
 
 module Rate : sig
   type rate
 
-  val create : ?bucket:float -> string -> rate
+  val create : ?bucket:float -> unit -> rate
   (** [bucket] is the window width in seconds (default 1.0). *)
 
-  val name : rate -> string
   val incr : rate -> time:float -> unit
-  val add : rate -> time:float -> count:int -> unit
 
   val per_second : rate -> (float * float) list
   (** [(window_start_time, events_per_second)] for every window up to the

@@ -1,4 +1,4 @@
-let print ?(oc = stdout) ~header rows =
+let print ~header rows =
   let all = header :: rows in
   let cols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
   let widths = Array.make cols 0 in
@@ -12,7 +12,7 @@ let print ?(oc = stdout) ~header rows =
         (fun i cell -> cell ^ String.make (widths.(i) - String.length cell) ' ')
         row
     in
-    output_string oc ("  " ^ String.concat "  " cells ^ "\n")
+    print_string ("  " ^ String.concat "  " cells ^ "\n")
   in
   print_row header;
   let rule = List.mapi (fun i _ -> String.make widths.(i) '-') header in

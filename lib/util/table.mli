@@ -1,7 +1,8 @@
 (** Aligned ASCII table printing for benchmark output. *)
 
-val print : ?oc:out_channel -> header:string list -> string list list -> unit
-(** Print rows under a header with columns padded to the widest cell. *)
+val print : header:string list -> string list list -> unit
+(** Print rows to stdout under a header with columns padded to the
+    widest cell. *)
 
 val fmt_f : ?decimals:int -> float -> string
 (** Render a float with fixed decimals (default 1). *)

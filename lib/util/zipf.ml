@@ -36,9 +36,6 @@ let create ~n ~s =
     threshold = 2. -. h_integral_inverse ~s (h_integral ~s 2.5 -. h ~s 2.);
   }
 
-let n t = t.n
-let exponent t = t.s
-
 let sample t rng =
   let s = t.s in
   let rec loop () =

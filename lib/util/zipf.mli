@@ -12,9 +12,6 @@ val create : n:int -> s:float -> t
     exponent [s]. Rank 0 is the most popular item.
     Raises [Invalid_argument] if [n <= 0] or [s <= 0]. *)
 
-val n : t -> int
-val exponent : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a rank in [\[0, n)]; smaller ranks are exponentially more
     likely. *)

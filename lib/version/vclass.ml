@@ -12,4 +12,3 @@ let of_index = function
 
 let to_string = function Hot -> "HOT" | Cold -> "COLD" | Llt -> "LLT"
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal a b = a = b

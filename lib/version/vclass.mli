@@ -18,4 +18,3 @@ val to_index : t -> int
 val of_index : int -> t
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -68,7 +68,7 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   let direct_lag = Substrate.supports mode Substrate.Direct_lag_monitor in
   let master_rng = Rng.create cfg.Exp_config.seed in
   let horizon = Clock.seconds cfg.Exp_config.duration_s in
-  let commit_rate = Series.Rate.create ~bucket:1.0 "commits" in
+  let commit_rate = Series.Rate.create ~bucket:1.0 () in
   let latency_us = Histogram.create ~bucket_width:10 () in
   let conflicts = ref 0 in
   let llt_reads = ref 0 in
@@ -354,10 +354,10 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
           match wd with Some w -> Watchdog.beat w "checkpointer" ~now | None -> ())
   | _ -> ());
   (* Metrics sampler. *)
-  let space_series = Series.create "space" in
-  let redo_series = Series.create "redo" in
-  let chain_series = Series.create "chain" in
-  let split_series = Series.create "splits" in
+  let space_series = Series.create () in
+  let redo_series = Series.create () in
+  let chain_series = Series.create () in
+  let split_series = Series.create () in
   let sample_period = Clock.seconds cfg.Exp_config.sample_period_s in
   Substrate.every sub ~name:"sampler" ~period:sample_period ~until:horizon (fun now ->
       let s = eng.Engine.sample () in

@@ -26,8 +26,6 @@ val create : ?row:Access.pattern -> shards:int -> Schema.t -> scenario -> t
     [Invalid_argument] on [shards < 1], a hot shard out of range, or a
     percentage outside [0, 100]. *)
 
-val local_count : t -> sid:int -> int
-val pick_shard : t -> Rng.t -> int
 val sample : t -> Rng.t -> int
 (** Draw a global rid: shard by the scenario, row by [row]. *)
 

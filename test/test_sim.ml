@@ -16,14 +16,14 @@ let test_clock_conversions () =
 (* Resource *)
 
 let test_resource_uncontended () =
-  let r = Resource.create "latch" in
+  let r = Resource.create () in
   let done_at = Resource.acquire r ~now:100 ~hold:50 in
   check_int "grant immediately" 150 done_at;
   check_int "no waiting" 0 (Resource.wait_time r);
   check_int "busy" 50 (Resource.busy_time r)
 
 let test_resource_queueing () =
-  let r = Resource.create "latch" in
+  let r = Resource.create () in
   let a = Resource.acquire r ~now:0 ~hold:100 in
   check_int "first ends at 100" 100 a;
   (* Second arrival at t=10 must wait until 100. *)
@@ -33,7 +33,7 @@ let test_resource_queueing () =
   check_int "two acquisitions" 2 (Resource.acquisitions r)
 
 let test_resource_gap () =
-  let r = Resource.create "latch" in
+  let r = Resource.create () in
   ignore (Resource.acquire r ~now:0 ~hold:10);
   (* Arrival after the resource went idle: no wait. *)
   let b = Resource.acquire r ~now:50 ~hold:10 in
@@ -41,7 +41,7 @@ let test_resource_gap () =
   check_int "wait stays 0" 0 (Resource.wait_time r)
 
 let test_resource_negative_hold () =
-  let r = Resource.create "latch" in
+  let r = Resource.create () in
   Alcotest.check_raises "negative hold" (Invalid_argument "Resource.acquire: negative hold")
     (fun () -> ignore (Resource.acquire r ~now:0 ~hold:(-1)))
 
@@ -106,7 +106,7 @@ let test_scheduler_tie_break_registration_order () =
 let test_scheduler_interleaving_with_resource () =
   (* Two workers contending on one latch: completions must serialize. *)
   let sched = Scheduler.create () in
-  let latch = Resource.create "page" in
+  let latch = Resource.create () in
   let completions = ref [] in
   let spawn_worker name at =
     Scheduler.spawn sched ~name ~at (fun now ->
@@ -123,13 +123,13 @@ let test_scheduler_interleaving_with_resource () =
 (* Queue_model *)
 
 let test_queue_model_idle () =
-  let q = Queue_model.create "mutex" in
+  let q = Queue_model.create () in
   let t = Queue_model.service q ~now:1000 ~hold:100 in
   check_int "no delay before utilization is measured" 1100 t;
   check_bool "utilization starts at 0" true (Queue_model.utilization q = 0.)
 
 let test_queue_model_contention_grows_delay () =
-  let q = Queue_model.create ~window:(Clock.us 1) "mutex" in
+  let q = Queue_model.create ~window:(Clock.us 1) () in
   (* Saturate a window: busy 100% of it. *)
   let now = ref 0 in
   for _ = 1 to 100 do
@@ -142,7 +142,7 @@ let test_queue_model_contention_grows_delay () =
   check_bool "busy time accumulated" true (Queue_model.busy_time q > 0)
 
 let test_queue_model_invalid () =
-  let q = Queue_model.create "m" in
+  let q = Queue_model.create () in
   Alcotest.check_raises "negative hold" (Invalid_argument "Queue_model.service: negative hold")
     (fun () -> ignore (Queue_model.service q ~now:0 ~hold:(-1)))
 

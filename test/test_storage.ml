@@ -196,7 +196,7 @@ let qcheck_heap_latch_wait =
 (* Buffer pool *)
 
 let test_buffer_pool () =
-  let bp = Buffer_pool.create ~name:"undo" ~capacity_blocks:2 in
+  let bp = Buffer_pool.create ~capacity_blocks:2 in
   check_bool "cold miss" true (Buffer_pool.access bp ~block:1 = `Miss);
   check_bool "warm hit" true (Buffer_pool.access bp ~block:1 = `Hit);
   ignore (Buffer_pool.access bp ~block:2);

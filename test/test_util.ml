@@ -277,14 +277,14 @@ let test_stats_nan_safe () =
 (* Series *)
 
 let test_series_order () =
-  let s = Series.create "space" in
+  let s = Series.create () in
   Series.add s ~time:0. ~value:1.;
   Series.add s ~time:1. ~value:2.;
   check_bool "points" true (Series.to_list s = [ (0., 1.); (1., 2.) ]);
   check_bool "last" true (Series.last s = Some (1., 2.))
 
 let test_rate_buckets () =
-  let r = Series.Rate.create ~bucket:1.0 "commits" in
+  let r = Series.Rate.create ~bucket:1.0 () in
   Series.Rate.incr r ~time:0.1;
   Series.Rate.incr r ~time:0.9;
   Series.Rate.incr r ~time:1.5;
@@ -296,7 +296,7 @@ let test_rate_buckets () =
   | other -> Alcotest.failf "expected 2 buckets, got %d" (List.length other)
 
 let test_rate_empty_windows () =
-  let r = Series.Rate.create "sparse" in
+  let r = Series.Rate.create () in
   Series.Rate.incr r ~time:3.5;
   check_int "windows up to last event" 4 (List.length (Series.Rate.per_second r))
 
