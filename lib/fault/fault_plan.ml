@@ -5,7 +5,6 @@ type action =
   | Flush_fail
   | Evict_storm
   | Space_storm
-  | Wal_bitflip
   | Cleaner_stall
   | Llt_zombie
   | Collab_delay
@@ -19,7 +18,6 @@ let action_name = function
   | Flush_fail -> "flush-fail"
   | Evict_storm -> "evict-storm"
   | Space_storm -> "space-storm"
-  | Wal_bitflip -> "wal-bitflip"
   | Cleaner_stall -> "cleaner-stall"
   | Llt_zombie -> "llt-zombie"
   | Collab_delay -> "collab-delay"
@@ -47,24 +45,27 @@ type t = {
   torn_tail : bool;
 }
 
-(* Newer actions are drawn strictly after the older ones so plans that
-   do not use them keep the exact sub-seed sequence (and therefore
-   injection times) they had before those actions existed: [Wal_bitflip]
-   after the original six, then the liveness trio. Append only. *)
-let all_actions =
+(* Every kind draws its sub-seed from the plan seed in this order.
+   Newer kinds were appended so plans that do not use them keep the
+   exact sub-seed sequence (and therefore injection times) they had
+   before those kinds existed: first the original six, then a retired
+   WAL bit-flip kind, then the liveness trio, then the node pair. The
+   retired kind's slot ([None]) still draws its sub-seed and discards
+   it, so every later kind keeps its stream. Append only. *)
+let seed_slots =
   [
-    Crash;
-    Abort_txn;
-    Wal_error;
-    Flush_fail;
-    Evict_storm;
-    Space_storm;
-    Wal_bitflip;
-    Cleaner_stall;
-    Llt_zombie;
-    Collab_delay;
-    Node_kill;
-    Node_revive;
+    Some Crash;
+    Some Abort_txn;
+    Some Wal_error;
+    Some Flush_fail;
+    Some Evict_storm;
+    Some Space_storm;
+    None;
+    Some Cleaner_stall;
+    Some Llt_zombie;
+    Some Collab_delay;
+    Some Node_kill;
+    Some Node_revive;
   ]
 
 (* [rates] names the kinds with a rate; every other kind's is 0. *)
@@ -75,12 +76,16 @@ let make ?(seed = 0) ?(events = []) ?(crash_points = []) ?(torn_tail = false)
      drawing a sub-seed for every kind whatever its rate. *)
   let master = Rng.create seed in
   let processes =
-    List.map
-      (fun p_action ->
-        let rate = Option.value (List.assoc_opt p_action rates) ~default:0. in
-        if rate < 0. then invalid_arg "Fault_plan: negative rate";
-        { p_action; rate; sub_seed = Int64.to_int (Rng.next_int64 master) })
-      all_actions
+    List.filter_map
+      (fun slot ->
+        let sub_seed = Int64.to_int (Rng.next_int64 master) in
+        Option.map
+          (fun p_action ->
+            let rate = Option.value (List.assoc_opt p_action rates) ~default:0. in
+            if rate < 0. then invalid_arg "Fault_plan: negative rate";
+            { p_action; rate; sub_seed })
+          slot)
+      seed_slots
   in
   {
     plan_seed = seed;

@@ -26,9 +26,6 @@ type action =
   | Space_storm
       (** a burst writer displaces a volley of versions at once — the
           quota squeeze that drives the governor's ladder *)
-  | Wal_bitflip
-      (** flip bits inside one surviving WAL frame — silent log
-          corruption the next recovery's CRC pass must refuse *)
   | Cleaner_stall
       (** the cleaning side (vSorter/vCutter maintenance loop) stops
           making progress for a drawn duration — the hung-GC hazard the
@@ -71,8 +68,8 @@ val create :
   unit ->
   t
 (** Rates are per simulated second and default to 0; the WAL-error,
-    flush-fail, eviction-storm and WAL-bit-flip kinds get no rate here
-    ({!random} draws the first three; [events] may name any kind).
+    flush-fail and eviction-storm kinds get no rate here
+    ({!random} draws them; [events] may name any kind).
     [events] may be in any order. [check_period] is the cadence at which the harness runs
     the online invariant sweep (default 100 ms; the prune-soundness
     audit is continuous regardless). Negative rates and a non-positive

@@ -159,5 +159,6 @@ val adopt : t -> src:t -> unit
     primary's timeline. *)
 
 val corrupt_frame : t -> lsn:int -> (string -> string) -> bool
-(** In-place bit-flip injection on a surviving frame; [false] if no
-    frame has that LSN. *)
+(** In-place bit-flip injection on a surviving frame (the recovery
+    tests' silent-corruption fault); [false] if no frame has that
+    LSN. *)

@@ -14,8 +14,9 @@
 
     The registry is global (the simulation is single-threaded and runs
     one experiment at a time); {!with_scope} brackets a run so that no
-    armed handler or fail count leaks into the next experiment. An
-    unarmed fail-point costs one hashtable probe. *)
+    armed handler or fail count leaks into the next experiment. While no
+    point is armed, {!check} returns [`Pass] without looking the name
+    up, and allocates nothing. *)
 
 type decision = [ `Pass | `Fail ]
 

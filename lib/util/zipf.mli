@@ -14,4 +14,4 @@ val create : n:int -> s:float -> t
 
 val sample : t -> Rng.t -> int
 (** Draw a rank in [\[0, n)]; smaller ranks are exponentially more
-    likely. *)
+    likely. Allocates nothing. *)

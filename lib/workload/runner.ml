@@ -485,24 +485,6 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
                 (match eng.Engine.driver with
                 | Some d -> record_all ~at:now (Invariant.check_post_crash d)
                 | None -> ()))
-        | Fault_plan.Wal_bitflip -> (
-            match engine_wal () with
-            | Some wal when Wal.max_lsn wal > Wal.bootstrap_lsn ->
-                let lo = Wal.bootstrap_lsn + 1 in
-                let lsn = lo + Rng.int victim_rng (Wal.max_lsn wal - lo + 1) in
-                let flipped =
-                  Wal.corrupt_frame wal ~lsn (fun s ->
-                      if String.length s = 0 then s
-                      else begin
-                        let b = Bytes.of_string s in
-                        let i = Rng.int victim_rng (Bytes.length b) in
-                        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-                        Bytes.to_string b
-                      end)
-                in
-                if flipped && Trace.on () then
-                  Trace.instant Trace.Fault "wal-bitflip" ~at:now [ ("lsn", Trace.I lsn) ]
-            | _ -> ())
         | Fault_plan.Wal_error ->
             Failpoint.arm_fail_n "wal.append" 16;
             (* the simulated log device rejects syncs along with

@@ -1,7 +1,9 @@
-(* Reference implementations of the transaction bookkeeping that lib/
-   now keeps in flat arrays or pages: the list LRU, the dense commit log
-   and the fold-then-sort live set. They are the oracles of the qcheck
-   properties in test_storage.ml and test_txn.ml and live only here. *)
+(* Reference implementations of the bookkeeping that lib/ now keeps in
+   flat arrays, pages or unboxed state: the list LRU, the dense commit
+   log, the fold-then-sort live set, the boxed-state splitmix generator
+   and the closure-per-call Zipf sampler. They are the oracles of the
+   qcheck properties in test_storage.ml, test_txn.ml and test_util.ml
+   and live only here. *)
 
 (* Doubly-linked list threaded through a hashtable; most-recent at front. *)
 module Lru = struct
@@ -152,4 +154,78 @@ module Live = struct
     txns_sorted t
     |> List.filter (fun txn -> Txn.age txn ~now > delta_llt)
     |> List.map (fun (txn : Txn.t) -> txn.Txn.view)
+end
+
+(* splitmix64 with its state in a mutable [int64] field, which boxes a
+   fresh int64 at every step. *)
+module Rng = struct
+  type t = { mutable s : int64 }
+
+  let create seed = { s = Int64.of_int seed }
+
+  let next_int64 t =
+    let open Int64 in
+    t.s <- add t.s 0x9E3779B97F4A7C15L;
+    let z = t.s in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+    bits t mod bound
+
+  let float t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1p-53
+  let split t = create (Int64.to_int (next_int64 t))
+end
+
+(* Rejection-inversion Zipf with the loop as a closure built per call,
+   drawing its uniform from the boxed [Rng] above. *)
+module Zipf = struct
+  type t = {
+    n : int;
+    s : float;
+    h_integral_x1 : float;
+    h_integral_n : float;
+    threshold : float;
+  }
+
+  let helper1 x = if Float.abs x > 1e-8 then Float.log1p x /. x else 1. -. (x /. 2.) +. (x *. x /. 3.)
+  let helper2 x = if Float.abs x > 1e-8 then Float.expm1 x /. x else 1. +. (x /. 2.) +. (x *. x /. 6.)
+
+  let h_integral ~s x =
+    let log_x = Float.log x in
+    helper2 ((1. -. s) *. log_x) *. log_x
+
+  let h ~s x = Float.exp (-.s *. Float.log x)
+
+  let h_integral_inverse ~s x =
+    let t = x *. (1. -. s) in
+    let t = if t < -1. then -1. else t in
+    Float.exp (helper1 t *. x)
+
+  let create ~n ~s =
+    {
+      n;
+      s;
+      h_integral_x1 = h_integral ~s 1.5 -. 1.;
+      h_integral_n = h_integral ~s (float_of_int n +. 0.5);
+      threshold = 2. -. h_integral_inverse ~s (h_integral ~s 2.5 -. h ~s 2.);
+    }
+
+  let sample t rng =
+    let s = t.s in
+    let rec loop () =
+      let u = t.h_integral_n +. (Rng.float rng *. (t.h_integral_x1 -. t.h_integral_n)) in
+      let x = h_integral_inverse ~s u in
+      let k = int_of_float (Float.round x) in
+      let k = if k < 1 then 1 else if k > t.n then t.n else k in
+      let kf = float_of_int k in
+      if kf -. x <= t.threshold then k
+      else if u >= h_integral ~s (kf +. 0.5) -. h ~s kf then k
+      else loop ()
+    in
+    loop () - 1
 end

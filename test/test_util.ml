@@ -1,4 +1,5 @@
-(* Tests for repro_util: rng, zipf, histogram, stats, series, vec. *)
+(* Tests for repro_util: rng, zipf, failpoint, histogram, stats, series,
+   vec, crc32. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -70,6 +71,31 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+module Ref_rng = Ref_bookkeeping.Rng
+
+(* One draw of a kind on both generators. [split] compares the
+   children's first outputs, then the parents go on. *)
+let same_draw real oracle (op, bound) =
+  match op with
+  | 0 -> Rng.next_int64 real = Ref_rng.next_int64 oracle
+  | 1 -> Rng.int real bound = Ref_rng.int oracle bound
+  | 2 -> Int64.bits_of_float (Rng.float real) = Int64.bits_of_float (Ref_rng.float oracle)
+  | 3 -> Rng.bits53 real = Int64.to_int (Int64.shift_right_logical (Ref_rng.next_int64 oracle) 11)
+  | _ ->
+      let child = Rng.split real and child' = Ref_rng.split oracle in
+      List.for_all (fun _ -> Rng.next_int64 child = Ref_rng.next_int64 child') [ 1; 2; 3 ]
+
+let qcheck_rng_matches_reference =
+  QCheck.Test.make ~name:"stream = boxed reference" ~count:500
+    QCheck.(
+      pair int
+        (list_of_size
+           Gen.(1 -- 200)
+           (pair (int_bound 4) (oneof [ int_range 1 10; int_range 1 max_int ]))))
+    (fun (seed, ops) ->
+      let real = Rng.create seed and oracle = Ref_rng.create seed in
+      List.for_all (same_draw real oracle) ops)
+
 (* -------------------------------------------------------------------- *)
 (* Zipf *)
 
@@ -127,6 +153,134 @@ let test_zipf_invalid () =
       ignore (Zipf.create ~n:0 ~s:1.0));
   Alcotest.check_raises "s=0" (Invalid_argument "Zipf.create: s must be positive") (fun () ->
       ignore (Zipf.create ~n:10 ~s:0.))
+
+module Ref_zipf = Ref_bookkeeping.Zipf
+
+(* The splitmix64 output function is a bijection of int64s. Inverting
+   it gives a seed whose first [Rng.bits53] is a chosen value [b]: the
+   low 11 output bits are free, and one choice of them makes the seed
+   fit an OCaml int. *)
+let unxorshift y k =
+  let rec go x i = if i = 0 then x else go (Int64.logxor y (Int64.shift_right_logical x k)) (i - 1) in
+  go y ((64 / k) + 1)
+
+(* Newton's iteration for the inverse of an odd number modulo 2^64. *)
+let odd_inverse c =
+  let rec go x i = if i = 0 then x else go (Int64.mul x (Int64.sub 2L (Int64.mul c x))) (i - 1) in
+  go c 6
+
+let seed_drawing_first b =
+  let unmix o =
+    let z = unxorshift o 31 in
+    let z = unxorshift (Int64.mul z (odd_inverse 0x94D049BB133111EBL)) 27 in
+    unxorshift (Int64.mul z (odd_inverse 0xBF58476D1CE4E5B9L)) 30
+  in
+  let rec find low =
+    let o = Int64.logor (Int64.shift_left (Int64.of_int b) 11) (Int64.of_int low) in
+    let seed = Int64.sub (unmix o) 0x9E3779B97F4A7C15L in
+    if Int64.of_int (Int64.to_int seed) = seed then Int64.to_int seed else find (low + 1)
+  in
+  find 0
+
+let zipf_draws_agree ~n ~s seed =
+  let z = Zipf.create ~n ~s and z' = Ref_zipf.create ~n ~s in
+  let rng = Rng.create seed and rng' = Ref_rng.create seed in
+  List.for_all (fun _ -> Zipf.sample z rng = Ref_zipf.sample z' rng') (List.init 50 Fun.id)
+
+(* The first uniforms either side of rank 2's quick-accept boundary
+   [kf -. x <= threshold]: the variate [x] falls as the uniform grows,
+   so a bisection over the 53-bit draw finds where it crosses
+   [2 -. threshold]. Each is forced as a first draw. *)
+let boundary_draws z =
+  let x b =
+    let uniform = float_of_int b *. 0x1p-53 in
+    Ref_zipf.h_integral_inverse ~s:z.Ref_zipf.s
+      (z.Ref_zipf.h_integral_n +. (uniform *. (z.Ref_zipf.h_integral_x1 -. z.Ref_zipf.h_integral_n)))
+  in
+  let edge = 2. -. z.Ref_zipf.threshold in
+  let top = (1 lsl 53) - 1 in
+  if z.Ref_zipf.n < 2 || x 0 <= edge || x top > edge then []
+  else
+    let rec bisect lo hi =
+      if hi - lo <= 1 then hi
+      else
+        let mid = lo + ((hi - lo) / 2) in
+        if x mid > edge then bisect mid hi else bisect lo mid
+    in
+    let b = bisect 0 top in
+    List.filter (fun b -> b >= 0 && b <= top) (List.init 9 (fun i -> b - 4 + i))
+
+let qcheck_zipf_matches_reference =
+  QCheck.Test.make ~name:"variates = closure reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (n, s, seed) -> Printf.sprintf "n=%d s=%h seed=%d" n s seed)
+        Gen.(
+          let* n = frequency [ (1, 1 -- 4); (4, 1 -- 1_000_000) ] in
+          let* s =
+            frequency
+              [
+                (1, return 1.0);
+                (1, map (fun e -> 1. +. e) (float_range (-1e-7) 1e-7));
+                (4, map (fun x -> 3. -. x) (float_bound_exclusive 3.));
+              ]
+          in
+          let* seed = int in
+          return (n, s, seed)))
+    (fun (n, s, seed) ->
+      zipf_draws_agree ~n ~s seed
+      && List.for_all
+           (fun b ->
+             let seed = seed_drawing_first b in
+             Rng.bits53 (Rng.create seed) = b && zipf_draws_agree ~n ~s seed)
+           (boundary_draws (Ref_zipf.create ~n ~s)))
+
+(* -------------------------------------------------------------------- *)
+(* Allocation-free draws *)
+
+(* Minor-heap words per call of [f] over [calls] calls. Reading the
+   counter boxes its result, a few words over the whole loop. *)
+let words_per_call ~calls f =
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_draws_allocate_nothing () =
+  let calls = 10_000 in
+  let check name f =
+    let w = words_per_call ~calls f in
+    if w >= 0.01 then Alcotest.failf "%s: %.3f words per call" name w
+  in
+  let rng = Rng.create 42 in
+  let schema = { Schema.default with Schema.tables = 4; rows_per_table = 100_000 } in
+  let zipf = Zipf.create ~n:100_000 ~s:0.99 in
+  let access = Access.create schema (Access.Zipfian 0.99) in
+  let uniform = Access.create schema Access.Uniform in
+  check "Rng.int" (fun () -> ignore (Sys.opaque_identity (Rng.int rng 1000)));
+  check "Rng.bits53" (fun () -> ignore (Sys.opaque_identity (Rng.bits53 rng)));
+  check "Zipf.sample" (fun () -> ignore (Sys.opaque_identity (Zipf.sample zipf rng)));
+  check "Access.sample zipf" (fun () -> ignore (Sys.opaque_identity (Access.sample access rng)));
+  check "Access.sample uniform" (fun () ->
+      ignore (Sys.opaque_identity (Access.sample uniform rng)));
+  Failpoint.with_scope (fun () ->
+      check "Failpoint.check unarmed" (fun () ->
+          ignore (Sys.opaque_identity (Failpoint.check "wal.append"))))
+
+(* -------------------------------------------------------------------- *)
+(* Failpoint *)
+
+let test_failpoint_arming () =
+  Failpoint.with_scope (fun () ->
+      check_bool "unarmed passes" true (Failpoint.check "wal.append" = `Pass);
+      Failpoint.arm_fail_n "wal.append" 2;
+      let got = List.init 4 (fun _ -> Failpoint.check "wal.append") in
+      check_bool "fails twice, then passes" true (got = [ `Fail; `Fail; `Pass; `Pass ]);
+      check_bool "other names pass" true (Failpoint.check "wal.fsync" = `Pass);
+      check_int "fail count" 2 (Failpoint.fail_count "wal.append"));
+  check_bool "scope exit disarms" true (Failpoint.check "wal.append" = `Pass);
+  check_int "scope exit resets counts" 0 (Failpoint.fail_count "wal.append")
 
 (* -------------------------------------------------------------------- *)
 (* Histogram *)
@@ -440,6 +594,8 @@ let suites =
         Alcotest.test_case "float mean" `Quick test_rng_float_mean;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+        QCheck_alcotest.to_alcotest qcheck_rng_matches_reference;
+        Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
       ] );
     ( "util.zipf",
       [
@@ -449,6 +605,11 @@ let suites =
         Alcotest.test_case "s = 1.0 singularity" `Quick test_zipf_near_one_exponent;
         Alcotest.test_case "single item" `Quick test_zipf_single_item;
         Alcotest.test_case "invalid args" `Quick test_zipf_invalid;
+        QCheck_alcotest.to_alcotest qcheck_zipf_matches_reference;
+      ] );
+    ( "util.failpoint",
+      [
+        Alcotest.test_case "armed point fails n times" `Quick test_failpoint_arming;
       ] );
     ( "util.histogram",
       [
