@@ -82,11 +82,12 @@ let abort_undo t ~t_aborted =
     | None -> invalid_arg "Siro.abort_undo: no predecessor to restore"
   end
 
+let visible view v = Read_view.snapshot_read view ~vs:v.Version.vs ~ve:v.Version.ve
+
+(* A visible previous version is returned in the option the slot
+   already holds. *)
 let read_inrow t view =
-  let visible v =
-    Read_view.snapshot_read view ~vs:v.Version.vs ~ve:v.Version.ve
-  in
-  if visible t.current then Some t.current
-  else match t.previous with Some p when visible p -> Some p | Some _ | None -> None
+  if visible view t.current then Some t.current
+  else match t.previous with Some p as prev when visible view p -> prev | Some _ | None -> None
 
 let inrow_bytes t = 2 * t.current.Version.bytes

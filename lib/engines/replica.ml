@@ -38,7 +38,8 @@ let rstep_sid = function
   | R_ship { sid; _ } | R_ack { sid; _ } | R_quorum { sid } | R_promote { sid; _ } -> sid
 
 type rmsg =
-  | Ship of { repoch : int; frames : (int * string) list }
+  | Ship of { repoch : int; frames : Wal.frame array }
+      (* the sender's own frame records, shared with every mirror *)
   | Ship_ack of { repoch : int; node : int; upto : int }
 
 type node = {
@@ -104,11 +105,9 @@ let handle_ship t g ~ep ~now ~repoch ~frames =
     Metrics.bump "replica.fencings"
   end
   else begin
-    List.iter
-      (fun (lsn, repr) ->
-        match Wal.receive nd.nwal ~lsn ~repr with
-        | `Applied | `Duplicate | `Gap -> ())
-      frames;
+    for i = 0 to Array.length frames - 1 do
+      match Wal.receive nd.nwal frames.(i) with `Applied | `Duplicate | `Gap -> ()
+    done;
     let upto = Wal.max_lsn nd.nwal in
     fire_step t ~now (R_ack { sid = g.sid; node = ep; upto });
     (* The step hook may have killed this node: a replica that dies
@@ -220,12 +219,11 @@ let epoch t ~sid = (group t ~sid).repoch
    the send so a kill schedule can land between "about to replicate"
    and "replicated". *)
 let ship_to t g ~now nd =
-  let p_alive () = primary_alive g in
-  if p_alive () && nd.alive && nd.node_id <> g.primary then begin
+  if primary_alive g && nd.alive && nd.node_id <> g.primary then begin
     let frames = Wal.frames_from g.gwal ~lsn:nd.acked_upto in
-    if frames <> [] then begin
-      fire_step t ~now (R_ship { sid = g.sid; node = nd.node_id; frames = List.length frames });
-      if p_alive () && nd.alive then
+    if Array.length frames > 0 then begin
+      fire_step t ~now (R_ship { sid = g.sid; node = nd.node_id; frames = Array.length frames });
+      if primary_alive g && nd.alive then
         Bus.send g.bus ~src:g.primary ~dst:nd.node_id ~now
           (Ship { repoch = g.repoch; frames })
     end

@@ -367,11 +367,13 @@ let check_post_recovery (d : Driver.t) =
            base <= analysis.Wal_recovery.truncate_lsn
            &&
            match Wal.frames_from wal ~lsn:(base - 1) with
-           | (lsn, repr) :: _ when lsn = base -> (
-               match Wal_record.decode repr with
+           | [||] -> false
+           | frames -> (
+               frames.(0).Wal.lsn = base
+               &&
+               match Wal_record.decode frames.(0).Wal.repr with
                | Ok { Wal_record.payload = Wal_record.Ckpt_end { snapshot = Some _ }; _ } -> true
                | Ok _ | Error _ -> false)
-           | _ -> false
          in
          if not intact then
            add

@@ -92,7 +92,7 @@ let add_list o add xs =
 
 exception Not_canonical
 
-type cursor = { s : string; lim : int; mutable pos : int }
+type cursor = { mutable s : string; mutable lim : int; mutable pos : int }
 
 let looking_at c lit =
   let n = String.length lit in
@@ -104,7 +104,14 @@ let looking_at c lit =
   done;
   !i = n
 
-let expect c lit = if looking_at c lit then c.pos <- c.pos + String.length lit else raise Not_canonical
+let skip c lit =
+  looking_at c lit
+  && begin
+       c.pos <- c.pos + String.length lit;
+       true
+     end
+
+let expect c lit = if not (skip c lit) then raise Not_canonical
 
 let char c ch =
   if c.pos < c.lim && String.unsafe_get c.s c.pos = ch then c.pos <- c.pos + 1
@@ -164,6 +171,19 @@ let str c =
     | Ok (Jsonx.Str v as j) when Jsonx.to_string j = lit -> v
     | _ -> raise Not_canonical
 
+(* The members after the first, read in order: [tail_mod_cons] builds
+   the list front to back with no closure and no reversal. *)
+let[@tail_mod_cons] rec rest c elem =
+  if c.pos < c.lim && String.unsafe_get c.s c.pos = ',' then begin
+    c.pos <- c.pos + 1;
+    let x = elem c in
+    x :: rest c elem
+  end
+  else begin
+    char c ']';
+    []
+  end
+
 let list c elem =
   char c '[';
   if c.pos < c.lim && String.unsafe_get c.s c.pos = ']' then begin
@@ -171,15 +191,5 @@ let list c elem =
     []
   end
   else
-    let rec go acc =
-      let x = elem c in
-      if c.pos < c.lim && String.unsafe_get c.s c.pos = ',' then begin
-        c.pos <- c.pos + 1;
-        go (x :: acc)
-      end
-      else begin
-        char c ']';
-        List.rev (x :: acc)
-      end
-    in
-    go []
+    let x = elem c in
+    x :: rest c elem

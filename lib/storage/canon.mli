@@ -46,11 +46,14 @@ val add_list : out -> (out -> 'a -> unit) -> 'a list -> unit
 
 exception Not_canonical
 
-type cursor = { s : string; lim : int; mutable pos : int }
-(** Scans [s] from [pos]; nothing at or past [lim] is read. *)
+type cursor = { mutable s : string; mutable lim : int; mutable pos : int }
+(** Scans [s] from [pos]; nothing at or past [lim] is read. A scanner
+    may keep one cursor and point it at frame after frame, as
+    {!Wal_record} does; the scanners below allocate only the values
+    they return. *)
 
-val looking_at : cursor -> string -> bool
-(** Whether the literal follows [pos]; does not move. *)
+val skip : cursor -> string -> bool
+(** Skip the literal if it follows [pos], and say whether it did. *)
 
 val expect : cursor -> string -> unit
 (** Skip the literal, or raise. *)
@@ -72,4 +75,5 @@ val str : cursor -> string
     the printer writes them, and no raw control character. *)
 
 val list : cursor -> (cursor -> 'a) -> 'a list
-(** [[x,y,...]] with no whitespace, each element read by the function. *)
+(** [[x,y,...]] with no whitespace, each element read by the function.
+    Only the list cells and what the function returns are allocated. *)

@@ -134,10 +134,7 @@ let scan_seg c =
   Canon.expect c ",\"cls\":";
   let cls = Canon.str c in
   Canon.expect c ",\"hardened\":";
-  let hardened =
-    if Canon.looking_at c "true" then (Canon.expect c "true"; true)
-    else (Canon.expect c "false"; false)
-  in
+  let hardened = Canon.skip c "true" || (Canon.expect c "false"; false) in
   Canon.expect c ",\"versions\":";
   let versions = Canon.list c scan_seg_version in
   Canon.char c '}';
@@ -167,7 +164,7 @@ let scan_pending c =
   { tid; writes }
 
 let scan_pairs c key =
-  if Canon.looking_at c key then (Canon.expect c key; Canon.list c scan_pair) else []
+  if Canon.skip c key then Canon.list c scan_pair else []
 
 let scan c =
   let at = Canon.member c "{\"at\":" in

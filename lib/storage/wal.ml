@@ -1,3 +1,6 @@
+(* Immutable: a shipped frame is appended to the mirror as the same
+   record, and a fault on one device replaces its slot, never the
+   record. *)
 type frame = { lsn : int; repr : string }
 
 type durable = {
@@ -215,16 +218,10 @@ let inject_raw t repr =
 
 let frames_from t ~lsn =
   match t.durable with
-  | None -> []
+  | None -> [||]
   | Some d ->
       let first = first_above d.frames lsn in
-      let rec collect i acc =
-        if i < first then acc
-        else
-          let f = Vec.get d.frames i in
-          collect (i - 1) ((f.lsn, f.repr) :: acc)
-      in
-      collect (Vec.length d.frames - 1) []
+      Vec.sub d.frames first (Vec.length d.frames - first)
 
 let iter_from t ~lsn f =
   match t.durable with
@@ -235,21 +232,25 @@ let iter_from t ~lsn f =
         f fr.lsn fr.repr
       done
 
-let receive t ~lsn ~repr =
-  with_durable t "receive" (fun d ->
-      if lsn < d.next_lsn then `Duplicate
-      else if lsn > d.next_lsn then `Gap
+(* The mirror appends the shipped record itself: frames are immutable,
+   so every device that holds one shares it. *)
+let receive t fr =
+  match t.durable with
+  | None -> invalid_arg "Wal.receive: durability not enabled"
+  | Some d ->
+      if fr.lsn < d.next_lsn then `Duplicate
+      else if fr.lsn > d.next_lsn then `Gap
       else begin
-        Vec.push d.frames { lsn; repr };
-        d.next_lsn <- lsn + 1;
+        Vec.push d.frames fr;
+        d.next_lsn <- fr.lsn + 1;
         (* A shipped frame is durable on the mirror as soon as it is
            acknowledged: backups replay from their own device at
            promotion, so the ack must imply survival. *)
-        d.flushed_lsn <- lsn;
-        t.total <- t.total + String.length repr;
+        d.flushed_lsn <- fr.lsn;
+        t.total <- t.total + String.length fr.repr;
         t.records <- t.records + 1;
         `Applied
-      end)
+      end
 
 let adopt t ~src =
   match src.durable with
@@ -273,6 +274,7 @@ let corrupt_frame t ~lsn f =
       if i < Vec.length d.frames && (Vec.get d.frames i).lsn = lsn then begin
         mutated d;
         let fr = Vec.get d.frames i in
+        (* A new record: mirrors may share the old one. *)
         Vec.set d.frames i { fr with repr = f fr.repr };
         true
       end

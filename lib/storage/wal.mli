@@ -19,6 +19,13 @@
 
 type t
 
+type frame = private { lsn : int; repr : string }
+(** One surviving frame on a device: its LSN and its bytes. Frames are
+    immutable, and log shipping hands them over by reference: a mirror
+    appends the very record its primary holds ({!receive}), {!adopt}
+    copies the records, and a fault on one device ({!corrupt_frame})
+    replaces a slot of that device, never a shared record. *)
+
 val create : ?shard:int -> unit -> t
 (** [shard] (default 0) namespaces the log: every frame {!log} writes
     carries the tag, and {!Wal_recovery.analyze} refuses frames tagged
@@ -130,30 +137,33 @@ val inject_raw : t -> string -> int
 
 (** {1 Log shipping} *)
 
-val frames_from : t -> lsn:int -> (int * string) list
+val frames_from : t -> lsn:int -> frame array
 (** Surviving frames strictly beyond [lsn], in LSN order — the
     primary-side read for shipping a backup everything past its
-    replication cursor. A binary search over the LSN-ordered frames
-    finds the first one, so the cost is O(log n + tail). *)
+    replication cursor. The array holds the device's own frame
+    records, so shipping copies no frame. A binary search over the
+    LSN-ordered frames finds the first one, so the cost is
+    O(log n + tail). *)
 
 val iter_from : t -> lsn:int -> (int -> string -> unit) -> unit
 (** [iter_from t ~lsn f] applies [f lsn repr] to the frames of
-    {!frames_from}, in LSN order, without building their list — the
+    {!frames_from}, in LSN order, without building their array — the
     read of a recovery scan. *)
 
-val receive : t -> lsn:int -> repr:string -> [ `Applied | `Duplicate | `Gap ]
-(** Mirror-side append of a shipped frame. Contiguous ([lsn] is exactly
-    the next expected) frames are appended and immediately count as
-    flushed — a backup acknowledges only what would survive its own
-    crash. Frames at an already-seen LSN are [`Duplicate]s (idempotent
-    receive under a duplicating bus); frames beyond the next expected
-    LSN are a [`Gap] and refused, so a mirror is always an exact prefix
-    of its primary's device. *)
+val receive : t -> frame -> [ `Applied | `Duplicate | `Gap ]
+(** Mirror-side append of a shipped frame, the record itself.
+    Contiguous (its LSN is exactly the next expected) frames are
+    appended and immediately count as flushed — a backup acknowledges
+    only what would survive its own crash. Frames at an already-seen
+    LSN are [`Duplicate]s (idempotent receive under a duplicating bus);
+    frames beyond the next expected LSN are a [`Gap] and refused, so a
+    mirror is always an exact prefix of its primary's device. *)
 
 val adopt : t -> src:t -> unit
 (** Make [t]'s device an exact copy of [src]'s: frames, LSN cursor,
     flushed frontier, discard count and crash base, shard tag and byte
-    accounting. State transfer —
+    accounting. The frame records are shared, not copied. State
+    transfer —
     used at promotion to seed the new primary's device from the
     best mirror, and to resync the surviving backups onto the new
     primary's timeline. *)

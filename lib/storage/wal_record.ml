@@ -152,81 +152,99 @@ let shards c key =
   expect c key;
   Canon.list c Canon.int
 
-let snapshot c =
-  if Canon.looking_at c "null" then begin
-    expect c "null";
-    None
-  end
-  else Some (Checkpoint.scan c)
+let snapshot c = if Canon.skip c "null" then None else Some (Checkpoint.scan c)
+let kind = Canon.skip
+let no_kind () = raise Canon.Not_canonical
 
-(* Members are read with [let] in frame order: OCaml evaluates record
+(* The kind name is matched in place, closing quote included, so no
+   string is built for it: its first byte picks the few names to try.
+   Members are read with [let] in frame order: OCaml evaluates record
    fields in no fixed order. *)
-let scan_payload c = function
-  | "txn-begin" ->
-      let tid = member c ",\"tid\":" in
-      Txn_begin { tid }
-  | "txn-commit" ->
-      let tid = member c ",\"tid\":" in
-      let cts = member c ",\"cts\":" in
-      Txn_commit { tid; cts }
-  | "txn-abort" ->
-      let tid = member c ",\"tid\":" in
-      let ats = member c ",\"ats\":" in
-      Txn_abort { tid; ats }
-  | "version-insert" ->
-      let tid = member c ",\"tid\":" in
-      let rid = member c ",\"rid\":" in
-      let value = member c ",\"value\":" in
-      Version_insert { tid; rid; value }
-  | "relocate" ->
-      let rid = member c ",\"rid\":" in
-      let vs = member c ",\"vs\":" in
-      let ve = member c ",\"ve\":" in
-      let vs_time = member c ",\"vs_time\":" in
-      let ve_time = member c ",\"ve_time\":" in
-      let bytes = member c ",\"bytes\":" in
-      let value = member c ",\"value\":" in
-      let seg_id = member c ",\"seg\":" in
-      expect c ",\"cls\":";
-      let cls = str c in
-      let lo = member c ",\"lo\":" in
-      let hi = member c ",\"hi\":" in
-      Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
-  | "seg-harden" -> Seg_harden { seg_id = member c ",\"seg\":" }
-  | "seg-drop" -> Seg_drop { seg_id = member c ",\"seg\":" }
-  | "seg-cut" -> Seg_cut { seg_id = member c ",\"seg\":" }
-  | "ckpt-begin" -> Ckpt_begin
-  | "ckpt-end" ->
-      expect c ",\"snapshot\":";
-      Ckpt_end { snapshot = snapshot c }
-  | "2pc-prepare" ->
-      let tid = member c ",\"tid\":" in
-      let coord = member c ",\"coord\":" in
-      let shards = shards c ",\"shards\":" in
-      Prepare { tid; coord; shards }
-  | "2pc-commit" ->
-      let gid = member c ",\"gid\":" in
-      let cts = member c ",\"cts\":" in
-      let shards = shards c ",\"shards\":" in
-      Coord_commit { gid; cts; shards }
-  | "2pc-abort" -> Coord_abort { gid = member c ",\"gid\":" }
-  | "2pc-ack" ->
-      let gid = member c ",\"gid\":" in
-      let shard = member c ",\"shard\":" in
-      Ack { gid; shard }
-  | "2pc-forget" -> Forget { gid = member c ",\"gid\":" }
-  | "rep-promote" ->
-      let epoch = member c ",\"epoch\":" in
-      let node = member c ",\"node\":" in
-      Promote { epoch; node }
-  | "rep-ack" ->
-      let epoch = member c ",\"epoch\":" in
-      let node = member c ",\"node\":" in
-      let upto = member c ",\"upto\":" in
-      Rep_ack { epoch; node; upto }
-  | _ -> raise Canon.Not_canonical
+let scan_payload c =
+  if c.Canon.pos >= c.lim then no_kind ();
+  match String.unsafe_get c.s c.pos with
+  | 't' ->
+      if kind c "txn-begin\"" then
+        let tid = member c ",\"tid\":" in
+        Txn_begin { tid }
+      else if kind c "txn-commit\"" then
+        let tid = member c ",\"tid\":" in
+        let cts = member c ",\"cts\":" in
+        Txn_commit { tid; cts }
+      else if kind c "txn-abort\"" then
+        let tid = member c ",\"tid\":" in
+        let ats = member c ",\"ats\":" in
+        Txn_abort { tid; ats }
+      else no_kind ()
+  | 'v' ->
+      if kind c "version-insert\"" then
+        let tid = member c ",\"tid\":" in
+        let rid = member c ",\"rid\":" in
+        let value = member c ",\"value\":" in
+        Version_insert { tid; rid; value }
+      else no_kind ()
+  | 'r' ->
+      if kind c "rep-ack\"" then
+        let epoch = member c ",\"epoch\":" in
+        let node = member c ",\"node\":" in
+        let upto = member c ",\"upto\":" in
+        Rep_ack { epoch; node; upto }
+      else if kind c "relocate\"" then
+        let rid = member c ",\"rid\":" in
+        let vs = member c ",\"vs\":" in
+        let ve = member c ",\"ve\":" in
+        let vs_time = member c ",\"vs_time\":" in
+        let ve_time = member c ",\"ve_time\":" in
+        let bytes = member c ",\"bytes\":" in
+        let value = member c ",\"value\":" in
+        let seg_id = member c ",\"seg\":" in
+        expect c ",\"cls\":";
+        let cls = str c in
+        let lo = member c ",\"lo\":" in
+        let hi = member c ",\"hi\":" in
+        Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
+      else if kind c "rep-promote\"" then
+        let epoch = member c ",\"epoch\":" in
+        let node = member c ",\"node\":" in
+        Promote { epoch; node }
+      else no_kind ()
+  | '2' ->
+      if kind c "2pc-prepare\"" then
+        let tid = member c ",\"tid\":" in
+        let coord = member c ",\"coord\":" in
+        let shards = shards c ",\"shards\":" in
+        Prepare { tid; coord; shards }
+      else if kind c "2pc-commit\"" then
+        let gid = member c ",\"gid\":" in
+        let cts = member c ",\"cts\":" in
+        let shards = shards c ",\"shards\":" in
+        Coord_commit { gid; cts; shards }
+      else if kind c "2pc-ack\"" then
+        let gid = member c ",\"gid\":" in
+        let shard = member c ",\"shard\":" in
+        Ack { gid; shard }
+      else if kind c "2pc-forget\"" then Forget { gid = member c ",\"gid\":" }
+      else if kind c "2pc-abort\"" then Coord_abort { gid = member c ",\"gid\":" }
+      else no_kind ()
+  | 's' ->
+      if kind c "seg-harden\"" then Seg_harden { seg_id = member c ",\"seg\":" }
+      else if kind c "seg-drop\"" then Seg_drop { seg_id = member c ",\"seg\":" }
+      else if kind c "seg-cut\"" then Seg_cut { seg_id = member c ",\"seg\":" }
+      else no_kind ()
+  | 'c' ->
+      if kind c "ckpt-begin\"" then Ckpt_begin
+      else if kind c "ckpt-end\"" then begin
+        expect c ",\"snapshot\":";
+        Ckpt_end { snapshot = snapshot c }
+      end
+      else no_kind ()
+  | _ -> no_kind ()
 
-let scan ~check_crc s =
+(* One cursor per domain, like [frame_buf], pointed at each frame in
+   turn. *)
+let scan_cursor = Domain.DLS.new_key (fun () -> { Canon.s = ""; lim = 0; pos = 0 })
+
+let scan_frame ~check_crc c s =
   let n = String.length s in
   if n = 0 || String.unsafe_get s (n - 1) <> '}' then raise Canon.Not_canonical;
   (* The crc suffix, read from the end: [,"crc":N}]. *)
@@ -235,28 +253,43 @@ let scan ~check_crc s =
     decr i
   done;
   if !i >= 0 && String.unsafe_get s !i = '-' then decr i;
-  let lim = !i + 1 - String.length ",\"crc\":" in
-  if lim < 0 then raise Canon.Not_canonical;
-  let stored = member { Canon.s; lim = n - 1; pos = lim } ",\"crc\":" in
-  if check_crc && stored <> body_crc s ~len:lim then raise Canon.Not_canonical;
-  let c = { Canon.s; lim; pos = 0 } in
+  let body = !i + 1 - String.length ",\"crc\":" in
+  if body < 0 then raise Canon.Not_canonical;
+  c.Canon.s <- s;
+  c.lim <- n - 1;
+  c.pos <- body;
+  let stored = member c ",\"crc\":" in
+  if check_crc && stored <> body_crc s ~len:body then raise Canon.Not_canonical;
+  (* Then the body, which ends where the crc suffix begins. *)
+  c.lim <- body;
+  c.pos <- 0;
   let lsn = member c "{\"lsn\":" in
   let at = member c ",\"at\":" in
   (* Either [,"sh":S,"kind":] with S nonzero, or [,"kind":]. *)
-  expect c ",\"";
   let shard =
-    if Canon.looking_at c "s" then begin
-      let sh = member c "sh\":" in
+    if Canon.skip c ",\"sh\":" then begin
+      let sh = Canon.int c in
       if sh = 0 then raise Canon.Not_canonical;
-      expect c ",\"";
       sh
     end
     else 0
   in
-  expect c "kind\":";
-  let payload = scan_payload c (str c) in
-  if c.pos <> lim then raise Canon.Not_canonical;
+  expect c ",\"kind\":\"";
+  let payload = scan_payload c in
+  if c.pos <> c.lim then raise Canon.Not_canonical;
   { lsn; at; shard; payload }
+
+(* The cursor lets go of the frame whether or not it scanned: a
+   checkpoint frame can be hundreds of KB. *)
+let scan ~check_crc s =
+  let c = Domain.DLS.get scan_cursor in
+  match scan_frame ~check_crc c s with
+  | r ->
+      c.s <- "";
+      r
+  | exception e ->
+      c.s <- "";
+      raise e
 
 let decode ?(check_crc = true) repr =
   match scan ~check_crc repr with
@@ -268,13 +301,19 @@ let decode ?(check_crc = true) repr =
    bytes. *)
 let has_key repr key =
   let k = String.length key and lim = min 128 (String.length repr) in
-  let rec matches i j = j = k || (repr.[i + j] = key.[j] && matches i (j + 1)) in
-  let rec at i = i + k <= lim && (matches i 0 || at (i + 1)) in
-  at 0
+  let i = ref 0 and j = ref 0 in
+  while !j < k && !i + k <= lim do
+    if String.unsafe_get repr (!i + !j) = String.unsafe_get key !j then incr j
+    else begin
+      incr i;
+      j := 0
+    end
+  done;
+  !j = k
 
 let outcome_tid repr =
   if has_key repr "\"kind\":\"txn-commit\"" || has_key repr "\"kind\":\"txn-abort\"" then
-    match decode repr with
-    | Ok { payload = Txn_commit { tid; _ } | Txn_abort { tid; _ }; _ } -> Some tid
-    | Ok _ | Error _ -> None
+    match scan ~check_crc:true repr with
+    | { payload = Txn_commit { tid; _ } | Txn_abort { tid; _ }; _ } -> Some tid
+    | _ | (exception Canon.Not_canonical) -> None
   else None

@@ -112,7 +112,16 @@ val decode : ?check_crc:bool -> string -> (t, string) result
     {!Jsonx} tree is built. Anything else — a torn or bit-flipped frame,
     whitespace, reordered members, a snapshot that is no checkpoint — is
     an [Error], so [decode (encode r) = Ok r] and a frame decodes only
-    when it is [encode] of what it decodes to, up to its crc. *)
+    when it is [encode] of what it decodes to, up to its crc. The kind
+    name is matched in place, closing quote included: a name with a
+    byte changed, dropped or added, or spelled with an escape, is an
+    [Error]. *)
+
+val scan : check_crc:bool -> string -> t
+(** {!decode} without the result: raises {!Canon.Not_canonical} where
+    [decode] returns an [Error]. It reads through one cursor per
+    domain, which lets go of the frame when the scan ends, so the only
+    allocation is the record it returns — the read of a log scan. *)
 
 val outcome_tid : string -> int option
 (** The tid of a verified [Txn_commit] or [Txn_abort] frame; [None] for

@@ -488,9 +488,9 @@ let scan ?(check_crc = true) p f =
       p.seen_lsn <- lsn;
       p.read <- p.read + 1;
       if not p.torn then
-        match Wal_record.decode ~check_crc repr with
-        | Ok r when r.Wal_record.shard = own_shard -> f r (fold p r)
-        | Ok _ | Error _ -> p.torn <- true)
+        match Wal_record.scan ~check_crc repr with
+        | r when r.Wal_record.shard = own_shard -> f r (fold p r)
+        | _ | (exception Canon.Not_canonical) -> p.torn <- true)
 
 let analysis_of p =
   {

@@ -57,6 +57,11 @@ let exists p t =
   loop 0
 
 let to_array t = Array.sub t.data 0 t.len
+
+let sub t pos len =
+  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Vec.sub";
+  Array.sub t.data pos len
+
 let to_list t = Array.to_list (to_array t)
 
 let of_list xs =

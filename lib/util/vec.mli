@@ -20,6 +20,10 @@ val iter : ('a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
+val sub : 'a t -> int -> int -> 'a array
+(** [sub t pos len]: the [len] elements from index [pos]. Raises
+    [Invalid_argument] unless they all lie within [t]. *)
+
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 val filter_in_place : ('a -> bool) -> 'a t -> unit

@@ -91,3 +91,50 @@ let analyze ?(check_crc = true) wal =
     forgets = !forgets;
     prepared_commits = !prepared_commits;
   }
+
+(* Log shipping as it was before frames went by reference: the
+   primary's tail read as fresh [(lsn, repr)] tuples, and a mirror that
+   appends a copy of each frame it receives. The mirror is a model of a
+   durable device holding only what shipping, appends and faults
+   change: its frames, in LSN order, its LSN cursor and its crash
+   base. *)
+
+let frames_from wal ~lsn = List.filter (fun (l, _) -> l > lsn) (Wal.frames wal)
+
+type mirror = {
+  mutable frames : (int * string) list;
+  mutable next_lsn : int;
+  mutable crash_base : int;
+}
+
+let mirror () = { frames = []; next_lsn = 1; crash_base = Wal.bootstrap_lsn }
+
+let receive m ~lsn ~repr =
+  if lsn < m.next_lsn then `Duplicate
+  else if lsn > m.next_lsn then `Gap
+  else begin
+    m.frames <- m.frames @ [ (lsn, String.sub repr 0 (String.length repr)) ];
+    m.next_lsn <- lsn + 1;
+    `Applied
+  end
+
+let log m ~shard payload =
+  let lsn = m.next_lsn in
+  m.frames <- m.frames @ [ (lsn, Wal_record.encode { Wal_record.lsn; at = 0; shard; payload }) ];
+  m.next_lsn <- lsn + 1
+
+let keep m lsn = m.frames <- List.filter (fun (l, _) -> l <= lsn) m.frames
+let crash m ~keep_lsn = keep m (max keep_lsn m.crash_base)
+let truncate_to m ~lsn = keep m lsn
+
+let corrupt_frame m ~lsn f =
+  List.mem_assoc lsn m.frames
+  && begin
+       m.frames <- List.map (fun (l, r) -> if l = lsn then (l, f r) else (l, r)) m.frames;
+       true
+     end
+
+let adopt m ~src =
+  m.frames <- Wal.frames src;
+  m.next_lsn <- Wal.next_lsn src;
+  m.crash_base <- Wal.crash_base src

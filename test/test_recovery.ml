@@ -380,6 +380,9 @@ type mutation =
   | Minus_zero of int
   | Digits_19 of int
   | Digit of int  (** one digit changed: canonical, but the crc is stale *)
+  | Kind of kind_edit  (** the kind name misspelled: never a frame *)
+
+and kind_edit = Change of int * int | Drop of int | Append of char | Escape
 
 let show_mutation = function
   | Bitflip i -> Printf.sprintf "bitflip(%d)" i
@@ -391,6 +394,10 @@ let show_mutation = function
   | Minus_zero i -> Printf.sprintf "minus-zero(%d)" i
   | Digits_19 i -> Printf.sprintf "digits-19(%d)" i
   | Digit i -> Printf.sprintf "digit(%d)" i
+  | Kind (Change (i, x)) -> Printf.sprintf "kind-change(%d,%d)" i x
+  | Kind (Drop i) -> Printf.sprintf "kind-drop(%d)" i
+  | Kind (Append c) -> Printf.sprintf "kind-append(%C)" c
+  | Kind Escape -> "kind-escape"
 
 (* Start offsets of the int texts that follow a [:] — member values. *)
 let int_offsets frame =
@@ -417,6 +424,36 @@ let replace_int frame k f =
 (* Members of the frame, as the reference parser sees them. *)
 let with_members frame f =
   match Jsonx.of_string frame with Ok (Jsonx.Obj ms) -> Jsonx.to_string (Jsonx.Obj (f ms)) | _ -> frame
+
+(* The kind name's span in a frame: the bytes between the quotes of
+   the kind member's value. *)
+let kind_span frame =
+  let key = ",\"kind\":\"" in
+  let rec find i = if String.sub frame i (String.length key) = key then i + String.length key else find (i + 1) in
+  let start = find 0 in
+  (start, String.index_from frame start '"')
+
+(* [name] with one byte changed (xored with 1..255), dropped or
+   appended, or its first hyphen escaped as [\u002d] (the r of
+   relocate, which has none, as [\u0072]). *)
+let edit_kind name = function
+  | Change (i, x) ->
+      let i = i mod String.length name in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 + (x mod 255))) else c) name
+  | Drop i ->
+      let i = i mod String.length name in
+      String.sub name 0 i ^ String.sub name (i + 1) (String.length name - i - 1)
+  | Append c -> name ^ String.make 1 c
+  | Escape -> (
+      match String.index_opt name '-' with
+      | Some i -> String.sub name 0 i ^ "\\u002d" ^ String.sub name (i + 1) (String.length name - i - 1)
+      | None -> "\\u0072" ^ String.sub name 1 (String.length name - 1))
+
+let mutate_kind frame e =
+  let start, stop = kind_span frame in
+  String.sub frame 0 start
+  ^ edit_kind (String.sub frame start (stop - start)) e
+  ^ String.sub frame stop (String.length frame - stop)
 
 let mutate frame = function
   | Bitflip i ->
@@ -447,6 +484,7 @@ let mutate frame = function
   | Leading_zero k -> replace_int frame k (fun text -> if text.[0] = '-' then "-0" ^ String.sub text 1 (String.length text - 1) else "0" ^ text)
   | Minus_zero k -> replace_int frame k (fun _ -> "-0")
   | Digits_19 k -> replace_int frame k (fun _ -> Printf.sprintf "1%018d" (k land 0xffff))
+  | Kind e -> mutate_kind frame e
   | Digit k ->
       replace_int frame k (fun text ->
           let last = String.length text - 1 in
@@ -470,18 +508,103 @@ let codec_mutation =
         map (fun i -> Digit i) i;
       ])
 
+(* A whole frame may also have its kind misspelt. *)
+let frame_mutation =
+  QCheck.Gen.(
+    frequency
+      [
+        (9, codec_mutation);
+        ( 1,
+          map
+            (fun e -> Kind e)
+            (oneof
+               [
+                 map2 (fun i x -> Change (i, x)) nat nat;
+                 map (fun i -> Drop i) nat;
+                 map (fun c -> Append c) (oneofl [ 'a'; 's'; '-'; '"'; ' '; '\\' ]);
+                 return Escape;
+               ]) );
+      ])
+
 let qcheck_codec_decode_mutated =
   QCheck.Test.make ~name:"decode = ref, mutated" ~count:6000
     (QCheck.make
        ~print:(fun (r, m) -> Ref_codec.encode r ^ " " ^ show_mutation m)
-       (QCheck.Gen.pair codec_record codec_mutation))
+       (QCheck.Gen.pair codec_record frame_mutation))
     (fun (r, m) ->
       let mutated = mutate (Wal_record.encode r) m in
       List.for_all
         (fun frame ->
           both_decoders_agree frame
           || QCheck.Test.fail_reportf "decoders differ on %S" frame)
-        [ mutated; restamp mutated ])
+        [ mutated; restamp mutated ]
+      &&
+      match m with
+      | Kind _ ->
+          Result.is_error (Wal_record.decode ~check_crc:false (restamp mutated))
+          || QCheck.Test.fail_reportf "misspelt kind decodes: %S" (restamp mutated)
+      | _ -> true)
+
+(* One record of every kind. *)
+let every_kind : Wal_record.t list =
+  List.mapi
+    (fun i payload -> { Wal_record.lsn = 10 + i; at = 1000 * i; shard = i mod 2; payload })
+    (sample_payloads
+    @ [
+        Wal_record.Prepare { tid = 7; coord = 1; shards = [ 0; 1; 2 ] };
+        Wal_record.Coord_commit { gid = 7; cts = 9; shards = [ 1; 0 ] };
+        Wal_record.Coord_abort { gid = 8 };
+        Wal_record.Ack { gid = 7; shard = 2 };
+        Wal_record.Forget { gid = 7 };
+        Wal_record.Promote { epoch = 3; node = 1 };
+        Wal_record.Rep_ack { epoch = 3; node = 2; upto = 40 };
+      ])
+
+(* Every one-byte change, drop and append of every kind name, and the
+   escaped spelling, each with a matching crc. *)
+let test_kind_edits_rejected () =
+  List.iter
+    (fun (r : Wal_record.t) ->
+      let frame = Wal_record.encode r in
+      let start, stop = kind_span frame in
+      let n = stop - start in
+      let edits =
+        (Escape :: List.map (fun c -> Append c) [ 'a'; 's'; '-'; '"' ])
+        @ List.concat_map
+            (fun i -> Drop i :: List.map (fun x -> Change (i, x)) [ 0; 1; 31; 127; 254 ])
+            (List.init n Fun.id)
+      in
+      List.iter
+        (fun e ->
+          let bad = restamp (mutate_kind frame e) in
+          if Result.is_ok (Wal_record.decode bad) || Result.is_ok (Wal_record.decode ~check_crc:false bad)
+          then Alcotest.failf "misspelt kind decodes: %S" bad)
+        edits)
+    every_kind
+
+(* The words one scan allocates are the words of the record it returns:
+   the cursor, the kind name and the result box cost nothing. A
+   checkpoint snapshot is left out, its lists being shared with nothing
+   else either way. Holds in a native build. *)
+let test_scan_allocates_only_its_record () =
+  let calls = 10_000 in
+  List.iter
+    (fun (r : Wal_record.t) ->
+      match r.payload with
+      | Wal_record.Ckpt_end _ -> ()
+      | _ ->
+          let frame = Wal_record.encode r in
+          let record = Wal_record.scan ~check_crc:true frame in
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            ignore (Sys.opaque_identity (Wal_record.scan ~check_crc:true frame))
+          done;
+          let per_scan = (Gc.minor_words () -. before) /. float_of_int calls in
+          let want = float_of_int (Obj.reachable_words (Obj.repr record)) in
+          if Float.abs (per_scan -. want) >= 0.01 then
+            Alcotest.failf "%s: %.3f words per scan, the record holds %.0f"
+              (Wal_record.kind_name r.payload) per_scan want)
+    every_kind
 
 (* A [ckpt-end] frame for [r]'s header whose snapshot is [json] — valid
    JSON and a good CRC, but not necessarily a checkpoint. *)
@@ -730,8 +853,8 @@ let apply_wal_op p m op =
              String.mapi (fun i c -> if i = 5 then Char.chr (Char.code c lxor 1) else c) s))
   | Receive k -> (
       match Wal.frames_from p ~lsn:(Wal.next_lsn m - 2 + k) with
-      | (lsn, repr) :: _ -> ignore (Wal.receive m ~lsn ~repr)
-      | [] -> ())
+      | [||] -> ()
+      | frames -> ignore (Wal.receive m frames.(0)))
   | Adopt true -> Wal.adopt m ~src:p
   | Adopt false -> Wal.adopt p ~src:m
   | Set_shard (b, s) -> Wal.set_shard (on b) s
@@ -741,8 +864,7 @@ let fresh_wal () =
   Wal.enable_durability w;
   w
 
-(* The linear fold [Wal.frames_from] used before it indexed the frames. *)
-let frames_from_reference w ~lsn = List.filter (fun (l, _) -> l > lsn) (Wal.frames w)
+let tuples frames = List.map (fun (f : Wal.frame) -> (f.lsn, f.repr)) (Array.to_list frames)
 
 let qcheck_frames_from_matches_fold =
   QCheck.Test.make ~name:"frames_from = reference fold over random histories" ~count:300
@@ -765,10 +887,116 @@ let qcheck_frames_from_matches_fold =
               List.for_all
                 (fun lsn ->
                   List.for_all
-                    (fun lsn -> Wal.frames_from w ~lsn = frames_from_reference w ~lsn)
+                    (fun lsn -> tuples (Wal.frames_from w ~lsn) = Ref_recovery.frames_from w ~lsn)
                     [ lsn - 1; lsn; lsn + 1 ])
                 probes)
             [ p; m ])
+        ops)
+
+(* Shipping by reference against the copy-per-frame reference: three
+   devices (0 the primary, 1 and 2 its mirrors, though any may ship to
+   any, as a stale claimant does), each next to a {!Ref_recovery.mirror}
+   model. A ship reads the tail past the target's watermark, moved by
+   an offset: below it the first frames are duplicates, above it a gap. *)
+type ship_op =
+  | S_log of int * int * int
+  | S_ship of int * int * int
+  | S_crash of int * int
+  | S_truncate of int * int
+  | S_corrupt of int * int
+  | S_adopt of int * int
+
+let show_ship_op = function
+  | S_log (d, k, a) -> Printf.sprintf "log@%d(%d,%d)" d k a
+  | S_ship (s, d, off) -> Printf.sprintf "ship(%d->%d,%+d)" s d off
+  | S_crash (d, k) -> Printf.sprintf "crash@%d(%d)" d k
+  | S_truncate (d, k) -> Printf.sprintf "truncate@%d(%d)" d k
+  | S_corrupt (d, k) -> Printf.sprintf "corrupt@%d(%d)" d k
+  | S_adopt (d, s) -> Printf.sprintf "adopt(%d<-%d)" d s
+
+let ship_history =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_ship_op ops))
+    QCheck.Gen.(
+      let dev = frequency [ (3, return 0); (1, return 1); (1, return 2) ] in
+      let pair = map2 (fun a b -> (a, (a + 1 + b) mod 3)) dev (int_bound 1) in
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (10, map3 (fun d k a -> S_log (d, k, a)) dev (int_bound 12) (int_range 1 8));
+             ( 6,
+               map2
+                 (fun (s, d) off -> S_ship (s, d, off))
+                 pair
+                 (frequency [ (4, return 0); (1, int_range (-2) (-1)); (1, int_range 1 2) ]) );
+             (1, map2 (fun d k -> S_crash (d, k)) dev nat);
+             (1, map2 (fun d k -> S_truncate (d, k)) dev nat);
+             (1, map2 (fun d k -> S_corrupt (d, k)) dev nat);
+             (1, map (fun (s, d) -> S_adopt (d, s)) pair);
+           ]))
+
+let flip_byte s = String.mapi (fun i c -> if i = 5 then Char.chr (Char.code c lxor 1) else c) s
+
+let qcheck_shipping_matches_copying =
+  QCheck.Test.make ~name:"shipping by reference = copy-per-frame reference" ~count:300
+    ship_history (fun ops ->
+      let devs = Array.init 3 (fun _ -> fresh_wal ()) in
+      let refs = Array.init 3 (fun _ -> Ref_recovery.mirror ()) in
+      let pick d k = k mod (Wal.next_lsn devs.(d) + 1) in
+      List.for_all
+        (fun op ->
+          let target =
+            match op with
+            | S_log (d, _, _) | S_crash (d, _) | S_truncate (d, _) | S_corrupt (d, _) -> d
+            | S_ship (_, d, _) | S_adopt (d, _) -> d
+          in
+          let before = Array.map Wal.frames devs in
+          (match op with
+          | S_log (d, k, a) ->
+              ignore (Wal.log devs.(d) (payload_of k a));
+              Ref_recovery.log refs.(d) ~shard:0 (payload_of k a)
+          | S_ship (src, d, off) ->
+              let lsn = Wal.next_lsn devs.(d) - 1 + off in
+              let got =
+                Array.to_list
+                  (Array.map
+                     (fun (fr : Wal.frame) ->
+                       let res = Wal.receive devs.(d) fr in
+                       if res = `Applied && (Wal.frames_from devs.(d) ~lsn:(fr.lsn - 1)).(0) != fr then
+                         QCheck.Test.fail_reportf "lsn %d: the mirror holds a copy" fr.lsn;
+                       res)
+                     (Wal.frames_from devs.(src) ~lsn))
+              in
+              let want =
+                List.map
+                  (fun (lsn, repr) -> Ref_recovery.receive refs.(d) ~lsn ~repr)
+                  (Ref_recovery.frames_from devs.(src) ~lsn)
+              in
+              if got <> want then QCheck.Test.fail_reportf "receive answers differ"
+          | S_crash (d, k) ->
+              let keep_lsn = pick d k in
+              Wal.crash devs.(d) ~keep_lsn;
+              Ref_recovery.crash refs.(d) ~keep_lsn
+          | S_truncate (d, k) ->
+              let lsn = pick d k in
+              Wal.truncate_to devs.(d) ~lsn;
+              Ref_recovery.truncate_to refs.(d) ~lsn
+          | S_corrupt (d, k) ->
+              let lsn = pick d k in
+              if Wal.corrupt_frame devs.(d) ~lsn flip_byte <> Ref_recovery.corrupt_frame refs.(d) ~lsn flip_byte
+              then QCheck.Test.fail_reportf "corrupt_frame lsn %d answers differ" lsn
+          | S_adopt (d, src) ->
+              Wal.adopt devs.(d) ~src:devs.(src);
+              Ref_recovery.adopt refs.(d) ~src:devs.(src));
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun d w ->
+                 (Wal.frames w = refs.(d).Ref_recovery.frames
+                 && Wal.next_lsn w = refs.(d).Ref_recovery.next_lsn
+                 || QCheck.Test.fail_reportf "device %d differs from its reference" d)
+                 && (d = target || Wal.frames w = before.(d)
+                    || QCheck.Test.fail_reportf "device %d changed by an operation on device %d" d target))
+               devs))
         ops)
 
 let expect_with_own_decisions a =
@@ -1112,11 +1340,11 @@ let recycle_history =
    the same crashes and truncations, so their LSN cursors agree and
    every new frame is the shadow's next one. *)
 let sync_shadow ~shadow wal =
-  List.iter
-    (fun (lsn, repr) ->
-      match Wal.receive shadow ~lsn ~repr with
+  Array.iter
+    (fun (fr : Wal.frame) ->
+      match Wal.receive shadow fr with
       | `Applied -> ()
-      | `Duplicate | `Gap -> QCheck.Test.fail_reportf "shadow lost sync at lsn %d" lsn)
+      | `Duplicate | `Gap -> QCheck.Test.fail_reportf "shadow lost sync at lsn %d" fr.lsn)
     (Wal.frames_from wal ~lsn:(Wal.next_lsn shadow - 1))
 
 let same_recovery ~shadow wal what =
@@ -1292,6 +1520,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_codec_encode_matches_reference;
         QCheck_alcotest.to_alcotest qcheck_codec_decode_clean;
         QCheck_alcotest.to_alcotest qcheck_codec_decode_mutated;
+        Alcotest.test_case "misspelt kinds rejected" `Quick test_kind_edits_rejected;
+        Alcotest.test_case "scan allocates only its record" `Quick test_scan_allocates_only_its_record;
         QCheck_alcotest.to_alcotest qcheck_codec_foreign_snapshot;
         QCheck_alcotest.to_alcotest qcheck_checkpoint_encode;
         QCheck_alcotest.to_alcotest qcheck_checkpoint_decode_mutated;
@@ -1303,6 +1533,7 @@ let suites =
         Alcotest.test_case "lsns, frontier, power loss" `Quick test_durable_lsns_and_crash;
         Alcotest.test_case "fsync failpoint conservative" `Quick test_fsync_failpoint_conservative;
         QCheck_alcotest.to_alcotest qcheck_frames_from_matches_fold;
+        QCheck_alcotest.to_alcotest qcheck_shipping_matches_copying;
         QCheck_alcotest.to_alcotest qcheck_cursor_matches_analyze;
       ] );
     ( "recovery.restart",
