@@ -23,8 +23,6 @@ type t =
 val to_string : t -> string
 (** Canonical single-line rendering (see above for the guarantees). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document (surrounding whitespace allowed). The error
     string includes the byte offset of the failure. *)

@@ -30,161 +30,115 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* The snapshot, written and scanned in place *)
+(* The snapshot: every member in field order *)
 
-let add_pair buf (a, b) =
-  Canon.add_char buf '[';
-  Canon.add_int buf a;
-  Canon.add_char buf ',';
-  Canon.add_int buf b;
-  Canon.add_char buf ']'
+let add_pair o (a, b) =
+  Wire.add_int o a;
+  Wire.add_int o b
 
-let add_seg_version buf (v : seg_version) =
-  Canon.add_member buf "{\"rid\":" v.rid;
-  Canon.add_member buf ",\"vs\":" v.vs;
-  Canon.add_member buf ",\"ve\":" v.ve;
-  Canon.add_member buf ",\"vs_time\":" v.vs_time;
-  Canon.add_member buf ",\"ve_time\":" v.ve_time;
-  Canon.add_member buf ",\"bytes\":" v.bytes;
-  Canon.add_member buf ",\"value\":" v.value;
-  Canon.add_member buf ",\"lo\":" v.lo;
-  Canon.add_member buf ",\"hi\":" v.hi;
-  Canon.add_char buf '}'
+let add_seg_version o (v : seg_version) =
+  Wire.add_int o v.rid;
+  Wire.add_int o v.vs;
+  Wire.add_int o v.ve;
+  Wire.add_int o v.vs_time;
+  Wire.add_int o v.ve_time;
+  Wire.add_int o v.bytes;
+  Wire.add_int o v.value;
+  Wire.add_int o v.lo;
+  Wire.add_int o v.hi
 
-let add_seg buf s =
-  Canon.add_member buf "{\"seg\":" s.seg_id;
-  Canon.add_string buf ",\"cls\":";
-  Canon.add_str buf s.cls;
-  Canon.add_string buf (if s.hardened then ",\"hardened\":true" else ",\"hardened\":false");
-  Canon.add_string buf ",\"versions\":";
-  Canon.add_list buf add_seg_version s.versions;
-  Canon.add_char buf '}'
+let add_seg o s =
+  Wire.add_int o s.seg_id;
+  Wire.add_str o s.cls;
+  Wire.add_bool o s.hardened;
+  Wire.add_list o add_seg_version s.versions
 
-let add_row buf (r : row) =
-  Canon.add_member buf "{\"rid\":" r.rid;
-  Canon.add_member buf ",\"value\":" r.value;
-  Canon.add_member buf ",\"vs\":" r.vs;
-  Canon.add_member buf ",\"vs_time\":" r.vs_time;
-  Canon.add_member buf ",\"cts\":" r.cts;
-  Canon.add_char buf '}'
+let add_row o (r : row) =
+  Wire.add_int o r.rid;
+  Wire.add_int o r.value;
+  Wire.add_int o r.vs;
+  Wire.add_int o r.vs_time;
+  Wire.add_int o r.cts
 
-let add_pending_write buf (w : pending_write) =
-  Canon.add_member buf "{\"rid\":" w.rid;
-  Canon.add_member buf ",\"value\":" w.value;
-  Canon.add_member buf ",\"vs_time\":" w.vs_time;
-  Canon.add_char buf '}'
+let add_pending_write o (w : pending_write) =
+  Wire.add_int o w.rid;
+  Wire.add_int o w.value;
+  Wire.add_int o w.vs_time
 
-let add_pending buf (p : pending) =
-  Canon.add_member buf "{\"tid\":" p.tid;
-  Canon.add_string buf ",\"writes\":";
-  Canon.add_list buf add_pending_write p.writes;
-  Canon.add_char buf '}'
+let add_pending o (p : pending) =
+  Wire.add_int o p.tid;
+  Wire.add_list o add_pending_write p.writes
 
-let add_pairs buf key = function
-  | [] -> ()
-  | pairs ->
-      Canon.add_string buf key;
-      Canon.add_list buf add_pair pairs
-
-let write buf t =
-  Canon.add_member buf "{\"at\":" t.at;
-  Canon.add_member buf ",\"oracle_next\":" t.oracle_next;
-  Canon.add_string buf ",\"live\":";
-  Canon.add_list buf Canon.add_int t.live;
-  Canon.add_string buf ",\"committed\":";
-  Canon.add_list buf add_pair t.committed;
-  Canon.add_string buf ",\"aborted\":";
-  Canon.add_list buf add_pair t.aborted;
-  Canon.add_string buf ",\"rows\":";
-  Canon.add_list buf add_row t.rows;
-  Canon.add_string buf ",\"pending\":";
-  Canon.add_list buf add_pending t.pending;
-  Canon.add_string buf ",\"segments\":";
-  Canon.add_list buf add_seg t.segments;
-  Canon.add_member buf ",\"next_seg_id\":" t.next_seg_id;
-  add_pairs buf ",\"prepared\":" t.prepared;
-  add_pairs buf ",\"decisions\":" t.decisions;
-  Canon.add_char buf '}'
+let write o t =
+  Wire.add_int o t.at;
+  Wire.add_int o t.oracle_next;
+  Wire.add_list o Wire.add_int t.live;
+  Wire.add_list o add_pair t.committed;
+  Wire.add_list o add_pair t.aborted;
+  Wire.add_list o add_row t.rows;
+  Wire.add_list o add_pending t.pending;
+  Wire.add_list o add_seg t.segments;
+  Wire.add_int o t.next_seg_id;
+  Wire.add_list o add_pair t.prepared;
+  Wire.add_list o add_pair t.decisions
 
 (* Members are read with [let] in written order: OCaml evaluates record
    fields in no fixed order. *)
 let scan_pair c =
-  Canon.char c '[';
-  let a = Canon.int c in
-  Canon.char c ',';
-  let b = Canon.int c in
-  Canon.char c ']';
+  let a = Wire.int c in
+  let b = Wire.int c in
   (a, b)
 
 let scan_seg_version c =
-  let rid = Canon.member c "{\"rid\":" in
-  let vs = Canon.member c ",\"vs\":" in
-  let ve = Canon.member c ",\"ve\":" in
-  let vs_time = Canon.member c ",\"vs_time\":" in
-  let ve_time = Canon.member c ",\"ve_time\":" in
-  let bytes = Canon.member c ",\"bytes\":" in
-  let value = Canon.member c ",\"value\":" in
-  let lo = Canon.member c ",\"lo\":" in
-  let hi = Canon.member c ",\"hi\":" in
-  Canon.char c '}';
+  let rid = Wire.int c in
+  let vs = Wire.int c in
+  let ve = Wire.int c in
+  let vs_time = Wire.int c in
+  let ve_time = Wire.int c in
+  let bytes = Wire.int c in
+  let value = Wire.int c in
+  let lo = Wire.int c in
+  let hi = Wire.int c in
   { rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi }
 
 let scan_seg c =
-  let seg_id = Canon.member c "{\"seg\":" in
-  Canon.expect c ",\"cls\":";
-  let cls = Canon.str c in
-  Canon.expect c ",\"hardened\":";
-  let hardened = Canon.skip c "true" || (Canon.expect c "false"; false) in
-  Canon.expect c ",\"versions\":";
-  let versions = Canon.list c scan_seg_version in
-  Canon.char c '}';
+  let seg_id = Wire.int c in
+  let cls = Wire.str c in
+  let hardened = Wire.bool c in
+  let versions = Wire.list c scan_seg_version in
   { seg_id; cls; hardened; versions }
 
 let scan_row c =
-  let rid = Canon.member c "{\"rid\":" in
-  let value = Canon.member c ",\"value\":" in
-  let vs = Canon.member c ",\"vs\":" in
-  let vs_time = Canon.member c ",\"vs_time\":" in
-  let cts = Canon.member c ",\"cts\":" in
-  Canon.char c '}';
+  let rid = Wire.int c in
+  let value = Wire.int c in
+  let vs = Wire.int c in
+  let vs_time = Wire.int c in
+  let cts = Wire.int c in
   { rid; value; vs; vs_time; cts }
 
 let scan_pending_write c =
-  let rid = Canon.member c "{\"rid\":" in
-  let value = Canon.member c ",\"value\":" in
-  let vs_time = Canon.member c ",\"vs_time\":" in
-  Canon.char c '}';
+  let rid = Wire.int c in
+  let value = Wire.int c in
+  let vs_time = Wire.int c in
   { rid; value; vs_time }
 
 let scan_pending c =
-  let tid = Canon.member c "{\"tid\":" in
-  Canon.expect c ",\"writes\":";
-  let writes = Canon.list c scan_pending_write in
-  Canon.char c '}';
+  let tid = Wire.int c in
+  let writes = Wire.list c scan_pending_write in
   { tid; writes }
 
-let scan_pairs c key =
-  if Canon.skip c key then Canon.list c scan_pair else []
-
 let scan c =
-  let at = Canon.member c "{\"at\":" in
-  let oracle_next = Canon.member c ",\"oracle_next\":" in
-  Canon.expect c ",\"live\":";
-  let live = Canon.list c Canon.int in
-  Canon.expect c ",\"committed\":";
-  let committed = Canon.list c scan_pair in
-  Canon.expect c ",\"aborted\":";
-  let aborted = Canon.list c scan_pair in
-  Canon.expect c ",\"rows\":";
-  let rows = Canon.list c scan_row in
-  Canon.expect c ",\"pending\":";
-  let pending = Canon.list c scan_pending in
-  Canon.expect c ",\"segments\":";
-  let segments = Canon.list c scan_seg in
-  let next_seg_id = Canon.member c ",\"next_seg_id\":" in
-  let prepared = scan_pairs c ",\"prepared\":" in
-  let decisions = scan_pairs c ",\"decisions\":" in
-  Canon.char c '}';
+  let at = Wire.int c in
+  let oracle_next = Wire.int c in
+  let live = Wire.list c Wire.int in
+  let committed = Wire.list c scan_pair in
+  let aborted = Wire.list c scan_pair in
+  let rows = Wire.list c scan_row in
+  let pending = Wire.list c scan_pending in
+  let segments = Wire.list c scan_seg in
+  let next_seg_id = Wire.int c in
+  let prepared = Wire.list c scan_pair in
+  let decisions = Wire.list c scan_pair in
   {
     at;
     oracle_next;

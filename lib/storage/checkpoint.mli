@@ -64,22 +64,18 @@ type t = {
       (** [(gid, commit_ts)] — coordinator-side decided-but-unforgotten
           transactions (this shard acting as coordinator), so in-doubt
           resolution keeps working even if pre-checkpoint log is
-          archived. Both 2PC members encode only when non-empty;
-          unsharded snapshots keep the pre-sharding bytes. *)
+          archived. *)
 }
 
-val write : Canon.out -> t -> unit
-(** Appends the snapshot as one canonical {!Jsonx} object, written
-    straight into the frame's buffer with no {!Jsonx} tree: the WAL
-    writes every [Ckpt_end] frame this way. Members come in the order
-    of the record's fields ([seg_id] named [seg]); [prepared] and
-    [decisions] only when non-empty. The bytes are those
-    [test/ref_codec.ml] prints from the snapshot's {!Jsonx} tree, its
-    specification. *)
+val write : Wire.out -> t -> unit
+(** Appends the snapshot in the frame's {!Wire} primitives: every
+    member in the order of the record's fields, each int a varint,
+    each list its count and then its items, [cls] a string and
+    [hardened] a byte. Every member is always written, empty lists
+    included. The WAL writes every [Ckpt_end] frame's snapshot this
+    way; [test/ref_codec.ml] is a separately written reference. *)
 
-val scan : Canon.cursor -> t
+val scan : Wire.cursor -> t
 (** Reads one snapshot in the layout {!write} writes, in one pass,
-    and leaves the cursor after its closing brace. Raises
-    {!Canon.Not_canonical} on anything else — whitespace, an escape or
-    an int not spelled as the printer spells it, reordered or missing
-    members — and the frame holding it then fails to decode. *)
+    and leaves the cursor after it. Raises {!Wire.Malformed} on
+    anything else, and the frame holding it then fails to decode. *)

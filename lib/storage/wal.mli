@@ -9,8 +9,11 @@
     accounting stays conservative under storms of these.
 
     {!enable_durability} switches on the typed-record log underneath the
-    same counters: {!log} frames a {!Wal_record.payload} with an LSN and
-    CRC, {!fsync} advances the durability frontier (through the
+    same counters: {!log} writes a {!Wal_record.payload} as one binary
+    frame ({!Wal_record.encode}: kind byte, LSN, time, shard, payload
+    fields, CRC-32) and counts its bytes in {!total_bytes}, the engines'
+    redo volume, which no simulated cost reads; {!fsync} advances the
+    durability frontier (through the
     ["wal.fsync"] fail-point, failures counted in {!errors} the same
     conservative way), and {!crash} models power loss by discarding
     every frame past a survival point. A non-durable [t] behaves
@@ -29,8 +32,7 @@ type frame = private { lsn : int; repr : string }
 val create : ?shard:int -> unit -> t
 (** [shard] (default 0) namespaces the log: every frame {!log} writes
     carries the tag, and {!Wal_recovery.analyze} refuses frames tagged
-    for a different shard. Shard 0 encodes without the tag, preserving
-    the pre-sharding frame bytes. *)
+    for a different shard. *)
 
 val shard : t -> int
 val set_shard : t -> int -> unit

@@ -31,252 +31,200 @@ type payload =
 
 type t = { lsn : int; at : int; shard : int; payload : payload }
 
-let kind_name = function
-  | Txn_begin _ -> "txn-begin"
-  | Txn_commit _ -> "txn-commit"
-  | Txn_abort _ -> "txn-abort"
-  | Version_insert _ -> "version-insert"
-  | Relocate _ -> "relocate"
-  | Seg_harden _ -> "seg-harden"
-  | Seg_drop _ -> "seg-drop"
-  | Seg_cut _ -> "seg-cut"
-  | Ckpt_begin -> "ckpt-begin"
-  | Ckpt_end _ -> "ckpt-end"
-  | Prepare _ -> "2pc-prepare"
-  | Coord_commit _ -> "2pc-commit"
-  | Coord_abort _ -> "2pc-abort"
-  | Ack _ -> "2pc-ack"
-  | Forget _ -> "2pc-forget"
-  | Promote _ -> "rep-promote"
-  | Rep_ack _ -> "rep-ack"
+(* The kind byte is the constructor's index. *)
+let kind = function
+  | Txn_begin _ -> 0
+  | Txn_commit _ -> 1
+  | Txn_abort _ -> 2
+  | Version_insert _ -> 3
+  | Relocate _ -> 4
+  | Seg_harden _ -> 5
+  | Seg_drop _ -> 6
+  | Seg_cut _ -> 7
+  | Ckpt_begin -> 8
+  | Ckpt_end _ -> 9
+  | Prepare _ -> 10
+  | Coord_commit _ -> 11
+  | Coord_abort _ -> 12
+  | Ack _ -> 13
+  | Forget _ -> 14
+  | Promote _ -> 15
+  | Rep_ack _ -> 16
+
+let kind_names =
+  [|
+    "txn-begin";
+    "txn-commit";
+    "txn-abort";
+    "version-insert";
+    "relocate";
+    "seg-harden";
+    "seg-drop";
+    "seg-cut";
+    "ckpt-begin";
+    "ckpt-end";
+    "2pc-prepare";
+    "2pc-commit";
+    "2pc-abort";
+    "2pc-ack";
+    "2pc-forget";
+    "rep-promote";
+    "rep-ack";
+  |]
+
+let kind_name p = kind_names.(kind p)
 
 (* ------------------------------------------------------------------ *)
-(* The frame, written and scanned in place *)
+(* The frame: kind byte, header, payload fields in constructor order,
+   CRC-32 trailer *)
 
-let add_member = Canon.add_member
+let add = Wire.add_int
 
-let add_shards buf key shards =
-  Canon.add_string buf key;
-  Canon.add_list buf Canon.add_int shards
-
-let add_payload buf = function
-  | Txn_begin { tid } -> add_member buf ",\"tid\":" tid
+let add_payload o = function
+  | Txn_begin { tid } -> add o tid
   | Txn_commit { tid; cts } ->
-      add_member buf ",\"tid\":" tid;
-      add_member buf ",\"cts\":" cts
+      add o tid;
+      add o cts
   | Txn_abort { tid; ats } ->
-      add_member buf ",\"tid\":" tid;
-      add_member buf ",\"ats\":" ats
+      add o tid;
+      add o ats
   | Version_insert { tid; rid; value } ->
-      add_member buf ",\"tid\":" tid;
-      add_member buf ",\"rid\":" rid;
-      add_member buf ",\"value\":" value
+      add o tid;
+      add o rid;
+      add o value
   | Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi } ->
-      add_member buf ",\"rid\":" rid;
-      add_member buf ",\"vs\":" vs;
-      add_member buf ",\"ve\":" ve;
-      add_member buf ",\"vs_time\":" vs_time;
-      add_member buf ",\"ve_time\":" ve_time;
-      add_member buf ",\"bytes\":" bytes;
-      add_member buf ",\"value\":" value;
-      add_member buf ",\"seg\":" seg_id;
-      Canon.add_string buf ",\"cls\":";
-      Canon.add_str buf cls;
-      add_member buf ",\"lo\":" lo;
-      add_member buf ",\"hi\":" hi
-  | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
-      add_member buf ",\"seg\":" seg_id
+      add o rid;
+      add o vs;
+      add o ve;
+      add o vs_time;
+      add o ve_time;
+      add o bytes;
+      add o value;
+      add o seg_id;
+      Wire.add_str o cls;
+      add o lo;
+      add o hi
+  | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } -> add o seg_id
   | Ckpt_begin -> ()
+  | Ckpt_end { snapshot = None } -> Wire.add_bool o false
   | Ckpt_end { snapshot = Some ck } ->
-      Canon.add_string buf ",\"snapshot\":";
-      Checkpoint.write buf ck
-  | Ckpt_end { snapshot = None } -> Canon.add_string buf ",\"snapshot\":null"
+      Wire.add_bool o true;
+      Checkpoint.write o ck
   | Prepare { tid; coord; shards } ->
-      add_member buf ",\"tid\":" tid;
-      add_member buf ",\"coord\":" coord;
-      add_shards buf ",\"shards\":" shards
+      add o tid;
+      add o coord;
+      Wire.add_list o add shards
   | Coord_commit { gid; cts; shards } ->
-      add_member buf ",\"gid\":" gid;
-      add_member buf ",\"cts\":" cts;
-      add_shards buf ",\"shards\":" shards
-  | Coord_abort { gid } | Forget { gid } -> add_member buf ",\"gid\":" gid
+      add o gid;
+      add o cts;
+      Wire.add_list o add shards
+  | Coord_abort { gid } | Forget { gid } -> add o gid
   | Ack { gid; shard } ->
-      add_member buf ",\"gid\":" gid;
-      add_member buf ",\"shard\":" shard
+      add o gid;
+      add o shard
   | Promote { epoch; node } ->
-      add_member buf ",\"epoch\":" epoch;
-      add_member buf ",\"node\":" node
+      add o epoch;
+      add o node
   | Rep_ack { epoch; node; upto } ->
-      add_member buf ",\"epoch\":" epoch;
-      add_member buf ",\"node\":" node;
-      add_member buf ",\"upto\":" upto
+      add o epoch;
+      add o node;
+      add o upto
 
-(* The checksum covers the body as a closed object: every byte before
-   [,"crc":], then [}]. *)
-let close_crc crc = Crc32.update_sub crc "}" 0 1
-let body_crc s ~len = close_crc (Crc32.update_sub 0 s 0 len)
+let write o t =
+  Wire.add_byte o (kind t.payload);
+  add o t.lsn;
+  add o t.at;
+  add o t.shard;
+  add_payload o t.payload
 
-(* One buffer per domain, reused frame after frame: Domains mode logs
-   from several domains at once. Only the finished frame is copied out. *)
-let frame_buf = Domain.DLS.new_key (fun () -> Canon.out 256)
+let encode t = Wire.sealed write t ~mask:0
 
-let frame ~crc_mask t =
-  let buf = Domain.DLS.get frame_buf in
-  Canon.clear buf;
-  add_member buf "{\"lsn\":" t.lsn;
-  add_member buf ",\"at\":" t.at;
-  if t.shard <> 0 then add_member buf ",\"sh\":" t.shard;
-  Canon.add_string buf ",\"kind\":\"";
-  Canon.add_string buf (kind_name t.payload);
-  Canon.add_char buf '"';
-  add_payload buf t.payload;
-  add_member buf ",\"crc\":" (close_crc (Canon.crc32 0 buf) lxor crc_mask);
-  Canon.add_char buf '}';
-  Canon.contents buf
-
-let encode t = frame ~crc_mask:0 t
-
-(* A deliberately stale checksum: the frame parses as JSON but fails
+(* A deliberately stale checksum: the frame parses but fails
    verification — the shape of a torn sector whose payload bytes were
    written and whose trailing checksum was not. *)
-let encode_with_bad_crc t = frame ~crc_mask:0x5a5a5a5a t
+let encode_with_bad_crc t = Wire.sealed write t ~mask:0x5a5a5a5a
 
-(* The scanner accepts only the bytes [frame] writes (with any crc), and
-   raises [Canon.Not_canonical] on anything else, including a crc
-   mismatch. *)
-let expect = Canon.expect
-let member = Canon.member
-let str = Canon.str
-
-let shards c key =
-  expect c key;
-  Canon.list c Canon.int
-
-let snapshot c = if Canon.skip c "null" then None else Some (Checkpoint.scan c)
-let kind = Canon.skip
-let no_kind () = raise Canon.Not_canonical
-
-(* The kind name is matched in place, closing quote included, so no
-   string is built for it: its first byte picks the few names to try.
-   Members are read with [let] in frame order: OCaml evaluates record
+(* Fields are read with [let] in frame order: OCaml evaluates record
    fields in no fixed order. *)
-let scan_payload c =
-  if c.Canon.pos >= c.lim then no_kind ();
-  match String.unsafe_get c.s c.pos with
-  | 't' ->
-      if kind c "txn-begin\"" then
-        let tid = member c ",\"tid\":" in
-        Txn_begin { tid }
-      else if kind c "txn-commit\"" then
-        let tid = member c ",\"tid\":" in
-        let cts = member c ",\"cts\":" in
-        Txn_commit { tid; cts }
-      else if kind c "txn-abort\"" then
-        let tid = member c ",\"tid\":" in
-        let ats = member c ",\"ats\":" in
-        Txn_abort { tid; ats }
-      else no_kind ()
-  | 'v' ->
-      if kind c "version-insert\"" then
-        let tid = member c ",\"tid\":" in
-        let rid = member c ",\"rid\":" in
-        let value = member c ",\"value\":" in
-        Version_insert { tid; rid; value }
-      else no_kind ()
-  | 'r' ->
-      if kind c "rep-ack\"" then
-        let epoch = member c ",\"epoch\":" in
-        let node = member c ",\"node\":" in
-        let upto = member c ",\"upto\":" in
-        Rep_ack { epoch; node; upto }
-      else if kind c "relocate\"" then
-        let rid = member c ",\"rid\":" in
-        let vs = member c ",\"vs\":" in
-        let ve = member c ",\"ve\":" in
-        let vs_time = member c ",\"vs_time\":" in
-        let ve_time = member c ",\"ve_time\":" in
-        let bytes = member c ",\"bytes\":" in
-        let value = member c ",\"value\":" in
-        let seg_id = member c ",\"seg\":" in
-        expect c ",\"cls\":";
-        let cls = str c in
-        let lo = member c ",\"lo\":" in
-        let hi = member c ",\"hi\":" in
-        Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
-      else if kind c "rep-promote\"" then
-        let epoch = member c ",\"epoch\":" in
-        let node = member c ",\"node\":" in
-        Promote { epoch; node }
-      else no_kind ()
-  | '2' ->
-      if kind c "2pc-prepare\"" then
-        let tid = member c ",\"tid\":" in
-        let coord = member c ",\"coord\":" in
-        let shards = shards c ",\"shards\":" in
-        Prepare { tid; coord; shards }
-      else if kind c "2pc-commit\"" then
-        let gid = member c ",\"gid\":" in
-        let cts = member c ",\"cts\":" in
-        let shards = shards c ",\"shards\":" in
-        Coord_commit { gid; cts; shards }
-      else if kind c "2pc-ack\"" then
-        let gid = member c ",\"gid\":" in
-        let shard = member c ",\"shard\":" in
-        Ack { gid; shard }
-      else if kind c "2pc-forget\"" then Forget { gid = member c ",\"gid\":" }
-      else if kind c "2pc-abort\"" then Coord_abort { gid = member c ",\"gid\":" }
-      else no_kind ()
-  | 's' ->
-      if kind c "seg-harden\"" then Seg_harden { seg_id = member c ",\"seg\":" }
-      else if kind c "seg-drop\"" then Seg_drop { seg_id = member c ",\"seg\":" }
-      else if kind c "seg-cut\"" then Seg_cut { seg_id = member c ",\"seg\":" }
-      else no_kind ()
-  | 'c' ->
-      if kind c "ckpt-begin\"" then Ckpt_begin
-      else if kind c "ckpt-end\"" then begin
-        expect c ",\"snapshot\":";
-        Ckpt_end { snapshot = snapshot c }
-      end
-      else no_kind ()
-  | _ -> no_kind ()
+let int = Wire.int
 
-(* One cursor per domain, like [frame_buf], pointed at each frame in
-   turn. *)
-let scan_cursor = Domain.DLS.new_key (fun () -> { Canon.s = ""; lim = 0; pos = 0 })
+let scan_payload c = function
+  | 0 -> Txn_begin { tid = int c }
+  | 1 ->
+      let tid = int c in
+      let cts = int c in
+      Txn_commit { tid; cts }
+  | 2 ->
+      let tid = int c in
+      let ats = int c in
+      Txn_abort { tid; ats }
+  | 3 ->
+      let tid = int c in
+      let rid = int c in
+      let value = int c in
+      Version_insert { tid; rid; value }
+  | 4 ->
+      let rid = int c in
+      let vs = int c in
+      let ve = int c in
+      let vs_time = int c in
+      let ve_time = int c in
+      let bytes = int c in
+      let value = int c in
+      let seg_id = int c in
+      let cls = Wire.str c in
+      let lo = int c in
+      let hi = int c in
+      Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
+  | 5 -> Seg_harden { seg_id = int c }
+  | 6 -> Seg_drop { seg_id = int c }
+  | 7 -> Seg_cut { seg_id = int c }
+  | 8 -> Ckpt_begin
+  | 9 -> Ckpt_end { snapshot = (if Wire.bool c then Some (Checkpoint.scan c) else None) }
+  | 10 ->
+      let tid = int c in
+      let coord = int c in
+      let shards = Wire.list c int in
+      Prepare { tid; coord; shards }
+  | 11 ->
+      let gid = int c in
+      let cts = int c in
+      let shards = Wire.list c int in
+      Coord_commit { gid; cts; shards }
+  | 12 -> Coord_abort { gid = int c }
+  | 13 ->
+      let gid = int c in
+      let shard = int c in
+      Ack { gid; shard }
+  | 14 -> Forget { gid = int c }
+  | 15 ->
+      let epoch = int c in
+      let node = int c in
+      Promote { epoch; node }
+  | 16 ->
+      let epoch = int c in
+      let node = int c in
+      let upto = int c in
+      Rep_ack { epoch; node; upto }
+  | _ -> raise Wire.Malformed
+
+(* One cursor per domain, pointed at each frame in turn. *)
+let scan_cursor = Domain.DLS.new_key (fun () -> { Wire.s = ""; lim = 0; pos = 0 })
 
 let scan_frame ~check_crc c s =
-  let n = String.length s in
-  if n = 0 || String.unsafe_get s (n - 1) <> '}' then raise Canon.Not_canonical;
-  (* The crc suffix, read from the end: [,"crc":N}]. *)
-  let i = ref (n - 2) in
-  while !i >= 0 && Canon.is_digit (String.unsafe_get s !i) do
-    decr i
-  done;
-  if !i >= 0 && String.unsafe_get s !i = '-' then decr i;
-  let body = !i + 1 - String.length ",\"crc\":" in
-  if body < 0 then raise Canon.Not_canonical;
-  c.Canon.s <- s;
-  c.lim <- n - 1;
-  c.pos <- body;
-  let stored = member c ",\"crc\":" in
-  if check_crc && stored <> body_crc s ~len:body then raise Canon.Not_canonical;
-  (* Then the body, which ends where the crc suffix begins. *)
+  let body = String.length s - 4 in
+  if body < 0 then raise Wire.Malformed;
+  if check_crc && Crc32.update_sub 0 s 0 body <> Int32.to_int (String.get_int32_le s body) land 0xffff_ffff
+  then raise Wire.Malformed;
+  c.Wire.s <- s;
   c.lim <- body;
   c.pos <- 0;
-  let lsn = member c "{\"lsn\":" in
-  let at = member c ",\"at\":" in
-  (* Either [,"sh":S,"kind":] with S nonzero, or [,"kind":]. *)
-  let shard =
-    if Canon.skip c ",\"sh\":" then begin
-      let sh = Canon.int c in
-      if sh = 0 then raise Canon.Not_canonical;
-      sh
-    end
-    else 0
-  in
-  expect c ",\"kind\":\"";
-  let payload = scan_payload c in
-  if c.pos <> c.lim then raise Canon.Not_canonical;
+  let k = Wire.byte c in
+  let lsn = int c in
+  let at = int c in
+  let shard = int c in
+  let payload = scan_payload c k in
+  if c.pos <> c.lim then raise Wire.Malformed;
   { lsn; at; shard; payload }
 
 (* The cursor lets go of the frame whether or not it scanned: a
@@ -294,26 +242,13 @@ let scan ~check_crc s =
 let decode ?(check_crc = true) repr =
   match scan ~check_crc repr with
   | r -> Ok r
-  | exception Canon.Not_canonical -> Error "malformed frame, or its crc does not match"
+  | exception Wire.Malformed -> Error "malformed frame, or its crc does not match"
 
-(* The kind member ends the frame header, which holds at most three
-   ints of at most 20 characters, so it lies within the first 128
-   bytes. *)
-let has_key repr key =
-  let k = String.length key and lim = min 128 (String.length repr) in
-  let i = ref 0 and j = ref 0 in
-  while !j < k && !i + k <= lim do
-    if String.unsafe_get repr (!i + !j) = String.unsafe_get key !j then incr j
-    else begin
-      incr i;
-      j := 0
-    end
-  done;
-  !j = k
-
+(* Only a frame whose kind byte is [Txn_commit]'s (1) or [Txn_abort]'s
+   (2) is scanned. *)
 let outcome_tid repr =
-  if has_key repr "\"kind\":\"txn-commit\"" || has_key repr "\"kind\":\"txn-abort\"" then
+  if repr <> "" && (repr.[0] = '\001' || repr.[0] = '\002') then
     match scan ~check_crc:true repr with
     | { payload = Txn_commit { tid; _ } | Txn_abort { tid; _ }; _ } -> Some tid
-    | _ | (exception Canon.Not_canonical) -> None
+    | _ | (exception Wire.Malformed) -> None
   else None

@@ -3,10 +3,10 @@
     The durable log is a sequence of framed records: transaction
     lifecycle events, in-row version inserts, SIRO relocations into
     off-row segments, segment state transitions (harden / second-prune
-    drop / vCutter cut) and checkpoint brackets. Each frame is one line
-    of canonical {!Jsonx} — deterministic and diffable — carrying its
-    LSN, the simulated timestamp, and a CRC-32 over the frame body so
-    recovery can detect torn or corrupted tails.
+    drop / vCutter cut) and checkpoint brackets. Each frame is one
+    compact binary record carrying its LSN, the simulated timestamp,
+    its shard and a CRC-32 trailer, so recovery can detect torn or
+    corrupted tails.
 
     [Relocate] frames carry the displaced version's {e precomputed}
     commit interval [(lo, hi)] (Definition 3.3's [I(v)]): replay must
@@ -37,8 +37,8 @@ type payload =
   | Seg_cut of { seg_id : int }  (** vCutter cut of a hardened segment. *)
   | Ckpt_begin
   | Ckpt_end of { snapshot : Checkpoint.t option }
-      (** See {!Checkpoint}. [None] is written as [null] (recovery
-          keeps such a frame and skips it as an anchor). *)
+      (** See {!Checkpoint}. Recovery keeps a frame with [None] and
+          skips it as an anchor. *)
   | Prepare of { tid : int; coord : int; shards : int list }
       (** Presumed-abort 2PC, participant side: this shard holds [tid]'s
           writes ready to commit and has ceded the decision to shard
@@ -74,57 +74,49 @@ type t = { lsn : int; at : int; shard : int; payload : payload }
 (** [shard] namespaces the frame: each shard's pipeline logs into its
     own WAL with its own LSN space, and recovery refuses frames whose
     tag does not match the log being analyzed (cross-shard frame
-    interleaving is corruption, not data). Shard 0 — the unsharded
-    namespace — is encoded without the tag, byte-identical to the
-    pre-sharding format. *)
+    interleaving is corruption, not data). Shard 0 is the unsharded
+    namespace. *)
 
 val kind_name : payload -> string
 
 val encode : t -> string
-(** One-line JSON frame ending in a [crc] member computed over the rest
-    of the frame: the canonical {!Jsonx} rendering of
-
-    {v {"lsn":L,"at":A[,"sh":S],"kind":"K",<payload members>,"crc":C} v}
-
-    with members in exactly this order, [sh] present only when nonzero,
-    the payload members in the order of the constructor's fields (with
-    [seg_id] named [seg]), a [Ckpt_end] snapshot as {!Checkpoint.write}
-    writes it (or [null] for [None]) and [C] the CRC-32 of every byte
-    before [,"crc":] followed by [}] — the frame with its crc member
-    removed. [encode] writes that layout straight into one buffer; frame
-    sizes feed [wal.bytes], the run digests and the obs golden. The
-    {!Jsonx}-tree codec in [test/ref_codec.ml] is its specification. *)
+(** The frame, in {!Wire}'s primitives: one kind byte (the
+    constructor's index in {!payload}, 0 to 16), then [lsn], [at] and
+    [shard], then the payload's fields in the constructor's order,
+    then the CRC-32 of every byte before it, 4 bytes little-endian.
+    [cls] is a string, [shards] a list of ints, and a [Ckpt_end]
+    snapshot a byte, 0 for [None] or 1 followed by the snapshot as
+    {!Checkpoint.write} writes it. A durable log counts the frame's
+    length in [Wal.total_bytes] and the [wal.bytes] metric; no
+    simulated cost and no digest reads it. [test/ref_codec.ml] is a
+    separately written reference. *)
 
 val encode_with_bad_crc : t -> string
 (** Same frame with a deliberately wrong checksum — the chaos harness
     uses it to fabricate torn tails that honest recovery must refuse.
-    It differs from [encode] only in [C], xored with [0x5a5a5a5a]. *)
+    It differs from [encode] only in the trailer, xored with
+    [0x5a5a5a5a]. *)
 
 val decode : ?check_crc:bool -> string -> (t, string) result
 (** Parse and verify one frame. [~check_crc:false] skips checksum
     verification — the sabotage knob recovery must {e not} use.
 
-    A single-pass scanner reads exactly the layout {!encode} writes:
-    canonical ints (no leading zero, no [-0], within [min_int] and
-    [max_int]), strings escaped only as {!Jsonx} escapes them, [sh] only
-    when nonzero, a snapshot that is [null] or that {!Checkpoint.scan}
-    reads, and (under [~check_crc:true]) a matching checksum. No
-    {!Jsonx} tree is built. Anything else — a torn or bit-flipped frame,
-    whitespace, reordered members, a snapshot that is no checkpoint — is
-    an [Error], so [decode (encode r) = Ok r] and a frame decodes only
-    when it is [encode] of what it decodes to, up to its crc. The kind
-    name is matched in place, closing quote included: a name with a
-    byte changed, dropped or added, or spelled with an escape, is an
-    [Error]. *)
+    A single-pass reader accepts exactly the layout {!encode} writes:
+    a known kind byte, every int in its one spelling, every count
+    within the bytes left, a snapshot flag of 0 or 1 and a snapshot
+    {!Checkpoint.scan} reads, no byte left over before the trailer,
+    and (under [~check_crc:true]) a matching checksum. Anything else
+    is an [Error], so [decode (encode r) = Ok r] and a frame decodes
+    only when it is [encode] of what it decodes to, up to its
+    trailer. *)
 
 val scan : check_crc:bool -> string -> t
-(** {!decode} without the result: raises {!Canon.Not_canonical} where
+(** {!decode} without the result: raises {!Wire.Malformed} where
     [decode] returns an [Error]. It reads through one cursor per
     domain, which lets go of the frame when the scan ends, so the only
     allocation is the record it returns — the read of a log scan. *)
 
 val outcome_tid : string -> int option
 (** The tid of a verified [Txn_commit] or [Txn_abort] frame; [None] for
-    any other frame. Only frames whose header, in the layout {!encode}
-    writes, names one of those kinds are decoded, so a checkpoint's
-    snapshot is never scanned. *)
+    any other frame. Only a frame whose kind byte names one of those
+    kinds is scanned, so a checkpoint's snapshot never is. *)

@@ -490,7 +490,7 @@ let scan ?(check_crc = true) p f =
       if not p.torn then
         match Wal_record.scan ~check_crc repr with
         | r when r.Wal_record.shard = own_shard -> f r (fold p r)
-        | _ | (exception Canon.Not_canonical) -> p.torn <- true)
+        | _ | (exception Wire.Malformed) -> p.torn <- true)
 
 let analysis_of p =
   {

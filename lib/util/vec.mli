@@ -1,4 +1,9 @@
-(** Growable array (OCaml 5.1 predates stdlib [Dynarray]). *)
+(** Growable array (OCaml 5.1 predates stdlib [Dynarray]).
+
+    Whatever shortens a vector ({!pop}, {!drop_front},
+    {!filter_in_place}) leaves nothing it removed reachable from the
+    backing array: vacated slots are overwritten with a surviving
+    element, and an emptied vector drops its array. *)
 
 type 'a t
 

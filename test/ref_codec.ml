@@ -1,385 +1,327 @@
-(* The Jsonx-tree codecs of the WAL's two formats: the frame and the
-   checkpoint snapshot, each built as a {!Jsonx} tree and printed, or
-   parsed and read by member name. They specify the bytes the direct
-   codecs in lib/storage write ({!Wal_record.encode},
-   {!Checkpoint.write}) and read ({!Wal_record.decode},
-   {!Checkpoint.scan}), and are the oracles of the codec properties in
-   test_recovery.ml; the library itself ships only the direct codecs. *)
+(* A reference codec of the WAL's binary layout, written apart from the
+   codecs in lib/storage ({!Wire}, {!Wal_record}, {!Checkpoint}) and
+   slow on purpose: a frame is first a list of tokens and then bytes,
+   reading walks a list of byte values and returns results instead of
+   raising, and the checksum is computed bit by bit. It is the oracle
+   of the codec properties in test_recovery.ml.
 
-open Checkpoint
+   The layout: a kind byte (the constructor's index in
+   {!Wal_record.payload}), then [lsn], [at] and [shard], then the
+   payload's fields in the constructor's order, then the CRC-32 of
+   every byte before it in 4 bytes, least significant first. An int is
+   the zigzag of its value in base 128, least significant group first,
+   with the high bit set on every byte but the last; it has one
+   spelling: at most nine bytes, and no last byte of 0 after the first.
+   A string or a list is its count, an int, then its bytes or items; a
+   boolean is one byte, 0 or 1. A [Ckpt_end] snapshot is a boolean
+   (present or not), then the snapshot's members in the order of
+   {!Checkpoint.t}'s fields. *)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint snapshot *)
+(* Tokens: the values of a frame before they are bytes. The codec
+   properties rewrite single tokens (a count inflated, an int spelled
+   overlong) to build frames the direct codec must refuse. *)
 
-let seg_version_json (v : seg_version) =
-  Jsonx.Obj
-    [
-      ("rid", Jsonx.Int v.rid);
-      ("vs", Jsonx.Int v.vs);
-      ("ve", Jsonx.Int v.ve);
-      ("vs_time", Jsonx.Int v.vs_time);
-      ("ve_time", Jsonx.Int v.ve_time);
-      ("bytes", Jsonx.Int v.bytes);
-      ("value", Jsonx.Int v.value);
-      ("lo", Jsonx.Int v.lo);
-      ("hi", Jsonx.Int v.hi);
-    ]
+type token = Byte of int | Int of int | Count of int | Raw of string
 
-let seg_json s =
-  Jsonx.Obj
-    [
-      ("seg", Jsonx.Int s.seg_id);
-      ("cls", Jsonx.Str s.cls);
-      ("hardened", Jsonx.Bool s.hardened);
-      ("versions", Jsonx.Arr (List.map seg_version_json s.versions));
-    ]
+let str s = [ Count (String.length s); Raw s ]
+let list f xs = Count (List.length xs) :: List.concat_map f xs
+let ints = List.map (fun n -> Int n)
+let pair (a, b) = ints [ a; b ]
 
-let row_json (r : row) =
-  Jsonx.Obj
-    [
-      ("rid", Jsonx.Int r.rid);
-      ("value", Jsonx.Int r.value);
-      ("vs", Jsonx.Int r.vs);
-      ("vs_time", Jsonx.Int r.vs_time);
-      ("cts", Jsonx.Int r.cts);
-    ]
-
-let pending_json (p : pending) =
-  Jsonx.Obj
-    [
-      ("tid", Jsonx.Int p.tid);
-      ( "writes",
-        Jsonx.Arr
-          (List.map
-             (fun w ->
-               Jsonx.Obj
-                 [
-                   ("rid", Jsonx.Int w.rid);
-                   ("value", Jsonx.Int w.value);
-                   ("vs_time", Jsonx.Int w.vs_time);
-                 ])
-             p.writes) );
-    ]
-
-let outcome_json (tid, ts) = Jsonx.Arr [ Jsonx.Int tid; Jsonx.Int ts ]
-
-let checkpoint_to_json t =
-  (* The 2PC members are emitted only when non-empty: unsharded
-     snapshots keep the pre-sharding byte format. *)
-  let twopc =
-    (if t.prepared = [] then []
-     else [ ("prepared", Jsonx.Arr (List.map outcome_json t.prepared)) ])
-    @
-    if t.decisions = [] then []
-    else [ ("decisions", Jsonx.Arr (List.map outcome_json t.decisions)) ]
+let checkpoint_tokens (ck : Checkpoint.t) =
+  let seg_version (v : Checkpoint.seg_version) =
+    ints [ v.rid; v.vs; v.ve; v.vs_time; v.ve_time; v.bytes; v.value; v.lo; v.hi ]
   in
-  Jsonx.Obj
-    ([
-       ("at", Jsonx.Int t.at);
-       ("oracle_next", Jsonx.Int t.oracle_next);
-       ("live", Jsonx.Arr (List.map (fun ts -> Jsonx.Int ts) t.live));
-       ("committed", Jsonx.Arr (List.map outcome_json t.committed));
-       ("aborted", Jsonx.Arr (List.map outcome_json t.aborted));
-       ("rows", Jsonx.Arr (List.map row_json t.rows));
-       ("pending", Jsonx.Arr (List.map pending_json t.pending));
-       ("segments", Jsonx.Arr (List.map seg_json t.segments));
-       ("next_seg_id", Jsonx.Int t.next_seg_id);
-     ]
-    @ twopc)
+  let seg (s : Checkpoint.seg) =
+    (Int s.seg_id :: str s.cls) @ (Byte (if s.hardened then 1 else 0) :: list seg_version s.versions)
+  in
+  let row (r : Checkpoint.row) = ints [ r.rid; r.value; r.vs; r.vs_time; r.cts ] in
+  let write (w : Checkpoint.pending_write) = ints [ w.rid; w.value; w.vs_time ] in
+  let pending (p : Checkpoint.pending) = Int p.tid :: list write p.writes in
+  List.concat
+    [
+      ints [ ck.at; ck.oracle_next ];
+      list (fun n -> [ Int n ]) ck.live;
+      list pair ck.committed;
+      list pair ck.aborted;
+      list row ck.rows;
+      list pending ck.pending;
+      list seg ck.segments;
+      [ Int ck.next_seg_id ];
+      list pair ck.prepared;
+      list pair ck.decisions;
+    ]
+
+let payload_tokens : Wal_record.payload -> int * token list = function
+  | Txn_begin { tid } -> (0, ints [ tid ])
+  | Txn_commit { tid; cts } -> (1, ints [ tid; cts ])
+  | Txn_abort { tid; ats } -> (2, ints [ tid; ats ])
+  | Version_insert { tid; rid; value } -> (3, ints [ tid; rid; value ])
+  | Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi } ->
+      (4, ints [ rid; vs; ve; vs_time; ve_time; bytes; value; seg_id ] @ str cls @ ints [ lo; hi ])
+  | Seg_harden { seg_id } -> (5, ints [ seg_id ])
+  | Seg_drop { seg_id } -> (6, ints [ seg_id ])
+  | Seg_cut { seg_id } -> (7, ints [ seg_id ])
+  | Ckpt_begin -> (8, [])
+  | Ckpt_end { snapshot = None } -> (9, [ Byte 0 ])
+  | Ckpt_end { snapshot = Some ck } -> (9, Byte 1 :: checkpoint_tokens ck)
+  | Prepare { tid; coord; shards } -> (10, ints [ tid; coord ] @ list (fun s -> [ Int s ]) shards)
+  | Coord_commit { gid; cts; shards } -> (11, ints [ gid; cts ] @ list (fun s -> [ Int s ]) shards)
+  | Coord_abort { gid } -> (12, ints [ gid ])
+  | Ack { gid; shard } -> (13, ints [ gid; shard ])
+  | Forget { gid } -> (14, ints [ gid ])
+  | Promote { epoch; node } -> (15, ints [ epoch; node ])
+  | Rep_ack { epoch; node; upto } -> (16, ints [ epoch; node; upto ])
+
+(* The tokens of a frame's body: everything before the checksum. *)
+let frame_tokens (r : Wal_record.t) =
+  let kind, payload = payload_tokens r.payload in
+  Byte kind :: ints [ r.lsn; r.at; r.shard ] @ payload
+
+(* ------------------------------------------------------------------ *)
+(* Bytes *)
+
+(* The 63-bit pattern an int is written as: 2n for n >= 0, and
+   2(-n-1)+1 below. *)
+let zigzag n = if n >= 0 then n lsl 1 else (lnot n lsl 1) lor 1
+
+let rec groups z = if z lsr 7 = 0 then [ z ] else ((z land 127) lor 128) :: groups (z lsr 7)
+let int_bytes n = groups (zigzag n)
+
+let token_bytes = function
+  | Byte b -> [ b ]
+  | Int n | Count n -> int_bytes n
+  | Raw s -> List.map Char.code (List.of_seq (String.to_seq s))
+
+let string_of_byte_list bs = String.of_seq (List.to_seq (List.map Char.chr bs))
+let bytes_of_tokens toks = string_of_byte_list (List.concat_map token_bytes toks)
+
+(* CRC-32, IEEE polynomial, reflected, one bit at a time. *)
+let crc32 s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xedb88320 else !c lsr 1
+      done)
+    s;
+  !c lxor 0xffffffff
+
+let le32 x = string_of_byte_list (List.init 4 (fun i -> (x lsr (8 * i)) land 255))
+
+(* [body] followed by its checksum xored with [mask]. *)
+let seal ?(mask = 0) body = body ^ le32 (crc32 body lxor mask)
+let encode r = seal (bytes_of_tokens (frame_tokens r))
+let checkpoint_to_bytes ck = bytes_of_tokens (checkpoint_tokens ck)
+
+(* ------------------------------------------------------------------ *)
+(* Reading: a parser takes the byte values left and returns a value and
+   the bytes after it. *)
 
 let ( let* ) = Result.bind
 
-let int_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing int field %S" name)
+let byte = function b :: rest -> Ok (b, rest) | [] -> Error "out of bytes"
 
-let str_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string field %S" name)
+let bool bs =
+  let* b, rest = byte bs in
+  match b with 0 -> Ok (false, rest) | 1 -> Ok (true, rest) | _ -> Error "boolean not 0 or 1"
 
-let bool_field name obj =
-  match Jsonx.member name obj with
-  | Some (Jsonx.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing bool field %S" name)
+(* The groups of one int, least significant first: up to eight with
+   the high bit set, then one without. *)
+let rec int_groups acc bs =
+  let* b, rest = byte bs in
+  if b < 128 then Ok (List.rev (b :: acc), rest)
+  else if List.length acc = 8 then Error "int past 63 bits"
+  else int_groups (b :: acc) rest
 
-let arr_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_arr with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing array field %S" name)
+let int bs =
+  let* gs, rest = int_groups [] bs in
+  if List.length gs > 1 && List.nth gs (List.length gs - 1) = 0 then Error "overlong int"
+  else
+    let z = List.fold_right (fun g z -> (z lsl 7) lor (g land 127)) gs 0 in
+    Ok ((if z land 1 = 0 then z lsr 1 else lnot (z lsr 1)), rest)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+let count bs =
+  let* n, rest = int bs in
+  if n < 0 then Error "negative count" else Ok (n, rest)
 
-let outcome_of_json = function
-  | Jsonx.Arr [ Jsonx.Int tid; Jsonx.Int ts ] -> Ok (tid, ts)
-  | _ -> Error "checkpoint: malformed outcome pair"
-
-let seg_version_of_json j =
-  let* rid = int_field "rid" j in
-  let* vs = int_field "vs" j in
-  let* ve = int_field "ve" j in
-  let* vs_time = int_field "vs_time" j in
-  let* ve_time = int_field "ve_time" j in
-  let* bytes = int_field "bytes" j in
-  let* value = int_field "value" j in
-  let* lo = int_field "lo" j in
-  let* hi = int_field "hi" j in
-  Ok { rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi }
-
-let seg_of_json j =
-  let* seg_id = int_field "seg" j in
-  let* cls = str_field "cls" j in
-  let* hardened = bool_field "hardened" j in
-  let* versions = arr_field "versions" j in
-  let* versions = map_result seg_version_of_json versions in
-  Ok { seg_id; cls; hardened; versions }
-
-let row_of_json j =
-  let* rid = int_field "rid" j in
-  let* value = int_field "value" j in
-  let* vs = int_field "vs" j in
-  let* vs_time = int_field "vs_time" j in
-  let* cts = int_field "cts" j in
-  Ok { rid; value; vs; vs_time; cts }
-
-let pending_of_json j =
-  let* tid = int_field "tid" j in
-  let* writes = arr_field "writes" j in
-  let* writes =
-    map_result
-      (fun w ->
-        let* rid = int_field "rid" w in
-        let* value = int_field "value" w in
-        let* vs_time = int_field "vs_time" w in
-        Ok { rid; value; vs_time })
-      writes
-  in
-  Ok { tid; writes }
-
-let checkpoint_of_json j =
-  let* at = int_field "at" j in
-  let* oracle_next = int_field "oracle_next" j in
-  let* live = arr_field "live" j in
-  let* live =
-    map_result
-      (function Jsonx.Int ts -> Ok ts | _ -> Error "checkpoint: malformed live entry")
-      live
-  in
-  let* committed = arr_field "committed" j in
-  let* committed = map_result outcome_of_json committed in
-  let* aborted = arr_field "aborted" j in
-  let* aborted = map_result outcome_of_json aborted in
-  let* rows = arr_field "rows" j in
-  let* rows = map_result row_of_json rows in
-  let* pending = arr_field "pending" j in
-  let* pending = map_result pending_of_json pending in
-  let* segments = arr_field "segments" j in
-  let* segments = map_result seg_of_json segments in
-  let* next_seg_id = int_field "next_seg_id" j in
-  let pairs_opt name =
-    match Option.bind (Jsonx.member name j) Jsonx.to_arr with
-    | None -> Ok []
-    | Some items -> map_result outcome_of_json items
-  in
-  let* prepared = pairs_opt "prepared" in
-  let* decisions = pairs_opt "decisions" in
-  Ok
-    {
-      at;
-      oracle_next;
-      live;
-      committed;
-      aborted;
-      rows;
-      pending;
-      segments;
-      next_seg_id;
-      prepared;
-      decisions;
-    }
-(* ------------------------------------------------------------------ *)
-(* WAL frame *)
-
-open Wal_record
-
-let payload_fields = function
-  | Txn_begin { tid } -> [ ("tid", Jsonx.Int tid) ]
-  | Txn_commit { tid; cts } -> [ ("tid", Jsonx.Int tid); ("cts", Jsonx.Int cts) ]
-  | Txn_abort { tid; ats } -> [ ("tid", Jsonx.Int tid); ("ats", Jsonx.Int ats) ]
-  | Version_insert { tid; rid; value } ->
-      [ ("tid", Jsonx.Int tid); ("rid", Jsonx.Int rid); ("value", Jsonx.Int value) ]
-  | Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi } ->
-      [
-        ("rid", Jsonx.Int rid);
-        ("vs", Jsonx.Int vs);
-        ("ve", Jsonx.Int ve);
-        ("vs_time", Jsonx.Int vs_time);
-        ("ve_time", Jsonx.Int ve_time);
-        ("bytes", Jsonx.Int bytes);
-        ("value", Jsonx.Int value);
-        ("seg", Jsonx.Int seg_id);
-        ("cls", Jsonx.Str cls);
-        ("lo", Jsonx.Int lo);
-        ("hi", Jsonx.Int hi);
-      ]
-  | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
-      [ ("seg", Jsonx.Int seg_id) ]
-  | Ckpt_begin -> []
-  | Ckpt_end { snapshot } ->
-      [ ("snapshot", match snapshot with Some ck -> checkpoint_to_json ck | None -> Jsonx.Null) ]
-  | Prepare { tid; coord; shards } ->
-      [
-        ("tid", Jsonx.Int tid);
-        ("coord", Jsonx.Int coord);
-        ("shards", Jsonx.Arr (List.map (fun s -> Jsonx.Int s) shards));
-      ]
-  | Coord_commit { gid; cts; shards } ->
-      [
-        ("gid", Jsonx.Int gid);
-        ("cts", Jsonx.Int cts);
-        ("shards", Jsonx.Arr (List.map (fun s -> Jsonx.Int s) shards));
-      ]
-  | Coord_abort { gid } -> [ ("gid", Jsonx.Int gid) ]
-  | Ack { gid; shard } -> [ ("gid", Jsonx.Int gid); ("shard", Jsonx.Int shard) ]
-  | Forget { gid } -> [ ("gid", Jsonx.Int gid) ]
-  | Promote { epoch; node } -> [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node) ]
-  | Rep_ack { epoch; node; upto } ->
-      [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node); ("upto", Jsonx.Int upto) ]
-
-let body_fields t =
-  (* The shard tag is emitted only when nonzero: shard 0 is the
-     unsharded (single-pipeline) namespace and its frames must stay
-     byte-identical to the pre-sharding format. *)
-  let shard_field = if t.shard = 0 then [] else [ ("sh", Jsonx.Int t.shard) ] in
-  [ ("lsn", Jsonx.Int t.lsn); ("at", Jsonx.Int t.at) ]
-  @ shard_field
-  @ [ ("kind", Jsonx.Str (kind_name t.payload)) ]
-  @ payload_fields t.payload
-
-let encode t =
-  let fields = body_fields t in
-  let crc = Crc32.string (Jsonx.to_string (Jsonx.Obj fields)) in
-  Jsonx.to_string (Jsonx.Obj (fields @ [ ("crc", Jsonx.Int crc) ]))
-
-let int_list_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_arr with
-  | None -> Error (Printf.sprintf "missing array field %S" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match Jsonx.to_int x with
-            | Some n -> go (n :: acc) rest
-            | None -> Error (Printf.sprintf "non-int element in array field %S" name))
-      in
-      go [] items
-
-let payload_of_json kind obj =
-  match kind with
-  | "txn-begin" ->
-      let* tid = int_field "tid" obj in
-      Ok (Txn_begin { tid })
-  | "txn-commit" ->
-      let* tid = int_field "tid" obj in
-      let* cts = int_field "cts" obj in
-      Ok (Txn_commit { tid; cts })
-  | "txn-abort" ->
-      let* tid = int_field "tid" obj in
-      let* ats = int_field "ats" obj in
-      Ok (Txn_abort { tid; ats })
-  | "version-insert" ->
-      let* tid = int_field "tid" obj in
-      let* rid = int_field "rid" obj in
-      let* value = int_field "value" obj in
-      Ok (Version_insert { tid; rid; value })
-  | "relocate" ->
-      let* rid = int_field "rid" obj in
-      let* vs = int_field "vs" obj in
-      let* ve = int_field "ve" obj in
-      let* vs_time = int_field "vs_time" obj in
-      let* ve_time = int_field "ve_time" obj in
-      let* bytes = int_field "bytes" obj in
-      let* value = int_field "value" obj in
-      let* seg_id = int_field "seg" obj in
-      let* cls = str_field "cls" obj in
-      let* lo = int_field "lo" obj in
-      let* hi = int_field "hi" obj in
-      Ok (Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi })
-  | "seg-harden" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_harden { seg_id })
-  | "seg-drop" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_drop { seg_id })
-  | "seg-cut" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_cut { seg_id })
-  | "ckpt-begin" -> Ok Ckpt_begin
-  | "ckpt-end" -> (
-      (* A snapshot that is no checkpoint still makes a record: analysis
-         keeps it and skips it as an anchor. *)
-      match Jsonx.member "snapshot" obj with
-      | Some j -> Ok (Ckpt_end { snapshot = Result.to_option (checkpoint_of_json j) })
-      | None -> Error "missing field \"snapshot\"")
-  | "2pc-prepare" ->
-      let* tid = int_field "tid" obj in
-      let* coord = int_field "coord" obj in
-      let* shards = int_list_field "shards" obj in
-      Ok (Prepare { tid; coord; shards })
-  | "2pc-commit" ->
-      let* gid = int_field "gid" obj in
-      let* cts = int_field "cts" obj in
-      let* shards = int_list_field "shards" obj in
-      Ok (Coord_commit { gid; cts; shards })
-  | "2pc-abort" ->
-      let* gid = int_field "gid" obj in
-      Ok (Coord_abort { gid })
-  | "2pc-ack" ->
-      let* gid = int_field "gid" obj in
-      let* shard = int_field "shard" obj in
-      Ok (Ack { gid; shard })
-  | "2pc-forget" ->
-      let* gid = int_field "gid" obj in
-      Ok (Forget { gid })
-  | "rep-promote" ->
-      let* epoch = int_field "epoch" obj in
-      let* node = int_field "node" obj in
-      Ok (Promote { epoch; node })
-  | "rep-ack" ->
-      let* epoch = int_field "epoch" obj in
-      let* node = int_field "node" obj in
-      let* upto = int_field "upto" obj in
-      Ok (Rep_ack { epoch; node; upto })
-  | k -> Error (Printf.sprintf "unknown record kind %S" k)
-
-let decode ?(check_crc = true) repr =
-  let* json =
-    match Jsonx.of_string repr with Ok j -> Ok j | Error e -> Error ("bad frame: " ^ e)
-  in
-  let* fields =
-    match json with Jsonx.Obj fields -> Ok fields | _ -> Error "frame is not an object"
-  in
-  let* () =
-    if not check_crc then Ok ()
+let string bs =
+  let* n, rest = count bs in
+  let rec take n acc bs =
+    if n = 0 then Ok (string_of_byte_list (List.rev acc), bs)
     else
-      let* stored = int_field "crc" json in
-      (* Recompute over the frame minus its crc member, in parsed member
-         order — the encoder appends crc last, so a round-tripped frame
-         reproduces the exact checksummed bytes. *)
-      let body = Jsonx.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
-      let computed = Crc32.string (Jsonx.to_string body) in
-      if stored = computed then Ok ()
-      else Error (Printf.sprintf "crc mismatch (stored %d, computed %d)" stored computed)
+      let* b, bs = byte bs in
+      take (n - 1) (b :: acc) bs
   in
-  let* lsn = int_field "lsn" json in
-  let* at = int_field "at" json in
-  let shard = match Option.bind (Jsonx.member "sh" json) Jsonx.to_int with Some s -> s | None -> 0 in
-  let* kind = str_field "kind" json in
-  let* payload = payload_of_json kind json in
-  Ok { lsn; at; shard; payload }
+  take n [] rest
+
+let items elem bs =
+  let* n, rest = count bs in
+  let rec go n acc bs =
+    if n = 0 then Ok (List.rev acc, bs)
+    else
+      let* x, bs = elem bs in
+      go (n - 1) (x :: acc) bs
+  in
+  go n [] rest
+
+(* [k] ints, in order. *)
+let rec ints_of k bs =
+  if k = 0 then Ok ([], bs)
+  else
+    let* x, bs = int bs in
+    let* xs, bs = ints_of (k - 1) bs in
+    Ok (x :: xs, bs)
+
+let pair_of bs =
+  let* xs, bs = ints_of 2 bs in
+  match xs with [ a; b ] -> Ok ((a, b), bs) | _ -> assert false
+
+let checkpoint bs : (Checkpoint.t * int list, string) result =
+  let seg_version bs =
+    let* xs, bs = ints_of 9 bs in
+    match xs with
+    | [ rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi ] ->
+        Ok ({ Checkpoint.rid; vs; ve; vs_time; ve_time; bytes; value; lo; hi }, bs)
+    | _ -> assert false
+  in
+  let seg bs =
+    let* seg_id, bs = int bs in
+    let* cls, bs = string bs in
+    let* hardened, bs = bool bs in
+    let* versions, bs = items seg_version bs in
+    Ok ({ Checkpoint.seg_id; cls; hardened; versions }, bs)
+  in
+  let row bs =
+    let* xs, bs = ints_of 5 bs in
+    match xs with
+    | [ rid; value; vs; vs_time; cts ] -> Ok ({ Checkpoint.rid; value; vs; vs_time; cts }, bs)
+    | _ -> assert false
+  in
+  let write bs =
+    let* xs, bs = ints_of 3 bs in
+    match xs with
+    | [ rid; value; vs_time ] -> Ok ({ Checkpoint.rid; value; vs_time }, bs)
+    | _ -> assert false
+  in
+  let pending bs =
+    let* tid, bs = int bs in
+    let* writes, bs = items write bs in
+    Ok ({ Checkpoint.tid; writes }, bs)
+  in
+  let* at, bs = int bs in
+  let* oracle_next, bs = int bs in
+  let* live, bs = items int bs in
+  let* committed, bs = items pair_of bs in
+  let* aborted, bs = items pair_of bs in
+  let* rows, bs = items row bs in
+  let* pending, bs = items pending bs in
+  let* segments, bs = items seg bs in
+  let* next_seg_id, bs = int bs in
+  let* prepared, bs = items pair_of bs in
+  let* decisions, bs = items pair_of bs in
+  Ok
+    ( {
+        Checkpoint.at;
+        oracle_next;
+        live;
+        committed;
+        aborted;
+        rows;
+        pending;
+        segments;
+        next_seg_id;
+        prepared;
+        decisions;
+      },
+      bs )
+
+let payload kind bs : (Wal_record.payload * int list, string) result =
+  let fields k bs = ints_of k bs in
+  match kind with
+  | 0 ->
+      let* xs, bs = fields 1 bs in
+      Ok (Wal_record.Txn_begin { tid = List.hd xs }, bs)
+  | 1 -> (
+      let* xs, bs = fields 2 bs in
+      match xs with [ tid; cts ] -> Ok (Wal_record.Txn_commit { tid; cts }, bs) | _ -> assert false)
+  | 2 -> (
+      let* xs, bs = fields 2 bs in
+      match xs with [ tid; ats ] -> Ok (Wal_record.Txn_abort { tid; ats }, bs) | _ -> assert false)
+  | 3 -> (
+      let* xs, bs = fields 3 bs in
+      match xs with
+      | [ tid; rid; value ] -> Ok (Wal_record.Version_insert { tid; rid; value }, bs)
+      | _ -> assert false)
+  | 4 -> (
+      let* xs, bs = fields 8 bs in
+      let* cls, bs = string bs in
+      let* ys, bs = fields 2 bs in
+      match (xs, ys) with
+      | [ rid; vs; ve; vs_time; ve_time; bytes; value; seg_id ], [ lo; hi ] ->
+          Ok (Wal_record.Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }, bs)
+      | _ -> assert false)
+  | 5 | 6 | 7 ->
+      let* seg_id, bs = int bs in
+      Ok
+        ( (match kind with
+          | 5 -> Wal_record.Seg_harden { seg_id }
+          | 6 -> Wal_record.Seg_drop { seg_id }
+          | _ -> Wal_record.Seg_cut { seg_id }),
+          bs )
+  | 8 -> Ok (Wal_record.Ckpt_begin, bs)
+  | 9 ->
+      let* present, bs = bool bs in
+      if present then
+        let* ck, bs = checkpoint bs in
+        Ok (Wal_record.Ckpt_end { snapshot = Some ck }, bs)
+      else Ok (Wal_record.Ckpt_end { snapshot = None }, bs)
+  | 10 | 11 -> (
+      let* xs, bs = fields 2 bs in
+      let* shards, bs = items int bs in
+      match xs with
+      | [ a; b ] when kind = 10 -> Ok (Wal_record.Prepare { tid = a; coord = b; shards }, bs)
+      | [ a; b ] -> Ok (Wal_record.Coord_commit { gid = a; cts = b; shards }, bs)
+      | _ -> assert false)
+  | 12 ->
+      let* gid, bs = int bs in
+      Ok (Wal_record.Coord_abort { gid }, bs)
+  | 13 -> (
+      let* xs, bs = fields 2 bs in
+      match xs with [ gid; shard ] -> Ok (Wal_record.Ack { gid; shard }, bs) | _ -> assert false)
+  | 14 ->
+      let* gid, bs = int bs in
+      Ok (Wal_record.Forget { gid }, bs)
+  | 15 -> (
+      let* xs, bs = fields 2 bs in
+      match xs with [ epoch; node ] -> Ok (Wal_record.Promote { epoch; node }, bs) | _ -> assert false)
+  | 16 -> (
+      let* xs, bs = fields 3 bs in
+      match xs with
+      | [ epoch; node; upto ] -> Ok (Wal_record.Rep_ack { epoch; node; upto }, bs)
+      | _ -> assert false)
+  | k -> Error (Printf.sprintf "unknown kind byte %d" k)
+
+let byte_list s = List.map Char.code (List.of_seq (String.to_seq s))
+
+let whole parse s =
+  let* v, rest = parse (byte_list s) in
+  if rest = [] then Ok v else Error "bytes left after the value"
+
+let checkpoint_of_bytes s = whole checkpoint s
+
+let record bs =
+  let* kind, bs = byte bs in
+  let* xs, bs = ints_of 3 bs in
+  let* payload, bs = payload kind bs in
+  match xs with [ lsn; at; shard ] -> Ok ({ Wal_record.lsn; at; shard; payload }, bs) | _ -> assert false
+
+let decode ?(check_crc = true) s =
+  let n = String.length s in
+  if n < 4 then Error "shorter than a checksum"
+  else
+    let body = String.sub s 0 (n - 4) in
+    if check_crc && seal body <> s then Error "checksum does not match"
+    else whole record body

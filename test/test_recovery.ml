@@ -91,21 +91,12 @@ let test_record_crc_rejects_flip () =
     { Wal_record.lsn = 3; at = Clock.ms 2; shard = 0; payload = Wal_record.Version_insert { tid = 5; rid = 1; value = 42 } }
   in
   let frame = Wal_record.encode r in
-  (* Swap one digit of the value — still valid JSON, but the body no
-     longer matches the checksum. *)
-  let needle = "\"value\":42" in
-  let idx =
-    let rec find i =
-      if i + String.length needle > String.length frame then
-        Alcotest.fail "value member not found in frame"
-      else if String.sub frame i (String.length needle) = needle then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let corrupt =
-    String.mapi (fun i c -> if i = idx + String.length needle - 1 then '3' else c) frame
-  in
+  (* The value is the body's last byte: 42 is the zigzag 84, and 86
+     spells 43 — still a frame, but the body no longer matches the
+     checksum. *)
+  let i = String.length frame - 5 in
+  check_int "the value's byte" 84 (Char.code frame.[i]);
+  let corrupt = String.mapi (fun j c -> if j = i then Char.chr 86 else c) frame in
   (match Wal_record.decode corrupt with
   | Ok _ -> Alcotest.fail "corrupt frame must be rejected"
   | Error _ -> ());
@@ -127,8 +118,10 @@ let test_record_bad_crc_encoder () =
   | Error e -> Alcotest.failf "check_crc:false must accept: %s" e
 
 (* -------------------------------------------------------------------- *)
-(* Codec equivalence: the direct codec against the Jsonx-tree reference
-   in ref_codec.ml *)
+(* Codec equivalence: the direct codec against the reference in
+   ref_codec.ml *)
+
+let hex s = String.concat " " (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
 
 let codec_int =
   QCheck.Gen.(
@@ -141,54 +134,14 @@ let codec_int =
         (1, return 0);
       ])
 
-(* Strings that need every kind of escape, plus bytes Jsonx prints raw. *)
-let codec_string =
-  QCheck.Gen.(
-    string_size ~gen:(frequency [ (6, printable); (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031'; '\127'; '\255' ]) ])
-      (0 -- 8))
+(* Any bytes; one string in seven is long enough for a two-byte count. *)
+let codec_string = QCheck.Gen.(string_size (frequency [ (6, 0 -- 8); (1, 64 -- 200) ]))
 
-let codec_float =
-  QCheck.Gen.(
-    frequency
-      [
-        (4, float);
-        (1, oneofl [ 0.; -0.; 1e15; -1e15; 0.1; 1e300; Float.nan; Float.infinity; 3. ]);
-        (2, map float_of_int small_signed_int);
-      ])
-
-let codec_json =
-  QCheck.Gen.(
-    sized_size (0 -- 4)
-    @@ fix (fun self n ->
-           let leaf =
-             frequency
-               [
-                 (1, return Jsonx.Null);
-                 (1, map (fun b -> Jsonx.Bool b) bool);
-                 (3, map (fun i -> Jsonx.Int i) codec_int);
-                 (3, map (fun f -> Jsonx.Float f) codec_float);
-                 (2, map (fun s -> Jsonx.Str s) codec_string);
-               ]
-           in
-           if n = 0 then leaf
-           else
-             frequency
-               [
-                 (2, leaf);
-                 (1, map (fun xs -> Jsonx.Arr xs) (list_size (0 -- 3) (self (n - 1))));
-                 ( 1,
-                   map
-                     (fun ms -> Jsonx.Obj ms)
-                     (list_size (0 -- 3) (pair codec_string (self (n - 1)))) );
-               ]))
-
-(* Every list empty or not, negative and 18-digit ints, the 2PC members
-   absent and present. One checkpoint in four may also hold ints of 19
-   digits, and one in four classes that need escapes. *)
+(* Every list empty or not, small, mid-sized and 60-bit ints of both
+   signs. One checkpoint in four may also hold the extremes. *)
 let codec_checkpoint =
   QCheck.Gen.(
     let* wide = frequency [ (3, return false); (1, return true) ] in
-    let* escapes = frequency [ (3, return false); (1, return true) ] in
     let i =
       frequency
         ([
@@ -198,10 +151,6 @@ let codec_checkpoint =
            (1, int_range (-999_999_999_999_999_999) (-100_000_000_000_000_000));
          ]
         @ if wide then [ (2, codec_int) ] else [])
-    in
-    let cls =
-      if escapes then codec_string
-      else string_size ~gen:(oneofl [ 'a'; 'l'; 't'; '0'; '/'; ' '; '\127'; '\255' ]) (0 -- 8)
     in
     let some_list g = list_size (frequency [ (1, return 0); (3, 1 -- 4) ]) g in
     let pairs = some_list (pair i i) in
@@ -216,7 +165,7 @@ let codec_checkpoint =
     let seg =
       map
         (fun ((seg_id, cls), (hardened, versions)) -> { Checkpoint.seg_id; cls; hardened; versions })
-        (pair (pair i cls) (pair bool (some_list seg_version)))
+        (pair (pair i codec_string) (pair bool (some_list seg_version)))
     in
     let row =
       map
@@ -289,52 +238,28 @@ let codec_record =
       (fun (lsn, at, shard, payload) -> { Wal_record.lsn; at; shard; payload })
       (quad codec_int codec_int (frequency [ (1, return 0); (1, codec_int) ]) codec_payload))
 
-let arb_record = QCheck.make ~print:Ref_codec.encode codec_record
+let arb_record = QCheck.make ~print:(fun r -> hex (Ref_codec.encode r)) codec_record
 
-(* [frame] split at its last crc member: the body bytes before it. *)
-let crc_split frame =
-  let key = ",\"crc\":" in
-  let rec find i =
-    if i < 0 then None
-    else if String.sub frame i (String.length key) = key then Some i
-    else find (i - 1)
-  in
-  if String.length frame < String.length key then None
-  else find (String.length frame - String.length key)
+(* A frame's body and trailer: everything before its last 4 bytes, and
+   those. *)
+let body_of frame = String.sub frame 0 (max 0 (String.length frame - 4))
+let trailer_of frame =
+  let b = String.length (body_of frame) in
+  String.sub frame b (String.length frame - b)
 
-(* The frame with its crc rewritten to match the raw bytes before it — a
-   mutation the checksum alone cannot expose. *)
-let restamp frame =
-  match crc_split frame with
-  | None -> frame
-  | Some i ->
-      let body = String.sub frame 0 i in
-      Printf.sprintf "%s,\"crc\":%d}" body (Crc32.string (body ^ "}"))
+(* The frame with its checksum rewritten to match the bytes before it —
+   a mutation the checksum alone cannot expose. *)
+let restamp frame = if String.length frame < 4 then frame else Ref_codec.seal (body_of frame)
 
-(* [frame] is [encode r] but for the value of its crc. *)
-let in_layout r frame =
-  let enc = Wal_record.encode r in
-  let j = Option.get (crc_split enc) + String.length ",\"crc\":" in
-  let n = String.length frame in
-  n > j + 1
-  && String.sub frame 0 j = String.sub enc 0 j
-  && frame.[n - 1] = '}'
-  &&
-  let text = String.sub frame j (n - j - 1) in
-  match int_of_string_opt text with Some crc -> string_of_int crc = text | None -> false
-
-(* [decode] is the reference restricted to the layout [encode] writes:
-   it reads what the reference reads from a frame in that layout, and
-   refuses every other frame. *)
+(* [decode] reads what the reference reads, and a frame it reads is
+   [encode] of its record up to the checksum: each record has one
+   spelling. *)
 let both_decoders_agree frame =
   List.for_all
     (fun check_crc ->
-      let expected =
-        match Ref_codec.decode ~check_crc frame with
-        | Ok r when in_layout r frame -> Some r
-        | Ok _ | Error _ -> None
-      in
-      Result.to_option (Wal_record.decode ~check_crc frame) = expected)
+      let ours = Result.to_option (Wal_record.decode ~check_crc frame) in
+      ours = Result.to_option (Ref_codec.decode ~check_crc frame)
+      && match ours with Some r -> body_of (Ref_codec.encode r) = body_of frame | None -> true)
     [ true; false ]
 
 let qcheck_codec_encode_matches_reference =
@@ -342,14 +267,11 @@ let qcheck_codec_encode_matches_reference =
     arb_record (fun r ->
       let frame = Wal_record.encode r in
       if frame <> Ref_codec.encode r then
-        QCheck.Test.fail_reportf "encode differs:\n%s\n%s" frame (Ref_codec.encode r);
-      let i = Option.get (crc_split frame) in
-      let body = String.sub frame 0 i in
-      let crc = int_of_string (String.sub frame (i + 7) (String.length frame - i - 8)) in
-      Wal_record.encode_with_bad_crc r = Printf.sprintf "%s,\"crc\":%d}" body (crc lxor 0x5a5a5a5a))
+        QCheck.Test.fail_reportf "encode differs:\n%s\n%s" (hex frame) (hex (Ref_codec.encode r));
+      Wal_record.encode_with_bad_crc r = Ref_codec.seal ~mask:0x5a5a5a5a (body_of frame))
 
-(* [outcome_tid] peeks at the header of a frame in the layout [encode]
-   writes; its answer is the one a full decode gives. *)
+(* [outcome_tid] tests the kind byte of a frame; its answer is the one
+   a full decode gives. *)
 let outcome_agrees frame =
   Wal_record.outcome_tid frame
   =
@@ -371,178 +293,105 @@ let qcheck_codec_decode_clean =
       && outcome_agrees (Wal_record.encode_with_bad_crc r))
 
 type mutation =
-  | Bitflip of int  (** the chaos harness's xor-0x10 flip *)
+  | Bitflip of int  (** one byte xored with 0x10 *)
   | Truncate of int
-  | Whitespace of int * char
-  | Reorder of int
-  | Sh_zero
-  | Leading_zero of int
-  | Minus_zero of int
-  | Digits_19 of int
-  | Digit of int  (** one digit changed: canonical, but the crc is stale *)
-  | Kind of kind_edit  (** the kind name misspelled: never a frame *)
-
-and kind_edit = Change of int * int | Drop of int | Append of char | Escape
+  | Insert of int * int  (** one byte inserted *)
+  | Delete of int
+  | Set of int * int  (** one byte replaced *)
+  | Overlong of int  (** an int or count spelled with one group more *)
+  | Wide of int  (** an int or count spelled in ten groups, past 63 bits *)
+  | Recount of int * int  (** a string's or list's count moved by a delta *)
 
 let show_mutation = function
   | Bitflip i -> Printf.sprintf "bitflip(%d)" i
   | Truncate i -> Printf.sprintf "truncate(%d)" i
-  | Whitespace (i, c) -> Printf.sprintf "whitespace(%d,%C)" i c
-  | Reorder i -> Printf.sprintf "reorder(%d)" i
-  | Sh_zero -> "sh-zero"
-  | Leading_zero i -> Printf.sprintf "leading-zero(%d)" i
-  | Minus_zero i -> Printf.sprintf "minus-zero(%d)" i
-  | Digits_19 i -> Printf.sprintf "digits-19(%d)" i
-  | Digit i -> Printf.sprintf "digit(%d)" i
-  | Kind (Change (i, x)) -> Printf.sprintf "kind-change(%d,%d)" i x
-  | Kind (Drop i) -> Printf.sprintf "kind-drop(%d)" i
-  | Kind (Append c) -> Printf.sprintf "kind-append(%C)" c
-  | Kind Escape -> "kind-escape"
+  | Insert (i, b) -> Printf.sprintf "insert(%d,%d)" i b
+  | Delete i -> Printf.sprintf "delete(%d)" i
+  | Set (i, b) -> Printf.sprintf "set(%d,%d)" i b
+  | Overlong k -> Printf.sprintf "overlong(%d)" k
+  | Wide k -> Printf.sprintf "wide(%d)" k
+  | Recount (k, d) -> Printf.sprintf "recount(%d,%+d)" k d
 
-(* Start offsets of the int texts that follow a [:] — member values. *)
-let int_offsets frame =
-  let n = String.length frame in
-  let acc = ref [] in
-  for i = n - 2 downto 0 do
-    if frame.[i] = ':' then
-      match frame.[i + 1] with '0' .. '9' | '-' -> acc := (i + 1) :: !acc | _ -> ()
-  done;
-  !acc
+let spell bytes = String.of_seq (List.to_seq (List.map Char.chr bytes))
 
-let replace_int frame k f =
-  match int_offsets frame with
-  | [] -> frame
-  | offs ->
-      let start = List.nth offs (k mod List.length offs) in
-      let stop = ref (start + 1) in
-      while !stop < String.length frame && frame.[!stop] >= '0' && frame.[!stop] <= '9' do
-        incr stop
-      done;
-      let text = String.sub frame start (!stop - start) in
-      String.sub frame 0 start ^ f text ^ String.sub frame !stop (String.length frame - !stop)
+(* [n]'s groups with a zero group after them: the same value, overlong. *)
+let overlong n =
+  match List.rev (Ref_codec.int_bytes n) with
+  | last :: rest -> spell (List.rev_append rest [ last lor 128; 0 ])
+  | [] -> assert false
 
-(* Members of the frame, as the reference parser sees them. *)
-let with_members frame f =
-  match Jsonx.of_string frame with Ok (Jsonx.Obj ms) -> Jsonx.to_string (Jsonx.Obj (f ms)) | _ -> frame
+(* [n]'s groups padded to nine with continuation bits, then a tenth. *)
+let wide n =
+  let gs = Ref_codec.int_bytes n in
+  spell (List.map (fun g -> g lor 128) gs @ List.init (9 - List.length gs) (fun _ -> 128) @ [ 1 ])
 
-(* The kind name's span in a frame: the bytes between the quotes of
-   the kind member's value. *)
-let kind_span frame =
-  let key = ",\"kind\":\"" in
-  let rec find i = if String.sub frame i (String.length key) = key then i + String.length key else find (i + 1) in
-  let start = find 0 in
-  (start, String.index_from frame start '"')
+(* The bytes of [toks], the [k]-th token [pick] selects (counting
+   modulo their number) respelled by [f]. *)
+let respell toks pick k f =
+  let n = List.length (List.filter (fun t -> pick t <> None) toks) in
+  let seen = ref 0 in
+  String.concat ""
+    (List.map
+       (fun t ->
+         match pick t with
+         | Some v when n > 0 ->
+             incr seen;
+             if !seen - 1 = k mod n then f v else Ref_codec.bytes_of_tokens [ t ]
+         | _ -> Ref_codec.bytes_of_tokens [ t ])
+       toks)
 
-(* [name] with one byte changed (xored with 1..255), dropped or
-   appended, or its first hyphen escaped as [\u002d] (the r of
-   relocate, which has none, as [\u0072]). *)
-let edit_kind name = function
-  | Change (i, x) ->
-      let i = i mod String.length name in
-      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 + (x mod 255))) else c) name
-  | Drop i ->
-      let i = i mod String.length name in
-      String.sub name 0 i ^ String.sub name (i + 1) (String.length name - i - 1)
-  | Append c -> name ^ String.make 1 c
-  | Escape -> (
-      match String.index_opt name '-' with
-      | Some i -> String.sub name 0 i ^ "\\u002d" ^ String.sub name (i + 1) (String.length name - i - 1)
-      | None -> "\\u0072" ^ String.sub name 1 (String.length name - 1))
+let any_int = function Ref_codec.Int v | Ref_codec.Count v -> Some v | _ -> None
+let a_count = function Ref_codec.Count v -> Some v | _ -> None
 
-let mutate_kind frame e =
-  let start, stop = kind_span frame in
-  String.sub frame 0 start
-  ^ edit_kind (String.sub frame start (stop - start)) e
-  ^ String.sub frame stop (String.length frame - stop)
-
-let mutate frame = function
-  | Bitflip i ->
-      let i = i mod String.length frame in
-      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x10) else c) frame
-  | Truncate i -> String.sub frame 0 (i mod String.length frame)
-  | Whitespace (i, c) ->
-      let i = i mod (String.length frame + 1) in
-      String.sub frame 0 i ^ String.make 1 c ^ String.sub frame i (String.length frame - i)
-  | Reorder k ->
-      (* Swap two body members; the crc member stays last. *)
-      with_members frame (fun ms ->
-          let body = List.filter (fun (key, _) -> key <> "crc") ms in
-          let crc = List.filter (fun (key, _) -> key = "crc") ms in
-          let n = List.length body in
-          let a = k mod n and b = (k / n) mod n in
-          let arr = Array.of_list body in
-          let x = arr.(a) in
-          arr.(a) <- arr.(b);
-          arr.(b) <- x;
-          Array.to_list arr @ crc)
-  | Sh_zero ->
-      with_members frame (fun ms ->
-          match ms with
-          | lsn :: at :: ("sh", _) :: rest -> lsn :: at :: ("sh", Jsonx.Int 0) :: rest
-          | lsn :: at :: rest -> lsn :: at :: ("sh", Jsonx.Int 0) :: rest
-          | ms -> ms)
-  | Leading_zero k -> replace_int frame k (fun text -> if text.[0] = '-' then "-0" ^ String.sub text 1 (String.length text - 1) else "0" ^ text)
-  | Minus_zero k -> replace_int frame k (fun _ -> "-0")
-  | Digits_19 k -> replace_int frame k (fun _ -> Printf.sprintf "1%018d" (k land 0xffff))
-  | Kind e -> mutate_kind frame e
-  | Digit k ->
-      replace_int frame k (fun text ->
-          let last = String.length text - 1 in
-          String.mapi
-            (fun j c -> if j = last then Char.chr (Char.code '0' + ((Char.code c - Char.code '0' + 1) mod 10)) else c)
-            text)
+(* [toks] as bytes followed by [trailer], mutated: the byte edits act
+   on the whole, the token edits on [toks] alone. *)
+let mutate ?(trailer = "") toks m =
+  let s = Ref_codec.bytes_of_tokens toks ^ trailer in
+  let n = String.length s in
+  let at i = if n = 0 then 0 else i mod n in
+  let splice i cut ins = String.sub s 0 i ^ ins ^ String.sub s (i + cut) (n - i - cut) in
+  match m with
+  | Bitflip i when n > 0 -> splice (at i) 1 (String.make 1 (Char.chr (Char.code s.[at i] lxor 0x10)))
+  | Truncate i -> String.sub s 0 (at i)
+  | Insert (i, b) -> splice (i mod (n + 1)) 0 (String.make 1 (Char.chr b))
+  | Delete i when n > 0 -> splice (at i) 1 ""
+  | Set (i, b) when n > 0 -> splice (at i) 1 (String.make 1 (Char.chr b))
+  | Bitflip _ | Delete _ | Set _ -> s
+  | Overlong k -> respell toks any_int k overlong ^ trailer
+  | Wide k -> respell toks any_int k wide ^ trailer
+  | Recount (k, d) -> respell toks a_count k (fun v -> Ref_codec.bytes_of_tokens [ Count (v + d) ]) ^ trailer
 
 let codec_mutation =
   QCheck.Gen.(
-    let i = nat in
+    let i = nat and b = 0 -- 255 in
     oneof
       [
         map (fun i -> Bitflip i) i;
         map (fun i -> Truncate i) i;
-        map2 (fun i c -> Whitespace (i, c)) i (oneofl [ ' '; '\t'; '\n'; '\r' ]);
-        map (fun i -> Reorder i) i;
-        return Sh_zero;
-        map (fun i -> Leading_zero i) i;
-        map (fun i -> Minus_zero i) i;
-        map (fun i -> Digits_19 i) i;
-        map (fun i -> Digit i) i;
-      ])
-
-(* A whole frame may also have its kind misspelt. *)
-let frame_mutation =
-  QCheck.Gen.(
-    frequency
-      [
-        (9, codec_mutation);
-        ( 1,
-          map
-            (fun e -> Kind e)
-            (oneof
-               [
-                 map2 (fun i x -> Change (i, x)) nat nat;
-                 map (fun i -> Drop i) nat;
-                 map (fun c -> Append c) (oneofl [ 'a'; 's'; '-'; '"'; ' '; '\\' ]);
-                 return Escape;
-               ]) );
+        map2 (fun i b -> Insert (i, b)) i b;
+        map (fun i -> Delete i) i;
+        map2 (fun i b -> Set (i, b)) i b;
+        map (fun k -> Overlong k) i;
+        map (fun k -> Wide k) i;
+        map2 (fun k d -> Recount (k, d)) i (oneofl [ -2; -1; 1; 2; 100 ]);
       ])
 
 let qcheck_codec_decode_mutated =
   QCheck.Test.make ~name:"decode = ref, mutated" ~count:6000
     (QCheck.make
-       ~print:(fun (r, m) -> Ref_codec.encode r ^ " " ^ show_mutation m)
-       (QCheck.Gen.pair codec_record frame_mutation))
+       ~print:(fun (r, m) -> hex (Ref_codec.encode r) ^ " " ^ show_mutation m)
+       (QCheck.Gen.pair codec_record codec_mutation))
     (fun (r, m) ->
-      let mutated = mutate (Wal_record.encode r) m in
+      let mutated = mutate (Ref_codec.frame_tokens r) ~trailer:(trailer_of (Wal_record.encode r)) m in
       List.for_all
         (fun frame ->
-          both_decoders_agree frame
-          || QCheck.Test.fail_reportf "decoders differ on %S" frame)
+          both_decoders_agree frame || QCheck.Test.fail_reportf "decoders differ on %s" (hex frame))
         [ mutated; restamp mutated ]
       &&
       match m with
-      | Kind _ ->
-          Result.is_error (Wal_record.decode ~check_crc:false (restamp mutated))
-          || QCheck.Test.fail_reportf "misspelt kind decodes: %S" (restamp mutated)
+      | Overlong _ | Wide _ ->
+          Result.is_error (Wal_record.decode ~check_crc:false mutated)
+          || QCheck.Test.fail_reportf "a second spelling decodes: %s" (hex mutated)
       | _ -> true)
 
 (* One record of every kind. *)
@@ -560,32 +409,27 @@ let every_kind : Wal_record.t list =
         Wal_record.Rep_ack { epoch = 3; node = 2; upto = 40 };
       ])
 
-(* Every one-byte change, drop and append of every kind name, and the
-   escaped spelling, each with a matching crc. *)
-let test_kind_edits_rejected () =
+(* Every frame of [every_kind] with its kind byte set to each value no
+   constructor has, with a matching checksum. *)
+let test_unknown_kinds_rejected () =
   List.iter
     (fun (r : Wal_record.t) ->
       let frame = Wal_record.encode r in
-      let start, stop = kind_span frame in
-      let n = stop - start in
-      let edits =
-        (Escape :: List.map (fun c -> Append c) [ 'a'; 's'; '-'; '"' ])
-        @ List.concat_map
-            (fun i -> Drop i :: List.map (fun x -> Change (i, x)) [ 0; 1; 31; 127; 254 ])
-            (List.init n Fun.id)
-      in
-      List.iter
-        (fun e ->
-          let bad = restamp (mutate_kind frame e) in
-          if Result.is_ok (Wal_record.decode bad) || Result.is_ok (Wal_record.decode ~check_crc:false bad)
-          then Alcotest.failf "misspelt kind decodes: %S" bad)
-        edits)
+      for k = 17 to 255 do
+        let bad = restamp (String.make 1 (Char.chr k) ^ String.sub frame 1 (String.length frame - 1)) in
+        if
+          Result.is_ok (Wal_record.decode bad)
+          || Result.is_ok (Wal_record.decode ~check_crc:false bad)
+          || Result.is_ok (Ref_codec.decode ~check_crc:false bad)
+          || Wal_record.outcome_tid bad <> None
+        then Alcotest.failf "kind byte %d decodes: %s" k (hex bad)
+      done)
     every_kind
 
 (* The words one scan allocates are the words of the record it returns:
-   the cursor, the kind name and the result box cost nothing. A
-   checkpoint snapshot is left out, its lists being shared with nothing
-   else either way. Holds in a native build. *)
+   the cursor and the result box cost nothing. A checkpoint snapshot is
+   left out, its lists being shared with nothing else either way. Holds
+   in a native build. *)
 let test_scan_allocates_only_its_record () =
   let calls = 10_000 in
   List.iter
@@ -606,90 +450,156 @@ let test_scan_allocates_only_its_record () =
               (Wal_record.kind_name r.payload) per_scan want)
     every_kind
 
-(* A [ckpt-end] frame for [r]'s header whose snapshot is [json] — valid
-   JSON and a good CRC, but not necessarily a checkpoint. *)
-let foreign_snapshot_frame (r : Wal_record.t) json =
-  let frame = Wal_record.encode { r with payload = Wal_record.Ckpt_end { snapshot = None } } in
-  let stop = Option.get (crc_split frame) in
-  let start = stop - String.length "null" in
-  restamp (String.sub frame 0 start ^ Jsonx.to_string json ^ String.sub frame stop (String.length frame - stop))
+(* Bytes no decoder should trust: anything at all, a valid frame cut
+   short or with one byte appended, and a valid frame whose string or
+   list count is raised past the bytes it has, up to [max_int]. *)
+type hostile = Any of string | Prefix of string | Extended of string | Inflated of string
+
+let hostile_bytes = function Any s | Prefix s | Extended s | Inflated s -> s
+
+let show_hostile h =
+  (match h with Any _ -> "any " | Prefix _ -> "prefix " | Extended _ -> "extended " | Inflated _ -> "inflated ")
+  ^ hex (hostile_bytes h)
+
+(* A record with at least one count: [r] if it has one, else a prepare
+   with [r]'s header. *)
+let with_count (r : Wal_record.t) =
+  if List.exists (fun t -> a_count t <> None) (Ref_codec.frame_tokens r) then r
+  else { r with payload = Wal_record.Prepare { tid = r.lsn; coord = 1; shards = [ r.at ] } }
+
+let codec_hostile =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Any s) (string_size (0 -- 64));
+        map2
+          (fun r i ->
+            let frame = Wal_record.encode r in
+            Prefix (String.sub frame 0 (i mod String.length frame)))
+          codec_record nat;
+        map2 (fun r c -> Extended (Wal_record.encode r ^ String.make 1 c)) codec_record char;
+        map3
+          (fun r k big ->
+            let r = with_count r in
+            let size = String.length (Wal_record.encode r) in
+            let n = match big with 0 -> max_int | 1 -> 1 lsl 40 | d -> size + d in
+            Inflated
+              (Ref_codec.seal
+                 (respell (Ref_codec.frame_tokens r) a_count k (fun _ -> Ref_codec.bytes_of_tokens [ Count n ]))))
+          codec_record nat (0 -- 1000);
+      ])
+
+(* The words [scan] allocates on [s], which returns or raises
+   {!Wire.Malformed} and nothing else: the minor words, and the words
+   allocated in the major heap directly (its words less the promoted
+   ones). [Gc.allocated_bytes] is no measure here: it can jump by a
+   minor heap's worth at a collection. *)
+let scan_words ~check_crc s =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  (match Wal_record.scan ~check_crc s with
+  | _ | (exception Wire.Malformed) -> ()
+  | exception e -> QCheck.Test.fail_reportf "scan raised %s" (Printexc.to_string e));
+  words () -. before
+
+let qcheck_codec_total =
+  QCheck.Test.make ~name:"decoder total on hostile bytes" ~count:3000
+    (QCheck.make ~print:show_hostile codec_hostile)
+    (fun h ->
+      let s = hostile_bytes h in
+      List.for_all
+        (fun check_crc ->
+          (match (Wal_record.decode ~check_crc s, h) with
+          | Ok _, (Prefix _ | Extended _ | Inflated _) -> QCheck.Test.fail_report "decodes"
+          | Ok _, Any _ | Error _, _ -> ()
+          | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e));
+          (* A decoded record takes at most 4 words a byte: a one-byte
+             int in a list takes its cons cell. *)
+          let words = scan_words ~check_crc s in
+          words <= (4. *. float_of_int (String.length s)) +. 64.
+          || QCheck.Test.fail_reportf "scan allocated %.0f words on %d bytes" words (String.length s))
+        [ true; false ]
+      && both_decoders_agree s)
+
+(* A [ckpt-end] frame for [r]'s header whose snapshot is [snap]: a good
+   checksum, but not necessarily a checkpoint. *)
+let foreign_snapshot_frame (r : Wal_record.t) snap =
+  let none = Wal_record.encode { r with payload = Wal_record.Ckpt_end { snapshot = None } } in
+  let header = String.sub none 0 (String.length none - 5) in
+  Ref_codec.seal (header ^ "\001" ^ snap)
+
+(* Arbitrary bytes, and a checkpoint's bytes cut, extended or edited. *)
+let codec_snapshot_bytes =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size (0 -- 40);
+        map Ref_codec.checkpoint_to_bytes codec_checkpoint;
+        map2 (fun ck m -> mutate (Ref_codec.checkpoint_tokens ck) m) codec_checkpoint codec_mutation;
+      ])
 
 let qcheck_codec_foreign_snapshot =
   QCheck.Test.make ~name:"ckpt frame: foreign snapshot = ref" ~count:1000
-    (QCheck.make ~print:Jsonx.to_string codec_json)
-    (fun json ->
+    (QCheck.make ~print:hex codec_snapshot_bytes)
+    (fun snap ->
       let frame =
-        foreign_snapshot_frame { Wal_record.lsn = 5; at = 6; shard = 0; payload = Wal_record.Ckpt_begin } json
+        foreign_snapshot_frame { Wal_record.lsn = 5; at = 6; shard = 0; payload = Wal_record.Ckpt_begin } snap
       in
       both_decoders_agree frame
       &&
       match Wal_record.decode frame with
-      | Ok { Wal_record.payload = Wal_record.Ckpt_end { snapshot }; _ } ->
-          snapshot = Result.to_option (Ref_codec.checkpoint_of_json json)
+      | Ok { Wal_record.payload = Wal_record.Ckpt_end { snapshot = Some ck }; _ } ->
+          Ref_codec.checkpoint_of_bytes snap = Ok ck
       | Ok _ -> false
-      | Error _ -> json <> Jsonx.Null)
+      | Error _ -> Result.is_error (Ref_codec.checkpoint_of_bytes snap))
 
 (* -------------------------------------------------------------------- *)
-(* Checkpoint codec: the direct writer and scanner against the Jsonx-tree
+(* Checkpoint codec: the direct writer and scanner against the
    reference in ref_codec.ml *)
 
-let show_checkpoint ck = Jsonx.to_string (Ref_codec.checkpoint_to_json ck)
-let arb_checkpoint = QCheck.make ~print:show_checkpoint codec_checkpoint
+let arb_checkpoint = QCheck.make ~print:(fun ck -> hex (Ref_codec.checkpoint_to_bytes ck)) codec_checkpoint
 
 let checkpoint_bytes ck =
-  let out = Canon.out 256 in
+  let out = Wire.out () in
   Checkpoint.write out ck;
-  Canon.contents out
+  Wire.contents out
 
 let scan_checkpoint s =
-  let c = { Canon.s; lim = String.length s; pos = 0 } in
+  let c = { Wire.s; lim = String.length s; pos = 0 } in
   match Checkpoint.scan c with
-  | ck when c.Canon.pos = c.Canon.lim -> Some ck
-  | _ | (exception Canon.Not_canonical) -> None
+  | ck when c.Wire.pos = c.Wire.lim -> Some ck
+  | _ | (exception Wire.Malformed) -> None
 
-(* What the scanner must return whenever it returns: the bytes print back
-   unchanged, and the value is what the reference reads. *)
-let scan_sound s =
-  match scan_checkpoint s with
-  | None -> true
-  | Some ck -> (
-      match Jsonx.of_string s with
-      | Ok j -> Jsonx.to_string j = s && Ref_codec.checkpoint_of_json j = Ok ck
-      | Error _ -> false)
+(* The scanner reads exactly what the reference reads. *)
+let scan_agrees s = scan_checkpoint s = Result.to_option (Ref_codec.checkpoint_of_bytes s)
 
 let qcheck_checkpoint_encode =
-  QCheck.Test.make ~name:"checkpoint codec = to_json/of_json" ~count:2000
+  QCheck.Test.make ~name:"checkpoint codec = to_bytes/of_bytes" ~count:2000
     arb_checkpoint (fun ck ->
       let bytes = checkpoint_bytes ck in
-      if bytes <> show_checkpoint ck then QCheck.Test.fail_reportf "write differs:\n%s" bytes;
-      scan_sound bytes && scan_checkpoint bytes = Some ck)
-
-(* The frame split around its snapshot: the bytes before it, the
-   snapshot, and the crc suffix. *)
-let snapshot_split frame =
-  let key = ",\"snapshot\":" in
-  let rec find i = if String.sub frame i (String.length key) = key then i + String.length key else find (i + 1) in
-  let start = find 0 and stop = Option.get (crc_split frame) in
-  ( String.sub frame 0 start,
-    String.sub frame start (stop - start),
-    String.sub frame stop (String.length frame - stop) )
+      if bytes <> Ref_codec.checkpoint_to_bytes ck then QCheck.Test.fail_reportf "write differs:\n%s" (hex bytes);
+      scan_checkpoint bytes = Some ck && Ref_codec.checkpoint_of_bytes bytes = Ok ck)
 
 let qcheck_checkpoint_decode_mutated =
   QCheck.Test.make ~name:"ckpt frame: mutated snapshot = ref" ~count:4000
     (QCheck.make
-       ~print:(fun (ck, m) -> show_checkpoint ck ^ " " ^ show_mutation m)
+       ~print:(fun (ck, m) -> hex (Ref_codec.checkpoint_to_bytes ck) ^ " " ^ show_mutation m)
        (QCheck.Gen.pair codec_checkpoint codec_mutation))
     (fun (ck, m) ->
       let frame =
         Wal_record.encode
           { Wal_record.lsn = 9; at = 1; shard = 0; payload = Wal_record.Ckpt_end { snapshot = Some ck } }
       in
-      let before, snap, after = snapshot_split frame in
-      let snap' = mutate snap m in
-      let mutated = before ^ snap' ^ after in
-      (scan_sound snap' || QCheck.Test.fail_reportf "scanner unsound on %S" snap')
+      let snap = Ref_codec.checkpoint_to_bytes ck in
+      let before = String.sub frame 0 (String.length frame - String.length snap - 4) in
+      let snap' = mutate (Ref_codec.checkpoint_tokens ck) m in
+      let mutated = before ^ snap' ^ trailer_of frame in
+      (scan_agrees snap' || QCheck.Test.fail_reportf "scanner differs on %s" (hex snap'))
       && List.for_all
-           (fun frame -> both_decoders_agree frame || QCheck.Test.fail_reportf "decoders differ on %S" frame)
+           (fun frame -> both_decoders_agree frame || QCheck.Test.fail_reportf "decoders differ on %s" (hex frame))
            [ mutated; restamp mutated ])
 
 (* -------------------------------------------------------------------- *)
@@ -721,6 +631,37 @@ let test_durable_lsns_and_crash () =
   check_int "tail dropped" 5 (Wal.max_lsn w);
   check_int "lsns not reused" 8 (Wal.next_lsn w);
   check_int "crash counted" 1 (Wal.crashes w)
+
+(* What a power loss, a truncation or a discard drops from a device
+   stops being reachable from it: the device holds its surviving frames
+   and its backing array, and nothing more. *)
+let test_cut_device_releases_frames () =
+  let w = Wal.create () in
+  Wal.enable_durability w;
+  for tid = 1 to 10_000 do
+    ignore (Wal.log w (Wal_record.Txn_begin { tid }))
+  done;
+  ignore (Wal.fsync w ());
+  (* A frame record is a header and two fields. *)
+  let frame_words () =
+    List.fold_left (fun acc (_, repr) -> acc + 3 + Obj.reachable_words (Obj.repr repr)) 0 (Wal.frames w)
+  in
+  let beyond_frames () = Obj.reachable_words (Obj.repr w) - frame_words () in
+  let full = beyond_frames () in
+  let check step survivors =
+    check_int (step ^ ": survivors") survivors (List.length (Wal.frames w));
+    let held = beyond_frames () in
+    if held > full then
+      Alcotest.failf "%s: %d words beyond the frames, %d with all of them" step held full
+  in
+  Wal.crash w ~keep_lsn:5_000;
+  check "crash" 5_000;
+  Wal.truncate_to w ~lsn:3_000;
+  check "truncate_to" 3_000;
+  Wal.discard_below w ~lsn:2_991 ~anchor:2_991;
+  check "discard_below" 10;
+  Wal.truncate_to w ~lsn:0;
+  check "truncate_to nothing" 0
 
 let test_fsync_failpoint_conservative () =
   Failpoint.with_scope (fun () ->
@@ -828,7 +769,7 @@ let apply_wal_op p m op =
         (Wal.inject_raw w
            (foreign_snapshot_frame
               { Wal_record.lsn = Wal.next_lsn w; at = a; shard = Wal.shard w; payload = Wal_record.Ckpt_begin }
-              (Jsonx.Obj [ ("oracle_next", Jsonx.Int a); ("live", Jsonx.Arr []) ])))
+              (Ref_codec.bytes_of_tokens [ Int a; Count 0 ])))
   | Log (b, k, a) -> ignore (Wal.log (on b) (payload_of k a))
   | Fsync b -> ignore (Wal.fsync (on b) ())
   | Crash (b, k) -> Wal.crash (on b) ~keep_lsn:(pick (on b) k)
@@ -1520,8 +1461,9 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_codec_encode_matches_reference;
         QCheck_alcotest.to_alcotest qcheck_codec_decode_clean;
         QCheck_alcotest.to_alcotest qcheck_codec_decode_mutated;
-        Alcotest.test_case "misspelt kinds rejected" `Quick test_kind_edits_rejected;
+        Alcotest.test_case "every unknown kind byte is rejected" `Quick test_unknown_kinds_rejected;
         Alcotest.test_case "scan allocates only its record" `Quick test_scan_allocates_only_its_record;
+        QCheck_alcotest.to_alcotest qcheck_codec_total;
         QCheck_alcotest.to_alcotest qcheck_codec_foreign_snapshot;
         QCheck_alcotest.to_alcotest qcheck_checkpoint_encode;
         QCheck_alcotest.to_alcotest qcheck_checkpoint_decode_mutated;
@@ -1532,6 +1474,7 @@ let suites =
         Alcotest.test_case "non-durable log is a no-op" `Quick test_non_durable_log_is_noop;
         Alcotest.test_case "lsns, frontier, power loss" `Quick test_durable_lsns_and_crash;
         Alcotest.test_case "fsync failpoint conservative" `Quick test_fsync_failpoint_conservative;
+        Alcotest.test_case "a cut device releases its frames" `Quick test_cut_device_releases_frames;
         QCheck_alcotest.to_alcotest qcheck_frames_from_matches_fold;
         QCheck_alcotest.to_alcotest qcheck_shipping_matches_copying;
         QCheck_alcotest.to_alcotest qcheck_cursor_matches_analyze;

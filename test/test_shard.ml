@@ -320,7 +320,7 @@ let test_checkpoint_preserves_decision () =
   in
   check_bool "decision survived the checkpoint" true (exp.Wal_recovery.decisions <> [])
 
-let test_checkpoint_indoubt_json_roundtrip () =
+let test_checkpoint_indoubt_roundtrip () =
   let ck =
     {
       Checkpoint.at = Clock.ms 3;
@@ -336,13 +336,13 @@ let test_checkpoint_indoubt_json_roundtrip () =
       decisions = [ (7, 42) ];
     }
   in
-  let out = Canon.out 64 in
+  let out = Wire.out () in
   Checkpoint.write out ck;
-  let bytes = Canon.contents out in
-  let ck' = Checkpoint.scan { Canon.s = bytes; lim = String.length bytes; pos = 0 } in
+  let bytes = Wire.contents out in
+  let ck' = Checkpoint.scan { Wire.s = bytes; lim = String.length bytes; pos = 0 } in
   check_bool "prepared window" true (ck'.Checkpoint.prepared = ck.Checkpoint.prepared);
   check_bool "decision window" true (ck'.Checkpoint.decisions = ck.Checkpoint.decisions);
-  match Result.bind (Jsonx.of_string bytes) Ref_codec.checkpoint_of_json with
+  match Ref_codec.checkpoint_of_bytes bytes with
   | Ok ck'' -> check_bool "the reference reads the same" true (ck'' = ck)
   | Error e -> Alcotest.failf "roundtrip: %s" e
 
@@ -505,8 +505,8 @@ let suites =
           test_checkpoint_preserves_indoubt;
         Alcotest.test_case "checkpoint preserves decision window" `Quick
           test_checkpoint_preserves_decision;
-        Alcotest.test_case "checkpoint in-doubt JSON roundtrip" `Quick
-          test_checkpoint_indoubt_json_roundtrip;
+        Alcotest.test_case "checkpoint in-doubt roundtrip" `Quick
+          test_checkpoint_indoubt_roundtrip;
         Alcotest.test_case "skipped decision caught statically" `Quick
           test_sabotage_caught_statically;
         Alcotest.test_case "skipped decision caught after crash" `Quick

@@ -502,6 +502,50 @@ let test_vec_fold_exists () =
   check_bool "exists" true (Vec.exists (fun x -> x = 2) v);
   check_bool "not exists" false (Vec.exists (fun x -> x = 9) v)
 
+type vec_op = Push | Pop | Drop_front of int | Filter of int | Set of int * int
+
+let show_vec_op = function
+  | Push -> "push"
+  | Pop -> "pop"
+  | Drop_front k -> Printf.sprintf "drop_front(%d)" k
+  | Filter m -> Printf.sprintf "filter(mod %d)" m
+  | Set (i, x) -> Printf.sprintf "set(%d,%d)" i x
+
+(* Every slot of the backing array holds an element the vector holds,
+   after any sequence of operations: nothing it dropped stays
+   reachable. Elements are boxed, so "holds" is physical. *)
+let qcheck_vec_keeps_only_its_elements =
+  QCheck.Test.make ~name:"vec backing array holds only its elements" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list show_vec_op)
+        Gen.(
+          list_size (0 -- 60)
+            (frequency
+               [
+                 (5, return Push);
+                 (2, return Pop);
+                 (1, map (fun k -> Drop_front k) (0 -- 3));
+                 (1, map (fun m -> Filter m) (2 -- 3));
+                 (1, map2 (fun i x -> Set (i, x)) (0 -- 3) nat);
+               ])))
+    (fun ops ->
+      let v = Vec.create () and next = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push ->
+              incr next;
+              Vec.push v (ref !next)
+          | Pop -> ignore (Vec.pop v)
+          | Drop_front k -> Vec.drop_front v (min k (Vec.length v))
+          | Filter m -> Vec.filter_in_place (fun r -> !r mod m <> 0) v
+          | Set (i, x) -> if i < Vec.length v then Vec.set v i (ref x));
+          let held = Vec.to_list v in
+          let data : int ref array = Obj.obj (Obj.field (Obj.repr v) 0) in
+          Array.for_all (fun r -> List.memq r held) data)
+        ops)
+
 (* -------------------------------------------------------------------- *)
 
 let qcheck_histogram_percentile_monotone =
@@ -648,5 +692,6 @@ let suites =
         Alcotest.test_case "bounds checks" `Quick test_vec_bounds;
         Alcotest.test_case "fold/exists" `Quick test_vec_fold_exists;
         QCheck_alcotest.to_alcotest qcheck_vec_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_vec_keeps_only_its_elements;
       ] );
   ]
