@@ -1,5 +1,3 @@
-type mode = Substrate.mode = Sim | Domains of { domains : int }
-
 let epoch_period = Clock.ms 5
 let net_tick = Clock.ms 1 (* resolver sweep period (faulty configs only) *)
 let rep_lease = Clock.ms 50 (* primary authority lease *)
@@ -128,17 +126,11 @@ type ops = {
    over one engine, or a router over the shards. *)
 type rows = Rows of Access.t | Routed of Shard_router.t
 
+let shard_list g = Array.to_list (Shard_group.shards g)
 let viols_of_pairs ps = List.map (fun (invariant, detail) -> { Invariant.invariant; detail }) ps
 
 (* ------------------------------------------------------------------ *)
 (* Replication plumbing. *)
-
-let rep_total f r ~shards =
-  let acc = ref 0 in
-  for sid = 0 to shards - 1 do
-    acc := !acc + f r ~sid
-  done;
-  !acc
 
 (* Arm the replication layer when configured: attach the group's devices
    and install the kill-step hook. Steps are counted globally across
@@ -244,18 +236,14 @@ let body mode (cfg : Exp_config.t) ~faults topo =
     match wd with
     | None -> None
     | Some _ ->
-        (* Leases scale with the experiment: short transactions finish
-           within one scheduling step, so their lease only has to cover
-           scheduling jitter; LLTs are granted a tenth of the longest
-           declared lifetime — far beyond any healthy read gap, so only
-           a driver that genuinely stopped can expire. *)
+        (* Short transactions finish within one scheduling step, so their
+           lease only covers jitter; an LLT gets a tenth of the longest
+           declared lifetime, so only a driver that truly stopped expires. *)
         let short_lease = max (Clock.ms 10) (Clock.seconds (cfg.Exp_config.duration_s /. 200.)) in
-        let longest_llt_s =
-          List.fold_left
-            (fun acc (spec : Exp_config.llt_spec) -> Float.max acc spec.Exp_config.duration_s)
-            0. cfg.Exp_config.llts
+        let longest_s =
+          List.fold_left (fun acc (l : Exp_config.llt_spec) -> Float.max acc l.duration_s) 0. cfg.Exp_config.llts
         in
-        let llt_lease = max (4 * short_lease) (Clock.seconds (longest_llt_s /. 10.)) in
+        let llt_lease = max (4 * short_lease) (Clock.seconds (longest_s /. 10.)) in
         Some (Lease.create ~config:{ Lease.short_lease; llt_lease } ())
   in
   (* The slot holding each in-flight transaction of a single engine, for
@@ -302,7 +290,7 @@ let body mode (cfg : Exp_config.t) ~faults topo =
   let drivers =
     match topo with
     | Single _ -> Option.to_list driver
-    | Group { g; _ } -> Array.to_list (Array.map (fun (sh : Shard.t) -> sh.Shard.driver) (Shard_group.shards g))
+    | Group { g; _ } -> List.map (fun (sh : Shard.t) -> sh.Shard.driver) (shard_list g)
   in
   (* Externally-aborted transactions (forced aborts, governor sheds)
      re-execute after a bounded-exponential backoff. Each slot owns a
@@ -344,11 +332,7 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         s.zombie <- false;
         if Trace.on () then
           Trace.instant Trace.Txn
-            (match (s.llt, abort) with
-            | false, true -> "killed"
-            | false, false -> "crash-lost"
-            | true, true -> "llt-killed"
-            | true, false -> "llt-crash-lost")
+            ((if s.llt then "llt-" else "") ^ if abort then "killed" else "crash-lost")
             ~at:now
             [ ("tid", Trace.I txn.Txn.tid) ];
         if abort then ignore (ops.abort txn ~now);
@@ -399,11 +383,11 @@ let body mode (cfg : Exp_config.t) ~faults topo =
       (if cfg.Exp_config.phases = [] then [ { Exp_config.at_s = 0.; pattern = Access.Uniform } ]
        else cfg.Exp_config.phases)
   in
+  let rec pick s current = function
+    | (at_s, rows) :: rest when s >= at_s -> pick s rows rest
+    | _ -> current
+  in
   let rows_at now =
-    let rec pick s current = function
-      | [] -> current
-      | (at_s, rows) :: rest -> if s >= at_s then pick s rows rest else current
-    in
     match phases with
     | [ (_, rows) ] -> rows
     | (_, first) :: rest -> pick (Clock.to_seconds now) first rest
@@ -429,8 +413,6 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         end
         else Shard_router.sample_on r rng ~sid:(if cross then (!first + w) mod shards else !first)
   in
-  (* Crash/restart composition; [power_loss] crashes the devices and
-     restarts them, returning the restart reports. *)
   let torn_tail = match faults with Some plan -> Fault_plan.torn_tail plan | None -> false in
   let torn_rr = ref 0 in
   let sweep = ref None in
@@ -525,6 +507,7 @@ let body mode (cfg : Exp_config.t) ~faults topo =
      different workers genuinely overlap in simulated time (write-write
      conflicts depend on that overlap). *)
   let failover_pause = rep_lease + (2 * rep_sweep) in
+  let net_pause = match topo with Group { g; _ } -> Shard_group.net_indoubt_after g | _ -> 0 in
   let spawn_worker i =
     let rng = Rng.split master_rng in
     let s = new_slot ~llt:false (0x42e7 lxor (i * 0x9e3779b9)) in
@@ -536,9 +519,7 @@ let body mode (cfg : Exp_config.t) ~faults topo =
             | Some step -> step
             | None -> if now >= horizon then Scheduler.Finished else begin_in s ~kind:Lease.Short now)
         | Some txn -> (
-            (* The whole body runs in this one step — no further
-               scheduling gap where a short transaction could hang — so
-               its lease ends here. *)
+            (* The whole body runs in this one step, so its lease ends. *)
             release s txn;
             let rows = rows_at now in
             let t = ref now in
@@ -577,22 +558,16 @@ let body mode (cfg : Exp_config.t) ~faults topo =
                     ~dur:(!t - txn.Txn.begin_time)
                     [ ("tid", Trace.I txn.Txn.tid); ("worker", Trace.I i) ];
                 Scheduler.Sleep_until !t
-            | Net_aborted t' ->
-                (* Cross-shard fail-fast: back off hard before offering
-                   more load — the degradation contract is pressure, not
-                   a wedged pipeline. *)
-                let g = match topo with Group { g; _ } -> g | Single _ -> assert false in
-                Scheduler.Sleep_until (t' + Shard_group.net_indoubt_after g)
+            (* Sharded only. A cross-shard fail-fast backs off hard: the
+               degradation contract is pressure, not a wedged pipeline. A
+               primaryless shard's refusal backs off past one lease expiry
+               and failover sweep, so a successor is promoted first. A
+               2PC step crash kills the system mid-commit, our transaction
+               with it; recovery decides every orphaned prepare. *)
+            | Net_aborted t' -> Scheduler.Sleep_until (t' + net_pause)
             | Shard_group.Shard_down _ ->
-                (* A primaryless shard refused the operation: abort and
-                   back off past one lease-expiry-plus-sweep window so
-                   the failover scheduler gets to promote first. *)
                 Scheduler.Sleep_until (ops.abort txn ~now:!t + failover_pause)
             | Crash_now ->
-                (* The 2PC step hook killed the system mid-commit. The
-                   in-flight transaction (ours included) dies with it;
-                   recovery decides every orphaned prepare from the
-                   logs. *)
                 do_crash_restart ~keep:0 ~now:!t;
                 Scheduler.Sleep_until (!t + Clock.us 100)))
   in
@@ -652,10 +627,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
                       | None -> ());
                       Scheduler.Sleep_until t
                   | exception Shard_group.Shard_down _ ->
-                      (* The shard died (or fenced this pre-failover
-                         snapshot): abort the scan and restart it fresh —
-                         holding the snapshot pinned forever would block
-                         pruning groupwide. *)
+                      (* Its shard died or fenced this snapshot: restart
+                         fresh rather than pin it groupwide forever. *)
                       release s txn;
                       Scheduler.Sleep_until (ops.abort txn ~now + failover_pause)))
       done)
@@ -683,18 +656,11 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         in
         Scheduler.Sleep_until (max t (now + period))
       end);
-  (* The periodic invariant sweep: the catalogue on every driver, and
-     for a group the log oracles over every shard's log — cross-shard
-     atomicity, the coordinator-decision check (which catches a skipped
-     decision with no crash at all) and, replicated, the loss oracle,
-     run continuously: an acked commit missing from the surviving logs
-     is a violation at every sweep between the kill that lost it and the
-     checkpoint frontier that archives it. A cursor per shard decodes
-     only the frames logged since the last sweep and folds them into
-     that log's recovery expectation; the oracles judge again only the
-     transactions whose outcome moved. A single engine's sweep also runs
-     the bounded-reclamation-lag monitor where the capability table says
-     so (Domains, which has no watchdog). *)
+  (* The periodic invariant sweep: the catalogue on every driver, then a
+     group's log oracles — cross-shard atomicity, the coordinator
+     decision check and, replicated, the loss oracle — through one
+     incremental cursor per shard. A single engine's sweep also runs the
+     reclamation-lag monitor where the capability table says so. *)
   let lag_mon = ref None in
   let spawn_invariants plan =
     Substrate.every sub ~name:"invariants" ~period:(Fault_plan.check_period plan) ~until:horizon
@@ -706,40 +672,27 @@ let body mode (cfg : Exp_config.t) ~faults topo =
             if direct_lag then
               Option.iter (fun m -> record_all ~at:now (Invariant.check_lag m ~now)) !lag_mon
         | Group { g; gcfg; _ } ->
-            let s =
-              match !sweep with
-              | Some s -> s
-              | None ->
-                  let s =
-                    Invariant.sweep (Array.init shards (fun _ -> Sabotage.cursor gcfg.sabotage ()))
-                  in
-                  sweep := Some s;
-                  s
-            in
+            if Option.is_none !sweep then
+              sweep :=
+                Some (Invariant.sweep (Array.init shards (fun _ -> Sabotage.cursor gcfg.sabotage ())));
+            let s = Option.get !sweep in
             record_all ~at:now (Invariant.run_sweep s ?acked:(new_acks ()) (Shard_group.wals g)))
   in
   (match topo with
   | Single _ -> ()
   | Group { g; repl; gcfg } ->
-      (* The epoch broadcaster: the only process that reads the global
-         live table for pruning purposes. *)
+      (* The epoch broadcaster: the only reader of the global live table
+         for pruning. The net resolver pumps due frames, resends
+         unacked decisions and runs in-doubt termination; only a
+         non-transparent fabric (faults or replication) has one. *)
       Substrate.every sub ~name:"epoch" ~period:epoch_period ~until:horizon (fun now ->
           ignore (Shard_group.broadcast ~now g));
-      (* The net resolver: pump due frames, resend unacked decisions,
-         run the in-doubt termination protocol. Only non-transparent
-         fabrics (faults or replication) get one, so a transparent run
-         keeps its process set and dispatch-probe crash timing. *)
       if net_active gcfg || repl <> None then
         Substrate.every sub ~name:"net" ~period:net_tick ~until:horizon (fun now ->
             try Shard_group.tick g ~now with Crash_now -> do_crash_restart ~keep:0 ~now);
-      (* The failover scheduler: node-fault plan polling, age-based
-         revives, lease sweeps / promotions, and the online replication
-         checks. A replicated run registers the sweep before the
-         checkpointer: their periods share grid instants, and a sweep
-         must observe each ordinary checkpoint's instant before the
-         checkpointer archives the epoch — otherwise a loss from a
-         promotion landing within one check period of the checkpoint
-         could be aged out unseen. *)
+      (* The failover scheduler, then the sweep: a replicated run
+         registers it before the checkpointer, so at a shared instant
+         the sweep sees a loss before the checkpoint archives its epoch. *)
       Option.iter
         (fun r ->
           let plan = Fault_plan.cursor gcfg.faults in
@@ -752,8 +705,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
                       ~note:(Fault_report.note_fault report) ~now)));
           spawn_invariants gcfg.faults)
         repl);
-  (* Fuzzy checkpointer: exists only for durable engines, so non-durable
-     runs keep the exact process set (and scheduler order) of the seed. *)
+  (* Fuzzy checkpoints (every shard in turn): only durable engines have
+     a checkpointer process. *)
   let checkpoint =
     match topo with
     | Single { eng; _ } -> eng.Engine.checkpoint
@@ -783,13 +736,11 @@ let body mode (cfg : Exp_config.t) ~faults topo =
       Series.add redo ~time ~value:(float_of_int s.Engine.redo_bytes);
       Series.add chain ~time ~value:(float_of_int s.Engine.max_chain);
       Series.add splits ~time ~value:(float_of_int s.Engine.splits));
-  (* Fault harness: the sweep, and a dispatch probe that fires the
-     crash points — power loss the first time the log's highest LSN (a
-     group's summed LSN) reaches each, checked at every dispatch
-     boundary, so deterministic in WAL position, independent of
-     simulated time — and, on a single engine, consults the plan before
-     every scheduled step. A sharded run on a substrate without crash
-     faults installs no probe. *)
+  (* Fault harness: the sweep, and a dispatch probe that fires the crash
+     points — power loss the first time the log's highest LSN (a group's
+     summed LSN) reaches each, so deterministic in WAL position — and on
+     a single engine polls the plan before every step. A sharded run
+     without crash faults installs no probe. *)
   (match (topo, faults) with
   | Single _, None -> ()
   | Group { g; repl; _ }, Some plan ->
@@ -815,12 +766,11 @@ let body mode (cfg : Exp_config.t) ~faults topo =
                      (Watchdog.lag_bound Watchdog.default_config ~gc_period:cfg.Exp_config.gc_period));
           spawn_invariants plan)
         driver;
-      (* Victim selection draws from the plan's seed, never from
-         [master_rng]: a plan that injects nothing must leave the
-         workload's random stream untouched. *)
+      (* Victims are drawn from the plan's seed, never [master_rng]: a
+         plan that injects nothing leaves the workload stream untouched.
+         A fault is offered to the slots from [from] on, round-robin from
+         a drawn one, until one takes it. *)
       let victim_rng = Rng.create (Fault_plan.seed plan lxor 0x7fabc0de) in
-      (* Offer a fault to the slots from [from] on, round-robin from a
-         drawn one, until one takes it. *)
       let pick ~from f now =
         let n = Vec.length slots - from in
         if n > 0 then begin
@@ -840,7 +790,6 @@ let body mode (cfg : Exp_config.t) ~faults topo =
             true
         | _ -> false
       in
-      (* A durable engine's log and restart; [None] for the others. *)
       let durable () =
         match Option.bind driver (fun d -> d.State.wal) with
         | Some wal as w when Wal.is_durable wal && eng.Engine.restart <> None -> w
@@ -859,33 +808,25 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         | Fault_plan.Crash when not crash_faults -> ()
         | Fault_plan.Crash -> (
             match durable () with
-            | Some wal ->
-                (* Durable engine: a Poisson crash is a power loss at
-                   the durability frontier — unfsynced frames are
-                   gone — followed by restart replay. *)
-                do_crash_restart ~keep:(Wal.flushed_lsn wal) ~now
+            (* A durable engine loses its unfsynced frames and replays;
+               otherwise (§3.5) every in-flight transaction is a loser,
+               rolled back through the engine before crash recovery and
+               the Figure 10b post-conditions. *)
+            | Some wal -> do_crash_restart ~keep:(Wal.flushed_lsn wal) ~now
             | None ->
-                (* §3.5: every in-flight transaction is a loser. Roll
-                   them back through the engine's abort path, then run
-                   crash recovery and immediately assert the Figure 10b
-                   post-conditions. *)
                 Vec.iter (fun s -> ignore (kill s now)) slots;
                 ignore (eng.Engine.crash ());
                 Option.iter (fun d -> record_all ~at:now (Invariant.check_post_crash d)) driver)
         | Fault_plan.Wal_error ->
+            (* the device rejects syncs too (never consulted without fsync) *)
             Failpoint.arm_fail_n "wal.append" 16;
-            (* the simulated log device rejects syncs along with
-               appends; harmless (never consulted) for engines that
-               do not fsync *)
             Failpoint.arm_fail_n "wal.fsync" 4
         | Fault_plan.Flush_fail -> Failpoint.arm_fail_n "vsorter.flush" 4
         | Fault_plan.Evict_storm ->
             Option.iter (fun d -> Buffer_pool.clear d.State.store_cache) driver
         | Fault_plan.Space_storm ->
-            (* A burst writer: displace a volley of versions in one
-               instant, squeezing the version-space quota. Drawn from
-               the victim stream so a plan without storms stays
-               bit-identical. *)
+            (* A burst writer displaces a volley of versions at once,
+               squeezing the version-space quota (victim-stream draws). *)
             let records = Schema.records cfg.Exp_config.schema in
             let txn, _ = ops.begin_txn ~now in
             let conflicted = ref false in
@@ -898,16 +839,10 @@ let body mode (cfg : Exp_config.t) ~faults topo =
                done
              with Exit -> conflicted := true);
             if !conflicted then ignore (ops.abort txn ~now) else ignore (ops.commit txn ~now)
-        (* Liveness injections only bite in armed runs (the gate is
-           constant for the whole run, so determinism per mode is
-           unaffected). A cleaner stall hangs the cleaning loop long
-           enough that a run without the watchdog provably exceeds the
-           reclamation-lag bound; a collab delay is the cutter dawdling
-           between footprint install and its completion mark — in the
-           discrete-event engines a brief maintenance hiccup, the
-           genuine spin-window stretch being the multi-domain
-           collaboration tests'. Zombies come from the LLT slots, which
-           follow the workers'. *)
+        (* Liveness injections bite only in armed runs. A cleaner stall
+           outlasts the reclamation-lag bound; a collab delay (the cutter
+           dawdling mid-episode) is a brief maintenance hiccup here.
+           Zombies come from the LLT slots, after the workers'. *)
         | Fault_plan.Cleaner_stall ->
             if liveness_armed then stall (now + Clock.ms (150 + Rng.int victim_rng 451))
         | Fault_plan.Collab_delay ->
@@ -928,10 +863,9 @@ let body mode (cfg : Exp_config.t) ~faults topo =
               | _ -> ())
           | [] -> ());
           List.iter (fun action -> apply action ~now) (Fault_plan.poll plan ~now)));
-  (* Liveness watchdog: heartbeat sources over the cleaning pipeline,
-     the escalation ladder polled on the simulated clock, and the
-     bounded-reclamation-lag monitor. Spawned after the fault plumbing
-     so the probe is already armed when the first poll fires. *)
+  (* Liveness watchdog: heartbeats over the cleaning pipeline, the
+     escalation ladder and the reclamation-lag monitor, spawned after
+     the probe so it is armed when the first poll fires. *)
   (match (wd, single) with
   | Some w, Some { eng; _ } ->
       Watchdog.register w "cleaner" ~now:0;
@@ -946,10 +880,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         driver;
       if checkpoint <> None && cfg.Exp_config.ckpt_period_s > 0. then
         Watchdog.register ~watch:false w "checkpointer" ~now:0;
-      (* A zombie is a transaction past its lease with no progress that
-         also pins otherwise-dead versions: merely idling is harmless, so
-         only harmful idlers count — and only they are ever shed, which
-         is what the no-false-kill invariant audits. *)
+      (* A zombie is past its lease, idle, and pins otherwise-dead
+         versions; only those are shed (the no-false-kill audit). *)
       let expired_zombies ~now =
         match (lease, driver) with
         | Some l, Some d ->
@@ -995,11 +927,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
           Option.iter (fun d -> record_all ~at:now (Invariant.check_watchdog d)) driver;
           Watchdog.poll w ~now ~actions)
   | _ -> ());
-  (* Under an unsound rule (e.g. a sabotaged zone test) the engine can
-     fail outright — a snapshot read landing on a pruned version. During
-     a fault run that is itself a verdict, not a harness crash: record
-     it and let the campaign report it. Without a fault plan the
-     exception propagates. *)
+  (* Under an unsound rule the engine can fail outright (a snapshot read
+     landing on a pruned version); in a fault run that is a verdict. *)
   let engine_failed =
     try
       ignore (Substrate.run sub ~until:horizon);
@@ -1021,19 +950,18 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         driver
   | Group { g; repl; gcfg } ->
       Shard_group.set_on_step g None;
-      (* Post-horizon settlement for non-transparent fabrics: drain
-         in-flight frames and resolve every in-doubt transaction the
-         horizon cut off (a never-healing partition legitimately leaves
-         residue; the liveness check below skips still-severed pairs). *)
+      (* A non-transparent fabric drains in-flight frames and resolves
+         what the horizon left in doubt (still-severed pairs excepted). *)
       let active = net_active gcfg || repl <> None in
       let endt =
         if active && not engine_failed then Shard_group.quiesce g ~now:horizon else horizon
       in
       if not engine_failed then Shard_group.finish g ~now:horizon;
       List.iter Invariant.remove_prune_audit drivers;
-      (* End-of-run verdicts: the full catalogue per shard, and the log
-         oracles over every surviving log, compared with what the
-         sweep's cursors concluded. *)
+      (* End-of-run verdicts: the catalogue per shard and the log oracles
+         over every surviving log, compared with the sweep's cursors;
+         replicated, split brain, failover lag and the loss oracle over
+         the post-failover devices against the client-visible ledger. *)
       List.iter (fun d -> record_all ~at:horizon (Invariant.check_all d)) drivers;
       let wals = Shard_group.wals g in
       let analyses = Invariant.analyze_shard_logs wals in
@@ -1049,10 +977,6 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         record_all ~at:endt (viols_of_pairs (Shard_group.check_indoubt_liveness g ~now:endt));
         record_all ~at:endt (viols_of_pairs (Shard_group.check_epoch_lag g ~now:endt))
       end;
-      (* Replication verdicts: split-brain and lag over the final node
-         state, and the loss oracle over the authoritative
-         (post-failover) devices against the full client-visible ack
-         ledger. *)
       Option.iter
         (fun r ->
           record_all ~at:endt (viols_of_pairs (Replica.check_no_split_brain r));
@@ -1078,7 +1002,7 @@ let body mode (cfg : Exp_config.t) ~faults topo =
     lag = !lag_mon;
   }
 
-let single ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
+let single ~engine ~faults ~watchdog ~mode (cfg : Exp_config.t) =
   Substrate.require ~who:"Runner.run" mode
     [
       ( Substrate.Crash_faults,
@@ -1091,14 +1015,11 @@ let single ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
   Option.iter (refuse_unimplemented ~who:"Runner.run" ~sharded:false) faults;
   Failpoint.with_scope @@ fun () ->
   let eng = engine cfg.Exp_config.schema in
-  (* Liveness containment, armed only when a watchdog configuration is
-     passed. The default run allocates no watchdog, grants no lease,
-     spawns no extra process and reads no extra randomness. *)
   let wd = Option.map (fun config -> Watchdog.create ~config ()) watchdog in
   let stats = body mode cfg ~faults (Single { eng; wd }) in
   (eng, wd, stats)
 
-let sharded ?(mode = Sim) cfg =
+let sharded ~mode cfg =
   let plan = cfg.faults in
   let crash_points = Fault_plan.crash_points plan in
   let crash_faults = crash_points <> [] || cfg.crash_steps <> [] || Fault_plan.torn_tail plan in

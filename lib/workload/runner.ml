@@ -34,9 +34,7 @@ let peak_of = Process_set.peak_of
 let final_of xs = match List.rev xs with (_, v) :: _ -> int_of_float v | [] -> 0
 
 let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
-  let eng, wd, (st : Process_set.stats) =
-    Process_set.single ~engine ?faults ?watchdog ~mode cfg
-  in
+  let eng, wd, (st : Process_set.stats) = Process_set.single ~engine ~faults ~watchdog ~mode cfg in
   let report = st.Process_set.report and final = st.Process_set.final in
   let driver = eng.Engine.driver in
   let watchdog_count f = Option.fold ~none:0 ~some:f wd in

@@ -1,15 +1,15 @@
-(** Discrete-event experiment runner.
+(** Experiment runner over one engine: the single-engine topology of
+    the shared campaign body ({!Process_set}). Builds the engine, runs
+    the OLTP workers, LLT drivers, background GC, checkpointer and
+    metrics sampler (plus the fault harness and watchdog when asked),
+    and collects the series the paper's figures plot.
 
-    Builds an engine, spawns worker processes (the OLTP mix), LLT driver
-    processes, a background GC process and a metrics sampler, then runs
-    the simulation and collects the series the paper's figures plot.
-
-    Fidelity note (documented in DESIGN.md): each worker computes one
-    whole short transaction per scheduling step, so a short
-    transaction's read view may reflect commits that complete within the
-    same step window. The error is bounded by one transaction duration
-    (tens of microseconds); LLTs — the phenomenon under study — live for
-    many seconds across thousands of steps and are modeled exactly. *)
+    Fidelity note (DESIGN.md): each worker computes one whole short
+    transaction per scheduling step, so a short transaction's read view
+    may reflect commits completing within the same step window — an
+    error bounded by one transaction (tens of microseconds). LLTs, the
+    phenomenon under study, live across thousands of steps and are
+    modeled exactly. *)
 
 type result = {
   engine_name : string;
@@ -86,55 +86,40 @@ val run :
   ?mode:mode ->
   Exp_config.t ->
   result
-(** [run ~engine ?faults ?watchdog cfg] builds the engine and drives the
-    discrete-event simulation. [?mode] (default [Sim]) selects the
-    execution substrate; one campaign body serves both, and the Sim
-    substrate adds nothing per step, so default-mode runs stay
-    bit-identical to the seed. With [?faults], the scheduler's dispatch
-    probe consults the plan before every process step; due injections
-    (crashes, forced aborts, WAL errors, flush failures, cache eviction
-    storms, space storms) are applied to the engine, a continuous
-    prune-soundness audit is armed on the vDriver instance, and a
-    periodic process sweeps the full invariant catalogue
-    ({!Invariant.check_all}), collecting everything into
-    [result.faults]. A plan that injects nothing leaves the run
-    bit-identical to a run without one. Whole-node faults
-    ([Node_kill], [Node_revive]) belong to replicated shards
-    ({!Shard_runner}); a plan that injects them raises
-    [Invalid_argument].
+(** [run ~engine ?faults ?watchdog cfg] builds the engine and drives
+    the campaign on [?mode] (default [Sim]). Without [?faults] and
+    [?watchdog] the run is the plain experiment, bit-identical to the
+    seed; a plan that injects nothing leaves it bit-identical too.
 
-    On a durable engine (one exposing [checkpoint]/[restart]) the
-    runner additionally spawns a fuzzy checkpointer at
-    [cfg.ckpt_period_s], and the plan's crash points and Poisson
-    [Crash] arrivals become full power-loss/restart-replay cycles:
-    unfsynced (or post-crash-point) frames are discarded, an optional
-    torn tail is fabricated, in-flight transactions are dropped as
-    losers (never aborted through the engine), the engine's restart
-    replays the surviving log, and {!Invariant.check_post_recovery} is
-    asserted before the workload resumes.
+    With [?faults], the plan is polled before every process step and
+    its arrivals applied to the engine — forced aborts, WAL errors,
+    flush failures, cache eviction storms, space storms, Poisson
+    crashes, cleaner stalls, collab delays, zombie LLTs; whole-node
+    faults raise [Invalid_argument] (they need {!Shard_runner}). A
+    prune-soundness audit is armed on the vDriver and a periodic
+    process sweeps {!Invariant.check_all}; everything lands in
+    [result.faults]. On a durable engine (one exposing
+    [checkpoint]/[restart]) a fuzzy checkpointer runs at
+    [cfg.ckpt_period_s], and crash points and Poisson crashes become
+    power losses: unfsynced (or post-crash-point) frames are lost, an
+    optional torn tail is fabricated, in-flight transactions are
+    dropped as losers, the restart replays the log and
+    {!Invariant.check_post_recovery} is asserted.
 
-    When the engine has a vDriver, the runner installs the governor's
-    shed hook (so snapshot-too-old victims are rolled back through the
-    engine), paces background maintenance by {!Governor.gc_scale}, and
-    re-executes externally-aborted workers and LLT drivers under a
-    seeded bounded-exponential backoff (200 us base, 20 ms cap, 6
-    attempts, deterministic jitter).
+    On a vDriver engine the governor's shed hook rolls snapshot-too-old
+    victims back through the engine, GC is paced by
+    {!Governor.gc_scale}, and externally-aborted workers and LLT drivers
+    re-execute under a seeded backoff (200 us base, 20 ms cap, 6
+    attempts).
 
-    With [?watchdog], the liveness subsystem is armed: every cleaning
-    loop posts progress beats into a {!Watchdog.t} (also installed on
-    the vDriver state so vSorter/vCutter/maintenance beat from inside
-    the pipeline), every transaction is granted a {!Lease} scaled to
-    the experiment, a watchdog process polls the escalation ladder at
-    the configured check period, and an {!Invariant.lag_monitor}
-    asserts the bounded-reclamation-lag guarantee
-    ({!Watchdog.lag_bound}) online, recording violations into
-    [result.faults]. Stall/zombie injections ([Cleaner_stall],
-    [Collab_delay], [Llt_zombie] in the fault plan) only bite in armed
-    runs. Passing a config with [enabled = false] keeps the whole
-    observation side (beats, leases, lag monitor — and therefore the
-    reclamation-lag violations) while the ladder never acts: the
-    [no-watchdog] {!Sabotage} row. Without [?watchdog] nothing above
-    exists and the run is bit-identical to the seed. *)
+    With [?watchdog] the liveness subsystem is armed: cleaning loops
+    post beats into a {!Watchdog.t} (also installed on the vDriver),
+    every transaction holds a {!Lease} scaled to the experiment, a
+    process polls the escalation ladder, and an
+    {!Invariant.lag_monitor} asserts {!Watchdog.lag_bound} online.
+    Stall and zombie injections only bite in armed runs. A config with
+    [enabled = false] keeps beats, leases and the lag monitor while the
+    ladder never acts: the [no-watchdog] {!Sabotage} row. *)
 
 val avg_throughput : result -> between:float * float -> float
 (** Mean commits/s over a closed time window. *)

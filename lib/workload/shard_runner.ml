@@ -127,8 +127,8 @@ type result = {
   digest : digest;
 }
 
-let run ?mode cfg =
-  let g, repl, (st : Process_set.stats) = Process_set.sharded ?mode cfg in
+let run ?(mode = Sim) cfg =
+  let g, repl, (st : Process_set.stats) = Process_set.sharded ~mode cfg in
   let report = st.Process_set.report in
   let commits = Series.Rate.total st.Process_set.commit_rate in
   let final = st.Process_set.final in
@@ -140,10 +140,10 @@ let run ?mode cfg =
   let per_shard name f =
     List.init cfg.shards (fun sid -> Run_digest.int (Printf.sprintf "%s%d" name sid) (f ~sid))
   in
-  let rep_total f r = Process_set.rep_total f r ~shards:cfg.shards in
+  let rep_total f r = List.fold_left (fun acc sid -> acc + f r ~sid) 0 (List.init cfg.shards Fun.id) in
   let digest =
     {
-      d_mode = (match mode with Some (Domains _) -> "domains" | Some Sim | None -> "sim");
+      d_mode = (match mode with Sim -> "sim" | Domains _ -> "domains");
       d_shards = cfg.shards;
       d_commits = commits;
       d_conflicts = st.Process_set.conflicts;

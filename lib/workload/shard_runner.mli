@@ -1,36 +1,23 @@
-(** Campaign driver for sharded deployments.
+(** Campaign driver for sharded deployments: the shard-group topology
+    of the shared campaign body ({!Process_set}). OLTP workers are
+    routed by a {!Shard_router} per workload phase, a drawn fraction of
+    writing transactions forced cross-shard (through 2PC); an LLT fleet
+    pins global snapshots; maintenance and fuzzy checkpoints run per
+    shard and a global epoch broadcaster paces pruning. The fault
+    surface is power loss at global log positions, crash at exact 2PC
+    steps, torn tails on a rotating shard and, replicated, whole-node
+    kills. After every restart the per-shard post-recovery catalogue and
+    the cross-shard atomicity oracle run; the static 2PC checks also run
+    in the periodic sweep and at the end, so a skipped coordinator
+    decision is caught without a crash. Sim runs are deterministic;
+    Domains runs are statistically reproducible, compared with
+    {!digest_diff}, and reject crash faults.
 
-    Sim mode is the seed discrete-event scheduler over a
-    {!Shard_group}: OLTP workers routed by a {!Shard_router} (a drawn
-    fraction of writing transactions forced cross-shard, i.e. through
-    2PC), an LLT fleet pinning global snapshots, per-shard background
-    maintenance and fuzzy checkpoints, a global epoch broadcaster, and
-    the full fault surface — power loss at scheduled global log
-    positions, {b crash-at-every-2PC-step} via the group's step hook,
-    and torn tails on a rotating shard. After every restart the
-    per-shard post-recovery catalogue and the cross-shard atomicity
-    oracle both run; the static 2PC checks also run in the periodic
-    sweep and at the end of every run, so a skipped coordinator
-    decision is caught even without a crash. Whole runs are
-    deterministic: same config, same bytes — the plan is immutable, so
-    one config can drive any number of runs.
-
-    Domains mode runs the same process set — prune audits, periodic
-    invariant sweep and failover fault notes included — on real OCaml 5
-    domains over the {!Exec} bounded-skew substrate, each process step
-    holding one engine mutex: the same simulated costs as Sim,
-    interleaved for real, statistically reproducible, compared across
-    modes with {!digest_diff}. Crash faults are Sim-only
-    ({!Substrate.table}) and rejected ([Invalid_argument]).
-
-    Both modes can attach a {!Net_fault} config: the 2PC and epoch
-    choreography then rides the seeded lossy fabric, a periodic
-    resolver task pumps it (resends, in-doubt termination), post-run
-    the fabric is quiesced and the network invariants
-    (in-doubt-liveness, reclamation-lag-after-heal) recorded, and the
-    digest grows a net block. With [Net_fault.none] and no sabotage the
-    fabric is provably transparent — reports and digests are
-    byte-identical to the pre-fabric driver. *)
+    A {!Net_fault} config puts the 2PC and epoch traffic on the seeded
+    lossy fabric: a resolver process pumps it, the fabric is quiesced
+    after the run, the network invariants are recorded and the digest
+    grows a net block. [Net_fault.none] without sabotage is transparent:
+    reports and digests are byte-identical to a driver without it. *)
 
 type mode = Substrate.mode = Sim | Domains of { domains : int }
 

@@ -1,9 +1,9 @@
 (** The execution substrate a campaign body runs on, and what each
     substrate supports.
 
-    {!Runner} and {!Shard_runner} each have one campaign body — one
-    process set — written against the discrete-event {!Scheduler}'s
-    task shape. The body needs two capabilities: {!spawn} a process,
+    The campaign body ({!Process_set}, behind {!Runner} and
+    {!Shard_runner}) is written against the discrete-event
+    {!Scheduler}'s task shape. The body needs two capabilities: {!spawn} a process,
     and {!on_dispatch} install the fault harness's poll hook. Either
     substrate provides both:
 
