@@ -440,6 +440,23 @@ let test_campaign_honest_and_reproducible () =
   check_int "same crashes" r1.Shard_runner.crashes r2.Shard_runner.crashes;
   check_int "same 2pc steps" r1.Shard_runner.two_pc_steps r2.Shard_runner.two_pc_steps
 
+(* Sharded workers draw their rows from the phase in force: a skewed
+   second phase must change the run, where a router built from the
+   first phase alone would leave it equal to its one-phase twin. *)
+let test_workers_follow_phases () =
+  let cfg = campaign_cfg () in
+  let run phases =
+    let base = { cfg.Shard_runner.base with Exp_config.phases } in
+    let r =
+      Shard_runner.run { (Shard_runner.default ~shards:2 base) with Shard_runner.cross_pct = 50 }
+    in
+    check_int "honest" 0 (Fault_report.violation_count r.Shard_runner.report);
+    Jsonx.to_string (Shard_runner.digest_to_json r.Shard_runner.digest)
+  in
+  let first = { Exp_config.at_s = 0.; pattern = Access.Uniform } in
+  let phased = run [ first; { Exp_config.at_s = 0.1; pattern = Access.Zipfian 1.2 } ] in
+  check_bool "the second phase moves the digest" true (phased <> run [ first ])
+
 (* One Sim/Domains pair, shared by the agreement test and the
    lost-counter test. *)
 let sim_domains_pair =
@@ -520,5 +537,6 @@ let suites =
           test_campaign_honest_and_reproducible;
         Alcotest.test_case "sim-vs-domains digest" `Slow test_sim_vs_domains_digest;
         Alcotest.test_case "lost commits caught by digest" `Slow test_lost_commits_caught;
+        Alcotest.test_case "workers follow the phases" `Quick test_workers_follow_phases;
       ] );
   ]
