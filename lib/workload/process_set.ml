@@ -241,7 +241,9 @@ let body mode (cfg : Exp_config.t) ~faults topo =
            declared lifetime, so only a driver that truly stopped expires. *)
         let short_lease = max (Clock.ms 10) (Clock.seconds (cfg.Exp_config.duration_s /. 200.)) in
         let longest_s =
-          List.fold_left (fun acc (l : Exp_config.llt_spec) -> Float.max acc l.duration_s) 0. cfg.Exp_config.llts
+          List.fold_left
+            (fun acc (l : Exp_config.llt_spec) -> Float.max acc l.duration_s)
+            0. cfg.Exp_config.llts
         in
         let llt_lease = max (4 * short_lease) (Clock.seconds (longest_s /. 10.)) in
         Some (Lease.create ~config:{ Lease.short_lease; llt_lease } ())
@@ -500,7 +502,7 @@ let body mode (cfg : Exp_config.t) ~faults topo =
   if faults <> None then
     List.iter
       (fun d ->
-        Invariant.install_prune_audit d ~on_violation:(fun ~now viol -> record_all ~at:now [ viol ]))
+        Invariant.install_prune_audit d ~on_violation:(fun ~now v -> record_all ~at:now [ v ]))
       drivers;
   (* OLTP workers: each short transaction takes two scheduling steps —
      begin first, then the operation body — so that transactions from
@@ -517,7 +519,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         | None -> (
             match if s.killed then retry s now else None with
             | Some step -> step
-            | None -> if now >= horizon then Scheduler.Finished else begin_in s ~kind:Lease.Short now)
+            | None ->
+                if now >= horizon then Scheduler.Finished else begin_in s ~kind:Lease.Short now)
         | Some txn -> (
             (* The whole body runs in this one step, so its lease ends. *)
             release s txn;
@@ -674,7 +677,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
         | Group { g; gcfg; _ } ->
             if Option.is_none !sweep then
               sweep :=
-                Some (Invariant.sweep (Array.init shards (fun _ -> Sabotage.cursor gcfg.sabotage ())));
+                Some
+                  (Invariant.sweep (Array.init shards (fun _ -> Sabotage.cursor gcfg.sabotage ())));
             let s = Option.get !sweep in
             record_all ~at:now (Invariant.run_sweep s ?acked:(new_acks ()) (Shard_group.wals g)))
   in
@@ -763,7 +767,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
               Some
                 (Invariant.lag_monitor d
                    ~bound:
-                     (Watchdog.lag_bound Watchdog.default_config ~gc_period:cfg.Exp_config.gc_period));
+                     (Watchdog.lag_bound Watchdog.default_config
+                        ~gc_period:cfg.Exp_config.gc_period));
           spawn_invariants plan)
         driver;
       (* Victims are drawn from the plan's seed, never [master_rng]: a
@@ -871,12 +876,15 @@ let body mode (cfg : Exp_config.t) ~faults topo =
       Watchdog.register w "cleaner" ~now:0;
       Option.iter
         (fun d ->
-          List.iter (fun src -> Watchdog.register w src ~now:0) [ "vsorter"; "vcutter"; "governor" ];
+          List.iter
+            (fun source -> Watchdog.register w source ~now:0)
+            [ "vsorter"; "vcutter"; "governor" ];
           d.State.watchdog <- Some w;
           lag_mon :=
             Some
               (Invariant.lag_monitor d
-                 ~bound:(Watchdog.lag_bound (Watchdog.config w) ~gc_period:cfg.Exp_config.gc_period)))
+                 ~bound:
+                   (Watchdog.lag_bound (Watchdog.config w) ~gc_period:cfg.Exp_config.gc_period)))
         driver;
       if checkpoint <> None && cfg.Exp_config.ckpt_period_s > 0. then
         Watchdog.register ~watch:false w "checkpointer" ~now:0;

@@ -115,7 +115,8 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
       int "domains" (match mode with Sim -> 1 | Domains { domains } -> domains);
       (* The backend identity is part of the experiment, not a
          statistic. *)
-      str ~rule:Exact "gc_backend" (Option.fold ~none:"vcutter" ~some:Driver.gc_backend_name driver);
+      str ~rule:Exact "gc_backend"
+        (Option.fold ~none:"vcutter" ~some:Driver.gc_backend_name driver);
       int ~rule:(Within (0.20, 400.)) "commits" commits;
       int ~rule:(Within (2.0, 150.)) "conflicts" st.Process_set.conflicts;
       int ~rule:(Within (0.25, 400.)) "llt_reads" st.Process_set.llt_reads;
@@ -164,7 +165,8 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
           ])
     @
     match driver with
-    | Some { State.gc_backend = Some h; _ } -> List.map (fun (k, n) -> int k n) (h.State.gh_gauges ())
+    | Some { State.gc_backend = Some h; _ } ->
+        List.map (fun (k, n) -> int k n) (h.State.gh_gauges ())
     | _ -> []
   in
   Run_digest.publish report digest;
@@ -182,7 +184,8 @@ let run ~engine ?faults ?watchdog ?(mode = Sim) (cfg : Exp_config.t) =
     llt_reads = st.Process_set.llt_reads;
     truncations = final.Engine.truncations;
     latch_wait = final.Engine.latch_wait;
-    cut_delays = Option.fold ~none:[] ~some:(fun d -> Version_store.cut_delays (Driver.store d)) driver;
+    cut_delays =
+      Option.fold ~none:[] ~some:(fun d -> Version_store.cut_delays (Driver.store d)) driver;
     driver;
     faults = report;
     wal_errors = final.Engine.wal_errors;

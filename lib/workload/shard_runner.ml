@@ -140,7 +140,9 @@ let run ?(mode = Sim) cfg =
   let per_shard name f =
     List.init cfg.shards (fun sid -> Run_digest.int (Printf.sprintf "%s%d" name sid) (f ~sid))
   in
-  let rep_total f r = List.fold_left (fun acc sid -> acc + f r ~sid) 0 (List.init cfg.shards Fun.id) in
+  let rep_total f r =
+    List.fold_left (fun acc sid -> acc + f r ~sid) 0 (List.init cfg.shards Fun.id)
+  in
   let digest =
     {
       d_mode = (match mode with Sim -> "sim" | Domains _ -> "domains");
