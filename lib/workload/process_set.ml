@@ -374,8 +374,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
      time. A sharded run routes each phase's rows across the shards. *)
   let phases =
     List.map
-      (fun { Exp_config.at_s; pattern } ->
-        ( at_s,
+      (fun { Exp_config.pattern; _ } ->
+        ( pattern,
           match topo with
           | Single _ -> Rows (Access.create cfg.Exp_config.schema pattern)
           | Group { gcfg; _ } ->
@@ -385,15 +385,10 @@ let body mode (cfg : Exp_config.t) ~faults topo =
       (if cfg.Exp_config.phases = [] then [ { Exp_config.at_s = 0.; pattern = Access.Uniform } ]
        else cfg.Exp_config.phases)
   in
-  let rec pick s current = function
-    | (at_s, rows) :: rest when s >= at_s -> pick s rows rest
-    | _ -> current
-  in
   let rows_at now =
     match phases with
     | [ (_, rows) ] -> rows
-    | (_, first) :: rest -> pick (Clock.to_seconds now) first rest
-    | [] -> assert false
+    | _ -> List.assoc (Exp_config.pattern_at cfg (Clock.to_seconds now)) phases
   in
   let sample rows rng =
     match rows with Rows a -> Access.sample a rng | Routed r -> Shard_router.sample r rng
