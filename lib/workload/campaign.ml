@@ -16,6 +16,7 @@ let config ~seed ~duration ~ckpt_ms =
         { Exp_config.start_s = duration /. 5.; duration_s = duration /. 2.; count = 2 };
         { Exp_config.start_s = duration /. 2.; duration_s = duration /. 4.; count = 1 };
       ];
+    sample_period_s = 0.05;
     ckpt_period_s = float_of_int ckpt_ms /. 1000.;
   }
 
