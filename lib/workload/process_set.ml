@@ -538,9 +538,11 @@ let body mode (cfg : Exp_config.t) ~faults topo =
                     raise Exit
               done;
               t := ops.settle txn ~now:!t;
-              Backoff.reset s.backoff;
               Series.Rate.incr commit_rate ~time:(Clock.to_seconds !t);
-              Histogram.add latency_us ((!t - txn.Txn.begin_time) / 1_000);
+              if tracked then begin
+                Backoff.reset s.backoff;
+                Histogram.add latency_us ((!t - txn.Txn.begin_time) / 1_000)
+              end;
               if Trace.on () then
                 Trace.span Trace.Txn "txn" ~start:txn.Txn.begin_time
                   ~dur:(!t - txn.Txn.begin_time)

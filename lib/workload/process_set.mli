@@ -47,7 +47,8 @@ val peak_of : (float * float) list -> int
 type stats = {
   report : Fault_report.t;
   commit_rate : Series.Rate.rate;  (** worker commits per 1 s bucket *)
-  latency_us : Histogram.t;  (** committed-transaction latency (10 us buckets) *)
+  latency_us : Histogram.t;
+      (** committed-transaction latency (10 us buckets); single engine only *)
   conflicts : int;
   llt_reads : int;
   retries : int;
