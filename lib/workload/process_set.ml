@@ -126,7 +126,6 @@ type ops = {
    over one engine, or a router over the shards. *)
 type rows = Rows of Access.t | Routed of Shard_router.t
 
-let shard_list g = Array.to_list (Shard_group.shards g)
 let viols_of_pairs ps = List.map (fun (invariant, detail) -> { Invariant.invariant; detail }) ps
 
 (* ------------------------------------------------------------------ *)
@@ -292,7 +291,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
   let drivers =
     match topo with
     | Single _ -> Option.to_list driver
-    | Group { g; _ } -> List.map (fun (sh : Shard.t) -> sh.Shard.driver) (shard_list g)
+    | Group { g; _ } ->
+        Array.to_list (Array.map (fun (sh : Shard.t) -> sh.Shard.driver) (Shard_group.shards g))
   in
   (* Externally-aborted transactions (forced aborts, governor sheds)
      re-execute after a bounded-exponential backoff. Each slot owns a
@@ -575,8 +575,8 @@ let body mode (cfg : Exp_config.t) ~faults topo =
     spawn_worker i
   done;
   (* LLT drivers: begin at [start_s], read records continuously (a
-     single engine's uniformly, a group's through its router), commit at
-     the end of their lifetime. *)
+     single engine's uniformly, a group's through its first phase's
+     router), commit at the end of their lifetime. *)
   List.iteri
     (fun gi { Exp_config.start_s; duration_s; count } ->
       for li = 0 to count - 1 do
